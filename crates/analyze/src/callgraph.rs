@@ -53,11 +53,12 @@ const SHARED_MARKERS: [&str; 3] = ["Arc", "Mutex", "RwLock"];
 /// workspace functions still resolve when written `Type::name(…)` or
 /// `self.name(…)` — this list only suppresses the ambient fallback, and
 /// it is a documented hole in the over-approximation (see DESIGN.md).
-const AMBIENT_METHODS: [&str; 36] = [
+const AMBIENT_METHODS: [&str; 37] = [
     "chain",
     "clear",
     "clone",
     "cmp",
+    "collect",
     "contains",
     "count",
     "drain",

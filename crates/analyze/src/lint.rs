@@ -211,6 +211,9 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
     let mut found = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
+        if dir != root && is_nested_workspace(&dir) {
+            continue;
+        }
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
@@ -230,6 +233,14 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
     }
     found.sort();
     Ok(found)
+}
+
+/// Whether `dir` holds a package that declares its own `[workspace]`
+/// (e.g. the standalone `perfbench/`): it builds separately, workspace
+/// crates cannot call into it, so it is outside the analyzed sources.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -453,6 +464,23 @@ mod tests {
         assert!(!is_library_source("vendor/proptest/src/lib.rs"));
         assert!(!is_library_source("crates/bench/src/fixtures/x.rs"));
         assert!(!is_library_source("README.md"));
+    }
+
+    #[test]
+    fn nested_workspaces_are_not_collected() {
+        let root = std::env::temp_dir().join(format!("csce-lint-nested-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "//! a\n");
+        write("bench/Cargo.toml", "[package]\nname = \"b\"\n\n[workspace]\n");
+        write("bench/src/lib.rs", "//! b\n");
+        let found = collect_sources(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(found, vec!["crates/a/src/lib.rs".to_string()]);
     }
 
     #[test]

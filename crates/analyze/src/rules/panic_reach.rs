@@ -4,8 +4,9 @@
 //! The entry-point list below *is* the certification surface: the WCOJ
 //! recursion (`Executor::scan`/`try_candidate`/`walk` and the drivers
 //! above them), the work-stealing scheduler's chunk-claim/stop/deadline
-//! path, and the parallel front doors (`count/collect/enumerate_parallel`
-//! and friends). Every entry is pinned to `crates/core/src/exec/` so a
+//! path, and the parallel entry points (`run_parallel`,
+//! `count_parallel_observed`, `collect_parallel` and, through it,
+//! `sink_parallel`). Every entry is pinned to `crates/core/src/exec/` so a
 //! same-named function elsewhere cannot widen or shadow the surface, and
 //! an entry that no longer resolves is itself a finding — renaming a hot
 //! function without updating the list fails CI instead of silently
@@ -19,7 +20,7 @@ use crate::rules::Finding;
 pub const ENTRY_PREFIX: &str = "crates/core/src/exec/";
 
 /// The certified executor entry points.
-pub const ENTRY_POINTS: [&str; 18] = [
+pub const ENTRY_POINTS: [&str; 16] = [
     // Sequential drivers and the WCOJ recursion (Algorithm 4).
     "Executor::count",
     "Executor::drive",
@@ -35,12 +36,10 @@ pub const ENTRY_POINTS: [&str; 18] = [
     "Scheduler::stop_once",
     "Scheduler::stopped",
     "Scheduler::deadline",
-    // Parallel front doors.
+    // Parallel entry points.
     "run_parallel",
-    "count_parallel",
     "count_parallel_observed",
     "collect_parallel",
-    "enumerate_parallel",
 ];
 
 /// Run the rule: one finding per panic site in a reachable function, one
@@ -98,7 +97,7 @@ mod tests {
         );
         let adj = ws.resolve();
         let (findings, r) = run(&ws, &adj);
-        // `helper` is reachable from walk; `cold` is not. The other 17
+        // `helper` is reachable from walk; `cold` is not. The other 15
         // entries are missing in this tiny fixture.
         let site_findings: Vec<&Finding> =
             findings.iter().filter(|f| f.file != "<entry-point-list>").collect();
@@ -121,7 +120,7 @@ mod tests {
         let mut ws = Workspace::default();
         ws.parse_file(
             "crates/baselines/src/common.rs",
-            "//! d\nfn count_parallel() { Some(1).unwrap(); }\n",
+            "//! d\nfn count_parallel_observed() { Some(1).unwrap(); }\n",
         );
         let adj = ws.resolve();
         let (findings, r) = run(&ws, &adj);

@@ -15,6 +15,7 @@ use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
 use csce_graph::sample::PatternSampler;
 use csce_graph::{Density, Variant};
+use csce_obs::Recorder;
 use std::time::Instant;
 
 fn main() {
@@ -25,6 +26,7 @@ fn main() {
         csce_graph::GraphStats::of(&g)
     );
     let engine = Engine::build(&g);
+    let recorder = Recorder::disabled();
     let mut sampler = PatternSampler::new(&g, 0xF10);
     let sizes = [8usize, 16, 32, 64, 128, 200, 500, 1000, 2000];
 
@@ -38,9 +40,11 @@ fn main() {
         TrackingAllocator::reset_peak();
         for variant in [Variant::EdgeInduced, Variant::VertexInduced, Variant::Homomorphic] {
             let t0 = Instant::now();
-            let plan = engine.plan(&sp.pattern, variant, PlannerConfig::csce());
+            let query = engine
+                .prepare(&sp.pattern, variant, PlannerConfig::csce(), &recorder)
+                .expect("sampled patterns are connected");
             let elapsed = t0.elapsed();
-            assert_eq!(plan.order.len(), size);
+            assert_eq!(query.plan().order.len(), size);
             report.record_custom(
                 &format!("size{size}/{variant}"),
                 "plan-only",

@@ -10,6 +10,7 @@ use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
 use csce_graph::sample::PatternSampler;
 use csce_graph::{Density, Variant};
+use csce_obs::Recorder;
 
 fn main() {
     let ds = presets::patent();
@@ -30,6 +31,7 @@ fn main() {
             randomize_vertex_labels(&ds.graph, labels, 0xF12)
         };
         let engine = Engine::build(&g);
+        let recorder = Recorder::disabled();
         let mut sampler = PatternSampler::new(&g, 0xF12);
         for size in sizes {
             let patterns: Vec<_> = sampler
@@ -44,9 +46,11 @@ fn main() {
             for variant in [Variant::EdgeInduced, Variant::Homomorphic, Variant::VertexInduced] {
                 let (mut sce, mut cluster) = (0.0f64, 0.0f64);
                 for p in &patterns {
-                    let plan = engine.plan(p, variant, PlannerConfig::csce());
-                    sce += plan.sce.sce_fraction();
-                    cluster += plan.sce.cluster_pair_fraction();
+                    let query = engine
+                        .prepare(p, variant, PlannerConfig::csce(), &recorder)
+                        .expect("sampled patterns are connected");
+                    sce += query.plan().sce.sce_fraction();
+                    cluster += query.plan().sce.cluster_pair_fraction();
                 }
                 let n = patterns.len() as f64;
                 let task = format!("labels{labels}/size{size}/{variant}");

@@ -11,8 +11,7 @@
 //!
 //! The root vertex's candidate loop is also where parallelism attaches:
 //! a shared [`Scheduler`] turns it into a chunk-claiming loop
-//! ([`Executor::with_scheduler`]), while the static round-robin split
-//! ([`Executor::with_root_partition`]) remains as the ablation baseline.
+//! ([`Executor::with_scheduler`]).
 
 use super::scheduler::Scheduler;
 use super::sink::{CallbackSink, MatchSink};
@@ -58,13 +57,14 @@ pub struct Executor<'a> {
     /// Ordering restrictions `f(a) < f(b)`, indexed by the pattern vertex
     /// at which each becomes checkable (the later one in `Φ*`).
     checks_at: Vec<Vec<(VertexId, VertexId)>>,
-    /// Static work partition (ablation baseline): the root vertex only
-    /// tries candidates whose index `i` satisfies `i % stride == offset`.
-    root_filter: Option<(usize, usize)>,
     /// Dynamic work partition: the root vertex claims candidate chunks
     /// from this shared scheduler, which also carries the run-wide stop
     /// flag and deadline.
     scheduler: Option<Arc<Scheduler>>,
+    /// Candidate-computation scratch, reused across calls: the parent
+    /// rows being intersected, and the intersection's output buffer.
+    rows: Vec<&'a [u32]>,
+    tmp: Vec<VertexId>,
 }
 
 const UNMAPPED: VertexId = VertexId::MAX;
@@ -84,8 +84,9 @@ impl<'a> Executor<'a> {
             progress: None,
             progress_published: 0,
             checks_at: vec![Vec::new(); catalog.pattern().n()],
-            root_filter: None,
             scheduler: None,
+            rows: Vec::new(),
+            tmp: Vec::new(),
         }
     }
 
@@ -94,18 +95,6 @@ impl<'a> Executor<'a> {
     /// multiple workers sharing one sink the counts add up.
     pub fn with_progress(mut self, sink: Arc<AtomicU64>) -> Executor<'a> {
         self.progress = Some(sink);
-        self
-    }
-
-    /// Restrict the root vertex to every `stride`-th candidate starting at
-    /// `offset` — the *static* work partition, kept as the ablation
-    /// baseline for the dynamic scheduler (`csce-bench`'s scheduler
-    /// benchmark compares the two). The partial counts over offsets
-    /// `0..stride` sum to the full count. Mutually exclusive with
-    /// [`Executor::with_scheduler`], which takes precedence.
-    pub fn with_root_partition(mut self, stride: usize, offset: usize) -> Executor<'a> {
-        assert!(offset < stride, "offset must be below stride");
-        self.root_filter = Some((stride, offset));
         self
     }
 
@@ -156,7 +145,7 @@ impl<'a> Executor<'a> {
             c.valid = false;
         }
         self.stats = ExecStats::default();
-        if cfg!(feature = "deep-stats") && self.config.profile {
+        if self.config.profile {
             self.stats.deep = Some(DeepStats::default());
         }
         // A scheduled (parallel) run shares one deadline computed by the
@@ -174,12 +163,12 @@ impl<'a> Executor<'a> {
     pub fn count(&mut self) -> u64 {
         self.reset();
         let has_restrictions = self.checks_at.iter().any(|l| !l.is_empty());
-        let root = if self.config.factorize && !has_restrictions {
-            self.plan.root.clone()
+        let plan = self.plan;
+        let count = if self.config.factorize && !has_restrictions {
+            self.count_node(&plan.root, 0)
         } else {
-            sequential_tree(&self.plan.order)
+            self.count_node(&sequential_tree(&plan.order), 0)
         };
-        let count = self.count_node(&root, 0);
         self.stats.embeddings = count;
         self.publish_progress();
         count
@@ -251,10 +240,9 @@ impl<'a> Executor<'a> {
     /// `visit` once per admissible candidate with the mapping extended —
     /// the one candidate loop shared by counting and sink-driven search.
     ///
-    /// For the root vertex the iteration space is additionally shaped by
-    /// the work partition: chunk claims from the shared scheduler
-    /// (dynamic), a stride/offset filter (static baseline), or the full
-    /// range (standalone).
+    /// For a scheduled run, the root vertex's iteration space is the
+    /// chunks it claims from the shared scheduler; otherwise every
+    /// candidate is tried.
     fn scan<F>(&mut self, u: VertexId, depth: usize, mut visit: F)
     where
         F: FnMut(&mut Self),
@@ -271,17 +259,6 @@ impl<'a> Executor<'a> {
                             return;
                         }
                     }
-                }
-                return;
-            }
-            if let Some((stride, offset)) = self.root_filter {
-                let mut i = offset;
-                while i < len {
-                    self.try_candidate(u, depth, slot, i, injective, &mut visit);
-                    if self.stopped {
-                        return;
-                    }
-                    i += stride;
                 }
                 return;
             }
@@ -317,12 +294,9 @@ impl<'a> Executor<'a> {
             return;
         }
         self.stats.candidates_scanned += 1;
-        #[cfg(feature = "deep-stats")]
         if let Some(deep) = self.stats.deep.as_mut() {
             DeepStats::bump(&mut deep.depth_candidates, depth);
         }
-        #[cfg(not(feature = "deep-stats"))]
-        let _ = depth;
         self.f[u as usize] = v;
         if injective {
             self.used[v as usize] = true;
@@ -407,15 +381,12 @@ impl<'a> Executor<'a> {
             && parents.iter().zip(&self.caches[slot].sig).all(|(&p, &s)| self.f[p as usize] == s);
         if sig_matches {
             self.stats.sce_cache_hits += 1;
-            #[cfg(feature = "deep-stats")]
             if let Some(deep) = self.stats.deep.as_mut() {
                 DeepStats::bump(&mut deep.depth_sce_hits, depth);
             }
             let len = self.caches[slot].cands.len();
             return (slot, len);
         }
-        #[cfg(not(feature = "deep-stats"))]
-        let _ = depth;
         self.stats.candidate_computations += 1;
         let mut cands = std::mem::take(&mut self.caches[slot].cands);
         self.compute_candidates(u, &mut cands);
@@ -438,32 +409,29 @@ impl<'a> Executor<'a> {
             out.extend(self.catalog.seeds(u));
         } else {
             // Gather the parent rows, smallest first, then intersect.
-            let mut rows: Vec<&[u32]> = Vec::with_capacity(edge_parents.len());
+            let catalog = self.catalog;
+            self.rows.clear();
             for &(parent, eidx) in edge_parents {
-                let parent_side = self.catalog.side_of(eidx, parent);
-                let row = self.catalog.extend_row(eidx, parent_side, self.f[parent as usize]);
+                let parent_side = catalog.side_of(eidx, parent);
+                let row = catalog.extend_row(eidx, parent_side, self.f[parent as usize]);
                 if row.is_empty() {
                     return;
                 }
-                rows.push(row);
+                self.rows.push(row);
             }
-            rows.sort_unstable_by_key(|r| r.len());
-            #[cfg(feature = "deep-stats")]
-            let multi_way = rows.len() > 1;
-            out.extend_from_slice(rows[0]);
-            let mut tmp = Vec::new();
-            for row in &rows[1..] {
-                #[cfg(feature = "deep-stats")]
+            self.rows.sort_unstable_by_key(|r| r.len());
+            let multi_way = self.rows.len() > 1;
+            out.extend_from_slice(self.rows[0]);
+            for &row in &self.rows[1..] {
                 if let Some(deep) = self.stats.deep.as_mut() {
                     deep.intersection_input += (out.len() + row.len()) as u64;
                 }
-                intersect_sorted(out, row, &mut tmp);
-                std::mem::swap(out, &mut tmp);
+                intersect_sorted(out, row, &mut self.tmp);
+                std::mem::swap(out, &mut self.tmp);
                 if out.is_empty() {
                     break;
                 }
             }
-            #[cfg(feature = "deep-stats")]
             if multi_way {
                 if let Some(deep) = self.stats.deep.as_mut() {
                     deep.intersection_output += out.len() as u64;

@@ -26,8 +26,8 @@
 //!   each complete embedding (count, collect, first-`k`, callback).
 //! * [`scheduler`] — the parallel run: dynamic chunked claiming of root
 //!   candidates, cooperative cancellation, panic containment, and the
-//!   public parallel entry points ([`count_parallel`],
-//!   [`collect_parallel`], [`enumerate_parallel`]).
+//!   parallel entry points ([`run_parallel`], [`sink_parallel`],
+//!   [`count_parallel_observed`], [`collect_parallel`]).
 //! * [`stats`] — the counters every run reports ([`ExecStats`]).
 
 mod engine;
@@ -37,8 +37,8 @@ mod stats;
 
 pub use engine::Executor;
 pub use scheduler::{
-    adaptive_chunk, collect_parallel, count_parallel, count_parallel_observed, enumerate_parallel,
-    run_parallel, sink_parallel, CollectRun, ExecError, ParallelRun, Scheduler,
+    adaptive_chunk, collect_parallel, count_parallel_observed, run_parallel, sink_parallel,
+    CollectRun, ExecError, ParallelRun, Scheduler,
 };
 pub use sink::{CallbackSink, CollectSink, CountSink, FirstKSink, MatchSink};
 pub use stats::{DeepStats, ExecStats};
@@ -57,8 +57,7 @@ pub struct RunConfig {
     /// and `stats.timed_out` is set). In a parallel run the deadline is
     /// shared: one worker hitting it stops all of them.
     pub time_limit: Option<Duration>,
-    /// Collect [`DeepStats`] (per-depth + intersection counters). Only
-    /// effective when the `deep-stats` feature is compiled in; the hot
+    /// Collect [`DeepStats`] (per-depth + intersection counters); the hot
     /// loop pays one predictable branch when off.
     pub profile: bool,
 }
@@ -317,6 +316,7 @@ mod tests {
         b_chain(&mut pb, 5);
         let p = pb.build();
         let gc = build_ccsr(&g).unwrap();
+        let (run, rec) = (RunConfig::default(), csce_obs::Recorder::disabled());
         for variant in Variant::ALL {
             let star = read_csr(&gc, &p, variant);
             let catalog = Catalog::new(&p, &star);
@@ -325,19 +325,14 @@ mod tests {
             let sequential = seq_exec.count();
             let seq_scanned = seq_exec.stats().candidates_scanned;
             for threads in [1usize, 2, 3, 7] {
-                let parallel =
-                    count_parallel(&star, &p, &plan, RunConfig::default(), threads, None)
-                        .expect("no worker panicked");
+                let parallel = count_parallel_observed(&star, &p, &plan, run, threads, None, &rec)
+                    .expect("no worker panicked");
                 assert_eq!(parallel.count, sequential, "{variant} with {threads} threads");
                 assert_eq!(parallel.stats.embeddings, parallel.count);
                 assert!(!parallel.stats.timed_out);
                 assert_eq!(parallel.workers.len(), threads);
-                // Workers partition only the root loop; below the root the
-                // same subtrees are explored, so merged scans can exceed —
-                // but never undershoot — the sequential count... except
-                // that factorized Splits may prune differently per
-                // partition. Root-candidate coverage keeps this exact for
-                // threads == 1.
+                // Factorized Splits may prune differently per root chunk,
+                // so merged scans match the sequential run only inline.
                 if threads == 1 {
                     assert_eq!(parallel.stats.candidates_scanned, seq_scanned);
                     assert_eq!(parallel.stats.chunks_claimed, 0, "no scheduler when inline");
@@ -346,25 +341,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn root_partitions_sum_exactly() {
-        let g = paw();
-        let p = path3();
-        let gc = build_ccsr(&g).unwrap();
-        let star = read_csr(&gc, &p, Variant::EdgeInduced);
-        let catalog = Catalog::new(&p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced);
-        let full = Executor::new(&catalog, &plan, RunConfig::default()).count();
-        let parts: u64 = (0..3)
-            .map(|offset| {
-                Executor::new(&catalog, &plan, RunConfig::default())
-                    .with_root_partition(3, offset)
-                    .count()
-            })
-            .sum();
-        assert_eq!(parts, full);
     }
 
     #[test]
@@ -403,6 +379,7 @@ mod tests {
         let g = paw();
         let p = path3();
         let gc = build_ccsr(&g).unwrap();
+        let (run, rec) = (RunConfig::default(), csce_obs::Recorder::disabled());
         for variant in Variant::ALL {
             let star = read_csr(&gc, &p, variant);
             let catalog = Catalog::new(&p, &star);
@@ -415,17 +392,9 @@ mod tests {
             });
             expected.sort_unstable();
             for threads in [1usize, 2, 4] {
-                let run = collect_parallel(
-                    &star,
-                    &p,
-                    &plan,
-                    RunConfig::default(),
-                    threads,
-                    None,
-                    &csce_obs::Recorder::disabled(),
-                )
-                .expect("no worker panicked");
-                assert_eq!(run.embeddings, expected, "{variant} with {threads} threads");
+                let out = collect_parallel(&star, &p, &plan, run, threads, None, &rec)
+                    .expect("no worker panicked");
+                assert_eq!(out.embeddings, expected, "{variant} with {threads} threads");
             }
         }
     }

@@ -3,11 +3,10 @@
 //!
 //! The paper evaluates single-threaded matching; the natural
 //! data-parallel extension partitions the root vertex's candidate set.
-//! A static split (round-robin `i % stride == offset`, kept on
-//! [`Executor::with_root_partition`](super::Executor::with_root_partition)
-//! as the ablation baseline) load-balances badly on skewed degree
-//! distributions: one hub root can pin a whole worker while the others
-//! idle. Here workers instead *claim* chunks of root-candidate indices
+//! A static split (round-robin `i % stride == offset`) load-balances
+//! badly on skewed degree distributions: one hub root can pin a whole
+//! worker while the others idle. Here workers instead *claim* chunks of
+//! root-candidate indices
 //! from a shared [`Scheduler`] cursor — a work-stealing loop without
 //! per-task queues, since the root candidate order is identical in every
 //! worker. Chunk size adapts to the candidate count ([`adaptive_chunk`])
@@ -26,7 +25,7 @@
 //! signatures) are worker-local.
 
 use super::engine::Executor;
-use super::sink::{CollectSink, FirstKSink, MatchSink};
+use super::sink::{CollectSink, MatchSink};
 use super::stats::ExecStats;
 use super::RunConfig;
 use crate::catalog::Catalog;
@@ -252,22 +251,10 @@ where
 }
 
 /// Count embeddings using `threads` workers claiming root-candidate
-/// chunks dynamically. Exact: the per-worker partial counts sum to the
+/// chunks dynamically, with per-worker phase spans recorded under
+/// `execute/worker`. Exact: the per-worker partial counts sum to the
 /// sequential count, and SCE caching plus factorized counting run
 /// unchanged inside each worker.
-pub fn count_parallel(
-    star: &csce_ccsr::GcStar<'_>,
-    pattern: &csce_graph::Graph,
-    plan: &Plan,
-    config: RunConfig,
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-) -> Result<ParallelRun, ExecError> {
-    count_parallel_observed(star, pattern, plan, config, threads, progress, &Recorder::disabled())
-}
-
-/// [`count_parallel`] with per-worker phase spans recorded under
-/// `execute/worker`.
 pub fn count_parallel_observed(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
@@ -295,8 +282,9 @@ pub fn count_parallel_observed(
 }
 
 /// Run one sink instance per worker and fold them in worker order —
-/// the generic parallel entry point [`collect_parallel`] and
-/// [`enumerate_parallel`] specialize.
+/// the generic parallel entry point [`collect_parallel`] specializes
+/// (a shared [`FirstKSink`](super::FirstKSink) quota gives exact
+/// first-`k` enumeration).
 #[allow(clippy::too_many_arguments)]
 pub fn sink_parallel<S, F>(
     star: &csce_ccsr::GcStar<'_>,
@@ -354,32 +342,6 @@ pub fn collect_parallel(
     let (sink, stats, workers) =
         sink_parallel(star, pattern, plan, config, threads, progress, recorder, |_| {
             CollectSink::default()
-        })?;
-    let mut embeddings = sink.embeddings;
-    embeddings.sort_unstable();
-    Ok(CollectRun { embeddings, stats, workers })
-}
-
-/// Enumerate the first `limit` embeddings across `threads` workers with
-/// cooperative early stop: a shared admission counter keeps the merged
-/// result at exactly `min(limit, total)` embeddings, and filling the
-/// quota stops every worker. Which embeddings win the quota depends on
-/// scheduling; the returned slice is sorted for presentability.
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_parallel(
-    star: &csce_ccsr::GcStar<'_>,
-    pattern: &csce_graph::Graph,
-    plan: &Plan,
-    config: RunConfig,
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    recorder: &Recorder,
-    limit: usize,
-) -> Result<CollectRun, ExecError> {
-    let admissions = Arc::new(AtomicU64::new(0));
-    let (sink, stats, workers) =
-        sink_parallel(star, pattern, plan, config, threads, progress, recorder, |_| {
-            FirstKSink::shared(limit, Arc::clone(&admissions))
         })?;
     let mut embeddings = sink.embeddings;
     embeddings.sort_unstable();

@@ -21,12 +21,12 @@ pub struct ExecStats {
     /// Negation clusters consulted by vertex-induced filtering.
     pub negation_clusters: u64,
     /// Root-candidate chunks claimed from the shared scheduler (0 in
-    /// standalone and static-partition runs).
+    /// standalone runs).
     pub chunks_claimed: u64,
     /// The time limit fired; results are partial.
     pub timed_out: bool,
     /// Per-depth and intersection profiling, present when the run asked
-    /// for it (`RunConfig::profile` with the `deep-stats` feature).
+    /// for it (`RunConfig::profile`).
     pub deep: Option<DeepStats>,
 }
 

@@ -48,15 +48,14 @@ pub mod plan;
 
 pub use catalog::Catalog;
 pub use exec::{
-    adaptive_chunk, collect_parallel, count_parallel, enumerate_parallel, CallbackSink, CollectRun,
-    CollectSink, CountSink, DeepStats, ExecError, ExecStats, Executor, FirstKSink, MatchSink,
-    ParallelRun, RunConfig, Scheduler,
+    adaptive_chunk, collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, DeepStats,
+    ExecError, ExecStats, Executor, FirstKSink, MatchSink, ParallelRun, RunConfig, Scheduler,
 };
 pub use plan::{Plan, Planner, PlannerConfig, SceAnalysis};
 
 pub use csce_ccsr::CcsrError;
 
-use csce_ccsr::{build_ccsr, read_csr, Ccsr, ReadStats};
+use csce_ccsr::{build_ccsr, read_csr, Ccsr, GcStar, ReadStats};
 use csce_obs::Recorder;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -107,8 +106,58 @@ impl QueryOutput {
     }
 }
 
+/// Why a query could not be answered.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum QueryError {
+    /// The pattern has no vertices.
+    EmptyPattern,
+    /// The pattern has more than one connected component.
+    DisconnectedPattern,
+    /// Distinct-subgraph counting was asked for under a non-injective
+    /// variant, where automorphism restrictions are meaningless.
+    NotInjective(Variant),
+    /// Execution failed (a worker panicked).
+    Exec(ExecError),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::EmptyPattern => f.write_str("pattern is empty (no vertices)"),
+            QueryError::DisconnectedPattern => f.write_str("pattern must be connected"),
+            QueryError::NotInjective(variant) => {
+                write!(f, "distinct-subgraph counting needs an injective variant, not {variant}")
+            }
+            QueryError::Exec(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+impl From<ExecError> for QueryError {
+    fn from(err: ExecError) -> QueryError {
+        QueryError::Exec(err)
+    }
+}
+
+/// The one panic site of the infallible entry points (see [`Engine`]).
+fn or_panic<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(err) => panic!("{err}"),
+    }
+}
+
 /// The top-level engine: owns the clustered data graph (`G_C`) and
 /// answers matching tasks against it.
+///
+/// Every query goes through [`Engine::prepare`]; the other query methods
+/// are shorthands over it. Those returning a bare value — and
+/// [`Engine::build`] — panic on input their fallible forms
+/// ([`Engine::prepare`], [`Engine::try_build`]) report as errors: an
+/// empty or disconnected pattern, a data graph over the 32-bit CCSR
+/// budget.
 pub struct Engine {
     ccsr: Ccsr,
 }
@@ -116,16 +165,12 @@ pub struct Engine {
 impl Engine {
     /// Offline stage: cluster a data graph into CCSR form. The graph
     /// itself is not retained (`G_C` is equivalent to `G`).
-    ///
-    /// # Panics
-    /// When the graph exceeds the 32-bit CCSR budgets (> `u32::MAX` arcs
-    /// in one cluster); use [`Engine::try_build`] to handle that case.
     pub fn build(g: &Graph) -> Engine {
-        Engine::try_build(g).expect("data graph exceeds the 32-bit CCSR budget")
+        or_panic(Engine::try_build(g))
     }
 
-    /// Fallible [`Engine::build`]: surfaces [`CcsrError`] instead of
-    /// panicking when the data graph overflows the CCSR layout.
+    /// Fallible [`Engine::build`]: surfaces [`CcsrError`] when the data
+    /// graph overflows the CCSR layout (> `u32::MAX` arcs in one cluster).
     pub fn try_build(g: &Graph) -> Result<Engine, CcsrError> {
         Ok(Engine { ccsr: build_ccsr(g)? })
     }
@@ -140,13 +185,47 @@ impl Engine {
         &self.ccsr
     }
 
+    /// The online stages before execution: `ReadCSR` (cluster selection
+    /// and decoding into `G_C^*`), then plan generation (GCF, DAG,
+    /// descendant sizes, LDSF, NEC). Both are timed into the returned
+    /// [`Query`] and recorded as the `read` and `plan` spans of
+    /// `recorder`. The query can then be executed any number of times.
+    ///
+    /// Empty and disconnected patterns are rejected here, before the
+    /// planner sees them.
+    pub fn prepare<'a>(
+        &'a self,
+        p: &'a Graph,
+        variant: Variant,
+        planner: PlannerConfig,
+        recorder: &'a Recorder,
+    ) -> Result<Query<'a>, QueryError> {
+        if p.n() == 0 {
+            return Err(QueryError::EmptyPattern);
+        }
+        if !p.is_connected() {
+            return Err(QueryError::DisconnectedPattern);
+        }
+        let t0 = Instant::now();
+        let star = recorder.time("read", || read_csr(&self.ccsr, p, variant));
+        let read_time = t0.elapsed();
+        let (plan, plan_time) = {
+            let catalog = Catalog::new(p, &star);
+            let t1 = Instant::now();
+            let _span = recorder.span("plan");
+            let plan = Planner::new(planner).plan_recorded(&catalog, variant, recorder);
+            (plan, t1.elapsed())
+        };
+        Ok(Query { pattern: p, star, plan, recorder, read_time, plan_time })
+    }
+
     /// Count all embeddings of `p` under `variant` with default settings.
     pub fn count(&self, p: &Graph, variant: Variant) -> u64 {
         self.run(p, variant, PlannerConfig::csce(), RunConfig::default()).count
     }
 
-    /// Full query with explicit planner and runtime configuration,
-    /// returning the per-stage timing decomposition.
+    /// Full single-threaded query with explicit planner and runtime
+    /// configuration, returning the per-stage timing decomposition.
     pub fn run(
         &self,
         p: &Graph,
@@ -154,123 +233,10 @@ impl Engine {
         planner: PlannerConfig,
         run: RunConfig,
     ) -> QueryOutput {
-        match self.run_observed(p, variant, planner, run, &Recorder::disabled(), 1, None) {
-            Ok(out) => out,
-            // Single-threaded runs execute inline — no worker to panic.
-            Err(err) => unreachable!("sequential run failed: {err}"),
-        }
-    }
-
-    /// [`Engine::run`] with observability: phase spans land in `recorder`
-    /// (`read → plan{gcf,dag,descendant,ldsf,nec} → execute/worker`),
-    /// `threads` workers claim root-candidate chunks from a shared
-    /// scheduler, and a `progress` sink — if given — receives live
-    /// recursion-node counts for heartbeat reporting. A worker panic
-    /// stops the remaining workers and comes back as [`ExecError`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
-        &self,
-        p: &Graph,
-        variant: Variant,
-        planner: PlannerConfig,
-        run: RunConfig,
-        recorder: &Recorder,
-        threads: usize,
-        progress: Option<Arc<AtomicU64>>,
-    ) -> Result<QueryOutput, ExecError> {
-        let t0 = Instant::now();
-        let star = recorder.time("read", || read_csr(&self.ccsr, p, variant));
-        let read_time = t0.elapsed();
-        let read_bytes = star.heap_bytes();
-        let read_stats = star.read_stats();
-        let catalog = Catalog::new(p, &star);
-        let t1 = Instant::now();
-        let plan = {
-            let _span = recorder.span("plan");
-            Planner::new(planner).plan_recorded(&catalog, variant, recorder)
-        };
-        let plan_time = t1.elapsed();
-        let t2 = Instant::now();
-        let result = {
-            let _exec_span = recorder.span("execute");
-            exec::count_parallel_observed(&star, p, &plan, run, threads.max(1), progress, recorder)?
-        };
-        let exec_time = t2.elapsed();
-        Ok(QueryOutput {
-            count: result.count,
-            stats: result.stats,
-            workers: result.workers,
-            sce: plan.sce.clone(),
-            read_time,
-            plan_time,
-            exec_time,
-            read_bytes,
-            read_stats,
-        })
-    }
-
-    /// Enumerate embeddings across `threads` workers with full per-stage
-    /// observability, returning the timing decomposition plus the sorted
-    /// embeddings (so the result is independent of worker interleaving).
-    /// With `limit`, collection stops cooperatively once `min(limit,
-    /// total)` embeddings are admitted — *which* embeddings win the quota
-    /// depends on scheduling.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enumerate_observed(
-        &self,
-        p: &Graph,
-        variant: Variant,
-        planner: PlannerConfig,
-        run: RunConfig,
-        recorder: &Recorder,
-        threads: usize,
-        progress: Option<Arc<AtomicU64>>,
-        limit: Option<usize>,
-    ) -> Result<(QueryOutput, Vec<Vec<VertexId>>), ExecError> {
-        let t0 = Instant::now();
-        let star = recorder.time("read", || read_csr(&self.ccsr, p, variant));
-        let read_time = t0.elapsed();
-        let read_bytes = star.heap_bytes();
-        let read_stats = star.read_stats();
-        let catalog = Catalog::new(p, &star);
-        let t1 = Instant::now();
-        let plan = {
-            let _span = recorder.span("plan");
-            Planner::new(planner).plan_recorded(&catalog, variant, recorder)
-        };
-        let plan_time = t1.elapsed();
-        let t2 = Instant::now();
-        let threads = threads.max(1);
-        let result = {
-            let _exec_span = recorder.span("execute");
-            match limit {
-                Some(k) => {
-                    exec::enumerate_parallel(&star, p, &plan, run, threads, progress, recorder, k)?
-                }
-                None => exec::collect_parallel(&star, p, &plan, run, threads, progress, recorder)?,
-            }
-        };
-        let exec_time = t2.elapsed();
-        let output = QueryOutput {
-            count: result.embeddings.len() as u64,
-            stats: result.stats,
-            workers: result.workers,
-            sce: plan.sce.clone(),
-            read_time,
-            plan_time,
-            exec_time,
-            read_bytes,
-            read_stats,
-        };
-        Ok((output, result.embeddings))
-    }
-
-    /// Generate (and return) just the plan, without executing — the
-    /// plan-scalability experiments (Fig. 10) time exactly this.
-    pub fn plan(&self, p: &Graph, variant: Variant, config: PlannerConfig) -> Plan {
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        Planner::new(config).plan(&catalog, variant)
+        let recorder = Recorder::disabled();
+        let query = or_panic(self.prepare(p, variant, planner, &recorder));
+        // Single-threaded runs execute inline — no worker to panic.
+        or_panic(query.count(run, 1, None))
     }
 
     /// Count *distinct subgraphs* (embeddings up to pattern automorphism)
@@ -282,34 +248,14 @@ impl Engine {
     /// restriction generation is factorial on symmetric patterns), so this
     /// is an opt-in application-level API; the EMAIL-EU case study's
     /// clique counting uses it.
-    pub fn count_subgraphs(&self, p: &Graph, variant: Variant) -> u64 {
-        assert!(variant.injective(), "distinct-subgraph counting needs an injective variant");
+    pub fn count_subgraphs(&self, p: &Graph, variant: Variant) -> Result<u64, QueryError> {
+        if !variant.injective() {
+            return Err(QueryError::NotInjective(variant));
+        }
+        let recorder = Recorder::disabled();
+        let query = self.prepare(p, variant, PlannerConfig::csce(), &recorder)?;
         let (restrictions, _aut) = csce_graph::automorphism::stabilizer_restrictions(p);
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
-        let mut exec =
-            Executor::new(&catalog, &plan, RunConfig::default()).with_restrictions(&restrictions);
-        exec.count()
-    }
-
-    /// Count all embeddings across `threads` worker threads (root
-    /// candidates claimed in chunks from a shared scheduler). Exact —
-    /// partials sum to the sequential count — and the returned stats are
-    /// the per-worker merge, so `timed_out` reflects the shared deadline
-    /// firing. A worker panic stops the run and returns [`ExecError`].
-    pub fn count_parallel(
-        &self,
-        p: &Graph,
-        variant: Variant,
-        threads: usize,
-        run: RunConfig,
-    ) -> Result<ParallelRun, ExecError> {
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
-        drop(catalog);
-        exec::count_parallel(&star, p, &plan, run, threads, None)
+        Ok(query.sequential(&restrictions, |exec| exec.count()))
     }
 
     /// Enumerate *all* embeddings across `threads` workers, sorted. The
@@ -323,29 +269,10 @@ impl Engine {
         threads: usize,
         run: RunConfig,
     ) -> Result<CollectRun, ExecError> {
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
-        drop(catalog);
-        exec::collect_parallel(&star, p, &plan, run, threads, None, &Recorder::disabled())
-    }
-
-    /// Enumerate the first `limit` embeddings across `threads` workers
-    /// with cooperative early stop: exactly `min(limit, total)` come back
-    /// (sorted), no matter how the workers interleave.
-    pub fn enumerate_parallel(
-        &self,
-        p: &Graph,
-        variant: Variant,
-        threads: usize,
-        run: RunConfig,
-        limit: usize,
-    ) -> Result<CollectRun, ExecError> {
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
-        drop(catalog);
-        exec::enumerate_parallel(&star, p, &plan, run, threads, None, &Recorder::disabled(), limit)
+        let recorder = Recorder::disabled();
+        let query = or_panic(self.prepare(p, variant, PlannerConfig::csce(), &recorder));
+        let (out, embeddings) = query.collect(run, threads, None, None)?;
+        Ok(CollectRun { embeddings, stats: out.stats, workers: out.workers })
     }
 
     /// Enumerate embeddings; `emit` receives the mapping array and returns
@@ -356,67 +283,177 @@ impl Engine {
         variant: Variant,
         emit: &mut dyn FnMut(&[VertexId]) -> bool,
     ) -> ExecStats {
-        let star = read_csr(&self.ccsr, p, variant);
-        let catalog = Catalog::new(p, &star);
-        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
-        let mut exec = Executor::new(&catalog, &plan, RunConfig::default());
-        exec.enumerate(emit);
-        exec.stats().clone()
+        let recorder = Recorder::disabled();
+        let query = or_panic(self.prepare(p, variant, PlannerConfig::csce(), &recorder));
+        query.sequential(&[], |exec| {
+            exec.enumerate(emit);
+            exec.stats().clone()
+        })
     }
 
     /// Collect all embeddings as mapping arrays, sorted (test helper; the
     /// result can be huge — prefer [`Engine::enumerate`] in applications).
     pub fn embeddings(&self, p: &Graph, variant: Variant) -> Vec<Vec<VertexId>> {
-        let mut out = Vec::new();
-        self.enumerate(p, variant, &mut |f| {
-            out.push(f.to_vec());
-            true
-        });
-        out.sort_unstable();
-        out
+        let recorder = Recorder::disabled();
+        let query = or_panic(self.prepare(p, variant, PlannerConfig::csce(), &recorder));
+        or_panic(query.collect(RunConfig::default(), 1, None, None)).1
+    }
+}
+
+/// A prepared query: the decoded working set `G_C^*` and the plan for one
+/// pattern, ready to execute ([`Engine::prepare`]). Every execution
+/// reports through one [`QueryOutput`], whose read and plan times are
+/// those of the preparation.
+pub struct Query<'a> {
+    pattern: &'a Graph,
+    star: GcStar<'a>,
+    plan: Plan,
+    recorder: &'a Recorder,
+    read_time: Duration,
+    plan_time: Duration,
+}
+
+impl Query<'_> {
+    /// The generated plan (what `csce match --explain` prints).
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// Count all embeddings across `threads` workers (inline for one;
+    /// otherwise root candidates are claimed in chunks from a shared
+    /// scheduler). Exact, with per-worker stats merged so `timed_out`
+    /// reflects the shared deadline. `progress` receives live
+    /// recursion-node counts; spans land under `execute/worker`. The only
+    /// failure left after preparation is a worker panic ([`ExecError`]).
+    pub fn count(
+        &self,
+        run: RunConfig,
+        threads: usize,
+        progress: Option<Arc<AtomicU64>>,
+    ) -> Result<QueryOutput, ExecError> {
+        let t0 = Instant::now();
+        let result = {
+            let _span = self.recorder.span("execute");
+            exec::count_parallel_observed(
+                &self.star,
+                self.pattern,
+                &self.plan,
+                run,
+                threads.max(1),
+                progress,
+                self.recorder,
+            )?
+        };
+        Ok(self.output(result.count, result.stats, result.workers, t0.elapsed()))
+    }
+
+    /// Enumerate embeddings across `threads` workers, returning them
+    /// sorted (so the result is independent of worker interleaving) next
+    /// to the same report as [`Query::count`]. With `limit`, collection
+    /// stops cooperatively once exactly `min(limit, total)` embeddings are
+    /// admitted through one shared [`FirstKSink`] quota — *which*
+    /// embeddings win it depends on scheduling.
+    pub fn collect(
+        &self,
+        run: RunConfig,
+        threads: usize,
+        progress: Option<Arc<AtomicU64>>,
+        limit: Option<usize>,
+    ) -> Result<(QueryOutput, Vec<Vec<VertexId>>), ExecError> {
+        let t0 = Instant::now();
+        let (star, p, plan, threads, rec) =
+            (&self.star, self.pattern, &self.plan, threads.max(1), self.recorder);
+        let _span = rec.span("execute");
+        let (embeddings, stats, workers) = match limit {
+            None => {
+                let r = exec::collect_parallel(star, p, plan, run, threads, progress, rec)?;
+                (r.embeddings, r.stats, r.workers)
+            }
+            Some(k) => {
+                let admissions = Arc::new(AtomicU64::new(0));
+                let (sink, stats, workers) =
+                    exec::sink_parallel(star, p, plan, run, threads, progress, rec, |_| {
+                        FirstKSink::shared(k, Arc::clone(&admissions))
+                    })?;
+                let mut embeddings = sink.embeddings;
+                embeddings.sort_unstable();
+                (embeddings, stats, workers)
+            }
+        };
+        let count = embeddings.len() as u64;
+        Ok((self.output(count, stats, workers, t0.elapsed()), embeddings))
+    }
+
+    /// Run `work` on one sequential executor under ordering
+    /// `restrictions` — the path for callback enumeration and symmetry
+    /// breaking, neither of which the parallel entry points take.
+    fn sequential<R>(
+        &self,
+        restrictions: &[(VertexId, VertexId)],
+        work: impl FnOnce(&mut Executor<'_>) -> R,
+    ) -> R {
+        let catalog = Catalog::new(self.pattern, &self.star);
+        let mut exec = Executor::new(&catalog, &self.plan, RunConfig::default())
+            .with_restrictions(restrictions);
+        work(&mut exec)
+    }
+
+    fn output(
+        &self,
+        count: u64,
+        stats: ExecStats,
+        workers: Vec<ExecStats>,
+        exec_time: Duration,
+    ) -> QueryOutput {
+        QueryOutput {
+            count,
+            stats,
+            workers,
+            sce: self.plan.sce.clone(),
+            read_time: self.read_time,
+            plan_time: self.plan_time,
+            exec_time,
+            read_bytes: self.star.heap_bytes(),
+            read_stats: self.star.read_stats(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csce_graph::{oracle_embeddings, GraphBuilder, NO_LABEL};
+    use csce_graph::{oracle_count, oracle_embeddings, GraphBuilder, NO_LABEL};
 
-    fn paw() -> Graph {
+    fn undirected(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
         let mut b = GraphBuilder::new();
-        b.add_unlabeled_vertices(4);
-        for (a, c) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
+        b.add_unlabeled_vertices(n);
+        for &(a, c) in edges {
             b.add_undirected_edge(a, c, NO_LABEL).unwrap();
         }
         b.build()
     }
 
+    fn paw() -> Graph {
+        undirected(4, &[(0, 1), (1, 2), (2, 0), (2, 3)])
+    }
+
+    fn path3() -> Graph {
+        undirected(3, &[(0, 1), (1, 2)])
+    }
+
     #[test]
     fn engine_embeddings_match_oracle_exactly() {
-        let g = paw();
-        let mut pb = GraphBuilder::new();
-        pb.add_unlabeled_vertices(3);
-        pb.add_undirected_edge(0, 1, NO_LABEL).unwrap();
-        pb.add_undirected_edge(1, 2, NO_LABEL).unwrap();
-        let p = pb.build();
+        let (g, p) = (paw(), path3());
         let engine = Engine::build(&g);
         for variant in Variant::ALL {
-            assert_eq!(
-                engine.embeddings(&p, variant),
-                oracle_embeddings(&g, &p, variant),
-                "{variant}"
-            );
+            assert_eq!(engine.embeddings(&p, variant), oracle_embeddings(&g, &p, variant));
         }
     }
 
     #[test]
     fn run_reports_stage_times() {
-        let g = paw();
-        let mut pb = GraphBuilder::new();
-        pb.add_unlabeled_vertices(2);
-        pb.add_undirected_edge(0, 1, NO_LABEL).unwrap();
-        let p = pb.build();
-        let engine = Engine::build(&g);
+        let engine = Engine::build(&paw());
+        let p = undirected(2, &[(0, 1)]);
         let out = engine.run(&p, Variant::EdgeInduced, PlannerConfig::csce(), RunConfig::default());
         assert_eq!(out.count, 8); // 4 undirected edges, both directions
         assert!(out.total_time() >= out.exec_time);
@@ -426,35 +463,74 @@ mod tests {
 
     #[test]
     fn subgraph_counts_divide_mapping_counts() {
-        let g = paw();
         // Triangle pattern: 6 mappings, |Aut| = 6 -> 1 subgraph.
-        let mut pb = GraphBuilder::new();
-        pb.add_unlabeled_vertices(3);
-        for (a, c) in [(0, 1), (1, 2), (2, 0)] {
-            pb.add_undirected_edge(a, c, NO_LABEL).unwrap();
-        }
-        let p = pb.build();
-        let engine = Engine::build(&g);
+        let p = undirected(3, &[(0, 1), (1, 2), (2, 0)]);
+        let engine = Engine::build(&paw());
         for variant in [Variant::EdgeInduced, Variant::VertexInduced] {
             let mappings = engine.count(&p, variant);
-            let subgraphs = engine.count_subgraphs(&p, variant);
+            let subgraphs = engine.count_subgraphs(&p, variant).unwrap();
             let aut = csce_graph::automorphism::automorphism_count(&p);
             assert_eq!(subgraphs * aut, mappings, "{variant}");
         }
-        assert_eq!(engine.count_subgraphs(&p, Variant::EdgeInduced), 1);
+        assert_eq!(engine.count_subgraphs(&p, Variant::EdgeInduced), Ok(1));
+        let hom = engine.count_subgraphs(&p, Variant::Homomorphic);
+        assert_eq!(hom, Err(QueryError::NotInjective(Variant::Homomorphic)));
+    }
+
+    #[test]
+    fn prepare_returns_each_error_variant() {
+        let engine = Engine::build(&paw());
+        let rec = Recorder::disabled();
+        let prepare =
+            |p: &Graph| engine.prepare(p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).err();
+        assert_eq!(prepare(&undirected(0, &[])), Some(QueryError::EmptyPattern));
+        assert_eq!(prepare(&undirected(2, &[])), Some(QueryError::DisconnectedPattern));
+        assert!(QueryError::EmptyPattern.to_string().contains("empty"));
+        assert!(QueryError::DisconnectedPattern.to_string().contains("connected"));
+        let exec = ExecError::WorkerPanicked { worker: 1, message: "boom".to_string() };
+        assert_eq!(QueryError::from(exec.clone()).to_string(), exec.to_string());
+    }
+
+    #[test]
+    fn prepare_serves_every_variant() {
+        let (g, p) = (paw(), path3());
+        let engine = Engine::build(&g);
+        let rec = Recorder::new();
+        let run = RunConfig::default();
+        for variant in Variant::ALL {
+            let query = engine.prepare(&p, variant, PlannerConfig::csce(), &rec).unwrap();
+            assert_eq!(query.plan().variant, variant);
+            assert_eq!(query.count(run, 1, None).unwrap().count, oracle_count(&g, &p, variant));
+            let (all, embeddings) = query.collect(run, 2, None, None).unwrap();
+            assert_eq!(embeddings, oracle_embeddings(&g, &p, variant), "{variant}");
+            assert_eq!(all.count, embeddings.len() as u64);
+            let (first, two) = query.collect(run, 2, None, Some(2)).unwrap();
+            assert_eq!((first.count, two.len()), (2, 2), "{variant}");
+        }
+        for phase in ["read", "plan", "execute"] {
+            assert!(rec.snapshot().root(phase).is_some(), "{phase} span recorded");
+        }
+    }
+
+    #[test]
+    fn one_query_counted_twice_is_identical() {
+        let (engine, p) = (Engine::build(&paw()), path3());
+        let rec = Recorder::disabled();
+        let query = engine.prepare(&p, Variant::VertexInduced, PlannerConfig::csce(), &rec);
+        let query = query.unwrap();
+        let run = RunConfig { profile: true, ..RunConfig::default() };
+        let (first, second) =
+            (query.count(run, 1, None).unwrap(), query.count(run, 1, None).unwrap());
+        assert_eq!((first.count, &first.stats), (second.count, &second.stats));
+        assert!(first.stats.deep.is_some(), "profiled run carries deep stats");
     }
 
     #[test]
     fn persisted_ccsr_round_trips_through_engine() {
-        let g = paw();
-        let engine = Engine::build(&g);
+        let engine = Engine::build(&paw());
         let bytes = csce_ccsr::persist::to_bytes(engine.ccsr()).unwrap();
         let engine2 = Engine::from_ccsr(csce_ccsr::persist::from_bytes(&bytes).unwrap());
-        let mut pb = GraphBuilder::new();
-        pb.add_unlabeled_vertices(3);
-        pb.add_undirected_edge(0, 1, NO_LABEL).unwrap();
-        pb.add_undirected_edge(1, 2, NO_LABEL).unwrap();
-        let p = pb.build();
+        let p = path3();
         assert_eq!(engine.count(&p, Variant::EdgeInduced), engine2.count(&p, Variant::EdgeInduced));
     }
 }

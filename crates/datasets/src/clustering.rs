@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert!(w.values().all(|&x| x == 3), "{w:?}");
         // Consistency: total pair-weight = instances * pairs-per-instance.
-        let instances = engine.count_subgraphs(&wedge, Variant::EdgeInduced);
+        let instances = engine.count_subgraphs(&wedge, Variant::EdgeInduced).unwrap();
         let total: u64 = w.values().map(|&x| x as u64).sum();
         assert_eq!(total, instances * 3);
     }

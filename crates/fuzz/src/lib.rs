@@ -16,6 +16,7 @@ pub mod shrink;
 
 use csce_analyze::{plan_check, Validate, ValidationReport};
 use csce_core::Engine;
+use csce_obs::Recorder;
 use referee::{sweep, EngineUnderTest, Referee, SweepOpts, SweepStats};
 use repro::Repro;
 use std::time::Duration;
@@ -121,8 +122,12 @@ pub fn run_fuzz(
         let mut validation = sg.validate();
         validation.merge(sp.validate());
         if let Referee::Engine(cfg) = &div.referee {
-            let plan = Engine::build(&sg).plan(&sp, div.variant, cfg.planner.planner_config());
-            validation.merge(plan_check::validate_plan(&sp, &plan));
+            let engine = Engine::build(&sg);
+            let recorder = Recorder::disabled();
+            match engine.prepare(&sp, div.variant, cfg.planner.planner_config(), &recorder) {
+                Ok(query) => validation.merge(plan_check::validate_plan(&sp, query.plan())),
+                Err(err) => log(&format!("shrunk pattern not plannable: {err}")),
+            }
         }
         let repro = Repro {
             seed: config.seed,

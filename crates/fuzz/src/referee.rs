@@ -139,19 +139,13 @@ impl EngineUnderTest for RealEngine {
         variant: Variant,
         config: &EngineConfig,
     ) -> Result<u64, String> {
-        let engine = Engine::build(g);
-        engine
-            .run_observed(
-                p,
-                variant,
-                config.planner.planner_config(),
-                config.run_config(),
-                &Recorder::disabled(),
-                config.threads,
-                None,
-            )
-            .map(|out| out.count)
-            .map_err(|e| e.to_string())
+        let engine = Engine::try_build(g).map_err(|e| e.to_string())?;
+        let recorder = Recorder::disabled();
+        let query = engine
+            .prepare(p, variant, config.planner.planner_config(), &recorder)
+            .map_err(|e| e.to_string())?;
+        let out = query.count(config.run_config(), config.threads, None);
+        out.map(|out| out.count).map_err(|e| e.to_string())
     }
 }
 

@@ -39,7 +39,9 @@ fn main() {
         // labels by re-labeling the data graph? Instead match against the
         // unlabeled view prepared once below.
         let t0 = Instant::now();
-        let subgraphs = engine_unlabeled().count_subgraphs(p, Variant::EdgeInduced);
+        let subgraphs = engine_unlabeled()
+            .count_subgraphs(p, Variant::EdgeInduced)
+            .expect("motifs are connected");
         let elapsed = t0.elapsed();
         let aut = automorphism_count(p);
         println!(
@@ -56,7 +58,8 @@ fn main() {
     // subgraphs x |Aut|.
     let tri = motifs::clique(3);
     let mappings = engine_unlabeled().count(&tri, Variant::EdgeInduced);
-    let subgraphs = engine_unlabeled().count_subgraphs(&tri, Variant::EdgeInduced);
+    let subgraphs =
+        engine_unlabeled().count_subgraphs(&tri, Variant::EdgeInduced).expect("a triangle");
     assert_eq!(mappings, subgraphs * 6);
     println!("\nsanity: triangle mappings {mappings} = {subgraphs} subgraphs x 6 automorphisms");
     drop(engine);

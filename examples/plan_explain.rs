@@ -11,6 +11,7 @@ use csce::engine::plan::explain::explain;
 use csce::engine::{Engine, PlannerConfig};
 use csce::graph::sample::PatternSampler;
 use csce::graph::Density;
+use csce::obs::Recorder;
 use csce::Variant;
 
 fn main() {
@@ -23,10 +24,13 @@ fn main() {
     let p = sp.pattern;
     println!("pattern: |V|={} |E|={} labels={:?}\n", p.n(), p.m(), p.labels());
 
+    let recorder = Recorder::disabled();
     for variant in Variant::ALL {
-        let plan = engine.plan(&p, variant, PlannerConfig::csce());
+        let query = engine
+            .prepare(&p, variant, PlannerConfig::csce(), &recorder)
+            .expect("sampled patterns are connected");
         println!("=== {variant} ===");
-        print!("{}", explain(&plan));
+        print!("{}", explain(query.plan()));
         println!();
     }
 }

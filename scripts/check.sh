@@ -24,4 +24,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench tests (the benchmark package builds against the public API)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."

@@ -90,24 +90,12 @@ fn load_engine(path: &str, rec: &Recorder) -> Result<Engine, String> {
         Ok(Engine::from_ccsr(ccsr))
     } else {
         let g = rec.time("parse", || io::load_csce(path)).map_err(|e| e.to_string())?;
-        Ok(rec.time("cluster", || Engine::build(&g)))
+        rec.time("cluster", || Engine::try_build(&g)).map_err(|e| e.to_string())
     }
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {
     io::load_csce(path).map_err(|e| e.to_string())
-}
-
-/// Reject patterns the planner cannot take (it asserts on them): empty
-/// files parse fine (`t 0 0`) but must become a diagnostic, not a panic.
-fn check_pattern(p: &Graph) -> Result<(), String> {
-    if p.n() == 0 {
-        return Err("pattern is empty (no vertices)".to_string());
-    }
-    if !p.is_connected() {
-        return Err("pattern must be connected".to_string());
-    }
-    Ok(())
 }
 
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
@@ -124,7 +112,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let output = output.ok_or("missing -o <out.ccsr>")?;
     let g = load_graph(&input)?;
     let t0 = std::time::Instant::now();
-    let engine = Engine::build(&g);
+    let engine = Engine::try_build(&g).map_err(|e| e.to_string())?;
     println!(
         "clustered {} vertices / {} edges into {} clusters in {:?}",
         g.n(),
@@ -267,7 +255,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
             let g = load_graph(data)?;
             report = g.validate();
             report.subject = data.to_string();
-            let e = Engine::build(&g);
+            let e = Engine::try_build(&g).map_err(|e| e.to_string())?;
             report.merge(e.ccsr().validate());
             engine = Some(e);
         }
@@ -281,12 +269,13 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(p) = pattern {
-        check_pattern(&p)?;
         report.merge(p.validate());
         match &engine {
             Some(e) => {
-                let plan = e.plan(&p, variant, planner);
-                report.merge(plan_check::validate_plan(&p, &plan));
+                let recorder = Recorder::disabled();
+                let query =
+                    e.prepare(&p, variant, planner, &recorder).map_err(|err| err.to_string())?;
+                report.merge(plan_check::validate_plan(&p, query.plan()));
             }
             None => {
                 // The G_C failed decoding/validation; still check the plan
@@ -562,11 +551,11 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     };
     let recorder = if stats_format.is_some() { Recorder::new() } else { Recorder::disabled() };
     let engine = load_engine(data, &recorder)?;
-    check_pattern(&p)?;
+    let t0 = Instant::now();
+    let query = engine.prepare(&p, variant, planner, &recorder).map_err(|e| e.to_string())?;
 
     if explain {
-        let plan = engine.plan(&p, variant, planner);
-        print!("{}", csce::engine::plan::explain::explain(&plan));
+        print!("{}", csce::engine::plan::explain::explain(query.plan()));
         return Ok(());
     }
 
@@ -575,22 +564,24 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let heartbeat =
         progress_every.map(|every| spawn_heartbeat(every, Arc::clone(&progress), time_limit));
     let progress_sink = progress_every.map(|_| Arc::clone(&progress));
-    let t0 = Instant::now();
-    match enumerate {
+    let result = match enumerate {
+        None => query.count(run, threads, progress_sink).map(|out| (out, None)),
+        Some(limit) => {
+            // `--enumerate` without a count means "all embeddings".
+            let limit = (limit != u64::MAX).then(|| usize::try_from(limit).unwrap_or(usize::MAX));
+            query.collect(run, threads, progress_sink, limit).map(|(out, f)| (out, Some(f)))
+        }
+    };
+    let wall = t0.elapsed();
+    if let Some((stop, handle)) = heartbeat {
+        stop.store(true, Ordering::Relaxed);
+        let _ = handle.join();
+    }
+    let (out, embeddings) = result.map_err(|e| e.to_string())?;
+    let partial = if out.stats.timed_out { " — TIME LIMIT, partial" } else { "" };
+    match embeddings {
         None => {
-            let result =
-                engine.run_observed(&p, variant, planner, run, &recorder, threads, progress_sink);
-            let wall = t0.elapsed();
-            if let Some((stop, handle)) = heartbeat {
-                stop.store(true, Ordering::Relaxed);
-                let _ = handle.join();
-            }
-            let out = result.map_err(|e| e.to_string())?;
-            println!(
-                "{} embeddings ({variant}){}",
-                out.count,
-                if out.stats.timed_out { " — TIME LIMIT, partial" } else { "" }
-            );
+            println!("{} embeddings ({variant}){partial}", out.count);
             eprintln!(
                 "[csce] read {:?}  plan {:?}  exec {:?}  |  {} nodes, SCE hit rate {:.1}%, {:.0} embeddings/s",
                 out.read_time,
@@ -600,59 +591,24 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
                 out.stats.sce_hit_rate() * 100.0,
                 out.throughput(),
             );
-            if let Some(format) = stats_format {
-                let report =
-                    match_report(data, variant, planner_name, threads, wall, &out, &recorder);
-                match format {
-                    StatsFormat::Text => print!("{}", report.to_text()),
-                    StatsFormat::Json => println!("{}", report.to_json_string()),
-                }
-            }
         }
-        Some(limit) => {
-            // `--enumerate` without a count means "all embeddings".
-            let limit = if limit == u64::MAX {
-                None
-            } else {
-                Some(usize::try_from(limit).unwrap_or(usize::MAX))
-            };
-            let result = engine.enumerate_observed(
-                &p,
-                variant,
-                planner,
-                run,
-                &recorder,
-                threads,
-                progress_sink,
-                limit,
-            );
-            let wall = t0.elapsed();
-            if let Some((stop, handle)) = heartbeat {
-                stop.store(true, Ordering::Relaxed);
-                let _ = handle.join();
-            }
-            let (out, embeddings) = result.map_err(|e| e.to_string())?;
+        Some(embeddings) => {
             for f in &embeddings {
                 println!("{f:?}");
             }
-            println!(
-                "-- {} embeddings printed{}",
-                embeddings.len(),
-                if out.stats.timed_out { " — TIME LIMIT, partial" } else { "" }
-            );
+            println!("-- {} embeddings printed{partial}", embeddings.len());
             eprintln!(
                 "[csce] {} nodes, SCE hit rate {:.1}%",
                 out.stats.nodes,
                 out.stats.sce_hit_rate() * 100.0
             );
-            if let Some(format) = stats_format {
-                let report =
-                    match_report(data, variant, planner_name, threads, wall, &out, &recorder);
-                match format {
-                    StatsFormat::Text => print!("{}", report.to_text()),
-                    StatsFormat::Json => println!("{}", report.to_json_string()),
-                }
-            }
+        }
+    }
+    if let Some(format) = stats_format {
+        let report = match_report(data, variant, planner_name, threads, wall, &out, &recorder);
+        match format {
+            StatsFormat::Text => print!("{}", report.to_text()),
+            StatsFormat::Json => println!("{}", report.to_json_string()),
         }
     }
     Ok(())

@@ -3,8 +3,9 @@
 //! synthetic data graph, plus the parallel counting extension.
 
 use csce::datasets::{presets, sample_suite};
-use csce::engine::{Engine, RunConfig};
+use csce::engine::{Engine, PlannerConfig, RunConfig};
 use csce::graph::Density;
+use csce::obs::Recorder;
 use csce::Variant;
 
 #[test]
@@ -53,7 +54,9 @@ fn parallel_count_on_dataset() {
         for p in &suite.patterns {
             let sequential = engine.count(p, Variant::EdgeInduced);
             let parallel = engine
-                .count_parallel(p, Variant::EdgeInduced, 4, RunConfig::default())
+                .prepare(p, Variant::EdgeInduced, PlannerConfig::csce(), &Recorder::disabled())
+                .unwrap()
+                .count(RunConfig::default(), 4, None)
                 .expect("no worker panicked");
             assert_eq!(sequential, parallel.count);
             assert_eq!(parallel.stats.embeddings, parallel.count);

@@ -7,6 +7,7 @@
 use csce::engine::exec::{sink_parallel, MatchSink};
 use csce::engine::{Catalog, Engine, ExecError, Planner, PlannerConfig, RunConfig};
 use csce::graph::generate;
+use csce::obs::Recorder;
 use csce::{Graph, GraphBuilder, Variant, VertexId, NO_LABEL};
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -32,13 +33,14 @@ fn chunked_scheduler_is_exact_on_skewed_graph() {
     let g = skewed_graph();
     let p = path_pattern(4);
     let engine = Engine::build(&g);
+    let rec = Recorder::disabled();
     for variant in Variant::ALL {
         let sequential = engine.count(&p, variant);
         assert!(sequential > 0, "{variant}: workload must be nontrivial");
+        let query = engine.prepare(&p, variant, PlannerConfig::csce(), &rec).unwrap();
         for threads in [2usize, 4, 7] {
-            let parallel = engine
-                .count_parallel(&p, variant, threads, RunConfig::default())
-                .expect("no worker panicked");
+            let parallel =
+                query.count(RunConfig::default(), threads, None).expect("no worker panicked");
             assert_eq!(parallel.count, sequential, "{variant} with {threads} threads");
             assert_eq!(parallel.workers.len(), threads);
             assert!(
@@ -76,22 +78,25 @@ fn first_k_under_many_threads_returns_exactly_k() {
     let total = engine.count(&p, Variant::EdgeInduced);
     assert!(total > 100);
     let all = engine.embeddings(&p, Variant::EdgeInduced);
+    let rec = Recorder::disabled();
+    let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
     for threads in [4usize, 7] {
         for k in [1usize, 7, 64] {
-            let run = engine
-                .enumerate_parallel(&p, Variant::EdgeInduced, threads, RunConfig::default(), k)
+            let (out, embeddings) = query
+                .collect(RunConfig::default(), threads, None, Some(k))
                 .expect("no worker panicked");
-            assert_eq!(run.embeddings.len(), k, "k={k} with {threads} threads");
+            assert_eq!(embeddings.len(), k, "k={k} with {threads} threads");
+            assert_eq!(out.count, k as u64);
             // Whichever embeddings won the quota, each is a real one.
-            for f in &run.embeddings {
+            for f in &embeddings {
                 assert!(all.binary_search(f).is_ok(), "spurious embedding {f:?}");
             }
         }
         // Asking for more than exist returns all of them, exactly once.
-        let run = engine
-            .enumerate_parallel(&p, Variant::EdgeInduced, threads, RunConfig::default(), usize::MAX)
+        let (_, embeddings) = query
+            .collect(RunConfig::default(), threads, None, Some(usize::MAX))
             .expect("no worker panicked");
-        assert_eq!(run.embeddings, all, "limit beyond total with {threads} threads");
+        assert_eq!(embeddings, all, "limit beyond total with {threads} threads");
     }
 }
 
@@ -109,11 +114,11 @@ fn shared_timeout_is_attributed_exactly_once() {
     let g = b.build();
     let p = path_pattern(9);
     let engine = Engine::build(&g);
+    let rec = Recorder::disabled();
+    let query = engine.prepare(&p, Variant::Homomorphic, PlannerConfig::csce(), &rec).unwrap();
     let run = RunConfig { time_limit: Some(Duration::ZERO), ..Default::default() };
     for threads in [2usize, 4, 6] {
-        let out = engine
-            .count_parallel(&p, Variant::Homomorphic, threads, run)
-            .expect("no worker panicked");
+        let out = query.count(run, threads, None).expect("no worker panicked");
         assert!(out.stats.timed_out, "{threads} threads");
         let flagged = out.workers.iter().filter(|w| w.timed_out).count();
         assert_eq!(flagged, 1, "{threads} threads: {flagged} workers flagged the one deadline");
@@ -148,7 +153,7 @@ fn worker_panic_degrades_to_a_clean_error() {
         RunConfig::default(),
         4,
         None,
-        &csce::obs::Recorder::disabled(),
+        &Recorder::disabled(),
         |_| ExplodingSink,
     );
     match result {

@@ -4,6 +4,7 @@
 
 use csce::engine::{Engine, PlannerConfig, RunConfig};
 use csce::graph::{Graph, GraphBuilder, Variant, NO_LABEL};
+use csce::obs::Recorder;
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize, max_m: usize, labels: u32) -> impl Strategy<Value = Graph> {
@@ -81,19 +82,16 @@ proptest! {
         let engine = Engine::build(&g);
         let serial = engine.count(&p, Variant::EdgeInduced);
         let run = RunConfig { profile: true, ..RunConfig::default() };
-        let par = engine
-            .count_parallel(&p, Variant::EdgeInduced, threads, run)
-            .expect("no worker panicked");
+        let rec = Recorder::disabled();
+        let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
+        let par = query.count(run, threads, None).expect("no worker panicked");
         prop_assert_eq!(par.count, serial);
         prop_assert_eq!(par.stats.embeddings, par.count);
         prop_assert!(!par.stats.timed_out);
         prop_assert!(par.stats.embeddings <= par.stats.candidates_scanned);
         // Worker partitioning must not lose scans: per-partition pruning
         // can overshoot a single-threaded run but never undershoot it.
-        let single = engine.count_parallel(&p, Variant::EdgeInduced, 1, RunConfig {
-            profile: true,
-            ..RunConfig::default()
-        }).expect("no worker panicked");
+        let single = query.count(run, 1, None).expect("no worker panicked");
         prop_assert!(par.stats.candidates_scanned >= single.stats.candidates_scanned);
         if threads == 1 {
             prop_assert_eq!(par.stats.nodes, single.stats.nodes);

@@ -5,6 +5,7 @@
 use csce::baselines::all_baselines;
 use csce::engine::{Engine, PlannerConfig, RunConfig};
 use csce::graph::{Graph, GraphBuilder};
+use csce::obs::Recorder;
 use csce::{Variant, NO_LABEL};
 use std::time::{Duration, Instant};
 
@@ -79,7 +80,9 @@ fn parallel_counting_propagates_timeouts() {
         let run = RunConfig { time_limit: Some(Duration::ZERO), ..Default::default() };
         let start = Instant::now();
         let out = engine
-            .count_parallel(&p, Variant::EdgeInduced, threads, run)
+            .prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &Recorder::disabled())
+            .unwrap()
+            .count(run, threads, None)
             .expect("no worker panicked");
         assert!(out.stats.timed_out, "{threads} threads: merged stats must flag the timeout");
         assert!(start.elapsed() < Duration::from_secs(5));
@@ -93,7 +96,11 @@ fn parallel_counting_propagates_timeouts() {
     let p = long_path(4);
     let exact = engine.count(&p, Variant::EdgeInduced);
     let run = RunConfig { time_limit: Some(Duration::from_secs(60)), ..Default::default() };
-    let out = engine.count_parallel(&p, Variant::EdgeInduced, 4, run).expect("no worker panicked");
+    let out = engine
+        .prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &Recorder::disabled())
+        .unwrap()
+        .count(run, 4, None)
+        .expect("no worker panicked");
     assert!(!out.stats.timed_out);
     assert_eq!(out.count, exact);
     assert_eq!(out.stats.embeddings, exact);
