@@ -1,27 +1,22 @@
-//! Workspace lint driver: scans library sources, applies the `csce-lint`
-//! rules, and ratchets against the checked-in allowlist. With `--static`
-//! it instead runs the call-graph analyzer (panic-reachability, hot-path
-//! casts, shared-state manifest) against the function-granular baseline.
+//! Workspace source-policy driver: parses every library source once, runs
+//! the seven rules (`panic-reach`, `no-panic`, `hot-cast`, `lossy-cast`,
+//! `shared-state`, `wildcard-variant-arm`, `module-doc`) and ratchets the
+//! findings against the function-granular baseline.
 //!
 //! ```text
-//! csce-lint [--root DIR] [--allowlist FILE] [--update-allowlist]
-//! csce-lint --static [--root DIR] [--baseline FILE] [--update-baseline]
-//!           [--sarif FILE]
+//! csce-lint [--root DIR] [--baseline FILE] [--update-baseline] [--sarif FILE]
 //! ```
 //!
-//! Exit status 0 when every file is at or under its recorded ceiling and
-//! no ceiling is stale; 1 on lint failure; 2 on usage or I/O errors.
+//! Exit status 0 when every function is at or under its recorded ceiling
+//! and no ceiling is stale; 1 on a ratchet failure; 2 on usage or I/O
+//! errors.
 
-use csce_analyze::lint::{collect_sources, lint_source, Allowlist, LintViolation, RULES};
-use csce_analyze::rules::{run_static, to_sarif, StaticBaseline, BASELINE_PATH, STATIC_RULES};
+use csce_analyze::rules::{run_static, to_sarif, StaticBaseline, BASELINE_PATH, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    allowlist: PathBuf,
-    update: bool,
-    static_mode: bool,
     baseline: PathBuf,
     update_baseline: bool,
     sarif: Option<PathBuf>,
@@ -29,9 +24,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut root = PathBuf::from(".");
-    let mut allowlist: Option<PathBuf> = None;
-    let mut update = false;
-    let mut static_mode = false;
     let mut baseline: Option<PathBuf> = None;
     let mut update_baseline = false;
     let mut sarif = None;
@@ -39,96 +31,36 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => root = PathBuf::from(it.next().ok_or("--root needs a directory")?),
-            "--allowlist" => {
-                allowlist = Some(PathBuf::from(it.next().ok_or("--allowlist needs a file")?));
-            }
-            "--update-allowlist" => update = true,
-            "--static" => static_mode = true,
             "--baseline" => {
                 baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
             }
             "--update-baseline" => update_baseline = true,
             "--sarif" => sarif = Some(PathBuf::from(it.next().ok_or("--sarif needs a file")?)),
             "--help" | "-h" => {
-                return Err("usage: csce-lint [--root DIR] [--allowlist FILE] \
-                            [--update-allowlist] [--static [--baseline FILE] \
-                            [--update-baseline] [--sarif FILE]]"
+                return Err("usage: csce-lint [--root DIR] [--baseline FILE] \
+                            [--update-baseline] [--sarif FILE]"
                     .to_string())
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let allowlist = allowlist.unwrap_or_else(|| root.join("scripts/lint-allowlist.txt"));
     let baseline = baseline.unwrap_or_else(|| root.join(BASELINE_PATH));
-    Ok(Args { root, allowlist, update, static_mode, baseline, update_baseline, sarif })
+    Ok(Args { root, baseline, update_baseline, sarif })
 }
 
 fn run(args: &Args) -> Result<bool, String> {
-    let sources = collect_sources(&args.root)
-        .map_err(|e| format!("scanning {}: {e}", args.root.display()))?;
-    if sources.is_empty() {
+    let report =
+        run_static(&args.root).map_err(|e| format!("analyzing {}: {e}", args.root.display()))?;
+    if report.files == 0 {
         return Err(format!("no library sources found under {}", args.root.display()));
     }
-    let mut violations: Vec<LintViolation> = Vec::new();
-    for rel in &sources {
-        let full = args.root.join(rel);
-        let src = std::fs::read_to_string(&full)
-            .map_err(|e| format!("reading {}: {e}", full.display()))?;
-        violations.extend(lint_source(rel, &src));
-    }
-    let mut per_rule = [0usize; RULES.len()];
-    for v in &violations {
-        if let Some(k) = RULES.iter().position(|&r| r == v.rule) {
-            per_rule[k] += 1;
-        }
-    }
-    let summary: Vec<String> =
-        RULES.iter().zip(per_rule).map(|(r, c)| format!("{r}: {c}")).collect();
+    let summary: Vec<String> = RULES
+        .iter()
+        .map(|r| format!("{r}: {}", report.findings.iter().filter(|f| f.rule == *r).count()))
+        .collect();
     eprintln!(
-        "csce-lint: {} files, {} hits ({})",
-        sources.len(),
-        violations.len(),
-        summary.join(", ")
-    );
-
-    if args.update {
-        let text = Allowlist::from_violations(&violations).to_text();
-        std::fs::write(&args.allowlist, text)
-            .map_err(|e| format!("writing {}: {e}", args.allowlist.display()))?;
-        eprintln!("csce-lint: wrote {}", args.allowlist.display());
-        return Ok(true);
-    }
-
-    let allowlist = match std::fs::read_to_string(&args.allowlist) {
-        Ok(text) => {
-            Allowlist::parse(&text).map_err(|e| format!("{}: {e}", args.allowlist.display()))?
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Allowlist::default(),
-        Err(e) => return Err(format!("reading {}: {e}", args.allowlist.display())),
-    };
-    let failures = allowlist.check(&violations);
-    for f in &failures {
-        eprintln!("csce-lint: FAIL {f}");
-    }
-    if failures.is_empty() {
-        eprintln!("csce-lint: OK (debt ceiling respected)");
-    }
-    Ok(failures.is_empty())
-}
-
-fn run_static_mode(args: &Args) -> Result<bool, String> {
-    let report = run_static(&args.root)
-        .map_err(|e| format!("static analysis under {}: {e}", args.root.display()))?;
-    let mut per_rule = [0usize; STATIC_RULES.len()];
-    for f in &report.findings {
-        if let Some(k) = STATIC_RULES.iter().position(|&r| r == f.rule) {
-            per_rule[k] += 1;
-        }
-    }
-    let summary: Vec<String> =
-        STATIC_RULES.iter().zip(per_rule).map(|(r, c)| format!("{r}: {c}")).collect();
-    eprintln!(
-        "csce-static: {} fns, {} call edges, {} hot fns ({} entries), {} findings ({})",
+        "csce-lint: {} files, {} fns, {} call edges, {} hot fns ({} entries), {} findings ({})",
+        report.files,
         report.functions,
         report.edges,
         report.hot_fns,
@@ -140,14 +72,14 @@ fn run_static_mode(args: &Args) -> Result<bool, String> {
     if let Some(path) = &args.sarif {
         std::fs::write(path, to_sarif(&report).to_pretty())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!("csce-static: wrote {}", path.display());
+        eprintln!("csce-lint: wrote {}", path.display());
     }
 
     if args.update_baseline {
         let text = StaticBaseline::from_findings(&report.findings).to_text();
         std::fs::write(&args.baseline, text)
             .map_err(|e| format!("writing {}: {e}", args.baseline.display()))?;
-        eprintln!("csce-static: wrote {}", args.baseline.display());
+        eprintln!("csce-lint: wrote {}", args.baseline.display());
         return Ok(true);
     }
 
@@ -160,23 +92,16 @@ fn run_static_mode(args: &Args) -> Result<bool, String> {
     };
     let failures = baseline.check(&report.findings);
     for f in &failures {
-        eprintln!("csce-static: FAIL {f}");
+        eprintln!("csce-lint: FAIL {f}");
     }
     if failures.is_empty() {
-        eprintln!("csce-static: OK (certified entry points reach 0 unallowlisted panic sites)");
+        eprintln!("csce-lint: OK (every finding within its baseline ceiling)");
     }
     Ok(failures.is_empty())
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("csce-lint: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = if args.static_mode { run_static_mode(&args) } else { run(&args) };
+    let result = parse_args().and_then(|args| run(&args));
     match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,

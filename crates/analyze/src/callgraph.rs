@@ -1,11 +1,16 @@
-//! Workspace call-graph construction over the shared tokenizer.
+//! Workspace call-graph construction over the shared tokenizer — the one
+//! parse every source-policy rule derives from.
 //!
-//! A lightweight item parser walks each library source's token stream and
-//! extracts every function (free, inherent, trait default), the calls it
-//! makes, the *panic sites* and *narrow-cast sites* it contains, and
-//! every struct field whose type carries shared state (`Arc`, `Atomic*`,
-//! `Mutex`, `RwLock`). The result feeds the reachability pass in
-//! [`crate::reach`] and the rules in [`crate::rules`].
+//! [`Workspace::load`] collects the library sources (non-test code outside
+//! `tests/`, `benches/`, `examples/`, `bin/`, `vendor/` and nested
+//! workspaces), lexes each file once, records whether it opens with a
+//! module doc, and walks its token stream with a lightweight item parser.
+//! The parser extracts every function (free, inherent, trait default,
+//! trait impl), the calls it makes, the *sites* it contains (panic-capable
+//! expressions, narrow `as` casts, wildcard arms on the guarded enums),
+//! and every struct field whose type carries shared state (`Arc`,
+//! `Atomic*`, `Mutex`, `RwLock`). The result feeds the reachability pass
+//! in [`crate::reach`] and the rules in [`crate::rules`].
 //!
 //! Resolution is **name-based and over-approximate** — no type inference:
 //!
@@ -19,6 +24,14 @@
 //!   items are parsed as their own functions; `macro_rules!` bodies are
 //!   skipped entirely.
 //!
+//! Resolution is **crate-aware**: a call from a function in crate A
+//! resolves only to functions in A or in A's transitive `[dependencies]`
+//! (read from each `crates/*/Cargo.toml`), since A cannot name anything
+//! else. Methods in `impl Trait for Type` blocks stay resolvable from
+//! every crate, because generic or `dyn` dispatch can reach a downstream
+//! impl. Files outside any manifest-bearing crate (the root package, a
+//! fixture tree without manifests) see, and are seen by, every crate.
+//!
 //! Over-approximation errs toward *more* edges, so panic-reachability
 //! certification can report false positives but not false negatives
 //! within the parsed-call model (dynamic dispatch through `dyn` objects
@@ -26,7 +39,6 @@
 
 use std::path::Path;
 
-use crate::lint::{collect_sources, is_library_source, NARROW_TYPES};
 use crate::tokens::{lex, scan_attribute, skip_item, strip_test_items, Tok, TokKind};
 
 /// Reserved words that can precede `(` or `[` without being calls/indexing.
@@ -45,53 +57,27 @@ const PANIC_MACROS: [&str; 7] =
 /// Type markers that make a struct field shared mutable state.
 const SHARED_MARKERS: [&str; 3] = ["Arc", "Mutex", "RwLock"];
 
+/// Cast targets that can drop high bits of a wider index: a `usize → u32`
+/// cast silently truncates on graphs past 4 billion vertices.
+const NARROW_TYPES: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "VertexId", "Label"];
+
+/// Enums whose matches must stay exhaustive: adding a matching variant
+/// (`Variant`) or cluster direction (`Orient`) must be a compile error
+/// everywhere it matters, so `_ =>` arms over them are sites.
+const GUARDED_ENUMS: [&str; 2] = ["Variant", "Orient"];
+
 /// Method names that collide with ubiquitous `std` APIs (iterators,
-/// collections, atomics, formatting). An unqualified `recv.load(…)` is
-/// overwhelmingly an `AtomicUsize::load`, not `Workspace::load`; letting
-/// the simple-name fallback fire on these names connects the whole
-/// workspace to itself and drowns real findings. Calls to same-named
-/// workspace functions still resolve when written `Type::name(…)` or
-/// `self.name(…)` — this list only suppresses the ambient fallback, and
-/// it is a documented hole in the over-approximation (see DESIGN.md).
-const AMBIENT_METHODS: [&str; 37] = [
-    "chain",
-    "clear",
-    "clone",
-    "cmp",
-    "collect",
-    "contains",
-    "count",
-    "drain",
-    "enumerate",
-    "extend",
-    "find",
-    "first",
-    "flush",
-    "fmt",
-    "get",
-    "insert",
-    "is_empty",
-    "iter",
-    "join",
-    "last",
-    "len",
-    "load",
-    "lock",
-    "map",
-    "max",
-    "min",
-    "next",
-    "position",
-    "push",
-    "read",
-    "sort",
-    "split",
-    "store",
-    "sum",
-    "swap",
-    "take",
-    "write",
-];
+/// collections, atomics). An unqualified `recv.load(…)` is overwhelmingly
+/// an `AtomicUsize::load`, not `Workspace::load`; letting the simple-name
+/// fallback fire on these names connects the executor to most of the
+/// workspace and drowns real findings. Calls to same-named workspace
+/// functions still resolve when written `Type::name(…)` or
+/// `self.name(…)` — this list only suppresses the ambient fallback, and it
+/// is a documented hole in the over-approximation (see DESIGN.md). It is
+/// kept minimal: each entry is here because deleting it alone widens the
+/// certified hot set.
+const AMBIENT_METHODS: [&str; 9] =
+    ["collect", "contains", "count", "enumerate", "is_empty", "iter", "len", "load", "take"];
 
 fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s) || matches!(s, "self" | "Self" | "where" | "yield" | "union")
@@ -112,13 +98,15 @@ pub enum SiteKind {
     Div,
     /// `as` cast into a narrow index type.
     NarrowCast,
+    /// `_ =>` arm in a match involving `Variant`/`Orient`.
+    WildcardArm,
 }
 
 impl SiteKind {
     /// Whether this site can abort the process (a narrow cast truncates
-    /// silently instead).
+    /// silently instead; a wildcard arm is a maintenance hazard).
     pub fn is_panic(self) -> bool {
-        !matches!(self, SiteKind::NarrowCast)
+        !matches!(self, SiteKind::NarrowCast | SiteKind::WildcardArm)
     }
 
     pub fn label(self) -> &'static str {
@@ -129,11 +117,12 @@ impl SiteKind {
             SiteKind::Index => "index",
             SiteKind::Div => "div",
             SiteKind::NarrowCast => "narrow-cast",
+            SiteKind::WildcardArm => "wildcard-arm",
         }
     }
 }
 
-/// One panic/cast site inside a function body.
+/// One panic/cast/wildcard site inside a function body.
 #[derive(Clone, Debug)]
 pub struct Site {
     pub kind: SiteKind,
@@ -141,6 +130,15 @@ pub struct Site {
     pub line: u32,
     /// Short source excerpt, e.g. `` `panic!` `` or `` `as u32` ``.
     pub what: String,
+}
+
+impl Site {
+    /// Whether library code may not contain this site at all, hot or
+    /// not: `.unwrap()`, `.expect(…)` and `panic!`. The other panic-family
+    /// macros state invariants and only count on the certified path.
+    pub fn is_explicit_panic(&self) -> bool {
+        matches!(self.kind, SiteKind::Unwrap | SiteKind::Expect) || self.what == "`panic!`"
+    }
 }
 
 /// How a call expression named its callee.
@@ -168,6 +166,9 @@ pub struct Function {
     pub simple_name: String,
     /// Enclosing impl/trait type, for `self.method` resolution.
     pub owner: Option<String>,
+    /// Defined in an `impl Trait for Type` block, so reachable by dynamic
+    /// or generic dispatch from crates that cannot name it.
+    pub trait_impl: bool,
     /// Workspace-relative `/`-separated path.
     pub file: String,
     /// 1-based line of the `fn` keyword.
@@ -187,26 +188,92 @@ pub struct SharedField {
     pub line: u32,
 }
 
-/// Every function and shared-state field in the parsed sources.
+/// One workspace crate: where its sources live and which crates it can
+/// call into.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Crate {
+    /// Workspace-relative directory holding `Cargo.toml`, e.g. `crates/core`.
+    pub dir: String,
+    /// The `[package]` name.
+    pub name: String,
+    /// Package names listed under `[dependencies]`.
+    pub deps: Vec<String>,
+}
+
+impl Crate {
+    /// Read a crate's package name and `[dependencies]` keys from its
+    /// manifest (both `dep = …` lines and `[dependencies.dep]` tables).
+    pub fn from_manifest(dir: &str, manifest: &str) -> Crate {
+        let mut krate = Crate { dir: dir.to_string(), name: String::new(), deps: Vec::new() };
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            if let Some(header) = line.strip_prefix('[') {
+                section = header.trim_end_matches(']').trim();
+                if let Some(dep) = section.strip_prefix("dependencies.") {
+                    krate.deps.push(dep.to_string());
+                }
+                continue;
+            }
+            let key = line.split(['=', '.']).next().unwrap_or_default().trim();
+            match section {
+                "package" if key == "name" => {
+                    let value = line.split_once('=').map_or("", |(_, v)| v);
+                    krate.name = value.trim().trim_matches('"').to_string();
+                }
+                "dependencies" => krate.deps.push(key.to_string()),
+                _ => {}
+            }
+        }
+        krate
+    }
+}
+
+/// Every function, shared-state field and crate in the parsed sources.
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
     pub fns: Vec<Function>,
     pub shared_fields: Vec<SharedField>,
+    /// Crates with a manifest, for crate-aware call resolution.
+    pub crates: Vec<Crate>,
+    /// Number of source files parsed.
+    pub files: usize,
+    /// Files that do not open with a `//!` or `/*!` module doc.
+    pub undocumented: Vec<String>,
 }
 
 impl Workspace {
-    /// Parse one source file into the workspace. `rel` labels locations.
+    /// Parse one source file into the workspace. `rel` labels locations;
+    /// its directory decides the file's crate during [`Self::resolve`].
     pub fn parse_file(&mut self, rel: &str, src: &str) {
         let lexed = lex(src);
+        self.files += 1;
+        if !lexed.has_module_doc {
+            self.undocumented.push(rel.to_string());
+        }
         let toks = strip_test_items(lexed.toks);
-        let mut p = Parser { toks: &toks, file: rel, ws: self };
+        let mut p = Parser { toks: &toks, file: rel, trait_impl: false, ws: self };
         p.items(0, toks.len(), None);
     }
 
-    /// Parse every library source under `root` (same file set as the lint
-    /// pass), in sorted path order.
+    /// Read every `crates/*/Cargo.toml` under `root`, then parse every
+    /// library source in sorted path order.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut ws = Workspace::default();
+        let crates_dir = root.join("crates");
+        if crates_dir.is_dir() {
+            for entry in std::fs::read_dir(&crates_dir)? {
+                let entry = entry?;
+                let manifest = entry.path().join("Cargo.toml");
+                if entry.file_type()?.is_dir() && manifest.is_file() {
+                    let dir = format!("crates/{}", entry.file_name().to_string_lossy());
+                    ws.crates.push(Crate::from_manifest(&dir, &std::fs::read_to_string(manifest)?));
+                }
+            }
+        }
+        ws.crates.sort_by(|a, b| a.dir.cmp(&b.dir));
         for rel in collect_sources(root)? {
             let src = std::fs::read_to_string(root.join(&rel))?;
             ws.parse_file(&rel, &src);
@@ -225,6 +292,35 @@ impl Workspace {
             .collect()
     }
 
+    /// The crate whose directory holds `file`, if any.
+    fn crate_of(&self, file: &str) -> Option<usize> {
+        self.crates.iter().position(|c| {
+            file.strip_prefix(c.dir.as_str()).is_some_and(|rest| rest.starts_with('/'))
+        })
+    }
+
+    /// `sees[a][b]`: crate `a` can name crate `b` — itself or one of its
+    /// transitive dependencies.
+    fn crate_visibility(&self) -> Vec<Vec<bool>> {
+        let n = self.crates.len();
+        let mut sees = vec![vec![false; n]; n];
+        for (a, row) in sees.iter_mut().enumerate() {
+            let mut stack = vec![a];
+            while let Some(c) = stack.pop() {
+                if std::mem::replace(&mut row[c], true) {
+                    continue;
+                }
+                stack.extend(
+                    self.crates[c]
+                        .deps
+                        .iter()
+                        .filter_map(|d| self.crates.iter().position(|k| &k.name == d)),
+                );
+            }
+        }
+        sees
+    }
+
     /// Resolve every call to workspace function indices, producing the
     /// call-graph adjacency (deduplicated, per function).
     pub fn resolve(&self) -> Vec<Vec<usize>> {
@@ -235,9 +331,15 @@ impl Workspace {
             by_simple.entry(&f.simple_name).or_default().push(i);
             by_qual.entry(&f.qual_name).or_default().push(i);
         }
+        let home: Vec<Option<usize>> = self.fns.iter().map(|f| self.crate_of(&f.file)).collect();
+        let sees = self.crate_visibility();
         let empty: Vec<usize> = Vec::new();
         let mut adj = Vec::with_capacity(self.fns.len());
-        for f in &self.fns {
+        for (caller, f) in self.fns.iter().enumerate() {
+            let visible = |callee: &usize| match (home[caller], home[*callee]) {
+                (Some(a), Some(b)) => sees[a][b] || self.fns[*callee].trait_impl,
+                _ => true,
+            };
             let mut out: Vec<usize> = Vec::new();
             for call in &f.calls {
                 let targets: &[usize] = match &call.target {
@@ -270,7 +372,7 @@ impl Workspace {
                         }
                     }
                 };
-                out.extend_from_slice(targets);
+                out.extend(targets.iter().filter(|t| visible(t)));
             }
             out.sort_unstable();
             out.dedup();
@@ -285,15 +387,69 @@ impl Workspace {
     }
 }
 
-/// Re-export of the lint pass's path filter, so callers assembling custom
-/// file sets apply the same test-code exclusion.
-pub fn is_analyzable(rel: &str) -> bool {
-    is_library_source(rel)
+/// Whether a workspace-relative path is non-test library code the rules
+/// apply to.
+pub fn is_library_source(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    if parts.first() == Some(&"vendor") || parts.first() == Some(&"target") {
+        return false;
+    }
+    !parts.iter().any(|p| matches!(*p, "tests" | "benches" | "examples" | "bin" | "fixtures"))
+        && rel.ends_with(".rs")
+}
+
+/// Collect the workspace's library sources under `root`, returning sorted
+/// workspace-relative `/`-separated paths.
+pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
+    let mut found = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        if dir != root && is_nested_workspace(&dir) {
+            continue;
+        }
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if entry.file_type()?.is_dir() {
+                if !matches!(name.as_ref(), "target" | "vendor" | ".git" | ".claude") {
+                    stack.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                let rel = rel_path(root, &path);
+                if is_library_source(&rel) {
+                    found.push(rel);
+                }
+            }
+        }
+    }
+    found.sort();
+    Ok(found)
+}
+
+/// Whether `dir` holds a package that declares its own `[workspace]`
+/// (e.g. the standalone `perfbench/`): it builds separately, workspace
+/// crates cannot call into it, so it is outside the analyzed sources.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+}
+
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy().into_owned())
+        .collect::<Vec<_>>()
+        .join("/")
 }
 
 struct Parser<'w, 't> {
     toks: &'t [Tok<'t>],
     file: &'t str,
+    /// Inside an `impl Trait for Type` body.
+    trait_impl: bool,
     ws: &'w mut Workspace,
 }
 
@@ -385,13 +541,16 @@ impl Parser<'_, '_> {
             j += 1;
         }
         let Some(body) = body else { return end };
-        let owner = if is_trait {
-            self.toks.get(i + 1).filter(|t| t.kind == TokKind::Ident).map(|t| t.text.to_string())
+        let (owner, trait_impl) = if is_trait {
+            let name = self.toks.get(i + 1).filter(|t| t.kind == TokKind::Ident);
+            (name.map(|t| t.text.to_string()), false)
         } else {
             impl_self_type(&self.toks[i + 1..body])
         };
         let close = matching_brace(self.toks, body, end);
+        self.trait_impl = trait_impl;
         self.items(body + 1, close, owner.as_deref());
+        self.trait_impl = false;
         close + 1
     }
 
@@ -515,6 +674,7 @@ impl Parser<'_, '_> {
             qual_name,
             simple_name: simple,
             owner: owner.map(str::to_string),
+            trait_impl: owner.is_some() && self.trait_impl,
             file: self.file.to_string(),
             line: self.toks[i].line,
             calls: Vec::new(),
@@ -549,6 +709,17 @@ impl Parser<'_, '_> {
                         continue;
                     }
                     i += 1; // `fn(…)` pointer type
+                    continue;
+                }
+                if t.text == "match" {
+                    for line in wildcard_arms(self.toks, i, end) {
+                        f.sites.push(Site {
+                            kind: SiteKind::WildcardArm,
+                            line,
+                            what: "`_ =>`".to_string(),
+                        });
+                    }
+                    i += 1;
                     continue;
                 }
                 let next = self.toks.get(i + 1).map(|t| t.text);
@@ -686,10 +857,58 @@ fn matching_brace(toks: &[Tok<'_>], open: usize, end: usize) -> usize {
     end
 }
 
+/// Lines of the `_ =>` arms at the top level of the `match` at `i`, when
+/// the match involves one of the [`GUARDED_ENUMS`] anywhere in its
+/// scrutinee or body.
+fn wildcard_arms(toks: &[Tok<'_>], i: usize, end: usize) -> Vec<u32> {
+    // Header: up to the body `{` at bracket depth 0 (struct literals are
+    // not allowed bare in a scrutinee).
+    let mut open = i + 1;
+    let mut depth = 0usize;
+    while open < end {
+        match toks[open].text {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            "{" if depth == 0 => break,
+            _ => {}
+        }
+        open += 1;
+    }
+    if open >= end {
+        return Vec::new();
+    }
+    let close = matching_brace(toks, open, end);
+    if !toks[i..close].iter().any(|t| t.kind == TokKind::Ident && GUARDED_ENUMS.contains(&t.text)) {
+        return Vec::new();
+    }
+    // Arms live at brace depth 1 of the body, outside any parens (a `_`
+    // inside `(…)` or `Foo { … }` is a sub-pattern).
+    let (mut braces, mut parens) = (1usize, 0usize);
+    let mut arms = Vec::new();
+    for a in open + 1..close {
+        match toks[a].text {
+            "{" => braces += 1,
+            "}" => braces -= 1,
+            "(" | "[" => parens += 1,
+            ")" | "]" => parens = parens.saturating_sub(1),
+            "_" if braces == 1
+                && parens == 0
+                && toks.get(a + 1).map(|t| t.text) == Some("=")
+                && toks.get(a + 2).map(|t| t.text) == Some(">") =>
+            {
+                arms.push(toks[a].line);
+            }
+            _ => {}
+        }
+    }
+    arms
+}
+
 /// Extract the self type from an impl header's tokens (between `impl` and
 /// the body `{`): the last path segment of the type after `for` when
-/// present, of the whole header otherwise, at angle depth zero.
-fn impl_self_type(header: &[Tok<'_>]) -> Option<String> {
+/// present, of the whole header otherwise, at angle depth zero. The flag
+/// says whether the header has that `for`, i.e. implements a trait.
+fn impl_self_type(header: &[Tok<'_>]) -> (Option<String>, bool) {
     let mut angle = 0usize;
     let mut for_at = None;
     for (k, t) in header.iter().enumerate() {
@@ -697,6 +916,7 @@ fn impl_self_type(header: &[Tok<'_>]) -> Option<String> {
             "<" => angle += 1,
             ">" if k == 0 || header[k - 1].text != "-" => angle = angle.saturating_sub(1),
             "for" if angle == 0 => for_at = Some(k),
+            "where" if angle == 0 => break,
             _ => {}
         }
     }
@@ -718,7 +938,7 @@ fn impl_self_type(header: &[Tok<'_>]) -> Option<String> {
             }
         }
     }
-    last
+    (last, for_at.is_some())
 }
 
 /// Whether a numeric literal is a nonzero integer (so division by it
@@ -884,6 +1104,96 @@ mod tests {
         let src = "//! d\nfn f() { let _ = Some(1); let _ = Variant::EdgeInduced; }\n";
         let ws = parse(src);
         assert!(fn_named(&ws, "f").calls.is_empty());
+    }
+
+    #[test]
+    fn manifest_names_package_and_dependencies() {
+        let manifest = "[package]\nname = \"csce-core\"\nversion.workspace = true\n\n\
+                        [dependencies]\ncsce-graph.workspace = true\n# comment\n\
+                        csce-obs = { path = \"../obs\" }\n\n[dev-dependencies]\nrand = \"1\"\n\n\
+                        [dependencies.csce-ccsr]\npath = \"../ccsr\"\n";
+        let k = Crate::from_manifest("crates/core", manifest);
+        assert_eq!(k.name, "csce-core");
+        assert_eq!(k.deps, vec!["csce-graph", "csce-obs", "csce-ccsr"]);
+    }
+
+    /// Crates `a` → `c` (a dependency) and `b` (not one), each defining a
+    /// `row`; `b` also implements a trait.
+    fn three_crates() -> Workspace {
+        let mut ws = Workspace::default();
+        for (dir, name, deps) in
+            [("crates/a", "a", vec!["c"]), ("crates/b", "b", vec![]), ("crates/c", "c", vec![])]
+        {
+            ws.crates.push(Crate {
+                dir: dir.to_string(),
+                name: name.to_string(),
+                deps: deps.into_iter().map(str::to_string).collect(),
+            });
+        }
+        ws.parse_file("crates/a/src/lib.rs", "//! a\nfn caller(t: T) { t.row(); t.render(); }\n");
+        ws.parse_file(
+            "crates/b/src/lib.rs",
+            "//! b\nimpl Table { fn row(&self) {} }\nimpl Show for Table { fn render(&self) {} }\n",
+        );
+        ws.parse_file("crates/c/src/lib.rs", "//! c\nimpl Csr { fn row(&self) {} }\n");
+        ws.parse_file("src/lib.rs", "//! root\nfn root() { row(); }\n");
+        ws
+    }
+
+    #[test]
+    fn calls_resolve_only_into_dependencies() {
+        let ws = three_crates();
+        let adj = ws.resolve();
+        let callees = |q: &str| -> Vec<&str> {
+            adj[ws.find(q, None)[0]].iter().map(|&t| ws.fns[t].qual_name.as_str()).collect()
+        };
+        // `Table::row` lives in `b`, which `a` does not depend on; the trait
+        // impl `Table::render` stays reachable through dispatch.
+        assert_eq!(callees("caller"), vec!["Table::render", "Csr::row"]);
+        // The root package sees every crate.
+        assert_eq!(callees("root"), vec!["Table::row", "Csr::row"]);
+        assert!(ws.fns[ws.find("Table::render", None)[0]].trait_impl);
+        assert!(!ws.fns[ws.find("Table::row", None)[0]].trait_impl);
+    }
+
+    #[test]
+    fn transitive_dependencies_are_visible() {
+        let mut ws = three_crates();
+        ws.crates[2].deps.push("b".to_string());
+        let adj = ws.resolve();
+        let caller = ws.find("caller", None)[0];
+        assert_eq!(adj[caller].len(), 3, "a → c → b reaches Table::row too");
+    }
+
+    #[test]
+    fn path_classification() {
+        assert!(is_library_source("crates/graph/src/graph.rs"));
+        assert!(is_library_source("src/lib.rs"));
+        assert!(!is_library_source("crates/graph/tests/io.rs"));
+        assert!(!is_library_source("src/bin/csce.rs"));
+        assert!(!is_library_source("vendor/proptest/src/lib.rs"));
+        assert!(!is_library_source("crates/bench/src/fixtures/x.rs"));
+        assert!(!is_library_source("README.md"));
+    }
+
+    #[test]
+    fn load_reads_manifests_and_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("csce-callgraph-load-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "//! a\nfn f() {}\n");
+        write("bench/Cargo.toml", "[package]\nname = \"b\"\n\n[workspace]\n");
+        write("bench/src/lib.rs", "//! b\nfn g() {}\n");
+        let found = collect_sources(&root).unwrap();
+        let ws = Workspace::load(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(found, vec!["crates/a/src/lib.rs".to_string()]);
+        assert_eq!(ws.crates, vec![Crate::from_manifest("crates/a", "[package]\nname = \"a\"\n")]);
+        assert_eq!(quals(&ws), vec!["f"]);
     }
 
     #[test]

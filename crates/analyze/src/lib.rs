@@ -4,7 +4,7 @@
 //! workspace — the validation layer the paper's correctness arguments
 //! assume but the production code never re-checks.
 //!
-//! Three parts:
+//! Two parts:
 //!
 //! * **Runtime structural analysis** — the [`Validate`] trait plus deep,
 //!   from-scratch checkers for every core structure: [`csce_graph::Graph`]
@@ -15,27 +15,24 @@
 //!   recomputed independently, LDSF coverage, NEC class soundness). The
 //!   checkers deliberately re-derive every property from first principles
 //!   rather than calling the production code paths they audit.
-//! * **Static source lint** — [`lint`], a zero-dependency Rust tokenizer
-//!   and rule engine enforcing repo-wide source policies (no panics in
-//!   library code, no lossy index casts, no wildcard arms on the matching
-//!   variant enums, module docs), driven by the `csce-lint` binary with a
-//!   checked-in allowlist so CI fails only on *new* violations.
-//! * **Call-graph static analysis** — [`callgraph`], [`reach`] and
-//!   [`rules`]: a workspace-wide call graph built on the same tokenizer,
-//!   certifying panic-freedom of the executor entry points
-//!   ([`rules::panic_reach`]), flagging narrow casts on the hot path
-//!   ([`rules::hot_cast`]) and auditing shared-state fields against the
-//!   declared-ordering manifest ([`rules::shared_state`]); findings
-//!   ratchet per function against `scripts/static-baseline.txt` and
-//!   export as SARIF through `csce-lint --static` /
-//!   `csce validate --static`.
+//! * **Static source analysis** — [`callgraph`], [`reach`] and [`rules`]:
+//!   one zero-dependency pass lexes each library file once, builds a
+//!   crate-aware workspace call graph, and derives all seven source-policy
+//!   rules from it — panic-freedom of the executor entry points
+//!   (`panic-reach`) and no explicit panics elsewhere (`no-panic`), narrow
+//!   casts on the hot path (`hot-cast`) and elsewhere (`lossy-cast`),
+//!   shared-state fields against the declared-ordering manifest
+//!   (`shared-state`), wildcard arms over `Variant`/`Orient`
+//!   (`wildcard-variant-arm`) and module docs (`module-doc`). Findings
+//!   ratchet per function against the one baseline,
+//!   `scripts/static-baseline.txt`, and export as SARIF through the
+//!   `csce-lint` binary.
 
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod ccsr_check;
 pub mod graph_check;
-pub mod lint;
 pub mod plan_check;
 pub mod reach;
 pub mod rules;

@@ -66,11 +66,6 @@ pub fn reach(ws: &Workspace, adj: &[Vec<usize>], entries: &[EntryPoint]) -> Reac
 }
 
 impl Reachability {
-    /// Indices of all reachable functions, ascending.
-    pub fn reachable_fns(&self) -> impl Iterator<Item = usize> + '_ {
-        self.reachable.iter().enumerate().filter(|(_, &r)| r).map(|(i, _)| i)
-    }
-
     /// Number of reachable functions.
     pub fn count(&self) -> usize {
         self.reachable.iter().filter(|&&r| r).count()

@@ -1,10 +1,11 @@
-//! Rule `hot-cast`: narrow `as` casts in *hot* code.
+//! Rules `hot-cast` and `lossy-cast`: narrow `as` casts (into `u8`–`u32`,
+//! `i8`–`i32`, `VertexId`, `Label`), split by where truncation lands.
 //!
-//! The token lint's `lossy-cast` rule flags every `as u32`-style cast in
-//! library code; this rule focuses the pressure where truncation corrupts
-//! results instead of diagnostics — functions reachable from the engine
-//! entry points or from the CCSR read path (`ReadCSR`, Algorithm 1, and
-//! the decoded-cluster accessors the recursion touches per candidate).
+//! `hot-cast` covers functions reachable from the engine entry points or
+//! from the CCSR read path (`ReadCSR`, Algorithm 1, and the
+//! decoded-cluster accessors the recursion touches per candidate), where
+//! a truncated index corrupts results; `lossy-cast` covers every other
+//! library function. Each cast site is reported by exactly one of them.
 
 use crate::callgraph::{SiteKind, Workspace};
 use crate::reach::{reach, EntryPoint};
@@ -17,10 +18,12 @@ pub const READ_ENTRY_POINTS: [&str; 4] =
 /// File prefix the read-path entries must be defined under.
 pub const READ_PREFIX: &str = "crates/ccsr/src/";
 
-/// Run the rule: one finding per narrow-cast site in a function reachable
-/// from the engine or CCSR read paths. Missing read-path entries are not
-/// findings here — `panic-reach` already certifies the engine list, and
-/// the read-path names double as plain reachability seeds.
+/// Run both rules: one `hot-cast` finding per narrow-cast site in a
+/// function reachable from the engine or CCSR read paths, one
+/// `lossy-cast` finding per narrow cast anywhere else. Missing read-path
+/// entries are not findings here — `panic-reach` already certifies the
+/// engine list, and the read-path names double as plain reachability
+/// seeds.
 pub fn run(ws: &Workspace, adj: &[Vec<usize>]) -> Vec<Finding> {
     let mut entries: Vec<EntryPoint> = panic_reach::ENTRY_POINTS
         .iter()
@@ -30,18 +33,28 @@ pub fn run(ws: &Workspace, adj: &[Vec<usize>]) -> Vec<Finding> {
         .extend(READ_ENTRY_POINTS.iter().map(|q| EntryPoint { qual: q, file_prefix: READ_PREFIX }));
     let r = reach(ws, adj, &entries);
     let mut findings = Vec::new();
-    for idx in r.reachable_fns() {
-        let f = &ws.fns[idx];
-        for site in &f.sites {
-            if site.kind != SiteKind::NarrowCast {
-                continue;
-            }
+    for (idx, f) in ws.fns.iter().enumerate() {
+        for site in f.sites.iter().filter(|s| s.kind == SiteKind::NarrowCast) {
+            let (rule, msg) = if r.reachable[idx] {
+                (
+                    "hot-cast",
+                    format!("{} in hot code, reachable via {}", site.what, r.chain(ws, idx)),
+                )
+            } else {
+                (
+                    "lossy-cast",
+                    format!(
+                        "{} can truncate; use try_into or justify it in the baseline",
+                        site.what
+                    ),
+                )
+            };
             findings.push(Finding {
-                rule: "hot-cast",
+                rule,
                 fn_path: f.qual_name.clone(),
                 file: f.file.clone(),
                 line: site.line,
-                msg: format!("{} in hot code, reachable via {}", site.what, r.chain(ws, idx)),
+                msg,
             });
         }
     }
@@ -61,8 +74,9 @@ mod tests {
         );
         let adj = ws.resolve();
         let findings = run(&ws, &adj);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].fn_path, "narrow");
+        let rules: Vec<(&str, &str)> =
+            findings.iter().map(|f| (f.rule, f.fn_path.as_str())).collect();
+        assert_eq!(rules, vec![("hot-cast", "narrow"), ("lossy-cast", "cold")]);
         assert!(findings[0].msg.contains("read_csr > narrow"), "{}", findings[0].msg);
     }
 }

@@ -1,34 +1,46 @@
-//! Call-graph-aware static-analysis rules and their reporting formats.
+//! The workspace source-policy rules and their one ratchet.
 //!
-//! Three rules run over the parsed [`crate::callgraph::Workspace`]:
+//! Seven rules run over the parsed [`crate::callgraph::Workspace`]:
 //!
-//! * [`panic_reach`] — panic sites transitively reachable from the
-//!   certified executor entry points;
-//! * [`hot_cast`] — narrow `as` casts in functions reachable from the
-//!   engine or CCSR read paths;
-//! * [`shared_state`] — `Arc`/`Atomic*`/`Mutex` fields in `exec/` absent
-//!   from the declared-ordering manifest.
+//! * [`panic_reach`] — `panic-reach`: panic sites transitively reachable
+//!   from the certified executor entry points; `no-panic`: `.unwrap()`,
+//!   `.expect(…)` and `panic!` in every other library function;
+//! * [`hot_cast`] — `hot-cast`: narrow `as` casts in functions reachable
+//!   from the engine or CCSR read paths; `lossy-cast`: the same casts
+//!   anywhere else;
+//! * [`shared_state`] — `shared-state`: `Arc`/`Atomic*`/`Mutex` fields in
+//!   `exec/` absent from the declared-ordering manifest;
+//! * [`style`] — `wildcard-variant-arm`: `_ =>` arms over
+//!   `Variant`/`Orient`; `module-doc`: files without a `//!` module doc.
 //!
-//! Findings ratchet against a committed **baseline** in the lint
-//! allowlist's spirit but function-granular (`<count> <rule> <fn-path>
-//! <file>` lines): CI fails when a function gains a finding *or* when a
-//! ceiling goes stale, so recorded debt only shrinks. The same findings
-//! export as a SARIF-style JSON document for artifact upload and as a
-//! [`crate::ValidationReport`] for `csce validate --static`.
+//! Each site is reported by exactly one rule. Findings ratchet against
+//! one committed, function-granular **baseline** (`<count> <rule>
+//! <fn-path> <file>` lines, `-` for file-level findings): CI fails when a
+//! function gains a finding *or* when a ceiling goes stale, so recorded
+//! debt only shrinks. The same findings export as a SARIF-style JSON
+//! document for artifact upload.
 
 pub mod hot_cast;
 pub mod panic_reach;
 pub mod shared_state;
+pub mod style;
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::callgraph::Workspace;
-use crate::ValidationReport;
 use csce_obs::json::JsonValue;
 
 /// Rule identifiers, in reporting order.
-pub const STATIC_RULES: [&str; 3] = ["panic-reach", "hot-cast", "shared-state"];
+pub const RULES: [&str; 7] = [
+    "panic-reach",
+    "no-panic",
+    "hot-cast",
+    "lossy-cast",
+    "shared-state",
+    "wildcard-variant-arm",
+    "module-doc",
+];
 
 /// Default baseline and manifest locations relative to the workspace root.
 pub const BASELINE_PATH: &str = "scripts/static-baseline.txt";
@@ -39,7 +51,7 @@ pub const MANIFEST_PATH: &str = "scripts/shared-state-manifest.txt";
 pub struct Finding {
     pub rule: &'static str,
     /// Qualified function path (`Type::name` or `name`); for manifest
-    /// findings, the `Struct.field` entry.
+    /// findings, the `Struct.field` entry; `-` for file-level findings.
     pub fn_path: String,
     /// Workspace-relative file, `/`-separated.
     pub file: String,
@@ -59,6 +71,8 @@ impl std::fmt::Display for Finding {
 #[derive(Clone, Debug, Default)]
 pub struct StaticReport {
     pub findings: Vec<Finding>,
+    /// Source files parsed.
+    pub files: usize,
     /// Functions parsed across the workspace.
     pub functions: usize,
     /// Resolved call edges.
@@ -75,8 +89,9 @@ pub fn run_rules(ws: &Workspace, manifest: Option<&str>) -> StaticReport {
     let adj = ws.resolve();
     let mut report = StaticReport {
         findings: Vec::new(),
+        files: ws.files,
         functions: ws.fns.len(),
-        edges: adj.iter().map(Vec::len).sum(),
+        edges: ws.edge_count(&adj),
         hot_fns: 0,
         entries_found: 0,
     };
@@ -86,6 +101,7 @@ pub fn run_rules(ws: &Workspace, manifest: Option<&str>) -> StaticReport {
     report.findings.extend(panic_findings);
     report.findings.extend(hot_cast::run(ws, &adj));
     report.findings.extend(shared_state::run(ws, manifest));
+    report.findings.extend(style::run(ws));
     report
 }
 
@@ -131,7 +147,7 @@ impl StaticBaseline {
             let count: u32 = count
                 .parse()
                 .map_err(|_| format!("baseline line {}: bad count {count:?}", lineno + 1))?;
-            let rule = STATIC_RULES
+            let rule = RULES
                 .iter()
                 .find(|&&r2| r2 == rule)
                 .ok_or_else(|| format!("baseline line {}: unknown rule {rule:?}", lineno + 1))?;
@@ -168,11 +184,12 @@ impl StaticBaseline {
     /// Serialize in the checked-in format.
     pub fn to_text(&self) -> String {
         let mut out = String::from(
-            "# csce static-analysis baseline: per-function finding ceilings.\n\
-             # Regenerate with `cargo run -p csce-analyze --bin csce-lint -- --static\n\
-             # --update-baseline` after *reducing* counts; additions require\n\
-             # justification in review. Certified entry points reach zero panic\n\
-             # sites beyond what this file enumerates.\n",
+            "# csce-lint baseline: per-function finding ceilings for every rule\n\
+             # (`-` marks a file-level finding). Regenerate with\n\
+             # `cargo run -p csce-analyze --bin csce-lint -- --update-baseline`\n\
+             # after *reducing* counts; additions require justification in\n\
+             # review. Certified entry points reach zero panic sites beyond what\n\
+             # this file enumerates.\n",
         );
         for (file, fn_path, rule, count) in &self.entries {
             let _ = writeln!(out, "{count} {rule} {fn_path} {file}");
@@ -210,7 +227,7 @@ impl StaticBaseline {
             if count < *allowed {
                 failures.push(format!(
                     "{fn_path} ({file}): baseline permits {allowed} `{rule}` but only {count} \
-                     remain — tighten the ratchet (--static --update-baseline)"
+                     remain — tighten the ratchet (--update-baseline)"
                 ));
             }
         }
@@ -221,7 +238,7 @@ impl StaticBaseline {
 /// Export findings as a SARIF-style document (version 2.1.0 core fields:
 /// one run, one driver, per-rule metadata, one result per finding).
 pub fn to_sarif(report: &StaticReport) -> JsonValue {
-    let rules: Vec<JsonValue> = STATIC_RULES
+    let rules: Vec<JsonValue> = RULES
         .iter()
         .map(|r| {
             JsonValue::Object(vec![
@@ -283,7 +300,7 @@ pub fn to_sarif(report: &StaticReport) -> JsonValue {
         })
         .collect();
     let driver = JsonValue::Object(vec![
-        ("name".to_string(), JsonValue::Str("csce-static".to_string())),
+        ("name".to_string(), JsonValue::Str("csce-lint".to_string())),
         ("informationUri".to_string(), JsonValue::Str("https://example.invalid/csce".to_string())),
         ("rules".to_string(), JsonValue::Array(rules)),
     ]);
@@ -293,6 +310,7 @@ pub fn to_sarif(report: &StaticReport) -> JsonValue {
         (
             "properties".to_string(),
             JsonValue::Object(vec![
+                ("files".to_string(), JsonValue::UInt(report.files as u64)),
                 ("functions".to_string(), JsonValue::UInt(report.functions as u64)),
                 ("callEdges".to_string(), JsonValue::UInt(report.edges as u64)),
                 ("hotFunctions".to_string(), JsonValue::UInt(report.hot_fns as u64)),
@@ -313,32 +331,14 @@ pub fn to_sarif(report: &StaticReport) -> JsonValue {
 fn rule_description(rule: &str) -> &'static str {
     match rule {
         "panic-reach" => "panic site reachable from a certified executor entry point",
+        "no-panic" => "unwrap/expect/panic! in library code off the certified path",
         "hot-cast" => "narrow as-cast in code reachable from the engine/CCSR read path",
+        "lossy-cast" => "narrow as-cast that can truncate an index",
         "shared-state" => "shared-state field missing from the declared-ordering manifest",
+        "wildcard-variant-arm" => "wildcard arm in a match involving Variant/Orient",
+        "module-doc" => "library file without a module doc comment",
         _ => "unknown rule",
     }
-}
-
-/// Fold an analyzer run into a [`ValidationReport`]: every rule registers
-/// as a checker, and only findings *beyond the baseline* (plus stale
-/// ceilings) count as violations — a clean run certifies the entry points
-/// against the enumerated residue.
-pub fn to_validation_report(report: &StaticReport, baseline: &StaticBaseline) -> ValidationReport {
-    let mut v = ValidationReport::new("workspace static analysis");
-    v.ran("static.panic-reach");
-    v.ran("static.hot-cast");
-    v.ran("static.shared-state");
-    for failure in baseline.check(&report.findings) {
-        let checker = if failure.contains("`panic-reach`") {
-            "static.panic-reach"
-        } else if failure.contains("`hot-cast`") {
-            "static.hot-cast"
-        } else {
-            "static.shared-state"
-        };
-        v.violation(checker, failure);
-    }
-    v
 }
 
 #[cfg(test)]
@@ -387,6 +387,7 @@ mod tests {
     fn sarif_has_schema_results_and_properties() {
         let report = StaticReport {
             findings: vec![finding("panic-reach", "f", "a.rs")],
+            files: 2,
             functions: 10,
             edges: 20,
             hot_fns: 5,
@@ -403,14 +404,124 @@ mod tests {
         assert_eq!(parsed, sarif);
     }
 
+    /// The rules a one-file workspace at `x.rs` violates, in reporting
+    /// order (the certified entry points are absent by construction, so
+    /// their missing-entry findings are left out).
+    fn rules_of(src: &str) -> Vec<&'static str> {
+        let mut ws = Workspace::default();
+        ws.parse_file("x.rs", src);
+        run_rules(&ws, None)
+            .findings
+            .into_iter()
+            .filter(|f| f.file != "<entry-point-list>")
+            .map(|f| f.rule)
+            .collect()
+    }
+
+    const DOC: &str = "//! doc\n";
+
     #[test]
-    fn validation_report_counts_only_unallowlisted() {
-        let findings = vec![finding("panic-reach", "f", "a.rs")];
-        let report = StaticReport { findings: findings.clone(), ..StaticReport::default() };
-        let base = StaticBaseline::from_findings(&findings);
-        let v = to_validation_report(&report, &base);
-        assert!(v.is_ok(), "baseline-covered findings are not violations");
-        let v = to_validation_report(&report, &StaticBaseline::default());
-        assert_eq!(v.total_violations(), 1);
+    fn clean_file_passes() {
+        assert!(
+            rules_of("//! A documented module.\npub fn f(x: u64) -> u64 { x + 1 }\n").is_empty()
+        );
+    }
+
+    #[test]
+    fn missing_module_doc_flagged() {
+        assert_eq!(rules_of("pub fn f() {}\n"), vec!["module-doc"]);
+        assert!(rules_of("/*! block doc */\npub fn f() {}\n").is_empty());
+    }
+
+    #[test]
+    fn unwrap_expect_panic_flagged() {
+        let src =
+            format!("{DOC}fn f() {{ let x = g().unwrap(); h().expect(\"x\"); panic!(\"y\"); }}");
+        assert_eq!(rules_of(&src), vec!["no-panic", "no-panic", "no-panic"]);
+    }
+
+    #[test]
+    fn invariant_macros_off_the_hot_path_are_not_flagged() {
+        let src = format!("{DOC}fn f(x: u64) {{ assert!(x > 0); unreachable!(); }}\n");
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn unwrap_in_string_or_comment_not_flagged() {
+        let src = format!("{DOC}// .unwrap() here\nfn f() -> &'static str {{ \".unwrap()\" }}\n");
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn unwrap_or_variants_not_flagged() {
+        assert!(rules_of(&format!("{DOC}fn f(x: Option<u64>) -> u64 {{ x.unwrap_or(0) }}\n"))
+            .is_empty());
+    }
+
+    #[test]
+    fn cfg_test_mod_is_stripped() {
+        let src = format!(
+            "{DOC}pub fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ f(); Some(1).unwrap(); }}\n}}\n"
+        );
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn lossy_casts_flagged_and_widening_ignored() {
+        assert_eq!(
+            rules_of(&format!("{DOC}fn f(n: usize) -> u32 {{ n as u32 }}\n")),
+            vec!["lossy-cast"]
+        );
+        assert!(rules_of(&format!("{DOC}fn f(n: u32) -> usize {{ n as usize }}\n")).is_empty());
+        let alias = format!("{DOC}fn f(n: usize) -> VertexId {{ n as VertexId }}\n");
+        assert_eq!(rules_of(&alias), vec!["lossy-cast"]);
+    }
+
+    #[test]
+    fn use_as_rename_not_flagged() {
+        assert!(rules_of(&format!("{DOC}use std::io::Error as IoError;\nfn f(_: IoError) {{}}\n"))
+            .is_empty());
+    }
+
+    #[test]
+    fn wildcard_arm_on_guarded_enum_flagged() {
+        let src = format!(
+            "{DOC}fn f(v: Variant) -> u32 {{ match v {{ Variant::EdgeInduced => 1, _ => 0 }} }}\n"
+        );
+        assert_eq!(rules_of(&src), vec!["wildcard-variant-arm"]);
+    }
+
+    #[test]
+    fn wildcard_arm_on_other_enums_allowed() {
+        let src =
+            format!("{DOC}fn f(v: Option<u32>) -> u32 {{ match v {{ Some(x) => x, _ => 0 }} }}\n");
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn wildcard_subpattern_not_flagged() {
+        let src = format!(
+            "{DOC}fn f(v: Orient, w: u32) -> u32 {{ match (v, w) {{ (Orient::Out, _) => 1, (Orient::In, x) => x, (Orient::Und, _) => 2 }} }}\n"
+        );
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn raw_strings_and_lifetimes_lex_cleanly() {
+        let src = format!(
+            "{DOC}fn f<'a>(x: &'a str) -> &'a str {{ let _ = r#\"panic!( .unwrap() \"#; let _ = 'x'; x }}\n"
+        );
+        assert!(rules_of(&src).is_empty());
+    }
+
+    #[test]
+    fn file_level_findings_ratchet_under_a_dash() {
+        let mut ws = Workspace::default();
+        ws.parse_file("crates/x/src/lib.rs", "fn f() {}\n");
+        let findings: Vec<Finding> =
+            run_rules(&ws, None).findings.into_iter().filter(|f| f.rule == "module-doc").collect();
+        let text = StaticBaseline::from_findings(&findings).to_text();
+        assert!(text.contains("1 module-doc - crates/x/src/lib.rs"), "{text}");
+        assert!(StaticBaseline::parse(&text).unwrap().check(&findings).is_empty());
     }
 }

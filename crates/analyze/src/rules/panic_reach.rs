@@ -1,5 +1,10 @@
-//! Rule `panic-reach`: panic sites transitively reachable from the
-//! certified match-engine entry points.
+//! Rules `panic-reach` and `no-panic`: panic sites transitively
+//! reachable from the certified match-engine entry points, and the
+//! explicit panics (`.unwrap()`, `.expect(…)`, `panic!`) everywhere else
+//! in library code. A site is reported by exactly one of the two: hot
+//! sites are `panic-reach` findings with a witness chain, cold explicit
+//! panics are `no-panic` findings, and cold indexing, division and
+//! invariant macros (`assert!`, `unreachable!`) are not findings.
 //!
 //! The entry-point list below *is* the certification surface: the WCOJ
 //! recursion (`Executor::scan`/`try_candidate`/`walk` and the drivers
@@ -42,9 +47,11 @@ pub const ENTRY_POINTS: [&str; 16] = [
     "collect_parallel",
 ];
 
-/// Run the rule: one finding per panic site in a reachable function, one
-/// per certified entry that no longer resolves. Returns the reachability
-/// result too so the driver can report call-graph scale.
+/// Run both rules: one `panic-reach` finding per panic site in a
+/// reachable function and per certified entry that no longer resolves,
+/// one `no-panic` finding per explicit panic in an unreachable function.
+/// Returns the reachability result too so the driver can report
+/// call-graph scale.
 pub fn run(ws: &Workspace, adj: &[Vec<usize>]) -> (Vec<Finding>, Reachability) {
     let entries: Vec<EntryPoint> =
         ENTRY_POINTS.iter().map(|q| EntryPoint { qual: q, file_prefix: ENTRY_PREFIX }).collect();
@@ -61,23 +68,30 @@ pub fn run(ws: &Workspace, adj: &[Vec<usize>]) -> (Vec<Finding>, Reachability) {
                 .to_string(),
         });
     }
-    for idx in r.reachable_fns() {
-        let f = &ws.fns[idx];
+    for (idx, f) in ws.fns.iter().enumerate() {
+        let hot = r.reachable[idx];
         for site in &f.sites {
-            if !site.kind.is_panic() {
+            let (rule, msg) = if hot && site.kind.is_panic() {
+                let chain = r.chain(ws, idx);
+                (
+                    "panic-reach",
+                    format!("{} {} reachable via {chain}", site.kind.label(), site.what),
+                )
+            } else if !hot && site.is_explicit_panic() {
+                let msg = format!(
+                    "{} in library code; return a Result or justify it in the baseline",
+                    site.what
+                );
+                ("no-panic", msg)
+            } else {
                 continue;
-            }
+            };
             findings.push(Finding {
-                rule: "panic-reach",
+                rule,
                 fn_path: f.qual_name.clone(),
                 file: f.file.clone(),
                 line: site.line,
-                msg: format!(
-                    "{} {} reachable via {}",
-                    site.kind.label(),
-                    site.what,
-                    r.chain(ws, idx)
-                ),
+                msg,
             });
         }
     }
@@ -99,8 +113,10 @@ mod tests {
         let (findings, r) = run(&ws, &adj);
         // `helper` is reachable from walk; `cold` is not. The other 15
         // entries are missing in this tiny fixture.
-        let site_findings: Vec<&Finding> =
-            findings.iter().filter(|f| f.file != "<entry-point-list>").collect();
+        let site_findings: Vec<&Finding> = findings
+            .iter()
+            .filter(|f| f.rule == "panic-reach" && f.file != "<entry-point-list>")
+            .collect();
         assert_eq!(site_findings.len(), 1);
         assert_eq!(site_findings[0].fn_path, "helper");
         assert!(
@@ -116,6 +132,26 @@ mod tests {
     }
 
     #[test]
+    fn each_panic_site_has_exactly_one_rule() {
+        let mut ws = Workspace::default();
+        ws.parse_file(
+            "crates/core/src/exec/engine.rs",
+            "//! d\nstruct Executor;\nimpl Executor {\n  fn walk(&mut self) { Some(1).unwrap(); }\n}\n\
+             fn cold(v: &[u64]) -> u64 { assert!(v.len() > 1); v[0] / v[1] + Some(1).expect(\"x\") }\n",
+        );
+        let adj = ws.resolve();
+        let (findings, _) = run(&ws, &adj);
+        let sites: Vec<(&str, &str, u32)> = findings
+            .iter()
+            .filter(|f| f.file != "<entry-point-list>")
+            .map(|f| (f.rule, f.fn_path.as_str(), f.line))
+            .collect();
+        // The reachable unwrap is `panic-reach` only; the cold function's
+        // `.expect` is `no-panic`, its assert, index and division nothing.
+        assert_eq!(sites, vec![("panic-reach", "Executor::walk", 4), ("no-panic", "cold", 6)]);
+    }
+
+    #[test]
     fn entries_outside_exec_do_not_certify() {
         let mut ws = Workspace::default();
         ws.parse_file(
@@ -125,6 +161,8 @@ mod tests {
         let adj = ws.resolve();
         let (findings, r) = run(&ws, &adj);
         assert_eq!(r.count(), 0);
-        assert!(findings.iter().all(|f| f.file == "<entry-point-list>"));
+        let cold: Vec<&str> =
+            findings.iter().filter(|f| f.file != "<entry-point-list>").map(|f| f.rule).collect();
+        assert_eq!(cold, vec!["no-panic"]);
     }
 }

@@ -1,4 +1,4 @@
-//! Shared Rust tokenizer for the lint and call-graph passes.
+//! Rust tokenizer for the source-policy pass (see `callgraph`).
 //!
 //! Lexes a source file into idents, punctuation, literals and lifetimes
 //! while skipping comments; handles raw/byte strings (`r#"…"#`, `b"…"`),

@@ -1,5 +1,5 @@
 //! Mini CCSR read path: one hot narrow cast (reachable from `read_csr`)
-//! and one cold narrow cast that must not be flagged.
+//! and one cold narrow cast reported as a plain `lossy-cast`.
 
 pub fn read_csr(row: usize) -> u32 {
     narrow(row)
@@ -10,7 +10,7 @@ fn narrow(row: usize) -> u32 {
     row as u32
 }
 
-/// NOT reachable from the read path: its cast must not be flagged.
+/// NOT reachable from the read path: `lossy-cast`, not `hot-cast`.
 fn cold_cast(row: usize) -> u32 {
     row as u32
 }

@@ -45,7 +45,7 @@ fn lookup(v: &[u64], k: usize) -> u64 {
     v[k]
 }
 
-/// NOT reachable from any certified entry: its panic must not be flagged.
+/// NOT reachable from any certified entry: `no-panic`, not `panic-reach`.
 fn cold() {
     panic!("unreachable from the certified entries");
 }

@@ -12,11 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::dbg_macro -D clippy::todo -D clippy::unimplemented \
   -D clippy::mem_forget -D clippy::exit -D clippy::large_stack_arrays
 
-echo "==> csce-lint (source policy ratchet)"
+echo "==> csce-lint (source policy + panic-freedom certification, one baseline)"
 cargo run -q -p csce-analyze --bin csce-lint
-
-echo "==> csce-lint --static (call-graph panic-freedom certification)"
-cargo run -q -p csce-analyze --bin csce-lint -- --static
 
 echo "==> cargo build --release"
 cargo build --release --workspace

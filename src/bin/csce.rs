@@ -71,7 +71,6 @@ fn print_usage() {
          [--time-limit SECS] [--threads N] [--stats [text|json]]\n            \
          [--progress SECS] [--explain]\n  \
          csce validate <graph.csce|data.ccsr> [--query \"...\"] [--variant e|v|h] [--plan ri|ri+c|csce]\n  \
-         csce validate --static [--root DIR] [--sarif FILE]     # workspace static analysis\n  \
          csce fuzz [--runs N] [--seed S] [--threads N] [--out DIR]\n            \
          [--baseline-time-limit SECS] [--no-baselines] [--inject-bug]\n  \
          csce fuzz --replay <file.repro>\n  \
@@ -151,21 +150,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// byte-for-byte (including the persist fixpoint). With a pattern, the
 /// generated plan artifacts (DAG, LDSF order, NEC classes, cache slots)
 /// are checked against the pattern too.
-///
-/// `csce validate --static [--root DIR] [--sarif FILE]`: run the
-/// call-graph static analyzer over the workspace sources instead of (or
-/// in addition to) a graph file. Findings beyond the committed baseline
-/// (`scripts/static-baseline.txt`) are violations; `--sarif` additionally
-/// writes the full finding set as a SARIF 2.1.0 document.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    use csce::analyze::{ccsr_check, plan_check, rules, sched_check, Validate, ValidationReport};
+    use csce::analyze::{ccsr_check, plan_check, sched_check, Validate, ValidationReport};
     let mut positional: Vec<&String> = Vec::new();
     let mut query: Option<String> = None;
     let mut variant = Variant::EdgeInduced;
     let mut planner = PlannerConfig::csce();
-    let mut static_mode = false;
-    let mut sarif_path: Option<String> = None;
-    let mut root = String::from(".");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -179,93 +169,42 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown planner {other:?}")),
                 };
             }
-            "--static" => static_mode = true,
-            "--sarif" => sarif_path = Some(it.next().ok_or("missing --sarif value")?.clone()),
-            "--root" => root = it.next().ok_or("missing --root value")?.clone(),
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             _ => positional.push(a),
         }
     }
-    if sarif_path.is_some() && !static_mode {
-        return Err("--sarif requires --static".to_string());
-    }
     let (data, pattern) = match (positional.as_slice(), query) {
-        ([], None) if static_mode => (None, None),
-        ([data], None) => (Some(*data), None),
+        ([data], None) => (*data, None),
         ([data], Some(q)) => {
-            (Some(*data), Some(csce::graph::query::parse_pattern(&q).map_err(|e| e.to_string())?))
+            (*data, Some(csce::graph::query::parse_pattern(&q).map_err(|e| e.to_string())?))
         }
-        ([data, pattern], None) => (Some(*data), Some(load_graph(pattern)?)),
+        ([data, pattern], None) => (*data, Some(load_graph(pattern)?)),
         _ => {
-            return Err(
-                "usage: csce validate <graph.csce|data.ccsr> [pattern.csce | --query \"...\"] \
-                 | csce validate --static [--root DIR] [--sarif FILE]"
-                    .to_string(),
-            )
+            return Err("usage: csce validate <graph.csce|data.ccsr> \
+                        [pattern.csce | --query \"...\"]"
+                .to_string())
         }
-    };
-
-    // The static analyzer runs first so its findings lead the report when
-    // no graph is given.
-    let static_report = if static_mode {
-        let root_path = std::path::Path::new(&root);
-        let sreport = rules::run_static(root_path)
-            .map_err(|e| format!("static analysis under {root}: {e}"))?;
-        eprintln!(
-            "[csce] static analysis: {} functions, {} call edges, {} hot ({} entry points), \
-             {} findings",
-            sreport.functions,
-            sreport.edges,
-            sreport.hot_fns,
-            sreport.entries_found,
-            sreport.findings.len()
-        );
-        if let Some(path) = &sarif_path {
-            std::fs::write(path, rules::to_sarif(&sreport).to_pretty())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("[csce] wrote SARIF report to {path}");
-        }
-        let baseline_path = root_path.join(rules::BASELINE_PATH);
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => rules::StaticBaseline::parse(&text)
-                .map_err(|e| format!("{}: {e}", baseline_path.display()))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => rules::StaticBaseline::default(),
-            Err(e) => return Err(format!("reading {}: {e}", baseline_path.display())),
-        };
-        Some(rules::to_validation_report(&sreport, &baseline))
-    } else {
-        None
     };
 
     let mut report;
     let engine;
-    match data {
-        Some(data) if data.ends_with(".ccsr") => {
-            let bytes = std::fs::read(data).map_err(|e| format!("reading {data}: {e}"))?;
-            report = ccsr_check::validate_ccsr_bytes(&bytes, data.to_string());
-            engine = if report.is_ok() {
-                Some(Engine::from_ccsr(
-                    csce::ccsr::persist::from_bytes(&bytes).map_err(|e| e.to_string())?,
-                ))
-            } else {
-                None
-            };
-        }
-        Some(data) => {
-            let g = load_graph(data)?;
-            report = g.validate();
-            report.subject = data.to_string();
-            let e = Engine::try_build(&g).map_err(|e| e.to_string())?;
-            report.merge(e.ccsr().validate());
-            engine = Some(e);
-        }
-        None => {
-            report = ValidationReport::new("workspace static analysis");
-            engine = None;
-        }
-    }
-    if let Some(sr) = static_report {
-        report.merge(sr);
+    if data.ends_with(".ccsr") {
+        let bytes = std::fs::read(data).map_err(|e| format!("reading {data}: {e}"))?;
+        report = ccsr_check::validate_ccsr_bytes(&bytes, data.to_string());
+        engine = if report.is_ok() {
+            Some(Engine::from_ccsr(
+                csce::ccsr::persist::from_bytes(&bytes).map_err(|e| e.to_string())?,
+            ))
+        } else {
+            None
+        };
+    } else {
+        let g = load_graph(data)?;
+        report = g.validate();
+        report.subject = data.to_string();
+        let e = Engine::try_build(&g).map_err(|e| e.to_string())?;
+        report.merge(e.ccsr().validate());
+        engine = Some(e);
     }
 
     if let Some(p) = pattern {
