@@ -12,8 +12,9 @@
 //!   (Algorithm 1's RLE row-index invariants, cluster-key ↔ label
 //!   agreement, persist→load fixpoint) and [`csce_core::Plan`] /
 //!   dependency DAGs (Algorithms 2–4: acyclicity, descendant sizes
-//!   recomputed independently, LDSF coverage, NEC class soundness). The
-//!   checkers deliberately re-derive every property from first principles
+//!   recomputed independently, LDSF coverage, NEC class soundness), in
+//!   [`graph_check`], [`ccsr_check`] and [`plan_check`]. The checkers
+//!   deliberately re-derive every property from first principles
 //!   rather than calling the production code paths they audit.
 //! * **Static source analysis** — [`callgraph`], [`reach`] and [`rules`]:
 //!   one zero-dependency pass lexes each library file once, builds a
@@ -36,7 +37,6 @@ pub mod graph_check;
 pub mod plan_check;
 pub mod reach;
 pub mod rules;
-pub mod sched_check;
 mod tokens;
 
 /// Cap on the number of per-violation detail strings a report retains;

@@ -9,8 +9,8 @@
 //! The entry-point list below *is* the certification surface: the WCOJ
 //! recursion (`Executor::scan`/`try_candidate`/`walk` and the drivers
 //! above them), the work-stealing scheduler's chunk-claim/stop/deadline
-//! path, and the parallel entry points (`run_parallel`,
-//! `count_parallel_observed`, `collect_parallel` and, through it,
+//! path, the worker driver (`run_parallel`) and the entry points above it
+//! (`count_parallel_observed`, `collect_parallel` and, through it,
 //! `sink_parallel`). Every entry is pinned to `crates/core/src/exec/` so a
 //! same-named function elsewhere cannot widen or shadow the surface, and
 //! an entry that no longer resolves is itself a finding — renaming a hot

@@ -15,7 +15,9 @@ pub struct Deadline {
 
 impl Deadline {
     pub fn new(limit: Option<Duration>) -> Deadline {
-        Deadline { deadline: limit.map(|d| Instant::now() + d), steps: 0, fired: false }
+        // A limit past the clock's range means no deadline.
+        let deadline = limit.and_then(|d| Instant::now().checked_add(d));
+        Deadline { deadline, steps: 0, fired: false }
     }
 
     /// Returns `true` when the limit has fired (sticky).

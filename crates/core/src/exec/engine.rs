@@ -9,11 +9,13 @@
 //! `H`-independent suffix components instead of enumerating their
 //! Cartesian product.
 //!
-//! The root vertex's candidate loop is also where parallelism attaches:
-//! a shared [`Scheduler`] turns it into a chunk-claiming loop
+//! Every run is a scheduled run: the root vertex's candidate loop claims
+//! chunks from a [`Scheduler`], which also owns the run's stop flag and
+//! deadline. A standalone executor makes a private one-worker scheduler
+//! at each entry point; workers of a parallel run share one
 //! ([`Executor::with_scheduler`]).
 
-use super::scheduler::Scheduler;
+use super::scheduler::{deadline_after, Scheduler};
 use super::sink::{CallbackSink, MatchSink};
 use super::stats::ExecStats;
 use super::RunConfig;
@@ -47,7 +49,6 @@ pub struct Executor<'a> {
     used: Vec<bool>,
     caches: Vec<CandCache>,
     stats: ExecStats,
-    deadline: Option<Instant>,
     stopped: bool,
     /// Live recursion-node counter shared with a progress reporter; bumped
     /// in batches from `check_deadline` so the hot loop never touches it.
@@ -57,10 +58,13 @@ pub struct Executor<'a> {
     /// Ordering restrictions `f(a) < f(b)`, indexed by the pattern vertex
     /// at which each becomes checkable (the later one in `Φ*`).
     checks_at: Vec<Vec<(VertexId, VertexId)>>,
-    /// Dynamic work partition: the root vertex claims candidate chunks
-    /// from this shared scheduler, which also carries the run-wide stop
-    /// flag and deadline.
-    scheduler: Option<Arc<Scheduler>>,
+    /// This run's scheduler: the root vertex claims candidate chunks from
+    /// it, and it carries the run-wide stop flag and deadline.
+    scheduler: Arc<Scheduler>,
+    /// Whether `scheduler` is shared with sibling workers
+    /// ([`Executor::with_scheduler`]); otherwise each run makes a fresh
+    /// private one.
+    shared: bool,
     /// Candidate-computation scratch, reused across calls: the parent
     /// rows being intersected, and the intersection's output buffer.
     rows: Vec<&'a [u32]>,
@@ -79,12 +83,12 @@ impl<'a> Executor<'a> {
             used: vec![false; catalog.data_n()],
             caches: vec![CandCache::default(); plan.slot_count],
             stats: ExecStats::default(),
-            deadline: None,
             stopped: false,
             progress: None,
             progress_published: 0,
             checks_at: vec![Vec::new(); catalog.pattern().n()],
-            scheduler: None,
+            scheduler: Arc::new(Scheduler::new(1, None)),
+            shared: false,
             rows: Vec::new(),
             tmp: Vec::new(),
         }
@@ -103,7 +107,8 @@ impl<'a> Executor<'a> {
     /// instead of scanning them all, and the deadline/stop checks consult
     /// the scheduler so cancellation propagates across workers.
     pub fn with_scheduler(mut self, scheduler: Arc<Scheduler>) -> Executor<'a> {
-        self.scheduler = Some(scheduler);
+        self.scheduler = scheduler;
+        self.shared = true;
         self
     }
 
@@ -148,12 +153,13 @@ impl<'a> Executor<'a> {
         if self.config.profile {
             self.stats.deep = Some(DeepStats::default());
         }
-        // A scheduled (parallel) run shares one deadline computed by the
-        // driver; a standalone run computes its own.
-        self.deadline = match &self.scheduler {
-            Some(sched) => sched.deadline(),
-            None => self.config.time_limit.map(|d| Instant::now() + d),
-        };
+        // A parallel run keeps the driver's scheduler; a standalone run
+        // gets a fresh one, so its cursor is unspent and its deadline
+        // starts now.
+        if !self.shared {
+            let deadline = deadline_after(self.config.time_limit);
+            self.scheduler = Arc::new(Scheduler::new(1, deadline));
+        }
         self.stopped = false;
         self.progress_published = 0;
     }
@@ -209,27 +215,22 @@ impl<'a> Executor<'a> {
     }
 
     /// Batched stop check (roughly every 4096 recursion nodes): publishes
-    /// progress, consults the run's deadline, and in a scheduled run
-    /// observes cancellations from sibling workers. On a shared deadline
-    /// exactly one worker wins the stop transition and flags `timed_out`,
-    /// so the merged stats report the timeout once.
+    /// progress, observes stops requested by sibling workers, and consults
+    /// the run's deadline. On a shared deadline exactly one worker wins the
+    /// stop transition and flags `timed_out`, so the merged stats report
+    /// the timeout once.
     fn check_deadline(&mut self) -> bool {
         if self.stopped {
             return true;
         }
         if self.stats.nodes.is_multiple_of(4096) {
             self.publish_progress();
-            if let Some(sched) = &self.scheduler {
-                if sched.stopped() {
-                    self.stopped = true;
-                } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    if sched.stop_once() {
-                        self.stats.timed_out = true;
-                    }
-                    self.stopped = true;
+            if self.scheduler.stopped() {
+                self.stopped = true;
+            } else if self.scheduler.deadline().is_some_and(|d| Instant::now() >= d) {
+                if self.scheduler.stop_once() {
+                    self.stats.timed_out = true;
                 }
-            } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.stats.timed_out = true;
                 self.stopped = true;
             }
         }
@@ -240,9 +241,8 @@ impl<'a> Executor<'a> {
     /// `visit` once per admissible candidate with the mapping extended —
     /// the one candidate loop shared by counting and sink-driven search.
     ///
-    /// For a scheduled run, the root vertex's iteration space is the
-    /// chunks it claims from the shared scheduler; otherwise every
-    /// candidate is tried.
+    /// The root vertex's iteration space is the chunks it claims from the
+    /// run's scheduler; every other vertex tries all its candidates.
     fn scan<F>(&mut self, u: VertexId, depth: usize, mut visit: F)
     where
         F: FnMut(&mut Self),
@@ -250,18 +250,17 @@ impl<'a> Executor<'a> {
         let injective = self.plan.variant.injective();
         let (slot, len) = self.materialize_candidates(u, depth);
         if u == self.plan.order[0] {
-            if let Some(sched) = self.scheduler.clone() {
-                while let Some(chunk) = sched.claim(len) {
-                    self.stats.chunks_claimed += 1;
-                    for i in chunk {
-                        self.try_candidate(u, depth, slot, i, injective, &mut visit);
-                        if self.stopped {
-                            return;
-                        }
+            let sched = Arc::clone(&self.scheduler);
+            while let Some(chunk) = sched.claim(len) {
+                self.stats.chunks_claimed += 1;
+                for i in chunk {
+                    self.try_candidate(u, depth, slot, i, injective, &mut visit);
+                    if self.stopped {
+                        return;
                     }
                 }
-                return;
             }
+            return;
         }
         for i in 0..len {
             self.try_candidate(u, depth, slot, i, injective, &mut visit);
@@ -347,12 +346,10 @@ impl<'a> Executor<'a> {
         if depth == self.plan.order.len() {
             self.stats.embeddings = self.stats.embeddings.saturating_add(1);
             if sink.on_embedding(&self.f).is_break() {
+                // Early stop (e.g. a filled first-k quota) propagates to
+                // every worker of the run.
                 self.stopped = true;
-                if let Some(sched) = &self.scheduler {
-                    // Early stop (e.g. a filled first-k quota) propagates
-                    // to every worker of the run.
-                    sched.request_stop();
-                }
+                self.scheduler.request_stop();
             }
             return;
         }

@@ -1,5 +1,6 @@
-//! The parallel match scheduler: dynamic chunked claiming of root
-//! candidates plus cooperative cancellation.
+//! The match scheduler: dynamic chunked claiming of root candidates plus
+//! cooperative cancellation, and the one worker driver every search runs
+//! through.
 //!
 //! The paper evaluates single-threaded matching; the natural
 //! data-parallel extension partitions the root vertex's candidate set.
@@ -9,15 +10,18 @@
 //! root-candidate indices
 //! from a shared [`Scheduler`] cursor — a work-stealing loop without
 //! per-task queues, since the root candidate order is identical in every
-//! worker. Chunk size adapts to the candidate count ([`adaptive_chunk`])
-//! so small candidate sets degrade to per-candidate claiming.
+//! worker. Chunk size adapts to the candidate count (`adaptive_chunk`)
+//! so small candidate sets degrade to per-candidate claiming. A
+//! one-thread run is the same protocol with a single claimer.
 //!
 //! The scheduler also owns the run's *shared* stop state: one deadline
 //! (checked every 4096 recursion nodes) and one stop flag, so a timeout
 //! or an early-stopping sink ([`FirstKSink`](super::FirstKSink)) in any
 //! worker halts all of them instead of each worker finishing its slice.
-//! Worker panics are caught, abort the remaining workers via the same
-//! flag, and surface as an [`ExecError`] — never as a poisoned join.
+//! The deadline is computed in one place (`deadline_after`). Worker
+//! panics — the calling thread's included, since it runs worker 0 — are
+//! caught, abort the remaining workers via the same flag, and surface as
+//! an [`ExecError`], never as a poisoned join.
 //!
 //! SCE-cache soundness is preserved by construction: claiming only
 //! partitions the *root* loop, every worker runs the unchanged sequential
@@ -36,7 +40,7 @@ use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Terminal failures of a parallel run. Partial results (timeouts) are
 /// *not* errors — they come back in [`ExecStats::timed_out`]; an error
@@ -64,7 +68,7 @@ impl std::error::Error for ExecError {}
 /// workers: roughly 32 claims per worker for balance, clamped to
 /// `[1, 256]` so tiny candidate sets become per-candidate claiming and
 /// huge ones keep the cursor off the hot path.
-pub fn adaptive_chunk(len: usize, threads: usize) -> usize {
+fn adaptive_chunk(len: usize, threads: usize) -> usize {
     (len / (threads.max(1) * 32)).clamp(1, 256)
 }
 
@@ -83,11 +87,6 @@ impl Scheduler {
         Scheduler { threads, cursor: AtomicUsize::new(0), stop: AtomicBool::new(false), deadline }
     }
 
-    /// Worker count the chunk size adapts to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The shared deadline, if the run has a time limit.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -95,8 +94,7 @@ impl Scheduler {
 
     /// Claim the next chunk of `0..len`. Returns `None` once the range is
     /// exhausted or the run was stopped. Across all workers the claimed
-    /// chunks are disjoint and cover `0..len` exactly (the invariant
-    /// `csce-analyze`'s scheduler check verifies).
+    /// chunks are disjoint and cover `0..len` exactly.
     pub fn claim(&self, len: usize) -> Option<Range<usize>> {
         if self.stopped() {
             return None;
@@ -150,6 +148,12 @@ pub struct CollectRun {
     pub workers: Vec<ExecStats>,
 }
 
+/// The deadline of a run started now under `limit`. A limit past the
+/// clock's range means no deadline rather than an overflow.
+pub(super) fn deadline_after(limit: Option<Duration>) -> Option<Instant> {
+    limit.and_then(|limit| Instant::now().checked_add(limit))
+}
+
 /// Render a panic payload for [`ExecError::WorkerPanicked`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -161,17 +165,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `work` once per worker over a shared [`Scheduler`], returning each
-/// worker's result and stats in worker order.
-///
-/// With `threads == 1` the work runs inline on the calling thread (no
-/// scheduler, no panic capture — a sequential panic propagates normally,
-/// which is why single-threaded entry points stay infallible). With more
-/// threads, each worker is wrapped in `catch_unwind`; the first panic
-/// stops the remaining workers and surfaces as [`ExecError`] after all
-/// of them joined.
+/// The one worker driver: run `work` once per worker over one shared
+/// [`Scheduler`] and fold the results in worker order with `merge`, next
+/// to the merged and the per-worker stats. The calling thread is worker
+/// 0; workers `1..threads` are spawned (`threads` is clamped to at least
+/// 1). Every worker runs under `catch_unwind`: the first panic stops the
+/// others and surfaces as [`ExecError`] after all of them joined.
 #[allow(clippy::too_many_arguments)]
-pub fn run_parallel<R, W>(
+fn run_parallel<R, W, M>(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
     plan: &Plan,
@@ -180,74 +181,59 @@ pub fn run_parallel<R, W>(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
     work: W,
-) -> Result<Vec<(R, ExecStats)>, ExecError>
+    merge: M,
+) -> Result<(R, ExecStats, Vec<ExecStats>), ExecError>
 where
     R: Send,
     W: Fn(usize, &mut Executor<'_>) -> R + Sync,
+    M: Fn(&mut R, R),
 {
-    assert!(threads >= 1, "a run needs at least one worker");
-    if threads == 1 {
-        let catalog = Catalog::new(pattern, star);
-        let mut exec = Executor::new(&catalog, plan, config);
-        if let Some(sink) = &progress {
-            exec = exec.with_progress(Arc::clone(sink));
-        }
-        let _span = recorder.span_path("execute/worker");
-        let result = work(0, &mut exec);
-        return Ok(vec![(result, exec.stats().clone())]);
-    }
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let scheduler = Arc::new(Scheduler::new(threads, deadline));
-    std::thread::scope(|scope| {
-        let work = &work;
-        let progress = &progress;
-        let scheduler = &scheduler;
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        let catalog = Catalog::new(pattern, star);
-                        let mut exec = Executor::new(&catalog, plan, config)
-                            .with_scheduler(Arc::clone(scheduler));
-                        if let Some(sink) = progress {
-                            exec = exec.with_progress(Arc::clone(sink));
-                        }
-                        let _span = recorder.span_path("execute/worker");
-                        let result = work(worker, &mut exec);
-                        (result, exec.stats().clone())
-                    }));
-                    if outcome.is_err() {
-                        // Abort the siblings: they observe the flag at
-                        // their next node-batch check or chunk claim.
-                        scheduler.request_stop();
-                    }
-                    outcome.map_err(|payload| panic_message(payload.as_ref()))
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(threads);
-        let mut first_error = None;
-        for (worker, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(Ok(pair)) => results.push(pair),
-                Ok(Err(message)) => {
-                    first_error.get_or_insert(ExecError::WorkerPanicked { worker, message });
-                }
-                // A panic that escaped capture (e.g. raised while
-                // unwinding); still degrade to an error after joining.
-                Err(payload) => {
-                    first_error.get_or_insert(ExecError::WorkerPanicked {
-                        worker,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
+    let threads = threads.max(1);
+    let scheduler = &Arc::new(Scheduler::new(threads, deadline_after(config.time_limit)));
+    let (work, progress) = (&work, &progress);
+    let worker = move |id: usize| {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let catalog = Catalog::new(pattern, star);
+            let mut exec =
+                Executor::new(&catalog, plan, config).with_scheduler(Arc::clone(scheduler));
+            if let Some(sink) = progress {
+                exec = exec.with_progress(Arc::clone(sink));
             }
+            let _span = recorder.span_path("execute/worker");
+            let result = work(id, &mut exec);
+            (result, exec.stats().clone())
+        }));
+        if outcome.is_err() {
+            // Abort the siblings: they observe the flag at their next
+            // node-batch check or chunk claim.
+            scheduler.request_stop();
         }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(results),
-        }
-    })
+        outcome.map_err(|payload| panic_message(payload.as_ref()))
+    };
+    let (first, rest) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|id| scope.spawn(move || worker(id))).collect();
+        let first = worker(0);
+        // A panic that escaped capture (e.g. raised while unwinding)
+        // still degrades to an error after joining.
+        let rest: Vec<_> = handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
+            .collect();
+        (first, rest)
+    });
+    let (mut acc, first_stats) =
+        first.map_err(|message| ExecError::WorkerPanicked { worker: 0, message })?;
+    let mut stats = ExecStats::default();
+    stats.merge(&first_stats);
+    let mut workers = vec![first_stats];
+    for (id, outcome) in (1..).zip(rest) {
+        let (result, worker_stats) =
+            outcome.map_err(|message| ExecError::WorkerPanicked { worker: id, message })?;
+        merge(&mut acc, result);
+        stats.merge(&worker_stats);
+        workers.push(worker_stats);
+    }
+    Ok((acc, stats, workers))
 }
 
 /// Count embeddings using `threads` workers claiming root-candidate
@@ -264,17 +250,17 @@ pub fn count_parallel_observed(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
 ) -> Result<ParallelRun, ExecError> {
-    let per_worker = run_parallel(star, pattern, plan, config, threads, progress, recorder, {
-        |_, exec: &mut Executor<'_>| exec.count()
-    })?;
-    let mut total = 0u64;
-    let mut stats = ExecStats::default();
-    let mut workers = Vec::with_capacity(per_worker.len());
-    for (partial, worker_stats) in per_worker {
-        total = total.saturating_add(partial);
-        stats.merge(&worker_stats);
-        workers.push(worker_stats);
-    }
+    let (total, mut stats, workers) = run_parallel(
+        star,
+        pattern,
+        plan,
+        config,
+        threads,
+        progress,
+        recorder,
+        |_, exec| exec.count(),
+        |acc: &mut u64, partial| *acc = acc.saturating_add(partial),
+    )?;
     // Merged `embeddings` already sums the partials; pin it to the total
     // to keep the invariant embeddings == count under saturation.
     stats.embeddings = total;
@@ -300,31 +286,21 @@ where
     S: MatchSink + Send,
     F: Fn(usize) -> S + Sync,
 {
-    let per_worker =
-        run_parallel(star, pattern, plan, config, threads, progress, recorder, |worker, exec| {
+    run_parallel(
+        star,
+        pattern,
+        plan,
+        config,
+        threads,
+        progress,
+        recorder,
+        |worker, exec| {
             let mut sink = make_sink(worker);
             exec.drive(&mut sink);
             sink
-        })?;
-    let mut merged: Option<S> = None;
-    let mut stats = ExecStats::default();
-    let mut workers = Vec::with_capacity(per_worker.len());
-    for (sink, worker_stats) in per_worker {
-        match &mut merged {
-            Some(acc) => acc.merge(sink),
-            None => merged = Some(sink),
-        }
-        stats.merge(&worker_stats);
-        workers.push(worker_stats);
-    }
-    match merged {
-        Some(sink) => Ok((sink, stats, workers)),
-        // Unreachable: run_parallel asserts threads >= 1.
-        None => Err(ExecError::WorkerPanicked {
-            worker: 0,
-            message: "no worker produced a sink".to_string(),
-        }),
-    }
+        },
+        |acc: &mut S, sink| acc.merge(sink),
+    )
 }
 
 /// Enumerate *all* embeddings across `threads` workers. The result is
@@ -352,6 +328,11 @@ pub fn collect_parallel(
 mod tests {
     use super::*;
 
+    /// Candidate counts around the chunk boundaries: empty, tiny, ±1
+    /// around the 32-claims-per-worker divisor and the 256 clamp, a prime
+    /// and a large power of two.
+    const LENS: [usize; 10] = [0, 1, 2, 31, 32, 255, 256, 257, 1009, 8192];
+
     #[test]
     fn adaptive_chunk_bounds() {
         assert_eq!(adaptive_chunk(0, 4), 1);
@@ -359,19 +340,27 @@ mod tests {
         assert_eq!(adaptive_chunk(100, 4), 1);
         assert_eq!(adaptive_chunk(12_800, 4), 100);
         assert_eq!(adaptive_chunk(usize::MAX, 4), 256);
-        // Degenerate thread counts never zero the chunk.
-        assert!(adaptive_chunk(10, 0) >= 1);
+        // Every thread count, degenerate ones included, keeps the chunk in
+        // `[1, 256]`: claims always progress and never grab a whole range.
+        for threads in 0..=1024 {
+            for len in LENS.into_iter().chain([usize::MAX]) {
+                let chunk = adaptive_chunk(len, threads);
+                assert!((1..=256).contains(&chunk), "adaptive_chunk({len}, {threads}) = {chunk}");
+            }
+        }
     }
 
     #[test]
     fn claims_partition_the_range() {
-        for len in [0usize, 1, 5, 97, 1000, 4096] {
+        for len in LENS.into_iter().chain([5, 97, 1000, 4096]) {
             for threads in [1usize, 2, 4, 7] {
                 let sched = Scheduler::new(threads, None);
                 let mut covered = Vec::new();
                 while let Some(range) = sched.claim(len) {
+                    assert!(!range.is_empty(), "len={len} threads={threads}: {range:?}");
                     covered.extend(range);
                 }
+                // In order and exact: disjoint, in-bounds, covering.
                 let expected: Vec<usize> = (0..len).collect();
                 assert_eq!(covered, expected, "len={len} threads={threads}");
             }
@@ -380,30 +369,30 @@ mod tests {
 
     #[test]
     fn concurrent_claims_are_disjoint_and_cover() {
-        let len = 1003usize;
-        let threads = 4usize;
-        let sched = Scheduler::new(threads, None);
-        let mut per_thread: Vec<Vec<usize>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        while let Some(range) = sched.claim(len) {
-                            mine.extend(range);
-                        }
-                        mine
+        for (len, threads) in [(1003usize, 4usize), (257, 2), (1009, 4), (8192, 2), (8192, 4)] {
+            let sched = Scheduler::new(threads, None);
+            let mut per_thread: Vec<Vec<usize>> = Vec::new();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut mine = Vec::new();
+                            while let Some(range) = sched.claim(len) {
+                                mine.extend(range);
+                            }
+                            mine
+                        })
                     })
-                })
-                .collect();
-            for h in handles {
-                per_thread.push(h.join().expect("claimer thread"));
-            }
-        });
-        let mut all: Vec<usize> = per_thread.into_iter().flatten().collect();
-        all.sort_unstable();
-        let expected: Vec<usize> = (0..len).collect();
-        assert_eq!(all, expected);
+                    .collect();
+                for h in handles {
+                    per_thread.push(h.join().expect("claimer thread"));
+                }
+            });
+            let mut all: Vec<usize> = per_thread.into_iter().flatten().collect();
+            all.sort_unstable();
+            let expected: Vec<usize> = (0..len).collect();
+            assert_eq!(all, expected, "len={len} threads={threads}");
+        }
     }
 
     #[test]

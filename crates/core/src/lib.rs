@@ -48,8 +48,8 @@ pub mod plan;
 
 pub use catalog::Catalog;
 pub use exec::{
-    adaptive_chunk, collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, DeepStats,
-    ExecError, ExecStats, Executor, FirstKSink, MatchSink, ParallelRun, RunConfig, Scheduler,
+    collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, DeepStats, ExecError,
+    ExecStats, Executor, FirstKSink, MatchSink, ParallelRun, RunConfig, Scheduler,
 };
 pub use plan::{Plan, Planner, PlannerConfig, SceAnalysis};
 
@@ -235,7 +235,7 @@ impl Engine {
     ) -> QueryOutput {
         let recorder = Recorder::disabled();
         let query = or_panic(self.prepare(p, variant, planner, &recorder));
-        // Single-threaded runs execute inline — no worker to panic.
+        // A worker panic comes back as `ExecError`; re-raise it here.
         or_panic(query.count(run, 1, None))
     }
 
@@ -319,10 +319,10 @@ impl Query<'_> {
         &self.plan
     }
 
-    /// Count all embeddings across `threads` workers (inline for one;
-    /// otherwise root candidates are claimed in chunks from a shared
-    /// scheduler). Exact, with per-worker stats merged so `timed_out`
-    /// reflects the shared deadline. `progress` receives live
+    /// Count all embeddings across `threads` workers (at least one; the
+    /// calling thread is worker 0), which claim root candidates in chunks
+    /// from one shared scheduler. Exact, with per-worker stats merged so
+    /// `timed_out` reflects the shared deadline. `progress` receives live
     /// recursion-node counts; spans land under `execute/worker`. The only
     /// failure left after preparation is a worker panic ([`ExecError`]).
     pub fn count(
@@ -339,7 +339,7 @@ impl Query<'_> {
                 self.pattern,
                 &self.plan,
                 run,
-                threads.max(1),
+                threads,
                 progress,
                 self.recorder,
             )?
@@ -362,7 +362,7 @@ impl Query<'_> {
     ) -> Result<(QueryOutput, Vec<Vec<VertexId>>), ExecError> {
         let t0 = Instant::now();
         let (star, p, plan, threads, rec) =
-            (&self.star, self.pattern, &self.plan, threads.max(1), self.recorder);
+            (&self.star, self.pattern, &self.plan, threads, self.recorder);
         let _span = rec.span("execute");
         let (embeddings, stats, workers) = match limit {
             None => {

@@ -151,7 +151,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// generated plan artifacts (DAG, LDSF order, NEC classes, cache slots)
 /// are checked against the pattern too.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    use csce::analyze::{ccsr_check, plan_check, sched_check, Validate, ValidationReport};
+    use csce::analyze::{ccsr_check, plan_check, Validate, ValidationReport};
     let mut positional: Vec<&String> = Vec::new();
     let mut query: Option<String> = None;
     let mut variant = Variant::EdgeInduced;
@@ -226,10 +226,6 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Engine self-check: the chunk-claim protocol the parallel executor's
-    // exactness rests on (input-independent, so it always runs).
-    report.merge(sched_check::validate_scheduler());
-
     print!("{}", report.to_run_report().to_text());
     if report.is_ok() {
         Ok(())
@@ -275,15 +271,11 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             }
             "--out" => out_dir = it.next().ok_or("missing --out value")?.clone(),
             "--baseline-time-limit" => {
-                let secs: f64 = it
-                    .next()
-                    .ok_or("missing --baseline-time-limit value")?
-                    .parse()
-                    .map_err(|_| "bad --baseline-time-limit")?;
-                if !secs.is_finite() || secs <= 0.0 {
+                let limit = parse_secs("--baseline-time-limit", it.next())?;
+                if limit.is_zero() {
                     return Err("--baseline-time-limit must be positive".into());
                 }
-                config.baseline_time_limit = Some(Duration::from_secs_f64(secs));
+                config.baseline_time_limit = Some(limit);
             }
             "--no-baselines" => config.check_baselines = false,
             "--inject-bug" => inject_bug = true,
@@ -376,6 +368,15 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse `flag`'s value as seconds: any finite, non-negative number whose
+/// [`Duration`] fits (`0` is allowed; callers that need a positive value
+/// reject `Duration::ZERO`). The error names the flag.
+fn parse_secs(flag: &str, value: Option<&String>) -> Result<Duration, String> {
+    let value = value.ok_or(format!("missing {flag} value"))?;
+    let secs: f64 = value.parse().map_err(|_| format!("bad {flag} value {value:?}"))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| format!("bad {flag} value {value:?}: {e}"))
+}
+
 fn parse_variant(s: &str) -> Result<Variant, String> {
     match s {
         "e" | "E" | "edge" => Ok(Variant::EdgeInduced),
@@ -454,24 +455,13 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
                 });
             }
             "--progress" => {
-                let secs: f64 = it
-                    .next()
-                    .ok_or("missing --progress value")?
-                    .parse()
-                    .map_err(|_| "bad --progress")?;
-                if !secs.is_finite() || secs <= 0.0 {
+                let every = parse_secs("--progress", it.next())?;
+                if every.is_zero() {
                     return Err("--progress must be positive".into());
                 }
-                progress_every = Some(Duration::from_secs_f64(secs));
+                progress_every = Some(every);
             }
-            "--time-limit" => {
-                let secs: f64 = it
-                    .next()
-                    .ok_or("missing --time-limit value")?
-                    .parse()
-                    .map_err(|_| "bad --time-limit")?;
-                time_limit = Some(Duration::from_secs_f64(secs));
-            }
+            "--time-limit" => time_limit = Some(parse_secs("--time-limit", it.next())?),
             "--explain" => explain = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
             _ => positional.push(a),

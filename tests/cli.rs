@@ -345,6 +345,48 @@ fn malformed_inputs_error_without_panicking() {
 }
 
 #[test]
+fn duration_flags_reject_out_of_range_values() {
+    let dir = workdir();
+    let data = write(&dir, "data_secs.csce", DATA);
+    let data = data.to_str().unwrap();
+    let query = "(a:0)-->(b:1)";
+    // Out of `Duration`'s range, negative, or not a number: a diagnostic
+    // naming the flag and exit 1, never a panic.
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["match", data, "--query", query, "--time-limit", "-1"], "--time-limit"),
+        (vec!["match", data, "--query", query, "--time-limit", "nan"], "--time-limit"),
+        (vec!["match", data, "--query", query, "--time-limit", "1e30"], "--time-limit"),
+        (vec!["match", data, "--query", query, "--progress", "1e30"], "--progress"),
+        (vec!["match", data, "--query", query, "--progress", "0"], "--progress"),
+        (vec!["fuzz", "--runs", "1", "--baseline-time-limit", "1e30"], "--baseline-time-limit"),
+        (vec!["fuzz", "--runs", "1", "--baseline-time-limit", "-1"], "--baseline-time-limit"),
+    ];
+    for (args, flag) in cases {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // A limit past the clock's range means no deadline: the exact count,
+    // on one thread and on several.
+    for threads in ["1", "4"] {
+        let out = bin()
+            .args(["match", data, "--query", query, "--time-limit", "1e19", "--threads", threads])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--time-limit 1e19 on {threads} threads: {stderr}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("6 embeddings"), "{threads} threads: {text}");
+    }
+    // Zero stays a valid limit: it times out at once instead of erroring.
+    let out = bin().args(["match", data, "--query", query, "--time-limit", "0"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked") && !stderr.contains("error:"), "{stderr}");
+}
+
+#[test]
 fn fuzz_smoke_and_replay_roundtrip() {
     let dir = workdir();
     // A clean bounded run: zero divergences, exit 0.

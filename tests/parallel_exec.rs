@@ -146,20 +146,24 @@ fn worker_panic_degrades_to_a_clean_error() {
     let catalog = Catalog::new(&p, &star);
     let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced);
     drop(catalog);
-    let result = sink_parallel(
-        &star,
-        &p,
-        &plan,
-        RunConfig::default(),
-        4,
-        None,
-        &Recorder::disabled(),
-        |_| ExplodingSink,
-    );
-    match result {
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            assert!(message.contains("injected fault"), "panic payload preserved: {message}");
+    // One thread runs the same captured driver as four: the calling
+    // thread is worker 0.
+    for threads in [1usize, 4] {
+        let result = sink_parallel(
+            &star,
+            &p,
+            &plan,
+            RunConfig::default(),
+            threads,
+            None,
+            &Recorder::disabled(),
+            |_| ExplodingSink,
+        );
+        match result {
+            Err(ExecError::WorkerPanicked { message, .. }) => {
+                assert!(message.contains("injected fault"), "{threads} threads: {message}");
+            }
+            Ok(_) => panic!("{threads} threads: a panicking worker must fail the run"),
         }
-        Ok(_) => panic!("a panicking worker must fail the run"),
     }
 }

@@ -124,3 +124,29 @@ fn generous_budget_keeps_results_exact() {
         }
     }
 }
+
+#[test]
+fn unbounded_budget_means_no_deadline() {
+    // `Duration::MAX` lies past the clock's range: no deadline, not an
+    // overflow. The engine on one thread and on several, and every
+    // baseline (RI included), return the exact, un-flagged count.
+    let g = clique(6);
+    let p = long_path(4);
+    let engine = Engine::build(&g);
+    let exact = engine.count(&p, Variant::EdgeInduced);
+    let run = RunConfig { time_limit: Some(Duration::MAX), ..Default::default() };
+    let recorder = Recorder::disabled();
+    let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &recorder).unwrap();
+    for threads in [1usize, 4] {
+        let out = query.count(run, threads, None).expect("no worker panicked");
+        assert!(!out.stats.timed_out, "{threads} threads");
+        assert_eq!(out.count, exact, "{threads} threads");
+    }
+    for baseline in all_baselines() {
+        if baseline.supports(&g, &p, Variant::EdgeInduced) {
+            let r = baseline.count(&g, &p, Variant::EdgeInduced, Some(Duration::MAX));
+            assert!(!r.timed_out, "{}", baseline.name());
+            assert_eq!(r.count, exact, "{}", baseline.name());
+        }
+    }
+}
