@@ -7,15 +7,15 @@
 //! Two parts:
 //!
 //! * **Runtime structural analysis** — the [`Validate`] trait plus deep,
-//!   from-scratch checkers for every core structure: [`csce_graph::Graph`]
-//!   (adjacency symmetry, label-index agreement), [`csce_ccsr::Ccsr`]
-//!   (Algorithm 1's RLE row-index invariants, cluster-key ↔ label
-//!   agreement, persist→load fixpoint) and [`csce_core::Plan`] /
-//!   dependency DAGs (Algorithms 2–4: acyclicity, descendant sizes
-//!   recomputed independently, LDSF coverage, NEC class soundness), in
-//!   [`graph_check`], [`ccsr_check`] and [`plan_check`]. The checkers
-//!   deliberately re-derive every property from first principles
-//!   rather than calling the production code paths they audit.
+//!   from-scratch checkers for the graph and plan structures:
+//!   [`csce_graph::Graph`] (adjacency symmetry, label-index agreement) and
+//!   [`csce_core::Plan`] / dependency DAGs (Algorithms 2–4: acyclicity,
+//!   descendant sizes recomputed independently, LDSF coverage, NEC class
+//!   soundness), in [`graph_check`] and [`plan_check`]. The checkers
+//!   deliberately re-derive every property from first principles rather
+//!   than calling the production code paths they audit. A `G_C` has no
+//!   checker here: `csce_ccsr::Ccsr::check` is its one structural check,
+//!   and decoding runs it on every file.
 //! * **Static source analysis** — [`callgraph`], [`reach`] and [`rules`]:
 //!   one zero-dependency pass lexes each library file once, builds a
 //!   crate-aware workspace call graph, and derives all seven source-policy
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod ccsr_check;
 pub mod graph_check;
 pub mod plan_check;
 pub mod reach;
@@ -47,7 +46,7 @@ pub const MAX_DETAILS: usize = 64;
 /// One broken invariant, attributed to the checker that found it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Dotted checker identifier, e.g. `"ccsr.rle-monotone"`.
+    /// Dotted checker identifier, e.g. `"graph.adjacency-symmetry"`.
     pub checker: &'static str,
     /// Human-readable description with enough context to locate the damage.
     pub detail: String,

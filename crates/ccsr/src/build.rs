@@ -47,40 +47,18 @@ pub fn build_ccsr(g: &Graph) -> Result<Ccsr, CcsrError> {
         }
     }
     // Build + compress per-cluster CSRs (sorting happens inside from_pairs).
-    let mut clusters: FxHashMap<ClusterKey, Cluster> = FxHashMap::default();
+    let mut clusters = Vec::with_capacity(out_pairs.len());
     for (key, pairs) in out_pairs {
         let out = CompressedCsr::compress(&Csr::from_pairs(n, pairs)?);
         let inc = match in_pairs.remove(&key) {
             Some(pairs) => Some(CompressedCsr::compress(&Csr::from_pairs(n, pairs)?)),
             None => None,
         };
-        clusters.insert(key, Cluster { key, out, inc });
+        clusters.push(Cluster { key, out, inc });
     }
-    let mut pair_index: FxHashMap<(Label, Label), Vec<ClusterKey>> = FxHashMap::default();
-    for key in clusters.keys() {
-        pair_index.entry(key.label_pair()).or_default().push(*key);
-    }
-    for keys in pair_index.values_mut() {
-        keys.sort_unstable();
-    }
-    // Boundary invariant (deep form in `csce-analyze`): directed clusters
-    // carry an incoming CSR, undirected keys are canonical with each edge
-    // stored from both endpoints (even arc count).
-    debug_assert!(
-        clusters.values().all(|c| {
-            c.key.directed == c.inc.is_some()
-                && (c.key.directed
-                    || (c.key.src_label <= c.key.dst_label && c.out.neighbors().len() % 2 == 0))
-        }),
-        "clusters must be direction-consistent with canonical undirected keys"
-    );
-    Ok(Ccsr {
-        n: n32,
-        vertex_labels: g.labels().to_vec(),
-        label_freq: g.label_frequency().clone(),
-        clusters,
-        pair_index,
-    })
+    let ccsr = Ccsr::from_parts(n32, g.labels().to_vec(), clusters);
+    debug_assert_eq!(ccsr.check(), Ok(()), "build_ccsr produced an invalid G_C");
+    Ok(ccsr)
 }
 
 impl Ccsr {
@@ -154,32 +132,24 @@ impl Ccsr {
             + self.clusters.values().map(|c| c.heap_bytes()).sum::<usize>()
     }
 
-    /// Used by deserialization to restore the derived indexes.
-    pub(crate) fn rebuild_derived(&mut self) {
-        self.label_freq.clear();
-        for &l in &self.vertex_labels {
-            *self.label_freq.entry(l).or_insert(0) += 1;
+    /// The one constructor, shared by [`build_ccsr`] and decoding: it
+    /// derives the label-frequency and negation indexes from the parts.
+    /// Callers run [`Ccsr::check`] on the result.
+    pub(crate) fn from_parts(n: u32, vertex_labels: Vec<Label>, clusters: Vec<Cluster>) -> Ccsr {
+        let mut label_freq: FxHashMap<Label, u32> = FxHashMap::default();
+        for &l in &vertex_labels {
+            *label_freq.entry(l).or_insert(0) += 1;
         }
-        self.pair_index.clear();
-        for key in self.clusters.keys() {
-            self.pair_index.entry(key.label_pair()).or_default().push(*key);
+        let clusters: FxHashMap<ClusterKey, Cluster> =
+            clusters.into_iter().map(|c| (c.key, c)).collect();
+        let mut pair_index: FxHashMap<(Label, Label), Vec<ClusterKey>> = FxHashMap::default();
+        for key in clusters.keys() {
+            pair_index.entry(key.label_pair()).or_default().push(*key);
         }
-        for keys in self.pair_index.values_mut() {
+        for keys in pair_index.values_mut() {
             keys.sort_unstable();
         }
-    }
-
-    /// Construct from raw parts (used by persistence).
-    pub(crate) fn from_parts(n: u32, vertex_labels: Vec<Label>, clusters: Vec<Cluster>) -> Ccsr {
-        let mut ccsr = Ccsr {
-            n,
-            vertex_labels,
-            label_freq: FxHashMap::default(),
-            clusters: clusters.into_iter().map(|c| (c.key, c)).collect(),
-            pair_index: FxHashMap::default(),
-        };
-        ccsr.rebuild_derived();
-        ccsr
+        Ccsr { n, vertex_labels, label_freq, clusters, pair_index }
     }
 }
 

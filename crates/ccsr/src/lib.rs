@@ -18,7 +18,10 @@
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully
 //! replaces the original graph ("as `G_C` is equivalent to `G`, we do not
 //! keep `G`"). [`persist`] serializes `G_C` to a compact binary file so
-//! clustering cost is paid once per data graph, not per query.
+//! clustering cost is paid once per data graph, not per query. Both
+//! paths end in one constructor, and [`Ccsr::check`] is the one statement
+//! of what a valid `G_C` is: decoding runs it on every file, so a `Ccsr`
+//! the engine sees is valid by construction.
 
 #![forbid(unsafe_code)]
 
@@ -50,6 +53,7 @@ impl std::fmt::Display for CcsrError {
 impl std::error::Error for CcsrError {}
 
 pub mod build;
+pub mod check;
 pub mod cluster;
 pub mod compress;
 pub mod csr;
@@ -59,6 +63,7 @@ pub mod read;
 pub mod stats;
 
 pub use build::{build_ccsr, Ccsr};
+pub use check::Corrupt;
 pub use cluster::{Cluster, DecodedCluster};
 pub use compress::CompressedCsr;
 pub use csr::Csr;

@@ -5,8 +5,24 @@
 //! memory-loaded for each matching task. The format is entirely
 //! hand-rolled: a magic header, the vertex label array, then each
 //! cluster's key, compressed row runs, and column index.
+//!
+//! A file is the only way a `G_C` enters the program from outside, so
+//! decoding admits only a `G_C` the engine can serve. When [`from_bytes`]
+//! (or [`load`]) succeeds:
+//!
+//! * every run-length row index passed [`CompressedCsr::from_parts`] and
+//!   the whole `G_C` passed [`Ccsr::check`] — ids in range, rows strictly
+//!   increasing, keys agreeing with the vertex labels, `inc` the exact
+//!   transpose of `out`, undirected clusters symmetric, no empty cluster;
+//! * the bytes are the canonical encoding of the result: clusters appear
+//!   in strictly increasing key order, flag bytes are `0` or `1`, runs are
+//!   maximal and nothing trails, so [`to_bytes`] gives the input back.
+//!
+//! Any other input is a [`PersistError::Corrupt`] naming the first broken
+//! rule; no input makes decoding, or a later query, panic.
 
 use crate::build::Ccsr;
+use crate::check::Corrupt;
 use crate::cluster::Cluster;
 use crate::compress::CompressedCsr;
 use crate::key::ClusterKey;
@@ -19,8 +35,8 @@ const MAGIC: &[u8; 8] = b"CSCEGC1\0";
 #[derive(Debug)]
 pub enum PersistError {
     Io(std::io::Error),
-    /// The byte stream is not a valid CCSR file.
-    Corrupt(&'static str),
+    /// The byte stream is not the encoding of a valid `G_C`.
+    Corrupt(Corrupt),
     /// The in-memory `G_C` exceeds the format's 32-bit counters.
     Encode(CcsrError),
 }
@@ -29,7 +45,7 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
-            PersistError::Corrupt(msg) => write!(f, "corrupt ccsr file: {msg}"),
+            PersistError::Corrupt(c) => write!(f, "corrupt ccsr file: {c}"),
             PersistError::Encode(e) => write!(f, "cannot encode ccsr: {e}"),
         }
     }
@@ -49,6 +65,12 @@ impl From<CcsrError> for PersistError {
     }
 }
 
+impl From<Corrupt> for PersistError {
+    fn from(c: Corrupt) -> Self {
+        PersistError::Corrupt(c)
+    }
+}
+
 #[inline]
 fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -63,7 +85,7 @@ fn counter_u32(v: usize, what: &'static str) -> Result<u32, CcsrError> {
 /// field name that was being decoded.
 fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], PersistError> {
     if buf.len() < n {
-        return Err(PersistError::Corrupt(what));
+        return Err(Corrupt::new(what).into());
     }
     let (head, rest) = buf.split_at(n);
     *buf = rest;
@@ -73,7 +95,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8]
 /// Decode a little-endian `u32` from a slice, failing with context instead
 /// of panicking when the slice is not exactly four bytes.
 fn le_u32(bytes: &[u8], what: &'static str) -> Result<u32, PersistError> {
-    let arr: [u8; 4] = bytes.try_into().map_err(|_| PersistError::Corrupt(what))?;
+    let arr: [u8; 4] = bytes.try_into().map_err(|_| Corrupt::new(what))?;
     Ok(u32::from_le_bytes(arr))
 }
 
@@ -81,8 +103,14 @@ fn read_u32(buf: &mut &[u8], what: &'static str) -> Result<u32, PersistError> {
     le_u32(take(buf, 4, what)?, what)
 }
 
-fn read_u8(buf: &mut &[u8], what: &'static str) -> Result<u8, PersistError> {
-    Ok(take(buf, 1, what)?[0])
+/// Decode a flag byte; anything but `0` or `1` would not re-encode to
+/// itself.
+fn read_flag(buf: &mut &[u8], what: &'static str) -> Result<bool, PersistError> {
+    match take(buf, 1, what)? {
+        [0] => Ok(false),
+        [1] => Ok(true),
+        _ => Err(Corrupt::new("flag-byte").into()),
+    }
 }
 
 fn put_compressed(buf: &mut Vec<u8>, c: &CompressedCsr) -> Result<(), CcsrError> {
@@ -98,7 +126,7 @@ fn put_compressed(buf: &mut Vec<u8>, c: &CompressedCsr) -> Result<(), CcsrError>
     Ok(())
 }
 
-fn get_compressed(buf: &mut &[u8]) -> Result<CompressedCsr, PersistError> {
+fn get_compressed(buf: &mut &[u8], key: ClusterKey) -> Result<CompressedCsr, PersistError> {
     let runs_len = read_u32(buf, "truncated run count")? as usize;
     let runs_bytes = take(buf, runs_len * 8, "truncated runs")?;
     let mut runs = Vec::with_capacity(runs_len);
@@ -113,8 +141,7 @@ fn get_compressed(buf: &mut &[u8]) -> Result<CompressedCsr, PersistError> {
     for chunk in nbr_bytes.chunks_exact(4) {
         neighbors.push(le_u32(chunk, "neighbor id")?);
     }
-    CompressedCsr::from_parts(runs, neighbors)
-        .ok_or(PersistError::Corrupt("invalid compressed row index"))
+    CompressedCsr::from_parts(runs, neighbors).ok_or(Corrupt::in_cluster("rle-index", key).into())
 }
 
 /// Encode a `G_C` into bytes. Fails with [`CcsrError::Overflow`] when a
@@ -146,10 +173,11 @@ pub fn to_bytes(ccsr: &Ccsr) -> Result<Vec<u8>, CcsrError> {
     Ok(buf)
 }
 
-/// Decode a `G_C` from bytes.
+/// Decode a `G_C` from bytes, admitting only the canonical encoding of a
+/// `G_C` that passes [`Ccsr::check`] (see the module doc).
 pub fn from_bytes(mut buf: &[u8]) -> Result<Ccsr, PersistError> {
     if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(PersistError::Corrupt("bad magic"));
+        return Err(Corrupt::new("bad magic").into());
     }
     buf = &buf[MAGIC.len()..];
     let n = read_u32(&mut buf, "truncated vertex count")?;
@@ -159,32 +187,34 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Ccsr, PersistError> {
         labels.push(le_u32(chunk, "vertex label")?);
     }
     let cluster_count = read_u32(&mut buf, "truncated cluster count")? as usize;
-    let mut clusters: Vec<Cluster> = Vec::with_capacity(cluster_count);
+    // No capacity hint: the count is unchecked input until its clusters
+    // have been read.
+    let mut clusters: Vec<Cluster> = Vec::new();
     for _ in 0..cluster_count {
         let src_label = read_u32(&mut buf, "truncated key")?;
         let dst_label = read_u32(&mut buf, "truncated key")?;
         let edge_label = read_u32(&mut buf, "truncated key")?;
-        let directed = read_u8(&mut buf, "truncated key")? != 0;
+        let directed = read_flag(&mut buf, "truncated key")?;
         let key = ClusterKey { src_label, dst_label, edge_label, directed };
-        if let Some(prev) = clusters.last() {
+        if clusters.last().is_some_and(|prev| prev.key >= key) {
             // `to_bytes` emits clusters sorted by key, so the encoding is
             // canonical; anything out of order (or duplicated) is corrupt.
-            if prev.key >= key {
-                return Err(PersistError::Corrupt("clusters out of key order"));
-            }
+            return Err(Corrupt::new("key-order").into());
         }
-        let out = get_compressed(&mut buf)?;
-        let inc_flag = read_u8(&mut buf, "truncated inc flag")?;
-        let inc = if inc_flag != 0 { Some(get_compressed(&mut buf)?) } else { None };
-        if directed != inc.is_some() {
-            return Err(PersistError::Corrupt("direction / csr-count mismatch"));
-        }
+        let out = get_compressed(&mut buf, key)?;
+        let inc = if read_flag(&mut buf, "truncated inc flag")? {
+            Some(get_compressed(&mut buf, key)?)
+        } else {
+            None
+        };
         clusters.push(Cluster { key, out, inc });
     }
     if !buf.is_empty() {
-        return Err(PersistError::Corrupt("trailing bytes"));
+        return Err(Corrupt::new("trailing bytes").into());
     }
-    Ok(Ccsr::from_parts(n, labels, clusters))
+    let ccsr = Ccsr::from_parts(n, labels, clusters);
+    ccsr.check()?;
+    Ok(ccsr)
 }
 
 /// Write a `G_C` to a file.
@@ -206,12 +236,14 @@ mod tests {
 
     fn sample_ccsr() -> Ccsr {
         let mut b = GraphBuilder::new();
-        for l in [0, 1, 2, 0, 1] {
+        for l in [0, 1, 2, 0, 1, 2] {
             b.add_vertex(l);
         }
         b.add_edge(0, 1, 7).unwrap();
         b.add_edge(3, 1, 7).unwrap();
+        b.add_edge(1, 2, NO_LABEL).unwrap();
         b.add_undirected_edge(2, 4, NO_LABEL).unwrap();
+        b.add_undirected_edge(2, 5, 3).unwrap();
         build_ccsr(&b.build()).unwrap()
     }
 
@@ -259,6 +291,12 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(from_bytes(&extended).is_err(), "trailing bytes");
+        // A cluster count far beyond the stream is an error, not an
+        // allocation of billions of clusters.
+        let mut huge = MAGIC.to_vec();
+        huge.extend_from_slice(&0u32.to_le_bytes());
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(from_bytes(&huge).is_err(), "cluster count beyond the stream");
     }
 
     #[test]
@@ -267,5 +305,50 @@ mod tests {
         let back = from_bytes(&to_bytes(&gc).unwrap()).unwrap();
         assert_eq!(back.n(), 0);
         assert_eq!(back.cluster_count(), 0);
+    }
+
+    #[test]
+    fn built_ccsr_passes_check() {
+        assert_eq!(sample_ccsr().check(), Ok(()));
+    }
+
+    #[test]
+    fn empty_ccsr_passes_check() {
+        let gc = build_ccsr(&GraphBuilder::new().build()).unwrap();
+        assert_eq!(gc.check(), Ok(()));
+    }
+
+    #[test]
+    fn valid_bytes_pass_and_reencode_exactly() {
+        let bytes = to_bytes(&sample_ccsr()).unwrap();
+        let back = from_bytes(&bytes).unwrap();
+        assert_eq!(back.check(), Ok(()));
+        assert_eq!(to_bytes(&back).unwrap(), bytes);
+    }
+
+    #[test]
+    fn flipped_row_index_run_is_detected() {
+        // Swap each adjacent pair of words past the magic; at least one
+        // swap lands on a row-index run and must be rejected.
+        let good = to_bytes(&sample_ccsr()).unwrap();
+        let rejected = (8..good.len().saturating_sub(8)).step_by(4).any(|i| {
+            let mut bad = good.clone();
+            bad[i..i + 8].rotate_left(4);
+            bad != good && from_bytes(&bad).is_err()
+        });
+        assert!(rejected, "no corruption detected by any 4-byte swap");
+    }
+
+    #[test]
+    fn label_swap_is_detected() {
+        // Swapping the labels of vertices 0 (label 0) and 2 (label 2) keeps
+        // the stream well-formed but desynchronizes keys from arc labels.
+        let mut bytes = to_bytes(&sample_ccsr()).unwrap();
+        let base = MAGIC.len() + 4;
+        bytes.swap(base, base + 8);
+        match from_bytes(&bytes) {
+            Err(PersistError::Corrupt(c)) => assert_eq!(c.invariant, "key-label-agreement"),
+            other => panic!("label-swapped G_C accepted or misreported: {other:?}"),
+        }
     }
 }

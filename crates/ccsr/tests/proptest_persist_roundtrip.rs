@@ -1,7 +1,14 @@
-//! Property: for random labeled graphs (directed and undirected), the full
-//! offline pipeline `build_ccsr → to_bytes → from_bytes → decompress`
-//! yields exactly the per-cluster CSR built directly from the edge list —
-//! i.e. persistence and RLE compression are lossless end to end.
+//! Properties over random labeled graphs (directed and undirected):
+//!
+//! * the full offline pipeline `build_ccsr → to_bytes → from_bytes →
+//!   decompress` yields exactly the per-cluster CSR built directly from the
+//!   edge list — persistence and RLE compression are lossless end to end —
+//!   and every built `G_C` passes `Ccsr::check`;
+//! * decoding is total and canonical: flipping bit 0 or bit 1 of any byte
+//!   of a valid encoding (so every 4-byte word XOR 1, aligned or not, and
+//!   flag bytes turned into `2`/`3`) never panics `from_bytes`, and a
+//!   mutation it accepts passes the check and re-encodes to exactly the
+//!   mutated bytes.
 
 use csce_ccsr::{build_ccsr, persist, ClusterKey, Csr};
 use csce_graph::{Graph, GraphBuilder, VertexId, NO_LABEL};
@@ -62,6 +69,7 @@ fn expected_arcs(g: &Graph) -> (ArcsByKey, ArcsByKey) {
 
 fn assert_roundtrip(g: &Graph) {
     let gc = build_ccsr(g).unwrap();
+    prop_assert_eq!(gc.check(), Ok(()));
     let loaded = persist::from_bytes(&persist::to_bytes(&gc).unwrap()).expect("roundtrip decodes");
     prop_assert_eq!(loaded.n(), g.n());
     prop_assert_eq!(loaded.vertex_labels(), g.labels());
@@ -83,6 +91,23 @@ fn assert_roundtrip(g: &Graph) {
     }
 }
 
+fn assert_mutations_rejected_or_canonical(g: &Graph) {
+    let good = persist::to_bytes(&build_ccsr(g).unwrap()).unwrap();
+    for (i, mask) in (0..good.len()).flat_map(|i| [(i, 1u8), (i, 2)]) {
+        let mut bad = good.clone();
+        bad[i] ^= mask;
+        if let Ok(gc) = persist::from_bytes(&bad) {
+            prop_assert_eq!(gc.check(), Ok(()));
+            prop_assert!(
+                persist::to_bytes(&gc).unwrap() == bad,
+                "byte {} ^ {} re-encodes differently",
+                i,
+                mask
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -94,5 +119,15 @@ proptest! {
     #[test]
     fn directed_graph_pipeline_is_lossless(g in arb_graph(true)) {
         assert_roundtrip(&g);
+    }
+
+    #[test]
+    fn mutated_mixed_encodings_are_rejected_or_canonical(g in arb_graph(false)) {
+        assert_mutations_rejected_or_canonical(&g);
+    }
+
+    #[test]
+    fn mutated_directed_encodings_are_rejected_or_canonical(g in arb_graph(true)) {
+        assert_mutations_rejected_or_canonical(&g);
     }
 }

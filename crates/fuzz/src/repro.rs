@@ -69,15 +69,6 @@ fn variant_token(v: Variant) -> &'static str {
     }
 }
 
-fn parse_variant(s: &str) -> Result<Variant, String> {
-    match s {
-        "e" => Ok(Variant::EdgeInduced),
-        "v" => Ok(Variant::VertexInduced),
-        "h" => Ok(Variant::Homomorphic),
-        other => Err(format!("unknown variant {other:?}")),
-    }
-}
-
 fn graph_block(g: &Graph) -> Result<String, String> {
     let mut buf = Vec::new();
     write_csce(g, &mut buf).map_err(|e| e.to_string())?;
@@ -150,7 +141,7 @@ impl Repro {
             match key {
                 "seed" => seed = Some(parse_num::<u64>("seed", rest)?),
                 "case" => case = Some(parse_num::<u64>("case", rest)?),
-                "variant" => variant = Some(parse_variant(rest)?),
+                "variant" => variant = Some(rest.parse()?),
                 "referee" => referee_kind = Some(rest.to_string()),
                 "planner" => planner = Some(PlannerName::parse(rest)?),
                 "cache" => cache = Some(parse_bool("cache", rest)?),

@@ -103,6 +103,21 @@ impl std::fmt::Display for Variant {
     }
 }
 
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    /// Parse `e`/`v`/`h` (either case, as `.repro` files and the CLI write
+    /// them) or `edge`/`vertex`/`hom`.
+    fn from_str(s: &str) -> Result<Variant, String> {
+        match s {
+            "e" | "E" | "edge" => Ok(Variant::EdgeInduced),
+            "v" | "V" | "vertex" => Ok(Variant::VertexInduced),
+            "h" | "H" | "hom" => Ok(Variant::Homomorphic),
+            other => Err(format!("unknown variant {other:?} (expected e, v or h)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +134,16 @@ mod tests {
         assert!(Variant::EdgeInduced.injective());
         assert!(Variant::VertexInduced.injective());
         assert!(!Variant::Homomorphic.injective());
+    }
+
+    #[test]
+    fn variants_parse_from_short_and_long_tokens() {
+        for v in Variant::ALL {
+            assert_eq!(v.tag().parse::<Variant>(), Ok(v));
+            assert_eq!(v.tag().to_lowercase().parse::<Variant>(), Ok(v));
+        }
+        assert_eq!("hom".parse::<Variant>(), Ok(Variant::Homomorphic));
+        assert!("x".parse::<Variant>().is_err());
     }
 
     #[test]

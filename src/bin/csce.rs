@@ -142,83 +142,66 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// `csce validate <graph.csce|data.ccsr> [--query "..." | pattern.csce]
-/// [--variant e|v|h] [--plan ri|ri+c|csce]`: run the `csce-analyze` deep
-/// structural checkers and print a PASS/FAIL report via `csce-obs`.
+/// [--variant e|v|h] [--plan ri|ri+c|csce]`: run the structural checks and
+/// print a PASS/FAIL report via `csce-obs`.
 ///
-/// A `.csce` text graph is checked as a graph, then clustered and the
-/// resulting `G_C` checked; a `.ccsr` file is decoded and checked
-/// byte-for-byte (including the persist fixpoint). With a pattern, the
-/// generated plan artifacts (DAG, LDSF order, NEC classes, cache slots)
-/// are checked against the pattern too.
+/// A `.csce` text graph is checked as a graph (`csce-analyze`), then
+/// clustered; a `.ccsr` file is decoded once. Either way the `G_C` gets
+/// its one check, [`csce::ccsr::Ccsr::check`], reported as
+/// `ccsr.structure` (decoding runs it, and rejects what is not the
+/// canonical encoding of a valid `G_C`). With a pattern, the generated plan
+/// artifacts (DAG, LDSF order, NEC classes, cache slots) are checked
+/// against the pattern too.
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    use csce::analyze::{ccsr_check, plan_check, Validate, ValidationReport};
-    let mut positional: Vec<&String> = Vec::new();
-    let mut query: Option<String> = None;
-    let mut variant = Variant::EdgeInduced;
-    let mut planner = PlannerConfig::csce();
+    use csce::analyze::{plan_check, Validate, ValidationReport};
+    use csce::ccsr::persist::{self, PersistError};
+    const STRUCTURE: &str = "ccsr.structure";
+    let mut inputs = QueryInputs::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--query" => query = Some(it.next().ok_or("missing --query value")?.clone()),
-            "--variant" => variant = parse_variant(it.next().ok_or("missing --variant value")?)?,
-            "--plan" => {
-                planner = match it.next().ok_or("missing --plan value")?.as_str() {
-                    "ri" => PlannerConfig::ri_only(),
-                    "ri+c" => PlannerConfig::ri_cluster(),
-                    "csce" => PlannerConfig::csce(),
-                    other => return Err(format!("unknown planner {other:?}")),
-                };
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            _ => positional.push(a),
+        if !inputs.take(a, &mut it)? {
+            return Err(format!("unknown flag {a:?}"));
         }
     }
-    let (data, pattern) = match (positional.as_slice(), query) {
-        ([data], None) => (*data, None),
-        ([data], Some(q)) => {
-            (*data, Some(csce::graph::query::parse_pattern(&q).map_err(|e| e.to_string())?))
-        }
-        ([data, pattern], None) => (*data, Some(load_graph(pattern)?)),
-        _ => {
-            return Err("usage: csce validate <graph.csce|data.ccsr> \
-                        [pattern.csce | --query \"...\"]"
-                .to_string())
-        }
-    };
+    let (data, pattern) = inputs
+        .resolve("usage: csce validate <graph.csce|data.ccsr> [pattern.csce | --query \"...\"]")?;
 
     let mut report;
     let engine;
     if data.ends_with(".ccsr") {
-        let bytes = std::fs::read(data).map_err(|e| format!("reading {data}: {e}"))?;
-        report = ccsr_check::validate_ccsr_bytes(&bytes, data.to_string());
-        engine = if report.is_ok() {
-            Some(Engine::from_ccsr(
-                csce::ccsr::persist::from_bytes(&bytes).map_err(|e| e.to_string())?,
-            ))
-        } else {
-            None
+        report = ValidationReport::new(data);
+        engine = match persist::load(data) {
+            Ok(gc) => Some(Engine::from_ccsr(gc)),
+            Err(PersistError::Io(e)) => return Err(format!("reading {data}: {e}")),
+            Err(e) => {
+                report.violation(STRUCTURE, e.to_string());
+                None
+            }
         };
     } else {
         let g = load_graph(data)?;
         report = g.validate();
         report.subject = data.to_string();
         let e = Engine::try_build(&g).map_err(|e| e.to_string())?;
-        report.merge(e.ccsr().validate());
+        if let Err(c) = e.ccsr().check() {
+            report.violation(STRUCTURE, c.to_string());
+        }
         engine = Some(e);
     }
+    report.ran(STRUCTURE);
 
     if let Some(p) = pattern {
         report.merge(p.validate());
         match &engine {
             Some(e) => {
                 let recorder = Recorder::disabled();
-                let query =
-                    e.prepare(&p, variant, planner, &recorder).map_err(|err| err.to_string())?;
+                let query = e
+                    .prepare(&p, inputs.variant, inputs.planner.1, &recorder)
+                    .map_err(|err| err.to_string())?;
                 report.merge(plan_check::validate_plan(&p, query.plan()));
             }
             None => {
-                // The G_C failed decoding/validation; still check the plan
-                // artifacts the pattern alone determines.
+                // The G_C was rejected; there is no data graph to plan on.
                 let mut r = ValidationReport::new("plan (skipped: invalid G_C)");
                 r.ran("plan.skipped");
                 report.merge(r);
@@ -228,10 +211,14 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 
     print!("{}", report.to_run_report().to_text());
     if report.is_ok() {
-        Ok(())
-    } else {
-        Err(format!("validation failed: {} violation(s)", report.total_violations()))
+        return Ok(());
     }
+    let first = report.details().first();
+    Err(format!(
+        "validation failed: {} violation(s){}",
+        report.total_violations(),
+        first.map(|v| format!("; first: [{}] {}", v.checker, v.detail)).unwrap_or_default()
+    ))
 }
 
 /// `csce fuzz`: drive the `csce-fuzz` differential harness — random
@@ -377,12 +364,74 @@ fn parse_secs(flag: &str, value: Option<&String>) -> Result<Duration, String> {
     Duration::try_from_secs_f64(secs).map_err(|e| format!("bad {flag} value {value:?}: {e}"))
 }
 
-fn parse_variant(s: &str) -> Result<Variant, String> {
-    match s {
-        "e" | "E" | "edge" => Ok(Variant::EdgeInduced),
-        "v" | "V" | "vertex" => Ok(Variant::VertexInduced),
-        "h" | "H" | "hom" => Ok(Variant::Homomorphic),
-        other => Err(format!("unknown variant {other:?} (expected e, v or h)")),
+/// A `--plan` preset: its name and its constructor.
+type Preset = (&'static str, fn() -> PlannerConfig);
+
+/// The `--plan` presets.
+const PLANNERS: [Preset; 3] = [
+    ("csce", PlannerConfig::csce),
+    ("ri", PlannerConfig::ri_only),
+    ("ri+c", PlannerConfig::ri_cluster),
+];
+
+/// The arguments `match` and `validate` share: `<data> [pattern.csce |
+/// --query Q]`, `--variant e|v|h` and `--plan ri|ri+c|csce`.
+struct QueryInputs<'a> {
+    positional: Vec<&'a str>,
+    query: Option<&'a str>,
+    variant: Variant,
+    planner: (&'static str, PlannerConfig),
+}
+
+impl Default for QueryInputs<'_> {
+    fn default() -> Self {
+        QueryInputs {
+            positional: Vec::new(),
+            query: None,
+            variant: Variant::EdgeInduced,
+            planner: ("csce", PlannerConfig::csce()),
+        }
+    }
+}
+
+impl<'a> QueryInputs<'a> {
+    /// Take `arg` (and its value from `rest`) if it is a shared argument;
+    /// `Ok(false)` leaves an unrecognized flag to the command.
+    fn take(
+        &mut self,
+        arg: &'a str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        let mut value = |flag: &str| rest.next().ok_or(format!("missing {flag} value"));
+        match arg {
+            "--query" => self.query = Some(value(arg)?),
+            "--variant" => self.variant = value(arg)?.parse()?,
+            "--plan" => {
+                let name = value(arg)?;
+                self.planner = PLANNERS
+                    .iter()
+                    .find(|(known, _)| known == name)
+                    .map(|&(known, preset)| (known, preset()))
+                    .ok_or(format!("unknown planner {name:?}"))?;
+            }
+            flag if flag.starts_with('-') => return Ok(false),
+            _ => self.positional.push(arg),
+        }
+        Ok(true)
+    }
+
+    /// Resolve `<data> [pattern.csce | --query Q]` into the data path and
+    /// the pattern, if one was given; `usage` is the error otherwise.
+    fn resolve(&self, usage: &str) -> Result<(&'a str, Option<Graph>), String> {
+        match (self.positional.as_slice(), self.query) {
+            (&[data], None) => Ok((data, None)),
+            (&[data], Some(q)) => {
+                let p = csce::graph::query::parse_pattern(q).map_err(|e| e.to_string())?;
+                Ok((data, Some(p)))
+            }
+            (&[data, pattern], None) => Ok((data, Some(load_graph(pattern)?))),
+            _ => Err(usage.to_string()),
+        }
     }
 }
 
@@ -393,21 +442,19 @@ enum StatsFormat {
 }
 
 fn cmd_match(args: &[String]) -> Result<(), String> {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut variant = Variant::EdgeInduced;
+    let mut inputs = QueryInputs::default();
     let mut enumerate: Option<u64> = None;
-    let mut planner = PlannerConfig::csce();
-    let mut planner_name = "csce";
     let mut time_limit = None;
     let mut explain = false;
-    let mut query: Option<String> = None;
     let mut threads: usize = 1;
     let mut stats_format: Option<StatsFormat> = None;
     let mut progress_every: Option<Duration> = None;
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
+        if inputs.take(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--query" => query = Some(it.next().ok_or("missing --query value")?.clone()),
             "--threads" => {
                 threads = it
                     .next()
@@ -418,7 +465,6 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
                     return Err("--threads must be at least 1".into());
                 }
             }
-            "--variant" => variant = parse_variant(it.next().ok_or("missing --variant value")?)?,
             "--enumerate" => {
                 enumerate = Some(match it.peek() {
                     Some(n) if !n.starts_with("--") => {
@@ -426,20 +472,6 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
                     }
                     _ => u64::MAX,
                 });
-            }
-            "--plan" => {
-                let name = it.next().ok_or("missing --plan value")?.as_str();
-                planner = match name {
-                    "ri" => PlannerConfig::ri_only(),
-                    "ri+c" => PlannerConfig::ri_cluster(),
-                    "csce" => PlannerConfig::csce(),
-                    other => return Err(format!("unknown planner {other:?}")),
-                };
-                planner_name = match name {
-                    "ri" => "ri",
-                    "ri+c" => "ri+c",
-                    _ => "csce",
-                };
             }
             "--stats" => {
                 stats_format = Some(match it.peek().map(|s| s.as_str()) {
@@ -463,21 +495,15 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
             }
             "--time-limit" => time_limit = Some(parse_secs("--time-limit", it.next())?),
             "--explain" => explain = true,
-            other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
-            _ => positional.push(a),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let (data, p) = match (positional.as_slice(), query) {
-        ([data], Some(q)) => {
-            let p = csce::graph::query::parse_pattern(&q).map_err(|e| e.to_string())?;
-            (*data, p)
-        }
-        ([data, pattern], None) => (*data, load_graph(pattern)?),
-        _ => {
-            return Err("usage: csce match <data> <pattern>  or  csce match <data> --query \"...\""
-                .to_string())
-        }
+    let usage = "usage: csce match <data> <pattern>  or  csce match <data> --query \"...\"";
+    let (data, p) = match inputs.resolve(usage)? {
+        (data, Some(p)) => (data, p),
+        (_, None) => return Err(usage.to_string()),
     };
+    let (variant, (planner_name, planner)) = (inputs.variant, inputs.planner);
     let recorder = if stats_format.is_some() { Recorder::new() } else { Recorder::disabled() };
     let engine = load_engine(data, &recorder)?;
     let t0 = Instant::now();

@@ -22,7 +22,8 @@
 //! * [`obs`] — zero-dependency observability: phase-timed spans, the
 //!   metrics registry, run reports and the built-in JSON codec;
 //! * [`analyze`] — deep structural invariant checkers ([`analyze::Validate`])
-//!   for graphs, `G_C`, and plans, plus the `csce-lint` source linter;
+//!   for graphs and plans, plus the `csce-lint` source linter (a `G_C` is
+//!   checked by [`ccsr::Ccsr::check`]);
 //! * [`fuzz`] — the seeded differential-testing harness behind
 //!   `csce fuzz`: random cases, the engine/baseline/oracle referee sweep,
 //!   the shrinker and the `.repro` format.

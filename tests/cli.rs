@@ -251,7 +251,7 @@ fn validate_passes_good_inputs_and_plans() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().any(|l| l.starts_with("verdict") && l.ends_with("PASS")), "{text}");
-    for family in ["graph.adjacency-symmetry", "ccsr.rle-coverage", "plan.topological"] {
+    for family in ["graph.adjacency-symmetry", "ccsr.structure", "plan.topological"] {
         assert!(text.contains(family), "missing checker family {family}: {text}");
     }
 
@@ -260,7 +260,7 @@ fn validate_passes_good_inputs_and_plans() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().any(|l| l.starts_with("verdict") && l.ends_with("PASS")), "{text}");
-    assert!(text.contains("ccsr.persist-fixpoint"), "{text}");
+    assert!(text.contains("ccsr.structure"), "{text}");
 }
 
 #[test]
@@ -275,7 +275,8 @@ fn validate_detects_corrupted_ccsr() {
     assert!(out.status.success());
 
     // Corrupt the body (past the 8-byte magic) and expect a FAIL verdict
-    // with a non-zero exit for at least one flipped word.
+    // with a non-zero exit for at least one flipped word; `match` rejects
+    // every such file too, with a diagnostic instead of a panic.
     let good = std::fs::read(&ccsr).unwrap();
     let mut caught = 0;
     for i in (8..good.len().saturating_sub(4)).step_by(4) {
@@ -297,10 +298,148 @@ fn validate_detects_corrupted_ccsr() {
                 String::from_utf8_lossy(&out.stderr).contains("validation failed"),
                 "stderr explains the failure"
             );
+            let out = bin()
+                .args(["match", path.to_str().unwrap(), "--query", "(a:0)-->(b:1)"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "flip at byte {i}: {stderr}");
+            assert!(!stderr.contains("panicked"), "flip at byte {i}: {stderr}");
             caught += 1;
         }
     }
     assert!(caught > 0, "no corruption detected across {} flips", good.len() / 4);
+}
+
+/// Runs and neighbors of one hand-written CSR.
+type RawCsr<'a> = (&'a [(u32, u32)], &'a [u32]);
+
+/// A one-cluster `.ccsr` file written word by word: the magic, the vertex
+/// labels, then the cluster's key (`src`, `dst`, edge label), its raw
+/// directed byte, its `out` CSR and, if given, its `inc` CSR.
+fn ccsr_bytes(
+    labels: &[u32],
+    key: [u32; 3],
+    directed: u8,
+    out: RawCsr,
+    inc: Option<RawCsr>,
+) -> Vec<u8> {
+    fn word(buf: &mut Vec<u8>, w: u32) {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    fn csr(buf: &mut Vec<u8>, (runs, neighbors): RawCsr) {
+        word(buf, runs.len() as u32);
+        for &(value, count) in runs {
+            word(buf, value);
+            word(buf, count);
+        }
+        word(buf, neighbors.len() as u32);
+        for &w in neighbors {
+            word(buf, w);
+        }
+    }
+    let mut buf = b"CSCEGC1\0".to_vec();
+    word(&mut buf, labels.len() as u32);
+    for &l in labels {
+        word(&mut buf, l);
+    }
+    word(&mut buf, 1);
+    for k in key {
+        word(&mut buf, k);
+    }
+    buf.push(directed);
+    csr(&mut buf, out);
+    buf.push(u8::from(inc.is_some()));
+    if let Some(inc) = inc {
+        csr(&mut buf, inc);
+    }
+    buf
+}
+
+#[test]
+fn corrupt_ccsr_files_are_rejected_by_name() {
+    const NULL: u32 = u32::MAX;
+    let dir = workdir();
+    // Each file breaks one invariant, named in the diagnostic.
+    let cases: [(&str, Vec<u8>, &str); 7] = [
+        // The runs cover n offsets instead of n + 1.
+        (
+            "short_rows",
+            ccsr_bytes(&[0; 3], [0, 0, NULL], 0, (&[(0, 1), (1, 1), (2, 1)], &[1, 0]), None),
+            "rle-coverage",
+        ),
+        // Vertex 1's neighbor 5 is not a vertex.
+        (
+            "bad_nbr",
+            ccsr_bytes(&[0; 2], [0, 0, NULL], 0, (&[(0, 1), (1, 1), (2, 1)], &[1, 5]), None),
+            "neighbor-range",
+        ),
+        // Vertex 0's row is [2, 1].
+        (
+            "unsorted",
+            ccsr_bytes(
+                &[0; 3],
+                [0, 0, NULL],
+                0,
+                (&[(0, 1), (2, 1), (3, 1), (4, 1)], &[2, 1, 0, 0]),
+                None,
+            ),
+            "rows-sorted",
+        ),
+        // `out` is 0 -> 1, 2 -> 1; `inc` copies it instead of transposing.
+        (
+            "bad_transpose",
+            ccsr_bytes(
+                &[0; 3],
+                [0, 0, NULL],
+                1,
+                (&[(0, 1), (1, 2), (2, 1)], &[1, 1]),
+                Some((&[(0, 1), (1, 2), (2, 1)], &[1, 1])),
+            ),
+            "inc-transpose",
+        ),
+        // A valid directed cluster whose directed byte is 2.
+        (
+            "flag2",
+            ccsr_bytes(
+                &[0; 3],
+                [0, 0, NULL],
+                2,
+                (&[(0, 1), (1, 2), (2, 1)], &[1, 1]),
+                Some((&[(0, 2), (2, 2)], &[0, 2])),
+            ),
+            "flag-byte",
+        ),
+        // A cluster with no arcs.
+        (
+            "empty_cluster",
+            ccsr_bytes(&[0; 2], [0, 0, NULL], 0, (&[(0, 3)], &[]), None),
+            "cluster-nonempty",
+        ),
+        // An undirected key listing the larger label first.
+        (
+            "noncanonical_key",
+            ccsr_bytes(&[0, 1], [1, 0, NULL], 0, (&[(0, 1), (1, 1), (2, 1)], &[1, 0]), None),
+            "key-canonical",
+        ),
+    ];
+    for (name, bytes, invariant) in cases {
+        let path = dir.join(format!("{name}.ccsr"));
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            vec!["match", path, "--query", "(a:0)--(b:0)"],
+            vec!["match", path, "--query", "(a:0)-->(b:0)<--(c:0)"],
+            vec!["stats", path],
+            vec!["validate", path],
+        ] {
+            let out = bin().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains(invariant), "{name} {args:?} names {invariant}: {stderr}");
+        }
+    }
 }
 
 #[test]
