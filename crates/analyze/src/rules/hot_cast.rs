@@ -3,7 +3,7 @@
 //!
 //! `hot-cast` covers functions reachable from the engine entry points or
 //! from the CCSR read path (`ReadCSR`, Algorithm 1, and the
-//! decoded-cluster accessors the recursion touches per candidate), where
+//! cluster accessors the recursion touches per candidate), where
 //! a truncated index corrupts results; `lossy-cast` covers every other
 //! library function. Each cast site is reported by exactly one of them.
 

@@ -1,6 +1,6 @@
-//! Criterion micro-bench: Algorithm 1 (`ReadCSR`) — cluster selection +
-//! decompression per pattern and variant, the online read stage whose
-//! overhead Fig. 11 studies.
+//! Criterion micro-bench: Algorithm 1 (`ReadCSR`) — cluster selection per
+//! pattern and variant, the online read stage whose overhead Fig. 11
+//! studies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};

@@ -1,8 +1,8 @@
-//! Fig. 11: CCSR overhead — ReadCSR (cluster selection + decompression)
-//! time and decoded working-set size, varying the number of data-graph
+//! Fig. 11: CCSR overhead — ReadCSR (cluster selection) time and the
+//! bytes of the clusters it selects, varying the number of data-graph
 //! labels (20 / 200 / 2000 on the Patent-like graph) and the pattern
-//! size. Only clusters a pattern uses are read, so both metrics track the
-//! pattern, not the graph (Finding 11).
+//! size. Only clusters a pattern uses are selected, and none is copied,
+//! so both metrics track the pattern, not the graph (Finding 11).
 
 #[global_allocator]
 static ALLOC: csce_bench::TrackingAllocator = csce_bench::TrackingAllocator;
@@ -19,9 +19,9 @@ use std::time::Instant;
 fn main() {
     let base = presets::patent();
     let sizes = [3usize, 4, 8, 32, 128, 500, 2000];
-    println!("Fig. 11 — CCSR read time and decoded bytes (Patent-like, edge-induced)\n");
+    println!("Fig. 11 — CCSR read time and working-set bytes (Patent-like, edge-induced)\n");
     let mut report = BenchReport::new("fig11");
-    let mut t = Table::new(&["labels", "pattern", "read time", "clusters", "decoded bytes"]);
+    let mut t = Table::new(&["labels", "pattern", "read time", "clusters", "working set"]);
     for labels in [20u32, 200, 2000] {
         let g = randomize_vertex_labels(&base.graph, labels, 0xF11);
         let gc = build_ccsr(&g).unwrap();

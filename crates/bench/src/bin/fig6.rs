@@ -11,6 +11,7 @@
 static ALLOC: csce_bench::TrackingAllocator = csce_bench::TrackingAllocator;
 
 use csce_bench::alloc::format_bytes;
+use csce_bench::table::format_secs;
 use csce_bench::{run_all, BenchContext, BenchReport, Table, TrackingAllocator};
 use csce_datasets::{all_presets, sample_suite};
 use csce_graph::{Density, Variant};
@@ -119,9 +120,9 @@ fn main() {
                         Some((_, secs, timed_out)) => {
                             let avg = secs / suite.patterns.len() as f64;
                             row.push(if *timed_out {
-                                format!(">{avg:.2}s*")
+                                format!(">{}*", format_secs(avg))
                             } else {
-                                format!("{avg:.3}s")
+                                format_secs(avg)
                             });
                         }
                         None => row.push("-".into()),

@@ -1,14 +1,14 @@
 //! Offline clustering: building `G_C` from a data graph.
 //!
 //! Each edge is routed to its cluster by [`ClusterKey`] in O(1), giving
-//! the paper's `O(|E|)` clustering bound; per-cluster CSR construction
-//! sorts arcs, giving the `2|E| log 2|E|` sorting bound. After
-//! construction the original [`Graph`] is no longer needed: the `Ccsr`
-//! keeps the vertex labels and every edge (twice, in exactly one cluster).
+//! the paper's `O(|E|)` clustering bound; each cluster's row indexes are
+//! built from its sorted arcs, giving the `2|E| log 2|E|` sorting bound and
+//! no `O(n)` work per cluster. After construction the original [`Graph`]
+//! is no longer needed: the `Ccsr` keeps the vertex labels and every edge
+//! (twice, in exactly one cluster).
 
 use crate::cluster::Cluster;
-use crate::compress::CompressedCsr;
-use crate::csr::Csr;
+use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use crate::CcsrError;
 use csce_graph::{FxHashMap, Graph, Label, VertexId};
@@ -46,14 +46,11 @@ pub fn build_ccsr(g: &Graph) -> Result<Ccsr, CcsrError> {
             v.push((e.dst, e.src));
         }
     }
-    // Build + compress per-cluster CSRs (sorting happens inside from_pairs).
+    // Sort each cluster's arcs into its row indexes: O(arcs log arcs).
     let mut clusters = Vec::with_capacity(out_pairs.len());
     for (key, pairs) in out_pairs {
-        let out = CompressedCsr::compress(&Csr::from_pairs(n, pairs)?);
-        let inc = match in_pairs.remove(&key) {
-            Some(pairs) => Some(CompressedCsr::compress(&Csr::from_pairs(n, pairs)?)),
-            None => None,
-        };
+        let out = RowIndex::from_arcs(n, pairs)?;
+        let inc = in_pairs.remove(&key).map(|pairs| RowIndex::from_arcs(n, pairs)).transpose()?;
         clusters.push(Cluster { key, out, inc });
     }
     let ccsr = Ccsr::from_parts(n32, g.labels().to_vec(), clusters);
@@ -112,17 +109,16 @@ impl Ccsr {
     pub fn total_ic_len(&self) -> usize {
         self.clusters
             .values()
-            .map(|c| c.out.arc_count() + c.inc.as_ref().map_or(0, |i| i.arc_count()))
+            .map(|c| c.out.arc_count() + c.inc.as_ref().map_or(0, RowIndex::arc_count))
             .sum()
     }
 
-    /// Total compressed `I_R` length over all clusters; bounded by `4|E|`.
+    /// Total row-index (`I_R`) length over all clusters: `2 · rows + 1` per
+    /// sparse index, `n + 1` per dense one; bounded by `4|E|`.
     pub fn total_ir_len(&self) -> usize {
         self.clusters
             .values()
-            .map(|c| {
-                c.out.compressed_ir_len() + c.inc.as_ref().map_or(0, |i| i.compressed_ir_len())
-            })
+            .map(|c| c.out.ir_len() + c.inc.as_ref().map_or(0, RowIndex::ir_len))
             .sum()
     }
 
@@ -199,7 +195,7 @@ mod tests {
         let g = fig1_data_graph();
         let gc = build_ccsr(&g).unwrap();
         let key = ClusterKey::directed(0, 1, NO_LABEL);
-        let d = gc.cluster(&key).expect("(A,B,NULL) cluster exists").decode();
+        let d = gc.cluster(&key).expect("(A,B,NULL) cluster exists");
         // v1 (id 0) has outgoing neighbors v2, v6 (ids 1, 5) in the cluster.
         assert_eq!(d.out_neighbors(0), &[1, 5]);
         assert_eq!(d.out_neighbors(3), &[4]);
@@ -226,7 +222,7 @@ mod tests {
         b.add_undirected_edge(0, 1, 9).unwrap();
         let gc = build_ccsr(&b.build()).unwrap();
         let key = ClusterKey::undirected(0, 1, 9);
-        let d = gc.cluster(&key).unwrap().decode();
+        let d = gc.cluster(&key).unwrap();
         assert_eq!(d.out_neighbors(0), &[1]);
         assert_eq!(d.out_neighbors(1), &[0]);
         assert!(d.inc.is_none());

@@ -1,18 +1,18 @@
 //! The one structural check of a `G_C`.
 //!
-//! The paper drops `G` once it is clustered (§IV), so the cluster keys,
-//! run-length row indexes and CSR pairs *are* the data. [`Ccsr::check`]
-//! states everything the engine relies on beyond the RLE-local rules that
-//! [`crate::CompressedCsr::from_parts`] enforces (first offset 0, strictly
-//! increasing run values, non-zero counts, closure over `I_C`):
+//! The paper drops `G` once it is clustered (§IV), so the cluster keys and
+//! row indexes *are* the data. [`Ccsr::check`] states everything the
+//! engine relies on beyond what a row index holds by construction (rows
+//! ascending, offsets closing over `I_C`; a decode checks the on-disk runs
+//! for it, reporting `rle-index` or `rle-coverage`):
 //!
 //! | id | invariant |
 //! |---|---|
 //! | `label-array` | one vertex label per vertex |
 //! | `key-canonical` | undirected keys list the smaller label first |
-//! | `key-direction` | a cluster has an `inc` CSR exactly when it is directed |
+//! | `key-direction` | a cluster has an `inc` index exactly when it is directed |
 //! | `cluster-nonempty` | every cluster holds at least one arc |
-//! | `rle-coverage` | the runs cover exactly `n + 1` offsets |
+//! | `rle-coverage` | the runs cover exactly `n + 1` offsets: every row is a vertex |
 //! | `neighbor-range` | every neighbor id is `< n` |
 //! | `rows-sorted` | every row is strictly increasing |
 //! | `self-loop` | no arc joins a vertex to itself (`G` has none) |
@@ -20,14 +20,14 @@
 //! | `inc-transpose` | a directed cluster's `inc` is exactly `out` transposed |
 //! | `undirected-symmetry` | an undirected cluster stores each edge both ways |
 //!
-//! The check walks the runs and never decompresses a cluster: its cost is
-//! `O(runs + arcs · log arcs)` per cluster, not `O(n)`. It runs on every
-//! decode ([`crate::persist::from_bytes`]), after every build in debug
-//! builds, and under `csce validate`.
+//! The check walks each index's non-empty rows: its cost is
+//! `O(rows + arcs · log arcs)` per cluster (`O(n)` only for a dense
+//! index). It runs on every decode ([`crate::persist::from_bytes`]), after
+//! every build in debug builds, and under `csce validate`.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
-use crate::compress::CompressedCsr;
+use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use csce_graph::{Label, VertexId};
 
@@ -125,29 +125,21 @@ fn check_cluster(labels: &[Label], c: &Cluster) -> Result<(), Corrupt> {
     Ok(())
 }
 
-/// Every arc `(row, neighbor)` of one CSR in row order, checking coverage,
-/// neighbor range, strictly increasing rows, no self-loops and endpoint
-/// labels (`fits(row label, neighbor label)`) on the way. Only the last
-/// offset of a run can start a non-empty row, which ends at the next run's
-/// value, so the walk visits runs and arcs, never all `n + 1` offsets.
+/// Every arc `(row, neighbor)` of one row index in row order, checking
+/// coverage, neighbor range, strictly increasing rows, no self-loops and
+/// endpoint labels (`fits(row label, neighbor label)`) on the way.
 fn arcs(
     labels: &[Label],
     key: ClusterKey,
-    csr: &CompressedCsr,
+    index: &RowIndex,
     fits: impl Fn(Label, Label) -> bool,
 ) -> Result<Vec<(VertexId, VertexId)>, Corrupt> {
-    let coverage = || Corrupt::in_cluster("rle-coverage", key);
-    let mut arcs = Vec::with_capacity(csr.arc_count());
-    let mut offsets = 0u64;
-    let mut runs = csr.runs().iter().peekable();
-    while let Some(&(lo, count)) = runs.next() {
-        offsets += u64::from(count);
-        let Some(&&(hi, _)) = runs.peek() else { break };
-        let row = VertexId::try_from(offsets - 1).map_err(|_| coverage())?;
-        let &lv = labels.get(row as usize).ok_or_else(coverage)?;
+    let mut arcs = Vec::with_capacity(index.arc_count());
+    for (row, neighbors) in index.nonempty() {
+        let &lv = labels.get(row as usize).ok_or(Corrupt::in_cluster("rle-coverage", key))?;
         let at = |invariant| Corrupt::at(invariant, key, row);
         let mut prev = None;
-        for &w in &csr.neighbors()[lo as usize..hi as usize] {
+        for &w in neighbors {
             let &lw = labels.get(w as usize).ok_or_else(|| at("neighbor-range"))?;
             if prev.is_some_and(|p| w <= p) {
                 return Err(at("rows-sorted"));
@@ -161,9 +153,6 @@ fn arcs(
             arcs.push((row, w));
             prev = Some(w);
         }
-    }
-    if offsets != labels.len() as u64 + 1 {
-        return Err(coverage());
     }
     Ok(arcs)
 }

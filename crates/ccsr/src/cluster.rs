@@ -1,75 +1,51 @@
-//! Cluster storage: the compressed on-disk/offline form and the decoded
-//! in-memory form used during matching.
+//! One edge-isomorphism cluster: the form queries read rows from directly.
 
-use crate::compress::CompressedCsr;
-use crate::csr::Csr;
+use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use csce_graph::VertexId;
 
-/// One edge-isomorphism cluster in compressed (offline) form.
+/// One edge-isomorphism cluster.
 ///
-/// Directed clusters store two CSRs so both outgoing and incoming
-/// neighbors can be found; undirected clusters store one CSR containing
-/// each edge from both endpoints (§IV). Either way each edge of `G`
-/// appears exactly twice in exactly one cluster.
+/// Directed clusters store two row indexes so both outgoing and incoming
+/// neighbors can be found; undirected clusters store one that lists each
+/// edge from both endpoints (§IV). Either way each edge of `G` appears
+/// exactly twice in exactly one cluster.
 #[derive(Clone, Debug)]
 pub struct Cluster {
     pub key: ClusterKey,
-    /// Outgoing CSR (for undirected clusters: the single CSR).
-    pub out: CompressedCsr,
-    /// Incoming CSR; present only for directed clusters.
-    pub inc: Option<CompressedCsr>,
+    /// Outgoing rows (for undirected clusters: the only rows).
+    pub(crate) out: RowIndex,
+    /// Incoming rows; present only for directed clusters.
+    pub(crate) inc: Option<RowIndex>,
 }
 
 impl Cluster {
-    /// Number of data edges in this cluster.
-    pub fn edge_count(&self) -> usize {
-        if self.key.directed {
-            self.out.arc_count()
-        } else {
-            self.out.arc_count() / 2
-        }
-    }
-
-    /// Decompress to standard CSRs for query processing.
-    pub fn decode(&self) -> DecodedCluster {
-        DecodedCluster {
-            key: self.key,
-            out: self.out.decompress(),
-            inc: self.inc.as_ref().map(|c| c.decompress()),
-        }
-    }
-
-    /// Approximate heap footprint in bytes of the compressed form.
-    pub fn heap_bytes(&self) -> usize {
-        self.out.heap_bytes() + self.inc.as_ref().map_or(0, |c| c.heap_bytes())
-    }
-}
-
-/// A decompressed cluster: standard CSRs with O(1) row lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodedCluster {
-    pub key: ClusterKey,
-    pub out: Csr,
-    pub inc: Option<Csr>,
-}
-
-impl DecodedCluster {
-    /// Neighbors along the edge direction from `v` (for undirected
-    /// clusters this is simply `v`'s neighbors).
+    /// The rows against the edge direction (undirected clusters answer
+    /// from their one index).
     #[inline]
-    pub fn out_neighbors(&self, v: VertexId) -> &[u32] {
+    fn in_index(&self) -> &RowIndex {
+        self.inc.as_ref().unwrap_or(&self.out)
+    }
+
+    /// Neighbors along the edge direction from `v` (for undirected
+    /// clusters simply `v`'s neighbors), sorted.
+    #[inline]
+    pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.out.row(v)
     }
 
-    /// Neighbors against the edge direction into `v` (undirected clusters
-    /// answer from the single CSR).
+    /// Neighbors against the edge direction into `v`, sorted.
     #[inline]
-    pub fn in_neighbors(&self, v: VertexId) -> &[u32] {
-        match &self.inc {
-            Some(inc) => inc.row(v),
-            None => self.out.row(v),
-        }
+    pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.in_index().row(v)
+    }
+
+    /// Vertices with at least one arc in this cluster, ascending: those
+    /// with outgoing arcs, or with `incoming`, those with incoming arcs.
+    /// These are the candidate seeds for the first pattern vertex of a plan.
+    pub fn nonempty_rows(&self, incoming: bool) -> impl Iterator<Item = VertexId> + '_ {
+        let index = if incoming { self.in_index() } else { &self.out };
+        index.nonempty().map(|(v, _)| v)
     }
 
     /// The paper's `|I_C(u_i, u_x)|`: the cluster size used for GCF / LDSF
@@ -88,15 +64,15 @@ impl DecodedCluster {
         }
     }
 
-    /// Whether the arc `v -> w` (or undirected `v — w`) is in the cluster.
-    #[inline]
-    pub fn contains_arc(&self, v: VertexId, w: VertexId) -> bool {
-        self.out.contains(v, w)
+    /// Rows the cluster's indexes address, out plus in: the non-empty rows
+    /// of a sparse index, all `n` of a dense one.
+    pub fn indexed_rows(&self) -> usize {
+        self.out.indexed_rows() + self.inc.as_ref().map_or(0, RowIndex::indexed_rows)
     }
 
-    /// Approximate heap footprint in bytes of the decoded form.
+    /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.out.heap_bytes() + self.inc.as_ref().map_or(0, |c| c.heap_bytes())
+        self.out.heap_bytes() + self.inc.as_ref().map_or(0, RowIndex::heap_bytes)
     }
 }
 
@@ -107,12 +83,10 @@ mod tests {
 
     fn directed_cluster() -> Cluster {
         // Arcs: 0->1, 0->5, 3->4 over 6 vertices.
-        let out = Csr::from_pairs(6, vec![(0, 1), (0, 5), (3, 4)]).unwrap();
-        let inc = Csr::from_pairs(6, vec![(1, 0), (5, 0), (4, 3)]).unwrap();
         Cluster {
             key: ClusterKey::directed(0, 1, NO_LABEL),
-            out: CompressedCsr::compress(&out),
-            inc: Some(CompressedCsr::compress(&inc)),
+            out: RowIndex::from_arcs(6, vec![(0, 1), (0, 5), (3, 4)]).unwrap(),
+            inc: Some(RowIndex::from_arcs(6, vec![(1, 0), (5, 0), (4, 3)]).unwrap()),
         }
     }
 
@@ -120,37 +94,28 @@ mod tests {
     fn directed_cluster_counts_and_lookup() {
         let c = directed_cluster();
         assert_eq!(c.edge_count(), 3);
-        let d = c.decode();
-        assert_eq!(d.out_neighbors(0), &[1, 5]);
-        assert_eq!(d.in_neighbors(5), &[0]);
-        assert_eq!(d.in_neighbors(0), &[] as &[u32]);
-        assert_eq!(d.size(), 3);
-        assert!(d.contains_arc(3, 4));
-        assert!(!d.contains_arc(4, 3));
+        assert_eq!(c.out_neighbors(0), &[1, 5]);
+        assert_eq!(c.in_neighbors(5), &[0]);
+        assert_eq!(c.in_neighbors(0), &[] as &[u32]);
+        assert_eq!(c.size(), 3);
+        assert_eq!(c.nonempty_rows(false).collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(c.nonempty_rows(true).collect::<Vec<_>>(), vec![1, 4, 5]);
+        // Out is sparse (2 rows), in is dense (3 rows of 6).
+        assert_eq!(c.indexed_rows(), 2 + 6);
     }
 
     #[test]
     fn undirected_cluster_serves_both_directions() {
-        // Undirected edges {0,1} and {1,2}: stored as 4 arcs in one CSR.
-        let out = Csr::from_pairs(3, vec![(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap();
+        // Undirected edges {0,1} and {1,2}: stored as 4 arcs in one index.
         let c = Cluster {
             key: ClusterKey::undirected(0, 0, NO_LABEL),
-            out: CompressedCsr::compress(&out),
+            out: RowIndex::from_arcs(3, vec![(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap(),
             inc: None,
         };
         assert_eq!(c.edge_count(), 2);
-        let d = c.decode();
-        assert_eq!(d.out_neighbors(1), &[0, 2]);
-        assert_eq!(d.in_neighbors(1), &[0, 2]);
-        assert_eq!(d.edge_count(), 2);
-        assert_eq!(d.size(), 4);
-    }
-
-    #[test]
-    fn decode_roundtrips_storage() {
-        let c = directed_cluster();
-        let d = c.decode();
-        assert_eq!(CompressedCsr::compress(&d.out), c.out);
-        assert_eq!(CompressedCsr::compress(d.inc.as_ref().unwrap()), *c.inc.as_ref().unwrap());
+        assert_eq!(c.out_neighbors(1), &[0, 2]);
+        assert_eq!(c.in_neighbors(1), &[0, 2]);
+        assert_eq!(c.size(), 4);
+        assert_eq!(c.nonempty_rows(true).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 }

@@ -6,13 +6,16 @@
 //! Every data edge is placed in exactly one *cluster* of mutually
 //! isomorphic edges, identified by a [`ClusterKey`] of
 //! `(source label, destination label, edge label)` plus direction. Each
-//! cluster is stored as one or two compressed sparse rows: directed
-//! clusters carry an outgoing and an incoming CSR, undirected clusters a
-//! single CSR that lists each edge from both endpoints. Row-index arrays
-//! are run-length compressed ([`CompressedCsr`]) so the total `I_R` length
-//! is bounded by `4|E|` regardless of cluster count; [`read_csr`]
-//! (Algorithm 1) decompresses only the clusters a given pattern and
-//! matching variant need.
+//! cluster stores one or two row indexes: directed clusters an outgoing
+//! and an incoming one, undirected clusters a single one that lists each
+//! edge from both endpoints. A row index keeps only the non-empty rows and
+//! their offsets — the information of the paper's run-length-compressed
+//! `I_R`, so the total `I_R` length is bounded by `4|E|` regardless of
+//! cluster count — and finds a row by binary search; when at least half of
+//! the vertices have arcs, the dense `n + 1` offsets are no longer, and it
+//! stores those for O(1) rows. [`read_csr`] (Algorithm 1) selects the
+//! clusters a given pattern and matching variant need and decodes none:
+//! queries read rows in place ([`Cluster::out_neighbors`]).
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully
@@ -55,8 +58,7 @@ impl std::error::Error for CcsrError {}
 pub mod build;
 pub mod check;
 pub mod cluster;
-pub mod compress;
-pub mod csr;
+mod index;
 pub mod key;
 pub mod persist;
 pub mod read;
@@ -64,9 +66,7 @@ pub mod stats;
 
 pub use build::{build_ccsr, Ccsr};
 pub use check::Corrupt;
-pub use cluster::{Cluster, DecodedCluster};
-pub use compress::CompressedCsr;
-pub use csr::Csr;
+pub use cluster::Cluster;
 pub use key::ClusterKey;
 pub use read::{read_csr, GcStar, ReadStats};
 pub use stats::CcsrStats;

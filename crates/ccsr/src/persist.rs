@@ -4,13 +4,15 @@
 //! graph; the result is written to a compact little-endian binary file and
 //! memory-loaded for each matching task. The format is entirely
 //! hand-rolled: a magic header, the vertex label array, then each
-//! cluster's key, compressed row runs, and column index.
+//! cluster's key, the paper's `(value, repeat)` runs of its row offsets,
+//! and its column index. The runs convert to and from the in-memory row
+//! index in O(runs).
 //!
 //! A file is the only way a `G_C` enters the program from outside, so
 //! decoding admits only a `G_C` the engine can serve. When [`from_bytes`]
 //! (or [`load`]) succeeds:
 //!
-//! * every run-length row index passed [`CompressedCsr::from_parts`] and
+//! * every row's runs were well formed and covered `n + 1` offsets, and
 //!   the whole `G_C` passed [`Ccsr::check`] — ids in range, rows strictly
 //!   increasing, keys agreeing with the vertex labels, `inc` the exact
 //!   transpose of `out`, undirected clusters symmetric, no empty cluster;
@@ -24,7 +26,7 @@
 use crate::build::Ccsr;
 use crate::check::Corrupt;
 use crate::cluster::Cluster;
-use crate::compress::CompressedCsr;
+use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use crate::CcsrError;
 use std::path::Path;
@@ -113,20 +115,21 @@ fn read_flag(buf: &mut &[u8], what: &'static str) -> Result<bool, PersistError> 
     }
 }
 
-fn put_compressed(buf: &mut Vec<u8>, c: &CompressedCsr) -> Result<(), CcsrError> {
-    put_u32_le(buf, counter_u32(c.runs().len(), "run count")?);
-    for &(value, count) in c.runs() {
+fn put_index(buf: &mut Vec<u8>, index: &RowIndex, n: u32) -> Result<(), CcsrError> {
+    let runs = index.runs(n)?;
+    put_u32_le(buf, counter_u32(runs.len(), "run count")?);
+    for (value, count) in runs {
         put_u32_le(buf, value);
         put_u32_le(buf, count);
     }
-    put_u32_le(buf, counter_u32(c.neighbors().len(), "neighbor count")?);
-    for &x in c.neighbors() {
+    put_u32_le(buf, counter_u32(index.neighbors().len(), "neighbor count")?);
+    for &x in index.neighbors() {
         put_u32_le(buf, x);
     }
     Ok(())
 }
 
-fn get_compressed(buf: &mut &[u8], key: ClusterKey) -> Result<CompressedCsr, PersistError> {
+fn get_index(buf: &mut &[u8], key: ClusterKey, n: u32) -> Result<RowIndex, PersistError> {
     let runs_len = read_u32(buf, "truncated run count")? as usize;
     let runs_bytes = take(buf, runs_len * 8, "truncated runs")?;
     let mut runs = Vec::with_capacity(runs_len);
@@ -141,7 +144,7 @@ fn get_compressed(buf: &mut &[u8], key: ClusterKey) -> Result<CompressedCsr, Per
     for chunk in nbr_bytes.chunks_exact(4) {
         neighbors.push(le_u32(chunk, "neighbor id")?);
     }
-    CompressedCsr::from_parts(runs, neighbors).ok_or(Corrupt::in_cluster("rle-index", key).into())
+    RowIndex::from_runs(n, &runs, neighbors).map_err(|rule| Corrupt::in_cluster(rule, key).into())
 }
 
 /// Encode a `G_C` into bytes. Fails with [`CcsrError::Overflow`] when a
@@ -149,7 +152,8 @@ fn get_compressed(buf: &mut &[u8], key: ClusterKey) -> Result<CompressedCsr, Per
 pub fn to_bytes(ccsr: &Ccsr) -> Result<Vec<u8>, CcsrError> {
     let mut buf = Vec::with_capacity(64 + ccsr.heap_bytes());
     buf.extend_from_slice(MAGIC);
-    put_u32_le(&mut buf, counter_u32(ccsr.n(), "vertex count")?);
+    let n = counter_u32(ccsr.n(), "vertex count")?;
+    put_u32_le(&mut buf, n);
     for &l in ccsr.vertex_labels() {
         put_u32_le(&mut buf, l);
     }
@@ -161,11 +165,11 @@ pub fn to_bytes(ccsr: &Ccsr) -> Result<Vec<u8>, CcsrError> {
         put_u32_le(&mut buf, c.key.dst_label);
         put_u32_le(&mut buf, c.key.edge_label);
         buf.push(u8::from(c.key.directed));
-        put_compressed(&mut buf, &c.out)?;
+        put_index(&mut buf, &c.out, n)?;
         match &c.inc {
             Some(inc) => {
                 buf.push(1);
-                put_compressed(&mut buf, inc)?;
+                put_index(&mut buf, inc, n)?;
             }
             None => buf.push(0),
         }
@@ -201,9 +205,9 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Ccsr, PersistError> {
             // canonical; anything out of order (or duplicated) is corrupt.
             return Err(Corrupt::new("key-order").into());
         }
-        let out = get_compressed(&mut buf, key)?;
+        let out = get_index(&mut buf, key, n)?;
         let inc = if read_flag(&mut buf, "truncated inc flag")? {
-            Some(get_compressed(&mut buf, key)?)
+            Some(get_index(&mut buf, key, n)?)
         } else {
             None
         };

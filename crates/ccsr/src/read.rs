@@ -3,29 +3,35 @@
 //! For a given pattern `P` and variant `θ`, only a subset `G_C^*` of the
 //! clusters is needed: one per pattern edge (by identifier lookup), plus —
 //! for vertex-induced matching — the `(u_x, u_y)*`-clusters between every
-//! *unconnected* pattern vertex pair, which drive negation. Each selected
-//! cluster is decompressed into standard CSRs exactly once.
+//! pattern vertex pair's labels, which drive negation. `ReadCSR` selects
+//! those clusters and never decodes them: the executor reads rows straight
+//! from each cluster's row index ([`Cluster::out_neighbors`]), so a read
+//! costs O(selected clusters), whatever the data graph's vertex count.
 
 use crate::build::Ccsr;
-use crate::cluster::DecodedCluster;
+use crate::cluster::Cluster;
 use crate::key::ClusterKey;
 use csce_graph::graph::Edge;
 use csce_graph::{FxHashMap, Graph, Variant};
 
-/// The decoded working set `G_C^*` for one matching task.
+/// The working set `G_C^*` for one matching task: references to the
+/// selected clusters of `G_C`.
 pub struct GcStar<'a> {
     ccsr: &'a Ccsr,
-    clusters: FxHashMap<ClusterKey, DecodedCluster>,
+    clusters: FxHashMap<ClusterKey, &'a Cluster>,
     stats: ReadStats,
 }
 
 /// What `ReadCSR` did: the CCSR-side work counters of one matching task.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// Clusters selected and decompressed (distinct identifiers; repeated
-    /// pattern edges share one decode).
+    /// Clusters selected (distinct identifiers; repeated pattern edges
+    /// share one cluster).
     pub clusters_read: u64,
-    /// CSR rows materialized across those clusters (out + in directions).
+    /// Rows the selected clusters' indexes address, out + in directions:
+    /// the non-empty rows of a sparse index, all `n` of a dense one
+    /// ([`Cluster::indexed_rows`]). No row is copied: the name predates
+    /// the row index and stays because benchmark reports use it.
     pub rows_decompressed: u64,
     /// Cluster identifiers consulted that turned out empty in `G_C`.
     pub missing_clusters: u64,
@@ -40,21 +46,19 @@ pub fn pattern_edge_key(p: &Graph, e: &Edge) -> ClusterKey {
     }
 }
 
-/// Algorithm 1: select and decompress the clusters needed by `(P, θ)`.
+/// Algorithm 1: select the clusters needed by `(P, θ)`.
 pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
-    let mut clusters: FxHashMap<ClusterKey, DecodedCluster> = FxHashMap::default();
+    let mut clusters: FxHashMap<ClusterKey, &'a Cluster> = FxHashMap::default();
     let mut stats = ReadStats::default();
-    let mut load = |key: ClusterKey, clusters: &mut FxHashMap<ClusterKey, DecodedCluster>| {
+    let mut load = |key: ClusterKey, clusters: &mut FxHashMap<ClusterKey, &'a Cluster>| {
         if clusters.contains_key(&key) {
             return;
         }
         match ccsr.cluster(&key) {
             Some(c) => {
-                let d = c.decode();
                 stats.clusters_read += 1;
-                stats.rows_decompressed +=
-                    (d.out.row_count() + d.inc.as_ref().map_or(0, |c| c.row_count())) as u64;
-                clusters.insert(key, d);
+                stats.rows_decompressed += c.indexed_rows() as u64;
+                clusters.insert(key, c);
             }
             None => stats.missing_clusters += 1,
         }
@@ -87,26 +91,26 @@ impl<'a> GcStar<'a> {
         self.ccsr
     }
 
-    /// Look up a decoded cluster; `None` means no data edge matches that
+    /// Look up a selected cluster; `None` means no data edge matches that
     /// identifier (the cluster is empty).
     #[inline]
-    pub fn get(&self, key: &ClusterKey) -> Option<&DecodedCluster> {
-        self.clusters.get(key)
+    pub fn get(&self, key: &ClusterKey) -> Option<&'a Cluster> {
+        self.clusters.get(key).copied()
     }
 
-    /// The decoded cluster serving one pattern edge, if non-empty.
+    /// The cluster serving one pattern edge, if non-empty.
     #[inline]
-    pub fn cluster_for_edge(&self, p: &Graph, e: &Edge) -> Option<&DecodedCluster> {
+    pub fn cluster_for_edge(&self, p: &Graph, e: &Edge) -> Option<&'a Cluster> {
         self.get(&pattern_edge_key(p, e))
     }
 
-    /// Loaded `(a, b)*`-negation clusters between two vertex labels.
+    /// Selected `(a, b)*`-negation clusters between two vertex labels.
     pub fn negation_clusters(
         &self,
         a: csce_graph::Label,
         b: csce_graph::Label,
-    ) -> impl Iterator<Item = &DecodedCluster> {
-        self.ccsr.negation_keys(a, b).iter().filter_map(move |key| self.clusters.get(key))
+    ) -> impl Iterator<Item = &'a Cluster> + '_ {
+        self.ccsr.negation_keys(a, b).iter().filter_map(move |key| self.get(key))
     }
 
     /// Whether any data edge exists between two vertex labels — Algorithm 2
@@ -116,7 +120,7 @@ impl<'a> GcStar<'a> {
         !self.ccsr.negation_keys(a, b).is_empty()
     }
 
-    /// Number of decoded clusters.
+    /// Number of selected clusters.
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
     }
@@ -126,7 +130,8 @@ impl<'a> GcStar<'a> {
         self.stats
     }
 
-    /// Approximate heap footprint of the decoded working set, for the
+    /// Heap bytes of the clusters this working set references (they live
+    /// in `G_C`; the working set copies none of them), for the
     /// CCSR-overhead experiments (Fig. 11).
     pub fn heap_bytes(&self) -> usize {
         self.clusters.values().map(|c| c.heap_bytes()).sum()
@@ -208,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_pattern_edges_share_one_decode() {
+    fn duplicate_pattern_edges_share_one_cluster() {
         let gc = data();
         // Two pattern edges with identical identifiers: star of label-1
         // leaves under a label-0 root... both edges map to the same cluster.

@@ -13,9 +13,10 @@ pub struct CcsrStats {
     pub edge_count: usize,
     /// Total `I_C` length (always `2 |E|`).
     pub total_ic: usize,
-    /// Total run-length-compressed `I_R` length (bounded by `4 |E|`).
+    /// Total row-index `I_R` length: `2 · rows + 1` per sparse index,
+    /// `n + 1` per dense one (bounded by `4 |E|`).
     pub total_ir_compressed: usize,
-    /// What the `I_R` arrays would cost uncompressed: `rows + 1` per CSR.
+    /// What dense `I_R` arrays would cost: `n + 1` per cluster direction.
     pub total_ir_uncompressed: usize,
     /// Largest cluster, in edges.
     pub max_cluster_edges: usize,
@@ -41,8 +42,8 @@ impl CcsrStats {
         }
     }
 
-    /// `I_R` bytes saved by run-length compression (ratio > 1 means the
-    /// compressed form is smaller; grows with cluster count).
+    /// `I_R` bytes saved by indexing only non-empty rows (ratio > 1 means
+    /// the row indexes are smaller; grows with cluster count).
     pub fn ir_compression_ratio(&self) -> f64 {
         if self.total_ir_compressed == 0 {
             1.0

@@ -1,14 +1,14 @@
-//! The per-task catalog: a pattern-aware view over the decoded cluster set
+//! The per-task catalog: a pattern-aware view over the selected cluster set
 //! `G_C^*`.
 //!
 //! The planner asks it for cluster sizes (the `|I_C(u_i, u_x)|` statistics
 //! behind the GCF and LDSF tie-breaks) and the executor for neighbor rows
-//! and seed candidates. All lookups resolve to array slices inside decoded
-//! CSRs; nothing here allocates on the hot path except the lazily-built
-//! seed lists.
+//! and seed candidates. All lookups resolve to slices inside the clusters'
+//! row indexes; nothing here allocates on the hot path except the
+//! lazily-built seed lists.
 
 use csce_ccsr::read::pattern_edge_key;
-use csce_ccsr::{ClusterKey, DecodedCluster, GcStar};
+use csce_ccsr::{Cluster, ClusterKey, GcStar};
 use csce_graph::graph::Edge;
 use csce_graph::util::intersect_sorted;
 use csce_graph::{Graph, Label, VertexId};
@@ -25,9 +25,9 @@ pub enum Side {
 pub struct Catalog<'a> {
     pattern: &'a Graph,
     star: &'a GcStar<'a>,
-    /// Per pattern-edge index: the decoded cluster, or `None` when no data
-    /// edge matches the identifier (candidates through it are empty).
-    edge_clusters: Vec<Option<&'a DecodedCluster>>,
+    /// Per pattern-edge index: the cluster, or `None` when no data edge
+    /// matches the identifier (candidates through it are empty).
+    edge_clusters: Vec<Option<&'a Cluster>>,
     /// Incident pattern edges per vertex, with the vertex's side —
     /// precomputed so the plan heuristics' inner loops stay linear.
     incident: Vec<Vec<(usize, Side)>>,
@@ -37,7 +37,7 @@ pub struct Catalog<'a> {
 
 impl<'a> Catalog<'a> {
     pub fn new(pattern: &'a Graph, star: &'a GcStar<'a>) -> Catalog<'a> {
-        let edge_clusters: Vec<Option<&'a DecodedCluster>> =
+        let edge_clusters: Vec<Option<&'a Cluster>> =
             pattern.edges().iter().map(|e| star.cluster_for_edge(pattern, e)).collect();
         let mut incident: Vec<Vec<(usize, Side)>> = vec![Vec::new(); pattern.n()];
         for (i, e) in pattern.edges().iter().enumerate() {
@@ -81,9 +81,9 @@ impl<'a> Catalog<'a> {
         self.star.ccsr().label_frequency().get(&l).copied().unwrap_or(0)
     }
 
-    /// The decoded cluster serving pattern edge `eidx`, if non-empty.
+    /// The cluster serving pattern edge `eidx`, if non-empty.
     #[inline]
-    pub fn edge_cluster(&self, eidx: usize) -> Option<&'a DecodedCluster> {
+    pub fn edge_cluster(&self, eidx: usize) -> Option<&'a Cluster> {
         self.edge_clusters[eidx]
     }
 
@@ -124,13 +124,10 @@ impl<'a> Catalog<'a> {
     pub fn extend_row(&self, eidx: usize, from_side: Side, v: VertexId) -> &'a [u32] {
         match self.edge_clusters[eidx] {
             None => &[],
-            Some(c) => match (from_side, c.key.directed) {
-                // From the source of a directed edge: follow outgoing arcs.
-                (Side::Src, true) => c.out_neighbors(v),
-                // From the destination: follow incoming arcs.
-                (Side::Dst, true) => c.in_neighbors(v),
-                // Undirected clusters answer both directions from one CSR.
-                (_, false) => c.out_neighbors(v),
+            // Undirected clusters answer both directions from one index.
+            Some(c) => match from_side {
+                Side::Src => c.out_neighbors(v),
+                Side::Dst => c.in_neighbors(v),
             },
         }
     }
@@ -176,33 +173,22 @@ impl<'a> Catalog<'a> {
 
     /// The vertices appearing on one side of a pattern edge's cluster,
     /// filtered to a vertex label (needed for undirected clusters whose
-    /// two label sides share one CSR).
+    /// two label sides share one index).
     fn side_vertices(&self, eidx: usize, side: Side, want_label: Label) -> Vec<VertexId> {
-        let Some(c) = self.edge_clusters[eidx] else { return Vec::new() };
-        let rows: Vec<VertexId> = if c.key.directed {
-            match side {
-                Side::Src => c.out.nonempty_rows().collect(),
-                Side::Dst => {
-                    c.inc.as_ref().expect("directed cluster has inc csr").nonempty_rows().collect()
-                }
-            }
-        } else if c.key.symmetric_labels() {
-            c.out.nonempty_rows().collect()
+        let Some(&Some(c)) = self.edge_clusters.get(eidx) else { return Vec::new() };
+        let rows = c.nonempty_rows(side == Side::Dst);
+        if c.key.directed || c.key.symmetric_labels() {
+            rows.collect()
         } else {
             // Mixed-label undirected cluster: keep only rows of the wanted
             // label.
-            c.out.nonempty_rows().filter(|&v| self.data_label(v) == want_label).collect()
-        };
-        rows
+            rows.filter(|&v| self.data_label(v) == want_label).collect()
+        }
     }
 
     /// The negation clusters between two vertex labels (vertex-induced
     /// matching subtracts data neighbors found in these).
-    pub fn negation_clusters(
-        &self,
-        a: Label,
-        b: Label,
-    ) -> impl Iterator<Item = &'a DecodedCluster> {
+    pub fn negation_clusters(&self, a: Label, b: Label) -> impl Iterator<Item = &'a Cluster> {
         self.star.negation_clusters(a, b)
     }
 

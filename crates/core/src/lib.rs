@@ -76,13 +76,13 @@ pub struct QueryOutput {
     pub workers: Vec<ExecStats>,
     /// Static SCE analysis of the chosen plan.
     pub sce: SceAnalysis,
-    /// Time spent in `ReadCSR` (cluster selection + decompression).
+    /// Time spent in `ReadCSR` (cluster selection).
     pub read_time: Duration,
     /// Time spent generating the plan (GCF + DAG + LDSF + NEC).
     pub plan_time: Duration,
     /// Time spent finding embeddings.
     pub exec_time: Duration,
-    /// Decoded working-set size in bytes (`G_C^*`).
+    /// Heap bytes of the clusters the working set `G_C^*` references.
     pub read_bytes: usize,
     /// CCSR-side work counters of the `ReadCSR` stage.
     pub read_stats: ReadStats,
@@ -185,8 +185,8 @@ impl Engine {
         &self.ccsr
     }
 
-    /// The online stages before execution: `ReadCSR` (cluster selection
-    /// and decoding into `G_C^*`), then plan generation (GCF, DAG,
+    /// The online stages before execution: `ReadCSR` (selecting the
+    /// clusters of `G_C^*`), then plan generation (GCF, DAG,
     /// descendant sizes, LDSF, NEC). Both are timed into the returned
     /// [`Query`] and recorded as the `read` and `plan` spans of
     /// `recorder`. The query can then be executed any number of times.
@@ -300,7 +300,7 @@ impl Engine {
     }
 }
 
-/// A prepared query: the decoded working set `G_C^*` and the plan for one
+/// A prepared query: the working set `G_C^*` and the plan for one
 /// pattern, ready to execute ([`Engine::prepare`]). Every execution
 /// reports through one [`QueryOutput`], whose read and plan times are
 /// those of the preparation.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: formatting, lints, source policy,
-# release build, test suite. Mirrors .github/workflows/ci.yml.
+# release build, test suite, pinned differential fuzz. Mirrors
+# .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,5 +24,10 @@ cargo test -q --workspace
 
 echo "==> perfbench tests (the benchmark package builds against the public API)"
 cargo test -q --manifest-path perfbench/Cargo.toml
+
+echo "==> csce fuzz (pinned seed, as in CI's fuzz-smoke job)"
+fuzz_out=$(mktemp -d)
+./target/release/csce fuzz --runs 200 --seed 42 --out "$fuzz_out"
+rm -rf "$fuzz_out"
 
 echo "All checks passed."
