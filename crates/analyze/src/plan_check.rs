@@ -15,7 +15,7 @@ use csce_core::plan::dag::Dag;
 use csce_core::plan::descendant::descendant_sizes;
 use csce_core::plan::nec::nec_classes;
 use csce_core::plan::ExecNode;
-use csce_core::Plan;
+use csce_core::{Catalog, Plan, SceAnalysis};
 use csce_graph::{FxHashMap, Graph, Variant, VertexId};
 
 impl Validate for Dag {
@@ -46,18 +46,18 @@ impl Validate for Plan {
         check_backward_neighbors(self, &mut r);
         check_exec_tree(self, &mut r);
         check_cache_slots(self, &mut r);
-        check_sce_bounds(self, &mut r);
         check_induced_filter_shape(self, &mut r);
         r
     }
 }
 
 /// Pattern-aware plan validation: everything [`Validate`] checks plus the
-/// properties that need the pattern itself — every pattern edge realized
-/// exactly once as a dependency, NEC classes that refine the recomputed
-/// neighborhood equivalence, and induced filters matching the pattern's
-/// pair codes.
-pub fn validate_plan(p: &Graph, plan: &Plan) -> ValidationReport {
+/// properties that need the pattern and the catalog it was planned over —
+/// every pattern edge realized exactly once as a dependency, NEC classes
+/// that refine the recomputed neighborhood equivalence, induced filters
+/// matching the pattern's pair codes, and consistent SCE statistics.
+pub fn validate_plan(catalog: &Catalog<'_>, plan: &Plan) -> ValidationReport {
+    let p = catalog.pattern();
     let mut r = plan.validate();
     r.ran("plan.pattern-size");
     if plan.dag.n() != p.n() || plan.order.len() != p.n() {
@@ -75,6 +75,7 @@ pub fn validate_plan(p: &Graph, plan: &Plan) -> ValidationReport {
     check_edge_dependencies(p, plan, &mut r);
     check_nec_refinement(p, plan, &mut r);
     check_induced_filter_codes(p, plan, &mut r);
+    check_sce_bounds(catalog, plan, &mut r);
     r
 }
 
@@ -372,11 +373,12 @@ fn check_cache_slots(plan: &Plan, r: &mut ValidationReport) {
     }
 }
 
-/// The SCE occurrence statistics are internally consistent.
-fn check_sce_bounds(plan: &Plan, r: &mut ValidationReport) {
+/// The SCE occurrence statistics ([`SceAnalysis::of`]) are internally
+/// consistent.
+fn check_sce_bounds(catalog: &Catalog<'_>, plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.sce-bounds");
     let n = plan.order.len();
-    let s = &plan.sce;
+    let s = &SceAnalysis::of(catalog, plan);
     let pair_bound = n * n.saturating_sub(1) / 2;
     if s.total_vertices != n
         || s.sce_vertices > n
@@ -517,7 +519,7 @@ fn check_induced_filter_codes(p: &Graph, plan: &Plan, r: &mut ValidationReport) 
 mod tests {
     use super::*;
     use csce_ccsr::{build_ccsr, read_csr};
-    use csce_core::{Catalog, Planner, PlannerConfig};
+    use csce_core::{Planner, PlannerConfig};
     use csce_graph::{GraphBuilder, NO_LABEL};
 
     fn fig1_pattern() -> Graph {
@@ -537,7 +539,7 @@ mod tests {
         let star = read_csr(&gc, &p, variant);
         let catalog = Catalog::new(&p, &star);
         let plan = Planner::new(config).plan(&catalog, variant);
-        let report = validate_plan(&p, &plan);
+        let report = validate_plan(&catalog, &plan);
         assert!(report.is_ok(), "{variant}: {:?}", report.details());
         assert!(report.checks_run() >= 15);
     }

@@ -5,7 +5,7 @@
 //! case where *all* SCE is cluster-driven (Finding 12).
 
 use csce_bench::{BenchReport, Table};
-use csce_core::{Engine, PlannerConfig};
+use csce_core::{Engine, PlannerConfig, SceAnalysis};
 use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
 use csce_graph::sample::PatternSampler;
@@ -49,8 +49,9 @@ fn main() {
                     let query = engine
                         .prepare(p, variant, PlannerConfig::csce(), &recorder)
                         .expect("sampled patterns are connected");
-                    sce += query.plan().sce.sce_fraction();
-                    cluster += query.plan().sce.cluster_pair_fraction();
+                    let analysis = SceAnalysis::of(&query.catalog(), query.plan());
+                    sce += analysis.sce_fraction();
+                    cluster += analysis.cluster_pair_fraction();
                 }
                 let n = patterns.len() as f64;
                 let task = format!("labels{labels}/size{size}/{variant}");

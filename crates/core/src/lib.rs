@@ -74,8 +74,6 @@ pub struct QueryOutput {
     /// Unmerged per-worker counters, indexed by worker id — the
     /// load-balance view (`len() == threads`).
     pub workers: Vec<ExecStats>,
-    /// Static SCE analysis of the chosen plan.
-    pub sce: SceAnalysis,
     /// Time spent in `ReadCSR` (cluster selection).
     pub read_time: Duration,
     /// Time spent generating the plan (GCF + DAG + LDSF + NEC).
@@ -319,6 +317,12 @@ impl Query<'_> {
         &self.plan
     }
 
+    /// The catalog the plan was generated over — what the on-demand plan
+    /// analyses ([`SceAnalysis::of`], `explain`) read the data side from.
+    pub fn catalog(&self) -> Catalog<'_> {
+        Catalog::new(self.pattern, &self.star)
+    }
+
     /// Count all embeddings across `threads` workers (at least one; the
     /// calling thread is worker 0), which claim root candidates in chunks
     /// from one shared scheduler. Exact, with per-worker stats merged so
@@ -392,7 +396,7 @@ impl Query<'_> {
         restrictions: &[(VertexId, VertexId)],
         work: impl FnOnce(&mut Executor<'_>) -> R,
     ) -> R {
-        let catalog = Catalog::new(self.pattern, &self.star);
+        let catalog = self.catalog();
         let mut exec = Executor::new(&catalog, &self.plan, RunConfig::default())
             .with_restrictions(restrictions);
         work(&mut exec)
@@ -409,7 +413,6 @@ impl Query<'_> {
             count,
             stats,
             workers,
-            sce: self.plan.sce.clone(),
             read_time: self.read_time,
             plan_time: self.plan_time,
             exec_time,

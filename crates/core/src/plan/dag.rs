@@ -26,12 +26,12 @@
 //! everything SCE reuses under our `H` is reused soundly.
 
 use crate::bitset::BitSet;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Side};
 use csce_graph::{Variant, VertexId};
 
 /// The dependency DAG over pattern vertices (indexed by vertex id, not by
 /// plan position, so it survives LDSF reordering).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dag {
     n: usize,
     /// Children (outgoing dependency targets) per vertex, deduplicated.
@@ -47,6 +47,11 @@ pub struct Dag {
 }
 
 /// Algorithm 2: build the dependency DAG for `Φ` under a variant.
+///
+/// Edge dependencies come from each vertex's incident pattern edges whose
+/// other endpoint is earlier in `Φ`, so they cost O(|V_P| + |E_P|) up to a
+/// sort. Only the vertex-induced negation sweep visits every earlier
+/// vertex, reading "is a `P`-neighbour" from a stamp.
 pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> Dag {
     let p = catalog.pattern();
     let n = p.n();
@@ -56,13 +61,59 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     let mut edge_parents: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
     let mut negation_parents: Vec<Vec<VertexId>> = vec![Vec::new(); n];
 
-    // Pattern-edge index lookup per unordered pair, so the Φ² sweep does
-    // not rescan the edge list (keeps 2000-vertex plan generation fast).
-    let mut pair_edges: csce_graph::FxHashMap<(VertexId, VertexId), Vec<usize>> =
-        csce_graph::FxHashMap::default();
-    for (eidx, e) in p.edges().iter().enumerate() {
-        pair_edges.entry((e.src.min(e.dst), e.src.max(e.dst))).or_default().push(eidx);
+    let mut pos_of = vec![0usize; n];
+    for (k, &u) in phi.iter().enumerate() {
+        pos_of[u as usize] = k;
     }
+    // `neighbour_of[w] == j` marks `w` as a `P`-neighbour of `Φ[j]`.
+    let mut neighbour_of = vec![usize::MAX; n];
+    let mut earlier: Vec<(usize, usize)> = Vec::new();
+    for (j, &uj) in phi.iter().enumerate() {
+        earlier.clear();
+        for (eidx, side) in catalog.incident_edges(uj) {
+            let e = &p.edges()[eidx];
+            let w = if side == Side::Src { e.dst } else { e.src };
+            neighbour_of[w as usize] = j;
+            if pos_of[w as usize] < j {
+                earlier.push((pos_of[w as usize], eidx));
+            }
+        }
+        // Earlier neighbours in `Φ` order, each once per connecting edge.
+        earlier.sort_unstable();
+        for &(i, eidx) in &earlier {
+            edge_parents[uj as usize].push((phi[i], eidx));
+            out[phi[i] as usize].push(uj);
+            inp[uj as usize].push(phi[i]);
+        }
+        if variant == Variant::VertexInduced && !earlier.is_empty() {
+            for &ui in &phi[..j] {
+                if neighbour_of[ui as usize] != j
+                    && catalog.labels_ever_adjacent(p.label(ui), p.label(uj))
+                {
+                    out[ui as usize].push(uj);
+                    inp[uj as usize].push(ui);
+                    negation_parents[uj as usize].push(ui);
+                }
+            }
+        }
+    }
+    for list in out.iter_mut().chain(inp.iter_mut()) {
+        list.sort_unstable();
+        list.dedup();
+    }
+    Dag { n, out, inp, edge_parents, negation_parents }
+}
+
+/// The sweep over all `Φ²` pairs that the adjacency-driven [`build_dag`]
+/// replaced, kept as the oracle it is tested against.
+#[cfg(test)]
+pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> Dag {
+    let p = catalog.pattern();
+    let n = p.n();
+    let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    let mut edge_parents: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
+    let mut negation_parents: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     for j in 1..n {
         let uj = phi[j];
         let mut has_earlier_neighbor = false;
@@ -71,8 +122,10 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
                 has_earlier_neighbor = true;
                 out[ui as usize].push(uj);
                 inp[uj as usize].push(ui);
-                for &eidx in &pair_edges[&(ui.min(uj), ui.max(uj))] {
-                    edge_parents[uj as usize].push((ui, eidx));
+                for (eidx, e) in p.edges().iter().enumerate() {
+                    if (e.src, e.dst) == (ui, uj) || (e.src, e.dst) == (uj, ui) {
+                        edge_parents[uj as usize].push((ui, eidx));
+                    }
                 }
             }
         }

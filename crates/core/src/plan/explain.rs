@@ -2,7 +2,8 @@
 //! structure, SCE summary and factorized execution tree as text — an
 //! `EXPLAIN` for subgraph matching plans, used by the CLI and examples.
 
-use crate::plan::{ExecNode, Plan};
+use crate::catalog::Catalog;
+use crate::plan::{ExecNode, Plan, SceAnalysis};
 use std::fmt::Write as _;
 
 /// Render the factorized execution tree with indentation.
@@ -32,8 +33,9 @@ fn render_rec(node: &ExecNode, indent: usize, out: &mut String) {
     }
 }
 
-/// Render a full plan summary.
-pub fn explain(plan: &Plan) -> String {
+/// Render a full plan summary; the SCE line is derived here from the
+/// plan and the catalog it was built over.
+pub fn explain(catalog: &Catalog<'_>, plan: &Plan) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "variant: {}", plan.variant);
     let _ = writeln!(out, "matching order Φ*: {:?}", plan.order);
@@ -41,10 +43,11 @@ pub fn explain(plan: &Plan) -> String {
     let negations: usize =
         (0..plan.order.len() as u32).map(|u| plan.dag.negation_parents(u).len()).sum();
     let _ = writeln!(out, "dependency DAG: {dep_edges} edges ({negations} negation dependencies)");
+    let sce = SceAnalysis::of(catalog, plan);
     let _ = writeln!(
         out,
         "SCE: {}/{} vertices have an earlier independent vertex ({} cluster-driven)",
-        plan.sce.sce_vertices, plan.sce.total_vertices, plan.sce.cluster_sce_vertices
+        sce.sce_vertices, sce.total_vertices, sce.cluster_sce_vertices
     );
     let nec_classes = plan.nec_class.iter().copied().max().map_or(0, |m| m as usize + 1);
     let _ = writeln!(
@@ -78,7 +81,7 @@ mod tests {
         let star = read_csr(&gc, &p, Variant::EdgeInduced);
         let catalog = Catalog::new(&p, &star);
         let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced);
-        let text = super::explain(&plan);
+        let text = super::explain(&catalog, &plan);
         for needle in
             ["variant", "matching order", "dependency DAG", "SCE", "NEC", "execution tree"]
         {

@@ -1,5 +1,6 @@
-//! Plan generation: GCF initial order → dependency DAG → SCE analysis →
-//! LDSF fine-tuning → NEC cache sharing → factorized execution tree.
+//! Plan generation: GCF initial order → dependency DAG → LDSF
+//! fine-tuning → NEC cache sharing → factorized execution tree. The
+//! static SCE statistics ([`SceAnalysis::of`]) are derived on demand.
 //!
 //! This is the orange stage of the paper's Fig. 2. The entry point is
 //! [`Planner::plan`]; [`PlannerConfig`] exposes the ablation switches the
@@ -13,7 +14,6 @@ pub mod gcf;
 pub mod ldsf;
 pub mod nec;
 
-use crate::bitset::BitSet;
 use crate::catalog::Catalog;
 use csce_graph::{FxHashMap, Variant, VertexId};
 use dag::{build_dag, Dag};
@@ -21,6 +21,8 @@ use descendant::descendant_sizes;
 use gcf::{gcf_order, GcfConfig};
 use ldsf::ldsf_order;
 use nec::nec_classes;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Switches for the optimization stages (Fig. 13's plan variants).
 #[derive(Clone, Copy, Debug)]
@@ -115,6 +117,47 @@ pub struct SceAnalysis {
 }
 
 impl SceAnalysis {
+    /// Fig. 12's static measurement of `plan`: which vertices have an
+    /// earlier `H`-independent vertex, and whether empty clusters make the
+    /// pair's injectivity free. Quadratic in `|V_P|`, so it runs on demand
+    /// (explain, Fig. 12, plan validation) and never on the query path.
+    pub fn of(catalog: &Catalog<'_>, plan: &Plan) -> SceAnalysis {
+        let (dag, order) = (&plan.dag, &plan.order);
+        let anc = dag.ancestor_sets(order);
+        let p = catalog.pattern();
+        let mut sce_vertices = 0usize;
+        let mut cluster_sce = 0usize;
+        let mut sce_pairs = 0usize;
+        let mut cluster_sce_pairs = 0usize;
+        for (k, &u) in order.iter().enumerate() {
+            let mut has_sce = false;
+            let mut via_cluster = false;
+            for &w in order.iter().take(k) {
+                if Dag::independent(&anc, u, w) {
+                    has_sce = true;
+                    sce_pairs += 1;
+                    if !catalog.labels_ever_adjacent(p.label(u), p.label(w)) {
+                        via_cluster = true;
+                        cluster_sce_pairs += 1;
+                    }
+                }
+            }
+            if has_sce {
+                sce_vertices += 1;
+                if via_cluster {
+                    cluster_sce += 1;
+                }
+            }
+        }
+        SceAnalysis {
+            sce_vertices,
+            cluster_sce_vertices: cluster_sce,
+            total_vertices: order.len(),
+            sce_pairs,
+            cluster_sce_pairs,
+        }
+    }
+
     /// Fraction of pattern vertices exhibiting SCE.
     pub fn sce_fraction(&self) -> f64 {
         if self.total_vertices == 0 {
@@ -163,8 +206,6 @@ pub struct Plan {
     pub cache_slot: Vec<u32>,
     /// Number of distinct cache slots.
     pub slot_count: usize,
-    /// Static SCE occurrence statistics.
-    pub sce: SceAnalysis,
     /// Factorized execution tree for counting mode.
     pub root: ExecNode,
     /// Per-vertex induced-matching filters (vertex-induced only; empty
@@ -188,7 +229,7 @@ impl Planner {
     }
 
     /// [`Planner::plan`] with each stage timed as a span on `recorder`
-    /// (`gcf`, `dag`, `descendant`, `ldsf`, `nec`, `sce`, `tree` — the
+    /// (`gcf`, `dag`, `descendant`, `ldsf`, `nec`, `tree` — the
     /// decomposition behind Fig. 10's plan-scalability numbers).
     pub fn plan_recorded(
         &self,
@@ -224,7 +265,6 @@ impl Planner {
         };
         let (cache_slot, slot_count) = assign_cache_slots(&dag, &nec_class, p.n());
 
-        let sce = recorder.time("sce", || analyze_sce(catalog, &dag, &order));
         let root = recorder.time("tree", || build_exec_tree(catalog, &dag, &order, variant));
         let induced_filters = if variant == Variant::VertexInduced {
             (0..p.n() as VertexId)
@@ -265,7 +305,6 @@ impl Planner {
             nec_class,
             cache_slot,
             slot_count,
-            sce,
             root,
             induced_filters,
         }
@@ -292,156 +331,489 @@ fn assign_cache_slots(dag: &Dag, nec_class: &[u32], n: usize) -> (Vec<u32>, usiz
     (slots, next as usize)
 }
 
-/// Fig. 12's static measurement: which vertices have an earlier
-/// `H`-independent vertex, and whether empty clusters make the pair's
-/// injectivity free.
-fn analyze_sce(catalog: &Catalog<'_>, dag: &Dag, order: &[VertexId]) -> SceAnalysis {
-    let anc = dag.ancestor_sets(order);
-    let p = catalog.pattern();
-    let mut sce_vertices = 0usize;
-    let mut cluster_sce = 0usize;
-    let mut sce_pairs = 0usize;
-    let mut cluster_sce_pairs = 0usize;
-    for (k, &u) in order.iter().enumerate() {
-        let mut has_sce = false;
-        let mut via_cluster = false;
-        for &w in order.iter().take(k) {
-            if Dag::independent(&anc, u, w) {
-                has_sce = true;
-                sce_pairs += 1;
-                if !catalog.labels_ever_adjacent(p.label(u), p.label(w)) {
-                    via_cluster = true;
-                    cluster_sce_pairs += 1;
-                }
-            }
-        }
-        if has_sce {
-            sce_vertices += 1;
-            if via_cluster {
-                cluster_sce += 1;
-            }
-        }
-    }
-    SceAnalysis {
-        sce_vertices,
-        cluster_sce_vertices: cluster_sce,
-        total_vertices: order.len(),
-        sce_pairs,
-        cluster_sce_pairs,
-    }
-}
-
 /// Compile `Φ*` into the factorized execution tree.
 ///
-/// Component discovery costs O(|suffix| + |E_H|) per sequenced vertex, so
-/// for very large patterns with dense dependency DAGs — where the suffix
-/// essentially never decomposes — we fall back to a plain sequence rather
-/// than pay a quadratic compile cost (the paper's 2000-vertex plans must
-/// generate in seconds, Fig. 10).
+/// One reverse union-find pass over `Φ*` builds a merge forest: each
+/// vertex absorbs the components of `H[pos > pos(v)]` it is adjacent to,
+/// and their roots become its children. The subtree of the vertex at
+/// position `k` is then exactly its component of `H[pos ≥ k]`, so every
+/// vertex set the tree decomposes is a frontier of forest roots whose
+/// subtrees are its `H`-components. A frontier of several roots becomes a
+/// `Split` (components in root-position order) when [`split_safe`]
+/// holds; otherwise its minimum-position root is sequenced and that
+/// root's children join the frontier.
+///
+/// [`split_safe`]: TreeBuilder::split_safe
 fn build_exec_tree(
     catalog: &Catalog<'_>,
     dag: &Dag,
     order: &[VertexId],
     variant: Variant,
 ) -> ExecNode {
-    if order.len() > 512 && dag.edge_count() > 4 * order.len() {
-        let mut node = ExecNode::Done;
-        for &u in order.iter().rev() {
-            node = ExecNode::Seq { u, next: Box::new(node) };
-        }
-        return node;
-    }
-    build_tree_rec(catalog, dag, order, variant)
+    let mut builder = TreeBuilder::new(catalog.pattern(), dag, order, variant);
+    let roots: Vec<usize> = (0..order.len()).filter(|&k| builder.parent[k] == usize::MAX).collect();
+    builder.tree_over(roots)
 }
 
-fn build_tree_rec(
-    catalog: &Catalog<'_>,
-    dag: &Dag,
-    suffix: &[VertexId],
-    variant: Variant,
-) -> ExecNode {
-    if suffix.is_empty() {
-        return ExecNode::Done;
+/// The merge forest over plan positions, and the buffers of the split
+/// test. Positions, not vertex ids, index everything here.
+struct TreeBuilder<'a> {
+    order: &'a [VertexId],
+    injective: bool,
+    /// Forest parent of each position (`usize::MAX` for a root).
+    parent: Vec<usize>,
+    /// Forest children of position `k`:
+    /// `children[child_start[k]..child_start[k + 1]]`.
+    child_start: Vec<usize>,
+    children: Vec<usize>,
+    /// Forest preorder; the subtree of `k` is the contiguous range
+    /// `preorder[pre_start[k]..pre_start[k] + size[k]]`.
+    preorder: Vec<usize>,
+    pre_start: Vec<usize>,
+    size: Vec<usize>,
+    /// Dense label id per position.
+    label_id: Vec<usize>,
+    /// Per dense label: the split test that last saw it, and the root
+    /// whose subtree it was seen in.
+    stamp: Vec<(usize, usize)>,
+    generation: usize,
+}
+
+impl<'a> TreeBuilder<'a> {
+    fn new(p: &csce_graph::Graph, dag: &Dag, order: &'a [VertexId], variant: Variant) -> Self {
+        let n = order.len();
+        let mut pos_of = vec![0usize; n];
+        for (k, &u) in order.iter().enumerate() {
+            pos_of[u as usize] = k;
+        }
+        // Reverse union-find: the root of every set is its minimum
+        // position, and each absorbed root becomes a forest child.
+        let mut uf: Vec<usize> = (0..n).collect();
+        let mut parent = vec![usize::MAX; n];
+        for (k, &u) in order.iter().enumerate().rev() {
+            for &w in dag.children(u).iter().chain(dag.parents(u)) {
+                let q = pos_of[w as usize];
+                if q <= k {
+                    continue;
+                }
+                let r = find(&mut uf, q);
+                if r != k {
+                    uf[r] = k;
+                    parent[r] = k;
+                }
+            }
+        }
+        let mut child_start = vec![0usize; n + 1];
+        for &par in parent.iter().filter(|&&par| par != usize::MAX) {
+            child_start[par + 1] += 1;
+        }
+        for k in 0..n {
+            child_start[k + 1] += child_start[k];
+        }
+        let mut fill = child_start.clone();
+        let mut children = vec![0usize; child_start[n]];
+        for (k, &par) in parent.iter().enumerate() {
+            if par != usize::MAX {
+                children[fill[par]] = k;
+                fill[par] += 1;
+            }
+        }
+        // A parent precedes its children, so sizes accumulate backwards
+        // and preorder starts forwards.
+        let mut size = vec![1usize; n];
+        for k in (0..n).rev() {
+            if parent[k] != usize::MAX {
+                size[parent[k]] += size[k];
+            }
+        }
+        let mut pre_start = vec![0usize; n];
+        let mut preorder = vec![0usize; n];
+        let mut next_root = 0;
+        for k in 0..n {
+            if parent[k] == usize::MAX {
+                pre_start[k] = next_root;
+                next_root += size[k];
+            }
+            preorder[pre_start[k]] = k;
+            let mut next = pre_start[k] + 1;
+            for &c in &children[child_start[k]..child_start[k + 1]] {
+                pre_start[c] = next;
+                next += size[c];
+            }
+        }
+        let mut labels = p.labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        let label_id = order.iter().map(|&u| labels.partition_point(|&l| l < p.label(u))).collect();
+        TreeBuilder {
+            order,
+            injective: variant.injective(),
+            parent,
+            child_start,
+            children,
+            preorder,
+            pre_start,
+            size,
+            label_id,
+            stamp: vec![(0, 0); labels.len()],
+            generation: 0,
+        }
     }
-    let components = h_components(dag, suffix);
-    if components.len() > 1 && split_safe(catalog, &components, variant) {
-        return ExecNode::Split {
-            components: components.into_iter().map(|c| seq_of(catalog, dag, &c, variant)).collect(),
+
+    /// The tree over the union of the subtrees of `roots`. `Seq` chains
+    /// are built in a loop; only `Split` components recurse.
+    fn tree_over(&mut self, roots: Vec<usize>) -> ExecNode {
+        let mut frontier: BinaryHeap<Reverse<usize>> = roots.into_iter().map(Reverse).collect();
+        let mut chain = Vec::new();
+        let tail = loop {
+            if frontier.len() > 1 && self.split_safe(&frontier) {
+                let mut roots: Vec<usize> = frontier.into_iter().map(|Reverse(k)| k).collect();
+                roots.sort_unstable();
+                let components = roots.into_iter().map(|r| self.tree_over(vec![r])).collect();
+                break ExecNode::Split { components };
+            }
+            let Some(Reverse(k)) = frontier.pop() else {
+                break ExecNode::Done;
+            };
+            chain.push(self.order[k]);
+            let kids = &self.children[self.child_start[k]..self.child_start[k + 1]];
+            frontier.extend(kids.iter().map(|&c| Reverse(c)));
         };
+        chain.into_iter().rev().fold(tail, |next, u| ExecNode::Seq { u, next: Box::new(next) })
     }
-    seq_of(catalog, dag, suffix, variant)
-}
 
-/// Sequence the first vertex, then retry decomposition on the remainder.
-fn seq_of(catalog: &Catalog<'_>, dag: &Dag, list: &[VertexId], variant: Variant) -> ExecNode {
-    ExecNode::Seq { u: list[0], next: Box::new(build_tree_rec(catalog, dag, &list[1..], variant)) }
-}
-
-/// Connected components of `H` restricted to `suffix` (order preserved
-/// within each component).
-fn h_components(dag: &Dag, suffix: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let n = dag.n();
-    let mut in_suffix = BitSet::new(n);
-    for &u in suffix {
-        in_suffix.insert(u as usize);
-    }
-    let mut comp_of: Vec<u32> = vec![u32::MAX; n];
-    let mut next_comp = 0u32;
-    for &u in suffix {
-        if comp_of[u as usize] != u32::MAX {
-            continue;
+    /// Whether counting the components independently and multiplying is
+    /// sound: homomorphic matching always (no injectivity); injective
+    /// variants only when no label is shared across components, so
+    /// candidate sets cannot collide. Cross-component induced constraints
+    /// are already impossible — any label-adjacent non-neighbor pair
+    /// carries a negation dependency and would have merged the components.
+    fn split_safe(&mut self, frontier: &BinaryHeap<Reverse<usize>>) -> bool {
+        if !self.injective {
+            return true;
         }
-        let comp = next_comp;
-        next_comp += 1;
-        let mut stack = vec![u];
-        comp_of[u as usize] = comp;
-        while let Some(v) = stack.pop() {
-            for &w in dag.children(v).iter().chain(dag.parents(v)) {
-                if in_suffix.contains(w as usize) && comp_of[w as usize] == u32::MAX {
-                    comp_of[w as usize] = comp;
-                    stack.push(w);
+        self.generation += 1;
+        for &Reverse(root) in frontier {
+            let start = self.pre_start[root];
+            for &k in &self.preorder[start..start + self.size[root]] {
+                let stamp = &mut self.stamp[self.label_id[k]];
+                if stamp.0 == self.generation && stamp.1 != root {
+                    return false;
                 }
+                *stamp = (self.generation, root);
             }
         }
+        true
     }
-    let mut components: Vec<Vec<VertexId>> = vec![Vec::new(); next_comp as usize];
-    for &u in suffix {
-        components[comp_of[u as usize] as usize].push(u);
-    }
-    components
 }
 
-/// Whether counting the components independently and multiplying is sound:
-/// homomorphic matching always (no injectivity); injective variants only
-/// when no label is shared across components, so candidate sets cannot
-/// collide. Cross-component induced constraints are already impossible —
-/// any label-adjacent non-neighbor pair carries a negation dependency and
-/// would have merged the components.
-fn split_safe(catalog: &Catalog<'_>, components: &[Vec<VertexId>], variant: Variant) -> bool {
-    if !variant.injective() {
-        return true;
+/// Union-find root of `x`, halving the path on the way.
+fn find(uf: &mut [usize], mut x: usize) -> usize {
+    while uf[x] != x {
+        uf[x] = uf[uf[x]];
+        x = uf[x];
     }
-    let p = catalog.pattern();
-    let mut seen: FxHashMap<csce_graph::Label, usize> = FxHashMap::default();
-    for (ci, comp) in components.iter().enumerate() {
-        for &u in comp {
-            match seen.entry(p.label(u)) {
-                std::collections::hash_map::Entry::Occupied(e) if *e.get() != ci => return false,
-                std::collections::hash_map::Entry::Occupied(_) => {}
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(ci);
-                }
-            }
-        }
-    }
-    true
+    x
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
+    use crate::exec::{Executor, RunConfig};
     use csce_ccsr::{build_ccsr, read_csr};
     use csce_graph::{Graph, GraphBuilder, NO_LABEL};
+    use dag::build_dag_pairwise;
+    use proptest::prelude::*;
+
+    /// The recursive tree compiler the merge-forest builder replaced: it
+    /// recomputes the `H`-components of every remaining suffix. Kept as
+    /// the oracle [`build_exec_tree`] must reproduce exactly.
+    fn build_tree_rec(
+        catalog: &Catalog<'_>,
+        dag: &Dag,
+        suffix: &[VertexId],
+        variant: Variant,
+    ) -> ExecNode {
+        if suffix.is_empty() {
+            return ExecNode::Done;
+        }
+        let components = h_components(dag, suffix);
+        if components.len() > 1 && split_safe_rec(catalog, &components, variant) {
+            return ExecNode::Split {
+                components: components
+                    .into_iter()
+                    .map(|c| seq_of(catalog, dag, &c, variant))
+                    .collect(),
+            };
+        }
+        seq_of(catalog, dag, suffix, variant)
+    }
+
+    fn seq_of(catalog: &Catalog<'_>, dag: &Dag, list: &[VertexId], variant: Variant) -> ExecNode {
+        ExecNode::Seq {
+            u: list[0],
+            next: Box::new(build_tree_rec(catalog, dag, &list[1..], variant)),
+        }
+    }
+
+    /// Connected components of `H` restricted to `suffix` (order preserved
+    /// within each component).
+    fn h_components(dag: &Dag, suffix: &[VertexId]) -> Vec<Vec<VertexId>> {
+        let n = dag.n();
+        let mut in_suffix = BitSet::new(n);
+        for &u in suffix {
+            in_suffix.insert(u as usize);
+        }
+        let mut comp_of: Vec<u32> = vec![u32::MAX; n];
+        let mut next_comp = 0u32;
+        for &u in suffix {
+            if comp_of[u as usize] != u32::MAX {
+                continue;
+            }
+            let comp = next_comp;
+            next_comp += 1;
+            let mut stack = vec![u];
+            comp_of[u as usize] = comp;
+            while let Some(v) = stack.pop() {
+                for &w in dag.children(v).iter().chain(dag.parents(v)) {
+                    if in_suffix.contains(w as usize) && comp_of[w as usize] == u32::MAX {
+                        comp_of[w as usize] = comp;
+                        stack.push(w);
+                    }
+                }
+            }
+        }
+        let mut components: Vec<Vec<VertexId>> = vec![Vec::new(); next_comp as usize];
+        for &u in suffix {
+            components[comp_of[u as usize] as usize].push(u);
+        }
+        components
+    }
+
+    fn split_safe_rec(
+        catalog: &Catalog<'_>,
+        components: &[Vec<VertexId>],
+        variant: Variant,
+    ) -> bool {
+        if !variant.injective() {
+            return true;
+        }
+        let p = catalog.pattern();
+        let mut seen: FxHashMap<csce_graph::Label, usize> = FxHashMap::default();
+        for (ci, comp) in components.iter().enumerate() {
+            for &u in comp {
+                if *seen.entry(p.label(u)).or_insert(ci) != ci {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// SplitMix64: the random source of the equivalence properties.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random graph over `n` vertices with `labels` vertex labels:
+    /// a random spanning tree when `connected`, plus `extra` random edges
+    /// — directed either way, undirected, and antiparallel multi-edges,
+    /// with two edge labels. Rejected edges (duplicates, mixed kinds) are
+    /// skipped.
+    fn random_graph(
+        rng: &mut Rng,
+        n: usize,
+        labels: usize,
+        connected: bool,
+        extra: usize,
+    ) -> Graph {
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(rng.below(labels) as u32);
+        }
+        let mut add = |rng: &mut Rng, a: usize, c: usize| {
+            let label = if rng.below(3) == 0 { 1 } else { NO_LABEL };
+            let (a, c) = (a as VertexId, c as VertexId);
+            let _ = match rng.below(3) {
+                0 => b.add_undirected_edge(a, c, label),
+                1 => b.add_edge(a, c, label),
+                _ => b.add_edge(c, a, label),
+            };
+        };
+        if connected {
+            for v in 1..n {
+                let u = rng.below(v);
+                add(rng, u, v);
+            }
+        }
+        for _ in 0..extra {
+            let (a, c) = (rng.below(n), rng.below(n));
+            if a != c {
+                add(rng, a, c);
+            }
+        }
+        b.build()
+    }
+
+    /// A uniformly random permutation of `0..n`.
+    fn random_permutation(rng: &mut Rng, n: usize) -> Vec<VertexId> {
+        let mut phi: Vec<VertexId> = (0..n as VertexId).collect();
+        for i in (1..n).rev() {
+            phi.swap(i, rng.below(i + 1));
+        }
+        phi
+    }
+
+    /// A random topological order of `dag` (Kahn's algorithm picking a
+    /// random ready vertex each step).
+    fn random_topological_order(rng: &mut Rng, dag: &Dag) -> Vec<VertexId> {
+        let mut indegree: Vec<usize> =
+            (0..dag.n() as VertexId).map(|u| dag.parents(u).len()).collect();
+        let mut ready: Vec<VertexId> =
+            (0..dag.n() as VertexId).filter(|&u| indegree[u as usize] == 0).collect();
+        let mut order = Vec::with_capacity(dag.n());
+        while !ready.is_empty() {
+            let u = ready.swap_remove(rng.below(ready.len()));
+            order.push(u);
+            for &c in dag.children(u) {
+                indegree[c as usize] -= 1;
+                if indegree[c as usize] == 0 {
+                    ready.push(c);
+                }
+            }
+        }
+        assert_eq!(order.len(), dag.n(), "H is acyclic");
+        order
+    }
+
+    /// Append the vertices `node` sequences, in tree order.
+    fn tree_vertices(node: &ExecNode, seen: &mut Vec<VertexId>) {
+        let mut node = node;
+        loop {
+            match node {
+                ExecNode::Done => return,
+                ExecNode::Seq { u, next } => {
+                    seen.push(*u);
+                    node = next;
+                }
+                ExecNode::Split { components } => {
+                    for c in components {
+                        tree_vertices(c, seen);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The adjacency-driven DAG equals the `Φ²` sweep for any `Φ`, and
+        /// the merge-forest tree equals the recursive compiler for any
+        /// topological order of `H` and for the planner's own `Φ*`, in
+        /// every variant.
+        #[test]
+        fn plan_stages_match_their_oracles(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(14);
+            let labels = 1 + rng.below(4);
+            let extra = rng.below(2 * n + 1);
+            let p = random_graph(&mut rng, n, labels, true, extra);
+            let data_n = 2 + rng.below(10);
+            let data_extra = rng.below(3 * data_n);
+            let g = random_graph(&mut rng, data_n, labels + 1, false, data_extra);
+            let gc = build_ccsr(&g).unwrap();
+            for variant in Variant::ALL {
+                let star = read_csr(&gc, &p, variant);
+                let catalog = Catalog::new(&p, &star);
+                let phi = random_permutation(&mut rng, n);
+                let dag = build_dag(&catalog, &phi, variant);
+                prop_assert_eq!(&dag, &build_dag_pairwise(&catalog, &phi, variant));
+                for order in [phi.clone(), random_topological_order(&mut rng, &dag)] {
+                    prop_assert_eq!(
+                        build_exec_tree(&catalog, &dag, &order, variant),
+                        build_tree_rec(&catalog, &dag, &order, variant),
+                        "{variant}, order {order:?}"
+                    );
+                }
+                for config in [PlannerConfig::csce(), PlannerConfig::ri_only()] {
+                    let plan = Planner::new(config).plan(&catalog, variant);
+                    prop_assert_eq!(
+                        &plan.root,
+                        &build_tree_rec(&catalog, &plan.dag, &plan.order, variant)
+                    );
+                }
+            }
+        }
+    }
+
+    /// A 2000-vertex vertex-induced pattern in the size and density region
+    /// where the compiler used to give up and emit a plain sequence: a
+    /// 1000-vertex core over four mutually adjacent labels (so negation
+    /// dependencies make `H` dense) with 1000 distinct-label leaves.
+    #[test]
+    fn large_vertex_induced_plan_factorizes_every_vertex_once() {
+        let mut rng = Rng(2000);
+        let core = 1000;
+        let mut b = GraphBuilder::new();
+        for v in 0..core {
+            b.add_vertex((v % 4) as u32);
+        }
+        for leaf in 0..core {
+            b.add_vertex(10 + leaf as u32);
+        }
+        for v in 1..core {
+            b.add_undirected_edge(rng.below(v) as VertexId, v as VertexId, NO_LABEL).unwrap();
+        }
+        for leaf in 0..core {
+            let anchor = 4 * rng.below(core / 4);
+            b.add_undirected_edge(anchor as VertexId, (core + leaf) as VertexId, NO_LABEL).unwrap();
+        }
+        let p = b.build();
+        // Two data vertices per core label, all pairwise adjacent.
+        let mut gb = GraphBuilder::new();
+        for v in 0..8u32 {
+            gb.add_vertex(v % 4);
+        }
+        for a in 0..8 {
+            for c in a + 1..8 {
+                gb.add_undirected_edge(a, c, NO_LABEL).unwrap();
+            }
+        }
+        let g = gb.build();
+        let gc = build_ccsr(&g).unwrap();
+        let variant = Variant::VertexInduced;
+        let star = read_csr(&gc, &p, variant);
+        let catalog = Catalog::new(&p, &star);
+        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
+        assert!(plan.dag.edge_count() > 4 * p.n(), "lands in the old fallback region");
+        assert!(plan.root.split_count() > 0, "the leaves factorize");
+
+        let mut seen = Vec::new();
+        tree_vertices(&plan.root, &mut seen);
+        seen.sort_unstable();
+        assert_eq!(seen, (0..p.n() as VertexId).collect::<Vec<_>>());
+
+        let mut plain = plan.clone();
+        plain.root = plan
+            .order
+            .iter()
+            .rev()
+            .fold(ExecNode::Done, |next, &u| ExecNode::Seq { u, next: Box::new(next) });
+        let factorized = Executor::new(&catalog, &plan, RunConfig::default()).count();
+        let sequential = Executor::new(&catalog, &plain, RunConfig::default()).count();
+        assert_eq!(factorized, sequential);
+    }
 
     fn fig1_pattern() -> Graph {
         let mut b = GraphBuilder::new();
@@ -478,12 +850,16 @@ mod tests {
     #[test]
     fn sce_analysis_finds_independent_regions() {
         let p = fig1_pattern();
-        let plan = plan_for(&p, &p, Variant::EdgeInduced, PlannerConfig::csce());
+        let gc = build_ccsr(&p).unwrap();
+        let star = read_csr(&gc, &p, Variant::EdgeInduced);
+        let catalog = Catalog::new(&p, &star);
+        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced);
+        let sce = SceAnalysis::of(&catalog, &plan);
         // The paper's R1/R2 example: u3 and u4/u5-side candidates are
         // independent, so several vertices exhibit SCE.
-        assert!(plan.sce.sce_vertices > 0);
-        assert!(plan.sce.sce_fraction() > 0.3);
-        assert_eq!(plan.sce.total_vertices, 8);
+        assert!(sce.sce_vertices > 0);
+        assert!(sce.sce_fraction() > 0.3);
+        assert_eq!(sce.total_vertices, 8);
     }
 
     #[test]

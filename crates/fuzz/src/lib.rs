@@ -125,7 +125,9 @@ pub fn run_fuzz(
             let engine = Engine::build(&sg);
             let recorder = Recorder::disabled();
             match engine.prepare(&sp, div.variant, cfg.planner.planner_config(), &recorder) {
-                Ok(query) => validation.merge(plan_check::validate_plan(&sp, query.plan())),
+                Ok(query) => {
+                    validation.merge(plan_check::validate_plan(&query.catalog(), query.plan()))
+                }
                 Err(err) => log(&format!("shrunk pattern not plannable: {err}")),
             }
         }

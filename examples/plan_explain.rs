@@ -30,7 +30,7 @@ fn main() {
             .prepare(&p, variant, PlannerConfig::csce(), &recorder)
             .expect("sampled patterns are connected");
         println!("=== {variant} ===");
-        print!("{}", explain(query.plan()));
+        print!("{}", explain(&query.catalog(), query.plan()));
         println!();
     }
 }

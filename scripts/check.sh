@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: formatting, lints, source policy,
-# release build, test suite, pinned differential fuzz. Mirrors
-# .github/workflows/ci.yml.
+# release build, test suite, pinned differential fuzz, pinned work
+# counters. Mirrors .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,5 +29,8 @@ echo "==> csce fuzz (pinned seed, as in CI's fuzz-smoke job)"
 fuzz_out=$(mktemp -d)
 ./target/release/csce fuzz --runs 200 --seed 42 --out "$fuzz_out"
 rm -rf "$fuzz_out"
+
+echo "==> pinned work counters (as in CI's counters job)"
+bash scripts/check-counters.sh
 
 echo "All checks passed."

@@ -198,7 +198,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 let query = e
                     .prepare(&p, inputs.variant, inputs.planner.1, &recorder)
                     .map_err(|err| err.to_string())?;
-                report.merge(plan_check::validate_plan(&p, query.plan()));
+                report.merge(plan_check::validate_plan(&query.catalog(), query.plan()));
             }
             None => {
                 // The G_C was rejected; there is no data graph to plan on.
@@ -510,7 +510,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let query = engine.prepare(&p, variant, planner, &recorder).map_err(|e| e.to_string())?;
 
     if explain {
-        print!("{}", csce::engine::plan::explain::explain(query.plan()));
+        print!("{}", csce::engine::plan::explain::explain(&query.catalog(), query.plan()));
         return Ok(());
     }
 

@@ -85,6 +85,8 @@ fn enumerate_and_explain() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("matching order"), "{text}");
     assert!(text.contains("homomorphic"), "{text}");
+    // The SCE statistics are derived on demand for the explain output.
+    assert!(text.contains("SCE: 0/2 vertices have an earlier independent vertex"), "{text}");
 }
 
 #[test]
@@ -197,12 +199,17 @@ fn stats_json_is_valid_and_complete() {
     assert!(load.get("nanos").and_then(JsonValue::as_u64).is_some());
     let plan = phase("plan");
     let stages = plan.get("children").and_then(JsonValue::as_array).expect("plan children");
-    for stage in ["gcf", "dag", "ldsf", "nec", "sce"] {
+    for stage in ["gcf", "dag", "descendant", "ldsf", "nec", "tree"] {
         assert!(
             stages.iter().any(|c| c.get("name").and_then(JsonValue::as_str) == Some(stage)),
             "missing plan stage {stage}"
         );
     }
+    // The SCE statistics are derived on demand, never on the query path.
+    assert!(
+        !stages.iter().any(|c| c.get("name").and_then(JsonValue::as_str) == Some("sce")),
+        "no sce stage in the plan span"
+    );
     phase("execute");
 
     // The counter registry carries the executor and CCSR-side counters.
