@@ -3,7 +3,7 @@
 //! the clique-discovery time under CSCE. The paper reports F1 0.398 →
 //! 0.515 and 8-clique discovery accelerating from 11.57s to 0.39s.
 
-use csce_bench::{BenchReport, Table};
+use csce_bench::Table;
 use csce_datasets::email::{email_eu, run_case_study};
 
 fn main() {
@@ -16,15 +16,6 @@ fn main() {
         truth.iter().copied().max().unwrap() + 1
     );
     let r = run_case_study(&g, &truth, k);
-    let mut report = BenchReport::new("case_study");
-    report.record_gauge("email-eu", "edge-based", "cluster.f1", r.f1_edge);
-    report.record_gauge("email-eu", "higher-order", "cluster.f1", r.f1_motif);
-    report.record_custom(
-        &format!("email-eu/{}-clique", r.clique_size),
-        "CSCE",
-        r.clique_time.as_secs_f64(),
-        r.cliques_found as u64,
-    );
     let mut t = Table::new(&["method", "pairwise F1", "motif time", "instances"]);
     t.row(vec!["edge-based".into(), format!("{:.3}", r.f1_edge), "-".into(), "-".into()]);
     t.row(vec![
@@ -34,7 +25,6 @@ fn main() {
         r.cliques_found.to_string(),
     ]);
     t.print();
-    report.finish();
     println!(
         "\nExpected shape (paper): higher-order F1 exceeds edge-based (0.398 -> 0.515)\n\
          and CSCE finds the cliques quickly (0.39s on the real network)."

@@ -6,13 +6,10 @@
 //! since it needs no injectivity bookkeeping).
 //!
 //! Each time is the fastest of `CSCE_REPEATS` preparations (default 3),
-//! printed in milliseconds at microsecond resolution.
+//! printed in milliseconds at microsecond resolution. The memory column is
+//! the process's peak RSS so far, so it includes the binary and `G_C`.
 
-#[global_allocator]
-static ALLOC: csce_bench::TrackingAllocator = csce_bench::TrackingAllocator;
-
-use csce_bench::alloc::format_bytes;
-use csce_bench::{BenchReport, Table, TrackingAllocator};
+use csce_bench::{env_param, peak_rss, Table, UsageError};
 use csce_core::{Engine, PlannerConfig};
 use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
@@ -21,7 +18,8 @@ use csce_graph::{Density, Variant};
 use csce_obs::Recorder;
 use std::time::{Duration, Instant};
 
-fn main() {
+fn main() -> Result<(), UsageError> {
+    let repeats = env_param("CSCE_REPEATS", 3)?;
     let ds = presets::patent();
     let g = randomize_vertex_labels(&ds.graph, 2000, 0xF10);
     println!(
@@ -30,19 +28,15 @@ fn main() {
     );
     let engine = Engine::build(&g);
     let recorder = Recorder::disabled();
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
     let mut sampler = PatternSampler::new(&g, 0xF10);
     let sizes = [8usize, 16, 32, 64, 128, 200, 500, 1000, 2000];
 
-    let mut report = BenchReport::new("fig10");
     let mut t = Table::new(&["size", "E time", "V time", "H time", "peak mem"]);
     for size in sizes {
         let Some(sp) = sampler.sample(size, Density::Sparse) else {
             continue;
         };
         let mut cells = Vec::new();
-        TrackingAllocator::reset_peak();
         for variant in [Variant::EdgeInduced, Variant::VertexInduced, Variant::Homomorphic] {
             let mut fastest = Duration::MAX;
             for _ in 0..repeats {
@@ -53,22 +47,16 @@ fn main() {
                 fastest = fastest.min(t0.elapsed());
                 assert_eq!(query.plan().order.len(), size);
             }
-            report.record_custom(
-                &format!("size{size}/{variant}"),
-                "plan-only",
-                fastest.as_secs_f64(),
-                0,
-            );
             cells.push(format!("{:.3}ms", fastest.as_secs_f64() * 1e3));
         }
         cells.insert(0, size.to_string());
-        cells.push(format_bytes(TrackingAllocator::peak_bytes()));
+        cells.push(peak_rss());
         t.row(cells);
     }
     t.print();
-    report.finish();
     println!(
         "\nExpected shape (paper): all variants plan 2000-vertex patterns within\n\
          the budget; homomorphic plans fastest (no injectivity machinery)."
     );
+    Ok(())
 }

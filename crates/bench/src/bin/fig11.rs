@@ -4,11 +4,7 @@
 //! size. Only clusters a pattern uses are selected, and none is copied,
 //! so both metrics track the pattern, not the graph (Finding 11).
 
-#[global_allocator]
-static ALLOC: csce_bench::TrackingAllocator = csce_bench::TrackingAllocator;
-
-use csce_bench::alloc::format_bytes;
-use csce_bench::{BenchReport, Table};
+use csce_bench::{format_bytes, Table};
 use csce_ccsr::{build_ccsr, read_csr};
 use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
@@ -20,7 +16,6 @@ fn main() {
     let base = presets::patent();
     let sizes = [3usize, 4, 8, 32, 128, 500, 2000];
     println!("Fig. 11 — CCSR read time and working-set bytes (Patent-like, edge-induced)\n");
-    let mut report = BenchReport::new("fig11");
     let mut t = Table::new(&["labels", "pattern", "read time", "clusters", "working set"]);
     for labels in [20u32, 200, 2000] {
         let g = randomize_vertex_labels(&base.graph, labels, 0xF11);
@@ -33,12 +28,6 @@ fn main() {
             let t0 = Instant::now();
             let star = read_csr(&gc, &sp.pattern, Variant::EdgeInduced);
             let elapsed = t0.elapsed();
-            report.record_custom(
-                &format!("labels{labels}/size{size}"),
-                "read-csr",
-                elapsed.as_secs_f64(),
-                star.heap_bytes() as u64,
-            );
             t.row(vec![
                 labels.to_string(),
                 size.to_string(),
@@ -49,7 +38,6 @@ fn main() {
         }
     }
     t.print();
-    report.finish();
     println!(
         "\nExpected shape (paper): more labels -> smaller clusters -> reads grow\n\
          with pattern size but stay well within budget."

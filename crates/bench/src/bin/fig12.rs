@@ -4,7 +4,7 @@
 //! cluster-driven share (the paper's sub-bars) and the vertex-induced
 //! case where *all* SCE is cluster-driven (Finding 12).
 
-use csce_bench::{BenchReport, Table};
+use csce_bench::{env_param, Table, UsageError};
 use csce_core::{Engine, PlannerConfig, SceAnalysis};
 use csce_datasets::presets;
 use csce_graph::generate::randomize_vertex_labels;
@@ -12,15 +12,13 @@ use csce_graph::sample::PatternSampler;
 use csce_graph::{Density, Variant};
 use csce_obs::Recorder;
 
-fn main() {
+fn main() -> Result<(), UsageError> {
+    let repeats = env_param("CSCE_REPEATS", 5)?;
     let ds = presets::patent();
     println!("Fig. 12 — SCE occurrence on {} ({})\n", ds.name, ds.stats());
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(5);
     let sizes = [8usize, 16, 32, 50, 100, 150, 200];
 
     let mut t = Table::new(&["labels", "size", "E sce%", "E cluster-share%", "H sce%", "V sce%"]);
-    let mut report = BenchReport::new("fig12");
     // With 20 labels every label pair co-occurs in the data, so no
     // independence is cluster-driven; the 200-label series shows the
     // cluster contribution that rarer label pairs unlock.
@@ -54,11 +52,8 @@ fn main() {
                     cluster += analysis.cluster_pair_fraction();
                 }
                 let n = patterns.len() as f64;
-                let task = format!("labels{labels}/size{size}/{variant}");
-                report.record_gauge(&task, "CSCE", "plan.sce_fraction", sce / n);
                 row.push(format!("{:.0}%", 100.0 * sce / n));
                 if variant == Variant::EdgeInduced {
-                    report.record_gauge(&task, "CSCE", "plan.cluster_pair_fraction", cluster / n);
                     row.push(format!("{:.0}%", 100.0 * cluster / n));
                 }
             }
@@ -66,10 +61,10 @@ fn main() {
         }
     }
     t.print();
-    report.finish();
     println!(
         "\nExpected shape (paper): ~51% SCE in edge-induced, ~58% in homomorphic;\n\
          the cluster share shrinks as patterns grow; vertex-induced SCE is rarer\n\
          and entirely cluster-driven."
     );
+    Ok(())
 }

@@ -6,31 +6,25 @@
 //! plan.
 
 use csce_baselines::fsp::FailingSetBacktracking;
-use csce_baselines::Baseline;
-use csce_bench::{BenchContext, BenchReport, Table};
+use csce_bench::{
+    env_param, mean_secs, run_baseline, BenchContext, Table, UsageError, PARTIAL_NOTE,
+};
 use csce_core::{PlannerConfig, RunConfig};
 use csce_datasets::{presets, sample_suite};
 use csce_graph::{Density, Variant};
 use std::time::Duration;
 
-fn main() {
-    let limit = Duration::from_secs(
-        std::env::var("CSCE_TIME_LIMIT").ok().and_then(|s| s.parse().ok()).unwrap_or(10),
-    );
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
+fn main() -> Result<(), UsageError> {
+    let limit = Duration::from_secs(env_param("CSCE_TIME_LIMIT", 10)? as u64);
+    let repeats = env_param("CSCE_REPEATS", 3)?;
     let ds = presets::patent();
     println!("Fig. 13 — plan quality on {} ({}), edge-induced\n", ds.name, ds.stats());
     let ctx = BenchContext::new(ds.name, ds.graph);
     let suites =
         sample_suite(&ctx.graph, &[8, 16, 32], &[Density::Dense, Density::Sparse], repeats, 0xF13);
 
-    let plans: [(&str, PlannerConfig); 3] = [
-        ("RI", PlannerConfig::ri_only()),
-        ("RI+Cluster", PlannerConfig::ri_cluster()),
-        ("CSCE", PlannerConfig::csce()),
-    ];
-    let mut report = BenchReport::new("fig13");
+    // One column each, in header order.
+    let plans = [PlannerConfig::ri_only(), PlannerConfig::ri_cluster(), PlannerConfig::csce()];
     let mut t = Table::new(&["pattern", "RM(FSP)", "RI", "RI+Cluster", "CSCE"]);
     for suite in &suites {
         if suite.patterns.is_empty() {
@@ -38,32 +32,24 @@ fn main() {
         }
         let mut cells = vec![suite.name.clone()];
         // External reference: the RapidMatch-family backtracker.
-        let mut rm = 0.0f64;
-        for (pi, p) in suite.patterns.iter().enumerate() {
-            let r = FailingSetBacktracking.count(&ctx.graph, p, Variant::EdgeInduced, Some(limit));
-            let secs = if r.timed_out { limit.as_secs_f64() } else { r.elapsed.as_secs_f64() };
-            report.record_custom(&format!("{}/p{pi}", suite.name), "RM(FSP)", secs, r.count);
-            rm += secs;
-        }
-        cells.push(format!("{:.3}s", rm / suite.patterns.len() as f64));
-        for (plan_name, config) in &plans {
-            let mut secs = 0.0f64;
-            for (pi, p) in suite.patterns.iter().enumerate() {
+        cells.push(mean_secs(suite.patterns.iter().map(|p| {
+            let r = run_baseline(&ctx, &FailingSetBacktracking, p, Variant::EdgeInduced, limit);
+            (r.seconds, r.timed_out)
+        })));
+        for config in plans {
+            cells.push(mean_secs(suite.patterns.iter().map(|p| {
                 let run = RunConfig { time_limit: Some(limit), ..Default::default() };
-                let out = ctx.engine.run(p, Variant::EdgeInduced, *config, run);
-                let s = if out.stats.timed_out {
-                    limit.as_secs_f64()
-                } else {
-                    out.total_time().as_secs_f64()
-                };
-                report.record_custom(&format!("{}/p{pi}", suite.name), plan_name, s, out.count);
-                secs += s;
-            }
-            cells.push(format!("{:.3}s", secs / suite.patterns.len() as f64));
+                let out = ctx.engine.run(p, Variant::EdgeInduced, config, run);
+                let timed_out = out.stats.timed_out;
+                let secs =
+                    if timed_out { limit.as_secs_f64() } else { out.total_time().as_secs_f64() };
+                (secs, timed_out)
+            })));
         }
         t.row(cells);
     }
     t.print();
-    report.finish();
+    println!("\n{PARTIAL_NOTE}");
     println!("\nExpected shape (paper): CSCE <= RI+Cluster <= RI, and CSCE beats RM.");
+    Ok(())
 }

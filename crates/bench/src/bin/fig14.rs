@@ -5,23 +5,21 @@
 //! SCE but CSCE stays ahead of the baselines).
 
 use csce_baselines::symmetry::SymmetryBreaking;
-use csce_baselines::Baseline;
-use csce_bench::{run_all, run_csce, BenchContext, BenchReport, Table};
+use csce_bench::{
+    env_param, mean_secs, partial, run_all, run_baseline, run_csce, AlgoResult, BenchContext,
+    Table, UsageError, PARTIAL_NOTE,
+};
 use csce_datasets::{presets, sample_suite};
 use csce_graph::{classify_density, Density, Variant};
 use std::time::{Duration, Instant};
 
-fn main() {
-    let limit = Duration::from_secs(
-        std::env::var("CSCE_TIME_LIMIT").ok().and_then(|s| s.parse().ok()).unwrap_or(10),
-    );
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
+fn main() -> Result<(), UsageError> {
+    let limit = Duration::from_secs(env_param("CSCE_TIME_LIMIT", 10)? as u64);
+    let repeats = env_param("CSCE_REPEATS", 3)?;
     let ds = presets::dip();
     println!("Fig. 14 — DIP-like graph ({})\n", ds.stats());
     let ctx = BenchContext::new(ds.name, ds.graph);
 
-    let mut report = BenchReport::new("fig14");
     // (a) symmetry breaking on small-to-large patterns: restriction
     // generation time vs total time vs CSCE.
     println!("(a) symmetry breaking vs CSCE, edge-induced, sparse patterns");
@@ -32,26 +30,24 @@ fn main() {
         if suite.patterns.is_empty() {
             continue;
         }
-        let (mut gen_s, mut sb_s, mut csce_s, mut aut_sum) = (0.0f64, 0.0f64, 0.0f64, 0u64);
-        for (pi, p) in suite.patterns.iter().enumerate() {
+        let (mut gen_s, mut aut_sum) = (0.0f64, 0u64);
+        let (mut sb, mut csce) = (Vec::new(), Vec::new());
+        for p in &suite.patterns {
             let t0 = Instant::now();
             let (_, aut) = SymmetryBreaking::restrictions_of(p);
             gen_s += t0.elapsed().as_secs_f64();
             aut_sum += aut;
-            let r = SymmetryBreaking.count(&ctx.graph, p, Variant::EdgeInduced, Some(limit));
-            let sb = if r.timed_out { limit.as_secs_f64() } else { r.elapsed.as_secs_f64() };
-            report.record_custom(&format!("a/size{size}/p{pi}"), "SymmetryBreaking", sb, r.count);
-            sb_s += sb;
+            let r = run_baseline(&ctx, &SymmetryBreaking, p, Variant::EdgeInduced, limit);
+            sb.push((r.seconds, r.timed_out));
             let c = run_csce(&ctx, p, Variant::EdgeInduced, limit);
-            report.record(&format!("a/size{size}/p{pi}"), &c);
-            csce_s += c.seconds;
+            csce.push((c.seconds, c.timed_out));
         }
         let n = suite.patterns.len() as f64;
         t.row(vec![
             size.to_string(),
             format!("{:.4}s", gen_s / n),
-            format!("{:.3}s", sb_s / n),
-            format!("{:.3}s", csce_s / n),
+            mean_secs(sb),
+            mean_secs(csce),
             format!("{:.1}", aut_sum as f64 / n),
         ]);
     }
@@ -85,34 +81,34 @@ fn main() {
     // (b) throughput vs pattern density.
     println!("(b) CSCE throughput by pattern density, edge-induced, size 8");
     let mut t = Table::new(&["pattern", "avg-degree", "CSCE tput/s", "best-baseline tput/s"]);
+    let tput = |r: &AlgoResult| {
+        let per_s = if r.seconds > 0.0 { r.count as f64 / r.seconds } else { 0.0 };
+        (per_s, r.timed_out)
+    };
     for density in [Density::Sparse, Density::Dense] {
         let suites = sample_suite(&ctx.graph, &[8], &[density], repeats, 0xF14B);
         for suite in &suites {
-            for (pi, p) in suite.patterns.iter().enumerate() {
+            for p in &suite.patterns {
                 let results = run_all(&ctx, p, Variant::EdgeInduced, limit);
-                report.record_all(&format!("b/{}/p{pi}", suite.name), &results);
-                let tput = |r: &csce_bench::AlgoResult| {
-                    if r.seconds > 0.0 {
-                        r.count as f64 / r.seconds
-                    } else {
-                        0.0
-                    }
-                };
-                let csce_tput = tput(&results[0]);
-                let best_baseline = results[1..].iter().map(tput).fold(0.0f64, f64::max);
+                let (csce_tput, csce_clamped) = tput(&results[0]);
+                let (best_tput, best_clamped) = results[1..]
+                    .iter()
+                    .map(tput)
+                    .fold((0.0f64, false), |best, r| if r.0 > best.0 { r } else { best });
                 t.row(vec![
                     format!("{}{}", classify_density(p).letter(), p.n()),
                     format!("{:.2}", p.average_degree()),
-                    format!("{csce_tput:.0}"),
-                    format!("{best_baseline:.0}"),
+                    partial(format!("{csce_tput:.0}"), csce_clamped),
+                    partial(format!("{best_tput:.0}"), best_clamped),
                 ]);
             }
         }
     }
     t.print();
-    report.finish();
+    println!("\n{PARTIAL_NOTE}");
     println!(
         "\nExpected shape (paper): throughput drops on denser patterns but CSCE\n\
          stays above the baselines."
     );
+    Ok(())
 }

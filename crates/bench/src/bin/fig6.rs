@@ -5,16 +5,13 @@
 //! * `CSCE_TIME_LIMIT` — per-run limit in seconds (default 5; the paper
 //!   uses 10^4 on full-size graphs);
 //! * `CSCE_REPEATS` — patterns per configuration (default 3; paper: 10);
-//! * argv — dataset names to include (default: all nine).
+//! * argv — dataset names to include (default: all nine); a name that
+//!   matches no preset is an error listing the presets.
 
-#[global_allocator]
-static ALLOC: csce_bench::TrackingAllocator = csce_bench::TrackingAllocator;
-
-use csce_bench::alloc::format_bytes;
-use csce_bench::table::format_secs;
-use csce_bench::{run_all, BenchContext, BenchReport, Table, TrackingAllocator};
+use csce_bench::{env_param, peak_rss, run_all, sum_by_algo, BenchContext, Table, UsageError};
 use csce_datasets::{all_presets, sample_suite};
 use csce_graph::{Density, Variant};
+use csce_obs::format_duration;
 use std::time::Duration;
 
 struct Config {
@@ -67,13 +64,18 @@ fn config_for(name: &str) -> Config {
     }
 }
 
-fn main() {
+fn main() -> Result<(), UsageError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let limit = Duration::from_secs(
-        std::env::var("CSCE_TIME_LIMIT").ok().and_then(|s| s.parse().ok()).unwrap_or(5),
-    );
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let limit = Duration::from_secs(env_param("CSCE_TIME_LIMIT", 5)? as u64);
+    let repeats = env_param("CSCE_REPEATS", 3)?;
+    let presets = all_presets();
+    let names: Vec<&str> = presets.iter().map(|ds| ds.name).collect();
+    if let Some(bad) = args.iter().find(|a| !names.iter().any(|n| a.eq_ignore_ascii_case(n))) {
+        return Err(UsageError(format!(
+            "unknown dataset {bad:?}; the presets are {}",
+            names.join(", ")
+        )));
+    }
 
     println!(
         "Fig. 6 — total time per algorithm (limit {:?}/run, {} patterns/config, \
@@ -81,8 +83,7 @@ fn main() {
         limit, repeats
     );
 
-    let mut report = BenchReport::new("fig6");
-    for ds in all_presets() {
+    for ds in presets {
         if !args.is_empty() && !args.iter().any(|a| a.eq_ignore_ascii_case(ds.name)) {
             continue;
         }
@@ -98,31 +99,21 @@ fn main() {
                     continue;
                 }
                 // Average per algorithm over the suite's patterns.
-                let mut totals: Vec<(&'static str, f64, bool)> = Vec::new();
-                for (pi, p) in suite.patterns.iter().enumerate() {
-                    for r in run_all(&ctx, p, variant, limit) {
-                        report.record(&format!("{}/{variant}/{}/p{pi}", ctx.name, suite.name), &r);
-                        match totals.iter_mut().find(|(n, _, _)| *n == r.name) {
-                            Some((_, secs, to)) => {
-                                *secs += r.seconds;
-                                *to |= r.timed_out;
-                            }
-                            None => totals.push((r.name, r.seconds, r.timed_out)),
-                        }
-                    }
-                }
+                let totals =
+                    sum_by_algo(suite.patterns.iter().map(|p| run_all(&ctx, p, variant, limit)));
                 if algo_names.is_empty() {
-                    algo_names = totals.iter().map(|(n, _, _)| *n).collect();
+                    algo_names = totals.iter().map(|r| r.name).collect();
                 }
                 let mut row = vec![suite.name.clone()];
                 for &name in &algo_names {
-                    match totals.iter().find(|(n, _, _)| *n == name) {
-                        Some((_, secs, timed_out)) => {
-                            let avg = secs / suite.patterns.len() as f64;
-                            row.push(if *timed_out {
-                                format!(">{}*", format_secs(avg))
+                    match totals.iter().find(|r| r.name == name) {
+                        Some(r) => {
+                            let avg =
+                                Duration::from_secs_f64(r.seconds / suite.patterns.len() as f64);
+                            row.push(if r.timed_out {
+                                format!(">{}*", format_duration(avg))
                             } else {
-                                format_secs(avg)
+                                format_duration(avg)
                             });
                         }
                         None => row.push("-".into()),
@@ -142,7 +133,7 @@ fn main() {
             println!("\n[{} — {variant}]", ctx.name);
             t.print();
         }
-        println!("peak memory so far: {}\n", format_bytes(TrackingAllocator::peak_bytes()));
+        println!("peak memory so far: {}\n", peak_rss());
     }
-    report.finish();
+    Ok(())
 }

@@ -3,50 +3,38 @@
 //! Reproduces Finding 8: throughput decreases with pattern size and CSCE
 //! stays on top.
 
-use csce_bench::{run_all, BenchContext, BenchReport, Table};
+use csce_bench::{
+    env_param, partial, run_all, sum_by_algo, BenchContext, Table, UsageError, PARTIAL_NOTE,
+};
 use csce_datasets::{presets, sample_suite};
 use csce_graph::{Density, Variant};
 use std::time::Duration;
 
-fn main() {
-    let limit = Duration::from_secs(
-        std::env::var("CSCE_TIME_LIMIT").ok().and_then(|s| s.parse().ok()).unwrap_or(10),
-    );
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
+fn main() -> Result<(), UsageError> {
+    let limit = Duration::from_secs(env_param("CSCE_TIME_LIMIT", 10)? as u64);
+    let repeats = env_param("CSCE_REPEATS", 3)?;
     let ds = presets::roadca();
     println!("Fig. 8 — edge-induced throughput on {} ({})\n", ds.name, ds.stats());
     let ctx = BenchContext::new(ds.name, ds.graph);
     let suites = sample_suite(&ctx.graph, &[8, 16, 24, 32], &[Density::Sparse], repeats, 0xF18);
 
-    let mut report = BenchReport::new("fig8");
     let mut algo_names: Vec<&'static str> = Vec::new();
     let mut rows = Vec::new();
     for suite in &suites {
         if suite.patterns.is_empty() {
             continue;
         }
-        let mut acc: Vec<(&'static str, u64, f64)> = Vec::new();
-        for (pi, p) in suite.patterns.iter().enumerate() {
-            for r in run_all(&ctx, p, Variant::EdgeInduced, limit) {
-                report.record(&format!("{}/{}/p{pi}", ctx.name, suite.name), &r);
-                match acc.iter_mut().find(|(n, _, _)| *n == r.name) {
-                    Some((_, c, s)) => {
-                        *c += r.count;
-                        *s += r.seconds;
-                    }
-                    None => acc.push((r.name, r.count, r.seconds)),
-                }
-            }
-        }
+        let totals = sum_by_algo(
+            suite.patterns.iter().map(|p| run_all(&ctx, p, Variant::EdgeInduced, limit)),
+        );
         if algo_names.is_empty() {
-            algo_names = acc.iter().map(|(n, _, _)| *n).collect();
+            algo_names = totals.iter().map(|r| r.name).collect();
         }
         let mut row = vec![suite.size.to_string()];
         for &name in &algo_names {
-            match acc.iter().find(|(n, _, _)| *n == name) {
-                Some((_, count, secs)) if *secs > 0.0 => {
-                    row.push(format!("{:.0}", *count as f64 / secs));
+            match totals.iter().find(|r| r.name == name) {
+                Some(r) if r.seconds > 0.0 => {
+                    row.push(partial(format!("{:.0}", r.count as f64 / r.seconds), r.timed_out));
                 }
                 _ => row.push("-".into()),
             }
@@ -60,6 +48,7 @@ fn main() {
         t.row(row);
     }
     t.print();
-    report.finish();
+    println!("\n{PARTIAL_NOTE}");
     println!("\nExpected shape (paper): throughput falls as size grows; CSCE highest.");
+    Ok(())
 }

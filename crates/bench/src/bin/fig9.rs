@@ -7,39 +7,26 @@
 //! the budget) and RoadCA (whose sparse-pattern runs complete, showing
 //! the time-vs-embeddings growth directly).
 
-use csce_bench::{run_all, BenchContext, BenchReport, Table};
+use csce_bench::{env_param, run_all, AlgoResult, BenchContext, Table, UsageError};
 use csce_datasets::{presets, sample_suite, Dataset};
 use csce_graph::{Density, Variant};
 use std::time::Duration;
 
-/// One algorithm's `(name, seconds, partial count, timed_out)` cell.
-type Cell = (String, f64, u64, bool);
-
-fn main() {
-    let limit = Duration::from_secs(
-        std::env::var("CSCE_TIME_LIMIT").ok().and_then(|s| s.parse().ok()).unwrap_or(10),
-    );
-    let repeats: usize =
-        std::env::var("CSCE_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut report = BenchReport::new("fig9");
+fn main() -> Result<(), UsageError> {
+    let limit = Duration::from_secs(env_param("CSCE_TIME_LIMIT", 10)? as u64);
+    let repeats = env_param("CSCE_REPEATS", 10)?;
     for (ds, density) in [(presets::dip(), Density::Dense), (presets::roadca(), Density::Sparse)] {
         println!("Fig. 9 — total time vs number of embeddings on {} ({})\n", ds.name, ds.stats());
-        run_panel(ds, density, limit, repeats, &mut report);
+        run_panel(ds, density, limit, repeats);
     }
-    report.finish();
     println!(
         "`*` = clamped at the time limit; the cell then shows the partial count\n\
          reached within the budget (higher = faster engine)."
     );
+    Ok(())
 }
 
-fn run_panel(
-    ds: Dataset,
-    density: Density,
-    limit: Duration,
-    repeats: usize,
-    report: &mut BenchReport,
-) {
+fn run_panel(ds: Dataset, density: Density, limit: Duration, repeats: usize) {
     let ctx = BenchContext::new(ds.name, ds.graph);
     // DIP uses dense patterns (MIPS-complex-like; sparse trees on a
     // hub-heavy PPI graph explode); the RoadCA panel uses sparse patterns
@@ -52,37 +39,23 @@ fn run_panel(
         }
         // Run everything, then sort rows by CSCE's embedding count
         // (ascending), as the paper arranges its x-axis.
-        let mut results: Vec<(u64, Vec<Cell>)> = Vec::new();
-        let mut algo_names: Vec<&'static str> = Vec::new();
-        for (pi, p) in suite.patterns.iter().enumerate() {
-            let rs = run_all(&ctx, p, Variant::EdgeInduced, limit);
-            report.record_all(&format!("{}/size{size}/p{pi}", ctx.name), &rs);
-            if algo_names.is_empty() {
-                algo_names = rs.iter().map(|r| r.name).collect();
-            }
-            let count = rs[0].count; // CSCE's (possibly partial) count
-            results.push((
-                count,
-                rs.into_iter()
-                    .map(|r| (r.name.to_string(), r.seconds, r.count, r.timed_out))
-                    .collect(),
-            ));
-        }
-        results.sort_by_key(|(c, _)| *c);
+        let mut results: Vec<Vec<AlgoResult>> =
+            suite.patterns.iter().map(|p| run_all(&ctx, p, Variant::EdgeInduced, limit)).collect();
+        let algo_names: Vec<&str> = results[0].iter().map(|r| r.name).collect();
+        // CSCE's (possibly partial) count comes first in every sweep.
+        results.sort_by_key(|rs| rs[0].count);
         let mut header = vec!["#embeddings"];
         header.extend(algo_names.iter().copied());
         let mut t = Table::new(&header);
-        for (count, cells) in results {
-            let mut row = vec![count.to_string()];
+        for rs in results {
+            let mut row = vec![rs[0].count.to_string()];
             for &name in &algo_names {
-                match cells.iter().find(|(n, _, _, _)| n == name) {
+                match rs.iter().find(|r| r.name == name) {
                     // Timed-out runs report the partial count reached at
                     // the limit, so relative engine speed stays visible
                     // even when every run clamps.
-                    Some((_, _, partial, true)) => {
-                        row.push(format!("{:.0}M*", *partial as f64 / 1e6))
-                    }
-                    Some((_, secs, _, false)) => row.push(format!("{secs:.3}s")),
+                    Some(r) if r.timed_out => row.push(format!("{:.0}M*", r.count as f64 / 1e6)),
+                    Some(r) => row.push(format!("{:.3}s", r.seconds)),
                     None => row.push("-".into()),
                 }
             }

@@ -2,26 +2,22 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (§VII). Each `src/bin/figN.rs` / `tableN.rs` binary
-//! prints the rows or series of one exhibit; `benches/` holds Criterion
-//! micro-benchmarks of the hot paths and the design-choice ablations.
+//! prints the rows or series of one exhibit on stdout and writes no file;
+//! `benches/` holds Criterion micro-benchmarks of the hot paths and the
+//! design-choice ablations. The measured, layer-timed benchmark is the
+//! separate `perfbench` package.
 //!
-//! This library provides the shared machinery: a peak-tracking global
-//! allocator (the paper reports peak RAM), aligned table printing, a
-//! uniform sweep runner over CSCE plus every applicable baseline, and the
-//! [`BenchReport`] collector that mirrors every run into a
-//! machine-readable `BENCH_<name>.json` file.
+//! This library provides the shared machinery: the one reader of the
+//! `CSCE_TIME_LIMIT` / `CSCE_REPEATS` parameters, aligned table printing
+//! with the paper's byte and peak-RSS cells, and a uniform sweep runner
+//! over CSCE plus every applicable baseline.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-// The tracking allocator is the one place in the workspace that needs
-// `unsafe`: wrapping [`std::alloc::System`] behind `GlobalAlloc`.
-#[allow(unsafe_code)]
-pub mod alloc;
-pub mod report;
+pub mod params;
 pub mod runner;
 pub mod table;
 
-pub use alloc::TrackingAllocator;
-pub use report::BenchReport;
-pub use runner::{geometric_mean, run_all, run_csce, AlgoResult, BenchContext, TIME_LIMIT};
-pub use table::Table;
+pub use params::{env_param, UsageError};
+pub use runner::{run_all, run_baseline, run_csce, sum_by_algo, AlgoResult, BenchContext};
+pub use table::{format_bytes, mean_secs, partial, peak_rss, Table, PARTIAL_NOTE};

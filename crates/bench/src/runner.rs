@@ -2,14 +2,10 @@
 //! task, with the paper's time-limit convention (a failed run is recorded
 //! at the limit, §VII "Metric").
 
-use csce_baselines::all_baselines;
-use csce_core::{Engine, ExecStats, PlannerConfig, RunConfig};
+use csce_baselines::{all_baselines, Baseline};
+use csce_core::{Engine, PlannerConfig, RunConfig};
 use csce_graph::{Graph, Variant};
 use std::time::Duration;
-
-/// The harness-wide time limit per (algorithm, pattern) run. The paper
-/// uses 10^4 s; scaled with our graphs so full sweeps finish.
-pub const TIME_LIMIT: Duration = Duration::from_secs(10);
 
 /// One algorithm's outcome on one task.
 #[derive(Clone, Debug)]
@@ -18,9 +14,6 @@ pub struct AlgoResult {
     pub seconds: f64,
     pub count: u64,
     pub timed_out: bool,
-    /// Full execution counters — present for CSCE runs (baselines report
-    /// only the count). Dumped into `BENCH_*.json` run reports.
-    pub stats: Option<ExecStats>,
 }
 
 /// A data graph together with its prebuilt CCSR engine (the offline stage
@@ -49,19 +42,45 @@ pub fn run_all(
     let mut out = Vec::new();
     out.push(run_csce(ctx, pattern, variant, time_limit));
     for baseline in all_baselines() {
-        if !baseline.supports(&ctx.graph, pattern, variant) {
-            continue;
+        if baseline.supports(&ctx.graph, pattern, variant) {
+            out.push(run_baseline(ctx, baseline.as_ref(), pattern, variant, time_limit));
         }
-        let r = baseline.count(&ctx.graph, pattern, variant, Some(time_limit));
-        out.push(AlgoResult {
-            name: baseline.name(),
-            seconds: if r.timed_out { time_limit.as_secs_f64() } else { r.elapsed.as_secs_f64() },
-            count: r.count,
-            timed_out: r.timed_out,
-            stats: None,
-        });
     }
     out
+}
+
+/// Sum sweeps per algorithm, in first-seen order: seconds and counts add
+/// up, and `timed_out` is set when any run clamped.
+pub fn sum_by_algo(sweeps: impl IntoIterator<Item = Vec<AlgoResult>>) -> Vec<AlgoResult> {
+    let mut totals: Vec<AlgoResult> = Vec::new();
+    for r in sweeps.into_iter().flatten() {
+        match totals.iter_mut().find(|t| t.name == r.name) {
+            Some(t) => {
+                t.seconds += r.seconds;
+                t.count = t.count.saturating_add(r.count);
+                t.timed_out |= r.timed_out;
+            }
+            None => totals.push(r),
+        }
+    }
+    totals
+}
+
+/// Run one baseline, clamped to the time limit if it fails.
+pub fn run_baseline(
+    ctx: &BenchContext,
+    baseline: &dyn Baseline,
+    pattern: &Graph,
+    variant: Variant,
+    time_limit: Duration,
+) -> AlgoResult {
+    let r = baseline.count(&ctx.graph, pattern, variant, Some(time_limit));
+    AlgoResult {
+        name: baseline.name(),
+        seconds: if r.timed_out { time_limit.as_secs_f64() } else { r.elapsed.as_secs_f64() },
+        count: r.count,
+        timed_out: r.timed_out,
+    }
 }
 
 /// Run CSCE alone.
@@ -82,17 +101,7 @@ pub fn run_csce(
         },
         count: out.count,
         timed_out: out.stats.timed_out,
-        stats: Some(out.stats),
     }
-}
-
-/// Geometric mean, the usual summary for ratio-style speedups.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
-    (log_sum / values.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -118,6 +127,20 @@ mod tests {
     }
 
     #[test]
+    fn sums_group_by_algorithm() {
+        let r = |name, seconds, count, timed_out| AlgoResult { name, seconds, count, timed_out };
+        let totals = sum_by_algo([
+            vec![r("CSCE", 1.0, 5, false), r("RI", 2.0, 5, false)],
+            vec![r("CSCE", 0.5, 3, false), r("RI", 10.0, 1, true)],
+        ]);
+        assert_eq!(totals.len(), 2);
+        assert_eq!((totals[0].name, totals[0].seconds, totals[0].count), ("CSCE", 1.5, 8));
+        assert!(!totals[0].timed_out);
+        assert_eq!((totals[1].name, totals[1].seconds, totals[1].count), ("RI", 12.0, 6));
+        assert!(totals[1].timed_out);
+    }
+
+    #[test]
     fn all_applicable_algorithms_agree() {
         let ctx = tiny_ctx();
         let p = wedge();
@@ -130,11 +153,5 @@ mod tests {
                 assert_eq!(r.count, expected, "{} disagrees under {variant}", r.name);
             }
         }
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 }

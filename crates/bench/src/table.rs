@@ -1,4 +1,5 @@
-//! Minimal aligned-column table printing for the harness binaries.
+//! Aligned-column table printing and the cell formatters the harness
+//! binaries share: partial-run marks, byte counts and peak RSS.
 
 /// A simple text table with a header row.
 pub struct Table {
@@ -58,15 +59,57 @@ impl Table {
     }
 }
 
-/// Format seconds like the paper's plots (log-scale friendly).
-pub fn format_secs(s: f64) -> String {
-    if s < 0.001 {
-        format!("{:.0}us", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:.1}ms", s * 1e3)
+/// Footnote for exhibits whose cells go through [`partial`].
+pub const PARTIAL_NOTE: &str = "`*` = at least one run in the cell was clamped at the time limit, \
+     so it folds in a partial count and the clamped time.";
+
+/// Mark `cell` with `*` when it folds in a run clamped at the time limit.
+pub fn partial(cell: String, timed_out: bool) -> String {
+    if timed_out {
+        cell + "*"
     } else {
-        format!("{s:.2}s")
+        cell
     }
+}
+
+/// The mean of `(seconds, timed_out)` runs as a `{:.3}s` cell, marked
+/// with [`partial`] when any run was clamped.
+pub fn mean_secs(runs: impl IntoIterator<Item = (f64, bool)>) -> String {
+    let (mut total, mut n, mut timed_out) = (0.0, 0usize, false);
+    for (secs, clamped) in runs {
+        total += secs;
+        n += 1;
+        timed_out |= clamped;
+    }
+    partial(format!("{:.3}s", total / n as f64), timed_out)
+}
+
+/// Format a byte count like the paper's GB-scale tables.
+pub fn format_bytes(bytes: usize) -> String {
+    const UNITS: [&str; 4] = ["B", "KB", "MB", "GB"];
+    let mut value = bytes as f64;
+    let mut unit = 0;
+    while value >= 1024.0 && unit + 1 < UNITS.len() {
+        value /= 1024.0;
+        unit += 1;
+    }
+    format!("{value:.2} {}", UNITS[unit])
+}
+
+/// The process's peak resident set size so far, as [`format_bytes`]
+/// prints it, or `-` where `/proc/self/status` is absent.
+pub fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| vm_hwm_bytes(&status))
+        .map_or_else(|| "-".to_string(), format_bytes)
+}
+
+/// The `VmHWM:  <n> kB` line of a `/proc/<pid>/status` text, in bytes.
+fn vm_hwm_bytes(status: &str) -> Option<usize> {
+    let value = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb = value.trim().strip_suffix("kB")?.trim_end().parse::<usize>().ok()?;
+    kb.checked_mul(1024)
 }
 
 #[cfg(test)]
@@ -93,9 +136,24 @@ mod tests {
     }
 
     #[test]
-    fn second_formatting() {
-        assert_eq!(format_secs(0.0000005), "0us");
-        assert_eq!(format_secs(0.0025), "2.5ms");
-        assert_eq!(format_secs(5.678), "5.68s");
+    fn formatting() {
+        assert_eq!(format_bytes(512), "512.00 B");
+        assert_eq!(format_bytes(2048), "2.00 KB");
+        assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MB");
+    }
+
+    #[test]
+    fn means_mark_clamped_runs() {
+        assert_eq!(mean_secs([(1.0, false), (2.0, false)]), "1.500s");
+        assert_eq!(mean_secs([(1.0, false), (10.0, true)]), "5.500s*");
+    }
+
+    #[test]
+    fn vm_hwm_parses_from_a_status_text() {
+        let status = "Name:\tfig10\nVmPeak:\t  123456 kB\nVmSize:\t  120000 kB\n\
+                      VmHWM:\t   64512 kB\nVmRSS:\t   60000 kB\nThreads:\t1\n";
+        assert_eq!(vm_hwm_bytes(status), Some(64512 * 1024));
+        assert_eq!(vm_hwm_bytes("Name:\tfig10\nVmRSS:\t 1 kB\n"), None);
+        assert_eq!(vm_hwm_bytes("VmHWM:\t garbage kB\n"), None);
     }
 }

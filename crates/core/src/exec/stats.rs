@@ -103,7 +103,7 @@ impl ExecStats {
     }
 
     /// Export every counter into a metrics registry under the `exec.`
-    /// prefix (the names the run report and `BENCH_*.json` files use).
+    /// prefix (the names the `csce match --stats` run report uses).
     pub fn export(&self, m: &mut MetricsRegistry) {
         m.set_counter("exec.embeddings", self.embeddings);
         m.set_counter("exec.sce_cache_hits", self.sce_cache_hits);

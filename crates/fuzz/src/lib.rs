@@ -9,6 +9,8 @@
 //! `csce-analyze` checkers before being reported. The `csce fuzz` CLI
 //! subcommand is a thin wrapper over [`run_fuzz`].
 
+#![forbid(unsafe_code)]
+
 pub mod case;
 pub mod referee;
 pub mod repro;

@@ -1,7 +1,7 @@
 //! # csce-obs
 //!
 //! Zero-dependency observability for the CSCE engine: the measurement
-//! substrate behind `csce match --stats`, the `BENCH_*.json` run reports,
+//! substrate behind `csce match --stats`, the `perfbench` layer timings,
 //! and every perf claim later PRs make.
 //!
 //! Three pieces, combinable but independent:

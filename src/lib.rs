@@ -30,6 +30,8 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
+#![forbid(unsafe_code)]
+
 pub use csce_analyze as analyze;
 pub use csce_baselines as baselines;
 pub use csce_ccsr as ccsr;
