@@ -1,11 +1,15 @@
 //! Offline clustering: building `G_C` from a data graph.
 //!
-//! Each edge is routed to its cluster by [`ClusterKey`] in O(1), giving
-//! the paper's `O(|E|)` clustering bound; each cluster's row indexes are
-//! built from its sorted arcs, giving the `2|E| log 2|E|` sorting bound and
-//! no `O(n)` work per cluster. After construction the original [`Graph`]
-//! is no longer needed: the `Ccsr` keeps the vertex labels and every edge
-//! (twice, in exactly one cluster).
+//! The build is one counting sort. One hash lookup per edge numbers its
+//! cluster by [`ClusterKey`] and counts the cluster's edges (the paper's
+//! `O(|E|)` clustering bound). The distinct keys are ordered once by
+//! `(label pair, key)`, the order [`Ccsr`] keeps. Every edge then writes
+//! its two arcs into one flat buffer at its cluster's cursor, and each
+//! direction's slice is sorted into its row index (the `2|E| log 2|E|`
+//! sorting bound). No per-cluster list is grown and no `O(n)` work is done
+//! per cluster. After construction the original [`Graph`] is no longer
+//! needed: the `Ccsr` keeps the vertex labels and every edge (twice, in
+//! exactly one cluster).
 
 use crate::cluster::Cluster;
 use crate::index::RowIndex;
@@ -19,38 +23,82 @@ pub struct Ccsr {
     n: u32,
     vertex_labels: Vec<Label>,
     label_freq: FxHashMap<Label, u32>,
-    clusters: FxHashMap<ClusterKey, Cluster>,
-    /// Unordered label pair → all cluster keys between those labels; this
-    /// is the `(u_x, u_y)*`-clusters index used for vertex-induced
-    /// negation (Algorithms 1 and 2).
-    pair_index: FxHashMap<(Label, Label), Vec<ClusterKey>>,
+    /// Every cluster, ordered by `(label_pair, key)`: the clusters between
+    /// one unordered label pair are contiguous and in key order.
+    clusters: Vec<Cluster>,
+    /// Unordered label pair → the range of its clusters in `clusters`:
+    /// the `(u_x, u_y)*`-clusters used for vertex-induced negation
+    /// (Algorithms 1 and 2), and where [`Ccsr::cluster`] looks a key up.
+    pairs: FxHashMap<(Label, Label), (u32, u32)>,
 }
 
 /// Cluster all edges of `g` into CCSR form (the offline stage of Fig. 2).
 /// Fails with [`CcsrError::Overflow`] when the graph exceeds the 32-bit
-/// budgets of the CCSR layout (vertex ids, per-cluster arc counts).
+/// budgets of the CCSR layout (vertex ids, cluster count, per-cluster arc
+/// counts).
 pub fn build_ccsr(g: &Graph) -> Result<Ccsr, CcsrError> {
     let n = g.n();
     let n32 = u32::try_from(n).map_err(|_| CcsrError::Overflow { what: "vertex count" })?;
-    // Route each arc to its cluster: O(|E|).
-    let mut out_pairs: FxHashMap<ClusterKey, Vec<(VertexId, VertexId)>> = FxHashMap::default();
-    let mut in_pairs: FxHashMap<ClusterKey, Vec<(VertexId, VertexId)>> = FxHashMap::default();
-    for e in g.edges() {
+    let edges = g.edges();
+    // Number the clusters in order of first appearance and count their
+    // edges: one lookup per edge, none while the key repeats.
+    let mut ids: FxHashMap<ClusterKey, usize> = FxHashMap::default();
+    let mut keys: Vec<ClusterKey> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut edge_ids: Vec<usize> = Vec::with_capacity(edges.len());
+    let mut last = None;
+    for e in edges {
         let key = ClusterKey::of_edge(g, e.src, e.dst, e.label, e.directed);
-        if e.directed {
-            out_pairs.entry(key).or_default().push((e.src, e.dst));
-            in_pairs.entry(key).or_default().push((e.dst, e.src));
-        } else {
-            let v = out_pairs.entry(key).or_default();
-            v.push((e.src, e.dst));
-            v.push((e.dst, e.src));
-        }
+        let id = match last {
+            Some((k, id)) if k == key => id,
+            _ => *ids.entry(key).or_insert_with(|| {
+                keys.push(key);
+                sizes.push(0);
+                keys.len() - 1
+            }),
+        };
+        last = Some((key, id));
+        sizes[id] += 1;
+        edge_ids.push(id);
     }
-    // Sort each cluster's arcs into its row indexes: O(arcs log arcs).
-    let mut clusters = Vec::with_capacity(out_pairs.len());
-    for (key, pairs) in out_pairs {
-        let out = RowIndex::from_arcs(n, pairs)?;
-        let inc = in_pairs.remove(&key).map(|pairs| RowIndex::from_arcs(n, pairs)).transpose()?;
+    drop(ids);
+    // `Ccsr` addresses its cluster table with `u32` ranges.
+    u32::try_from(keys.len()).map_err(|_| CcsrError::Overflow { what: "cluster count" })?;
+    // Order the clusters once, as `Ccsr` keeps them, and lay their arcs
+    // out in that order, `2 · edges` each: a directed cluster's out arcs
+    // then its in arcs, an undirected cluster's one list.
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&id| (keys[id].label_pair(), keys[id]));
+    // Per cluster: the next free position and the distance from an arc to
+    // its reverse (the in half of a directed cluster, or the next slot).
+    let mut cursors = vec![(0, 0); keys.len()];
+    let mut end = 0;
+    for &id in &order {
+        cursors[id] = (end, if keys[id].directed { sizes[id] } else { 1 });
+        end += 2 * sizes[id];
+    }
+    // Counting-sort scatter: each edge writes its arc and its reverse.
+    let mut arcs: Vec<(VertexId, VertexId)> = vec![(0, 0); 2 * edges.len()];
+    for (e, &id) in edges.iter().zip(&edge_ids) {
+        let (at, reverse) = &mut cursors[id];
+        arcs[*at] = (e.src, e.dst);
+        arcs[*at + *reverse] = (e.dst, e.src);
+        *at += if e.directed { 1 } else { 2 };
+    }
+    drop(edge_ids);
+    // Each cluster's slice becomes its row indexes.
+    let mut rest: &mut [(VertexId, VertexId)] = &mut arcs;
+    let mut clusters = Vec::with_capacity(keys.len());
+    for &id in &order {
+        let (key, size) = (keys[id], sizes[id]);
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(2 * size);
+        rest = tail;
+        let (out, inc) = if key.directed {
+            let (out, inc) = slice.split_at_mut(size);
+            (RowIndex::from_sorted(n, out)?, Some(RowIndex::from_sorted(n, inc)?))
+        } else {
+            (RowIndex::from_sorted(n, slice)?, None)
+        };
         clusters.push(Cluster { key, out, inc });
     }
     let ccsr = Ccsr::from_parts(n32, g.labels().to_vec(), clusters);
@@ -83,15 +131,17 @@ impl Ccsr {
         &self.label_freq
     }
 
-    /// Look up one cluster by identifier.
+    /// Look up one cluster by identifier: a hash of its label pair, then a
+    /// binary search of that pair's few clusters.
     #[inline]
     pub fn cluster(&self, key: &ClusterKey) -> Option<&Cluster> {
-        self.clusters.get(key)
+        let range = self.negation_clusters(key.src_label, key.dst_label);
+        range.binary_search_by(|c| c.key.cmp(key)).ok().and_then(|i| range.get(i))
     }
 
-    /// All clusters.
+    /// All clusters, ordered by `(label pair, key)`.
     pub fn clusters(&self) -> impl Iterator<Item = &Cluster> {
-        self.clusters.values()
+        self.clusters.iter()
     }
 
     /// Number of clusters (`c` in the space analysis).
@@ -99,16 +149,19 @@ impl Ccsr {
         self.clusters.len()
     }
 
-    /// All cluster keys between an unordered vertex-label pair — the
-    /// `(u_x, u_y)*`-clusters.
-    pub fn negation_keys(&self, a: Label, b: Label) -> &[ClusterKey] {
-        self.pair_index.get(&(a.min(b), a.max(b))).map(|v| v.as_slice()).unwrap_or(&[])
+    /// All clusters between an unordered vertex-label pair, in key order —
+    /// the `(u_x, u_y)*`-clusters.
+    pub fn negation_clusters(&self, a: Label, b: Label) -> &[Cluster] {
+        match self.pairs.get(&(a.min(b), a.max(b))) {
+            Some(&(lo, hi)) => self.clusters.get(lo as usize..hi as usize).unwrap_or(&[]),
+            None => &[],
+        }
     }
 
     /// Total `I_C` length over all clusters; equals `2|E|` by construction.
     pub fn total_ic_len(&self) -> usize {
         self.clusters
-            .values()
+            .iter()
             .map(|c| c.out.arc_count() + c.inc.as_ref().map_or(0, RowIndex::arc_count))
             .sum()
     }
@@ -117,36 +170,55 @@ impl Ccsr {
     /// sparse index, `n + 1` per dense one; bounded by `4|E|`.
     pub fn total_ir_len(&self) -> usize {
         self.clusters
-            .values()
+            .iter()
             .map(|c| c.out.ir_len() + c.inc.as_ref().map_or(0, RowIndex::ir_len))
             .sum()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes of the whole `G_C`: the vertex labels, the label
+    /// frequencies, the cluster table and its row buffers, and the
+    /// label-pair map. Hash tables are estimated from their capacity.
     pub fn heap_bytes(&self) -> usize {
         self.vertex_labels.capacity() * std::mem::size_of::<Label>()
-            + self.clusters.values().map(|c| c.heap_bytes()).sum::<usize>()
+            + table_bytes(&self.label_freq)
+            + self.clusters.capacity() * std::mem::size_of::<Cluster>()
+            + self.clusters.iter().map(Cluster::heap_bytes).sum::<usize>()
+            + table_bytes(&self.pairs)
     }
 
     /// The one constructor, shared by [`build_ccsr`] and decoding: it
-    /// derives the label-frequency and negation indexes from the parts.
-    /// Callers run [`Ccsr::check`] on the result.
-    pub(crate) fn from_parts(n: u32, vertex_labels: Vec<Label>, clusters: Vec<Cluster>) -> Ccsr {
+    /// orders the clusters by `(label pair, key)` (a linear pass when they
+    /// already are, as a build's are) and derives the label-frequency and
+    /// label-pair indexes. Callers run [`Ccsr::check`] on the result.
+    pub(crate) fn from_parts(
+        n: u32,
+        vertex_labels: Vec<Label>,
+        mut clusters: Vec<Cluster>,
+    ) -> Ccsr {
         let mut label_freq: FxHashMap<Label, u32> = FxHashMap::default();
         for &l in &vertex_labels {
             *label_freq.entry(l).or_insert(0) += 1;
         }
-        let clusters: FxHashMap<ClusterKey, Cluster> =
-            clusters.into_iter().map(|c| (c.key, c)).collect();
-        let mut pair_index: FxHashMap<(Label, Label), Vec<ClusterKey>> = FxHashMap::default();
-        for key in clusters.keys() {
-            pair_index.entry(key.label_pair()).or_default().push(*key);
+        clusters.sort_unstable_by_key(|c| (c.key.label_pair(), c.key));
+        clusters.shrink_to_fit();
+        let pair_count = clusters.chunk_by(|a, b| a.key.label_pair() == b.key.label_pair()).count();
+        let mut pairs = FxHashMap::with_capacity_and_hasher(pair_count, Default::default());
+        for (i, c) in (0u32..).zip(&clusters) {
+            pairs.entry(c.key.label_pair()).or_insert((i, i)).1 = i + 1;
         }
-        for keys in pair_index.values_mut() {
-            keys.sort_unstable();
-        }
-        Ccsr { n, vertex_labels, label_freq, clusters, pair_index }
+        Ccsr { n, vertex_labels, label_freq, clusters, pairs }
     }
+}
+
+/// Heap bytes of a hash table with `map`'s capacity: one `(K, V)` slot and
+/// one control byte per bucket, plus one group of trailing control bytes.
+fn table_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 }.next_power_of_two();
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
 }
 
 #[cfg(test)]
@@ -249,11 +321,12 @@ mod tests {
         b.add_edge(0, 1, NO_LABEL).unwrap(); // (0,1) directed
         b.add_edge(1, 2, NO_LABEL).unwrap(); // (1,0) directed the other way
         let gc = build_ccsr(&b.build()).unwrap();
-        let keys = gc.negation_keys(1, 0);
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains(&ClusterKey::directed(0, 1, NO_LABEL)));
-        assert!(keys.contains(&ClusterKey::directed(1, 0, NO_LABEL)));
-        assert!(gc.negation_keys(5, 6).is_empty());
+        let keys: Vec<ClusterKey> = gc.negation_clusters(1, 0).iter().map(|c| c.key).collect();
+        assert_eq!(
+            keys,
+            [ClusterKey::directed(0, 1, NO_LABEL), ClusterKey::directed(1, 0, NO_LABEL)]
+        );
+        assert!(gc.negation_clusters(5, 6).is_empty());
     }
 
     #[test]
@@ -264,5 +337,14 @@ mod tests {
             assert_eq!(gc.vertex_label(v), g.label(v));
         }
         assert_eq!(gc.label_frequency(), g.label_frequency());
+    }
+
+    #[test]
+    fn heap_bytes_count_every_table() {
+        let gc = build_ccsr(&fig1_data_graph()).unwrap();
+        let rows: usize = gc.clusters().map(Cluster::heap_bytes).sum();
+        let table = gc.cluster_count() * std::mem::size_of::<Cluster>();
+        let labels = gc.n() * std::mem::size_of::<Label>();
+        assert!(gc.heap_bytes() >= table + rows + labels, "{}", gc.heap_bytes());
     }
 }

@@ -70,7 +70,8 @@ impl Cluster {
         self.out.indexed_rows() + self.inc.as_ref().map_or(0, RowIndex::indexed_rows)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes of the cluster's row buffers (its key and index headers
+    /// live inline, in `G_C`'s cluster table).
     pub fn heap_bytes(&self) -> usize {
         self.out.heap_bytes() + self.inc.as_ref().map_or(0, RowIndex::heap_bytes)
     }
@@ -85,8 +86,8 @@ mod tests {
         // Arcs: 0->1, 0->5, 3->4 over 6 vertices.
         Cluster {
             key: ClusterKey::directed(0, 1, NO_LABEL),
-            out: RowIndex::from_arcs(6, vec![(0, 1), (0, 5), (3, 4)]).unwrap(),
-            inc: Some(RowIndex::from_arcs(6, vec![(1, 0), (5, 0), (4, 3)]).unwrap()),
+            out: RowIndex::from_sorted(6, &mut [(0, 1), (0, 5), (3, 4)]).unwrap(),
+            inc: Some(RowIndex::from_sorted(6, &mut [(1, 0), (5, 0), (4, 3)]).unwrap()),
         }
     }
 
@@ -109,7 +110,7 @@ mod tests {
         // Undirected edges {0,1} and {1,2}: stored as 4 arcs in one index.
         let c = Cluster {
             key: ClusterKey::undirected(0, 0, NO_LABEL),
-            out: RowIndex::from_arcs(3, vec![(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap(),
+            out: RowIndex::from_sorted(3, &mut [(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap(),
             inc: None,
         };
         assert_eq!(c.edge_count(), 2);
@@ -117,5 +118,10 @@ mod tests {
         assert_eq!(c.in_neighbors(1), &[0, 2]);
         assert_eq!(c.size(), 4);
         assert_eq!(c.nonempty_rows(true).collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn cluster_fits_one_cache_line() {
+        assert!(std::mem::size_of::<Cluster>() <= 64, "{} bytes", std::mem::size_of::<Cluster>());
     }
 }

@@ -13,8 +13,15 @@
 //! longer than the sparse `2 · rows + 1` (at least half of the vertices
 //! have arcs), the index stores the dense offsets and a row lookup is one
 //! array access. Either way the index holds at most `2 · arcs + 1`
-//! integers, within the paper's bound. The on-disk format keeps the runs;
-//! [`RowIndex::from_runs`] and [`RowIndex::runs`] convert in O(runs).
+//! integers, within the paper's bound.
+//!
+//! Each index is one exact-size allocation laid out as
+//! `rows | starts | neighbors` (the dense form has no `rows`), plus two
+//! `u32` lengths: on a graph with many labels most clusters hold one or two
+//! edges, and three separately allocated arrays would cost more than the
+//! arcs. [`RowIndex::from_sorted`] writes that buffer once from a slice of
+//! arcs. The on-disk format keeps the runs; [`RowIndex::from_runs`] and
+//! [`RowIndex::runs`] convert in O(runs).
 
 use crate::CcsrError;
 use csce_graph::VertexId;
@@ -22,41 +29,43 @@ use csce_graph::VertexId;
 /// One direction of a cluster: sorted neighbor rows with their index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct RowIndex {
-    /// Sparse form: the non-empty rows, ascending. Dense form: empty.
-    rows: Vec<VertexId>,
-    /// Offsets into `neighbors`. Sparse form: the start of each row of
-    /// `rows`, then the end (`rows.len() + 1` entries). Dense form: the
-    /// start of every vertex's row, then the end (`n + 1` entries).
-    starts: Vec<u32>,
-    /// `I_C`: the rows' neighbors, each row strictly increasing.
-    neighbors: Vec<VertexId>,
+    /// `rows | starts | neighbors`. `rows`: the non-empty rows, ascending
+    /// (sparse form; absent in the dense form). `starts`: offsets into
+    /// `neighbors`, the start of each row of `rows` then the end (sparse),
+    /// or the start of every vertex's row then the end (dense, `n + 1`
+    /// entries). `neighbors`: `I_C`, each row strictly increasing.
+    data: Box<[u32]>,
+    /// Length of `rows`; 0 marks the dense form.
+    rows: u32,
+    /// Length of `neighbors`: the stored arcs.
+    arcs: u32,
 }
 
 impl RowIndex {
     /// Build from `(row, neighbor)` arcs over `n` vertices, in any order:
-    /// a sort, then one pass. Fails with [`CcsrError::Overflow`] when the
-    /// direction holds more than `u32::MAX` arcs.
-    pub(crate) fn from_arcs(
+    /// sorts `arcs` in place, then writes the index in one pass. Fails with
+    /// [`CcsrError::Overflow`] when the direction holds more than
+    /// `u32::MAX` arcs.
+    pub(crate) fn from_sorted(
         n: usize,
-        mut arcs: Vec<(VertexId, VertexId)>,
+        arcs: &mut [(VertexId, VertexId)],
     ) -> Result<RowIndex, CcsrError> {
-        let offset = |i: usize| {
+        let count = |i: usize| {
             u32::try_from(i).map_err(|_| CcsrError::Overflow { what: "cluster arc count" })
         };
-        arcs.sort_unstable();
-        let mut rows: Vec<VertexId> = Vec::new();
-        let mut starts = Vec::new();
-        for (i, &(v, _)) in arcs.iter().enumerate() {
-            if rows.last() != Some(&v) {
-                rows.push(v);
-                starts.push(offset(i)?);
-            }
-        }
-        starts.push(offset(arcs.len())?);
-        // Collected from a borrow: collecting the owned pairs would reuse
-        // their buffer and keep twice the capacity `I_C` needs.
-        let neighbors = arcs.iter().map(|&(_, w)| w).collect();
-        Ok(RowIndex::new(n, rows, starts, neighbors))
+        let arc_count = count(arcs.len())?;
+        // One integer comparison per step instead of a tuple's two.
+        arcs.sort_unstable_by_key(|&(v, w)| u64::from(v) << 32 | u64::from(w));
+        let runs = arcs.chunk_by(|a, b| a.0 == b.0);
+        let row_count = count(runs.clone().count())?;
+        let rows = runs.clone().filter_map(<[_]>::first).map(|&(v, _)| v);
+        // Every partial sum fits: the total does.
+        let ends = runs.scan(0u32, |end, run| {
+            *end = end.checked_add(u32::try_from(run.len()).ok()?)?;
+            Some(*end)
+        });
+        let starts = std::iter::once(0).chain(ends);
+        Ok(RowIndex::pack(n, row_count, rows, starts, arcs.iter().map(|&(_, w)| w), arc_count))
     }
 
     /// Convert the on-disk `(value, repeat)` runs of the `n + 1` offsets
@@ -68,49 +77,69 @@ impl RowIndex {
     pub(crate) fn from_runs(
         n: u32,
         runs: &[(u32, u32)],
-        neighbors: Vec<VertexId>,
+        neighbors: &[VertexId],
     ) -> Result<RowIndex, &'static str> {
         let mut rows = Vec::with_capacity(runs.len().saturating_sub(1));
-        let mut starts: Vec<u32> = Vec::with_capacity(runs.len());
+        let mut last: Option<u32> = None;
         let mut covered = 0u64;
         for &(value, count) in runs {
-            if count == 0 || starts.last().map_or(value != 0, |&prev| value <= prev) {
+            if count == 0 || last.map_or(value != 0, |prev| value <= prev) {
                 return Err("rle-index");
             }
             if covered > 0 {
                 rows.push(VertexId::try_from(covered - 1).map_err(|_| "rle-coverage")?);
             }
-            starts.push(value);
+            last = Some(value);
             covered += u64::from(count);
         }
-        if starts.last().map(|&end| end as usize) != Some(neighbors.len()) {
+        let arcs = u32::try_from(neighbors.len()).map_err(|_| "rle-index")?;
+        if last != Some(arcs) {
             return Err("rle-index");
         }
         if covered != u64::from(n) + 1 {
             return Err("rle-coverage");
         }
-        Ok(RowIndex::new(n as usize, rows, starts, neighbors))
+        let row_count = u32::try_from(rows.len()).map_err(|_| "rle-index")?;
+        let starts = runs.iter().map(|&(value, _)| value);
+        Ok(RowIndex::pack(n as usize, row_count, rows, starts, neighbors.iter().copied(), arcs))
     }
 
-    /// The one place the form is chosen: dense when `n + 1 ≤ 2 · rows + 1`.
-    /// `rows` must be strictly increasing and below `n`.
-    fn new(
+    /// Write the one buffer, choosing the form: dense when
+    /// `n + 1 ≤ 2 · rows + 1`. `rows` yields the `row_count` non-empty rows,
+    /// strictly increasing and below `n`; `starts` their start offsets and
+    /// then the end; `neighbors` the `arcs` neighbor ids.
+    fn pack(
         n: usize,
-        mut rows: Vec<VertexId>,
-        mut starts: Vec<u32>,
-        neighbors: Vec<VertexId>,
+        row_count: u32,
+        rows: impl IntoIterator<Item = VertexId>,
+        mut starts: impl Iterator<Item = u32>,
+        neighbors: impl Iterator<Item = VertexId>,
+        arcs: u32,
     ) -> RowIndex {
-        if n > 2 * rows.len() {
-            rows.shrink_to_fit();
-            starts.shrink_to_fit();
-            return RowIndex { rows, starts, neighbors };
+        let (rows_len, arcs_len) = (row_count as usize, arcs as usize);
+        if n > 2 * rows_len {
+            let mut data = Vec::with_capacity(2 * rows_len + 1 + arcs_len);
+            data.extend(rows);
+            data.extend(starts);
+            data.extend(neighbors);
+            return RowIndex { data: data.into_boxed_slice(), rows: row_count, arcs };
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for (&v, &start) in rows.iter().zip(&starts) {
-            offsets.resize(v as usize + 1, start);
+        let mut data = Vec::with_capacity(n + 1 + arcs_len);
+        for (v, start) in rows.into_iter().zip(&mut starts) {
+            data.resize(v as usize + 1, start);
         }
-        offsets.resize(n + 1, starts.last().copied().unwrap_or(0));
-        RowIndex { rows: Vec::new(), starts: offsets, neighbors }
+        data.resize(n + 1, starts.next().unwrap_or(0));
+        data.extend(neighbors);
+        RowIndex { data: data.into_boxed_slice(), rows: 0, arcs }
+    }
+
+    /// The three sections of the buffer: `(rows, starts, neighbors)`.
+    #[inline]
+    fn parts(&self) -> (&[VertexId], &[u32], &[VertexId]) {
+        let (rows, rest) = self.data.split_at_checked(self.rows as usize).unwrap_or_default();
+        let mid = rest.len().saturating_sub(self.arcs as usize);
+        let (starts, neighbors) = rest.split_at_checked(mid).unwrap_or_default();
+        (rows, starts, neighbors)
     }
 
     /// The on-disk `(value, repeat)` runs of the `n + 1` offsets, in
@@ -131,27 +160,29 @@ impl RowIndex {
     /// The sorted neighbor row of `v`; empty when `v` has no arcs here.
     #[inline]
     pub(crate) fn row(&self, v: VertexId) -> &[VertexId] {
-        let i = if self.rows.is_empty() {
+        let (rows, starts, neighbors) = self.parts();
+        let i = if rows.is_empty() {
             v as usize
         } else {
-            match self.rows.binary_search(&v) {
+            match rows.binary_search(&v) {
                 Ok(i) => i,
                 Err(_) => return &[],
             }
         };
-        match self.starts.get(i..=i + 1) {
-            Some(&[lo, hi]) => self.neighbors.get(lo as usize..hi as usize).unwrap_or(&[]),
+        match starts.get(i..=i + 1) {
+            Some(&[lo, hi]) => neighbors.get(lo as usize..hi as usize).unwrap_or(&[]),
             _ => &[],
         }
     }
 
     /// The non-empty rows, ascending, each with its neighbors.
     pub(crate) fn nonempty(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
-        let dense = self.rows.is_empty();
-        self.starts.windows(2).enumerate().filter_map(move |(i, w)| {
-            let v = if dense { VertexId::try_from(i).ok()? } else { *self.rows.get(i)? };
+        let (rows, starts, neighbors) = self.parts();
+        let dense = rows.is_empty();
+        starts.windows(2).enumerate().filter_map(move |(i, w)| {
+            let v = if dense { VertexId::try_from(i).ok()? } else { *rows.get(i)? };
             let &[lo, hi] = w else { return None };
-            let row = self.neighbors.get(lo as usize..hi as usize)?;
+            let row = neighbors.get(lo as usize..hi as usize)?;
             (!row.is_empty()).then_some((v, row))
         })
     }
@@ -159,34 +190,34 @@ impl RowIndex {
     /// `|I_C|`: the number of stored arcs.
     #[inline]
     pub(crate) fn arc_count(&self) -> usize {
-        self.neighbors.len()
+        self.arcs as usize
     }
 
     /// The raw `I_C` array.
     pub(crate) fn neighbors(&self) -> &[VertexId] {
-        &self.neighbors
+        self.parts().2
     }
 
     /// Rows the index addresses: the non-empty ones (sparse) or all `n`
     /// (dense).
     pub(crate) fn indexed_rows(&self) -> usize {
-        if self.rows.is_empty() {
-            self.starts.len().saturating_sub(1)
+        let (rows, starts, _) = self.parts();
+        if rows.is_empty() {
+            starts.len().saturating_sub(1)
         } else {
-            self.rows.len()
+            rows.len()
         }
     }
 
     /// The index length in integers: `2 · rows + 1` sparse, `n + 1`
     /// dense. The paper's bound: at most `4 · arcs`.
     pub(crate) fn ir_len(&self) -> usize {
-        self.rows.len() + self.starts.len()
+        self.data.len().saturating_sub(self.arc_count())
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap bytes: the one buffer, `4 · (ir_len + arcs)`.
     pub(crate) fn heap_bytes(&self) -> usize {
-        (self.rows.capacity() + self.starts.capacity() + self.neighbors.capacity())
-            * std::mem::size_of::<u32>()
+        self.data.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -202,7 +233,7 @@ mod tests {
     fn fig4_left_cluster() {
         // Paper Fig. 4 left: the (A,B,NULL) outgoing CSR of G in Fig. 1:
         // v1 -> v2, v6; v4 -> v5, 0-based, out of order.
-        let index = RowIndex::from_arcs(10, vec![(3, 4), (0, 5), (0, 1)]).unwrap();
+        let index = RowIndex::from_sorted(10, &mut [(3, 4), (0, 5), (0, 1)]).unwrap();
         assert_eq!(index.row(0), &[1, 5]);
         assert_eq!(index.row(3), &[4]);
         assert_eq!(index.row(1), &[] as &[u32]);
@@ -217,11 +248,10 @@ mod tests {
     #[test]
     fn form_follows_the_size_rule() {
         // n = 2 · rows: dense; one more vertex: sparse. Same rows either way.
-        let arcs = vec![(1, 0), (3, 0)];
-        let dense = RowIndex::from_arcs(4, arcs.clone()).unwrap();
-        let sparse = RowIndex::from_arcs(5, arcs).unwrap();
-        assert!(dense.rows.is_empty() && dense.starts.len() == 5);
-        assert_eq!(sparse.rows, vec![1, 3]);
+        let dense = RowIndex::from_sorted(4, &mut [(1, 0), (3, 0)]).unwrap();
+        let sparse = RowIndex::from_sorted(5, &mut [(3, 0), (1, 0)]).unwrap();
+        assert!(dense.parts().0.is_empty() && dense.parts().1.len() == 5);
+        assert_eq!(sparse.parts().0, &[1, 3]);
         assert_eq!((dense.indexed_rows(), sparse.indexed_rows()), (4, 2));
         for v in 0..5 {
             assert_eq!(dense.row(v), sparse.row(v), "row {v}");
@@ -232,47 +262,63 @@ mod tests {
     #[test]
     fn runs_roundtrip_in_both_forms() {
         for n in [4u32, 5, 40] {
-            let index = RowIndex::from_arcs(n as usize, vec![(0, 1), (0, 2), (3, 0)]).unwrap();
+            let index = RowIndex::from_sorted(n as usize, &mut [(0, 1), (0, 2), (3, 0)]).unwrap();
             let runs = index.runs(n).unwrap();
             assert_eq!(runs.iter().map(|&(_, c)| u64::from(c)).sum::<u64>(), u64::from(n) + 1);
-            assert_eq!(RowIndex::from_runs(n, &runs, index.neighbors.clone()), Ok(index));
+            assert_eq!(RowIndex::from_runs(n, &runs, index.neighbors()), Ok(index));
         }
     }
 
     #[test]
     fn empty_index() {
-        let index = RowIndex::from_arcs(3, vec![]).unwrap();
+        let index = RowIndex::from_sorted(3, &mut []).unwrap();
         assert_eq!(index.arc_count(), 0);
         assert_eq!(index.nonempty().count(), 0);
         assert_eq!(index.row(2), &[] as &[u32]);
         assert_eq!(index.runs(3).unwrap(), vec![(0, 4)]);
-        assert_eq!(RowIndex::from_runs(3, &[(0, 4)], vec![]), Ok(index));
+        assert_eq!(RowIndex::from_runs(3, &[(0, 4)], &[]), Ok(index));
     }
 
     #[test]
     fn from_runs_validates() {
         // Offsets [0,0,2,2] with 2 neighbors: row 1 is [1, 2].
-        let ok = RowIndex::from_runs(3, &[(0, 2), (2, 2)], vec![1, 2]).unwrap();
+        let ok = RowIndex::from_runs(3, &[(0, 2), (2, 2)], &[1, 2]).unwrap();
         assert_eq!(ok.row(1), &[1, 2]);
-        let err = |runs: &[(u32, u32)], nbrs: Vec<u32>| RowIndex::from_runs(3, runs, nbrs);
-        assert_eq!(err(&[], vec![]), Err("rle-index"), "no runs");
-        assert_eq!(err(&[(1, 4)], vec![1]), Err("rle-index"), "first offset not 0");
-        assert_eq!(err(&[(0, 0), (0, 4)], vec![]), Err("rle-index"), "zero count");
-        assert_eq!(err(&[(0, 2), (0, 2)], vec![]), Err("rle-index"), "non-increasing");
-        assert_eq!(err(&[(0, 4)], vec![5]), Err("rle-index"), "does not close");
-        assert_eq!(err(&[(0, 2), (2, 1)], vec![1, 2]), Err("rle-coverage"), "3 offsets");
-        assert_eq!(err(&[(0, 2), (2, 3)], vec![1, 2]), Err("rle-coverage"), "5 offsets");
+        let err = |runs: &[(u32, u32)], nbrs: &[u32]| RowIndex::from_runs(3, runs, nbrs);
+        assert_eq!(err(&[], &[]), Err("rle-index"), "no runs");
+        assert_eq!(err(&[(1, 4)], &[1]), Err("rle-index"), "first offset not 0");
+        assert_eq!(err(&[(0, 0), (0, 4)], &[]), Err("rle-index"), "zero count");
+        assert_eq!(err(&[(0, 2), (0, 2)], &[]), Err("rle-index"), "non-increasing");
+        assert_eq!(err(&[(0, 4)], &[5]), Err("rle-index"), "does not close");
+        assert_eq!(err(&[(0, 2), (2, 1)], &[1, 2]), Err("rle-coverage"), "3 offsets");
+        assert_eq!(err(&[(0, 2), (2, 3)], &[1, 2]), Err("rle-coverage"), "5 offsets");
     }
 
     #[test]
     fn paper_bound_each_arc_at_most_two_ir_integers() {
         // Adversarial: every vertex has exactly one arc, so no run has a
         // repeat. The dense form stores n + 1 = arcs + 1 offsets.
-        let arcs: Vec<(u32, u32)> = (0..100u32).map(|r| (r, (r + 1) % 100)).collect();
-        let index = RowIndex::from_arcs(100, arcs).unwrap();
-        assert!(index.rows.is_empty(), "every row non-empty: dense");
+        let mut arcs: Vec<(u32, u32)> = (0..100u32).map(|r| (r, (r + 1) % 100)).collect();
+        let index = RowIndex::from_sorted(100, &mut arcs).unwrap();
+        assert_eq!(index.rows, 0, "every row non-empty: dense");
         assert_eq!(index.ir_len(), 101);
         assert!(index.ir_len() <= 4 * index.arc_count());
         assert_eq!(index.row(42), &[43]);
+    }
+
+    #[test]
+    fn one_exact_buffer_per_index() {
+        // Sparse, dense and empty: the buffer holds the index and the arcs
+        // and nothing else.
+        for (n, arcs) in
+            [(10, vec![(3, 4), (0, 5), (0, 1)]), (4, vec![(1, 0), (3, 0)]), (3, vec![])]
+        {
+            let mut arcs = arcs;
+            let index = RowIndex::from_sorted(n, &mut arcs).unwrap();
+            assert_eq!(index.heap_bytes(), 4 * (index.ir_len() + index.arc_count()));
+            let back =
+                RowIndex::from_runs(n as u32, &index.runs(n as u32).unwrap(), index.neighbors());
+            assert_eq!(back.map(|b| b.heap_bytes()), Ok(index.heap_bytes()));
+        }
     }
 }

@@ -13,9 +13,14 @@
 //! `I_R`, so the total `I_R` length is bounded by `4|E|` regardless of
 //! cluster count — and finds a row by binary search; when at least half of
 //! the vertices have arcs, the dense `n + 1` offsets are no longer, and it
-//! stores those for O(1) rows. [`read_csr`] (Algorithm 1) selects the
-//! clusters a given pattern and matching variant need and decodes none:
-//! queries read rows in place ([`Cluster::out_neighbors`]).
+//! stores those for O(1) rows. Each row index is one exact-size buffer, and
+//! the clusters sit in one table ordered by unordered label pair, with one
+//! map from each pair to its range: a graph with thousands of labels has
+//! tens of thousands of clusters of one or two edges, and per-cluster
+//! allocations and hash entries would outweigh the arcs. [`read_csr`]
+//! (Algorithm 1) selects the clusters a given pattern and matching variant
+//! need and decodes none: queries read rows in place
+//! ([`Cluster::out_neighbors`]).
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully

@@ -144,13 +144,15 @@ fn get_index(buf: &mut &[u8], key: ClusterKey, n: u32) -> Result<RowIndex, Persi
     for chunk in nbr_bytes.chunks_exact(4) {
         neighbors.push(le_u32(chunk, "neighbor id")?);
     }
-    RowIndex::from_runs(n, &runs, neighbors).map_err(|rule| Corrupt::in_cluster(rule, key).into())
+    RowIndex::from_runs(n, &runs, &neighbors).map_err(|rule| Corrupt::in_cluster(rule, key).into())
 }
 
 /// Encode a `G_C` into bytes. Fails with [`CcsrError::Overflow`] when a
 /// counter exceeds the format's 32-bit fields.
 pub fn to_bytes(ccsr: &Ccsr) -> Result<Vec<u8>, CcsrError> {
-    let mut buf = Vec::with_capacity(64 + ccsr.heap_bytes());
+    // About the size of the labels and the row buffers the runs encode.
+    let rows: usize = ccsr.clusters().map(Cluster::heap_bytes).sum();
+    let mut buf = Vec::with_capacity(64 + 4 * ccsr.n() + rows);
     buf.extend_from_slice(MAGIC);
     let n = counter_u32(ccsr.n(), "vertex count")?;
     put_u32_le(&mut buf, n);
@@ -268,7 +270,7 @@ mod tests {
         let bytes = to_bytes(&gc).unwrap();
         let back = from_bytes(&bytes).unwrap();
         assert_same(&gc, &back);
-        assert_eq!(back.negation_keys(0, 1).len(), gc.negation_keys(0, 1).len());
+        assert_eq!(back.negation_clusters(0, 1).len(), gc.negation_clusters(0, 1).len());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::cluster::Cluster;
 use crate::key::ClusterKey;
 use csce_graph::graph::Edge;
 use csce_graph::{FxHashMap, Graph, Variant};
+use std::collections::hash_map::Entry;
 
 /// The working set `G_C^*` for one matching task: references to the
 /// selected clusters of `G_C`.
@@ -50,21 +51,18 @@ pub fn pattern_edge_key(p: &Graph, e: &Edge) -> ClusterKey {
 pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
     let mut clusters: FxHashMap<ClusterKey, &'a Cluster> = FxHashMap::default();
     let mut stats = ReadStats::default();
-    let mut load = |key: ClusterKey, clusters: &mut FxHashMap<ClusterKey, &'a Cluster>| {
-        if clusters.contains_key(&key) {
-            return;
-        }
-        match ccsr.cluster(&key) {
-            Some(c) => {
-                stats.clusters_read += 1;
-                stats.rows_decompressed += c.indexed_rows() as u64;
-                clusters.insert(key, c);
-            }
-            None => stats.missing_clusters += 1,
+    let mut load = |c: &'a Cluster| {
+        if let Entry::Vacant(slot) = clusters.entry(c.key) {
+            stats.clusters_read += 1;
+            stats.rows_decompressed += c.indexed_rows() as u64;
+            slot.insert(c);
         }
     };
     for e in p.edges() {
-        load(pattern_edge_key(p, e), &mut clusters);
+        match ccsr.cluster(&pattern_edge_key(p, e)) {
+            Some(c) => load(c),
+            None => stats.missing_clusters += 1,
+        }
     }
     if variant == Variant::VertexInduced {
         // Induced matching needs every cluster between each pattern vertex
@@ -75,9 +73,7 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         let n = u32::try_from(p.n()).unwrap_or(u32::MAX);
         for a in 0..n {
             for b in a + 1..n {
-                for key in ccsr.negation_keys(p.label(a), p.label(b)) {
-                    load(*key, &mut clusters);
-                }
+                ccsr.negation_clusters(p.label(a), p.label(b)).iter().for_each(&mut load);
             }
         }
     }
@@ -104,20 +100,22 @@ impl<'a> GcStar<'a> {
         self.get(&pattern_edge_key(p, e))
     }
 
-    /// Selected `(a, b)*`-negation clusters between two vertex labels.
+    /// The `(a, b)*`-negation clusters between two vertex labels, in key
+    /// order. A vertex-induced read selects all of them for every pair of
+    /// pattern labels.
     pub fn negation_clusters(
         &self,
         a: csce_graph::Label,
         b: csce_graph::Label,
     ) -> impl Iterator<Item = &'a Cluster> + '_ {
-        self.ccsr.negation_keys(a, b).iter().filter_map(move |key| self.get(key))
+        self.ccsr.negation_clusters(a, b).iter()
     }
 
     /// Whether any data edge exists between two vertex labels — Algorithm 2
     /// line 8's `∃ α ∈ (Φ[i], Φ[j])*-clusters, |α| > 0`, constant time
     /// because only non-empty clusters are built.
     pub fn labels_ever_adjacent(&self, a: csce_graph::Label, b: csce_graph::Label) -> bool {
-        !self.ccsr.negation_keys(a, b).is_empty()
+        !self.ccsr.negation_clusters(a, b).is_empty()
     }
 
     /// Number of selected clusters.

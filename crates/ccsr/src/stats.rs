@@ -22,6 +22,8 @@ pub struct CcsrStats {
     pub max_cluster_edges: usize,
     /// Median cluster size, in edges.
     pub median_cluster_edges: usize,
+    /// Heap bytes of the whole `G_C` ([`Ccsr::heap_bytes`]).
+    pub heap_bytes: usize,
 }
 
 impl CcsrStats {
@@ -39,6 +41,7 @@ impl CcsrStats {
             total_ir_uncompressed: csr_count * (ccsr.n() + 1),
             max_cluster_edges: sizes.last().copied().unwrap_or(0),
             median_cluster_edges: sizes.get(sizes.len() / 2).copied().unwrap_or(0),
+            heap_bytes: ccsr.heap_bytes(),
         }
     }
 
@@ -58,7 +61,7 @@ impl std::fmt::Display for CcsrStats {
         write!(
             f,
             "{} clusters over {} edges (max {}, median {}); I_C {}, I_R {} compressed \
-             vs {} standard ({:.1}x)",
+             vs {} standard ({:.1}x); heap {} bytes",
             self.cluster_count,
             self.edge_count,
             self.max_cluster_edges,
@@ -67,6 +70,7 @@ impl std::fmt::Display for CcsrStats {
             self.total_ir_compressed,
             self.total_ir_uncompressed,
             self.ir_compression_ratio(),
+            self.heap_bytes,
         )
     }
 }
@@ -96,6 +100,8 @@ mod tests {
         // Directed cluster has 2 CSRs, undirected has 1 -> 3*(4+1)=15.
         assert_eq!(s.total_ir_uncompressed, 15);
         assert!(s.to_string().contains("2 clusters"));
+        assert_eq!(s.heap_bytes, gc.heap_bytes());
+        assert!(s.to_string().ends_with(&format!("heap {} bytes", s.heap_bytes)));
     }
 
     #[test]

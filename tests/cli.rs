@@ -43,6 +43,11 @@ fn cluster_stats_match_pipeline() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("over 5 vertices"), "stats output: {text}");
     assert!(text.contains("clusters over"), "stats output: {text}");
+    // The heap figure counts the whole G_C: at least its cluster table.
+    let gc = csce::ccsr::persist::load(&ccsr).unwrap();
+    let heap = csce::ccsr::CcsrStats::of(&gc).heap_bytes;
+    assert!(heap >= gc.cluster_count() * std::mem::size_of::<csce::ccsr::Cluster>());
+    assert!(text.contains(&format!("heap {heap} bytes")), "stats output: {text}");
 
     // Matching against the persisted file and the raw text must agree.
     for source in [&ccsr, &data] {
