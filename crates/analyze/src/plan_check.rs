@@ -16,7 +16,7 @@ use csce_core::plan::descendant::descendant_sizes;
 use csce_core::plan::nec::nec_classes;
 use csce_core::plan::ExecNode;
 use csce_core::{Catalog, Plan, SceAnalysis};
-use csce_graph::{FxHashMap, Graph, Variant, VertexId};
+use csce_graph::{FxHashMap, Graph, VertexId};
 
 impl Validate for Dag {
     fn validate(&self) -> ValidationReport {
@@ -46,7 +46,6 @@ impl Validate for Plan {
         check_backward_neighbors(self, &mut r);
         check_exec_tree(self, &mut r);
         check_cache_slots(self, &mut r);
-        check_induced_filter_shape(self, &mut r);
         r
     }
 }
@@ -54,8 +53,8 @@ impl Validate for Plan {
 /// Pattern-aware plan validation: everything [`Validate`] checks plus the
 /// properties that need the pattern and the catalog it was planned over —
 /// every pattern edge realized exactly once as a dependency, NEC classes
-/// that refine the recomputed neighborhood equivalence, induced filters
-/// matching the pattern's pair codes, and consistent SCE statistics.
+/// that refine the recomputed neighborhood equivalence, and consistent SCE
+/// statistics.
 pub fn validate_plan(catalog: &Catalog<'_>, plan: &Plan) -> ValidationReport {
     let p = catalog.pattern();
     let mut r = plan.validate();
@@ -74,13 +73,13 @@ pub fn validate_plan(catalog: &Catalog<'_>, plan: &Plan) -> ValidationReport {
     }
     check_edge_dependencies(p, plan, &mut r);
     check_nec_refinement(p, plan, &mut r);
-    check_induced_filter_codes(p, plan, &mut r);
     check_sce_bounds(catalog, plan, &mut r);
     r
 }
 
 /// Adjacency mirror consistency, sortedness, vertex ranges, and the
-/// containment of edge/negation parents in the plain parent lists.
+/// containment of edge parents in the plain parent lists. Negation
+/// parents are the remaining parents, so they need no check.
 fn check_dag_structure(dag: &Dag, r: &mut ValidationReport) {
     r.ran("dag.mirror");
     r.ran("dag.sorted-unique");
@@ -109,28 +108,11 @@ fn check_dag_structure(dag: &Dag, r: &mut ValidationReport) {
                 r.violation("dag.mirror", format!("arc {p} -> {u} missing from {p}'s children"));
             }
         }
-        let mut edge_set: Vec<VertexId> = dag.edge_parents(u).iter().map(|&(p, _)| p).collect();
-        edge_set.sort_unstable();
-        edge_set.dedup();
-        for &p in &edge_set {
+        for &(p, _) in dag.edge_parents(u) {
             if dag.parents(u).binary_search(&p).is_err() {
                 r.violation(
                     "dag.parent-closure",
                     format!("vertex {u}: edge parent {p} is not a dependency parent"),
-                );
-            }
-        }
-        for &p in dag.negation_parents(u) {
-            if dag.parents(u).binary_search(&p).is_err() {
-                r.violation(
-                    "dag.parent-closure",
-                    format!("vertex {u}: negation parent {p} is not a dependency parent"),
-                );
-            }
-            if edge_set.binary_search(&p).is_ok() {
-                r.violation(
-                    "dag.parent-closure",
-                    format!("vertex {u}: parent {p} is both an edge and a negation dependency"),
                 );
             }
         }
@@ -312,8 +294,8 @@ fn visit_exec(
     }
 }
 
-/// Cache slots are dense and in bijection with
-/// `(NEC class, parents, negation parents)` signatures.
+/// Cache slots are dense and in bijection with `(NEC class, parents)`
+/// signatures.
 fn check_cache_slots(plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.cache-slots");
     let n = plan.dag.n();
@@ -328,8 +310,8 @@ fn check_cache_slots(plan: &Plan, r: &mut ValidationReport) {
         );
         return;
     }
-    let mut sig_of_slot: FxHashMap<u32, (u32, Vec<VertexId>, Vec<VertexId>)> = FxHashMap::default();
-    let mut slot_of_sig: FxHashMap<(u32, Vec<VertexId>, Vec<VertexId>), u32> = FxHashMap::default();
+    let mut sig_of_slot: FxHashMap<u32, (u32, &[VertexId])> = FxHashMap::default();
+    let mut slot_of_sig: FxHashMap<(u32, &[VertexId]), u32> = FxHashMap::default();
     for u in 0..n as VertexId {
         let slot = plan.cache_slot[u as usize];
         if slot as usize >= plan.slot_count {
@@ -339,11 +321,7 @@ fn check_cache_slots(plan: &Plan, r: &mut ValidationReport) {
             );
             continue;
         }
-        let sig = (
-            plan.nec_class[u as usize],
-            plan.dag.parents(u).to_vec(),
-            plan.dag.negation_parents(u).to_vec(),
-        );
+        let sig = (plan.nec_class[u as usize], plan.dag.parents(u));
         if let Some(prev) = sig_of_slot.get(&slot) {
             if prev != &sig {
                 r.violation(
@@ -352,7 +330,7 @@ fn check_cache_slots(plan: &Plan, r: &mut ValidationReport) {
                 );
             }
         } else {
-            sig_of_slot.insert(slot, sig.clone());
+            sig_of_slot.insert(slot, sig);
         }
         if let Some(&prev_slot) = slot_of_sig.get(&sig) {
             if prev_slot != slot {
@@ -394,38 +372,6 @@ fn check_sce_bounds(catalog: &Catalog<'_>, plan: &Plan, r: &mut ValidationReport
                 s.cluster_sce_pairs
             ),
         );
-    }
-}
-
-/// Induced filters exist exactly for the vertex-induced variant, one list
-/// per vertex, each filter naming a dependency parent.
-fn check_induced_filter_shape(plan: &Plan, r: &mut ValidationReport) {
-    r.ran("plan.induced-filters");
-    let n = plan.dag.n();
-    if plan.induced_filters.len() != n {
-        r.violation(
-            "plan.induced-filters",
-            format!("{} filter lists for {n} vertices", plan.induced_filters.len()),
-        );
-        return;
-    }
-    for (u, filters) in plan.induced_filters.iter().enumerate() {
-        if plan.variant != Variant::VertexInduced {
-            if !filters.is_empty() {
-                r.violation(
-                    "plan.induced-filters",
-                    format!("vertex {u} carries induced filters under {}", plan.variant),
-                );
-            }
-            continue;
-        }
-        let parents: Vec<VertexId> = filters.iter().map(|f| f.parent).collect();
-        if parents != plan.dag.parents(u as VertexId) {
-            r.violation(
-                "plan.induced-filters",
-                format!("vertex {u}: filter parents do not match dependency parents"),
-            );
-        }
     }
 }
 
@@ -493,34 +439,12 @@ fn check_nec_refinement(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
     }
 }
 
-/// Vertex-induced filters carry the pattern's pair codes verbatim.
-fn check_induced_filter_codes(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
-    if plan.variant != Variant::VertexInduced {
-        return;
-    }
-    r.ran("plan.induced-filter-codes");
-    for (u, filters) in plan.induced_filters.iter().enumerate() {
-        for f in filters {
-            let expected = csce_graph::pattern::pair_code(p, f.parent, u as VertexId);
-            if f.allowed != expected {
-                r.violation(
-                    "plan.induced-filter-codes",
-                    format!(
-                        "vertex {u}, parent {}: filter allows {:?}, pattern pair code is {:?}",
-                        f.parent, f.allowed, expected
-                    ),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csce_ccsr::{build_ccsr, read_csr};
     use csce_core::{Planner, PlannerConfig};
-    use csce_graph::{GraphBuilder, NO_LABEL};
+    use csce_graph::{GraphBuilder, Variant, NO_LABEL};
 
     fn fig1_pattern() -> Graph {
         let mut b = GraphBuilder::new();

@@ -2,17 +2,20 @@
 //!
 //! For a given pattern `P` and variant `θ`, only a subset `G_C^*` of the
 //! clusters is needed: one per pattern edge (by identifier lookup), plus —
-//! for vertex-induced matching — the `(u_x, u_y)*`-clusters between every
-//! pattern vertex pair's labels, which drive negation. `ReadCSR` selects
-//! those clusters and never decodes them: the executor reads rows straight
-//! from each cluster's row index ([`Cluster::out_neighbors`]), so a read
-//! costs O(selected clusters), whatever the data graph's vertex count.
+//! for vertex-induced matching — the `(u_x, u_y)*`-clusters between the
+//! labels of every pattern vertex pair, which drive negation. Those depend
+//! only on the label pair, so `ReadCSR` visits each unordered pair of
+//! pattern labels once (a label paired with itself only when two pattern
+//! vertices carry it). It selects the clusters and never decodes them: the
+//! executor reads rows straight from each cluster's row index
+//! ([`Cluster::out_neighbors`]), so a read costs O(selected clusters),
+//! whatever the data graph's vertex count.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
 use crate::key::ClusterKey;
 use csce_graph::graph::Edge;
-use csce_graph::{FxHashMap, Graph, Variant};
+use csce_graph::{FxHashMap, Graph, Label, Variant};
 use std::collections::hash_map::Entry;
 
 /// The working set `G_C^*` for one matching task: references to the
@@ -65,16 +68,29 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         }
     }
     if variant == Variant::VertexInduced {
-        // Induced matching needs every cluster between each pattern vertex
-        // pair's labels: unconnected pairs for negation, and connected
-        // pairs to reject candidates carrying extra arcs (e.g. an
-        // antiparallel data arc the pattern does not have).
-        // Pattern vertex counts are tiny; ids are `u32` by construction.
-        let n = u32::try_from(p.n()).unwrap_or(u32::MAX);
-        for a in 0..n {
-            for b in a + 1..n {
-                ccsr.negation_clusters(p.label(a), p.label(b)).iter().for_each(&mut load);
+        // Induced matching needs every cluster between the labels of each
+        // pattern vertex pair: unconnected pairs for negation, and
+        // connected pairs to reject candidates carrying extra arcs (e.g.
+        // an antiparallel data arc the pattern does not have).
+        let mut labels = p.labels().to_vec();
+        labels.sort_unstable();
+        // Each distinct label, and whether two pattern vertices carry it.
+        let mut distinct: Vec<(Label, bool)> = Vec::new();
+        for l in labels {
+            match distinct.last_mut() {
+                Some((last, repeated)) if *last == l => *repeated = true,
+                _ => distinct.push((l, false)),
             }
+        }
+        let mut rest = distinct.as_slice();
+        while let Some((&(a, repeated), tail)) = rest.split_first() {
+            if repeated {
+                ccsr.negation_clusters(a, a).iter().for_each(&mut load);
+            }
+            for &(b, _) in tail {
+                ccsr.negation_clusters(a, b).iter().for_each(&mut load);
+            }
+            rest = tail;
         }
     }
     GcStar { ccsr, clusters, stats }
@@ -100,24 +116,6 @@ impl<'a> GcStar<'a> {
         self.get(&pattern_edge_key(p, e))
     }
 
-    /// The `(a, b)*`-negation clusters between two vertex labels, in key
-    /// order. A vertex-induced read selects all of them for every pair of
-    /// pattern labels.
-    pub fn negation_clusters(
-        &self,
-        a: csce_graph::Label,
-        b: csce_graph::Label,
-    ) -> impl Iterator<Item = &'a Cluster> + '_ {
-        self.ccsr.negation_clusters(a, b).iter()
-    }
-
-    /// Whether any data edge exists between two vertex labels — Algorithm 2
-    /// line 8's `∃ α ∈ (Φ[i], Φ[j])*-clusters, |α| > 0`, constant time
-    /// because only non-empty clusters are built.
-    pub fn labels_ever_adjacent(&self, a: csce_graph::Label, b: csce_graph::Label) -> bool {
-        !self.ccsr.negation_clusters(a, b).is_empty()
-    }
-
     /// Number of selected clusters.
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
@@ -140,7 +138,93 @@ impl<'a> GcStar<'a> {
 mod tests {
     use super::*;
     use crate::build::build_ccsr;
-    use csce_graph::{GraphBuilder, NO_LABEL};
+    use csce_graph::{GraphBuilder, VertexId, NO_LABEL};
+    use proptest::prelude::*;
+
+    /// The vertex-pair loop that the label-pair visit replaced, kept as
+    /// its oracle: it loads the clusters between the labels of every pair
+    /// of pattern vertices.
+    fn read_csr_vertex_pairs<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
+        let mut star = read_csr(ccsr, p, Variant::EdgeInduced);
+        if variant == Variant::VertexInduced {
+            let n = p.n() as VertexId;
+            for a in 0..n {
+                for b in a + 1..n {
+                    for c in ccsr.negation_clusters(p.label(a), p.label(b)) {
+                        if let Entry::Vacant(slot) = star.clusters.entry(c.key) {
+                            star.stats.clusters_read += 1;
+                            star.stats.rows_decompressed += c.indexed_rows() as u64;
+                            slot.insert(c);
+                        }
+                    }
+                }
+            }
+        }
+        star
+    }
+
+    /// SplitMix64: the random source of the oracle property.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random graph: `n` vertices over `labels` vertex labels and
+    /// `edges` attempted edges, directed or undirected, with three edge
+    /// labels plus none. Rejected edges (self-loops, duplicates, mixed
+    /// kinds) are skipped.
+    fn random_graph(rng: &mut Rng, n: usize, labels: usize, edges: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(rng.below(labels) as u32);
+        }
+        for _ in 0..edges {
+            let (x, y) = (rng.below(n) as VertexId, rng.below(n) as VertexId);
+            let label = match rng.below(4) {
+                3 => NO_LABEL,
+                l => l as u32,
+            };
+            let _ = if rng.below(3) == 0 {
+                b.add_undirected_edge(x, y, label)
+            } else {
+                b.add_edge(x, y, label)
+            };
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Visiting label pairs selects exactly what visiting vertex pairs
+        /// did: the same counters, cluster count and heap bytes, in every
+        /// variant, on 1–24-vertex patterns over 1–5 labels (so labels
+        /// repeat) and data graphs with one more label than the pattern.
+        #[test]
+        fn label_pair_read_matches_vertex_pair_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let (n, labels) = (1 + rng.below(24), 1 + rng.below(5));
+            let p_edges = rng.below(2 * n + 1);
+            let p = random_graph(&mut rng, n, labels, p_edges);
+            let data_n = 2 + rng.below(40);
+            let data_edges = rng.below(3 * data_n);
+            let gc = build_ccsr(&random_graph(&mut rng, data_n, labels + 1, data_edges)).unwrap();
+            for variant in Variant::ALL {
+                let got = read_csr(&gc, &p, variant);
+                let want = read_csr_vertex_pairs(&gc, &p, variant);
+                prop_assert_eq!(got.read_stats(), want.read_stats(), "{}", variant);
+                prop_assert_eq!(got.cluster_count(), want.cluster_count(), "{}", variant);
+                prop_assert_eq!(got.heap_bytes(), want.heap_bytes(), "{}", variant);
+            }
+        }
+    }
 
     /// Data: labels 0,1,2; edges (0)-(1) directed per label combination.
     fn data() -> Ccsr {
@@ -192,8 +276,9 @@ mod tests {
         let star_v = read_csr(&gc, &p, Variant::VertexInduced);
         // Adds the (0,2) directed cluster for negation.
         assert_eq!(star_v.cluster_count(), 3);
-        assert!(star_v.labels_ever_adjacent(0, 2));
-        assert_eq!(star_v.negation_clusters(0, 2).count(), 1);
+        let negation = gc.negation_clusters(0, 2);
+        assert_eq!(negation.len(), 1);
+        assert!(star_v.get(&negation[0].key).is_some());
     }
 
     #[test]
@@ -207,7 +292,6 @@ mod tests {
         let star = read_csr(&gc, &p, Variant::EdgeInduced);
         assert_eq!(star.cluster_count(), 0);
         assert!(star.cluster_for_edge(&p, &p.edges()[0]).is_none());
-        assert!(!star.labels_ever_adjacent(5, 1));
     }
 
     #[test]

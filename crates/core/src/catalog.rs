@@ -4,15 +4,13 @@
 //! The planner asks it for cluster sizes (the `|I_C(u_i, u_x)|` statistics
 //! behind the GCF and LDSF tie-breaks) and the executor for neighbor rows
 //! and seed candidates. All lookups resolve to slices inside the clusters'
-//! row indexes; nothing here allocates on the hot path except the
-//! lazily-built seed lists.
+//! row indexes; nothing here allocates on the hot path except the seed
+//! list of a plan's first vertex, which a run computes once. A catalog
+//! holds no mutable state, so the workers of a parallel run share one.
 
-use csce_ccsr::read::pattern_edge_key;
-use csce_ccsr::{Cluster, ClusterKey, GcStar};
-use csce_graph::graph::Edge;
+use csce_ccsr::{Cluster, GcStar};
 use csce_graph::util::intersect_sorted;
 use csce_graph::{Graph, Label, VertexId};
-use std::cell::RefCell;
 
 /// Which endpoint of a pattern edge a pattern vertex is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,8 +29,6 @@ pub struct Catalog<'a> {
     /// Incident pattern edges per vertex, with the vertex's side —
     /// precomputed so the plan heuristics' inner loops stay linear.
     incident: Vec<Vec<(usize, Side)>>,
-    /// Lazily computed seed candidate lists, keyed by pattern vertex.
-    seeds: RefCell<Vec<Option<Vec<VertexId>>>>,
 }
 
 impl<'a> Catalog<'a> {
@@ -44,13 +40,7 @@ impl<'a> Catalog<'a> {
             incident[e.src as usize].push((i, Side::Src));
             incident[e.dst as usize].push((i, Side::Dst));
         }
-        Catalog {
-            pattern,
-            star,
-            edge_clusters,
-            incident,
-            seeds: RefCell::new(vec![None; pattern.n()]),
-        }
+        Catalog { pattern, star, edge_clusters, incident }
     }
 
     #[inline]
@@ -79,12 +69,6 @@ impl<'a> Catalog<'a> {
     #[inline]
     pub fn label_frequency(&self, l: Label) -> u32 {
         self.star.ccsr().label_frequency().get(&l).copied().unwrap_or(0)
-    }
-
-    /// The cluster serving pattern edge `eidx`, if non-empty.
-    #[inline]
-    pub fn edge_cluster(&self, eidx: usize) -> Option<&'a Cluster> {
-        self.edge_clusters[eidx]
     }
 
     /// `|I_C|` of the cluster serving pattern edge `eidx` (0 when empty) —
@@ -117,6 +101,27 @@ impl<'a> Catalog<'a> {
         self.incident_edges(u).map(|(i, _)| self.cluster_size(i)).min().unwrap_or(usize::MAX)
     }
 
+    /// The smallest cluster size among edges from `x` to the placed side
+    /// (`towards_placed`) or to the unplaced side of `placed`;
+    /// `usize::MAX` when `x` has no such edge. The GCF (`ω¹`, `ω²`/`ω³`)
+    /// and LDSF tie-breaks.
+    pub fn min_connecting_cluster(
+        &self,
+        x: VertexId,
+        placed: &[bool],
+        towards_placed: bool,
+    ) -> usize {
+        let mut best = usize::MAX;
+        for (eidx, side) in self.incident_edges(x) {
+            let e = &self.pattern.edges()[eidx];
+            let other = if side == Side::Src { e.dst } else { e.src };
+            if placed[other as usize] == towards_placed {
+                best = best.min(self.cluster_size(eidx));
+            }
+        }
+        best
+    }
+
     /// Candidates for the *other* endpoint of pattern edge `eidx` when the
     /// endpoint `from_side` is mapped to data vertex `v`: the sorted
     /// neighbor row of `v` in the edge's cluster.
@@ -137,14 +142,11 @@ impl<'a> Catalog<'a> {
     /// edge of the vertices occurring on `u`'s side of the edge's cluster
     /// — exactly a worst-case-optimal join of `u`'s relations on `u`.
     pub fn seeds(&self, u: VertexId) -> Vec<VertexId> {
-        if let Some(cached) = &self.seeds.borrow()[u as usize] {
-            return cached.clone();
-        }
         let mut lists: Vec<Vec<VertexId>> = Vec::new();
         for (eidx, side) in self.incident_edges(u) {
             lists.push(self.side_vertices(eidx, side, self.pattern.label(u)));
         }
-        let mut result = match lists.iter().min_by_key(|l| l.len()) {
+        match lists.iter().min_by_key(|l| l.len()) {
             None => {
                 // Isolated pattern vertex: all data vertices of the label.
                 let label = self.pattern.label(u);
@@ -165,10 +167,7 @@ impl<'a> Catalog<'a> {
                 }
                 acc
             }
-        };
-        result.shrink_to_fit();
-        self.seeds.borrow_mut()[u as usize] = Some(result.clone());
-        result
+        }
     }
 
     /// The vertices appearing on one side of a pattern edge's cluster,
@@ -186,22 +185,18 @@ impl<'a> Catalog<'a> {
         }
     }
 
-    /// The negation clusters between two vertex labels (vertex-induced
-    /// matching subtracts data neighbors found in these).
-    pub fn negation_clusters(&self, a: Label, b: Label) -> impl Iterator<Item = &'a Cluster> {
-        self.star.negation_clusters(a, b)
+    /// The `(a, b)*`-clusters of `G_C` between two vertex labels
+    /// (vertex-induced matching subtracts data neighbors found in these).
+    #[inline]
+    pub fn negation_clusters(&self, a: Label, b: Label) -> &'a [Cluster] {
+        self.star.ccsr().negation_clusters(a, b)
     }
 
     /// Whether the data graph has any edge between two labels (Algorithm 2
-    /// line 8).
+    /// line 8) — a property of `G_C`, whatever was selected.
     #[inline]
     pub fn labels_ever_adjacent(&self, a: Label, b: Label) -> bool {
-        self.star.labels_ever_adjacent(a, b)
-    }
-
-    /// The cluster identifier of a pattern edge (exposed for diagnostics).
-    pub fn key_of_edge(&self, e: &Edge) -> ClusterKey {
-        pattern_edge_key(self.pattern, e)
+        !self.negation_clusters(a, b).is_empty()
     }
 }
 
@@ -279,8 +274,6 @@ mod tests {
         assert_eq!(cat.seeds(1), vec![1, 3]);
         // u0 (A) is only constrained by the A->B cluster sources.
         assert_eq!(cat.seeds(0), vec![0, 2]);
-        // Cached second call returns the same.
-        assert_eq!(cat.seeds(1), vec![1, 3]);
     }
 
     #[test]

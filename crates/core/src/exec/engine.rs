@@ -21,9 +21,9 @@ use super::stats::ExecStats;
 use super::RunConfig;
 use crate::catalog::Catalog;
 use crate::plan::{ExecNode, Plan};
-use csce_graph::graph::Orient;
+use csce_ccsr::ClusterKey;
 use csce_graph::util::{intersect_sorted, subtract_sorted};
-use csce_graph::VertexId;
+use csce_graph::{Graph, Variant, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -421,7 +421,8 @@ impl<'a> Executor<'a> {
             out.extend_from_slice(self.rows[0]);
             for &row in &self.rows[1..] {
                 if let Some(deep) = self.stats.deep.as_mut() {
-                    deep.intersection_input += (out.len() + row.len()) as u64;
+                    deep.intersection_input =
+                        deep.intersection_input.saturating_add((out.len() + row.len()) as u64);
                 }
                 intersect_sorted(out, row, &mut self.tmp);
                 std::mem::swap(out, &mut self.tmp);
@@ -431,7 +432,8 @@ impl<'a> Executor<'a> {
             }
             if multi_way {
                 if let Some(deep) = self.stats.deep.as_mut() {
-                    deep.intersection_output += out.len() as u64;
+                    deep.intersection_output =
+                        deep.intersection_output.saturating_add(out.len() as u64);
                 }
             }
             if out.is_empty() {
@@ -440,28 +442,32 @@ impl<'a> Executor<'a> {
         }
         // Vertex-induced filtering: a candidate is disqualified by any
         // data arc to a matched dependency parent that the pattern pair
-        // does not have — negation for non-neighbors (empty `allowed`),
-        // extra-arc rejection for neighbors (e.g. an antiparallel arc).
+        // does not have — negation for a parent with no pattern edge to
+        // `u`, extra-arc rejection for an edge parent (e.g. an
+        // antiparallel arc).
+        if self.plan.variant != Variant::VertexInduced {
+            return;
+        }
         let p = self.catalog.pattern();
-        for filt in &self.plan.induced_filters[u as usize] {
-            let w = self.f[filt.parent as usize];
+        for &parent in self.plan.dag.parents(u) {
+            let w = self.f[parent as usize];
             debug_assert_ne!(w, UNMAPPED, "dependency parents precede u in Φ*");
-            let parent_label = p.label(filt.parent);
+            let parent_label = p.label(parent);
             for cluster in self.catalog.negation_clusters(parent_label, p.label(u)) {
                 self.stats.negation_clusters += 1;
-                let key = cluster.key;
+                let key = &cluster.key;
                 if key.directed {
                     if key.src_label == parent_label
-                        && !filt.allowed.contains(&(Orient::Out, key.edge_label))
+                        && !pattern_has_arc(p, edge_parents, parent, key, true)
                     {
                         subtract_sorted(out, cluster.out_neighbors(w));
                     }
                     if key.dst_label == parent_label
-                        && !filt.allowed.contains(&(Orient::In, key.edge_label))
+                        && !pattern_has_arc(p, edge_parents, parent, key, false)
                     {
                         subtract_sorted(out, cluster.in_neighbors(w));
                     }
-                } else if !filt.allowed.contains(&(Orient::Und, key.edge_label)) {
+                } else if !pattern_has_arc(p, edge_parents, parent, key, true) {
                     subtract_sorted(out, cluster.out_neighbors(w));
                 }
                 if out.is_empty() {
@@ -470,6 +476,28 @@ impl<'a> Executor<'a> {
             }
         }
     }
+}
+
+/// Whether the pattern has an arc between `parent` and `u` like the data
+/// arcs of cluster `key` — leaving `parent` when `from_parent`, entering
+/// it otherwise (an undirected key ignores the direction). The pattern
+/// edges between the pair are the ones `u`'s `edge_parents` names for
+/// `parent`; a negation parent has none.
+fn pattern_has_arc(
+    p: &Graph,
+    edge_parents: &[(VertexId, usize)],
+    parent: VertexId,
+    key: &ClusterKey,
+    from_parent: bool,
+) -> bool {
+    edge_parents.iter().any(|&(q, eidx)| {
+        q == parent
+            && p.edges().get(eidx).is_some_and(|e| {
+                e.label == key.edge_label
+                    && e.directed == key.directed
+                    && (!e.directed || (e.src == parent) == from_parent)
+            })
+    })
 }
 
 /// A purely sequential execution tree over `Φ*` (factorization disabled).

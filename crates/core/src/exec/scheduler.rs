@@ -190,12 +190,14 @@ where
 {
     let threads = threads.max(1);
     let scheduler = &Arc::new(Scheduler::new(threads, deadline_after(config.time_limit)));
+    // One catalog for the run: it holds no mutable state, so every worker
+    // borrows it.
+    let catalog = &Catalog::new(pattern, star);
     let (work, progress) = (&work, &progress);
     let worker = move |id: usize| {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let catalog = Catalog::new(pattern, star);
             let mut exec =
-                Executor::new(&catalog, plan, config).with_scheduler(Arc::clone(scheduler));
+                Executor::new(catalog, plan, config).with_scheduler(Arc::clone(scheduler));
             if let Some(sink) = progress {
                 exec = exec.with_progress(Arc::clone(sink));
             }

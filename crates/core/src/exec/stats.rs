@@ -50,7 +50,9 @@ impl DeepStats {
         if series.len() <= depth {
             series.resize(depth + 1, 0);
         }
-        series[depth] += 1;
+        if let Some(count) = series.get_mut(depth) {
+            *count = count.saturating_add(1);
+        }
     }
 
     fn merge(&mut self, other: &DeepStats) {
@@ -59,13 +61,14 @@ impl DeepStats {
                 mine.resize(theirs.len(), 0);
             }
             for (m, &t) in mine.iter_mut().zip(theirs) {
-                *m += t;
+                *m = m.saturating_add(t);
             }
         }
         add(&mut self.depth_candidates, &other.depth_candidates);
         add(&mut self.depth_sce_hits, &other.depth_sce_hits);
-        self.intersection_input += other.intersection_input;
-        self.intersection_output += other.intersection_output;
+        self.intersection_input = self.intersection_input.saturating_add(other.intersection_input);
+        self.intersection_output =
+            self.intersection_output.saturating_add(other.intersection_output);
     }
 }
 
@@ -169,6 +172,25 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.nodes, u64::MAX);
         assert_eq!(a.chunks_claimed, 2);
+    }
+
+    #[test]
+    fn deep_stats_saturate_instead_of_overflowing() {
+        let near = DeepStats {
+            depth_candidates: vec![u64::MAX - 1, 1],
+            depth_sce_hits: vec![u64::MAX - 1],
+            intersection_input: u64::MAX - 1,
+            intersection_output: u64::MAX - 1,
+        };
+        let mut a = ExecStats { deep: Some(near.clone()), ..Default::default() };
+        a.merge(&ExecStats { deep: Some(near), ..Default::default() });
+        let deep = a.deep.as_mut().expect("deep stats kept");
+        assert_eq!(deep.depth_candidates, vec![u64::MAX, 2]);
+        assert_eq!(deep.depth_sce_hits, vec![u64::MAX]);
+        assert_eq!((deep.intersection_input, deep.intersection_output), (u64::MAX, u64::MAX));
+        DeepStats::bump(&mut deep.depth_candidates, 0);
+        DeepStats::bump(&mut deep.depth_candidates, 2);
+        assert_eq!(deep.depth_candidates, vec![u64::MAX, 2, 1]);
     }
 
     #[test]

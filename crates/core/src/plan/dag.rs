@@ -14,6 +14,11 @@
 //! sequentially equivalent candidates (Definition 1) — the engine reuses
 //! those candidate sets instead of recomputing them.
 //!
+//! [`Dag`] stores each vertex's parents once. Edge dependencies also name
+//! the pattern edge that realizes them ([`Dag::edge_parents`]); the
+//! negation parents are the remaining parents, derived on request
+//! ([`Dag::negation_parents`]) rather than stored a second time.
+//!
 //! One deliberate deviation from the paper's pseudo-code: Algorithm 2
 //! line 7 only adds a negation dependency `(Φ[i], Φ[j])` when some
 //! `Φ[k], k < i` is already a `P`-neighbor of `Φ[j]`. We relax `k < i` to
@@ -39,11 +44,9 @@ pub struct Dag {
     /// Parents (incoming dependency sources) per vertex, deduplicated.
     inp: Vec<Vec<VertexId>>,
     /// Edge dependencies with the pattern-edge index that realizes each:
-    /// `edge_parents[u]` lists `(earlier vertex, pattern edge idx)`.
+    /// `edge_parents[u]` lists `(earlier vertex, pattern edge idx)`. Every
+    /// other parent is a negation dependency.
     edge_parents: Vec<Vec<(VertexId, usize)>>,
-    /// Negation dependencies: earlier non-neighbors whose labels are ever
-    /// adjacent in the data graph (vertex-induced only; empty otherwise).
-    negation_parents: Vec<Vec<VertexId>>,
 }
 
 /// Algorithm 2: build the dependency DAG for `Φ` under a variant.
@@ -59,7 +62,6 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut edge_parents: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
-    let mut negation_parents: Vec<Vec<VertexId>> = vec![Vec::new(); n];
 
     let mut pos_of = vec![0usize; n];
     for (k, &u) in phi.iter().enumerate() {
@@ -92,7 +94,6 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
                 {
                     out[ui as usize].push(uj);
                     inp[uj as usize].push(ui);
-                    negation_parents[uj as usize].push(ui);
                 }
             }
         }
@@ -101,7 +102,7 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
         list.sort_unstable();
         list.dedup();
     }
-    Dag { n, out, inp, edge_parents, negation_parents }
+    Dag { n, out, inp, edge_parents }
 }
 
 /// The sweep over all `Φ²` pairs that the adjacency-driven [`build_dag`]
@@ -113,7 +114,6 @@ pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], varian
     let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut edge_parents: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
-    let mut negation_parents: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     for j in 1..n {
         let uj = phi[j];
         let mut has_earlier_neighbor = false;
@@ -137,7 +137,6 @@ pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], varian
                 if catalog.labels_ever_adjacent(p.label(ui), p.label(uj)) {
                     out[ui as usize].push(uj);
                     inp[uj as usize].push(ui);
-                    negation_parents[uj as usize].push(ui);
                 }
             }
         }
@@ -146,15 +145,15 @@ pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], varian
         list.sort_unstable();
         list.dedup();
     }
-    Dag { n, out, inp, edge_parents, negation_parents }
+    Dag { n, out, inp, edge_parents }
 }
 
 impl Dag {
     /// Construct a bare dependency graph from explicit arcs, without any
     /// pattern or catalog. Intended for validation tooling and tests that
     /// need to exercise structurally *invalid* inputs (e.g. a cyclic `H`)
-    /// that [`build_dag`] can never produce; carries no edge or negation
-    /// dependency detail.
+    /// that [`build_dag`] can never produce. It carries no edge detail, so
+    /// [`Dag::negation_parents`] reports every parent.
     pub fn from_arcs(n: usize, arcs: &[(VertexId, VertexId)]) -> Dag {
         let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
@@ -166,13 +165,7 @@ impl Dag {
             list.sort_unstable();
             list.dedup();
         }
-        Dag {
-            n,
-            out,
-            inp,
-            edge_parents: vec![Vec::new(); n],
-            negation_parents: vec![Vec::new(); n],
-        }
+        Dag { n, out, inp, edge_parents: vec![Vec::new(); n] }
     }
 
     /// Number of pattern vertices.
@@ -200,10 +193,11 @@ impl Dag {
         &self.edge_parents[u as usize]
     }
 
-    /// Negation-dependency parents of `u` (vertex-induced only).
-    #[inline]
-    pub fn negation_parents(&self, u: VertexId) -> &[VertexId] {
-        &self.negation_parents[u as usize]
+    /// Negation-dependency parents of `u`: the parents no
+    /// [`Dag::edge_parents`] entry names (vertex-induced only).
+    pub fn negation_parents(&self, u: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let edge = self.edge_parents(u);
+        self.parents(u).iter().copied().filter(move |&w| edge.iter().all(|&(e, _)| e != w))
     }
 
     /// Total number of dependency edges.
@@ -288,7 +282,7 @@ mod tests {
         assert_eq!(dag.parents(1), &[0]); // u2 depends on u1
         assert_eq!(dag.parents(4), &[1]); // u5 depends on u2 (u5→u2 edge)
         assert_eq!(dag.parents(6), &[0]); // u7 depends on u1
-        assert!(dag.negation_parents(3).is_empty());
+        assert_eq!(dag.negation_parents(3).count(), 0);
     }
 
     #[test]
@@ -311,12 +305,12 @@ mod tests {
         // u3 (id 2, label C) is not adjacent to u4 (id 3, label C) in P,
         // and the data graph has C-C edges (4->5), so vertex-induced adds
         // the dependency.
-        assert!(dag_v.negation_parents(3).contains(&2));
+        assert!(dag_v.negation_parents(3).any(|w| w == 2));
         // u7 (id 6, label D): D only connects A in the data, so no
         // negation dependency from u2 (label B, id 1) to u7.
-        assert!(!dag_v.negation_parents(6).contains(&1));
+        assert!(!dag_v.negation_parents(6).any(|w| w == 1));
         // ...but from u6 (label A, id 5) there is one (D-A edges exist).
-        assert!(dag_v.negation_parents(6).contains(&5));
+        assert!(dag_v.negation_parents(6).any(|w| w == 5));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn explain(catalog: &Catalog<'_>, plan: &Plan) -> String {
     let _ = writeln!(out, "matching order Φ*: {:?}", plan.order);
     let dep_edges = plan.dag.edge_count();
     let negations: usize =
-        (0..plan.order.len() as u32).map(|u| plan.dag.negation_parents(u).len()).sum();
+        (0..plan.order.len() as u32).map(|u| plan.dag.negation_parents(u).count()).sum();
     let _ = writeln!(out, "dependency DAG: {dep_edges} edges ({negations} negation dependencies)");
     let sce = SceAnalysis::of(catalog, plan);
     let _ = writeln!(

@@ -127,7 +127,7 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
                         Greater => best = Some(x),
                         Equal => {
                             let winner = if config.cluster_tiebreak {
-                                cluster_tiebreak(catalog, &neighbors, &in_phi, x, bx)
+                                cluster_tiebreak(catalog, &in_phi, x, bx)
                             } else {
                                 x.min(bx)
                             };
@@ -149,33 +149,15 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
 /// Eq. 2: pick the candidate whose relevant connecting cluster is
 /// smallest; prefer `ω¹` (edges into the prefix), then `ω²`/`ω³` (edges to
 /// unordered neighbors), then id.
-fn cluster_tiebreak(
-    catalog: &Catalog<'_>,
-    neighbors: &[Vec<VertexId>],
-    in_phi: &[bool],
-    a: VertexId,
-    b: VertexId,
-) -> VertexId {
-    let omega = |x: VertexId, towards_prefix: bool| -> usize {
-        let mut best = usize::MAX;
-        for (eidx, _) in catalog.incident_edges(x) {
-            let e = &catalog.pattern().edges()[eidx];
-            let other = if e.src == x { e.dst } else { e.src };
-            if in_phi[other as usize] == towards_prefix {
-                best = best.min(catalog.cluster_size(eidx));
-            }
-        }
-        best
-    };
+fn cluster_tiebreak(catalog: &Catalog<'_>, in_phi: &[bool], a: VertexId, b: VertexId) -> VertexId {
     // ω¹ compares clusters on edges into the prefix; if neither candidate
     // has one (or they tie), fall through to the unordered side (ω²/ω³).
-    let (a1, b1) = (omega(a, true), omega(b, true));
-    if a1 != b1 {
-        return if a1 < b1 { a } else { b };
-    }
-    let (a2, b2) = (omega(a, false), omega(b, false));
-    if a2 != b2 {
-        return if a2 < b2 { a } else { b };
+    for towards_prefix in [true, false] {
+        let wa = catalog.min_connecting_cluster(a, in_phi, towards_prefix);
+        let wb = catalog.min_connecting_cluster(b, in_phi, towards_prefix);
+        if wa != wb {
+            return if wa < wb { a } else { b };
+        }
     }
     // Lowest data-graph label frequency, then id, for determinism.
     let (fa, fb) = (
@@ -185,7 +167,6 @@ fn cluster_tiebreak(
     if fa != fb {
         return if fa < fb { a } else { b };
     }
-    let _ = neighbors;
     a.min(b)
 }
 

@@ -62,8 +62,12 @@ fn prefer(
     if da != db {
         return da > db;
     }
-    let (ca, cb) =
-        (min_cluster_to_placed(catalog, placed, a), min_cluster_to_placed(catalog, placed, b));
+    // Smallest cluster among edges to placed vertices (`usize::MAX` when
+    // there is none, e.g. for the first vertex).
+    let (ca, cb) = (
+        catalog.min_connecting_cluster(a, placed, true),
+        catalog.min_connecting_cluster(b, placed, true),
+    );
     if ca != cb {
         return ca < cb;
     }
@@ -75,21 +79,6 @@ fn prefer(
         return fa < fb;
     }
     a < b
-}
-
-/// The smallest `|I_C|` among clusters of pattern edges between `x` and an
-/// already-placed vertex (`usize::MAX` when there is none, e.g. for the
-/// first vertex).
-fn min_cluster_to_placed(catalog: &Catalog<'_>, placed: &[bool], x: VertexId) -> usize {
-    let mut best = usize::MAX;
-    for (eidx, _) in catalog.incident_edges(x) {
-        let e = &catalog.pattern().edges()[eidx];
-        let other = if e.src == x { e.dst } else { e.src };
-        if placed[other as usize] {
-            best = best.min(catalog.cluster_size(eidx));
-        }
-    }
-    best
 }
 
 #[cfg(test)]

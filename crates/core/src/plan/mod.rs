@@ -6,6 +6,11 @@
 //! [`Planner::plan`]; [`PlannerConfig`] exposes the ablation switches the
 //! plan-quality experiment (Fig. 13) compares: plain RI, RI + cluster
 //! tie-breaks, and full CSCE (clusters + SCE/LDSF).
+//!
+//! A vertex-induced plan stores nothing beyond `H`: the executor checks
+//! each candidate against every `H`-parent's mapping, allowing exactly the
+//! arcs of the pattern edges that [`Dag::edge_parents`] names for that
+//! parent (none for a negation parent), read from the pattern itself.
 
 pub mod dag;
 pub mod descendant;
@@ -86,17 +91,6 @@ impl ExecNode {
             }
         }
     }
-}
-
-/// One induced-matching filter: when extending pattern vertex `u`, any
-/// data arc between the candidate and `parent`'s mapping that is *not* in
-/// `allowed` (the pattern's pair code seen from `parent`) disqualifies the
-/// candidate. Unconnected pairs have an empty `allowed` — pure negation;
-/// connected pairs reject extra arcs (e.g. an antiparallel data arc).
-#[derive(Clone, Debug)]
-pub struct InducedFilter {
-    pub parent: VertexId,
-    pub allowed: Vec<(csce_graph::graph::Orient, csce_graph::Label)>,
 }
 
 /// Static SCE occurrence statistics of a plan (Fig. 12's measurements).
@@ -208,9 +202,6 @@ pub struct Plan {
     pub slot_count: usize,
     /// Factorized execution tree for counting mode.
     pub root: ExecNode,
-    /// Per-vertex induced-matching filters (vertex-induced only; empty
-    /// lists otherwise).
-    pub induced_filters: Vec<Vec<InducedFilter>>,
 }
 
 /// Plan generator.
@@ -266,21 +257,6 @@ impl Planner {
         let (cache_slot, slot_count) = assign_cache_slots(&dag, &nec_class, p.n());
 
         let root = recorder.time("tree", || build_exec_tree(catalog, &dag, &order, variant));
-        let induced_filters = if variant == Variant::VertexInduced {
-            (0..p.n() as VertexId)
-                .map(|u| {
-                    dag.parents(u)
-                        .iter()
-                        .map(|&parent| InducedFilter {
-                            parent,
-                            allowed: csce_graph::pattern::pair_code(p, parent, u),
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            vec![Vec::new(); p.n()]
-        };
 
         // Boundary invariant (deep form in `csce-analyze`): the LDSF order
         // is a permutation of `V_P`, topological w.r.t. the DAG, and
@@ -297,30 +273,25 @@ impl Planner {
             },
             "plan order must be a topological permutation with inverse pos_of"
         );
-        Plan {
-            variant,
-            order,
-            pos_of,
-            dag,
-            nec_class,
-            cache_slot,
-            slot_count,
-            root,
-            induced_filters,
-        }
+        Plan { variant, order, pos_of, dag, nec_class, cache_slot, slot_count, root }
     }
 }
 
 /// NEC-equivalent vertices share a candidate-cache slot when their
-/// dependency parents (edge and negation) are identical, because then
-/// their signatures and candidate sets coincide.
+/// dependency parents are identical, because then their signatures and
+/// candidate sets coincide.
+///
+/// The parents alone decide, although they mix edge and negation
+/// dependencies: two NEC-equivalent vertices with the same parents also
+/// have the same negation parents. Neither is the other's parent (it
+/// would be its own), and a shared parent is adjacent in `P` to both or
+/// to neither, since NEC-equivalent vertices have the same neighbours.
 fn assign_cache_slots(dag: &Dag, nec_class: &[u32], n: usize) -> (Vec<u32>, usize) {
-    let mut groups: FxHashMap<(u32, Vec<VertexId>, Vec<VertexId>), u32> = FxHashMap::default();
+    let mut groups: FxHashMap<(u32, &[VertexId]), u32> = FxHashMap::default();
     let mut slots = vec![0u32; n];
     let mut next = 0u32;
     for u in 0..n as VertexId {
-        let key =
-            (nec_class[u as usize], dag.parents(u).to_vec(), dag.negation_parents(u).to_vec());
+        let key = (nec_class[u as usize], dag.parents(u));
         let slot = *groups.entry(key).or_insert_with(|| {
             let s = next;
             next += 1;
@@ -718,8 +689,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// The adjacency-driven DAG equals the `Φ²` sweep for any `Φ`, and
-        /// the merge-forest tree equals the recursive compiler for any
+        /// The adjacency-driven DAG equals the `Φ²` sweep for any `Φ`, its
+        /// negation parents are the parents with no pattern edge to the
+        /// vertex (none outside vertex-induced matching), and the
+        /// merge-forest tree equals the recursive compiler for any
         /// topological order of `H` and for the planner's own `Φ*`, in
         /// every variant.
         #[test]
@@ -739,6 +712,15 @@ mod tests {
                 let phi = random_permutation(&mut rng, n);
                 let dag = build_dag(&catalog, &phi, variant);
                 prop_assert_eq!(&dag, &build_dag_pairwise(&catalog, &phi, variant));
+                for u in 0..n as VertexId {
+                    let want: Vec<VertexId> = match variant {
+                        Variant::VertexInduced => {
+                            dag.parents(u).iter().copied().filter(|&w| !p.connected(w, u)).collect()
+                        }
+                        _ => Vec::new(),
+                    };
+                    prop_assert_eq!(dag.negation_parents(u).collect::<Vec<_>>(), want, "{}", variant);
+                }
                 for order in [phi.clone(), random_topological_order(&mut rng, &dag)] {
                     prop_assert_eq!(
                         build_exec_tree(&catalog, &dag, &order, variant),
@@ -949,7 +931,7 @@ mod tests {
         }
         let g = gb.build();
         let plan = plan_for(&p, &g, Variant::VertexInduced, PlannerConfig::csce());
-        let has_negation = (0..8u32).any(|u| !plan.dag.negation_parents(u).is_empty());
+        let has_negation = (0..8u32).any(|u| plan.dag.negation_parents(u).next().is_some());
         assert!(has_negation);
     }
 }

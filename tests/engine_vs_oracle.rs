@@ -196,6 +196,34 @@ fn antiparallel_arcs_and_induced_semantics() {
 }
 
 #[test]
+fn induced_rejects_extra_arcs_with_another_label() {
+    // Pattern `a -[1]-> b`. Pair X carries the arc plus `y -[2]-> x`,
+    // which the pattern does not have; pair Z carries only the arc.
+    use csce::graph::GraphBuilder;
+    let mut gb = GraphBuilder::new();
+    gb.add_unlabeled_vertices(4);
+    gb.add_edge(0, 1, 1).unwrap(); // x -[1]-> y
+    gb.add_edge(1, 0, 2).unwrap(); // y -[2]-> x
+    gb.add_edge(2, 3, 1).unwrap(); // z -[1]-> w
+    let g = gb.build();
+    let mut pb = GraphBuilder::new();
+    pb.add_unlabeled_vertices(2);
+    pb.add_edge(0, 1, 1).unwrap();
+    let p = pb.build();
+    let engine = Engine::build(&g);
+    assert_eq!(engine.count(&p, Variant::EdgeInduced), 2);
+    assert_eq!(engine.count(&p, Variant::VertexInduced), 1);
+    assert_eq!(engine.embeddings(&p, Variant::VertexInduced), vec![vec![2, 3]]);
+    for variant in Variant::ALL {
+        assert_eq!(
+            engine.count(&p, variant),
+            csce::graph::oracle_count(&g, &p, variant),
+            "{variant}"
+        );
+    }
+}
+
+#[test]
 fn every_planner_preset_is_exact() {
     let g = erdos_renyi(14, 30, 3, 0, false, 42);
     let engine = Engine::build(&g);
