@@ -10,7 +10,7 @@
 //!   from-scratch checkers for the graph and plan structures:
 //!   [`csce_graph::Graph`] (adjacency symmetry, label-index agreement) and
 //!   [`csce_core::Plan`] / dependency DAGs (Algorithms 2–4: acyclicity,
-//!   descendant sizes recomputed independently, LDSF coverage, NEC class
+//!   descendant sizes recomputed independently, order coverage, NEC class
 //!   soundness), in [`graph_check`] and [`plan_check`]. The checkers
 //!   deliberately re-derive every property from first principles rather
 //!   than calling the production code paths they audit. A `G_C` has no
@@ -28,10 +28,14 @@
 //!   ratchet per function against the one baseline,
 //!   `scripts/static-baseline.txt`, and export as SARIF through the
 //!   `csce-lint` binary.
+//!
+//! [`counters`] holds the work-counter ratchet that
+//! `scripts/check-counters.sh` runs through the `counter-ratchet` binary.
 
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
+pub mod counters;
 pub mod graph_check;
 pub mod plan_check;
 pub mod reach;

@@ -1,7 +1,7 @@
 //! Deep structural validation of plan artifacts — the dependency DAG `H`
-//! (Algorithm 2), descendant sizes (Algorithm 3), the LDSF matching order
-//! (Algorithm 4), NEC classes, cache slots, and the factorized execution
-//! tree.
+//! (Algorithm 2), descendant sizes (Algorithm 3, which the LDSF ablation
+//! reads), the matching order `Φ*`, NEC classes, cache slots, and the
+//! factorized execution tree.
 //!
 //! Everything is re-derived from first principles: acyclicity by Kahn's
 //! algorithm, descendant sizes by naive per-vertex DFS (not the bitset
@@ -227,8 +227,9 @@ fn check_order(plan: &Plan, r: &mut ValidationReport) {
     }
 }
 
-/// LDSF's backward-neighbor contract for connected patterns: every vertex
-/// after the first has at least one edge dependency on an earlier vertex.
+/// The backward-neighbor contract of `Φ*` for connected patterns (GCF
+/// orders connected prefixes, and LDSF keeps them): every vertex after the
+/// first has at least one edge dependency on an earlier vertex.
 fn check_backward_neighbors(plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.backward-neighbors");
     for &u in plan.order.iter().skip(1) {

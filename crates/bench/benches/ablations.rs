@@ -1,7 +1,8 @@
 //! Criterion ablations of the design choices DESIGN.md calls out:
 //! SCE candidate caching on/off, factorized counting on/off, CCSR cluster
-//! tie-breaking on/off, LDSF on/off, and NEC sharing on/off — each
-//! measured on the same workload so speedup attribution is direct.
+//! tie-breaking on/off, NEC sharing on/off, and the LDSF reorder (Alg. 4,
+//! off in CSCE's plan) on — each measured on the same workload so speedup
+//! attribution is direct.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_core::{Engine, PlannerConfig, RunConfig};
@@ -45,18 +46,18 @@ fn bench_ablations(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("no_cluster_tiebreak_no_ldsf (plain RI plan)", |b| {
+    group.bench_function("no_cluster_tiebreak_no_nec (plain RI plan)", |b| {
         b.iter(|| run(&engine, p, PlannerConfig::ri_only(), RunConfig::default()))
     });
-    group.bench_function("cluster_tiebreak_only (no LDSF)", |b| {
+    group.bench_function("no_nec (RI+Cluster plan)", |b| {
         b.iter(|| run(&engine, p, PlannerConfig::ri_cluster(), RunConfig::default()))
     });
-    group.bench_function("no_nec", |b| {
+    group.bench_function("ldsf (Alg. 4 reorder)", |b| {
         b.iter(|| {
             run(
                 &engine,
                 p,
-                PlannerConfig { nec: false, ..PlannerConfig::csce() },
+                PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
                 RunConfig::default(),
             )
         })

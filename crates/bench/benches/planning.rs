@@ -1,5 +1,5 @@
-//! Criterion micro-bench: plan generation (GCF + DAG + descendant sizes +
-//! LDSF + NEC) per pattern size and variant — the Fig. 10 hot path.
+//! Criterion micro-bench: plan generation (GCF + DAG + NEC + tree) per
+//! pattern size and variant — the Fig. 10 hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};

@@ -1,5 +1,5 @@
 //! Fig. 10: plan-generation scalability — time and peak memory of the
-//! full optimization pipeline (ReadCSR + GCF + DAG + LDSF + NEC + tree)
+//! full optimization pipeline (ReadCSR + GCF + DAG + NEC + tree)
 //! for pattern sizes up to 2000 on the Patent-like graph with 2000
 //! randomly assigned vertex labels, per variant. Reproduces Finding 10
 //! (plans for 2000-vertex patterns in bounded time; homomorphism cheapest

@@ -1,9 +1,10 @@
 //! Fig. 13: query-plan quality — the same executor run under different
 //! plans on the Patent-like graph: plain RI rules, RI + CCSR cluster
-//! tie-breaks, and full CSCE (clusters + LDSF over the dependency DAG),
-//! against the RapidMatch-family baseline (FSP-BT) as the external
-//! reference. Reproduces Finding 13: clusters and SCE both improve the
-//! plan.
+//! tie-breaks, full CSCE (the cluster-tie-broken GCF order with NEC
+//! sharing), and CSCE reordered by LDSF (Alg. 4, the paper's fine-tuning,
+//! kept as an ablation), against the RapidMatch-family baseline (FSP-BT)
+//! as the external reference. Finding 13: clusters improve the plan; the
+//! LDSF column shows what descendant-first reordering costs here.
 
 use csce_baselines::fsp::FailingSetBacktracking;
 use csce_bench::{
@@ -24,8 +25,13 @@ fn main() -> Result<(), UsageError> {
         sample_suite(&ctx.graph, &[8, 16, 32], &[Density::Dense, Density::Sparse], repeats, 0xF13);
 
     // One column each, in header order.
-    let plans = [PlannerConfig::ri_only(), PlannerConfig::ri_cluster(), PlannerConfig::csce()];
-    let mut t = Table::new(&["pattern", "RM(FSP)", "RI", "RI+Cluster", "CSCE"]);
+    let plans = [
+        PlannerConfig::ri_only(),
+        PlannerConfig::ri_cluster(),
+        PlannerConfig::csce(),
+        PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
+    ];
+    let mut t = Table::new(&["pattern", "RM(FSP)", "RI", "RI+Cluster", "CSCE", "LDSF (Alg. 4)"]);
     for suite in &suites {
         if suite.patterns.is_empty() {
             continue;

@@ -17,7 +17,7 @@
 
 use super::scheduler::{deadline_after, Scheduler};
 use super::sink::{CallbackSink, MatchSink};
-use super::stats::ExecStats;
+use super::stats::{add_clamped, mul_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
 use crate::plan::{ExecNode, Plan};
@@ -309,21 +309,25 @@ impl<'a> Executor<'a> {
 
     /// Factorized counting over the plan's [`ExecNode`] tree. `Seq` nodes
     /// share [`Executor::scan`] with the sink path; `Split` nodes multiply
-    /// `H`-independent component counts (saturating, like the per-node
-    /// accumulation — a homomorphic count can overflow `u64`).
+    /// `H`-independent component counts. Products and sums clamp at
+    /// `u64::MAX` (a homomorphic count can overflow `u64`) and set
+    /// [`ExecStats::saturated`]; a product that a zero component ends is
+    /// exact whatever it had reached.
     fn count_node(&mut self, node: &ExecNode, depth: usize) -> u64 {
         match node {
             ExecNode::Done => 1,
             ExecNode::Split { components } => {
                 self.stats.splits_taken += 1;
                 let mut product = 1u64;
+                let mut clamped = false;
                 for comp in components {
                     let c = self.count_node(comp, depth);
                     if c == 0 {
                         return 0;
                     }
-                    product = product.saturating_mul(c);
+                    product = mul_clamped(product, c, &mut clamped);
                 }
+                self.stats.saturated |= clamped;
                 product
             }
             ExecNode::Seq { u, next } => {
@@ -333,7 +337,8 @@ impl<'a> Executor<'a> {
                 }
                 let mut total = 0u64;
                 self.scan(*u, depth, |me| {
-                    total = total.saturating_add(me.count_node(next, depth + 1));
+                    total =
+                        add_clamped(total, me.count_node(next, depth + 1), &mut me.stats.saturated);
                 });
                 total
             }
@@ -344,7 +349,8 @@ impl<'a> Executor<'a> {
     /// with the sink deciding at full depth whether the search continues.
     fn walk<S: MatchSink>(&mut self, depth: usize, sink: &mut S) {
         if depth == self.plan.order.len() {
-            self.stats.embeddings = self.stats.embeddings.saturating_add(1);
+            self.stats.embeddings =
+                add_clamped(self.stats.embeddings, 1, &mut self.stats.saturated);
             if sink.on_embedding(&self.f).is_break() {
                 // Early stop (e.g. a filled first-k quota) propagates to
                 // every worker of the run.

@@ -30,7 +30,7 @@
 
 use super::engine::Executor;
 use super::sink::{CollectSink, MatchSink};
-use super::stats::ExecStats;
+use super::stats::{add_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
 use crate::plan::Plan;
@@ -252,6 +252,7 @@ pub fn count_parallel_observed(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
 ) -> Result<ParallelRun, ExecError> {
+    let clamped = std::cell::Cell::new(false);
     let (total, mut stats, workers) = run_parallel(
         star,
         pattern,
@@ -261,8 +262,13 @@ pub fn count_parallel_observed(
         progress,
         recorder,
         |_, exec| exec.count(),
-        |acc: &mut u64, partial| *acc = acc.saturating_add(partial),
+        |acc: &mut u64, partial| {
+            let mut saturated = false;
+            *acc = add_clamped(*acc, partial, &mut saturated);
+            clamped.set(clamped.get() | saturated);
+        },
     )?;
+    stats.saturated |= clamped.get();
     // Merged `embeddings` already sums the partials; pin it to the total
     // to keep the invariant embeddings == count under saturation.
     stats.embeddings = total;

@@ -12,6 +12,7 @@
 //! join. Workers claim disjoint root-candidate chunks, so merged results
 //! are duplicate-free by construction.
 
+use super::stats::add_clamped;
 use csce_graph::VertexId;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,22 +36,26 @@ pub trait MatchSink {
         Self: Sized;
 }
 
-/// Counts embeddings (saturating — a homomorphic count can overflow
-/// `u64` long before it finishes enumerating).
+/// Counts embeddings. The count clamps at `u64::MAX` (a homomorphic count
+/// can overflow `u64` long before it finishes enumerating) and then sets
+/// `saturated`.
 #[derive(Clone, Debug, Default)]
 pub struct CountSink {
     pub count: u64,
+    /// The count was clamped at `u64::MAX`: it is a lower bound.
+    pub saturated: bool,
 }
 
 impl MatchSink for CountSink {
     #[inline]
     fn on_embedding(&mut self, _f: &[VertexId]) -> ControlFlow<()> {
-        self.count = self.count.saturating_add(1);
+        self.count = add_clamped(self.count, 1, &mut self.saturated);
         ControlFlow::Continue(())
     }
 
     fn merge(&mut self, other: Self) {
-        self.count = self.count.saturating_add(other.count);
+        self.count = add_clamped(self.count, other.count, &mut self.saturated);
+        self.saturated |= other.saturated;
     }
 }
 
@@ -171,13 +176,20 @@ mod tests {
 
     #[test]
     fn count_sink_saturates() {
-        let mut s = CountSink { count: u64::MAX - 1 };
-        assert!(s.on_embedding(&[0]).is_continue());
+        let mut s = CountSink { count: u64::MAX - 1, saturated: false };
         assert!(s.on_embedding(&[0]).is_continue());
         assert_eq!(s.count, u64::MAX);
-        let other = CountSink { count: 5 };
-        s.merge(other);
+        assert!(!s.saturated, "u64::MAX itself is exact");
+        assert!(s.on_embedding(&[0]).is_continue());
         assert_eq!(s.count, u64::MAX);
+        assert!(s.saturated);
+        let mut merged = CountSink { count: u64::MAX - 1, saturated: false };
+        merged.merge(CountSink { count: 5, saturated: false });
+        assert_eq!(merged.count, u64::MAX);
+        assert!(merged.saturated);
+        let mut sticky = CountSink::default();
+        sticky.merge(s);
+        assert!(sticky.saturated);
     }
 
     #[test]

@@ -25,9 +25,30 @@ pub struct ExecStats {
     pub chunks_claimed: u64,
     /// The time limit fired; results are partial.
     pub timed_out: bool,
+    /// A count or product reached `u64::MAX` and was clamped there, so
+    /// the reported count is a lower bound, not the exact answer.
+    pub saturated: bool,
     /// Per-depth and intersection profiling, present when the run asked
     /// for it (`RunConfig::profile`).
     pub deep: Option<DeepStats>,
+}
+
+/// `a + b`, clamped at `u64::MAX`; a clamp sets `saturated`.
+#[inline]
+pub(crate) fn add_clamped(a: u64, b: u64, saturated: &mut bool) -> u64 {
+    a.checked_add(b).unwrap_or_else(|| {
+        *saturated = true;
+        u64::MAX
+    })
+}
+
+/// `a · b`, clamped at `u64::MAX`; a clamp sets `saturated`.
+#[inline]
+pub(crate) fn mul_clamped(a: u64, b: u64, saturated: &mut bool) -> u64 {
+    a.checked_mul(b).unwrap_or_else(|| {
+        *saturated = true;
+        u64::MAX
+    })
 }
 
 /// Hot-loop profiling counters, collected only on request because they
@@ -87,10 +108,11 @@ impl ExecStats {
     /// for per-worker stats in parallel runs. Counters saturate-add (the
     /// per-worker counters already saturate, so the merge must not
     /// reintroduce overflow), per-depth series add element-wise, and
-    /// `timed_out` is sticky (any worker timing out makes the merged
-    /// result partial).
+    /// `timed_out` and `saturated` are sticky (any worker timing out makes
+    /// the merged result partial; an `embeddings` sum that clamps makes it
+    /// a lower bound).
     pub fn merge(&mut self, other: &ExecStats) {
-        self.embeddings = self.embeddings.saturating_add(other.embeddings);
+        self.embeddings = add_clamped(self.embeddings, other.embeddings, &mut self.saturated);
         self.sce_cache_hits = self.sce_cache_hits.saturating_add(other.sce_cache_hits);
         self.candidate_computations =
             self.candidate_computations.saturating_add(other.candidate_computations);
@@ -100,6 +122,7 @@ impl ExecStats {
         self.negation_clusters = self.negation_clusters.saturating_add(other.negation_clusters);
         self.chunks_claimed = self.chunks_claimed.saturating_add(other.chunks_claimed);
         self.timed_out |= other.timed_out;
+        self.saturated |= other.saturated;
         if let Some(theirs) = &other.deep {
             self.deep.get_or_insert_with(DeepStats::default).merge(theirs);
         }
@@ -117,6 +140,7 @@ impl ExecStats {
         m.set_counter("exec.negation_clusters", self.negation_clusters);
         m.set_counter("exec.chunks_claimed", self.chunks_claimed);
         m.set_counter("exec.timed_out", self.timed_out as u64);
+        m.set_counter("exec.saturated", self.saturated as u64);
         m.set_gauge("exec.sce_hit_rate", self.sce_hit_rate());
         if let Some(deep) = &self.deep {
             m.set_series("exec.depth_candidates", deep.depth_candidates.clone());
@@ -172,6 +196,23 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.nodes, u64::MAX);
         assert_eq!(a.chunks_claimed, 2);
+    }
+
+    #[test]
+    fn merge_flags_a_clamped_embedding_count() {
+        let mut a = ExecStats { embeddings: u64::MAX - 1, ..Default::default() };
+        a.merge(&ExecStats { embeddings: 1, ..Default::default() });
+        assert_eq!(a.embeddings, u64::MAX);
+        assert!(!a.saturated, "an exact u64::MAX is not a clamp");
+        a.merge(&ExecStats { embeddings: 1, ..Default::default() });
+        assert_eq!(a.embeddings, u64::MAX);
+        assert!(a.saturated);
+        let mut b = ExecStats::default();
+        b.merge(&a);
+        assert!(b.saturated, "sticky across merges");
+        let mut m = MetricsRegistry::new();
+        b.export(&mut m);
+        assert_eq!(m.counter("exec.saturated"), 1);
     }
 
     #[test]

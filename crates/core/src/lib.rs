@@ -4,10 +4,10 @@
 //! *"Large Subgraph Matching: A Comprehensive and Efficient Approach for
 //! Heterogeneous Graphs"* (ICDE 2024) — on top of the `csce-ccsr` index:
 //!
-//! * plan generation (§VI): the Greatest-Constraint-First heuristic with
-//!   CCSR cluster tie-breaking, the candidate-dependency DAG of §V,
-//!   descendant sizes, and the Largest-Descendant-Size-First topological
-//!   order, plus NEC candidate sharing;
+//! * plan generation (§VI): the Greatest-Constraint-First matching order
+//!   with CCSR cluster tie-breaking, the candidate-dependency DAG of §V,
+//!   and NEC candidate sharing (descendant sizes and the
+//!   Largest-Descendant-Size-First reorder are kept as an ablation);
 //! * execution (§III): a pipelined worst-case-optimal join that exploits
 //!   Sequential Candidate Equivalence through candidate-set caching and
 //!   factorized counting;
@@ -76,7 +76,7 @@ pub struct QueryOutput {
     pub workers: Vec<ExecStats>,
     /// Time spent in `ReadCSR` (cluster selection).
     pub read_time: Duration,
-    /// Time spent generating the plan (GCF + DAG + LDSF + NEC).
+    /// Time spent generating the plan (GCF + DAG + NEC + tree).
     pub plan_time: Duration,
     /// Time spent finding embeddings.
     pub exec_time: Duration,

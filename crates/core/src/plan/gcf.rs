@@ -48,9 +48,10 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
 
     let mut phi: Vec<VertexId> = Vec::with_capacity(n);
     let mut in_phi = vec![false; n];
-    // Incrementally maintained RI rule counts, so the whole order costs
-    // O(n² + Σdeg²) instead of re-deriving |T¹|/|T²|/|T³| per candidate —
-    // 2000-vertex plans must generate in seconds (Fig. 10).
+    // Incrementally maintained RI rule counts cost O(Σdeg²) over the whole
+    // order instead of re-deriving |T¹|/|T²|/|T³| per candidate, and each
+    // step scans only the frontier (below), not all `n` vertices — Fig. 10
+    // plans 2000-vertex patterns.
     // t[x] = [|T¹|, |T²|, |T³|]: ordered neighbors / unordered neighbors
     // touching the prefix / unordered neighbors touching nothing.
     let mut t: Vec<[usize; 3]> = (0..n).map(|x| [0, 0, neighbors[x].len()]).collect();
@@ -111,38 +112,42 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
                 .then(a.cmp(&b))
         })
         .expect("pattern has vertices");
-    place(first, &mut phi, &mut in_phi, &mut t, &mut touched);
 
-    while phi.len() < n {
-        let mut best: Option<VertexId> = None;
-        for x in 0..n as VertexId {
-            if in_phi[x as usize] {
-                continue;
-            }
-            match best {
-                None => best = Some(x),
-                Some(bx) => {
-                    use std::cmp::Ordering::*;
-                    match t[x as usize].cmp(&t[bx as usize]) {
-                        Greater => best = Some(x),
-                        Equal => {
-                            let winner = if config.cluster_tiebreak {
-                                cluster_tiebreak(catalog, &in_phi, x, bx)
-                            } else {
-                                x.min(bx)
-                            };
-                            if winner == x {
-                                best = Some(x);
-                            }
-                        }
-                        Less => {}
-                    }
-                }
+    // Only the frontier (unplaced vertices with an ordered neighbour) can
+    // win after the first placement: the pattern is connected, so some
+    // unplaced vertex has `|T¹| ≥ 1`, and the key `(|T¹|, |T²|, |T³|)`
+    // ranks it above every vertex with `|T¹| = 0`. The tie rules are a
+    // total order over per-vertex values, so the frontier's scan order
+    // cannot change the winner: `Φ` is the full scan's.
+    let mut frontier: Vec<VertexId> = Vec::new();
+    let mut in_frontier = vec![false; n];
+    let mut next = Some(first);
+    while let Some(v) = next {
+        place(v, &mut phi, &mut in_phi, &mut t, &mut touched);
+        frontier.retain(|&x| !in_phi[x as usize]);
+        for &x in &neighbors[v as usize] {
+            if !in_phi[x as usize] && !std::mem::replace(&mut in_frontier[x as usize], true) {
+                frontier.push(x);
             }
         }
-        let next = best.expect("some vertex remains");
-        place(next, &mut phi, &mut in_phi, &mut t, &mut touched);
+        next = frontier.iter().copied().reduce(|best, x| {
+            use std::cmp::Ordering::*;
+            let x_wins = match t[x as usize].cmp(&t[best as usize]) {
+                Greater => true,
+                Less => false,
+                Equal if config.cluster_tiebreak => {
+                    cluster_tiebreak(catalog, &in_phi, x, best) == x
+                }
+                Equal => x < best,
+            };
+            if x_wins {
+                x
+            } else {
+                best
+            }
+        });
     }
+    debug_assert_eq!(phi.len(), n, "a connected pattern is ordered whole");
     phi
 }
 
@@ -173,8 +178,10 @@ fn cluster_tiebreak(catalog: &Catalog<'_>, in_phi: &[bool], a: VertexId, b: Vert
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::{random_graph, Rng};
     use csce_ccsr::{build_ccsr, read_csr};
     use csce_graph::{Graph, GraphBuilder, Variant, NO_LABEL};
+    use proptest::prelude::*;
 
     fn star_pattern() -> Graph {
         // u0 center (degree 3), leaves u1..u3.
@@ -193,6 +200,115 @@ mod tests {
             b.add_undirected_edge(x, y, NO_LABEL).unwrap();
         }
         b.build()
+    }
+
+    /// The GCF stage before it kept a frontier: every step rescans all `n`
+    /// vertices. Kept as the oracle [`gcf_order`] must reproduce exactly.
+    fn gcf_order_full_scan(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
+        let p = catalog.pattern();
+        let n = p.n();
+        assert!(n > 0, "empty pattern");
+        let neighbors: Vec<Vec<VertexId>> =
+            (0..n as VertexId).map(|u| undirected_neighbors(p, u)).collect();
+
+        let mut phi: Vec<VertexId> = Vec::with_capacity(n);
+        let mut in_phi = vec![false; n];
+        // Incrementally maintained RI rule counts, so the whole order costs
+        // O(n² + Σdeg²) instead of re-deriving |T¹|/|T²|/|T³| per candidate —
+        // 2000-vertex plans must generate in seconds (Fig. 10).
+        // t[x] = [|T¹|, |T²|, |T³|]: ordered neighbors / unordered neighbors
+        // touching the prefix / unordered neighbors touching nothing.
+        let mut t: Vec<[usize; 3]> = (0..n).map(|x| [0, 0, neighbors[x].len()]).collect();
+        // Number of ordered neighbors of each vertex ("touched" level).
+        let mut touched = vec![0usize; n];
+
+        let place = |v: VertexId,
+                     phi: &mut Vec<VertexId>,
+                     in_phi: &mut Vec<bool>,
+                     t: &mut Vec<[usize; 3]>,
+                     touched: &mut Vec<usize>| {
+            phi.push(v);
+            in_phi[v as usize] = true;
+            // v leaves the unordered pool: each unordered neighbor x counted v
+            // in T² (if v touched the prefix) or T³; v now counts in T¹.
+            let v_was_touched = touched[v as usize] > 0;
+            for &x in &neighbors[v as usize] {
+                if in_phi[x as usize] {
+                    continue;
+                }
+                t[x as usize][0] += 1;
+                if v_was_touched {
+                    t[x as usize][1] -= 1;
+                } else {
+                    t[x as usize][2] -= 1;
+                }
+            }
+            // Unordered neighbors of v become (more) touched; a first touch
+            // migrates them from every unordered neighbor's T³ to T².
+            for &j in &neighbors[v as usize] {
+                touched[j as usize] += 1;
+                if touched[j as usize] == 1 && !in_phi[j as usize] {
+                    for &x in &neighbors[j as usize] {
+                        if !in_phi[x as usize] {
+                            t[x as usize][2] -= 1;
+                            t[x as usize][1] += 1;
+                        }
+                    }
+                }
+            }
+        };
+
+        // First vertex: highest degree; ties by smallest incident cluster,
+        // then by id.
+        let first = (0..n as VertexId)
+            .min_by(|&a, &b| {
+                p.degree(b)
+                    .cmp(&p.degree(a))
+                    .then_with(|| {
+                        if config.cluster_tiebreak {
+                            catalog
+                                .min_incident_cluster_size(a)
+                                .cmp(&catalog.min_incident_cluster_size(b))
+                        } else {
+                            std::cmp::Ordering::Equal
+                        }
+                    })
+                    .then(a.cmp(&b))
+            })
+            .expect("pattern has vertices");
+        place(first, &mut phi, &mut in_phi, &mut t, &mut touched);
+
+        while phi.len() < n {
+            let mut best: Option<VertexId> = None;
+            for x in 0..n as VertexId {
+                if in_phi[x as usize] {
+                    continue;
+                }
+                match best {
+                    None => best = Some(x),
+                    Some(bx) => {
+                        use std::cmp::Ordering::*;
+                        match t[x as usize].cmp(&t[bx as usize]) {
+                            Greater => best = Some(x),
+                            Equal => {
+                                let winner = if config.cluster_tiebreak {
+                                    cluster_tiebreak(catalog, &in_phi, x, bx)
+                                } else {
+                                    x.min(bx)
+                                };
+                                if winner == x {
+                                    best = Some(x);
+                                }
+                            }
+                            Less => {}
+                        }
+                    }
+                }
+            }
+            let next = best.expect("some vertex remains");
+            place(next, &mut phi, &mut in_phi, &mut t, &mut touched);
+        }
+        phi
     }
 
     fn order_for(g: &Graph, p: &Graph, config: GcfConfig) -> Vec<VertexId> {
@@ -271,5 +387,45 @@ mod tests {
             order_for(&g, &p, GcfConfig::default()),
             order_for(&g, &p, GcfConfig::default())
         );
+    }
+
+    /// The frontier scan and the full scan agree on `Φ` for `pattern` over
+    /// `data`, with and without cluster tie-breaks.
+    fn assert_matches_full_scan(pattern: &Graph, data: &Graph) {
+        let gc = build_ccsr(data).unwrap();
+        let star = read_csr(&gc, pattern, Variant::EdgeInduced);
+        let catalog = Catalog::new(pattern, &star);
+        for config in [GcfConfig::default(), GcfConfig::ri_only()] {
+            assert_eq!(
+                gcf_order(&catalog, config),
+                gcf_order_full_scan(&catalog, config),
+                "{config:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn frontier_scan_matches_full_scan(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(14);
+            let labels = 1 + rng.below(4);
+            let extra = rng.below(2 * n + 1);
+            let p = random_graph(&mut rng, n, labels, true, extra);
+            let data_n = 2 + rng.below(10);
+            let data_extra = rng.below(3 * data_n);
+            let g = random_graph(&mut rng, data_n, labels + 1, false, data_extra);
+            assert_matches_full_scan(&p, &g);
+        }
+    }
+
+    #[test]
+    fn frontier_scan_matches_full_scan_on_a_2000_vertex_sparse_pattern() {
+        let mut rng = Rng(2000);
+        let p = random_graph(&mut rng, 2000, 6, true, 400);
+        let g = random_graph(&mut rng, 200, 7, false, 1200);
+        assert_matches_full_scan(&p, &g);
     }
 }

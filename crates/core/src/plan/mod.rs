@@ -1,11 +1,18 @@
-//! Plan generation: GCF initial order → dependency DAG → LDSF
-//! fine-tuning → NEC cache sharing → factorized execution tree. The
-//! static SCE statistics ([`SceAnalysis::of`]) are derived on demand.
+//! Plan generation: GCF order → dependency DAG → NEC cache sharing →
+//! factorized execution tree. The static SCE statistics
+//! ([`SceAnalysis::of`]) are derived on demand.
 //!
 //! This is the orange stage of the paper's Fig. 2. The entry point is
 //! [`Planner::plan`]; [`PlannerConfig`] exposes the ablation switches the
 //! plan-quality experiment (Fig. 13) compares: plain RI, RI + cluster
-//! tie-breaks, and full CSCE (clusters + SCE/LDSF).
+//! tie-breaks, full CSCE, and CSCE with LDSF fine-tuning.
+//!
+//! CSCE matches in the GCF order (`Φ* = Φ`). The paper's LDSF
+//! fine-tuning (descendant sizes, Alg. 3, then the descendant-first
+//! topological order of `H`, Alg. 4) is kept as the measured ablation
+//! [`PlannerConfig::ldsf`]: on the Patent-shaped plan-quality workload it
+//! explores about 3.3× the nodes of the GCF order (DESIGN.md, "Documented
+//! deviations").
 //!
 //! A vertex-induced plan stores nothing beyond `H`: the executor checks
 //! each candidate against every `H`-parent's mapping, allowing exactly the
@@ -34,8 +41,9 @@ use std::collections::BinaryHeap;
 pub struct PlannerConfig {
     /// GCF stage configuration (cluster tie-breaking on/off).
     pub gcf: GcfConfig,
-    /// Apply LDSF fine-tuning over the dependency DAG; `false` keeps the
-    /// GCF order as `Φ*`.
+    /// Reorder `Φ` by LDSF (descendant size first) over the dependency
+    /// DAG. Off in every preset: `Φ*` is the GCF order, and LDSF is the
+    /// Fig. 13 ablation.
     pub ldsf: bool,
     /// Identify NEC classes and share candidate caches within them.
     pub nec: bool,
@@ -43,23 +51,24 @@ pub struct PlannerConfig {
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig { gcf: GcfConfig::default(), ldsf: true, nec: true }
+        PlannerConfig { gcf: GcfConfig::default(), ldsf: false, nec: true }
     }
 }
 
 impl PlannerConfig {
-    /// Full CSCE optimization (the default).
+    /// Full CSCE (the default): GCF with cluster tie-breaks as `Φ*`, NEC
+    /// cache sharing, `H` and the factorized tree.
     pub fn csce() -> Self {
         Self::default()
     }
 
-    /// Plain RI heuristics, no data-graph awareness, no SCE fine-tuning.
+    /// Plain RI heuristics: no data-graph awareness, no NEC sharing.
     pub fn ri_only() -> Self {
         PlannerConfig { gcf: GcfConfig::ri_only(), ldsf: false, nec: false }
     }
 
-    /// RI rules with CCSR cluster tie-breaking but no LDSF (Fig. 13's
-    /// "RI+Cluster").
+    /// RI rules with CCSR cluster tie-breaking (Fig. 13's "RI+Cluster"):
+    /// CSCE's order without NEC sharing.
     pub fn ri_cluster() -> Self {
         PlannerConfig { gcf: GcfConfig::default(), ldsf: false, nec: false }
     }
@@ -220,8 +229,9 @@ impl Planner {
     }
 
     /// [`Planner::plan`] with each stage timed as a span on `recorder`
-    /// (`gcf`, `dag`, `descendant`, `ldsf`, `nec`, `tree` — the
-    /// decomposition behind Fig. 10's plan-scalability numbers).
+    /// (`gcf`, `dag`, `nec`, `tree`, plus `descendant` and `ldsf` under
+    /// the LDSF ablation — the decomposition behind Fig. 10's
+    /// plan-scalability numbers).
     pub fn plan_recorded(
         &self,
         catalog: &Catalog<'_>,
@@ -236,7 +246,7 @@ impl Planner {
         let phi = recorder.time("gcf", || gcf_order(catalog, self.config.gcf));
         // Stage 2: dependency DAG.
         let dag = recorder.time("dag", || build_dag(catalog, &phi, variant));
-        // Stage 3: LDSF fine-tuning (a specific topological order of H).
+        // LDSF ablation: reorder into H's descendant-first topological order.
         let order = if self.config.ldsf {
             let sizes = recorder.time("descendant", || descendant_sizes(&dag));
             recorder.time("ldsf", || ldsf_order(catalog, &dag, &sizes))
@@ -258,8 +268,8 @@ impl Planner {
 
         let root = recorder.time("tree", || build_exec_tree(catalog, &dag, &order, variant));
 
-        // Boundary invariant (deep form in `csce-analyze`): the LDSF order
-        // is a permutation of `V_P`, topological w.r.t. the DAG, and
+        // Boundary invariant (deep form in `csce-analyze`): `Φ*` is a
+        // permutation of `V_P`, topological w.r.t. the DAG, and
         // `pos_of` is its inverse.
         debug_assert!(
             {
@@ -583,10 +593,10 @@ mod tests {
     }
 
     /// SplitMix64: the random source of the equivalence properties.
-    struct Rng(u64);
+    pub(super) struct Rng(pub(super) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(super) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -600,7 +610,7 @@ mod tests {
     /// — directed either way, undirected, and antiparallel multi-edges,
     /// with two edge labels. Rejected edges (duplicates, mixed kinds) are
     /// skipped.
-    fn random_graph(
+    pub(super) fn random_graph(
         rng: &mut Rng,
         n: usize,
         labels: usize,
@@ -693,8 +703,9 @@ mod tests {
         /// negation parents are the parents with no pattern edge to the
         /// vertex (none outside vertex-induced matching), and the
         /// merge-forest tree equals the recursive compiler for any
-        /// topological order of `H` and for the planner's own `Φ*`, in
-        /// every variant.
+        /// topological order of `H` and for the planner's own `Φ*` (LDSF
+        /// ablation included), in every variant, and the default `Φ*` is
+        /// the GCF order.
         #[test]
         fn plan_stages_match_their_oracles(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
@@ -728,13 +739,16 @@ mod tests {
                         "{variant}, order {order:?}"
                     );
                 }
-                for config in [PlannerConfig::csce(), PlannerConfig::ri_only()] {
+                let ldsf = PlannerConfig { ldsf: true, ..PlannerConfig::csce() };
+                for config in [PlannerConfig::csce(), PlannerConfig::ri_only(), ldsf] {
                     let plan = Planner::new(config).plan(&catalog, variant);
                     prop_assert_eq!(
                         &plan.root,
                         &build_tree_rec(&catalog, &plan.dag, &plan.order, variant)
                     );
                 }
+                let default = Planner::new(PlannerConfig::default()).plan(&catalog, variant);
+                prop_assert_eq!(default.order, gcf_order(&catalog, GcfConfig::default()));
             }
         }
     }

@@ -13,31 +13,31 @@ use csce_graph::{oracle_count, Graph, Variant};
 use csce_obs::Recorder;
 use std::time::Duration;
 
-/// Planner preset of one engine probe (the NEC toggle rides on top of the
-/// full preset, so the sweep exercises plans with and without class
-/// sharing).
+/// Planner preset of one engine probe: four distinct planners, so the
+/// sweep exercises plans with and without class sharing, cluster
+/// tie-breaks and the LDSF reorder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlannerName {
-    /// Full CSCE optimization.
+    /// Full CSCE optimization (the GCF order).
     Csce,
-    /// Full CSCE with NEC cache sharing disabled.
-    CsceNoNec,
+    /// Full CSCE reordered by LDSF (the Fig. 13 ablation).
+    Ldsf,
     /// Plain RI heuristics.
     RiOnly,
-    /// RI with cluster tie-breaks, no LDSF.
+    /// RI with cluster tie-breaks, no NEC sharing.
     RiCluster,
 }
 
 impl PlannerName {
     /// Every preset, in sweep order.
     pub const ALL: [PlannerName; 4] =
-        [PlannerName::Csce, PlannerName::CsceNoNec, PlannerName::RiOnly, PlannerName::RiCluster];
+        [PlannerName::Csce, PlannerName::Ldsf, PlannerName::RiOnly, PlannerName::RiCluster];
 
     /// Stable token used in reports and `.repro` files.
     pub fn as_str(self) -> &'static str {
         match self {
             PlannerName::Csce => "csce",
-            PlannerName::CsceNoNec => "csce-no-nec",
+            PlannerName::Ldsf => "csce+ldsf",
             PlannerName::RiOnly => "ri",
             PlannerName::RiCluster => "ri+c",
         }
@@ -47,7 +47,7 @@ impl PlannerName {
     pub fn parse(s: &str) -> Result<PlannerName, String> {
         match s {
             "csce" => Ok(PlannerName::Csce),
-            "csce-no-nec" => Ok(PlannerName::CsceNoNec),
+            "csce+ldsf" => Ok(PlannerName::Ldsf),
             "ri" => Ok(PlannerName::RiOnly),
             "ri+c" => Ok(PlannerName::RiCluster),
             other => Err(format!("unknown planner {other:?}")),
@@ -58,7 +58,7 @@ impl PlannerName {
     pub fn planner_config(self) -> PlannerConfig {
         match self {
             PlannerName::Csce => PlannerConfig::csce(),
-            PlannerName::CsceNoNec => PlannerConfig { nec: false, ..PlannerConfig::csce() },
+            PlannerName::Ldsf => PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
             PlannerName::RiOnly => PlannerConfig::ri_only(),
             PlannerName::RiCluster => PlannerConfig::ri_cluster(),
         }
@@ -360,7 +360,7 @@ mod tests {
         let matrix = EngineConfig::matrix(&[1, 4]);
         assert_eq!(matrix.len(), 4 * 2 * 2 * 2);
         assert!(matrix.iter().any(|c| c.threads == 4 && !c.use_sce_cache && !c.factorize));
-        assert!(matrix.iter().any(|c| c.planner == PlannerName::CsceNoNec));
+        assert!(matrix.iter().any(|c| c.planner == PlannerName::Ldsf));
     }
 
     #[test]

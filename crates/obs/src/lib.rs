@@ -8,7 +8,7 @@
 //!
 //! * [`Recorder`] / [`Span`] — nestable, thread-aware phase timers
 //!   collecting a tree of wall-clock durations (`load → parse`,
-//!   `plan → gcf/dag/ldsf/nec`, ...). A [`Recorder::disabled`] recorder
+//!   `plan → gcf/dag/nec/tree`, ...). A [`Recorder::disabled`] recorder
 //!   reduces every span to a single branch, so library code can thread
 //!   one unconditionally.
 //! * [`MetricsRegistry`] — named counters, gauges and per-depth series

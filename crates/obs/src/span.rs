@@ -4,7 +4,7 @@
 //! a node onto the *current thread's* open-span stack; dropping it adds
 //! the elapsed time to that node. Spans opened while another span of the
 //! same thread is open become its children, so instrumented call trees
-//! come out as phase trees (`load → parse`, `plan → gcf/dag/ldsf/nec`).
+//! come out as phase trees (`load → parse`, `plan → gcf/dag/nec/tree`).
 //! Spans from different threads attach at the root independently, and the
 //! same phase name aggregates (total time + call count) across entries.
 //!

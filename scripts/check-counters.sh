@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Pin the deterministic work counters: regenerate the `^counter` lines of
-# a short traced perfbench run for every workload at seed 1 and compare
-# them byte for byte with results/counters/<workload>.seed1.txt. The
-# counters (clusters read, DAG edges, recursion nodes, candidates, counts)
-# do not depend on the machine, so any difference is a behaviour change
-# of the engine: a change that moves them on purpose regenerates the
-# files with `scripts/check-counters.sh --update` and says why.
+# Ratchet the deterministic work counters: regenerate the `^counter` lines
+# of a short traced perfbench run for every workload at seed 1 and compare
+# them with results/counters/<workload>.seed1.txt. The counters (clusters
+# read, DAG edges, recursion nodes, candidates, counts) do not depend on
+# the machine. The comparison (`counter-ratchet`, crates/analyze/src/
+# counters.rs) fails when a count changes, a query's `nodes` or
+# `candidates_scanned` rises, a query is added or goes missing, or a
+# workload line (`plan.nodes_vs_ri_cluster=`) rises. Other differences pass
+# and are listed: `scripts/check-counters.sh --update` records them, as
+# csce-lint's `--update-baseline` does for lint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,19 +18,20 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 cargo build -q --release --manifest-path perfbench/Cargo.toml
+cargo build -q --release -p csce-analyze --bin counter-ratchet
 bin=perfbench/target/release/perfbench
+ratchet=target/release/counter-ratchet
 mkdir -p results/counters
+fresh=$(mktemp)
+trap 'rm -f "$fresh"' EXIT
 status=0
 for w in plan-quality large-hetero enum-induced; do
   pinned=results/counters/$w.seed1.txt
-  fresh=$("$bin" --workload "$w" --seed 1 --seconds 0.2 --trace 1 | grep '^counter')
+  "$bin" --workload "$w" --seed 1 --seconds 0.2 --trace 1 | grep '^counter' > "$fresh"
   if [[ $update == 1 ]]; then
-    printf '%s\n' "$fresh" > "$pinned"
+    cp "$fresh" "$pinned"
     echo "updated $pinned"
-  elif diff -u "$pinned" <(printf '%s\n' "$fresh"); then
-    echo "$w: counters match $pinned"
-  else
-    echo "$w: counters differ from $pinned" >&2
+  elif ! "$ratchet" "$pinned" "$fresh"; then
     status=1
   fi
 done

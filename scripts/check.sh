@@ -30,7 +30,8 @@ fuzz_out=$(mktemp -d)
 ./target/release/csce fuzz --runs 200 --seed 42 --out "$fuzz_out"
 rm -rf "$fuzz_out"
 
-echo "==> pinned work counters (as in CI's counters job)"
+echo "==> counter ratchet fixtures, then the pinned work counters (as in CI's counters job)"
+cargo test -q -p csce-analyze --test counter_ratchet
 bash scripts/check-counters.sh
 
 echo "All checks passed."

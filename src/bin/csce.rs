@@ -533,7 +533,13 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         let _ = handle.join();
     }
     let (out, embeddings) = result.map_err(|e| e.to_string())?;
-    let partial = if out.stats.timed_out { " — TIME LIMIT, partial" } else { "" };
+    let mut partial = String::new();
+    if out.stats.timed_out {
+        partial.push_str(" — TIME LIMIT, partial");
+    }
+    if out.stats.saturated {
+        partial.push_str(" — SATURATED at u64::MAX, a lower bound");
+    }
     match embeddings {
         None => {
             println!("{} embeddings ({variant}){partial}", out.count);
@@ -635,7 +641,8 @@ fn match_report(
         .meta("plan", planner_name)
         .meta("threads", threads)
         .meta("count", out.count)
-        .meta("timed_out", out.stats.timed_out);
+        .meta("timed_out", out.stats.timed_out)
+        .meta("saturated", out.stats.saturated);
     report.phases = recorder.snapshot();
     out.stats.export(&mut report.metrics);
     // Per-worker load-balance view (one element per worker thread).

@@ -185,6 +185,7 @@ fn stats_json_is_valid_and_complete() {
     assert_eq!(meta.get("algo").and_then(JsonValue::as_str), Some("CSCE"));
     assert_eq!(meta.get("count").and_then(JsonValue::as_str), Some("6"));
     assert_eq!(meta.get("timed_out").and_then(JsonValue::as_str), Some("false"));
+    assert_eq!(meta.get("saturated").and_then(JsonValue::as_str), Some("false"));
 
     // The phase tree covers the full pipeline: load → plan → execute,
     // with clustering under load and the planner stages under plan.
@@ -204,17 +205,17 @@ fn stats_json_is_valid_and_complete() {
     assert!(load.get("nanos").and_then(JsonValue::as_u64).is_some());
     let plan = phase("plan");
     let stages = plan.get("children").and_then(JsonValue::as_array).expect("plan children");
-    for stage in ["gcf", "dag", "descendant", "ldsf", "nec", "tree"] {
-        assert!(
-            stages.iter().any(|c| c.get("name").and_then(JsonValue::as_str) == Some(stage)),
-            "missing plan stage {stage}"
-        );
+    let has_stage = |stage: &str| {
+        stages.iter().any(|c| c.get("name").and_then(JsonValue::as_str) == Some(stage))
+    };
+    for stage in ["gcf", "dag", "nec", "tree"] {
+        assert!(has_stage(stage), "missing plan stage {stage}");
     }
-    // The SCE statistics are derived on demand, never on the query path.
-    assert!(
-        !stages.iter().any(|c| c.get("name").and_then(JsonValue::as_str) == Some("sce")),
-        "no sce stage in the plan span"
-    );
+    // The SCE statistics are derived on demand, and CSCE matches in the
+    // GCF order: descendant sizes and LDSF run only in the LDSF ablation.
+    for stage in ["sce", "descendant", "ldsf"] {
+        assert!(!has_stage(stage), "no {stage} stage in the plan span");
+    }
     phase("execute");
 
     // The counter registry carries the executor and CCSR-side counters.
@@ -242,6 +243,52 @@ fn stats_json_is_valid_and_complete() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+}
+
+/// A directed star: a label-0 centre with `per_label` leaves of each
+/// label `1..=labels`, in the `.csce` text format.
+fn labeled_star(labels: u32, per_label: u32) -> String {
+    let n = 1 + labels * per_label;
+    let mut text = format!("t {n} {}\nv 0 0\n", n - 1);
+    for v in 1..n {
+        text.push_str(&format!("v {v} {}\n", 1 + (v - 1) / per_label));
+    }
+    for v in 1..n {
+        text.push_str(&format!("e 0 {v} - d\n"));
+    }
+    text
+}
+
+#[test]
+fn a_clamped_count_is_marked_saturated() {
+    use csce::obs::JsonValue;
+    let dir = workdir();
+    // The 7-leaf star has 1000^7 = 10^21 embeddings, past u64::MAX; the
+    // 6-leaf one has 10^18, which fits.
+    let data = write(&dir, "star7.csce", &labeled_star(7, 1000));
+    for (leaves, saturated) in [(7u32, true), (6, false)] {
+        let query: String = (1..=leaves).map(|l| format!("(c:0)-->(l{l}:{l}), ")).collect();
+        let query = query.trim_end_matches(", ");
+        let out = bin()
+            .args(["match", data.to_str().unwrap(), "--query", query, "--stats", "json"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let first = stdout.lines().next().unwrap_or("");
+        let want = if saturated { "18446744073709551615" } else { "1000000000000000000" };
+        assert!(first.starts_with(&format!("{want} embeddings")), "{first}");
+        assert_eq!(first.contains("SATURATED"), saturated, "{first}");
+        let report = csce::obs::parse_json(&stdout[stdout.find('{').unwrap()..]).unwrap();
+        let meta = report.get("meta").expect("meta object");
+        let flag = saturated.to_string();
+        assert_eq!(meta.get("saturated").and_then(JsonValue::as_str), Some(flag.as_str()));
+        let counters = report.get("counters").expect("counters object");
+        assert_eq!(
+            counters.get("exec.saturated").and_then(JsonValue::as_u64),
+            Some(u64::from(saturated))
+        );
+    }
 }
 
 #[test]

@@ -57,6 +57,25 @@ fn complete_bipartite(a: usize, b_: usize) -> Graph {
     b.build()
 }
 
+/// A label-0 centre with `per_label` leaves of each label `1..=labels`,
+/// and the pattern star with one leaf per label: the pattern has
+/// `per_label^labels` edge-induced embeddings.
+fn labeled_stars(labels: u32, per_label: usize) -> (Graph, Graph) {
+    let mut g = GraphBuilder::new();
+    let mut p = GraphBuilder::new();
+    g.add_vertex(0);
+    p.add_vertex(0);
+    for l in 1..=labels {
+        for _ in 0..per_label {
+            let leaf = g.add_vertex(l);
+            g.add_undirected_edge(0, leaf, NO_LABEL).unwrap();
+        }
+        let leaf = p.add_vertex(l);
+        p.add_undirected_edge(0, leaf, NO_LABEL).unwrap();
+    }
+    (g.build(), p.build())
+}
+
 fn falling(n: u64, k: u64) -> u64 {
     (0..k).map(|i| n - i).product()
 }
@@ -175,4 +194,22 @@ fn deep_pattern_recursion_is_safe() {
     let engine = Engine::build(&cycle(700));
     let count = engine.count(&path(600), Variant::EdgeInduced);
     assert_eq!(count, 1400);
+}
+
+#[test]
+fn counts_past_u64_are_flagged_saturated() {
+    // 1000^7 = 10^21 overflows u64; 1000^6 = 10^18 does not.
+    for (labels, saturated) in [(7u32, true), (6, false)] {
+        let (g, p) = labeled_stars(labels, 1000);
+        let engine = Engine::build(&g);
+        let out = engine.run(
+            &p,
+            Variant::EdgeInduced,
+            csce::PlannerConfig::csce(),
+            csce::RunConfig::default(),
+        );
+        assert_eq!(out.stats.saturated, saturated, "{labels} leaves");
+        let want = if saturated { u64::MAX } else { 10u64.pow(18) };
+        assert_eq!(out.count, want, "{labels} leaves");
+    }
 }

@@ -235,6 +235,7 @@ fn every_planner_preset_is_exact() {
             ("csce", PlannerConfig::csce()),
             ("ri_only", PlannerConfig::ri_only()),
             ("ri_cluster", PlannerConfig::ri_cluster()),
+            ("ldsf", PlannerConfig { ldsf: true, ..PlannerConfig::csce() }),
         ] {
             let out = engine.run(&sp.pattern, variant, config, RunConfig::default());
             assert_eq!(out.count, expected, "{name} {variant}");

@@ -167,3 +167,36 @@ fn worker_panic_degrades_to_a_clean_error() {
         }
     }
 }
+
+#[test]
+fn a_count_clamped_across_workers_is_flagged_saturated() {
+    // Two label-0 centres, each with 10 leaves of every label 1..=19, and
+    // the 19-leaf star: each centre roots 10^19 embeddings, which fits in
+    // u64, and their sum 2·10^19 does not. Wherever the sum is taken (in
+    // one worker's root scan or in the reduce over workers), the clamp is
+    // flagged.
+    let (labels, per_label) = (19u32, 10);
+    let mut g = GraphBuilder::new();
+    let mut p = GraphBuilder::new();
+    let centres = [g.add_vertex(0), g.add_vertex(0)];
+    p.add_vertex(0);
+    for l in 1..=labels {
+        for centre in centres {
+            for _ in 0..per_label {
+                let leaf = g.add_vertex(l);
+                g.add_undirected_edge(centre, leaf, NO_LABEL).unwrap();
+            }
+        }
+        let leaf = p.add_vertex(l);
+        p.add_undirected_edge(0, leaf, NO_LABEL).unwrap();
+    }
+    let (g, p) = (g.build(), p.build());
+    let engine = Engine::build(&g);
+    let rec = Recorder::disabled();
+    let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
+    for threads in [1usize, 2] {
+        let out = query.count(RunConfig::default(), threads, None).expect("no worker panicked");
+        assert_eq!(out.count, u64::MAX, "{threads} threads");
+        assert!(out.stats.saturated, "{threads} threads");
+    }
+}
