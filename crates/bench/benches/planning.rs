@@ -1,12 +1,25 @@
 //! Criterion micro-bench: plan generation (GCF + DAG + NEC + tree) per
-//! pattern size and variant — the Fig. 10 hot path.
+//! pattern size and variant — the Fig. 10 hot path, up to 2000-vertex
+//! sparse patterns and a 2000-leaf star, where GCF's frontier is widest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};
 use csce_core::{Catalog, Planner, PlannerConfig};
 use csce_graph::generate::chung_lu;
 use csce_graph::sample::PatternSampler;
-use csce_graph::{Density, Variant};
+use csce_graph::{Density, Graph, GraphBuilder, Variant, NO_LABEL};
+
+/// A star of `leaves` undirected leaves whose labels cycle through
+/// `labels` data labels, so its edges read real clusters.
+fn star(leaves: u32, labels: u32) -> Graph {
+    let mut b = GraphBuilder::new();
+    let center = b.add_vertex(0);
+    for l in 0..leaves {
+        let leaf = b.add_vertex(l % labels);
+        b.add_undirected_edge(center, leaf, NO_LABEL).unwrap();
+    }
+    b.build()
+}
 
 fn bench_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("planning");
@@ -14,12 +27,18 @@ fn bench_planning(c: &mut Criterion) {
     let g = chung_lu(10_000, 44_000, 2.6, 50, 0, false, 5);
     let gc = build_ccsr(&g).unwrap();
     let mut sampler = PatternSampler::new(&g, 13);
-    for size in [8usize, 64, 256] {
-        let Some(sp) = sampler.sample(size, Density::Sparse) else { continue };
+    let mut patterns: Vec<(String, Graph)> = Vec::new();
+    for size in [8usize, 64, 256, 2000] {
+        if let Some(sp) = sampler.sample(size, Density::Sparse) {
+            patterns.push((format!("size{size}"), sp.pattern));
+        }
+    }
+    patterns.push(("star2000".to_string(), star(2000, 50)));
+    for (name, pattern) in &patterns {
         for variant in Variant::ALL {
-            let star = read_csr(&gc, &sp.pattern, variant);
-            let catalog = Catalog::new(&sp.pattern, &star);
-            group.bench_function(format!("size{size}_{}", variant.tag()), |b| {
+            let star = read_csr(&gc, pattern, variant);
+            let catalog = Catalog::new(pattern, &star);
+            group.bench_function(format!("{name}_{}", variant.tag()), |b| {
                 b.iter(|| Planner::new(PlannerConfig::csce()).plan(&catalog, variant))
             });
         }

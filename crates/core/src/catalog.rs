@@ -95,16 +95,11 @@ impl<'a> Catalog<'a> {
         self.incident[u as usize].iter().copied()
     }
 
-    /// The smallest cluster size among edges incident to `u` (first-vertex
-    /// tie-break of the GCF heuristic). `usize::MAX` if `u` is isolated.
-    pub fn min_incident_cluster_size(&self, u: VertexId) -> usize {
-        self.incident_edges(u).map(|(i, _)| self.cluster_size(i)).min().unwrap_or(usize::MAX)
-    }
-
     /// The smallest cluster size among edges from `x` to the placed side
     /// (`towards_placed`) or to the unplaced side of `placed`;
-    /// `usize::MAX` when `x` has no such edge. The GCF (`ω¹`, `ω²`/`ω³`)
-    /// and LDSF tie-breaks.
+    /// `usize::MAX` when `x` has no such edge. The LDSF tie-break; GCF
+    /// keeps `ω¹`/`ω²` incrementally and recomputes them with this only
+    /// to cross-check its heap in debug builds.
     pub fn min_connecting_cluster(
         &self,
         x: VertexId,
@@ -258,8 +253,6 @@ mod tests {
         let cat = Catalog::new(&p, &star);
         assert_eq!(cat.cluster_size(0), 3); // three A->B arcs
         assert_eq!(cat.cluster_size(1), 2); // one undirected edge, two arcs
-        assert_eq!(cat.min_incident_cluster_size(1), 2);
-        assert_eq!(cat.min_incident_cluster_size(0), 3);
     }
 
     #[test]
