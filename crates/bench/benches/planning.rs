@@ -1,11 +1,14 @@
 //! Criterion micro-bench: plan generation (GCF + DAG + NEC + tree) per
 //! pattern size and variant — the Fig. 10 hot path, up to 2000-vertex
-//! sparse patterns and a 2000-leaf star, where GCF's frontier is widest.
+//! sparse patterns and a 2000-leaf star, where GCF's frontier is widest,
+//! over 50 labels, plus a 2000-vertex pattern over a Patent-shaped graph
+//! with 2000 labels (Fig. 10's own graph), where a vertex-induced `H`
+//! meets ~1400 pattern labels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};
 use csce_core::{Catalog, Planner, PlannerConfig};
-use csce_graph::generate::chung_lu;
+use csce_graph::generate::{chung_lu, randomize_vertex_labels};
 use csce_graph::sample::PatternSampler;
 use csce_graph::{Density, Graph, GraphBuilder, Variant, NO_LABEL};
 
@@ -34,13 +37,21 @@ fn bench_planning(c: &mut Criterion) {
         }
     }
     patterns.push(("star2000".to_string(), star(2000, 50)));
-    for (name, pattern) in &patterns {
-        for variant in Variant::ALL {
-            let star = read_csr(&gc, pattern, variant);
-            let catalog = Catalog::new(pattern, &star);
-            group.bench_function(format!("{name}_{}", variant.tag()), |b| {
-                b.iter(|| Planner::new(PlannerConfig::csce()).plan(&catalog, variant))
-            });
+    let patent = randomize_vertex_labels(&chung_lu(20_000, 88_000, 2.6, 20, 0, false, 5), 2000, 5);
+    let patent_gc = build_ccsr(&patent).unwrap();
+    let mut patent_patterns = Vec::new();
+    if let Some(sp) = PatternSampler::new(&patent, 13).sample(2000, Density::Sparse) {
+        patent_patterns.push(("labels2000_size2000".to_string(), sp.pattern));
+    }
+    for (gc, patterns) in [(&gc, &patterns), (&patent_gc, &patent_patterns)] {
+        for (name, pattern) in patterns {
+            for variant in Variant::ALL {
+                let star = read_csr(gc, pattern, variant);
+                let catalog = Catalog::new(pattern, &star);
+                group.bench_function(format!("{name}_{}", variant.tag()), |b| {
+                    b.iter(|| Planner::new(PlannerConfig::csce()).plan(&catalog, variant))
+                });
+            }
         }
     }
     group.finish();

@@ -27,9 +27,16 @@ pub struct Ccsr {
     /// one unordered label pair are contiguous and in key order.
     clusters: Vec<Cluster>,
     /// Unordered label pair → the range of its clusters in `clusters`:
-    /// the `(u_x, u_y)*`-clusters used for vertex-induced negation
-    /// (Algorithms 1 and 2), and where [`Ccsr::cluster`] looks a key up.
+    /// the `(u_x, u_y)*`-clusters the executor subtracts for vertex-induced
+    /// negation, and where [`Ccsr::cluster`] looks a key up.
     pairs: FxHashMap<(Label, Label), (u32, u32)>,
+    /// The run index: each label that is the smaller label of some pair,
+    /// ascending, with the index of its first cluster. The clusters whose
+    /// smaller label is `a` — `a`'s *run* — are contiguous in `clusters`,
+    /// ordered by `(larger label, key)`, and end where the next run begins.
+    /// Vertex-induced `ReadCSR` walks the runs of the pattern's labels
+    /// ([`Ccsr::label_run`]).
+    runs: Vec<(Label, u32)>,
 }
 
 /// Cluster all edges of `g` into CCSR form (the offline stage of Fig. 2).
@@ -158,6 +165,21 @@ impl Ccsr {
         }
     }
 
+    /// The run of label `a`: every cluster whose smaller label is `a`,
+    /// ordered by `(larger label, key)`, so the `(a, b)*`-clusters of each
+    /// label `b ≥ a` are one contiguous group. Empty when no edge has `a`
+    /// as its smaller label.
+    pub fn label_run(&self, a: Label) -> &[Cluster] {
+        let k = self.runs.partition_point(|&(l, _)| l < a);
+        match self.runs.get(k) {
+            Some(&(l, start)) if l == a => {
+                let end = self.runs.get(k + 1).map_or(self.clusters.len(), |&(_, s)| s as usize);
+                self.clusters.get(start as usize..end).unwrap_or(&[])
+            }
+            _ => &[],
+        }
+    }
+
     /// Total `I_C` length over all clusters; equals `2|E|` by construction.
     pub fn total_ic_len(&self) -> usize {
         self.clusters
@@ -176,20 +198,23 @@ impl Ccsr {
     }
 
     /// Heap bytes of the whole `G_C`: the vertex labels, the label
-    /// frequencies, the cluster table and its row buffers, and the
-    /// label-pair map. Hash tables are estimated from their capacity.
+    /// frequencies, the cluster table and its row buffers, the label-pair
+    /// map and the run index. Hash tables are estimated from their
+    /// capacity.
     pub fn heap_bytes(&self) -> usize {
         self.vertex_labels.capacity() * std::mem::size_of::<Label>()
             + table_bytes(&self.label_freq)
             + self.clusters.capacity() * std::mem::size_of::<Cluster>()
             + self.clusters.iter().map(Cluster::heap_bytes).sum::<usize>()
             + table_bytes(&self.pairs)
+            + self.runs.capacity() * std::mem::size_of::<(Label, u32)>()
     }
 
     /// The one constructor, shared by [`build_ccsr`] and decoding: it
     /// orders the clusters by `(label pair, key)` (a linear pass when they
-    /// already are, as a build's are) and derives the label-frequency and
-    /// label-pair indexes. Callers run [`Ccsr::check`] on the result.
+    /// already are, as a build's are) and derives the label-frequency,
+    /// label-pair and run indexes from that order. Callers run
+    /// [`Ccsr::check`] on the result.
     pub(crate) fn from_parts(
         n: u32,
         vertex_labels: Vec<Label>,
@@ -203,10 +228,16 @@ impl Ccsr {
         clusters.shrink_to_fit();
         let pair_count = clusters.chunk_by(|a, b| a.key.label_pair() == b.key.label_pair()).count();
         let mut pairs = FxHashMap::with_capacity_and_hasher(pair_count, Default::default());
+        let mut runs: Vec<(Label, u32)> = Vec::new();
         for (i, c) in (0u32..).zip(&clusters) {
-            pairs.entry(c.key.label_pair()).or_insert((i, i)).1 = i + 1;
+            let pair = c.key.label_pair();
+            pairs.entry(pair).or_insert((i, i)).1 = i + 1;
+            if runs.last().is_none_or(|&(a, _)| a != pair.0) {
+                runs.push((pair.0, i));
+            }
         }
-        Ccsr { n, vertex_labels, label_freq, clusters, pairs }
+        runs.shrink_to_fit();
+        Ccsr { n, vertex_labels, label_freq, clusters, pairs, runs }
     }
 }
 

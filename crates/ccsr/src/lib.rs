@@ -17,9 +17,12 @@
 //! the clusters sit in one table ordered by unordered label pair, with one
 //! map from each pair to its range: a graph with thousands of labels has
 //! tens of thousands of clusters of one or two edges, and per-cluster
-//! allocations and hash entries would outweigh the arcs. [`read_csr`]
-//! (Algorithm 1) selects the clusters a given pattern and matching variant
-//! need and decodes none: queries read rows in place
+//! allocations and hash entries would outweigh the arcs. The same order
+//! makes the clusters of each smaller label one contiguous *run*, indexed
+//! per label ([`Ccsr::label_run`]). [`read_csr`] (Algorithm 1) selects the
+//! clusters a given pattern and matching variant need — for
+//! vertex-induced matching by walking the runs of the pattern's labels —
+//! and decodes none: queries read rows in place
 //! ([`Cluster::out_neighbors`]).
 //!
 //! The offline stage is [`build_ccsr`]: it converts a

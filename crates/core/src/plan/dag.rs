@@ -32,7 +32,8 @@
 
 use crate::bitset::BitSet;
 use crate::catalog::{Catalog, Side};
-use csce_graph::{Variant, VertexId};
+use csce_ccsr::read::adjacent_label_pairs;
+use csce_graph::{Graph, Label, Variant, VertexId};
 
 /// The dependency DAG over pattern vertices (indexed by vertex id, not by
 /// plan position, so it survives LDSF reordering).
@@ -53,8 +54,18 @@ pub struct Dag {
 ///
 /// Edge dependencies come from each vertex's incident pattern edges whose
 /// other endpoint is earlier in `Φ`, so they cost O(|V_P| + |E_P|) up to a
-/// sort. Only the vertex-induced negation sweep visits every earlier
-/// vertex, reading "is a `P`-neighbour" from a stamp.
+/// sort. Vertex-induced negation dependencies come from the label pairs
+/// `G_C` joins, which a vertex-induced `ReadCSR` records on the star
+/// ([`csce_ccsr::GcStar::adjacent_label_pairs`]): each vertex visits only
+/// the placed vertices of its adjacent labels, skipping its `P`-neighbours
+/// by a stamp, so the sweep costs `O(|E_P| + Σ adjacent labels + |E_H|)`
+/// rather than one probe per earlier vertex.
+///
+/// `H` depends only on `P`, `G_C`, `Φ` and the variant, never on how the
+/// star was read: over a star read for another variant, a vertex-induced
+/// `H` walks `G_C` for the label pairs first (the same walk, at the cost
+/// of a vertex-induced read). Debug builds check every vertex's negation
+/// parents against Algorithm 2 line 8 (`check_negation_parents`).
 pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> Dag {
     let p = catalog.pattern();
     let n = p.n();
@@ -67,6 +78,13 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     for (k, &u) in phi.iter().enumerate() {
         pos_of[u as usize] = k;
     }
+    let mut negation = (variant == Variant::VertexInduced).then(|| {
+        let star = catalog.star();
+        match star.adjacent_label_pairs() {
+            Some(pairs) => LabelBuckets::new(p, pairs),
+            None => LabelBuckets::new(p, &adjacent_label_pairs(star.ccsr(), p)),
+        }
+    });
     // `neighbour_of[w] == j` marks `w` as a `P`-neighbour of `Φ[j]`.
     let mut neighbour_of = vec![usize::MAX; n];
     let mut earlier: Vec<(usize, usize)> = Vec::new();
@@ -87,22 +105,158 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
             out[phi[i] as usize].push(uj);
             inp[uj as usize].push(phi[i]);
         }
-        if variant == Variant::VertexInduced && !earlier.is_empty() {
-            for &ui in &phi[..j] {
-                if neighbour_of[ui as usize] != j
-                    && catalog.labels_ever_adjacent(p.label(ui), p.label(uj))
-                {
-                    out[ui as usize].push(uj);
-                    inp[uj as usize].push(ui);
+        if let Some(buckets) = negation.as_mut() {
+            if !earlier.is_empty() {
+                for ui in buckets.placed_adjacent(uj) {
+                    if neighbour_of[ui as usize] != j {
+                        out[ui as usize].push(uj);
+                        inp[uj as usize].push(ui);
+                    }
                 }
             }
+            buckets.place(uj);
         }
     }
     for list in out.iter_mut().chain(inp.iter_mut()) {
         list.sort_unstable();
         list.dedup();
     }
-    Dag { n, out, inp, edge_parents }
+    let dag = Dag { n, out, inp, edge_parents };
+    #[cfg(debug_assertions)]
+    if variant == Variant::VertexInduced {
+        check_negation_parents(catalog, phi, &dag);
+    }
+    dag
+}
+
+/// The vertices of `Φ` placed so far, bucketed by pattern label, and each
+/// pattern label's adjacent pattern labels (those a `G_C` label pair joins
+/// it to): where a vertex-induced vertex finds its negation parents.
+struct LabelBuckets {
+    /// Each pattern vertex's label, numbered densely in label order.
+    label_of: Vec<usize>,
+    /// `adjacent[adjacent_start[l]..adjacent_start[l + 1]]` are the labels
+    /// adjacent to label `l` (`l` itself when `G_C` joins `l` to `l`).
+    adjacent_start: Vec<usize>,
+    adjacent: Vec<usize>,
+    /// `placed[bucket_start[l]..bucket_start[l] + filled[l]]` are the
+    /// placed vertices of label `l`, in `Φ` order.
+    bucket_start: Vec<usize>,
+    filled: Vec<usize>,
+    placed: Vec<VertexId>,
+}
+
+impl LabelBuckets {
+    /// Buckets for `p` and the label pairs `(a, b)`, `a ≤ b`, of its labels
+    /// that `G_C` joins.
+    fn new(p: &Graph, pairs: &[(Label, Label)]) -> LabelBuckets {
+        let mut labels = p.labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        let number = |l: Label| labels.partition_point(|&x| x < l);
+        let label_of: Vec<usize> = p.labels().iter().map(|&l| number(l)).collect();
+        let count = labels.len();
+        let mut degree = vec![0usize; count];
+        let numbered: Vec<(usize, usize)> =
+            pairs.iter().map(|&(a, b)| (number(a), number(b))).collect();
+        for &(a, b) in &numbered {
+            degree[a] += 1;
+            if a != b {
+                degree[b] += 1;
+            }
+        }
+        let adjacent_start = prefix_sums(&degree);
+        let mut cursor = adjacent_start.clone();
+        let mut adjacent =
+            vec![0usize; numbered.iter().map(|&(a, b)| if a == b { 1 } else { 2 }).sum()];
+        for &(a, b) in &numbered {
+            adjacent[cursor[a]] = b;
+            cursor[a] += 1;
+            if a != b {
+                adjacent[cursor[b]] = a;
+                cursor[b] += 1;
+            }
+        }
+        let mut members = vec![0usize; count];
+        for &l in &label_of {
+            members[l] += 1;
+        }
+        let bucket_start = prefix_sums(&members);
+        LabelBuckets {
+            label_of,
+            adjacent_start,
+            adjacent,
+            bucket_start,
+            filled: vec![0; count],
+            placed: vec![0; p.n()],
+        }
+    }
+
+    /// The placed vertices whose label is adjacent to `u`'s.
+    fn placed_adjacent(&self, u: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let l = self.label_of[u as usize];
+        self.adjacent[self.adjacent_start[l]..self.adjacent_start[l + 1]].iter().flat_map(
+            move |&b| {
+                let start = self.bucket_start[b];
+                self.placed[start..start + self.filled[b]].iter().copied()
+            },
+        )
+    }
+
+    /// Place `u`: later vertices see it in its label's bucket.
+    fn place(&mut self, u: VertexId) {
+        let l = self.label_of[u as usize];
+        self.placed[self.bucket_start[l] + self.filled[l]] = u;
+        self.filled[l] += 1;
+    }
+}
+
+/// `[0, c₀, c₀ + c₁, …]`: the start of each slot of sizes `counts`, and
+/// the end of the last.
+fn prefix_sums(counts: &[usize]) -> Vec<usize> {
+    let mut sums = Vec::with_capacity(counts.len() + 1);
+    let mut total = 0;
+    sums.push(0);
+    for &c in counts {
+        total += c;
+        sums.push(total);
+    }
+    sums
+}
+
+/// Debug cross-check of a vertex-induced `H`: each vertex with an earlier
+/// `P`-neighbour has as negation parents exactly the earlier vertices that
+/// are not `P`-neighbours and whose label pair `G_C` joins (Algorithm 2
+/// line 8, probed through [`Catalog::labels_ever_adjacent`]); any other
+/// vertex has none. `O(|V_P|²)` probes, so debug builds build a
+/// vertex-induced `H` in quadratic time.
+#[cfg(debug_assertions)]
+fn check_negation_parents(catalog: &Catalog<'_>, phi: &[VertexId], dag: &Dag) {
+    let p = catalog.pattern();
+    let mut neighbour_of = vec![usize::MAX; p.n()];
+    for (j, &uj) in phi.iter().enumerate() {
+        for (eidx, side) in catalog.incident_edges(uj) {
+            let e = &p.edges()[eidx];
+            let w = if side == Side::Src { e.dst } else { e.src };
+            neighbour_of[w as usize] = j;
+        }
+        let want: Vec<VertexId> = if dag.edge_parents(uj).is_empty() {
+            Vec::new()
+        } else {
+            let mut want: Vec<VertexId> = phi[..j]
+                .iter()
+                .copied()
+                .filter(|&ui| {
+                    neighbour_of[ui as usize] != j
+                        && catalog.labels_ever_adjacent(p.label(ui), p.label(uj))
+                })
+                .collect();
+            want.sort_unstable();
+            want
+        };
+        let got: Vec<VertexId> = dag.negation_parents(uj).collect();
+        debug_assert_eq!(got, want, "negation parents of pattern vertex {uj}");
+    }
 }
 
 /// The sweep over all `Φ²` pairs that the adjacency-driven [`build_dag`]
@@ -336,6 +490,39 @@ mod tests {
         let (dag_e, _) = dag_for(Variant::EdgeInduced);
         let (dag_h, _) = dag_for(Variant::Homomorphic);
         assert_eq!(dag_e.edge_count(), dag_h.edge_count());
+    }
+
+    /// 500- and 2000-vertex vertex-induced patterns sampled from a
+    /// 20 000-vertex power-law graph with 2000 random vertex labels (the
+    /// Fig. 10 shape): the label-bucket sweep equals the `Φ²` sweep in
+    /// the GCF order and in a reversed one, over a star read for
+    /// vertex-induced matching and over one read for edge-induced matching.
+    #[test]
+    fn vertex_induced_dag_matches_pairwise_at_2000_labels() {
+        use crate::plan::gcf::{gcf_order, GcfConfig};
+        use csce_graph::generate::{chung_lu, randomize_vertex_labels};
+        use csce_graph::sample::PatternSampler;
+        use csce_graph::Density;
+        let g = randomize_vertex_labels(&chung_lu(20_000, 88_000, 2.6, 20, 0, false, 7), 2000, 7);
+        let gc = build_ccsr(&g).unwrap();
+        let mut sampler = PatternSampler::new(&g, 7);
+        let variant = Variant::VertexInduced;
+        for size in [500, 2000] {
+            let p = sampler.sample(size, Density::Sparse).expect("a sparse pattern").pattern;
+            let star = read_csr(&gc, &p, variant);
+            let edge_star = read_csr(&gc, &p, Variant::EdgeInduced);
+            let catalog = Catalog::new(&p, &star);
+            let phi = gcf_order(&catalog, GcfConfig::default());
+            let reversed: Vec<VertexId> = phi.iter().rev().copied().collect();
+            for order in [phi, reversed] {
+                let dag = build_dag(&catalog, &order, variant);
+                assert_eq!(dag, build_dag_pairwise(&catalog, &order, variant), "size {size}");
+                assert_eq!(build_dag(&Catalog::new(&p, &edge_star), &order, variant), dag);
+                let negation: usize =
+                    (0..size as VertexId).map(|u| dag.negation_parents(u).count()).sum();
+                assert!(negation > 0, "size {size}: the pattern has negation dependencies");
+            }
+        }
     }
 
     #[test]

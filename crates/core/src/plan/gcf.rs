@@ -641,7 +641,7 @@ mod tests {
     fn data_for(rng: &mut Rng, labels: usize) -> Graph {
         let data_n = 2 + rng.below(10);
         let data_extra = rng.below(3 * data_n);
-        random_graph(rng, data_n, labels + 1, false, data_extra)
+        random_graph(rng, data_n, 0..labels + 1, false, data_extra)
     }
 
     proptest! {
@@ -655,7 +655,7 @@ mod tests {
                 0 => {
                     let n = 1 + rng.below(14);
                     let extra = rng.below(2 * n + 1);
-                    (random_graph(&mut rng, n, labels, true, extra), data_for(&mut rng, labels))
+                    (random_graph(&mut rng, n, 0..labels, true, extra), data_for(&mut rng, labels))
                 }
                 1 => {
                     let (n, pairs) = stars(1 + rng.below(4), rng.below(12));
@@ -686,8 +686,8 @@ mod tests {
     #[test]
     fn heap_matches_full_scan_on_a_2000_vertex_sparse_pattern() {
         let mut rng = Rng(2000);
-        let p = random_graph(&mut rng, 2000, 6, true, 400);
-        let g = random_graph(&mut rng, 200, 7, false, 1200);
+        let p = random_graph(&mut rng, 2000, 0..6, true, 400);
+        let g = random_graph(&mut rng, 200, 0..7, false, 1200);
         assert_matches_full_scan(&p, &g);
     }
 
@@ -696,7 +696,7 @@ mod tests {
         let mut rng = Rng(2001);
         let (n, pairs) = stars(1, 2000);
         let p = shaped(&mut rng, n, 6, &pairs);
-        let g = random_graph(&mut rng, 200, 7, false, 1200);
+        let g = random_graph(&mut rng, 200, 0..7, false, 1200);
         assert_matches_full_scan(&p, &g);
     }
 
@@ -704,7 +704,7 @@ mod tests {
     fn heap_matches_full_scan_on_a_2000_vertex_path() {
         let mut rng = Rng(2002);
         let p = shaped(&mut rng, 2000, 6, &path(2000));
-        let g = random_graph(&mut rng, 200, 7, false, 1200);
+        let g = random_graph(&mut rng, 200, 0..7, false, 1200);
         assert_matches_full_scan(&p, &g);
     }
 }

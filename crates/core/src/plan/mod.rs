@@ -603,9 +603,19 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) % n as u64) as usize
         }
+
+        /// A label count: one label (every pair is a same-label pair), a
+        /// few (labels repeat), or up to 40 (most are distinct).
+        fn label_count(&mut self) -> usize {
+            match self.below(4) {
+                0 => 1,
+                1 => 1 + self.below(4),
+                _ => 1 + self.below(40),
+            }
+        }
     }
 
-    /// A random graph over `n` vertices with `labels` vertex labels:
+    /// A random graph over `n` vertices with vertex labels from `labels`:
     /// a random spanning tree when `connected`, plus `extra` random edges
     /// — directed either way, undirected, and antiparallel multi-edges,
     /// with two edge labels. Rejected edges (duplicates, mixed kinds) are
@@ -613,13 +623,13 @@ mod tests {
     pub(super) fn random_graph(
         rng: &mut Rng,
         n: usize,
-        labels: usize,
+        labels: std::ops::Range<usize>,
         connected: bool,
         extra: usize,
     ) -> Graph {
         let mut b = GraphBuilder::new();
         for _ in 0..n {
-            b.add_vertex(rng.below(labels) as u32);
+            b.add_vertex((labels.start + rng.below(labels.len())) as u32);
         }
         let mut add = |rng: &mut Rng, a: usize, c: usize| {
             let label = if rng.below(3) == 0 { 1 } else { NO_LABEL };
@@ -699,23 +709,29 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// The adjacency-driven DAG equals the `Φ²` sweep for any `Φ`, its
-        /// negation parents are the parents with no pattern edge to the
-        /// vertex (none outside vertex-induced matching), and the
-        /// merge-forest tree equals the recursive compiler for any
-        /// topological order of `H` and for the planner's own `Φ*` (LDSF
-        /// ablation included), in every variant, and the default `Φ*` is
-        /// the GCF order.
+        /// The adjacency-driven DAG equals the `Φ²` sweep for any `Φ`
+        /// (for vertex-induced matching also over a star read for
+        /// edge-induced matching), its negation parents are the parents
+        /// with no pattern edge to the vertex (none outside vertex-induced
+        /// matching), and the merge-forest tree equals the recursive
+        /// compiler for any topological order of `H` and for the planner's
+        /// own `Φ*` (LDSF ablation included), in every variant, and the
+        /// default `Φ*` is the GCF order. Patterns have 1–48 vertices over
+        /// 1–40 labels (one label, a few repeated ones, or mostly distinct
+        /// ones); data labels start past some pattern labels and run past
+        /// the pattern's last one.
         #[test]
         fn plan_stages_match_their_oracles(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
-            let n = 1 + rng.below(14);
-            let labels = 1 + rng.below(4);
+            let n = 1 + rng.below(48);
+            let labels = rng.label_count();
             let extra = rng.below(2 * n + 1);
-            let p = random_graph(&mut rng, n, labels, true, extra);
-            let data_n = 2 + rng.below(10);
-            let data_extra = rng.below(3 * data_n);
-            let g = random_graph(&mut rng, data_n, labels + 1, false, data_extra);
+            let p = random_graph(&mut rng, n, 0..labels, true, extra);
+            let data_n = 2 + rng.below(40);
+            let data_extra = rng.below(4 * data_n);
+            let first = rng.below(labels / 2 + 1);
+            let more = rng.below(4);
+            let g = random_graph(&mut rng, data_n, first..labels + more, false, data_extra);
             let gc = build_ccsr(&g).unwrap();
             for variant in Variant::ALL {
                 let star = read_csr(&gc, &p, variant);
@@ -723,6 +739,11 @@ mod tests {
                 let phi = random_permutation(&mut rng, n);
                 let dag = build_dag(&catalog, &phi, variant);
                 prop_assert_eq!(&dag, &build_dag_pairwise(&catalog, &phi, variant));
+                if variant == Variant::VertexInduced {
+                    let edge_star = read_csr(&gc, &p, Variant::EdgeInduced);
+                    let edge_catalog = Catalog::new(&p, &edge_star);
+                    prop_assert_eq!(&build_dag(&edge_catalog, &phi, variant), &dag);
+                }
                 for u in 0..n as VertexId {
                     let want: Vec<VertexId> = match variant {
                         Variant::VertexInduced => {
