@@ -11,9 +11,10 @@ use crate::callgraph::{SiteKind, Workspace};
 use crate::reach::{reach, EntryPoint};
 use crate::rules::{panic_reach, Finding};
 
-/// Entry points of the CCSR read path, pinned to the ccsr crate.
+/// Entry points of the CCSR read path, pinned to the ccsr crate: the read
+/// itself and the star accessors the catalog and the recursion call.
 pub const READ_ENTRY_POINTS: [&str; 4] =
-    ["read_csr", "pattern_edge_key", "GcStar::get", "GcStar::cluster_for_edge"];
+    ["read_csr", "pattern_edge_key", "GcStar::edge_clusters", "GcStar::pair_clusters"];
 
 /// File prefix the read-path entries must be defined under.
 pub const READ_PREFIX: &str = "crates/ccsr/src/";
@@ -78,5 +79,17 @@ mod tests {
             findings.iter().map(|f| (f.rule, f.fn_path.as_str())).collect();
         assert_eq!(rules, vec![("hot-cast", "narrow"), ("lossy-cast", "cold")]);
         assert!(findings[0].msg.contains("read_csr > narrow"), "{}", findings[0].msg);
+    }
+
+    /// Every read-path entry names a function of the real workspace: an
+    /// entry that no longer resolves would silently drop its callees from
+    /// `hot-cast`.
+    #[test]
+    fn read_entry_points_resolve_in_the_workspace() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ws = Workspace::load(&root).unwrap();
+        for qual in READ_ENTRY_POINTS {
+            assert!(!ws.find(qual, Some(READ_PREFIX)).is_empty(), "{qual} does not resolve");
+        }
     }
 }

@@ -16,6 +16,7 @@ use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use crate::CcsrError;
 use csce_graph::{FxHashMap, Graph, Label, VertexId};
+use std::ops::Range;
 
 /// The set of all clustered CSRs of a data graph — the paper's `G_C`.
 #[derive(Clone, Debug)]
@@ -27,15 +28,15 @@ pub struct Ccsr {
     /// one unordered label pair are contiguous and in key order.
     clusters: Vec<Cluster>,
     /// Unordered label pair → the range of its clusters in `clusters`:
-    /// the `(u_x, u_y)*`-clusters the executor subtracts for vertex-induced
-    /// negation, and where [`Ccsr::cluster`] looks a key up.
+    /// where [`Ccsr::cluster`] looks a key up and
+    /// [`Ccsr::negation_clusters`] finds any pair's clusters.
     pairs: FxHashMap<(Label, Label), (u32, u32)>,
     /// The run index: each label that is the smaller label of some pair,
     /// ascending, with the index of its first cluster. The clusters whose
     /// smaller label is `a` — `a`'s *run* — are contiguous in `clusters`,
     /// ordered by `(larger label, key)`, and end where the next run begins.
-    /// Vertex-induced `ReadCSR` walks the runs of the pattern's labels
-    /// ([`Ccsr::label_run`]).
+    /// `ReadCSR` walks the runs of the pattern's labels for the label
+    /// pairs `G_C` joins ([`Ccsr::label_run`]).
     runs: Vec<(Label, u32)>,
 }
 
@@ -165,19 +166,24 @@ impl Ccsr {
         }
     }
 
-    /// The run of label `a`: every cluster whose smaller label is `a`,
-    /// ordered by `(larger label, key)`, so the `(a, b)*`-clusters of each
-    /// label `b ≥ a` are one contiguous group. Empty when no edge has `a`
-    /// as its smaller label.
-    pub fn label_run(&self, a: Label) -> &[Cluster] {
+    /// The run of label `a` and its first index in the table: every
+    /// cluster whose smaller label is `a`, ordered by `(larger label, key)`,
+    /// so the `(a, b)*`-clusters of each label `b ≥ a` are one contiguous
+    /// group. Empty when no edge has `a` as its smaller label.
+    pub fn label_run(&self, a: Label) -> (usize, &[Cluster]) {
         let k = self.runs.partition_point(|&(l, _)| l < a);
         match self.runs.get(k) {
             Some(&(l, start)) if l == a => {
                 let end = self.runs.get(k + 1).map_or(self.clusters.len(), |&(_, s)| s as usize);
-                self.clusters.get(start as usize..end).unwrap_or(&[])
+                (start as usize, self.clusters_at(start as usize..end))
             }
-            _ => &[],
+            _ => (0, &[]),
         }
+    }
+
+    /// The clusters at `range` of the table (none past its end).
+    pub(crate) fn clusters_at(&self, range: Range<usize>) -> &[Cluster] {
+        self.clusters.get(range).unwrap_or(&[])
     }
 
     /// Total `I_C` length over all clusters; equals `2|E|` by construction.

@@ -19,11 +19,11 @@
 //! tens of thousands of clusters of one or two edges, and per-cluster
 //! allocations and hash entries would outweigh the arcs. The same order
 //! makes the clusters of each smaller label one contiguous *run*, indexed
-//! per label ([`Ccsr::label_run`]). [`read_csr`] (Algorithm 1) selects the
-//! clusters a given pattern and matching variant need — for
-//! vertex-induced matching by walking the runs of the pattern's labels —
-//! and decodes none: queries read rows in place
-//! ([`Cluster::out_neighbors`]).
+//! per label ([`Ccsr::label_run`]). [`read_csr`] (Algorithm 1) resolves a
+//! pattern against `G_C` once into the [`GcStar`] every later stage reads:
+//! each pattern edge's cluster, the pattern's labels numbered densely, and
+//! the label pairs `G_C` joins, walked through the runs of the pattern's
+//! labels. It decodes no cluster: queries read rows in place.
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully

@@ -3,42 +3,60 @@
 //! For a given pattern `P` and variant `θ`, only a subset `G_C^*` of the
 //! clusters is needed: one per pattern edge (by identifier lookup), plus —
 //! for vertex-induced matching — the `(u_x, u_y)*`-clusters between the
-//! labels of every pattern vertex pair, which drive negation. Those depend
-//! only on the label pair, and most label pairs have no cluster, so
-//! `ReadCSR` does not probe every pair of pattern labels. For each
-//! distinct pattern label `a` it walks `a`'s run in `G_C` — the clusters
-//! with `a` as their smaller label, [`Ccsr::label_run`] — and keeps the
-//! clusters whose larger label is a pattern label too (`a` itself only
-//! when two pattern vertices carry it). It records the label pairs it
-//! found, which Algorithm 2 reads for its negation dependencies
-//! ([`GcStar::adjacent_label_pairs`]).
+//! labels of every pattern vertex pair, which drive negation. [`GcStar`]
+//! is `P` resolved against `G_C` once, and the catalog, `BuildDAG` and the
+//! executor read it instead of `G_C`'s maps: each pattern edge's cluster,
+//! a dense id per pattern label, and the label pairs `G_C` joins, listed
+//! over those ids from both ends.
 //!
-//! A read selects the clusters and never decodes them: the executor reads
-//! rows straight from each cluster's row index
-//! ([`Cluster::out_neighbors`]). Edge-induced and homomorphic reads cost
-//! one pair-map lookup per pattern edge. A vertex-induced read adds
-//! `O(|V_P| log |V_P|)` to sort the pattern labels, then per distinct
-//! pattern label a binary search for its run and a walk over the run's
-//! clusters up to the last pattern label, with one set lookup per label
-//! pair passed, plus one load per selected cluster: bounded by the
-//! clusters of the pattern labels' runs, not by `|L_P|²`, whatever the
-//! data graph's vertex count.
+//! Most label pairs have no cluster, so the read does not probe every
+//! pair of pattern labels: for each distinct pattern label `a` it walks
+//! `a`'s run ([`Ccsr::label_run`]), merging the run's larger labels
+//! against the sorted pattern labels, and keeps the groups whose larger
+//! label is a pattern label (`a` itself only when two pattern vertices
+//! carry it). A vertex-induced read walks at once, any other star on first
+//! use. The read decodes no cluster: the executor reads rows in place
+//! ([`Cluster::out_neighbors`]). Every read costs one pair-map lookup per
+//! pattern edge and a sort of the pattern's labels; the walk, a binary
+//! search per pattern label and a merge of its run, up to the last pattern
+//! label, with the pattern labels from its own on — no hash probe.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
 use crate::key::ClusterKey;
 use csce_graph::graph::Edge;
-use csce_graph::{FxHashMap, FxHashSet, Graph, Label, Variant};
-use std::collections::hash_map::Entry;
+use csce_graph::{Graph, Label, Variant, VertexId};
+use std::ops::Range;
+use std::sync::OnceLock;
 
-/// The working set `G_C^*` for one matching task: references to the
-/// selected clusters of `G_C`.
+/// The working set `G_C^*` for one matching task: the pattern resolved
+/// against `G_C`.
 pub struct GcStar<'a> {
     ccsr: &'a Ccsr,
-    clusters: FxHashMap<ClusterKey, &'a Cluster>,
-    /// Vertex-induced reads only: the pattern label pairs `G_C` joins.
-    adjacent_label_pairs: Option<Vec<(Label, Label)>>,
+    /// Per pattern edge, in `p.edges()` order: its cluster, if any.
+    edge_clusters: Vec<Option<&'a Cluster>>,
+    /// The distinct pattern labels, ascending (label id `l` is
+    /// `labels[l]`), the pattern vertices of each, and each vertex's id.
+    labels: Vec<Label>,
+    label_sizes: Vec<usize>,
+    label_id: Vec<usize>,
+    /// The label pairs `G_C` joins, walked by a vertex-induced read and on
+    /// first use otherwise.
+    pairs: OnceLock<LabelPairs>,
     stats: ReadStats,
+    heap_bytes: usize,
+}
+
+/// The label pairs `G_C` joins, over label ids, in rows
+/// `items[start[l]..start[l + 1]]`: each pair `(a, b)`, `a ≤ b`, sits once
+/// in `a`'s row of `upper`, ascending `b`, with its range in `G_C`'s
+/// cluster table (a range, not a slice, so the star's lazy cell holds no
+/// borrow), and `lower` lists under each `b` the `a < b` joined to it.
+struct LabelPairs {
+    upper_start: Vec<usize>,
+    upper: Vec<(usize, Range<usize>)>,
+    lower_start: Vec<usize>,
+    lower: Vec<usize>,
 }
 
 /// What `ReadCSR` did: the CCSR-side work counters of one matching task.
@@ -67,71 +85,93 @@ pub fn pattern_edge_key(p: &Graph, e: &Edge) -> ClusterKey {
 
 /// Algorithm 1: select the clusters needed by `(P, θ)`.
 pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
-    let mut clusters: FxHashMap<ClusterKey, &'a Cluster> = FxHashMap::default();
-    let mut stats = ReadStats::default();
-    let mut load = |c: &'a Cluster| {
-        if let Entry::Vacant(slot) = clusters.entry(c.key) {
-            stats.clusters_read += 1;
-            stats.rows_decompressed += c.indexed_rows() as u64;
-            slot.insert(c);
-        }
-    };
-    for e in p.edges() {
-        match ccsr.cluster(&pattern_edge_key(p, e)) {
-            Some(c) => load(c),
-            None => stats.missing_clusters += 1,
-        }
-    }
+    let edge_clusters: Vec<Option<&'a Cluster>> =
+        p.edges().iter().map(|e| ccsr.cluster(&pattern_edge_key(p, e))).collect();
+    let mut labels = p.labels().to_vec();
+    labels.sort_unstable();
+    let label_sizes: Vec<usize> = labels.chunk_by(|x, y| x == y).map(<[Label]>::len).collect();
+    labels.dedup();
+    let label_id = p.labels().iter().map(|&l| labels.partition_point(|&x| x < l)).collect();
     // Induced matching needs every cluster between the labels of each
     // pattern vertex pair: unconnected pairs for negation, and connected
     // pairs to reject candidates carrying extra arcs (e.g. an antiparallel
-    // data arc the pattern does not have).
-    let adjacent_label_pairs = (variant == Variant::VertexInduced).then(|| {
-        let mut pairs = Vec::new();
-        walk_label_pairs(ccsr, p, |a, b, group| {
-            group.iter().for_each(&mut load);
-            pairs.push((a, b));
-        });
-        pairs
-    });
-    GcStar { ccsr, clusters, adjacent_label_pairs, stats }
+    // data arc the pattern does not have). The label-pair groups are
+    // disjoint and hold every edge cluster (patterns have no self-loops);
+    // other reads count the distinct edge clusters.
+    let (pairs, selected): (_, Vec<&'a Cluster>) = if variant == Variant::VertexInduced {
+        let pairs = walk_label_pairs(ccsr, &labels, &label_sizes);
+        let groups = pairs.upper.iter().flat_map(|(_, range)| ccsr.clusters_at(range.clone()));
+        let selected = groups.collect();
+        (OnceLock::from(pairs), selected)
+    } else {
+        let mut selected: Vec<&'a Cluster> = edge_clusters.iter().flatten().copied().collect();
+        // One cluster per key, so identity in `G_C`'s table dedups keys.
+        selected.sort_unstable_by_key(|&c| std::ptr::from_ref(c));
+        selected.dedup_by_key(|c| std::ptr::from_ref(*c));
+        (OnceLock::new(), selected)
+    };
+    let stats = ReadStats {
+        clusters_read: selected.len() as u64,
+        rows_decompressed: selected.iter().map(|c| c.indexed_rows() as u64).sum(),
+        missing_clusters: edge_clusters.iter().filter(|c| c.is_none()).count() as u64,
+    };
+    let heap_bytes = selected.iter().map(|c| c.heap_bytes()).sum();
+    GcStar { ccsr, edge_clusters, labels, label_sizes, label_id, pairs, stats, heap_bytes }
 }
 
-/// The unordered pairs of `p`'s labels that some data edge joins, as a
-/// vertex-induced [`read_csr`] records them
-/// ([`GcStar::adjacent_label_pairs`]), without selecting any cluster.
-pub fn adjacent_label_pairs(ccsr: &Ccsr, p: &Graph) -> Vec<(Label, Label)> {
-    let mut pairs = Vec::new();
-    walk_label_pairs(ccsr, p, |a, b, _| pairs.push((a, b)));
-    pairs
-}
-
-/// Visit every label pair `(a, b)`, `a ≤ b`, of `p`'s labels that has
-/// clusters in `G_C` — `(a, a)` only when two pattern vertices carry `a` —
-/// with its clusters, in ascending pair order. For each distinct pattern
-/// label `a` it walks `a`'s run group by group, up to the last pattern
-/// label, and keeps the groups whose larger label is a pattern label.
-fn walk_label_pairs<'a>(
-    ccsr: &'a Ccsr,
-    p: &Graph,
-    mut visit: impl FnMut(Label, Label, &'a [Cluster]),
-) {
-    let mut labels = p.labels().to_vec();
-    labels.sort_unstable();
-    let in_pattern: FxHashSet<Label> = labels.iter().copied().collect();
-    let last = labels.last().copied().unwrap_or_default();
-    // Each distinct pattern label, and whether two pattern vertices carry it.
-    for same in labels.chunk_by(|x, y| x == y) {
-        let (Some(&a), repeated) = (same.first(), same.len() > 1) else { continue };
-        for group in ccsr.label_run(a).chunk_by(|x, y| x.key.label_pair() == y.key.label_pair()) {
+/// The label pairs `(a, b)`, `a ≤ b`, of the pattern labels `labels`
+/// (distinct, ascending, `sizes` vertices each) that have clusters in
+/// `G_C` — `(a, a)` only when two pattern vertices carry `a`.
+fn walk_label_pairs(ccsr: &Ccsr, labels: &[Label], sizes: &[usize]) -> LabelPairs {
+    let (mut upper_start, mut upper) = (Vec::with_capacity(labels.len() + 1), Vec::new());
+    let mut lower_start = vec![0usize; labels.len() + 1];
+    for (i, (&a, &size)) in labels.iter().zip(sizes).enumerate() {
+        upper_start.push(upper.len());
+        let ((mut end, run), mut j) = (ccsr.label_run(a), i);
+        for group in run.chunk_by(|x, y| x.key.label_pair() == y.key.label_pair()) {
+            let range = end..end + group.len();
+            end = range.end;
             let Some(b) = group.first().map(|c| c.key.label_pair().1) else { continue };
-            if b > last {
-                break;
+            while labels.get(j).is_some_and(|&l| l < b) {
+                j += 1;
             }
-            if (b != a || repeated) && in_pattern.contains(&b) {
-                visit(a, b, group);
+            match labels.get(j) {
+                None => break,
+                Some(&l) if l == b && (j != i || size > 1) => upper.push((j, range)),
+                Some(_) => continue,
+            }
+            if let Some(s) = lower_start.get_mut(j + 1).filter(|_| j != i) {
+                *s += 1;
             }
         }
+    }
+    upper_start.push(upper.len());
+    let mut total = 0;
+    for s in &mut lower_start {
+        total += *s;
+        *s = total;
+    }
+    // Transposing the rows in ascending `a` keeps each `lower` row ascending.
+    let (mut cursor, mut lower) = (lower_start.clone(), vec![0; total]);
+    for (a, bounds) in upper_start.windows(2).enumerate() {
+        let &[lo, hi] = bounds else { continue };
+        for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
+            if let Some(at) = cursor.get_mut(b) {
+                if let Some(slot) = lower.get_mut(*at) {
+                    *slot = a;
+                }
+                *at += 1;
+            }
+        }
+    }
+    LabelPairs { upper_start, upper, lower_start, lower }
+}
+
+/// Row `l` of a CSR.
+fn row<'s, T>(start: &[usize], items: &'s [T], l: usize) -> &'s [T] {
+    match (start.get(l), start.get(l + 1)) {
+        (Some(&lo), Some(&hi)) => items.get(lo..hi).unwrap_or(&[]),
+        _ => &[],
     }
 }
 
@@ -142,32 +182,56 @@ impl<'a> GcStar<'a> {
         self.ccsr
     }
 
-    /// Look up a selected cluster; `None` means no data edge matches that
-    /// identifier (the cluster is empty).
+    /// Each pattern edge's cluster, in `p.edges()` order; `None` means no
+    /// data edge matches that edge's identifier (the cluster is empty).
     #[inline]
-    pub fn get(&self, key: &ClusterKey) -> Option<&'a Cluster> {
-        self.clusters.get(key).copied()
+    pub fn edge_clusters(&self) -> &[Option<&'a Cluster>] {
+        &self.edge_clusters
     }
 
-    /// The cluster serving one pattern edge, if non-empty.
+    /// The dense label id of pattern vertex `u`: its label's rank among
+    /// the pattern's distinct labels.
     #[inline]
-    pub fn cluster_for_edge(&self, p: &Graph, e: &Edge) -> Option<&'a Cluster> {
-        self.get(&pattern_edge_key(p, e))
+    pub fn label_id(&self, u: VertexId) -> usize {
+        self.label_id.get(u as usize).copied().unwrap_or(usize::MAX)
     }
 
-    /// The unordered pairs `(a, b)`, `a ≤ b`, of pattern labels that some
-    /// data edge joins, ascending — `(a, a)` only when two pattern
-    /// vertices carry `a` — or `None` unless this working set was read for
-    /// vertex-induced matching. Algorithm 2 line 8 adds a negation
-    /// dependency between non-adjacent pattern vertices exactly when their
-    /// labels form such a pair.
-    pub fn adjacent_label_pairs(&self) -> Option<&[(Label, Label)]> {
-        self.adjacent_label_pairs.as_deref()
+    /// Pattern vertices per label id, one entry per distinct label.
+    pub fn label_sizes(&self) -> &[usize] {
+        &self.label_sizes
+    }
+
+    /// The label pairs `G_C` joins, walked on first use by a star read
+    /// for another variant than vertex-induced.
+    fn label_pairs(&self) -> &LabelPairs {
+        self.pairs.get_or_init(|| walk_label_pairs(self.ccsr, &self.labels, &self.label_sizes))
+    }
+
+    /// The label ids `G_C` joins to label id `l`, ascending — `l` itself
+    /// when two pattern vertices carry it. Algorithm 2 line 8 adds a
+    /// negation dependency between non-adjacent pattern vertices exactly
+    /// when their labels are joined.
+    pub fn adjacent_labels(&self, l: usize) -> impl Iterator<Item = usize> + '_ {
+        let pairs = self.label_pairs();
+        let upper = row(&pairs.upper_start, &pairs.upper, l).iter().map(|&(b, _)| b);
+        row(&pairs.lower_start, &pairs.lower, l).iter().copied().chain(upper)
+    }
+
+    /// The `(a, b)*`-clusters between the labels of ids `l` and `m`, in
+    /// key order — what vertex-induced matching subtracts; empty unless
+    /// `G_C` joins them.
+    pub fn pair_clusters(&self, l: usize, m: usize) -> &'a [Cluster] {
+        let (pairs, b) = (self.label_pairs(), l.max(m));
+        let row = row(&pairs.upper_start, &pairs.upper, l.min(m));
+        match row.get(row.partition_point(|&(x, _)| x < b)) {
+            Some((x, range)) if *x == b => self.ccsr.clusters_at(range.clone()),
+            _ => &[],
+        }
     }
 
     /// Number of selected clusters.
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.stats.clusters_read as usize
     }
 
     /// Work counters of the `ReadCSR` call that built this working set.
@@ -179,7 +243,7 @@ impl<'a> GcStar<'a> {
     /// in `G_C`; the working set copies none of them), for the
     /// CCSR-overhead experiments (Fig. 11).
     pub fn heap_bytes(&self) -> usize {
-        self.clusters.values().map(|c| c.heap_bytes()).sum()
+        self.heap_bytes
     }
 }
 
@@ -187,51 +251,106 @@ impl<'a> GcStar<'a> {
 mod tests {
     use super::*;
     use crate::build::build_ccsr;
-    use csce_graph::{GraphBuilder, VertexId, NO_LABEL};
+    use csce_graph::{FxHashMap, GraphBuilder, NO_LABEL};
     use proptest::prelude::*;
+    use std::collections::hash_map::Entry;
+    use std::collections::BTreeSet;
 
-    /// The vertex-pair loop that the run walk replaced, kept as its
-    /// oracle: it loads the clusters between the labels of every pair of
-    /// pattern vertices, and records each such label pair with clusters.
-    fn read_csr_vertex_pairs<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
-        let mut star = read_csr(ccsr, p, Variant::EdgeInduced);
-        if variant == Variant::VertexInduced {
-            let mut pairs = std::collections::BTreeSet::new();
-            let n = p.n() as VertexId;
-            for a in 0..n {
-                for b in a + 1..n {
-                    let (la, lb) = (p.label(a), p.label(b));
-                    for c in ccsr.negation_clusters(la, lb) {
-                        pairs.insert((la.min(lb), la.max(lb)));
-                        if let Entry::Vacant(slot) = star.clusters.entry(c.key) {
-                            star.stats.clusters_read += 1;
-                            star.stats.rows_decompressed += c.indexed_rows() as u64;
-                            slot.insert(c);
+    /// The key-map read the resolved star replaced, kept as its oracle:
+    /// one hash-map entry per distinct selected cluster, loaded per pattern
+    /// edge and, for vertex-induced matching, per pair of pattern vertices
+    /// through `G_C`'s pair map, recording each such label pair with
+    /// clusters.
+    #[derive(Default)]
+    struct KeyMapRead<'a> {
+        clusters: FxHashMap<ClusterKey, &'a Cluster>,
+        stats: ReadStats,
+        pairs: BTreeSet<(Label, Label)>,
+    }
+
+    impl<'a> KeyMapRead<'a> {
+        fn new(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> KeyMapRead<'a> {
+            let mut read = KeyMapRead::default();
+            for e in p.edges() {
+                match ccsr.cluster(&pattern_edge_key(p, e)) {
+                    Some(c) => read.load(c),
+                    None => read.stats.missing_clusters += 1,
+                }
+            }
+            if variant == Variant::VertexInduced {
+                let n = p.n() as VertexId;
+                for a in 0..n {
+                    for b in a + 1..n {
+                        let (la, lb) = (p.label(a), p.label(b));
+                        for c in ccsr.negation_clusters(la, lb) {
+                            read.pairs.insert((la.min(lb), la.max(lb)));
+                            read.load(c);
                         }
                     }
                 }
             }
-            star.adjacent_label_pairs = Some(pairs.into_iter().collect());
+            read
         }
-        star
+
+        fn load(&mut self, c: &'a Cluster) {
+            if let Entry::Vacant(slot) = self.clusters.entry(c.key) {
+                self.stats.clusters_read += 1;
+                self.stats.rows_decompressed += c.indexed_rows() as u64;
+                slot.insert(c);
+            }
+        }
     }
 
-    /// The run walk selects exactly what the vertex-pair loop does: the
-    /// same counters, clusters, heap bytes and adjacent label pairs, in
-    /// every variant, and the pairs [`adjacent_label_pairs`] returns.
-    fn assert_matches_vertex_pair_oracle(gc: &Ccsr, p: &Graph) {
+    /// Whether two cluster slices are the same clusters of `G_C`.
+    fn same(a: &[Cluster], b: &[Cluster]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(x, y))
+    }
+
+    /// The read resolves `p` as the key-map oracle and `G_C`'s maps do, in
+    /// every variant: each pattern edge's cluster is [`Ccsr::cluster`] of
+    /// its identifier (repeated and missing identifiers included); the
+    /// counters, cluster count and heap bytes are the oracle's; the label
+    /// ids rank the distinct labels; and each pair of label ids finds
+    /// [`Ccsr::negation_clusters`] of its labels under the same-label rule,
+    /// with each row listing the oracle's label pairs, ascending, whether
+    /// the pairs were walked at read time (vertex-induced) or on first use.
+    fn assert_matches_key_map_oracle(gc: &Ccsr, p: &Graph) {
+        let adjacent = KeyMapRead::new(gc, p, Variant::VertexInduced).pairs;
         for variant in Variant::ALL {
             let got = read_csr(gc, p, variant);
-            let want = read_csr_vertex_pairs(gc, p, variant);
-            prop_assert_eq!(got.read_stats(), want.read_stats(), "{}", variant);
-            prop_assert_eq!(got.cluster_count(), want.cluster_count(), "{}", variant);
-            prop_assert!(want.clusters.keys().all(|k| got.get(k).is_some()), "{}", variant);
-            prop_assert_eq!(got.heap_bytes(), want.heap_bytes(), "{}", variant);
-            prop_assert_eq!(got.adjacent_label_pairs(), want.adjacent_label_pairs(), "{}", variant);
+            let want = KeyMapRead::new(gc, p, variant);
+            prop_assert_eq!(got.edge_clusters().len(), p.m(), "{}", variant);
+            for (e, &c) in p.edges().iter().zip(got.edge_clusters()) {
+                let lookup = gc.cluster(&pattern_edge_key(p, e));
+                prop_assert_eq!(c.map(|c| c.key), lookup.map(|c| c.key), "{}", variant);
+            }
+            prop_assert_eq!(got.read_stats(), want.stats, "{}", variant);
+            prop_assert_eq!(got.cluster_count(), want.clusters.len(), "{}", variant);
+            let heap: usize = want.clusters.values().map(|c| c.heap_bytes()).sum();
+            prop_assert_eq!(got.heap_bytes(), heap, "{}", variant);
+            let (labels, sizes) = (&got.labels, got.label_sizes());
+            prop_assert!(labels.windows(2).all(|w| w[0] < w[1]), "{}", variant);
+            prop_assert_eq!(sizes.len(), labels.len(), "{}", variant);
+            prop_assert_eq!(sizes.iter().sum::<usize>(), p.n(), "{}", variant);
+            for u in 0..p.n() as VertexId {
+                prop_assert_eq!(labels[got.label_id(u)], p.label(u), "{}", variant);
+            }
+            let mut listed = BTreeSet::new();
+            for (l, &a) in labels.iter().enumerate() {
+                for (m, &b) in labels.iter().enumerate() {
+                    let single = l == m && sizes[l] < 2;
+                    let want = if single { &[][..] } else { gc.negation_clusters(a, b) };
+                    prop_assert!(same(got.pair_clusters(l, m), want), "{} ({}, {})", variant, a, b);
+                }
+                let row: Vec<usize> = got.adjacent_labels(l).collect();
+                prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "{}", variant);
+                for m in row {
+                    prop_assert!(!got.pair_clusters(l, m).is_empty(), "{}", variant);
+                    listed.insert((a.min(labels[m]), a.max(labels[m])));
+                }
+            }
+            prop_assert_eq!(&listed, &adjacent, "{}", variant);
         }
-        let walked = adjacent_label_pairs(gc, p);
-        let read = read_csr(gc, p, Variant::VertexInduced);
-        prop_assert_eq!(Some(&walked[..]), read.adjacent_label_pairs());
     }
 
     /// SplitMix64: the random source of the oracle property.
@@ -306,7 +425,7 @@ mod tests {
             let first = rng.below(labels / 2 + 1);
             let extra = rng.below(4);
             let g = random_graph(&mut rng, data_n, first..labels + extra, data_edges);
-            assert_matches_vertex_pair_oracle(&build_ccsr(&g).unwrap(), &p);
+            assert_matches_key_map_oracle(&build_ccsr(&g).unwrap(), &p);
         }
     }
 
@@ -323,9 +442,12 @@ mod tests {
         let mut sampler = PatternSampler::new(&g, 7);
         for size in [500, 2000] {
             let sp = sampler.sample(size, Density::Sparse).expect("a sparse pattern");
-            assert_matches_vertex_pair_oracle(&gc, &sp.pattern);
-            let pairs = read_csr(&gc, &sp.pattern, Variant::VertexInduced);
-            assert!(pairs.adjacent_label_pairs().is_some_and(|pairs| pairs.len() > size));
+            assert_matches_key_map_oracle(&gc, &sp.pattern);
+            let star = read_csr(&gc, &sp.pattern, Variant::VertexInduced);
+            let count: usize = (0..star.labels.len())
+                .map(|l| star.adjacent_labels(l).filter(|&m| m >= l).count())
+                .sum();
+            assert!(count > size, "size {size}: {count} label pairs");
         }
     }
 
@@ -357,7 +479,7 @@ mod tests {
         let p = pattern_edge_01();
         let star = read_csr(&gc, &p, Variant::EdgeInduced);
         assert_eq!(star.cluster_count(), 1);
-        let d = star.cluster_for_edge(&p, &p.edges()[0]).unwrap();
+        let d = star.edge_clusters()[0].unwrap();
         assert_eq!(d.out_neighbors(0), &[1]);
     }
 
@@ -381,7 +503,8 @@ mod tests {
         assert_eq!(star_v.cluster_count(), 3);
         let negation = gc.negation_clusters(0, 2);
         assert_eq!(negation.len(), 1);
-        assert!(star_v.get(&negation[0].key).is_some());
+        let (first, last) = (star_v.label_id(0), star_v.label_id(2));
+        assert!(same(star_v.pair_clusters(first, last), negation));
     }
 
     #[test]
@@ -394,7 +517,7 @@ mod tests {
         let p = b.build();
         let star = read_csr(&gc, &p, Variant::EdgeInduced);
         assert_eq!(star.cluster_count(), 0);
-        assert!(star.cluster_for_edge(&p, &p.edges()[0]).is_none());
+        assert!(matches!(star.edge_clusters(), [None]));
     }
 
     #[test]

@@ -134,12 +134,12 @@ fn assert_runs_partition_the_table(g: &Graph, gc: &Ccsr) {
         let mut want: Vec<ClusterKey> =
             gc.clusters().map(|c| c.key).filter(|k| k.label_pair().0 == a).collect();
         want.sort_unstable_by_key(|k| (k.label_pair().1, *k));
-        let got: Vec<ClusterKey> = gc.label_run(a).iter().map(|c| c.key).collect();
+        let got: Vec<ClusterKey> = gc.label_run(a).1.iter().map(|c| c.key).collect();
         prop_assert_eq!(&got, &want, "run of label {}", a);
         covered += got.len();
     }
     prop_assert_eq!(covered, gc.cluster_count(), "the runs cover the table once");
-    prop_assert!(gc.label_run(labels.last().map_or(0, |&l| l + 1)).is_empty());
+    prop_assert!(gc.label_run(labels.last().map_or(0, |&l| l + 1)).1.is_empty());
 }
 
 proptest! {

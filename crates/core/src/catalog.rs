@@ -3,10 +3,10 @@
 //!
 //! The planner asks it for cluster sizes (the `|I_C(u_i, u_x)|` statistics
 //! behind the GCF and LDSF tie-breaks) and the executor for neighbor rows
-//! and seed candidates. All lookups resolve to slices inside the clusters'
-//! row indexes; nothing here allocates on the hot path except the seed
-//! list of a plan's first vertex, which a run computes once. A catalog
-//! holds no mutable state, so the workers of a parallel run share one.
+//! and seed candidates. All lookups read the star's per-edge table and
+//! resolve to slices inside the clusters' row indexes; nothing here
+//! allocates on the hot path except the seed list of a plan's first
+//! vertex. A catalog holds no mutable state, so parallel workers share one.
 
 use csce_ccsr::{Cluster, GcStar};
 use csce_graph::util::intersect_sorted;
@@ -25,7 +25,7 @@ pub struct Catalog<'a> {
     star: &'a GcStar<'a>,
     /// Per pattern-edge index: the cluster, or `None` when no data edge
     /// matches the identifier (candidates through it are empty).
-    edge_clusters: Vec<Option<&'a Cluster>>,
+    edge_clusters: &'a [Option<&'a Cluster>],
     /// Incident pattern edges per vertex, with the vertex's side —
     /// precomputed so the plan heuristics' inner loops stay linear.
     incident: Vec<Vec<(usize, Side)>>,
@@ -33,14 +33,12 @@ pub struct Catalog<'a> {
 
 impl<'a> Catalog<'a> {
     pub fn new(pattern: &'a Graph, star: &'a GcStar<'a>) -> Catalog<'a> {
-        let edge_clusters: Vec<Option<&'a Cluster>> =
-            pattern.edges().iter().map(|e| star.cluster_for_edge(pattern, e)).collect();
         let mut incident: Vec<Vec<(usize, Side)>> = vec![Vec::new(); pattern.n()];
         for (i, e) in pattern.edges().iter().enumerate() {
             incident[e.src as usize].push((i, Side::Src));
             incident[e.dst as usize].push((i, Side::Dst));
         }
-        Catalog { pattern, star, edge_clusters, incident }
+        Catalog { pattern, star, edge_clusters: star.edge_clusters(), incident }
     }
 
     #[inline]
@@ -180,18 +178,12 @@ impl<'a> Catalog<'a> {
         }
     }
 
-    /// The `(a, b)*`-clusters of `G_C` between two vertex labels
-    /// (vertex-induced matching subtracts data neighbors found in these).
-    #[inline]
-    pub fn negation_clusters(&self, a: Label, b: Label) -> &'a [Cluster] {
-        self.star.ccsr().negation_clusters(a, b)
-    }
-
     /// Whether the data graph has any edge between two labels (Algorithm 2
-    /// line 8) — a property of `G_C`, whatever was selected.
+    /// line 8) — a property of `G_C`, whatever was selected, for Fig. 12
+    /// and the debug cross-check of `H` (plans read the star's pairs).
     #[inline]
     pub fn labels_ever_adjacent(&self, a: Label, b: Label) -> bool {
-        !self.negation_clusters(a, b).is_empty()
+        !self.star.ccsr().negation_clusters(a, b).is_empty()
     }
 }
 

@@ -454,12 +454,12 @@ impl<'a> Executor<'a> {
         if self.plan.variant != Variant::VertexInduced {
             return;
         }
-        let p = self.catalog.pattern();
+        let (p, star) = (self.catalog.pattern(), self.catalog.star());
         for &parent in self.plan.dag.parents(u) {
             let w = self.f[parent as usize];
             debug_assert_ne!(w, UNMAPPED, "dependency parents precede u in Φ*");
             let parent_label = p.label(parent);
-            for cluster in self.catalog.negation_clusters(parent_label, p.label(u)) {
+            for cluster in star.pair_clusters(star.label_id(u), star.label_id(parent)) {
                 self.stats.negation_clusters += 1;
                 let key = &cluster.key;
                 if key.directed {

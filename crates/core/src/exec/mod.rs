@@ -405,6 +405,40 @@ mod tests {
         }
     }
 
+    /// A vertex-induced plan reads its negation clusters from the star's
+    /// label-pair table, which a star read for edge-induced matching walks
+    /// on first use: over either star it counts the oracle's embeddings
+    /// with identical counters.
+    #[test]
+    fn vertex_induced_plan_over_an_edge_induced_star() {
+        use csce_graph::generate::chung_lu;
+        use csce_graph::sample::PatternSampler;
+        use csce_graph::Density;
+        let variant = Variant::VertexInduced;
+        let mut checked = 0;
+        for seed in 0..8 {
+            let g = chung_lu(40, 160, 2.6, 1 + seed as u32 % 4, 2, seed % 2 == 0, seed);
+            let gc = build_ccsr(&g).unwrap();
+            let mut sampler = PatternSampler::new(&g, seed);
+            for size in [3, 4, 5] {
+                let Some(sp) = sampler.sample(size, Density::Sparse) else { continue };
+                let p = sp.pattern;
+                let counted = |star_variant| {
+                    let star = read_csr(&gc, &p, star_variant);
+                    let catalog = Catalog::new(&p, &star);
+                    let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
+                    let mut exec = Executor::new(&catalog, &plan, RunConfig::default());
+                    (exec.count(), exec.stats().clone())
+                };
+                let (own, edge) = (counted(variant), counted(Variant::EdgeInduced));
+                assert_eq!(own.0, oracle_count(&g, &p, variant), "seed {seed}, size {size}");
+                assert_eq!(edge, own, "seed {seed}, size {size}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 12, "{checked} patterns sampled");
+    }
+
     #[test]
     fn single_vertex_pattern() {
         let mut gb = GraphBuilder::new();

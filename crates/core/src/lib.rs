@@ -183,11 +183,11 @@ impl Engine {
         &self.ccsr
     }
 
-    /// The online stages before execution: `ReadCSR` (selecting the
-    /// clusters of `G_C^*`), then plan generation (GCF, DAG,
-    /// descendant sizes, LDSF, NEC). Both are timed into the returned
-    /// [`Query`] and recorded as the `read` and `plan` spans of
-    /// `recorder`. The query can then be executed any number of times.
+    /// The online stages before execution: `ReadCSR` (resolving `p`
+    /// against `G_C` into `G_C^*`), then plan generation (GCF, DAG, NEC,
+    /// tree; LDSF only under [`PlannerConfig::ldsf`]). Both are timed into
+    /// the returned [`Query`] and recorded as the `read` and `plan` spans
+    /// of `recorder`. The query can then be executed any number of times.
     ///
     /// Empty and disconnected patterns are rejected here, before the
     /// planner sees them.
@@ -259,16 +259,17 @@ impl Engine {
     /// Enumerate *all* embeddings across `threads` workers, sorted. The
     /// parallel counterpart of [`Engine::embeddings`]: workers claim
     /// disjoint root chunks, so the merged set is duplicate-free by
-    /// construction and identical to the sequential enumeration.
+    /// construction and identical to the sequential enumeration. An empty
+    /// or disconnected pattern, or a worker panic, is a [`QueryError`].
     pub fn collect_parallel(
         &self,
         p: &Graph,
         variant: Variant,
         threads: usize,
         run: RunConfig,
-    ) -> Result<CollectRun, ExecError> {
+    ) -> Result<CollectRun, QueryError> {
         let recorder = Recorder::disabled();
-        let query = or_panic(self.prepare(p, variant, PlannerConfig::csce(), &recorder));
+        let query = self.prepare(p, variant, PlannerConfig::csce(), &recorder)?;
         let (out, embeddings) = query.collect(run, threads, None, None)?;
         Ok(CollectRun { embeddings, stats: out.stats, workers: out.workers })
     }
@@ -492,6 +493,16 @@ mod tests {
         assert!(QueryError::DisconnectedPattern.to_string().contains("connected"));
         let exec = ExecError::WorkerPanicked { worker: 1, message: "boom".to_string() };
         assert_eq!(QueryError::from(exec.clone()).to_string(), exec.to_string());
+    }
+
+    #[test]
+    fn collect_parallel_returns_pattern_errors() {
+        let engine = Engine::build(&paw());
+        let collect =
+            |p: &Graph| engine.collect_parallel(p, Variant::EdgeInduced, 2, RunConfig::default());
+        assert_eq!(collect(&undirected(0, &[])).err(), Some(QueryError::EmptyPattern));
+        assert_eq!(collect(&undirected(2, &[])).err(), Some(QueryError::DisconnectedPattern));
+        assert_eq!(collect(&path3()).map(|run| run.embeddings.len()).ok(), Some(10));
     }
 
     #[test]

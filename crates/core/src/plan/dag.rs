@@ -32,8 +32,7 @@
 
 use crate::bitset::BitSet;
 use crate::catalog::{Catalog, Side};
-use csce_ccsr::read::adjacent_label_pairs;
-use csce_graph::{Graph, Label, Variant, VertexId};
+use csce_graph::{Variant, VertexId};
 
 /// The dependency DAG over pattern vertices (indexed by vertex id, not by
 /// plan position, so it survives LDSF reordering).
@@ -55,16 +54,16 @@ pub struct Dag {
 /// Edge dependencies come from each vertex's incident pattern edges whose
 /// other endpoint is earlier in `Φ`, so they cost O(|V_P| + |E_P|) up to a
 /// sort. Vertex-induced negation dependencies come from the label pairs
-/// `G_C` joins, which a vertex-induced `ReadCSR` records on the star
-/// ([`csce_ccsr::GcStar::adjacent_label_pairs`]): each vertex visits only
-/// the placed vertices of its adjacent labels, skipping its `P`-neighbours
-/// by a stamp, so the sweep costs `O(|E_P| + Σ adjacent labels + |E_H|)`
+/// `G_C` joins, as the star numbers and lists them
+/// ([`csce_ccsr::GcStar::adjacent_labels`]): each vertex visits only the
+/// placed vertices of its adjacent labels, skipping its `P`-neighbours by
+/// a stamp, so the sweep costs `O(|E_P| + Σ adjacent labels + |E_H|)`
 /// rather than one probe per earlier vertex.
 ///
 /// `H` depends only on `P`, `G_C`, `Φ` and the variant, never on how the
-/// star was read: over a star read for another variant, a vertex-induced
-/// `H` walks `G_C` for the label pairs first (the same walk, at the cost
-/// of a vertex-induced read). Debug builds check every vertex's negation
+/// star was read: a star read for another variant walks `G_C` for the
+/// label pairs on first use (the same walk, at the cost of a
+/// vertex-induced read). Debug builds check every vertex's negation
 /// parents against Algorithm 2 line 8 (`check_negation_parents`).
 pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> Dag {
     let p = catalog.pattern();
@@ -78,13 +77,9 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     for (k, &u) in phi.iter().enumerate() {
         pos_of[u as usize] = k;
     }
-    let mut negation = (variant == Variant::VertexInduced).then(|| {
-        let star = catalog.star();
-        match star.adjacent_label_pairs() {
-            Some(pairs) => LabelBuckets::new(p, pairs),
-            None => LabelBuckets::new(p, &adjacent_label_pairs(star.ccsr(), p)),
-        }
-    });
+    let star = catalog.star();
+    let mut negation =
+        (variant == Variant::VertexInduced).then(|| LabelBuckets::new(star.label_sizes()));
     // `neighbour_of[w] == j` marks `w` as a `P`-neighbour of `Φ[j]`.
     let mut neighbour_of = vec![usize::MAX; n];
     let mut earlier: Vec<(usize, usize)> = Vec::new();
@@ -106,15 +101,18 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
             inp[uj as usize].push(phi[i]);
         }
         if let Some(buckets) = negation.as_mut() {
+            let l = star.label_id(uj);
             if !earlier.is_empty() {
-                for ui in buckets.placed_adjacent(uj) {
-                    if neighbour_of[ui as usize] != j {
-                        out[ui as usize].push(uj);
-                        inp[uj as usize].push(ui);
+                for m in star.adjacent_labels(l) {
+                    for &ui in buckets.placed(m) {
+                        if neighbour_of[ui as usize] != j {
+                            out[ui as usize].push(uj);
+                            inp[uj as usize].push(ui);
+                        }
                     }
                 }
             }
-            buckets.place(uj);
+            buckets.place(l, uj);
         }
     }
     for list in out.iter_mut().chain(inp.iter_mut()) {
@@ -129,99 +127,39 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     dag
 }
 
-/// The vertices of `Φ` placed so far, bucketed by pattern label, and each
-/// pattern label's adjacent pattern labels (those a `G_C` label pair joins
-/// it to): where a vertex-induced vertex finds its negation parents.
+/// The vertices of `Φ` placed so far, bucketed by pattern label id: where
+/// a vertex-induced vertex finds its negation parents, in the buckets of
+/// its adjacent labels.
 struct LabelBuckets {
-    /// Each pattern vertex's label, numbered densely in label order.
-    label_of: Vec<usize>,
-    /// `adjacent[adjacent_start[l]..adjacent_start[l + 1]]` are the labels
-    /// adjacent to label `l` (`l` itself when `G_C` joins `l` to `l`).
-    adjacent_start: Vec<usize>,
-    adjacent: Vec<usize>,
-    /// `placed[bucket_start[l]..bucket_start[l] + filled[l]]` are the
-    /// placed vertices of label `l`, in `Φ` order.
-    bucket_start: Vec<usize>,
+    /// `placed[start[l]..start[l] + filled[l]]` are the placed vertices of
+    /// label `l`, in `Φ` order.
+    start: Vec<usize>,
     filled: Vec<usize>,
     placed: Vec<VertexId>,
 }
 
 impl LabelBuckets {
-    /// Buckets for `p` and the label pairs `(a, b)`, `a ≤ b`, of its labels
-    /// that `G_C` joins.
-    fn new(p: &Graph, pairs: &[(Label, Label)]) -> LabelBuckets {
-        let mut labels = p.labels().to_vec();
-        labels.sort_unstable();
-        labels.dedup();
-        let number = |l: Label| labels.partition_point(|&x| x < l);
-        let label_of: Vec<usize> = p.labels().iter().map(|&l| number(l)).collect();
-        let count = labels.len();
-        let mut degree = vec![0usize; count];
-        let numbered: Vec<(usize, usize)> =
-            pairs.iter().map(|&(a, b)| (number(a), number(b))).collect();
-        for &(a, b) in &numbered {
-            degree[a] += 1;
-            if a != b {
-                degree[b] += 1;
-            }
+    /// Empty buckets of `sizes[l]` vertices per label id `l`.
+    fn new(sizes: &[usize]) -> LabelBuckets {
+        let mut start = Vec::with_capacity(sizes.len());
+        let mut total = 0;
+        for &size in sizes {
+            start.push(total);
+            total += size;
         }
-        let adjacent_start = prefix_sums(&degree);
-        let mut cursor = adjacent_start.clone();
-        let mut adjacent =
-            vec![0usize; numbered.iter().map(|&(a, b)| if a == b { 1 } else { 2 }).sum()];
-        for &(a, b) in &numbered {
-            adjacent[cursor[a]] = b;
-            cursor[a] += 1;
-            if a != b {
-                adjacent[cursor[b]] = a;
-                cursor[b] += 1;
-            }
-        }
-        let mut members = vec![0usize; count];
-        for &l in &label_of {
-            members[l] += 1;
-        }
-        let bucket_start = prefix_sums(&members);
-        LabelBuckets {
-            label_of,
-            adjacent_start,
-            adjacent,
-            bucket_start,
-            filled: vec![0; count],
-            placed: vec![0; p.n()],
-        }
+        LabelBuckets { start, filled: vec![0; sizes.len()], placed: vec![0; total] }
     }
 
-    /// The placed vertices whose label is adjacent to `u`'s.
-    fn placed_adjacent(&self, u: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let l = self.label_of[u as usize];
-        self.adjacent[self.adjacent_start[l]..self.adjacent_start[l + 1]].iter().flat_map(
-            move |&b| {
-                let start = self.bucket_start[b];
-                self.placed[start..start + self.filled[b]].iter().copied()
-            },
-        )
+    /// The placed vertices of label `l`.
+    fn placed(&self, l: usize) -> &[VertexId] {
+        &self.placed[self.start[l]..self.start[l] + self.filled[l]]
     }
 
-    /// Place `u`: later vertices see it in its label's bucket.
-    fn place(&mut self, u: VertexId) {
-        let l = self.label_of[u as usize];
-        self.placed[self.bucket_start[l] + self.filled[l]] = u;
+    /// Place `u`, of label `l`: later vertices see it in `l`'s bucket.
+    fn place(&mut self, l: usize, u: VertexId) {
+        self.placed[self.start[l] + self.filled[l]] = u;
         self.filled[l] += 1;
     }
-}
-
-/// `[0, c₀, c₀ + c₁, …]`: the start of each slot of sizes `counts`, and
-/// the end of the last.
-fn prefix_sums(counts: &[usize]) -> Vec<usize> {
-    let mut sums = Vec::with_capacity(counts.len() + 1);
-    let mut total = 0;
-    sums.push(0);
-    for &c in counts {
-        total += c;
-        sums.push(total);
-    }
-    sums
 }
 
 /// Debug cross-check of a vertex-induced `H`: each vertex with an earlier

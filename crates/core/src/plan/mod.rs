@@ -27,6 +27,7 @@ pub mod ldsf;
 pub mod nec;
 
 use crate::catalog::Catalog;
+use csce_ccsr::GcStar;
 use csce_graph::{FxHashMap, Variant, VertexId};
 use dag::{build_dag, Dag};
 use descendant::descendant_sizes;
@@ -331,7 +332,7 @@ fn build_exec_tree(
     order: &[VertexId],
     variant: Variant,
 ) -> ExecNode {
-    let mut builder = TreeBuilder::new(catalog.pattern(), dag, order, variant);
+    let mut builder = TreeBuilder::new(catalog.star(), dag, order, variant);
     let roots: Vec<usize> = (0..order.len()).filter(|&k| builder.parent[k] == usize::MAX).collect();
     builder.tree_over(roots)
 }
@@ -352,7 +353,7 @@ struct TreeBuilder<'a> {
     preorder: Vec<usize>,
     pre_start: Vec<usize>,
     size: Vec<usize>,
-    /// Dense label id per position.
+    /// The star's label id per position.
     label_id: Vec<usize>,
     /// Per dense label: the split test that last saw it, and the root
     /// whose subtree it was seen in.
@@ -361,7 +362,7 @@ struct TreeBuilder<'a> {
 }
 
 impl<'a> TreeBuilder<'a> {
-    fn new(p: &csce_graph::Graph, dag: &Dag, order: &'a [VertexId], variant: Variant) -> Self {
+    fn new(star: &GcStar<'_>, dag: &Dag, order: &'a [VertexId], variant: Variant) -> Self {
         let n = order.len();
         let mut pos_of = vec![0usize; n];
         for (k, &u) in order.iter().enumerate() {
@@ -422,10 +423,6 @@ impl<'a> TreeBuilder<'a> {
                 next += size[c];
             }
         }
-        let mut labels = p.labels().to_vec();
-        labels.sort_unstable();
-        labels.dedup();
-        let label_id = order.iter().map(|&u| labels.partition_point(|&l| l < p.label(u))).collect();
         TreeBuilder {
             order,
             injective: variant.injective(),
@@ -435,8 +432,8 @@ impl<'a> TreeBuilder<'a> {
             preorder,
             pre_start,
             size,
-            label_id,
-            stamp: vec![(0, 0); labels.len()],
+            label_id: order.iter().map(|&u| star.label_id(u)).collect(),
+            stamp: vec![(0, 0); star.label_sizes().len()],
             generation: 0,
         }
     }
