@@ -21,9 +21,9 @@
 //! makes the clusters of each smaller label one contiguous *run*, indexed
 //! per label ([`Ccsr::label_run`]). [`read_csr`] (Algorithm 1) resolves a
 //! pattern against `G_C` once into the [`GcStar`] every later stage reads:
-//! each pattern edge's cluster, the pattern's labels numbered densely, and
-//! the label pairs `G_C` joins, walked through the runs of the pattern's
-//! labels. It decodes no cluster: queries read rows in place.
+//! each pattern edge's cluster, each pattern vertex's incident edges, the
+//! pattern's labels numbered densely, and the label pairs `G_C` joins,
+//! walked through the runs of the pattern's labels. It decodes no cluster: queries read rows in place.
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully
@@ -76,5 +76,5 @@ pub use build::{build_ccsr, Ccsr};
 pub use check::Corrupt;
 pub use cluster::Cluster;
 pub use key::ClusterKey;
-pub use read::{read_csr, GcStar, ReadStats};
+pub use read::{read_csr, GcStar, ReadStats, Side};
 pub use stats::CcsrStats;

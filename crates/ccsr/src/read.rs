@@ -19,7 +19,9 @@
 //! ([`Cluster::out_neighbors`]). Every read costs one pair-map lookup per
 //! pattern edge and a sort of the pattern's labels; the walk, a binary
 //! search per pattern label and a merge of its run, up to the last pattern
-//! label, with the pattern labels from its own on — no hash probe.
+//! label, with the pattern labels from its own on — no hash probe. The
+//! star also lists each pattern vertex's incident edges, in one CSR built
+//! by counting, so every catalog over it borrows them.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
@@ -29,12 +31,23 @@ use csce_graph::{Graph, Label, Variant, VertexId};
 use std::ops::Range;
 use std::sync::OnceLock;
 
+/// Which endpoint of a pattern edge a pattern vertex is.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Side {
+    Src,
+    Dst,
+}
+
 /// The working set `G_C^*` for one matching task: the pattern resolved
 /// against `G_C`.
 pub struct GcStar<'a> {
     ccsr: &'a Ccsr,
     /// Per pattern edge, in `p.edges()` order: its cluster, if any.
     edge_clusters: Vec<Option<&'a Cluster>>,
+    /// Per pattern vertex `u`, its incident edges in `p.edges()` order
+    /// with `u`'s side: `incident[incident_start[u]..incident_start[u + 1]]`.
+    incident_start: Vec<usize>,
+    incident: Vec<(usize, Side)>,
     /// The distinct pattern labels, ascending (label id `l` is
     /// `labels[l]`), the pattern vertices of each, and each vertex's id.
     labels: Vec<Label>,
@@ -116,7 +129,50 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         missing_clusters: edge_clusters.iter().filter(|c| c.is_none()).count() as u64,
     };
     let heap_bytes = selected.iter().map(|c| c.heap_bytes()).sum();
-    GcStar { ccsr, edge_clusters, labels, label_sizes, label_id, pairs, stats, heap_bytes }
+    let (incident_start, incident) = incidence(p);
+    GcStar {
+        ccsr,
+        edge_clusters,
+        incident_start,
+        incident,
+        labels,
+        label_sizes,
+        label_id,
+        pairs,
+        stats,
+        heap_bytes,
+    }
+}
+
+/// Each vertex's incident edges of `p`, with its side, as one CSR built by
+/// counting: filling the rows in edge order keeps every row in edge order.
+fn incidence(p: &Graph) -> (Vec<usize>, Vec<(usize, Side)>) {
+    let mut start = vec![0usize; p.n() + 1];
+    for e in p.edges() {
+        for v in [e.src, e.dst] {
+            if let Some(s) = start.get_mut(v as usize + 1) {
+                *s += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for s in &mut start {
+        total += *s;
+        *s = total;
+    }
+    let mut cursor = start.clone();
+    let mut incident = vec![(0, Side::Src); total];
+    for (i, e) in p.edges().iter().enumerate() {
+        for (v, side) in [(e.src, Side::Src), (e.dst, Side::Dst)] {
+            if let Some(at) = cursor.get_mut(v as usize) {
+                if let Some(slot) = incident.get_mut(*at) {
+                    *slot = (i, side);
+                }
+                *at += 1;
+            }
+        }
+    }
+    (start, incident)
 }
 
 /// The label pairs `(a, b)`, `a ≤ b`, of the pattern labels `labels`
@@ -187,6 +243,13 @@ impl<'a> GcStar<'a> {
     #[inline]
     pub fn edge_clusters(&self) -> &[Option<&'a Cluster>] {
         &self.edge_clusters
+    }
+
+    /// The pattern edges incident to pattern vertex `u`, in `p.edges()`
+    /// order, each with `u`'s side of it.
+    #[inline]
+    pub fn incident_edges(&self, u: VertexId) -> &[(usize, Side)] {
+        row(&self.incident_start, &self.incident, u as usize)
     }
 
     /// The dense label id of pattern vertex `u`: its label's rank among
@@ -309,8 +372,9 @@ mod tests {
     /// The read resolves `p` as the key-map oracle and `G_C`'s maps do, in
     /// every variant: each pattern edge's cluster is [`Ccsr::cluster`] of
     /// its identifier (repeated and missing identifiers included); the
-    /// counters, cluster count and heap bytes are the oracle's; the label
-    /// ids rank the distinct labels; and each pair of label ids finds
+    /// counters, cluster count and heap bytes are the oracle's; each
+    /// vertex's incident edges are the edges it ends, in edge order, with
+    /// its side; the label ids rank the distinct labels; and each pair of label ids finds
     /// [`Ccsr::negation_clusters`] of its labels under the same-label rule,
     /// with each row listing the oracle's label pairs, ascending, whether
     /// the pairs were walked at read time (vertex-induced) or on first use.
@@ -334,6 +398,14 @@ mod tests {
             prop_assert_eq!(sizes.iter().sum::<usize>(), p.n(), "{}", variant);
             for u in 0..p.n() as VertexId {
                 prop_assert_eq!(labels[got.label_id(u)], p.label(u), "{}", variant);
+                let incident: Vec<(usize, Side)> = (0..p.m())
+                    .filter_map(|i| match p.edges()[i] {
+                        e if e.src == u => Some((i, Side::Src)),
+                        e if e.dst == u => Some((i, Side::Dst)),
+                        _ => None,
+                    })
+                    .collect();
+                prop_assert_eq!(got.incident_edges(u), &incident[..], "{}", variant);
             }
             let mut listed = BTreeSet::new();
             for (l, &a) in labels.iter().enumerate() {

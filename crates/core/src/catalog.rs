@@ -8,16 +8,10 @@
 //! allocates on the hot path except the seed list of a plan's first
 //! vertex. A catalog holds no mutable state, so parallel workers share one.
 
+pub use csce_ccsr::Side;
 use csce_ccsr::{Cluster, GcStar};
 use csce_graph::util::intersect_sorted;
 use csce_graph::{Graph, Label, VertexId};
-
-/// Which endpoint of a pattern edge a pattern vertex is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Side {
-    Src,
-    Dst,
-}
 
 /// A pattern-specific, variant-agnostic view over `G_C^*`.
 pub struct Catalog<'a> {
@@ -26,19 +20,14 @@ pub struct Catalog<'a> {
     /// Per pattern-edge index: the cluster, or `None` when no data edge
     /// matches the identifier (candidates through it are empty).
     edge_clusters: &'a [Option<&'a Cluster>],
-    /// Incident pattern edges per vertex, with the vertex's side —
-    /// precomputed so the plan heuristics' inner loops stay linear.
-    incident: Vec<Vec<(usize, Side)>>,
 }
 
 impl<'a> Catalog<'a> {
+    /// A view of `star`, which must have been read for `pattern`. It
+    /// copies nothing: the star already holds the per-edge clusters and
+    /// the incident edges.
     pub fn new(pattern: &'a Graph, star: &'a GcStar<'a>) -> Catalog<'a> {
-        let mut incident: Vec<Vec<(usize, Side)>> = vec![Vec::new(); pattern.n()];
-        for (i, e) in pattern.edges().iter().enumerate() {
-            incident[e.src as usize].push((i, Side::Src));
-            incident[e.dst as usize].push((i, Side::Dst));
-        }
-        Catalog { pattern, star, edge_clusters: star.edge_clusters(), incident }
+        Catalog { pattern, star, edge_clusters: star.edge_clusters() }
     }
 
     #[inline]
@@ -88,9 +77,11 @@ impl<'a> Catalog<'a> {
         }
     }
 
-    /// Pattern edge indexes incident to `u`, with `u`'s side.
-    pub fn incident_edges(&self, u: VertexId) -> impl Iterator<Item = (usize, Side)> + '_ {
-        self.incident[u as usize].iter().copied()
+    /// Pattern edge indexes incident to `u`, with `u`'s side, in edge
+    /// order (the star's lists, so the plan heuristics' inner loops stay
+    /// linear).
+    pub fn incident_edges(&self, u: VertexId) -> impl Iterator<Item = (usize, Side)> + 'a {
+        self.star.incident_edges(u).iter().copied()
     }
 
     /// The smallest cluster size among edges from `x` to the placed side

@@ -17,7 +17,11 @@
 //! [`Dag`] stores each vertex's parents once. Edge dependencies also name
 //! the pattern edge that realizes them ([`Dag::edge_parents`]); the
 //! negation parents are the remaining parents, derived on request
-//! ([`Dag::negation_parents`]) rather than stored a second time.
+//! ([`Dag::negation_parents`]) rather than stored a second time. Each
+//! relation (parents, children, edge parents) is one flat CSR indexed by
+//! vertex id — an offsets array and an item array — so building `H`
+//! allocates no per-vertex list, and the children are the parents'
+//! transpose, built by counting.
 //!
 //! One deliberate deviation from the paper's pseudo-code: Algorithm 2
 //! line 7 only adds a negation dependency `(Φ[i], Φ[j])` when some
@@ -35,30 +39,39 @@ use crate::catalog::{Catalog, Side};
 use csce_graph::{Variant, VertexId};
 
 /// The dependency DAG over pattern vertices (indexed by vertex id, not by
-/// plan position, so it survives LDSF reordering).
+/// plan position, so it survives LDSF reordering). Each relation is one
+/// CSR: row `u` of `parents` is `parents[parent_start[u]..parent_start[u +
+/// 1]]`, and likewise for `children` and `edge_parents`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dag {
     n: usize,
-    /// Children (outgoing dependency targets) per vertex, deduplicated.
-    out: Vec<Vec<VertexId>>,
-    /// Parents (incoming dependency sources) per vertex, deduplicated.
-    inp: Vec<Vec<VertexId>>,
+    /// Parents (incoming dependency sources) per vertex, ascending.
+    parent_start: Vec<usize>,
+    parents: Vec<VertexId>,
+    /// Children (outgoing dependency targets) per vertex, ascending: the
+    /// transpose of `parents`.
+    child_start: Vec<usize>,
+    children: Vec<VertexId>,
     /// Edge dependencies with the pattern-edge index that realizes each:
-    /// `edge_parents[u]` lists `(earlier vertex, pattern edge idx)`. Every
-    /// other parent is a negation dependency.
-    edge_parents: Vec<Vec<(VertexId, usize)>>,
+    /// row `u` lists `(earlier vertex, pattern edge idx)` in `Φ` order.
+    /// Every other parent is a negation dependency.
+    edge_start: Vec<usize>,
+    edge_parents: Vec<(VertexId, usize)>,
 }
 
 /// Algorithm 2: build the dependency DAG for `Φ` under a variant.
 ///
 /// Edge dependencies come from each vertex's incident pattern edges whose
-/// other endpoint is earlier in `Φ`, so they cost O(|V_P| + |E_P|) up to a
-/// sort. Vertex-induced negation dependencies come from the label pairs
-/// `G_C` joins, as the star numbers and lists them
-/// ([`csce_ccsr::GcStar::adjacent_labels`]): each vertex visits only the
-/// placed vertices of its adjacent labels, skipping its `P`-neighbours by
-/// a stamp, so the sweep costs `O(|E_P| + Σ adjacent labels + |E_H|)`
-/// rather than one probe per earlier vertex.
+/// other endpoint is earlier in `Φ`. Vertex-induced negation dependencies
+/// come from the label pairs `G_C` joins, as the star numbers and lists
+/// them ([`csce_ccsr::GcStar::adjacent_labels`]): each vertex visits only
+/// the placed vertices of its adjacent labels, skipping its `P`-neighbours
+/// by a stamp, rather than probing every earlier vertex. Each vertex's
+/// parents are gathered in `Φ` order into one flat buffer and its row
+/// sorted in place; the rows are then laid out by vertex id, and the
+/// children are their transpose by one counting pass, ascending without a
+/// sort. So `H` costs `O(|E_P| + Σ adjacent labels + |E_H|)` plus the row
+/// sorts, in a few flat buffers with no per-vertex allocation.
 ///
 /// `H` depends only on `P`, `G_C`, `Φ` and the variant, never on how the
 /// star was read: a star read for another variant walks `G_C` for the
@@ -69,10 +82,6 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     let p = catalog.pattern();
     let n = p.n();
     debug_assert_eq!(phi.len(), n, "Φ must order every pattern vertex");
-    let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut edge_parents: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
-
     let mut pos_of = vec![0usize; n];
     for (k, &u) in phi.iter().enumerate() {
         pos_of[u as usize] = k;
@@ -80,6 +89,10 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     let star = catalog.star();
     let mut negation =
         (variant == Variant::VertexInduced).then(|| LabelBuckets::new(star.label_sizes()));
+    // Each vertex's rows, gathered in `Φ` order: those of `Φ[j]` end at
+    // `parent_ends[j]` and `edge_ends[j]`.
+    let (mut parents, mut parent_ends) = (Vec::new(), Vec::with_capacity(n));
+    let (mut edge_parents, mut edge_ends) = (Vec::new(), Vec::with_capacity(n));
     // `neighbour_of[w] == j` marks `w` as a `P`-neighbour of `Φ[j]`.
     let mut neighbour_of = vec![usize::MAX; n];
     let mut earlier: Vec<(usize, usize)> = Vec::new();
@@ -93,38 +106,95 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
                 earlier.push((pos_of[w as usize], eidx));
             }
         }
-        // Earlier neighbours in `Φ` order, each once per connecting edge.
+        // Earlier neighbours in `Φ` order, each once per connecting edge;
+        // a parent joined by several edges is listed once in `parents`.
         earlier.sort_unstable();
-        for &(i, eidx) in &earlier {
-            edge_parents[uj as usize].push((phi[i], eidx));
-            out[phi[i] as usize].push(uj);
-            inp[uj as usize].push(phi[i]);
+        let row_start = parents.len();
+        for (k, &(i, eidx)) in earlier.iter().enumerate() {
+            edge_parents.push((phi[i], eidx));
+            if k == 0 || earlier[k - 1].0 != i {
+                parents.push(phi[i]);
+            }
         }
+        // Negation parents are distinct (each placed vertex sits in one
+        // bucket) and never `P`-neighbours, so the row needs no dedup.
         if let Some(buckets) = negation.as_mut() {
             let l = star.label_id(uj);
             if !earlier.is_empty() {
                 for m in star.adjacent_labels(l) {
-                    for &ui in buckets.placed(m) {
-                        if neighbour_of[ui as usize] != j {
-                            out[ui as usize].push(uj);
-                            inp[uj as usize].push(ui);
-                        }
-                    }
+                    let placed = buckets.placed(m);
+                    parents.extend(
+                        placed.iter().copied().filter(|&ui| neighbour_of[ui as usize] != j),
+                    );
                 }
             }
             buckets.place(l, uj);
         }
+        parents[row_start..].sort_unstable();
+        parent_ends.push(parents.len());
+        edge_ends.push(edge_parents.len());
     }
-    for list in out.iter_mut().chain(inp.iter_mut()) {
-        list.sort_unstable();
-        list.dedup();
-    }
-    let dag = Dag { n, out, inp, edge_parents };
+    let (parent_start, parents) = by_vertex_id(phi, &parent_ends, &parents);
+    let (edge_start, edge_parents) = by_vertex_id(phi, &edge_ends, &edge_parents);
+    let (child_start, children) = transpose(n, &parent_start, &parents);
+    let dag = Dag { n, parent_start, parents, child_start, children, edge_start, edge_parents };
     #[cfg(debug_assertions)]
     if variant == Variant::VertexInduced {
         check_negation_parents(catalog, phi, &dag);
     }
     dag
+}
+
+/// Rows gathered in the order `visited` lists their vertices (the `j`-th
+/// ending at `ends[j]` in `items`), laid out as a CSR by vertex id.
+fn by_vertex_id<T: Copy + Default>(
+    visited: &[VertexId],
+    ends: &[usize],
+    items: &[T],
+) -> (Vec<usize>, Vec<T>) {
+    let mut start = vec![0usize; visited.len() + 1];
+    let mut lo = 0;
+    for (&u, &hi) in visited.iter().zip(ends) {
+        start[u as usize + 1] = hi - lo;
+        lo = hi;
+    }
+    prefix_sums(&mut start);
+    let mut laid = vec![T::default(); items.len()];
+    let mut lo = 0;
+    for (&u, &hi) in visited.iter().zip(ends) {
+        let at = start[u as usize];
+        laid[at..at + hi - lo].copy_from_slice(&items[lo..hi]);
+        lo = hi;
+    }
+    (start, laid)
+}
+
+/// Turn per-row counts at `start[u + 1]` into row offsets.
+fn prefix_sums(start: &mut [usize]) {
+    let mut total = 0;
+    for s in start {
+        total += *s;
+        *s = total;
+    }
+}
+
+/// The transpose of the CSR `(start, items)` over `n` vertices, by one
+/// counting pass in vertex-id order: every transposed row is ascending.
+fn transpose(n: usize, start: &[usize], items: &[VertexId]) -> (Vec<usize>, Vec<VertexId>) {
+    let mut t_start = vec![0usize; n + 1];
+    for &w in items {
+        t_start[w as usize + 1] += 1;
+    }
+    prefix_sums(&mut t_start);
+    let mut cursor = t_start.clone();
+    let mut t_items = vec![0; items.len()];
+    for (u, bounds) in (0..).zip(start.windows(2)) {
+        for &w in &items[bounds[0]..bounds[1]] {
+            t_items[cursor[w as usize]] = u;
+            cursor[w as usize] += 1;
+        }
+    }
+    (t_start, t_items)
 }
 
 /// The vertices of `Φ` placed so far, bucketed by pattern label id: where
@@ -198,7 +268,9 @@ fn check_negation_parents(catalog: &Catalog<'_>, phi: &[VertexId], dag: &Dag) {
 }
 
 /// The sweep over all `Φ²` pairs that the adjacency-driven [`build_dag`]
-/// replaced, kept as the oracle it is tested against.
+/// replaced, kept as the oracle it is tested against. It keeps one list
+/// per vertex and relation, children included, and lays them out as CSR
+/// only at the end ([`Dag::from_lists`]), so it also checks the transpose.
 #[cfg(test)]
 pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> Dag {
     let p = catalog.pattern();
@@ -237,7 +309,17 @@ pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], varian
         list.sort_unstable();
         list.dedup();
     }
-    Dag { n, out, inp, edge_parents }
+    Dag::from_lists(&out, &inp, &edge_parents)
+}
+
+/// Row `u` of a CSR; empty past the last row.
+#[inline]
+fn row<'s, T>(start: &[usize], items: &'s [T], u: VertexId) -> &'s [T] {
+    let u = u as usize;
+    match (start.get(u), start.get(u + 1)) {
+        (Some(&lo), Some(&hi)) => items.get(lo..hi).unwrap_or(&[]),
+        _ => &[],
+    }
 }
 
 impl Dag {
@@ -247,17 +329,39 @@ impl Dag {
     /// that [`build_dag`] can never produce. It carries no edge detail, so
     /// [`Dag::negation_parents`] reports every parent.
     pub fn from_arcs(n: usize, arcs: &[(VertexId, VertexId)]) -> Dag {
-        let mut out: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        let mut inp: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for &(a, b) in arcs {
-            out[a as usize].push(b);
-            inp[b as usize].push(a);
+        let mut by_child: Vec<(VertexId, VertexId)> = arcs.iter().map(|&(a, b)| (b, a)).collect();
+        by_child.sort_unstable();
+        by_child.dedup();
+        let mut parent_start = vec![0usize; n + 1];
+        for &(b, _) in &by_child {
+            parent_start[b as usize + 1] += 1;
         }
-        for list in out.iter_mut().chain(inp.iter_mut()) {
-            list.sort_unstable();
-            list.dedup();
+        prefix_sums(&mut parent_start);
+        let parents: Vec<VertexId> = by_child.iter().map(|&(_, a)| a).collect();
+        let (child_start, children) = transpose(n, &parent_start, &parents);
+        let (edge_start, edge_parents) = (vec![0; n + 1], Vec::new());
+        Dag { n, parent_start, parents, child_start, children, edge_start, edge_parents }
+    }
+
+    /// Lay out per-vertex lists as CSR, each row as given.
+    #[cfg(test)]
+    fn from_lists(
+        out: &[Vec<VertexId>],
+        inp: &[Vec<VertexId>],
+        edge_parents: &[Vec<(VertexId, usize)>],
+    ) -> Dag {
+        fn flatten<T: Copy>(lists: &[Vec<T>]) -> (Vec<usize>, Vec<T>) {
+            let mut start = vec![0];
+            start.extend(lists.iter().scan(0, |total, l| {
+                *total += l.len();
+                Some(*total)
+            }));
+            (start, lists.concat())
         }
-        Dag { n, out, inp, edge_parents: vec![Vec::new(); n] }
+        let (parent_start, parents) = flatten(inp);
+        let (child_start, children) = flatten(out);
+        let (edge_start, edge_parents) = flatten(edge_parents);
+        Dag { n: inp.len(), parent_start, parents, child_start, children, edge_start, edge_parents }
     }
 
     /// Number of pattern vertices.
@@ -266,23 +370,25 @@ impl Dag {
         self.n
     }
 
-    /// Children of `u` (vertices whose candidates depend on `u`).
+    /// Children of `u` (vertices whose candidates depend on `u`),
+    /// ascending.
     #[inline]
     pub fn children(&self, u: VertexId) -> &[VertexId] {
-        &self.out[u as usize]
+        row(&self.child_start, &self.children, u)
     }
 
-    /// Parents of `u` (vertices `u`'s candidates depend on).
+    /// Parents of `u` (vertices `u`'s candidates depend on), ascending.
     #[inline]
     pub fn parents(&self, u: VertexId) -> &[VertexId] {
-        &self.inp[u as usize]
+        row(&self.parent_start, &self.parents, u)
     }
 
     /// `(parent, pattern edge idx)` pairs realizing `u`'s edge
-    /// dependencies; a parent appears once per connecting pattern edge.
+    /// dependencies, in `Φ` order; a parent appears once per connecting
+    /// pattern edge.
     #[inline]
     pub fn edge_parents(&self, u: VertexId) -> &[(VertexId, usize)] {
-        &self.edge_parents[u as usize]
+        row(&self.edge_start, &self.edge_parents, u)
     }
 
     /// Negation-dependency parents of `u`: the parents no
@@ -294,7 +400,7 @@ impl Dag {
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(|l| l.len()).sum()
+        self.children.len()
     }
 
     /// Ancestor bit sets: `anc[u]` contains every vertex with a path to
@@ -324,8 +430,11 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::{random_graph, Rng};
+    use crate::plan::{Planner, PlannerConfig};
     use csce_ccsr::{build_ccsr, read_csr};
     use csce_graph::{Graph, GraphBuilder, NO_LABEL};
+    use proptest::prelude::*;
 
     /// The paper's Fig. 1 pattern P (see csce-graph's graph.rs tests):
     /// directed edges u1→u2, u1→u3, u1→u6, u7→u1, u2→u4, u5→u2, u6→u5,
@@ -459,6 +568,51 @@ mod tests {
                 let negation: usize =
                     (0..size as VertexId).map(|u| dag.negation_parents(u).count()).sum();
                 assert!(negation > 0, "size {size}: the pattern has negation dependencies");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `H` as the planner builds it (GCF, RI and LDSF orders), in every
+        /// variant, on connected 1–48-vertex patterns over a few or up to
+        /// 40 labels: every row is strictly ascending, the children are
+        /// exactly the transpose of the parents, `edge_count` is the number
+        /// of stored child entries, and rows past the last vertex are
+        /// empty.
+        #[test]
+        fn children_are_the_transpose_of_parents(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(48);
+            let labels = 1 + if rng.below(2) == 0 { rng.below(4) } else { rng.below(40) };
+            let extra = rng.below(2 * n + 1);
+            let p = random_graph(&mut rng, n, 0..labels, true, extra);
+            let data_n = 2 + rng.below(40);
+            let data_extra = rng.below(4 * data_n);
+            let g = random_graph(&mut rng, data_n, 0..labels + 1, false, data_extra);
+            let gc = build_ccsr(&g).unwrap();
+            let ldsf = PlannerConfig { ldsf: true, ..PlannerConfig::csce() };
+            for variant in Variant::ALL {
+                let star = read_csr(&gc, &p, variant);
+                let catalog = Catalog::new(&p, &star);
+                for config in [PlannerConfig::csce(), PlannerConfig::ri_only(), ldsf] {
+                    let dag = Planner::new(config).plan(&catalog, variant).dag;
+                    let (mut arcs, mut stored) = (Vec::new(), Vec::new());
+                    for u in 0..n as VertexId {
+                        let ascending = |row: &[VertexId]| row.windows(2).all(|w| w[0] < w[1]);
+                        prop_assert!(ascending(dag.parents(u)), "{} parents of {}", variant, u);
+                        prop_assert!(ascending(dag.children(u)), "{} children of {}", variant, u);
+                        arcs.extend(dag.parents(u).iter().map(|&w| (w, u)));
+                        stored.extend(dag.children(u).iter().map(|&c| (u, c)));
+                    }
+                    arcs.sort_unstable();
+                    prop_assert_eq!(&arcs, &stored, "{}", variant);
+                    prop_assert_eq!(dag.edge_count(), stored.len(), "{}", variant);
+                    let past = n as VertexId;
+                    prop_assert!(dag.parents(past).is_empty() && dag.children(past).is_empty());
+                    prop_assert!(dag.edge_parents(past).is_empty());
+                }
             }
         }
     }

@@ -171,15 +171,6 @@ impl SceAnalysis {
         }
     }
 
-    /// Fraction of SCE vertices whose independence is cluster-driven.
-    pub fn cluster_fraction(&self) -> f64 {
-        if self.sce_vertices == 0 {
-            0.0
-        } else {
-            self.cluster_sce_vertices as f64 / self.sce_vertices as f64
-        }
-    }
-
     /// Pair-level cluster share: of all independent (SCE) pairs, the
     /// fraction owing independence to empty clusters — the paper's
     /// sub-bar ratio.

@@ -143,9 +143,8 @@ fn worker_panic_degrades_to_a_clean_error() {
     let p = path_pattern(3);
     let engine = Engine::build(&g);
     let star = csce::ccsr::read_csr(engine.ccsr(), &p, Variant::EdgeInduced);
-    let catalog = Catalog::new(&p, &star);
-    let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced);
-    drop(catalog);
+    let plan =
+        Planner::new(PlannerConfig::csce()).plan(&Catalog::new(&p, &star), Variant::EdgeInduced);
     // One thread runs the same captured driver as four: the calling
     // thread is worker 0.
     for threads in [1usize, 4] {
