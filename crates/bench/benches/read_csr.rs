@@ -1,8 +1,12 @@
 //! Criterion micro-bench: Algorithm 1 (`ReadCSR`) — cluster selection per
 //! pattern and variant, the online read stage whose overhead Fig. 11
-//! studies. The last group reads a 500-vertex pattern from a Patent-shaped
-//! graph with 2000 labels, where a vertex-induced read meets ~450 pattern
-//! labels and would make ~10⁵ label-pair probes without the run index.
+//! studies. Edge-induced rows measure the per-edge key-index probes;
+//! vertex-induced rows the walk over the label-pair CSR rows of the
+//! pattern's labels. The last group reads a 500-vertex pattern from a
+//! Patent-shaped graph with 2000 labels, where a vertex-induced read meets
+//! ~450 pattern labels: ~10⁵ label-pair probes without the CSR, and ~10⁵
+//! merge steps with a walk that merged each row against the pattern
+//! labels, where the walk reads ~25k entries with one table read each.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};

@@ -7,9 +7,10 @@
 //! its two arcs into one flat buffer at its cluster's cursor, and each
 //! direction's slice is sorted into its row index (the `2|E| log 2|E|`
 //! sorting bound). No per-cluster list is grown and no `O(n)` work is done
-//! per cluster. After construction the original [`Graph`] is no longer
-//! needed: the `Ccsr` keeps the vertex labels and every edge (twice, in
-//! exactly one cluster).
+//! per cluster. `Ccsr::from_parts` then derives the label-pair CSR and
+//! the key index from the ordered table, one pass each. After construction
+//! the original [`Graph`] is no longer needed: the `Ccsr` keeps the vertex
+//! labels and every edge (twice, in exactly one cluster).
 
 use crate::cluster::Cluster;
 use crate::index::RowIndex;
@@ -27,17 +28,23 @@ pub struct Ccsr {
     /// Every cluster, ordered by `(label_pair, key)`: the clusters between
     /// one unordered label pair are contiguous and in key order.
     clusters: Vec<Cluster>,
-    /// Unordered label pair → the range of its clusters in `clusters`:
-    /// where [`Ccsr::cluster`] looks a key up and
-    /// [`Ccsr::negation_clusters`] finds any pair's clusters.
-    pairs: FxHashMap<(Label, Label), (u32, u32)>,
-    /// The run index: each label that is the smaller label of some pair,
-    /// ascending, with the index of its first cluster. The clusters whose
-    /// smaller label is `a` — `a`'s *run* — are contiguous in `clusters`,
-    /// ordered by `(larger label, key)`, and end where the next run begins.
-    /// `ReadCSR` walks the runs of the pattern's labels for the label
-    /// pairs `G_C` joins ([`Ccsr::label_run`]).
-    runs: Vec<(Label, u32)>,
+    /// The distinct vertex labels, ascending: label id `i` is `labels[i]`.
+    labels: Vec<Label>,
+    /// The label-pair CSR over label ids. Row `a` lists the pairs `(a, b)`,
+    /// `a ≤ b`, that have clusters: `pairs[pair_start[a]..pair_start[a +
+    /// 1]]`, each entry `(b, first cluster)`, ascending `b`. The entries
+    /// are in table order, so a pair's clusters end where the next entry's
+    /// begin, and row `a`'s clusters are `a`'s *run*.
+    /// [`Ccsr::negation_clusters`] and [`Ccsr::label_run`] find a row by
+    /// binary search over the labels; `ReadCSR` walks the rows of the
+    /// pattern's labels for the label pairs `G_C` joins.
+    pair_start: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+    /// The key index [`Ccsr::cluster`] probes: an open-addressing table of
+    /// cluster indexes (`u32::MAX` for an empty slot), a power of two at
+    /// least twice the cluster count, each key probing linearly from its
+    /// hash. One probe, usually, per pattern edge.
+    slots: Vec<u32>,
 }
 
 /// Cluster all edges of `g` into CCSR form (the offline stage of Fig. 2).
@@ -139,12 +146,19 @@ impl Ccsr {
         &self.label_freq
     }
 
-    /// Look up one cluster by identifier: a hash of its label pair, then a
-    /// binary search of that pair's few clusters.
+    /// Look up one cluster by identifier, in the key index: an empty slot
+    /// ends the probe.
     #[inline]
     pub fn cluster(&self, key: &ClusterKey) -> Option<&Cluster> {
-        let range = self.negation_clusters(key.src_label, key.dst_label);
-        range.binary_search_by(|c| c.key.cmp(key)).ok().and_then(|i| range.get(i))
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = slot(key, self.slots.len());
+        loop {
+            let c = self.clusters.get(*self.slots.get(at)? as usize)?;
+            if c.key == *key {
+                return Some(c);
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// All clusters, ordered by `(label pair, key)`.
@@ -158,11 +172,18 @@ impl Ccsr {
     }
 
     /// All clusters between an unordered vertex-label pair, in key order —
-    /// the `(u_x, u_y)*`-clusters.
+    /// the `(u_x, u_y)*`-clusters. Label ids order like the labels, so the
+    /// smaller label's row holds the pair: one binary search per label and
+    /// one in the row.
     pub fn negation_clusters(&self, a: Label, b: Label) -> &[Cluster] {
-        match self.pairs.get(&(a.min(b), a.max(b))) {
-            Some(&(lo, hi)) => self.clusters.get(lo as usize..hi as usize).unwrap_or(&[]),
-            None => &[],
+        let (Some(a), Some(b)) = (self.label_id(a.min(b)), self.label_id(a.max(b))) else {
+            return &[];
+        };
+        let (first, row) = self.pair_row(a);
+        let k = row.partition_point(|&(x, _)| x < b);
+        match row.get(k) {
+            Some(&(x, _)) if x == b => self.clusters_at(self.entry_range(first + k)),
+            _ => &[],
         }
     }
 
@@ -171,14 +192,39 @@ impl Ccsr {
     /// so the `(a, b)*`-clusters of each label `b ≥ a` are one contiguous
     /// group. Empty when no edge has `a` as its smaller label.
     pub fn label_run(&self, a: Label) -> (usize, &[Cluster]) {
-        let k = self.runs.partition_point(|&(l, _)| l < a);
-        match self.runs.get(k) {
-            Some(&(l, start)) if l == a => {
-                let end = self.runs.get(k + 1).map_or(self.clusters.len(), |&(_, s)| s as usize);
-                (start as usize, self.clusters_at(start as usize..end))
+        match self.label_id(a).map(|a| self.pair_row(a)) {
+            Some((first, row)) if !row.is_empty() => {
+                let run = self.entry_range(first).start..self.entry_range(first + row.len()).start;
+                (run.start, self.clusters_at(run))
             }
             _ => (0, &[]),
         }
+    }
+
+    /// The label id of `l`: its rank among the distinct vertex labels, or
+    /// `None` when no vertex carries `l`.
+    pub(crate) fn label_id(&self, l: Label) -> Option<u32> {
+        self.labels.binary_search(&l).ok().and_then(|i| u32::try_from(i).ok())
+    }
+
+    /// Row `a` of the label-pair CSR, `(larger label id, first cluster)`
+    /// per pair, ascending, with the index of its first entry.
+    pub(crate) fn pair_row(&self, a: u32) -> (usize, &[(u32, u32)]) {
+        let a = a as usize;
+        match (self.pair_start.get(a), self.pair_start.get(a + 1)) {
+            (Some(&lo), Some(&hi)) => {
+                (lo as usize, self.pairs.get(lo as usize..hi as usize).unwrap_or(&[]))
+            }
+            _ => (0, &[]),
+        }
+    }
+
+    /// The clusters of entry `e` of the label-pair CSR, as a range of the
+    /// table: from its first cluster to the next entry's (empty past the
+    /// last entry).
+    pub(crate) fn entry_range(&self, e: usize) -> Range<usize> {
+        let first = |e: usize| self.pairs.get(e).map_or(self.clusters.len(), |&(_, c)| c as usize);
+        first(e)..first(e + 1)
     }
 
     /// The clusters at `range` of the table (none past its end).
@@ -205,22 +251,28 @@ impl Ccsr {
 
     /// Heap bytes of the whole `G_C`: the vertex labels, the label
     /// frequencies, the cluster table and its row buffers, the label-pair
-    /// map and the run index. Hash tables are estimated from their
+    /// CSR and the key index. The frequency table is estimated from its
     /// capacity.
     pub fn heap_bytes(&self) -> usize {
         self.vertex_labels.capacity() * std::mem::size_of::<Label>()
             + table_bytes(&self.label_freq)
             + self.clusters.capacity() * std::mem::size_of::<Cluster>()
             + self.clusters.iter().map(Cluster::heap_bytes).sum::<usize>()
-            + table_bytes(&self.pairs)
-            + self.runs.capacity() * std::mem::size_of::<(Label, u32)>()
+            + self.labels.capacity() * std::mem::size_of::<Label>()
+            + self.pair_start.capacity() * std::mem::size_of::<u32>()
+            + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The one constructor, shared by [`build_ccsr`] and decoding: it
     /// orders the clusters by `(label pair, key)` (a linear pass when they
-    /// already are, as a build's are) and derives the label-frequency,
-    /// label-pair and run indexes from that order. Callers run
-    /// [`Ccsr::check`] on the result.
+    /// already are, as a build's are), numbers the distinct vertex labels
+    /// and derives the label frequencies, the label-pair CSR and the key
+    /// index from that order: the smaller labels ascend, so a cursor finds
+    /// their ids, and one hash lookup per pair finds the larger label's. A
+    /// pair with a label no vertex carries is left out of the CSR; such a
+    /// `G_C` fails [`Ccsr::check`] (`key-label-agreement`), which callers
+    /// run on the result.
     pub(crate) fn from_parts(
         n: u32,
         vertex_labels: Vec<Label>,
@@ -230,21 +282,62 @@ impl Ccsr {
         for &l in &vertex_labels {
             *label_freq.entry(l).or_insert(0) += 1;
         }
+        let mut labels: Vec<Label> = label_freq.keys().copied().collect();
+        labels.sort_unstable();
         clusters.sort_unstable_by_key(|c| (c.key.label_pair(), c.key));
         clusters.shrink_to_fit();
-        let pair_count = clusters.chunk_by(|a, b| a.key.label_pair() == b.key.label_pair()).count();
-        let mut pairs = FxHashMap::with_capacity_and_hasher(pair_count, Default::default());
-        let mut runs: Vec<(Label, u32)> = Vec::new();
+        let ids: FxHashMap<Label, u32> = labels.iter().copied().zip(0..).collect();
+        let mut pair_start = vec![0u32; labels.len() + 1];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let (mut last, mut a) = (None, 0);
         for (i, c) in (0u32..).zip(&clusters) {
             let pair = c.key.label_pair();
-            pairs.entry(pair).or_insert((i, i)).1 = i + 1;
-            if runs.last().is_none_or(|&(a, _)| a != pair.0) {
-                runs.push((pair.0, i));
+            if last.replace(pair) == Some(pair) {
+                continue;
+            }
+            while labels.get(a).is_some_and(|&l| l < pair.0) {
+                a += 1;
+            }
+            match (labels.get(a), ids.get(&pair.1)) {
+                (Some(&l), Some(&b)) if l == pair.0 => {
+                    if let Some(count) = pair_start.get_mut(a + 1) {
+                        *count += 1;
+                    }
+                    pairs.push((b, i));
+                }
+                _ => {}
             }
         }
-        runs.shrink_to_fit();
-        Ccsr { n, vertex_labels, label_freq, clusters, pairs, runs }
+        let mut total = 0;
+        for s in &mut pair_start {
+            total += *s;
+            *s = total;
+        }
+        pairs.shrink_to_fit();
+        // The cluster count fits a `u32` (builds and decodes check it), so
+        // no index is the empty mark.
+        let len = (2 * clusters.len()).next_power_of_two();
+        let mut slots = vec![u32::MAX; len];
+        for (i, c) in (0u32..).zip(&clusters) {
+            let mut at = slot(&c.key, len);
+            while slots[at] != u32::MAX {
+                at = (at + 1) & (len - 1);
+            }
+            slots[at] = i;
+        }
+        Ccsr { n, vertex_labels, label_freq, clusters, labels, pair_start, pairs, slots }
     }
+}
+
+/// The home slot of `key` in a key index of `len` slots (a power of two):
+/// the top bits of a multiplicative hash.
+#[inline]
+fn slot(key: &ClusterKey, len: usize) -> usize {
+    let pair = u64::from(key.src_label) << 32 | u64::from(key.dst_label);
+    let rest = u64::from(key.edge_label) << 1 | u64::from(key.directed);
+    let hash =
+        (pair.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ rest).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    hash.checked_shr((len as u64).leading_zeros() + 1).unwrap_or(0) as usize
 }
 
 /// Heap bytes of a hash table with `map`'s capacity: one `(K, V)` slot and
@@ -261,7 +354,142 @@ fn table_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist;
+    use crate::read::tests::Rng;
     use csce_graph::{GraphBuilder, NO_LABEL};
+    use proptest::prelude::*;
+
+    /// The pair index the label-pair CSR replaced, kept as its oracle: a
+    /// hash map from each unordered label pair to its range of the table,
+    /// and a run list with one `(smaller label, first cluster)` entry per
+    /// smaller label, ascending.
+    struct PairMap {
+        pairs: FxHashMap<(Label, Label), (u32, u32)>,
+        runs: Vec<(Label, u32)>,
+    }
+
+    impl PairMap {
+        fn new(gc: &Ccsr) -> PairMap {
+            let (mut pairs, mut runs) = (FxHashMap::default(), Vec::<(Label, u32)>::new());
+            for (i, c) in (0u32..).zip(gc.clusters()) {
+                let pair = c.key.label_pair();
+                pairs.entry(pair).or_insert((i, i)).1 = i + 1;
+                if runs.last().is_none_or(|&(a, _)| a != pair.0) {
+                    runs.push((pair.0, i));
+                }
+            }
+            PairMap { pairs, runs }
+        }
+
+        fn negation_clusters<'c>(&self, gc: &'c Ccsr, a: Label, b: Label) -> &'c [Cluster] {
+            match self.pairs.get(&(a.min(b), a.max(b))) {
+                Some(&(lo, hi)) => gc.clusters_at(lo as usize..hi as usize),
+                None => &[],
+            }
+        }
+
+        fn label_run<'c>(&self, gc: &'c Ccsr, a: Label) -> (usize, &'c [Cluster]) {
+            let k = self.runs.partition_point(|&(l, _)| l < a);
+            match self.runs.get(k) {
+                Some(&(l, start)) if l == a => {
+                    let end = self.runs.get(k + 1).map_or(gc.cluster_count(), |&(_, s)| s as usize);
+                    (start as usize, gc.clusters_at(start as usize..end))
+                }
+                _ => (0, &[]),
+            }
+        }
+    }
+
+    /// Whether two cluster slices are the same clusters of one table.
+    fn same(a: &[Cluster], b: &[Cluster]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(x, y))
+    }
+
+    /// Vertex labels for the oracle property, the `u32` extremes included
+    /// (`u32::MAX` is `NO_LABEL`, the largest label a vertex may carry is
+    /// one less); each also asked about one off, so that labels no vertex
+    /// carries are asked about too.
+    const POOL: [Label; 8] = [0, 1, 2, 5, 1000, 1 << 31, u32::MAX - 2, u32::MAX - 1];
+
+    /// `negation_clusters` and `label_run` of every asked label (pair)
+    /// are the pair map's, and the key index finds every cluster of the
+    /// table and, of every key over the asked labels, exactly the one the
+    /// pair map's group holds.
+    fn assert_matches_pair_map(gc: &Ccsr, asked: &[Label]) {
+        let oracle = PairMap::new(gc);
+        for c in gc.clusters() {
+            prop_assert!(gc.cluster(&c.key).is_some_and(|found| std::ptr::eq(found, c)));
+        }
+        for &a in asked {
+            let (got, want) = (gc.label_run(a), oracle.label_run(gc, a));
+            prop_assert_eq!(got.0, want.0, "start of the run of {}", a);
+            prop_assert!(same(got.1, want.1), "run of {}", a);
+            for &b in asked {
+                let (got, want) = (gc.negation_clusters(a, b), oracle.negation_clusters(gc, a, b));
+                prop_assert!(same(got, want), "clusters of ({}, {})", a, b);
+                for edge in [0, 1, NO_LABEL] {
+                    for key in
+                        [ClusterKey::directed(a, b, edge), ClusterKey::undirected(a, b, edge)]
+                    {
+                        let want = want.iter().find(|c| c.key == key);
+                        prop_assert_eq!(
+                            gc.cluster(&key).map(std::ptr::from_ref),
+                            want.map(std::ptr::from_ref)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The label-pair CSR answers `negation_clusters` for every pair
+        /// of asked labels and `label_run` for every asked label as the
+        /// pair map and run list did, and the key index finds each key's
+        /// cluster, for a built `G_C` and for its `persist` round trip,
+        /// whose answers are the same clusters by key. Graphs have 2–60
+        /// vertices over a random subset of [`POOL`], with directed and
+        /// undirected edges and edge labels.
+        #[test]
+        fn label_pair_csr_matches_pair_map_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let pool: Vec<Label> = POOL.iter().copied().filter(|_| rng.below(2) == 0).collect();
+            let pool = if pool.is_empty() { vec![POOL[rng.below(POOL.len())]] } else { pool };
+            let mut b = GraphBuilder::new();
+            let n = 2 + rng.below(59);
+            for _ in 0..n {
+                b.add_vertex(pool[rng.below(pool.len())]);
+            }
+            for _ in 0..rng.below(4 * n) {
+                let (x, y) = (rng.below(n) as VertexId, rng.below(n) as VertexId);
+                let label = [0, 1, NO_LABEL][rng.below(3)];
+                let _ = if rng.below(3) == 0 {
+                    b.add_undirected_edge(x, y, label)
+                } else {
+                    b.add_edge(x, y, label)
+                };
+            }
+            let gc = build_ccsr(&b.build()).unwrap();
+            let back = persist::from_bytes(&persist::to_bytes(&gc).unwrap()).unwrap();
+            let mut asked: Vec<Label> =
+                POOL.iter().flat_map(|&l| [l.saturating_sub(1), l, l.saturating_add(1)]).collect();
+            asked.sort_unstable();
+            asked.dedup();
+            assert_matches_pair_map(&gc, &asked);
+            assert_matches_pair_map(&back, &asked);
+            let keys = |c: &[Cluster]| c.iter().map(|c| c.key).collect::<Vec<_>>();
+            for &a in &asked {
+                prop_assert_eq!(back.label_run(a).0, gc.label_run(a).0);
+                prop_assert_eq!(keys(back.label_run(a).1), keys(gc.label_run(a).1));
+                for &b in &asked {
+                    let (x, y) = (back.negation_clusters(a, b), gc.negation_clusters(a, b));
+                    prop_assert_eq!(keys(x), keys(y), "({}, {})", a, b);
+                }
+            }
+        }
+    }
 
     /// The data graph G of the paper's Fig. 1, reconstructed from the text:
     /// labels A=0, B=1, C=2, D=3; directed edges.

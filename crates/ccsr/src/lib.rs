@@ -14,16 +14,20 @@
 //! cluster count — and finds a row by binary search; when at least half of
 //! the vertices have arcs, the dense `n + 1` offsets are no longer, and it
 //! stores those for O(1) rows. Each row index is one exact-size buffer, and
-//! the clusters sit in one table ordered by unordered label pair, with one
-//! map from each pair to its range: a graph with thousands of labels has
-//! tens of thousands of clusters of one or two edges, and per-cluster
-//! allocations and hash entries would outweigh the arcs. The same order
-//! makes the clusters of each smaller label one contiguous *run*, indexed
-//! per label ([`Ccsr::label_run`]). [`read_csr`] (Algorithm 1) resolves a
-//! pattern against `G_C` once into the [`GcStar`] every later stage reads:
-//! each pattern edge's cluster, each pattern vertex's incident edges, the
-//! pattern's labels numbered densely, and the label pairs `G_C` joins,
-//! walked through the runs of the pattern's labels. It decodes no cluster: queries read rows in place.
+//! the clusters sit in one table ordered by unordered label pair: a graph
+//! with thousands of labels has tens of thousands of clusters of one or
+//! two edges, and per-cluster allocations and hash entries would outweigh
+//! the arcs. Two flat indexes sit next to the table: a label-pair CSR over
+//! the densely numbered vertex labels, whose row for label `a` lists the
+//! pairs `(a, b ≥ a)` with clusters and so makes up `a`'s contiguous *run*
+//! ([`Ccsr::label_run`], [`Ccsr::negation_clusters`]), and a key index,
+//! one open-addressing table of cluster indexes ([`Ccsr::cluster`]).
+//! [`read_csr`] (Algorithm 1) resolves a pattern against `G_C` once into
+//! the [`GcStar`] every later stage reads: each pattern edge's cluster,
+//! each pattern vertex's incident edges, the pattern's labels numbered
+//! densely, and the label pairs `G_C` joins, walked through the CSR rows
+//! of the pattern's labels. It decodes no cluster: queries read rows in
+//! place.
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully

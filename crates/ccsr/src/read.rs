@@ -11,17 +11,18 @@
 //!
 //! Most label pairs have no cluster, so the read does not probe every
 //! pair of pattern labels: for each distinct pattern label `a` it walks
-//! `a`'s run ([`Ccsr::label_run`]), merging the run's larger labels
-//! against the sorted pattern labels, and keeps the groups whose larger
-//! label is a pattern label (`a` itself only when two pattern vertices
-//! carry it). A vertex-induced read walks at once, any other star on first
+//! `a`'s row of `G_C`'s label-pair CSR (its run, [`Ccsr::label_run`]) up
+//! to the last pattern label, and keeps the entries whose larger label is
+//! a pattern label (`a` itself only when two pattern vertices carry it),
+//! each checked by one read of a table from `G_C` label ids to pattern
+//! label ids. A vertex-induced read walks at once, any other star on first
 //! use. The read decodes no cluster: the executor reads rows in place
-//! ([`Cluster::out_neighbors`]). Every read costs one pair-map lookup per
+//! ([`Cluster::out_neighbors`]). Every read costs one key-index probe per
 //! pattern edge and a sort of the pattern's labels; the walk, a binary
-//! search per pattern label and a merge of its run, up to the last pattern
-//! label, with the pattern labels from its own on — no hash probe. The
-//! star also lists each pattern vertex's incident edges, in one CSR built
-//! by counting, so every catalog over it borrows them.
+//! search per pattern label, a table over the span of their `G_C` ids and
+//! `O(1)` per walked entry — no merge, no hash probe. The star also lists
+//! each pattern vertex's incident edges, in one CSR built by counting, so
+//! every catalog over it borrows them.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
@@ -65,6 +66,7 @@ pub struct GcStar<'a> {
 /// in `a`'s row of `upper`, ascending `b`, with its range in `G_C`'s
 /// cluster table (a range, not a slice, so the star's lazy cell holds no
 /// borrow), and `lower` lists under each `b` the `a < b` joined to it.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct LabelPairs {
     upper_start: Vec<usize>,
     upper: Vec<(usize, Range<usize>)>,
@@ -178,49 +180,78 @@ fn incidence(p: &Graph) -> (Vec<usize>, Vec<(usize, Side)>) {
 /// The label pairs `(a, b)`, `a ≤ b`, of the pattern labels `labels`
 /// (distinct, ascending, `sizes` vertices each) that have clusters in
 /// `G_C` — `(a, a)` only when two pattern vertices carry `a`.
+///
+/// Each pattern label's `G_C` label id is found once, by binary search,
+/// and one table maps each `G_C` label id in the span of the pattern's ids
+/// to its pattern label id. The walk reads each pattern label's row of
+/// `G_C`'s label-pair CSR up to the last pattern id and checks each entry
+/// with one table read: `O(walked entries + span)`, never a merge against
+/// the pattern labels. The span is at most `G_C`'s label count, whatever
+/// the label values.
 fn walk_label_pairs(ccsr: &Ccsr, labels: &[Label], sizes: &[usize]) -> LabelPairs {
-    let (mut upper_start, mut upper) = (Vec::with_capacity(labels.len() + 1), Vec::new());
-    let mut lower_start = vec![0usize; labels.len() + 1];
-    for (i, (&a, &size)) in labels.iter().zip(sizes).enumerate() {
+    let gc_ids: Vec<Option<u32>> = labels.iter().map(|&l| ccsr.label_id(l)).collect();
+    let mut present = gc_ids.iter().flatten();
+    let lo = present.next().copied().unwrap_or(0);
+    let span = present.last().map_or(1, |&hi| (hi - lo) as usize + 1);
+    // Pattern label id per `G_C` label id `lo + k`, `usize::MAX` for none.
+    let mut pattern_id = vec![usize::MAX; span];
+    for (l, &g) in gc_ids.iter().enumerate() {
+        if let Some(slot) = g.and_then(|g| pattern_id.get_mut((g - lo) as usize)) {
+            *slot = l;
+        }
+    }
+    let (mut upper_start, mut upper) = (Vec::with_capacity(gc_ids.len() + 1), Vec::new());
+    for (i, (&g, &size)) in gc_ids.iter().zip(sizes).enumerate() {
         upper_start.push(upper.len());
-        let ((mut end, run), mut j) = (ccsr.label_run(a), i);
-        for group in run.chunk_by(|x, y| x.key.label_pair() == y.key.label_pair()) {
-            let range = end..end + group.len();
-            end = range.end;
-            let Some(b) = group.first().map(|c| c.key.label_pair().1) else { continue };
-            while labels.get(j).is_some_and(|&l| l < b) {
-                j += 1;
+        let Some(g) = g else { continue };
+        let (first, row) = ccsr.pair_row(g);
+        for (k, &(b, _)) in row.iter().enumerate() {
+            // Rows ascend, so the first entry past the span ends the walk.
+            let Some(&j) = pattern_id.get((b - lo) as usize) else { break };
+            if j == usize::MAX || (j == i && size < 2) {
+                continue;
             }
-            match labels.get(j) {
-                None => break,
-                Some(&l) if l == b && (j != i || size > 1) => upper.push((j, range)),
-                Some(_) => continue,
-            }
-            if let Some(s) = lower_start.get_mut(j + 1).filter(|_| j != i) {
-                *s += 1;
-            }
+            upper.push((j, ccsr.entry_range(first + k)));
         }
     }
     upper_start.push(upper.len());
-    let mut total = 0;
-    for s in &mut lower_start {
-        total += *s;
-        *s = total;
-    }
-    // Transposing the rows in ascending `a` keeps each `lower` row ascending.
-    let (mut cursor, mut lower) = (lower_start.clone(), vec![0; total]);
-    for (a, bounds) in upper_start.windows(2).enumerate() {
-        let &[lo, hi] = bounds else { continue };
-        for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
-            if let Some(at) = cursor.get_mut(b) {
-                if let Some(slot) = lower.get_mut(*at) {
-                    *slot = a;
+    LabelPairs::from_upper(upper_start, upper)
+}
+
+impl LabelPairs {
+    /// The pairs from their `upper` rows, with the `lower` rows built by
+    /// one counting transpose.
+    fn from_upper(upper_start: Vec<usize>, upper: Vec<(usize, Range<usize>)>) -> LabelPairs {
+        let mut lower_start = vec![0usize; upper_start.len()];
+        for (a, bounds) in upper_start.windows(2).enumerate() {
+            let &[lo, hi] = bounds else { continue };
+            for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
+                if let Some(s) = lower_start.get_mut(b + 1) {
+                    *s += 1;
                 }
-                *at += 1;
             }
         }
+        let mut total = 0;
+        for s in &mut lower_start {
+            total += *s;
+            *s = total;
+        }
+        // Transposing the rows in ascending `a` keeps each `lower` row
+        // ascending.
+        let (mut cursor, mut lower) = (lower_start.clone(), vec![0; total]);
+        for (a, bounds) in upper_start.windows(2).enumerate() {
+            let &[lo, hi] = bounds else { continue };
+            for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
+                if let Some(at) = cursor.get_mut(b) {
+                    if let Some(slot) = lower.get_mut(*at) {
+                        *slot = a;
+                    }
+                    *at += 1;
+                }
+            }
+        }
+        LabelPairs { upper_start, upper, lower_start, lower }
     }
-    LabelPairs { upper_start, upper, lower_start, lower }
 }
 
 /// Row `l` of a CSR.
@@ -311,7 +342,7 @@ impl<'a> GcStar<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::build::build_ccsr;
     use csce_graph::{FxHashMap, GraphBuilder, NO_LABEL};
@@ -322,8 +353,8 @@ mod tests {
     /// The key-map read the resolved star replaced, kept as its oracle:
     /// one hash-map entry per distinct selected cluster, loaded per pattern
     /// edge and, for vertex-induced matching, per pair of pattern vertices
-    /// through `G_C`'s pair map, recording each such label pair with
-    /// clusters.
+    /// through [`Ccsr::negation_clusters`], recording each such label pair
+    /// with clusters.
     #[derive(Default)]
     struct KeyMapRead<'a> {
         clusters: FxHashMap<ClusterKey, &'a Cluster>,
@@ -364,6 +395,33 @@ mod tests {
         }
     }
 
+    /// The merge walk the label-id table replaced, kept as its oracle: for
+    /// each pattern label (distinct, ascending, `sizes` vertices each) it
+    /// walks the label's run, advancing through the sorted pattern labels
+    /// for every group of the run.
+    fn walk_label_pairs_merge(ccsr: &Ccsr, labels: &[Label], sizes: &[usize]) -> LabelPairs {
+        let (mut upper_start, mut upper) = (Vec::new(), Vec::new());
+        for (i, (&a, &size)) in labels.iter().zip(sizes).enumerate() {
+            upper_start.push(upper.len());
+            let ((mut end, run), mut j) = (ccsr.label_run(a), i);
+            for group in run.chunk_by(|x, y| x.key.label_pair() == y.key.label_pair()) {
+                let range = end..end + group.len();
+                end = range.end;
+                let b = group[0].key.label_pair().1;
+                while labels.get(j).is_some_and(|&l| l < b) {
+                    j += 1;
+                }
+                match labels.get(j) {
+                    None => break,
+                    Some(&l) if l == b && (j != i || size > 1) => upper.push((j, range)),
+                    Some(_) => {}
+                }
+            }
+        }
+        upper_start.push(upper.len());
+        LabelPairs::from_upper(upper_start, upper)
+    }
+
     /// Whether two cluster slices are the same clusters of `G_C`.
     fn same(a: &[Cluster], b: &[Cluster]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(x, y))
@@ -377,12 +435,15 @@ mod tests {
     /// its side; the label ids rank the distinct labels; and each pair of label ids finds
     /// [`Ccsr::negation_clusters`] of its labels under the same-label rule,
     /// with each row listing the oracle's label pairs, ascending, whether
-    /// the pairs were walked at read time (vertex-induced) or on first use.
+    /// the pairs were walked at read time (vertex-induced) or on first use,
+    /// and the walk's rows are the merge walk's.
     fn assert_matches_key_map_oracle(gc: &Ccsr, p: &Graph) {
         let adjacent = KeyMapRead::new(gc, p, Variant::VertexInduced).pairs;
         for variant in Variant::ALL {
             let got = read_csr(gc, p, variant);
             let want = KeyMapRead::new(gc, p, variant);
+            let merge = walk_label_pairs_merge(gc, &got.labels, got.label_sizes());
+            prop_assert_eq!(got.label_pairs(), &merge, "{}", variant);
             prop_assert_eq!(got.edge_clusters().len(), p.m(), "{}", variant);
             for (e, &c) in p.edges().iter().zip(got.edge_clusters()) {
                 let lookup = gc.cluster(&pattern_edge_key(p, e));
@@ -426,10 +487,10 @@ mod tests {
     }
 
     /// SplitMix64: the random source of the oracle property.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -521,6 +582,42 @@ mod tests {
                 .sum();
             assert!(count > size, "size {size}: {count} label pairs");
         }
+    }
+
+    /// A vertex-induced read whose data and pattern labels sit at the
+    /// `u32` extremes, next to pattern labels `G_C` lacks: the walk's
+    /// table spans `G_C`'s two label ids, not the label values, and the
+    /// star's pairs and counters are the key-map oracle's.
+    #[test]
+    fn vertex_induced_read_at_the_label_extremes() {
+        let (low, high) = (0, u32::MAX - 1);
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = [low, high, low, high].iter().map(|&l| b.add_vertex(l)).collect();
+        b.add_edge(v[0], v[1], NO_LABEL).unwrap();
+        b.add_edge(v[3], v[2], NO_LABEL).unwrap();
+        b.add_undirected_edge(v[0], v[2], 7).unwrap();
+        b.add_edge(v[1], v[3], NO_LABEL).unwrap();
+        let gc = build_ccsr(&b.build()).unwrap();
+        // A path low - 5 - high - (u32::MAX - 2) - low - high: labels 5 and
+        // u32::MAX - 2 are missing from `G_C`.
+        let mut b = GraphBuilder::new();
+        for l in [low, 5, high, u32::MAX - 2, low, high] {
+            b.add_vertex(l);
+        }
+        for u in 0..5 {
+            b.add_edge(u, u + 1, NO_LABEL).unwrap();
+        }
+        let p = b.build();
+        assert_matches_key_map_oracle(&gc, &p);
+        let star = read_csr(&gc, &p, Variant::VertexInduced);
+        let want = KeyMapRead::new(&gc, &p, Variant::VertexInduced);
+        assert_eq!(star.read_stats(), want.stats);
+        assert_eq!(want.stats.missing_clusters, 4);
+        assert_eq!(want.pairs, BTreeSet::from([(low, low), (low, high), (high, high)]));
+        let (l, h) = (star.label_id(0), star.label_id(2));
+        assert!(same(star.pair_clusters(l, h), gc.negation_clusters(low, high)));
+        assert_eq!(star.adjacent_labels(l).collect::<Vec<_>>(), [l, h]);
+        assert_eq!(star.adjacent_labels(star.label_id(1)).count(), 0);
     }
 
     /// Data: labels 0,1,2; edges (0)-(1) directed per label combination.

@@ -375,8 +375,10 @@ impl<'a> Executor<'a> {
     /// candidate, which is what makes the cached set reusable across
     /// sibling mappings.
     fn materialize_candidates(&mut self, u: VertexId, depth: usize) -> (usize, usize) {
-        let slot = self.plan.cache_slot[u as usize] as usize;
-        let parents = self.plan.dag.parents(u);
+        // `u`'s `H` rows, read once; they borrow the plan, not `self`.
+        let plan = self.plan;
+        let slot = plan.cache_slot[u as usize] as usize;
+        let (parents, edge_parents) = (plan.dag.parents(u), plan.dag.edge_parents(u));
         // Signature: the mappings of all H-parents (edge + negation).
         let sig_matches = self.config.use_sce_cache
             && self.caches[slot].valid
@@ -392,7 +394,7 @@ impl<'a> Executor<'a> {
         }
         self.stats.candidate_computations += 1;
         let mut cands = std::mem::take(&mut self.caches[slot].cands);
-        self.compute_candidates(u, &mut cands);
+        self.compute_candidates(u, parents, edge_parents, &mut cands);
         let cache = &mut self.caches[slot];
         cache.cands = cands;
         cache.sig.clear();
@@ -402,10 +404,16 @@ impl<'a> Executor<'a> {
         (slot, len)
     }
 
-    /// Compute `C(u | Φ, f)` from scratch into `out`.
-    fn compute_candidates(&mut self, u: VertexId, out: &mut Vec<VertexId>) {
+    /// Compute `C(u | Φ, f)` from scratch into `out`, given `u`'s `H`
+    /// parents and edge parents.
+    fn compute_candidates(
+        &mut self,
+        u: VertexId,
+        parents: &[VertexId],
+        edge_parents: &[(VertexId, usize)],
+        out: &mut Vec<VertexId>,
+    ) {
         out.clear();
-        let edge_parents = self.plan.dag.edge_parents(u);
         if edge_parents.is_empty() {
             // First vertex of the order (or an isolated pattern vertex):
             // worst-case-optimal join seed over all incident relations.
@@ -455,7 +463,7 @@ impl<'a> Executor<'a> {
             return;
         }
         let (p, star) = (self.catalog.pattern(), self.catalog.star());
-        for &parent in self.plan.dag.parents(u) {
+        for &parent in parents {
             let w = self.f[parent as usize];
             debug_assert_ne!(w, UNMAPPED, "dependency parents precede u in Φ*");
             let parent_label = p.label(parent);

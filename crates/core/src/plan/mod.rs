@@ -323,9 +323,7 @@ fn build_exec_tree(
     order: &[VertexId],
     variant: Variant,
 ) -> ExecNode {
-    let mut builder = TreeBuilder::new(catalog.star(), dag, order, variant);
-    let roots: Vec<usize> = (0..order.len()).filter(|&k| builder.parent[k] == usize::MAX).collect();
-    builder.tree_over(roots)
+    TreeBuilder::new(catalog.star(), dag, order, variant).tree()
 }
 
 /// The merge forest over plan positions, and the buffers of the split
@@ -346,10 +344,22 @@ struct TreeBuilder<'a> {
     size: Vec<usize>,
     /// The star's label id per position.
     label_id: Vec<usize>,
-    /// Per dense label: the split test that last saw it, and the root
-    /// whose subtree it was seen in.
-    stamp: Vec<(usize, usize)>,
+    /// Per dense label: the split test that last saw it, the root whose
+    /// subtree it was seen in, and the position that carried it.
+    stamp: Vec<(usize, usize, usize)>,
     generation: usize,
+    /// The two positions of one label, in different frontier subtrees,
+    /// that the last failed split test found, and which positions are
+    /// sequenced. Popping a root only splits its subtree further, so
+    /// while neither position is sequenced the two stay in different
+    /// subtrees and every split test fails without a scan. A witness found
+    /// inside one `Split` component is spent by the time the next one
+    /// starts: every position of a component is sequenced before then.
+    witness: Option<(usize, usize)>,
+    placed: Vec<bool>,
+    /// Full split scans made, for the test that bounds them.
+    #[cfg(test)]
+    scans: usize,
 }
 
 impl<'a> TreeBuilder<'a> {
@@ -424,9 +434,19 @@ impl<'a> TreeBuilder<'a> {
             pre_start,
             size,
             label_id: order.iter().map(|&u| star.label_id(u)).collect(),
-            stamp: vec![(0, 0); star.label_sizes().len()],
+            stamp: vec![(0, 0, 0); star.label_sizes().len()],
             generation: 0,
+            witness: None,
+            placed: vec![false; n],
+            #[cfg(test)]
+            scans: 0,
         }
+    }
+
+    /// The tree over every position: the union of the forest's roots.
+    fn tree(&mut self) -> ExecNode {
+        let roots = (0..self.order.len()).filter(|&k| self.parent[k] == usize::MAX).collect();
+        self.tree_over(roots)
     }
 
     /// The tree over the union of the subtrees of `roots`. `Seq` chains
@@ -445,6 +465,7 @@ impl<'a> TreeBuilder<'a> {
                 break ExecNode::Done;
             };
             chain.push(self.order[k]);
+            self.placed[k] = true;
             let kids = &self.children[self.child_start[k]..self.child_start[k + 1]];
             frontier.extend(kids.iter().map(|&c| Reverse(c)));
         };
@@ -457,9 +478,22 @@ impl<'a> TreeBuilder<'a> {
     /// candidate sets cannot collide. Cross-component induced constraints
     /// are already impossible — any label-adjacent non-neighbor pair
     /// carries a negation dependency and would have merged the components.
+    ///
+    /// A failed scan keeps its collision as the witness, and the tests
+    /// after it fail at once until one of its two positions is sequenced,
+    /// so a frontier is rescanned only when its last collision is gone.
     fn split_safe(&mut self, frontier: &BinaryHeap<Reverse<usize>>) -> bool {
         if !self.injective {
             return true;
+        }
+        if let Some((x, y)) = self.witness {
+            if !self.placed[x] && !self.placed[y] {
+                return false;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.scans += 1;
         }
         self.generation += 1;
         for &Reverse(root) in frontier {
@@ -467,9 +501,10 @@ impl<'a> TreeBuilder<'a> {
             for &k in &self.preorder[start..start + self.size[root]] {
                 let stamp = &mut self.stamp[self.label_id[k]];
                 if stamp.0 == self.generation && stamp.1 != root {
+                    self.witness = Some((stamp.2, k));
                     return false;
                 }
-                *stamp = (self.generation, root);
+                *stamp = (self.generation, root, k);
             }
         }
         true
@@ -706,13 +741,15 @@ mod tests {
         /// own `Φ*` (LDSF ablation included), in every variant, and the
         /// default `Φ*` is the GCF order. Patterns have 1–48 vertices over
         /// 1–40 labels (one label, a few repeated ones, or mostly distinct
-        /// ones); data labels start past some pattern labels and run past
-        /// the pattern's last one.
+        /// ones), a third of them over 1–3 labels, where split tests fail
+        /// repeatedly and their witness is reused and replaced; data labels
+        /// start past some pattern labels and run past the pattern's last
+        /// one.
         #[test]
         fn plan_stages_match_their_oracles(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
             let n = 1 + rng.below(48);
-            let labels = rng.label_count();
+            let labels = if rng.below(3) == 0 { 1 + rng.below(3) } else { rng.label_count() };
             let extra = rng.below(2 * n + 1);
             let p = random_graph(&mut rng, n, 0..labels, true, extra);
             let data_n = 2 + rng.below(40);
@@ -818,6 +855,28 @@ mod tests {
         let factorized = Executor::new(&catalog, &plan, RunConfig::default()).count();
         let sequential = Executor::new(&catalog, &plain, RunConfig::default()).count();
         assert_eq!(factorized, sequential);
+    }
+
+    /// A sparse edge-induced plan of 500 vertices over 2000 labels (the
+    /// `large-hetero` shape) rescans its frontier only when the last
+    /// collision is gone: a few dozen full split scans, where one per
+    /// failed split made about 480.
+    #[test]
+    fn split_tests_reuse_their_witness() {
+        use csce_graph::generate::{chung_lu, randomize_vertex_labels};
+        use csce_graph::sample::PatternSampler;
+        use csce_graph::Density;
+        let g = randomize_vertex_labels(&chung_lu(20_000, 88_000, 2.6, 20, 0, false, 7), 2000, 1);
+        let gc = build_ccsr(&g).unwrap();
+        let p = PatternSampler::new(&g, 1).sample(500, Density::Sparse).expect("a pattern").pattern;
+        let variant = Variant::EdgeInduced;
+        let star = read_csr(&gc, &p, variant);
+        let catalog = Catalog::new(&p, &star);
+        let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
+        let mut builder = TreeBuilder::new(&star, &plan.dag, &plan.order, variant);
+        assert_eq!(builder.tree(), plan.root);
+        assert!(plan.root.split_count() > 0, "the plan splits");
+        assert!(builder.scans <= 40, "{} full split scans", builder.scans);
     }
 
     fn fig1_pattern() -> Graph {

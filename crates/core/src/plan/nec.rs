@@ -85,16 +85,6 @@ fn equivalent(p: &Graph, u: VertexId, w: VertexId) -> bool {
     !(uw.is_empty() && p.degree(u) >= 2)
 }
 
-/// Group vertices by class id: `members[c]` lists the vertices of class `c`.
-pub fn class_members(class: &[u32]) -> Vec<Vec<VertexId>> {
-    let count = class.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut members = vec![Vec::new(); count];
-    for (u, &c) in class.iter().enumerate() {
-        members[c as usize].push(u as VertexId);
-    }
-    members
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +230,7 @@ mod tests {
         assert_eq!(class[1], class[2]);
         assert_eq!(class[2], class[3]);
         assert_ne!(class[0], class[1]);
-        assert_eq!(class_members(&class).len(), 2);
+        assert_eq!(class.iter().max(), Some(&1), "two classes");
     }
 
     #[test]
