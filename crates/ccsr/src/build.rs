@@ -7,15 +7,18 @@
 //! its two arcs into one flat buffer at its cluster's cursor, and each
 //! direction's slice is sorted into its row index (the `2|E| log 2|E|`
 //! sorting bound). No per-cluster list is grown and no `O(n)` work is done
-//! per cluster. `Ccsr::from_parts` then derives the label-pair CSR and
-//! the key index from the ordered table, one pass each. After construction
-//! the original [`Graph`] is no longer needed: the `Ccsr` keeps the vertex
-//! labels and every edge (twice, in exactly one cluster).
+//! per cluster. `Ccsr::from_parts` then numbers the vertex labels in one
+//! table with their counts, and derives the label-pair CSR (a [`Csr`]
+//! built from its row ends) and the key index from the ordered table, one
+//! pass each. After construction the original [`Graph`] is no longer
+//! needed: the `Ccsr` keeps the vertex labels and every edge (twice, in
+//! exactly one cluster).
 
 use crate::cluster::Cluster;
 use crate::index::RowIndex;
 use crate::key::ClusterKey;
 use crate::CcsrError;
+use csce_graph::util::Csr;
 use csce_graph::{FxHashMap, Graph, Label, VertexId};
 use std::ops::Range;
 
@@ -24,22 +27,21 @@ use std::ops::Range;
 pub struct Ccsr {
     n: u32,
     vertex_labels: Vec<Label>,
-    label_freq: FxHashMap<Label, u32>,
     /// Every cluster, ordered by `(label_pair, key)`: the clusters between
     /// one unordered label pair are contiguous and in key order.
     clusters: Vec<Cluster>,
-    /// The distinct vertex labels, ascending: label id `i` is `labels[i]`.
-    labels: Vec<Label>,
+    /// The distinct vertex labels, ascending, each with the number of
+    /// vertices carrying it: label id `i` is `labels[i].0`.
+    labels: Vec<(Label, u32)>,
     /// The label-pair CSR over label ids. Row `a` lists the pairs `(a, b)`,
-    /// `a ≤ b`, that have clusters: `pairs[pair_start[a]..pair_start[a +
-    /// 1]]`, each entry `(b, first cluster)`, ascending `b`. The entries
-    /// are in table order, so a pair's clusters end where the next entry's
-    /// begin, and row `a`'s clusters are `a`'s *run*.
-    /// [`Ccsr::negation_clusters`] and [`Ccsr::label_run`] find a row by
-    /// binary search over the labels; `ReadCSR` walks the rows of the
-    /// pattern's labels for the label pairs `G_C` joins.
-    pair_start: Vec<u32>,
-    pairs: Vec<(u32, u32)>,
+    /// `a ≤ b`, that have clusters, each entry `(b, first cluster)`,
+    /// ascending `b`. The entries are in table order, so a pair's clusters
+    /// end where the next entry's begin, and row `a`'s clusters are `a`'s
+    /// *run*: every cluster whose smaller label is `a`.
+    /// [`Ccsr::negation_clusters`] finds a row by binary search over the
+    /// labels; `ReadCSR` walks the rows of the pattern's labels for the
+    /// label pairs `G_C` joins.
+    pairs: Csr<(u32, u32)>,
     /// The key index [`Ccsr::cluster`] probes: an open-addressing table of
     /// cluster indexes (`u32::MAX` for an empty slot), a power of two at
     /// least twice the cluster count, each key probing linearly from its
@@ -140,10 +142,12 @@ impl Ccsr {
         &self.vertex_labels
     }
 
-    /// Frequency of each vertex label (plan heuristics' final tie-break).
+    /// Number of vertices carrying label `l`, 0 for none (plan
+    /// heuristics' final tie-break): its label id's entry of the labels.
     #[inline]
-    pub fn label_frequency(&self) -> &FxHashMap<Label, u32> {
-        &self.label_freq
+    pub fn label_frequency(&self, l: Label) -> u32 {
+        let id = self.label_id(l);
+        id.and_then(|i| self.labels.get(i as usize)).map_or(0, |&(_, count)| count)
     }
 
     /// Look up one cluster by identifier, in the key index: an empty slot
@@ -187,43 +191,30 @@ impl Ccsr {
         }
     }
 
-    /// The run of label `a` and its first index in the table: every
-    /// cluster whose smaller label is `a`, ordered by `(larger label, key)`,
-    /// so the `(a, b)*`-clusters of each label `b ≥ a` are one contiguous
-    /// group. Empty when no edge has `a` as its smaller label.
-    pub fn label_run(&self, a: Label) -> (usize, &[Cluster]) {
-        match self.label_id(a).map(|a| self.pair_row(a)) {
-            Some((first, row)) if !row.is_empty() => {
-                let run = self.entry_range(first).start..self.entry_range(first + row.len()).start;
-                (run.start, self.clusters_at(run))
-            }
-            _ => (0, &[]),
-        }
-    }
-
     /// The label id of `l`: its rank among the distinct vertex labels, or
-    /// `None` when no vertex carries `l`.
+    /// `None` when no vertex carries `l`. Labels are usually dense from 0,
+    /// where `l`'s rank is `l` itself: that entry is read first, and only
+    /// a miss pays a binary search.
+    #[inline]
     pub(crate) fn label_id(&self, l: Label) -> Option<u32> {
-        self.labels.binary_search(&l).ok().and_then(|i| u32::try_from(i).ok())
+        match self.labels.get(l as usize) {
+            Some(&(x, _)) if x == l => Some(l),
+            _ => self.labels.binary_search_by_key(&l, |&(x, _)| x).ok()?.try_into().ok(),
+        }
     }
 
     /// Row `a` of the label-pair CSR, `(larger label id, first cluster)`
     /// per pair, ascending, with the index of its first entry.
     pub(crate) fn pair_row(&self, a: u32) -> (usize, &[(u32, u32)]) {
-        let a = a as usize;
-        match (self.pair_start.get(a), self.pair_start.get(a + 1)) {
-            (Some(&lo), Some(&hi)) => {
-                (lo as usize, self.pairs.get(lo as usize..hi as usize).unwrap_or(&[]))
-            }
-            _ => (0, &[]),
-        }
+        (self.pairs.row_start(a as usize), self.pairs.row(a as usize))
     }
 
     /// The clusters of entry `e` of the label-pair CSR, as a range of the
     /// table: from its first cluster to the next entry's (empty past the
     /// last entry).
     pub(crate) fn entry_range(&self, e: usize) -> Range<usize> {
-        let first = |e: usize| self.pairs.get(e).map_or(self.clusters.len(), |&(_, c)| c as usize);
+        let first =
+            |e: usize| self.pairs.items().get(e).map_or(self.clusters.len(), |&(_, c)| c as usize);
         first(e)..first(e + 1)
     }
 
@@ -249,27 +240,25 @@ impl Ccsr {
             .sum()
     }
 
-    /// Heap bytes of the whole `G_C`: the vertex labels, the label
-    /// frequencies, the cluster table and its row buffers, the label-pair
-    /// CSR and the key index. The frequency table is estimated from its
-    /// capacity.
+    /// Heap bytes of the whole `G_C`: the vertex labels, the label table,
+    /// the cluster table and its row buffers, the label-pair CSR and the
+    /// key index.
     pub fn heap_bytes(&self) -> usize {
         self.vertex_labels.capacity() * std::mem::size_of::<Label>()
-            + table_bytes(&self.label_freq)
             + self.clusters.capacity() * std::mem::size_of::<Cluster>()
             + self.clusters.iter().map(Cluster::heap_bytes).sum::<usize>()
-            + self.labels.capacity() * std::mem::size_of::<Label>()
-            + self.pair_start.capacity() * std::mem::size_of::<u32>()
-            + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.labels.capacity() * std::mem::size_of::<(Label, u32)>()
+            + self.pairs.heap_bytes()
             + self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The one constructor, shared by [`build_ccsr`] and decoding: it
     /// orders the clusters by `(label pair, key)` (a linear pass when they
     /// already are, as a build's are), numbers the distinct vertex labels
-    /// and derives the label frequencies, the label-pair CSR and the key
-    /// index from that order: the smaller labels ascend, so a cursor finds
-    /// their ids, and one hash lookup per pair finds the larger label's. A
+    /// with their counts and derives the label-pair CSR and the key index
+    /// from that order: the smaller labels ascend, so a cursor finds their
+    /// ids and where each row ends, and one hash lookup per pair finds the
+    /// larger label's. A
     /// pair with a label no vertex carries is left out of the CSR; such a
     /// `G_C` fails [`Ccsr::check`] (`key-label-agreement`), which callers
     /// run on the result.
@@ -278,42 +267,37 @@ impl Ccsr {
         vertex_labels: Vec<Label>,
         mut clusters: Vec<Cluster>,
     ) -> Ccsr {
-        let mut label_freq: FxHashMap<Label, u32> = FxHashMap::default();
+        let mut counts: FxHashMap<Label, u32> = FxHashMap::default();
         for &l in &vertex_labels {
-            *label_freq.entry(l).or_insert(0) += 1;
+            *counts.entry(l).or_insert(0) += 1;
         }
-        let mut labels: Vec<Label> = label_freq.keys().copied().collect();
+        let mut labels: Vec<(Label, u32)> = counts.into_iter().collect();
         labels.sort_unstable();
         clusters.sort_unstable_by_key(|c| (c.key.label_pair(), c.key));
         clusters.shrink_to_fit();
-        let ids: FxHashMap<Label, u32> = labels.iter().copied().zip(0..).collect();
-        let mut pair_start = vec![0u32; labels.len() + 1];
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let ids: FxHashMap<Label, u32> = labels.iter().map(|&(l, _)| l).zip(0..).collect();
+        let (mut ends, mut pairs) = (Vec::with_capacity(labels.len() + 1), Vec::new());
         let (mut last, mut a) = (None, 0);
         for (i, c) in (0u32..).zip(&clusters) {
             let pair = c.key.label_pair();
             if last.replace(pair) == Some(pair) {
                 continue;
             }
-            while labels.get(a).is_some_and(|&l| l < pair.0) {
+            while labels.get(a).is_some_and(|&(l, _)| l < pair.0) {
                 a += 1;
             }
             match (labels.get(a), ids.get(&pair.1)) {
-                (Some(&l), Some(&b)) if l == pair.0 => {
-                    if let Some(count) = pair_start.get_mut(a + 1) {
-                        *count += 1;
-                    }
+                (Some(&(l, _)), Some(&b)) if l == pair.0 => {
+                    // Every row before `a` ends here.
+                    ends.resize(a, pairs.len());
                     pairs.push((b, i));
                 }
                 _ => {}
             }
         }
-        let mut total = 0;
-        for s in &mut pair_start {
-            total += *s;
-            *s = total;
-        }
+        ends.resize(labels.len(), pairs.len());
         pairs.shrink_to_fit();
+        let pairs = Csr::from_ends(ends, pairs);
         // The cluster count fits a `u32` (builds and decodes check it), so
         // no index is the empty mark.
         let len = (2 * clusters.len()).next_power_of_two();
@@ -325,7 +309,7 @@ impl Ccsr {
             }
             slots[at] = i;
         }
-        Ccsr { n, vertex_labels, label_freq, clusters, labels, pair_start, pairs, slots }
+        Ccsr { n, vertex_labels, clusters, labels, pairs, slots }
     }
 }
 
@@ -340,17 +324,6 @@ fn slot(key: &ClusterKey, len: usize) -> usize {
     hash.checked_shr((len as u64).leading_zeros() + 1).unwrap_or(0) as usize
 }
 
-/// Heap bytes of a hash table with `map`'s capacity: one `(K, V)` slot and
-/// one control byte per bucket, plus one group of trailing control bytes.
-fn table_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
-    let cap = map.capacity();
-    if cap == 0 {
-        return 0;
-    }
-    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 }.next_power_of_two();
-    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,42 +333,24 @@ mod tests {
     use proptest::prelude::*;
 
     /// The pair index the label-pair CSR replaced, kept as its oracle: a
-    /// hash map from each unordered label pair to its range of the table,
-    /// and a run list with one `(smaller label, first cluster)` entry per
-    /// smaller label, ascending.
+    /// hash map from each unordered label pair to its range of the table.
     struct PairMap {
         pairs: FxHashMap<(Label, Label), (u32, u32)>,
-        runs: Vec<(Label, u32)>,
     }
 
     impl PairMap {
         fn new(gc: &Ccsr) -> PairMap {
-            let (mut pairs, mut runs) = (FxHashMap::default(), Vec::<(Label, u32)>::new());
+            let mut pairs = FxHashMap::default();
             for (i, c) in (0u32..).zip(gc.clusters()) {
-                let pair = c.key.label_pair();
-                pairs.entry(pair).or_insert((i, i)).1 = i + 1;
-                if runs.last().is_none_or(|&(a, _)| a != pair.0) {
-                    runs.push((pair.0, i));
-                }
+                pairs.entry(c.key.label_pair()).or_insert((i, i)).1 = i + 1;
             }
-            PairMap { pairs, runs }
+            PairMap { pairs }
         }
 
         fn negation_clusters<'c>(&self, gc: &'c Ccsr, a: Label, b: Label) -> &'c [Cluster] {
             match self.pairs.get(&(a.min(b), a.max(b))) {
                 Some(&(lo, hi)) => gc.clusters_at(lo as usize..hi as usize),
                 None => &[],
-            }
-        }
-
-        fn label_run<'c>(&self, gc: &'c Ccsr, a: Label) -> (usize, &'c [Cluster]) {
-            let k = self.runs.partition_point(|&(l, _)| l < a);
-            match self.runs.get(k) {
-                Some(&(l, start)) if l == a => {
-                    let end = self.runs.get(k + 1).map_or(gc.cluster_count(), |&(_, s)| s as usize);
-                    (start as usize, gc.clusters_at(start as usize..end))
-                }
-                _ => (0, &[]),
             }
         }
     }
@@ -411,19 +366,15 @@ mod tests {
     /// carries are asked about too.
     const POOL: [Label; 8] = [0, 1, 2, 5, 1000, 1 << 31, u32::MAX - 2, u32::MAX - 1];
 
-    /// `negation_clusters` and `label_run` of every asked label (pair)
-    /// are the pair map's, and the key index finds every cluster of the
-    /// table and, of every key over the asked labels, exactly the one the
-    /// pair map's group holds.
+    /// `negation_clusters` of every asked label pair is the pair map's, and
+    /// the key index finds every cluster of the table and, of every key
+    /// over the asked labels, exactly the one the pair map's group holds.
     fn assert_matches_pair_map(gc: &Ccsr, asked: &[Label]) {
         let oracle = PairMap::new(gc);
         for c in gc.clusters() {
             prop_assert!(gc.cluster(&c.key).is_some_and(|found| std::ptr::eq(found, c)));
         }
         for &a in asked {
-            let (got, want) = (gc.label_run(a), oracle.label_run(gc, a));
-            prop_assert_eq!(got.0, want.0, "start of the run of {}", a);
-            prop_assert!(same(got.1, want.1), "run of {}", a);
             for &b in asked {
                 let (got, want) = (gc.negation_clusters(a, b), oracle.negation_clusters(gc, a, b));
                 prop_assert!(same(got, want), "clusters of ({}, {})", a, b);
@@ -446,12 +397,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The label-pair CSR answers `negation_clusters` for every pair
-        /// of asked labels and `label_run` for every asked label as the
-        /// pair map and run list did, and the key index finds each key's
-        /// cluster, for a built `G_C` and for its `persist` round trip,
-        /// whose answers are the same clusters by key. Graphs have 2–60
-        /// vertices over a random subset of [`POOL`], with directed and
-        /// undirected edges and edge labels.
+        /// of asked labels as the pair map did, and the key index finds
+        /// each key's cluster, for a built `G_C` and for its `persist`
+        /// round trip, whose answers are the same clusters by key. Graphs
+        /// have 2–60 vertices over a random subset of [`POOL`], with
+        /// directed and undirected edges and edge labels.
         #[test]
         fn label_pair_csr_matches_pair_map_oracle(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
@@ -481,8 +431,6 @@ mod tests {
             assert_matches_pair_map(&back, &asked);
             let keys = |c: &[Cluster]| c.iter().map(|c| c.key).collect::<Vec<_>>();
             for &a in &asked {
-                prop_assert_eq!(back.label_run(a).0, gc.label_run(a).0);
-                prop_assert_eq!(keys(back.label_run(a).1), keys(gc.label_run(a).1));
                 for &b in &asked {
                     let (x, y) = (back.negation_clusters(a, b), gc.negation_clusters(a, b));
                     prop_assert_eq!(keys(x), keys(y), "({}, {})", a, b);
@@ -601,7 +549,10 @@ mod tests {
         for v in 0..g.n() as u32 {
             assert_eq!(gc.vertex_label(v), g.label(v));
         }
-        assert_eq!(gc.label_frequency(), g.label_frequency());
+        for (&l, &count) in g.label_frequency() {
+            assert_eq!(gc.label_frequency(l), count, "label {l}");
+        }
+        assert_eq!(gc.label_frequency(9), 0, "a label no vertex carries");
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //! the clusters sit in one table ordered by unordered label pair: a graph
 //! with thousands of labels has tens of thousands of clusters of one or
 //! two edges, and per-cluster allocations and hash entries would outweigh
-//! the arcs. Two flat indexes sit next to the table: a label-pair CSR over
-//! the densely numbered vertex labels, whose row for label `a` lists the
-//! pairs `(a, b ≥ a)` with clusters and so makes up `a`'s contiguous *run*
-//! ([`Ccsr::label_run`], [`Ccsr::negation_clusters`]), and a key index,
-//! one open-addressing table of cluster indexes ([`Ccsr::cluster`]).
-//! [`read_csr`] (Algorithm 1) resolves a pattern against `G_C` once into
-//! the [`GcStar`] every later stage reads: each pattern edge's cluster,
-//! each pattern vertex's incident edges, the pattern's labels numbered
-//! densely, and the label pairs `G_C` joins, walked through the CSR rows
-//! of the pattern's labels. It decodes no cluster: queries read rows in
-//! place.
+//! the arcs. Next to the table sit one label table, the distinct vertex
+//! labels ascending with their counts ([`Ccsr::label_frequency`]), and two
+//! flat indexes: a label-pair CSR ([`csce_graph::util::Csr`]) over the
+//! label table's ids, whose row for label `a` lists the pairs `(a, b ≥ a)`
+//! with clusters and so makes up `a`'s contiguous *run*
+//! ([`Ccsr::negation_clusters`]), and a key index, one open-addressing
+//! table of cluster indexes ([`Ccsr::cluster`]). [`read_csr`]
+//! (Algorithm 1) resolves a pattern against `G_C` once into the [`GcStar`]
+//! every later stage reads: each pattern edge's cluster, each pattern
+//! vertex's incident edges, the pattern's labels numbered densely, and the
+//! label pairs `G_C` joins, walked through the CSR rows of the pattern's
+//! labels. It decodes no cluster: queries read rows in place.
 //!
 //! The offline stage is [`build_ccsr`]: it converts a
 //! [`csce_graph::Graph`] into a [`Ccsr`] (the paper's `G_C`), which fully

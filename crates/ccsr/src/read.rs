@@ -11,8 +11,8 @@
 //!
 //! Most label pairs have no cluster, so the read does not probe every
 //! pair of pattern labels: for each distinct pattern label `a` it walks
-//! `a`'s row of `G_C`'s label-pair CSR (its run, [`Ccsr::label_run`]) up
-//! to the last pattern label, and keeps the entries whose larger label is
+//! `a`'s row of `G_C`'s label-pair CSR (`a`'s run of clusters) up to the
+//! last pattern label, and keeps the entries whose larger label is
 //! a pattern label (`a` itself only when two pattern vertices carry it),
 //! each checked by one read of a table from `G_C` label ids to pattern
 //! label ids. A vertex-induced read walks at once, any other star on first
@@ -20,14 +20,16 @@
 //! ([`Cluster::out_neighbors`]). Every read costs one key-index probe per
 //! pattern edge and a sort of the pattern's labels; the walk, a binary
 //! search per pattern label, a table over the span of their `G_C` ids and
-//! `O(1)` per walked entry — no merge, no hash probe. The star also lists
-//! each pattern vertex's incident edges, in one CSR built by counting, so
-//! every catalog over it borrows them.
+//! `O(1)` per walked entry — no merge, no hash probe. The kept pairs are
+//! one [`Csr`] built from its row ends, and their transpose one built by
+//! counting. The star also lists each pattern vertex's incident edges, in
+//! one [`Csr`] built by counting, so every catalog over it borrows them.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
 use crate::key::ClusterKey;
 use csce_graph::graph::Edge;
+use csce_graph::util::Csr;
 use csce_graph::{Graph, Label, Variant, VertexId};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -45,10 +47,9 @@ pub struct GcStar<'a> {
     ccsr: &'a Ccsr,
     /// Per pattern edge, in `p.edges()` order: its cluster, if any.
     edge_clusters: Vec<Option<&'a Cluster>>,
-    /// Per pattern vertex `u`, its incident edges in `p.edges()` order
-    /// with `u`'s side: `incident[incident_start[u]..incident_start[u + 1]]`.
-    incident_start: Vec<usize>,
-    incident: Vec<(usize, Side)>,
+    /// Per pattern vertex, its incident edges in `p.edges()` order with
+    /// its side of each.
+    incident: Csr<(usize, Side)>,
     /// The distinct pattern labels, ascending (label id `l` is
     /// `labels[l]`), the pattern vertices of each, and each vertex's id.
     labels: Vec<Label>,
@@ -61,17 +62,15 @@ pub struct GcStar<'a> {
     heap_bytes: usize,
 }
 
-/// The label pairs `G_C` joins, over label ids, in rows
-/// `items[start[l]..start[l + 1]]`: each pair `(a, b)`, `a ≤ b`, sits once
-/// in `a`'s row of `upper`, ascending `b`, with its range in `G_C`'s
-/// cluster table (a range, not a slice, so the star's lazy cell holds no
-/// borrow), and `lower` lists under each `b` the `a < b` joined to it.
+/// The label pairs `G_C` joins, over label ids, one row per label: each
+/// pair `(a, b)`, `a ≤ b`, sits once in `a`'s row of `upper`, ascending
+/// `b`, with its range in `G_C`'s cluster table (a range, not a slice, so
+/// the star's lazy cell holds no borrow), and `lower` lists under each `b`
+/// the `a < b` joined to it.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct LabelPairs {
-    upper_start: Vec<usize>,
-    upper: Vec<(usize, Range<usize>)>,
-    lower_start: Vec<usize>,
-    lower: Vec<usize>,
+    upper: Csr<(usize, Range<usize>)>,
+    lower: Csr<usize>,
 }
 
 /// What `ReadCSR` did: the CCSR-side work counters of one matching task.
@@ -115,7 +114,8 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
     // other reads count the distinct edge clusters.
     let (pairs, selected): (_, Vec<&'a Cluster>) = if variant == Variant::VertexInduced {
         let pairs = walk_label_pairs(ccsr, &labels, &label_sizes);
-        let groups = pairs.upper.iter().flat_map(|(_, range)| ccsr.clusters_at(range.clone()));
+        let groups =
+            pairs.upper.items().iter().flat_map(|(_, range)| ccsr.clusters_at(range.clone()));
         let selected = groups.collect();
         (OnceLock::from(pairs), selected)
     } else {
@@ -131,11 +131,16 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         missing_clusters: edge_clusters.iter().filter(|c| c.is_none()).count() as u64,
     };
     let heap_bytes = selected.iter().map(|c| c.heap_bytes()).sum();
-    let (incident_start, incident) = incidence(p);
+    // Filling the rows in edge order keeps every row in edge order.
+    let incident = Csr::by_row(
+        p.n(),
+        p.edges().iter().enumerate().flat_map(|(i, e)| {
+            [(e.src as usize, (i, Side::Src)), (e.dst as usize, (i, Side::Dst))]
+        }),
+    );
     GcStar {
         ccsr,
         edge_clusters,
-        incident_start,
         incident,
         labels,
         label_sizes,
@@ -144,37 +149,6 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         stats,
         heap_bytes,
     }
-}
-
-/// Each vertex's incident edges of `p`, with its side, as one CSR built by
-/// counting: filling the rows in edge order keeps every row in edge order.
-fn incidence(p: &Graph) -> (Vec<usize>, Vec<(usize, Side)>) {
-    let mut start = vec![0usize; p.n() + 1];
-    for e in p.edges() {
-        for v in [e.src, e.dst] {
-            if let Some(s) = start.get_mut(v as usize + 1) {
-                *s += 1;
-            }
-        }
-    }
-    let mut total = 0;
-    for s in &mut start {
-        total += *s;
-        *s = total;
-    }
-    let mut cursor = start.clone();
-    let mut incident = vec![(0, Side::Src); total];
-    for (i, e) in p.edges().iter().enumerate() {
-        for (v, side) in [(e.src, Side::Src), (e.dst, Side::Dst)] {
-            if let Some(at) = cursor.get_mut(v as usize) {
-                if let Some(slot) = incident.get_mut(*at) {
-                    *slot = (i, side);
-                }
-                *at += 1;
-            }
-        }
-    }
-    (start, incident)
 }
 
 /// The label pairs `(a, b)`, `a ≤ b`, of the pattern labels `labels`
@@ -200,65 +174,36 @@ fn walk_label_pairs(ccsr: &Ccsr, labels: &[Label], sizes: &[usize]) -> LabelPair
             *slot = l;
         }
     }
-    let (mut upper_start, mut upper) = (Vec::with_capacity(gc_ids.len() + 1), Vec::new());
+    let (mut ends, mut upper) = (Vec::with_capacity(gc_ids.len() + 1), Vec::new());
     for (i, (&g, &size)) in gc_ids.iter().zip(sizes).enumerate() {
-        upper_start.push(upper.len());
-        let Some(g) = g else { continue };
-        let (first, row) = ccsr.pair_row(g);
-        for (k, &(b, _)) in row.iter().enumerate() {
-            // Rows ascend, so the first entry past the span ends the walk.
-            let Some(&j) = pattern_id.get((b - lo) as usize) else { break };
-            if j == usize::MAX || (j == i && size < 2) {
-                continue;
+        if let Some(g) = g {
+            let (first, row) = ccsr.pair_row(g);
+            for (k, &(b, _)) in row.iter().enumerate() {
+                // Rows ascend, so the first entry past the span ends the walk.
+                let Some(&j) = pattern_id.get((b - lo) as usize) else { break };
+                if j == usize::MAX || (j == i && size < 2) {
+                    continue;
+                }
+                upper.push((j, ccsr.entry_range(first + k)));
             }
-            upper.push((j, ccsr.entry_range(first + k)));
         }
+        ends.push(upper.len());
     }
-    upper_start.push(upper.len());
-    LabelPairs::from_upper(upper_start, upper)
+    LabelPairs::from_upper(Csr::from_ends(ends, upper))
 }
 
 impl LabelPairs {
-    /// The pairs from their `upper` rows, with the `lower` rows built by
-    /// one counting transpose.
-    fn from_upper(upper_start: Vec<usize>, upper: Vec<(usize, Range<usize>)>) -> LabelPairs {
-        let mut lower_start = vec![0usize; upper_start.len()];
-        for (a, bounds) in upper_start.windows(2).enumerate() {
-            let &[lo, hi] = bounds else { continue };
-            for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
-                if let Some(s) = lower_start.get_mut(b + 1) {
-                    *s += 1;
-                }
-            }
-        }
-        let mut total = 0;
-        for s in &mut lower_start {
-            total += *s;
-            *s = total;
-        }
-        // Transposing the rows in ascending `a` keeps each `lower` row
-        // ascending.
-        let (mut cursor, mut lower) = (lower_start.clone(), vec![0; total]);
-        for (a, bounds) in upper_start.windows(2).enumerate() {
-            let &[lo, hi] = bounds else { continue };
-            for &(b, _) in upper.get(lo..hi).unwrap_or(&[]).iter().filter(|&&(b, _)| b != a) {
-                if let Some(at) = cursor.get_mut(b) {
-                    if let Some(slot) = lower.get_mut(*at) {
-                        *slot = a;
-                    }
-                    *at += 1;
-                }
-            }
-        }
-        LabelPairs { upper_start, upper, lower_start, lower }
-    }
-}
-
-/// Row `l` of a CSR.
-fn row<'s, T>(start: &[usize], items: &'s [T], l: usize) -> &'s [T] {
-    match (start.get(l), start.get(l + 1)) {
-        (Some(&lo), Some(&hi)) => items.get(lo..hi).unwrap_or(&[]),
-        _ => &[],
+    /// The pairs from their `upper` rows, with the `lower` rows their
+    /// transpose by counting: the rows are walked in ascending `a`, so
+    /// each `lower` row ascends.
+    fn from_upper(upper: Csr<(usize, Range<usize>)>) -> LabelPairs {
+        let lower = Csr::by_row(
+            upper.rows(),
+            upper.iter().enumerate().flat_map(|(a, row)| {
+                row.iter().filter(move |&&(b, _)| b != a).map(move |&(b, _)| (b, a))
+            }),
+        );
+        LabelPairs { upper, lower }
     }
 }
 
@@ -280,7 +225,7 @@ impl<'a> GcStar<'a> {
     /// order, each with `u`'s side of it.
     #[inline]
     pub fn incident_edges(&self, u: VertexId) -> &[(usize, Side)] {
-        row(&self.incident_start, &self.incident, u as usize)
+        self.incident.row(u as usize)
     }
 
     /// The dense label id of pattern vertex `u`: its label's rank among
@@ -307,8 +252,8 @@ impl<'a> GcStar<'a> {
     /// when their labels are joined.
     pub fn adjacent_labels(&self, l: usize) -> impl Iterator<Item = usize> + '_ {
         let pairs = self.label_pairs();
-        let upper = row(&pairs.upper_start, &pairs.upper, l).iter().map(|&(b, _)| b);
-        row(&pairs.lower_start, &pairs.lower, l).iter().copied().chain(upper)
+        let upper = pairs.upper.row(l).iter().map(|&(b, _)| b);
+        pairs.lower.row(l).iter().copied().chain(upper)
     }
 
     /// The `(a, b)*`-clusters between the labels of ids `l` and `m`, in
@@ -316,7 +261,7 @@ impl<'a> GcStar<'a> {
     /// `G_C` joins them.
     pub fn pair_clusters(&self, l: usize, m: usize) -> &'a [Cluster] {
         let (pairs, b) = (self.label_pairs(), l.max(m));
-        let row = row(&pairs.upper_start, &pairs.upper, l.min(m));
+        let row = pairs.upper.row(l.min(m));
         match row.get(row.partition_point(|&(x, _)| x < b)) {
             Some((x, range)) if *x == b => self.ccsr.clusters_at(range.clone()),
             _ => &[],
@@ -397,13 +342,16 @@ pub(crate) mod tests {
 
     /// The merge walk the label-id table replaced, kept as its oracle: for
     /// each pattern label (distinct, ascending, `sizes` vertices each) it
-    /// walks the label's run, advancing through the sorted pattern labels
-    /// for every group of the run.
+    /// walks the label's run, the clusters whose smaller label it is,
+    /// contiguous in the table's `(label pair, key)` order, advancing
+    /// through the sorted pattern labels for every group of the run.
     fn walk_label_pairs_merge(ccsr: &Ccsr, labels: &[Label], sizes: &[usize]) -> LabelPairs {
-        let (mut upper_start, mut upper) = (Vec::new(), Vec::new());
+        let smaller: Vec<Label> = ccsr.clusters().map(|c| c.key.label_pair().0).collect();
+        let (mut ends, mut upper) = (Vec::new(), Vec::new());
         for (i, (&a, &size)) in labels.iter().zip(sizes).enumerate() {
-            upper_start.push(upper.len());
-            let ((mut end, run), mut j) = (ccsr.label_run(a), i);
+            let start = smaller.partition_point(|&l| l < a);
+            let run = ccsr.clusters_at(start..smaller.partition_point(|&l| l <= a));
+            let (mut end, mut j) = (start, i);
             for group in run.chunk_by(|x, y| x.key.label_pair() == y.key.label_pair()) {
                 let range = end..end + group.len();
                 end = range.end;
@@ -417,9 +365,9 @@ pub(crate) mod tests {
                     Some(_) => {}
                 }
             }
+            ends.push(upper.len());
         }
-        upper_start.push(upper.len());
-        LabelPairs::from_upper(upper_start, upper)
+        LabelPairs::from_upper(Csr::from_ends(ends, upper))
     }
 
     /// Whether two cluster slices are the same clusters of `G_C`.

@@ -7,10 +7,10 @@
 //!   `Graph::adj` filtered by the key;
 //! * `negation_clusters(a, b)` is, in key order, every cluster whose
 //!   `label_pair()` is `(min(a, b), max(a, b))`;
-//! * `label_run(a)` is, in `(larger label, key)` order, every cluster
-//!   whose smaller label is `a`, and the runs of all labels cover the
-//!   cluster table once — for the built `G_C` and for its `persist` round
-//!   trip;
+//! * `clusters()` is strictly ordered by `(label_pair(), key)`, so the
+//!   clusters of each label pair, and of each smaller label (its run), are
+//!   contiguous — the order the label-pair CSR relies on — for the built
+//!   `G_C` and for its `persist` round trip;
 //! * the built `G_C` passes `Ccsr::check`.
 
 use csce_ccsr::{build_ccsr, persist, Ccsr, ClusterKey};
@@ -122,24 +122,13 @@ fn assert_matches_oracle(g: &Graph, gc: &Ccsr) {
     }
 }
 
-/// Each label's run is every cluster whose smaller label it is, ordered
-/// by `(larger label, key)`, and the runs cover the table exactly once; a
-/// label no vertex carries has an empty run.
-fn assert_runs_partition_the_table(g: &Graph, gc: &Ccsr) {
-    let mut labels = g.labels().to_vec();
-    labels.sort_unstable();
-    labels.dedup();
-    let mut covered = 0;
-    for &a in &labels {
-        let mut want: Vec<ClusterKey> =
-            gc.clusters().map(|c| c.key).filter(|k| k.label_pair().0 == a).collect();
-        want.sort_unstable_by_key(|k| (k.label_pair().1, *k));
-        let got: Vec<ClusterKey> = gc.label_run(a).1.iter().map(|c| c.key).collect();
-        prop_assert_eq!(&got, &want, "run of label {}", a);
-        covered += got.len();
-    }
-    prop_assert_eq!(covered, gc.cluster_count(), "the runs cover the table once");
-    prop_assert!(gc.label_run(labels.last().map_or(0, |&l| l + 1)).1.is_empty());
+/// The cluster table is strictly ordered by `(label pair, key)`: each
+/// label's run, the clusters whose smaller label it is, is contiguous and
+/// ordered by `(larger label, key)`.
+fn assert_table_is_ordered(gc: &Ccsr) {
+    let order: Vec<_> = gc.clusters().map(|c| (c.key.label_pair(), c.key)).collect();
+    prop_assert_eq!(order.len(), gc.cluster_count());
+    prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "{:?}", order);
 }
 
 proptest! {
@@ -153,9 +142,9 @@ proptest! {
     #[test]
     fn label_runs_survive_a_persist_round_trip(g in arb_graph()) {
         let gc = build_ccsr(&g).unwrap();
-        assert_runs_partition_the_table(&g, &gc);
+        assert_table_is_ordered(&gc);
         let back = persist::from_bytes(&persist::to_bytes(&gc).unwrap()).unwrap();
-        assert_runs_partition_the_table(&g, &back);
+        assert_table_is_ordered(&back);
         let keys = |c: &Ccsr| c.clusters().map(|c| c.key).collect::<Vec<_>>();
         prop_assert_eq!(keys(&back), keys(&gc));
     }

@@ -55,7 +55,7 @@ impl<'a> Catalog<'a> {
     /// Frequency of a vertex label in the data graph (plan tie-break #3).
     #[inline]
     pub fn label_frequency(&self, l: Label) -> u32 {
-        self.star.ccsr().label_frequency().get(&l).copied().unwrap_or(0)
+        self.star.ccsr().label_frequency(l)
     }
 
     /// `|I_C|` of the cluster serving pattern edge `eidx` (0 when empty) —

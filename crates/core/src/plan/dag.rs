@@ -18,10 +18,9 @@
 //! the pattern edge that realizes them ([`Dag::edge_parents`]); the
 //! negation parents are the remaining parents, derived on request
 //! ([`Dag::negation_parents`]) rather than stored a second time. Each
-//! relation (parents, children, edge parents) is one flat CSR indexed by
-//! vertex id — an offsets array and an item array — so building `H`
-//! allocates no per-vertex list, and the children are the parents'
-//! transpose, built by counting.
+//! relation (parents, children, edge parents) is one [`Csr`] indexed by
+//! vertex id, so building `H` allocates no per-vertex list, and the
+//! children are the parents' transpose, built by counting.
 //!
 //! One deliberate deviation from the paper's pseudo-code: Algorithm 2
 //! line 7 only adds a negation dependency `(Φ[i], Φ[j])` when some
@@ -36,27 +35,24 @@
 
 use crate::bitset::BitSet;
 use crate::catalog::{Catalog, Side};
+use csce_ccsr::GcStar;
+use csce_graph::util::Csr;
 use csce_graph::{Variant, VertexId};
 
 /// The dependency DAG over pattern vertices (indexed by vertex id, not by
-/// plan position, so it survives LDSF reordering). Each relation is one
-/// CSR: row `u` of `parents` is `parents[parent_start[u]..parent_start[u +
-/// 1]]`, and likewise for `children` and `edge_parents`.
+/// plan position, so it survives LDSF reordering), one row per vertex in
+/// each relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dag {
-    n: usize,
     /// Parents (incoming dependency sources) per vertex, ascending.
-    parent_start: Vec<usize>,
-    parents: Vec<VertexId>,
+    parents: Csr<VertexId>,
     /// Children (outgoing dependency targets) per vertex, ascending: the
     /// transpose of `parents`.
-    child_start: Vec<usize>,
-    children: Vec<VertexId>,
+    children: Csr<VertexId>,
     /// Edge dependencies with the pattern-edge index that realizes each:
     /// row `u` lists `(earlier vertex, pattern edge idx)` in `Φ` order.
     /// Every other parent is a negation dependency.
-    edge_start: Vec<usize>,
-    edge_parents: Vec<(VertexId, usize)>,
+    edge_parents: Csr<(VertexId, usize)>,
 }
 
 /// Algorithm 2: build the dependency DAG for `Φ` under a variant.
@@ -68,10 +64,11 @@ pub struct Dag {
 /// the placed vertices of its adjacent labels, skipping its `P`-neighbours
 /// by a stamp, rather than probing every earlier vertex. Each vertex's
 /// parents are gathered in `Φ` order into one flat buffer and its row
-/// sorted in place; the rows are then laid out by vertex id, and the
-/// children are their transpose by one counting pass, ascending without a
-/// sort. So `H` costs `O(|E_P| + Σ adjacent labels + |E_H|)` plus the row
-/// sorts, in a few flat buffers with no per-vertex allocation.
+/// sorted in place; the rows are then copied by vertex id, each as one
+/// block ([`Csr::permuted`]), and the children are their transpose by
+/// counting ([`Csr::by_row`]), ascending without a sort. So `H` costs
+/// `O(|E_P| + Σ adjacent labels + |E_H|)` plus the row sorts, in a few
+/// flat buffers with no per-vertex allocation.
 ///
 /// `H` depends only on `P`, `G_C`, `Φ` and the variant, never on how the
 /// star was read: a star read for another variant walks `G_C` for the
@@ -87,12 +84,11 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
         pos_of[u as usize] = k;
     }
     let star = catalog.star();
-    let mut negation =
-        (variant == Variant::VertexInduced).then(|| LabelBuckets::new(star.label_sizes()));
+    let mut negation = (variant == Variant::VertexInduced).then(|| LabelBuckets::new(star, phi));
     // Each vertex's rows, gathered in `Φ` order: those of `Φ[j]` end at
     // `parent_ends[j]` and `edge_ends[j]`.
-    let (mut parents, mut parent_ends) = (Vec::new(), Vec::with_capacity(n));
-    let (mut edge_parents, mut edge_ends) = (Vec::new(), Vec::with_capacity(n));
+    let (mut parents, mut parent_ends) = (Vec::new(), Vec::with_capacity(n + 1));
+    let (mut edge_parents, mut edge_ends) = (Vec::new(), Vec::with_capacity(n + 1));
     // `neighbour_of[w] == j` marks `w` as a `P`-neighbour of `Φ[j]`.
     let mut neighbour_of = vec![usize::MAX; n];
     let mut earlier: Vec<(usize, usize)> = Vec::new();
@@ -128,16 +124,16 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
                     );
                 }
             }
-            buckets.place(l, uj);
+            buckets.place(l);
         }
         parents[row_start..].sort_unstable();
         parent_ends.push(parents.len());
         edge_ends.push(edge_parents.len());
     }
-    let (parent_start, parents) = by_vertex_id(phi, &parent_ends, &parents);
-    let (edge_start, edge_parents) = by_vertex_id(phi, &edge_ends, &edge_parents);
-    let (child_start, children) = transpose(n, &parent_start, &parents);
-    let dag = Dag { n, parent_start, parents, child_start, children, edge_start, edge_parents };
+    let dag = Dag::new(
+        Csr::from_ends(parent_ends, parents).permuted(&pos_of),
+        Csr::from_ends(edge_ends, edge_parents).permuted(&pos_of),
+    );
     #[cfg(debug_assertions)]
     if variant == Variant::VertexInduced {
         check_negation_parents(catalog, phi, &dag);
@@ -145,89 +141,32 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
     dag
 }
 
-/// Rows gathered in the order `visited` lists their vertices (the `j`-th
-/// ending at `ends[j]` in `items`), laid out as a CSR by vertex id.
-fn by_vertex_id<T: Copy + Default>(
-    visited: &[VertexId],
-    ends: &[usize],
-    items: &[T],
-) -> (Vec<usize>, Vec<T>) {
-    let mut start = vec![0usize; visited.len() + 1];
-    let mut lo = 0;
-    for (&u, &hi) in visited.iter().zip(ends) {
-        start[u as usize + 1] = hi - lo;
-        lo = hi;
-    }
-    prefix_sums(&mut start);
-    let mut laid = vec![T::default(); items.len()];
-    let mut lo = 0;
-    for (&u, &hi) in visited.iter().zip(ends) {
-        let at = start[u as usize];
-        laid[at..at + hi - lo].copy_from_slice(&items[lo..hi]);
-        lo = hi;
-    }
-    (start, laid)
-}
-
-/// Turn per-row counts at `start[u + 1]` into row offsets.
-fn prefix_sums(start: &mut [usize]) {
-    let mut total = 0;
-    for s in start {
-        total += *s;
-        *s = total;
-    }
-}
-
-/// The transpose of the CSR `(start, items)` over `n` vertices, by one
-/// counting pass in vertex-id order: every transposed row is ascending.
-fn transpose(n: usize, start: &[usize], items: &[VertexId]) -> (Vec<usize>, Vec<VertexId>) {
-    let mut t_start = vec![0usize; n + 1];
-    for &w in items {
-        t_start[w as usize + 1] += 1;
-    }
-    prefix_sums(&mut t_start);
-    let mut cursor = t_start.clone();
-    let mut t_items = vec![0; items.len()];
-    for (u, bounds) in (0..).zip(start.windows(2)) {
-        for &w in &items[bounds[0]..bounds[1]] {
-            t_items[cursor[w as usize]] = u;
-            cursor[w as usize] += 1;
-        }
-    }
-    (t_start, t_items)
-}
-
 /// The vertices of `Φ` placed so far, bucketed by pattern label id: where
 /// a vertex-induced vertex finds its negation parents, in the buckets of
 /// its adjacent labels.
 struct LabelBuckets {
-    /// `placed[start[l]..start[l] + filled[l]]` are the placed vertices of
-    /// label `l`, in `Φ` order.
-    start: Vec<usize>,
+    /// Row `l` lists the vertices of label `l` in `Φ` order; the first
+    /// `filled[l]` of them are placed.
+    order: Csr<VertexId>,
     filled: Vec<usize>,
-    placed: Vec<VertexId>,
 }
 
 impl LabelBuckets {
-    /// Empty buckets of `sizes[l]` vertices per label id `l`.
-    fn new(sizes: &[usize]) -> LabelBuckets {
-        let mut start = Vec::with_capacity(sizes.len());
-        let mut total = 0;
-        for &size in sizes {
-            start.push(total);
-            total += size;
-        }
-        LabelBuckets { start, filled: vec![0; sizes.len()], placed: vec![0; total] }
+    /// Empty buckets over the star's label ids.
+    fn new(star: &GcStar<'_>, phi: &[VertexId]) -> LabelBuckets {
+        let labels = star.label_sizes().len();
+        let order = Csr::by_row(labels, phi.iter().map(|&u| (star.label_id(u), u)));
+        LabelBuckets { order, filled: vec![0; labels] }
     }
 
     /// The placed vertices of label `l`.
     fn placed(&self, l: usize) -> &[VertexId] {
-        &self.placed[self.start[l]..self.start[l] + self.filled[l]]
+        &self.order.row(l)[..self.filled[l]]
     }
 
-    /// Place `u`, of label `l`: later vertices see it in `l`'s bucket.
-    fn place(&mut self, l: usize, u: VertexId) {
-        self.placed[self.start[l] + self.filled[l]] = u;
+    /// Place the next vertex of label `l` in `Φ`: later vertices see it in
+    /// `l`'s bucket.
+    fn place(&mut self, l: usize) {
         self.filled[l] += 1;
     }
 }
@@ -312,35 +251,31 @@ pub(crate) fn build_dag_pairwise(catalog: &Catalog<'_>, phi: &[VertexId], varian
     Dag::from_lists(&out, &inp, &edge_parents)
 }
 
-/// Row `u` of a CSR; empty past the last row.
-#[inline]
-fn row<'s, T>(start: &[usize], items: &'s [T], u: VertexId) -> &'s [T] {
-    let u = u as usize;
-    match (start.get(u), start.get(u + 1)) {
-        (Some(&lo), Some(&hi)) => items.get(lo..hi).unwrap_or(&[]),
-        _ => &[],
-    }
-}
-
 impl Dag {
+    /// `H` from its parents and edge parents, with the children the
+    /// parents' transpose: counting in vertex-id order keeps every row
+    /// ascending.
+    fn new(parents: Csr<VertexId>, edge_parents: Csr<(VertexId, usize)>) -> Dag {
+        let arcs = (0..)
+            .zip(parents.iter())
+            .flat_map(|(u, row)| row.iter().map(move |&w| (w as usize, u)));
+        let children = Csr::by_row(parents.rows(), arcs);
+        Dag { parents, children, edge_parents }
+    }
+
     /// Construct a bare dependency graph from explicit arcs, without any
     /// pattern or catalog. Intended for validation tooling and tests that
     /// need to exercise structurally *invalid* inputs (e.g. a cyclic `H`)
     /// that [`build_dag`] can never produce. It carries no edge detail, so
-    /// [`Dag::negation_parents`] reports every parent.
+    /// [`Dag::negation_parents`] reports every parent. An arc into a vertex
+    /// at or past `n` is dropped; one out of such a vertex stays among the
+    /// parents, where a vertex-range check finds it.
     pub fn from_arcs(n: usize, arcs: &[(VertexId, VertexId)]) -> Dag {
         let mut by_child: Vec<(VertexId, VertexId)> = arcs.iter().map(|&(a, b)| (b, a)).collect();
         by_child.sort_unstable();
         by_child.dedup();
-        let mut parent_start = vec![0usize; n + 1];
-        for &(b, _) in &by_child {
-            parent_start[b as usize + 1] += 1;
-        }
-        prefix_sums(&mut parent_start);
-        let parents: Vec<VertexId> = by_child.iter().map(|&(_, a)| a).collect();
-        let (child_start, children) = transpose(n, &parent_start, &parents);
-        let (edge_start, edge_parents) = (vec![0; n + 1], Vec::new());
-        Dag { n, parent_start, parents, child_start, children, edge_start, edge_parents }
+        let parents = Csr::by_row(n, by_child.iter().map(|&(b, a)| (b as usize, a)));
+        Dag::new(parents, Csr::by_row(n, []))
     }
 
     /// Lay out per-vertex lists as CSR, each row as given.
@@ -350,37 +285,33 @@ impl Dag {
         inp: &[Vec<VertexId>],
         edge_parents: &[Vec<(VertexId, usize)>],
     ) -> Dag {
-        fn flatten<T: Copy>(lists: &[Vec<T>]) -> (Vec<usize>, Vec<T>) {
-            let mut start = vec![0];
-            start.extend(lists.iter().scan(0, |total, l| {
+        fn flatten<T: Copy>(lists: &[Vec<T>]) -> Csr<T> {
+            let ends = lists.iter().scan(0, |total, l| {
                 *total += l.len();
                 Some(*total)
-            }));
-            (start, lists.concat())
+            });
+            Csr::from_ends(ends.collect(), lists.concat())
         }
-        let (parent_start, parents) = flatten(inp);
-        let (child_start, children) = flatten(out);
-        let (edge_start, edge_parents) = flatten(edge_parents);
-        Dag { n: inp.len(), parent_start, parents, child_start, children, edge_start, edge_parents }
+        Dag { parents: flatten(inp), children: flatten(out), edge_parents: flatten(edge_parents) }
     }
 
     /// Number of pattern vertices.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.parents.rows()
     }
 
     /// Children of `u` (vertices whose candidates depend on `u`),
     /// ascending.
     #[inline]
     pub fn children(&self, u: VertexId) -> &[VertexId] {
-        row(&self.child_start, &self.children, u)
+        self.children.row(u as usize)
     }
 
     /// Parents of `u` (vertices `u`'s candidates depend on), ascending.
     #[inline]
     pub fn parents(&self, u: VertexId) -> &[VertexId] {
-        row(&self.parent_start, &self.parents, u)
+        self.parents.row(u as usize)
     }
 
     /// `(parent, pattern edge idx)` pairs realizing `u`'s edge
@@ -388,7 +319,7 @@ impl Dag {
     /// pattern edge.
     #[inline]
     pub fn edge_parents(&self, u: VertexId) -> &[(VertexId, usize)] {
-        row(&self.edge_start, &self.edge_parents, u)
+        self.edge_parents.row(u as usize)
     }
 
     /// Negation-dependency parents of `u`: the parents no
@@ -400,16 +331,16 @@ impl Dag {
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.children.len()
+        self.children.items().len()
     }
 
     /// Ancestor bit sets: `anc[u]` contains every vertex with a path to
     /// `u`. O(V·E/64) via one pass in topological (plan) order.
     pub fn ancestor_sets(&self, phi: &[VertexId]) -> Vec<BitSet> {
-        let mut anc = vec![BitSet::new(self.n); self.n];
+        let mut anc = vec![BitSet::new(self.n()); self.n()];
         for &u in phi {
             // Parents are all earlier in Φ, so their sets are complete.
-            let mut set = BitSet::new(self.n);
+            let mut set = BitSet::new(self.n());
             for &parent in self.parents(u) {
                 set.insert(parent as usize);
                 set.union_with(&anc[parent as usize]);

@@ -14,6 +14,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::catalog::{Catalog, Side};
+use csce_graph::util::Csr;
 use csce_graph::VertexId;
 
 /// Configuration of the GCF stage.
@@ -68,9 +69,9 @@ struct Slot {
     /// `ω¹`: the smallest cluster on an edge into the prefix. It only
     /// falls as neighbours are placed.
     omega1: usize,
-    /// Cursor into the vertex's sorted `(cluster size, other endpoint)`
-    /// arcs: the first arc whose other endpoint is unplaced gives `ω²`,
-    /// which only rises.
+    /// Cursor into the vertex's row of sorted `(cluster size, other
+    /// endpoint)` arcs: the first arc whose other endpoint is unplaced
+    /// gives `ω²`, which only rises.
     next_arc: usize,
     freq: u32,
 }
@@ -99,35 +100,35 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
     };
 
     // Every vertex's incident edges as `(cluster size, other endpoint)`,
-    // sorted, in one buffer: `arcs[arc_start[u]..arc_start[u + 1]]`.
-    let mut arc_start = Vec::with_capacity(n + 1);
-    let mut arcs: Vec<(usize, VertexId)> = Vec::with_capacity(2 * p.edges().len());
-    let mut slots = Vec::with_capacity(n);
+    // one row per vertex, each sorted in place as it is gathered.
+    let (mut ends, mut items) = (Vec::with_capacity(n + 1), Vec::with_capacity(2 * p.m()));
     for u in (0..).take(n) {
-        let from = arcs.len();
-        arc_start.push(from);
-        for (eidx, side) in catalog.incident_edges(u) {
+        let from = items.len();
+        items.extend(catalog.incident_edges(u).map(|(eidx, side)| {
             let e = &p.edges()[eidx];
-            let other = if side == Side::Src { e.dst } else { e.src };
-            arcs.push((catalog.cluster_size(eidx), other));
-        }
-        arcs[from..].sort_unstable();
-        slots.push(Slot {
+            (catalog.cluster_size(eidx), if side == Side::Src { e.dst } else { e.src })
+        }));
+        items[from..].sort_unstable();
+        ends.push(items.len());
+    }
+    let arcs = Csr::from_ends(ends, items);
+    let mut slots: Vec<Slot> = (0..)
+        .take(n)
+        .map(|u| Slot {
             t: [0, 0, neighbours(u).count()],
             touched: 0,
             placed: false,
             dirty: false,
             omega1: usize::MAX,
-            next_arc: from,
+            next_arc: 0,
             freq: if config.cluster_tiebreak { catalog.label_frequency(p.label(u)) } else { 0 },
-        });
-    }
-    arc_start.push(arcs.len());
+        })
+        .collect();
     // The smallest cluster to an unplaced neighbour, once the cursor has
     // skipped the placed ones: `ω²`, and before any placement the
     // smallest incident cluster.
     let open_cluster = |u: VertexId, s: &Slot| {
-        arcs[s.next_arc..arc_start[u as usize + 1]].first().map_or(usize::MAX, |&(size, _)| size)
+        arcs.row(u as usize).get(s.next_arc).map_or(usize::MAX, |&(size, _)| size)
     };
     let key = |u: VertexId, s: &Slot| {
         let (omega1, omega2) =
@@ -177,7 +178,7 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
                 dirty.push(x);
             }
         }
-        for &(size, x) in &arcs[arc_start[v as usize]..arc_start[v as usize + 1]] {
+        for &(size, x) in arcs.row(v as usize) {
             let s = &mut slots[x as usize];
             s.omega1 = s.omega1.min(size);
         }
@@ -202,11 +203,12 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
         // Re-push the moved keys of frontier vertices; a vertex with no
         // ordered neighbour is pushed once it gains one.
         for x in dirty.drain(..) {
-            let (lo, hi) = (slots[x as usize].next_arc, arc_start[x as usize + 1]);
-            let skip = arcs[lo..hi].iter().take_while(|&&(_, y)| slots[y as usize].placed).count();
+            let at = slots[x as usize].next_arc;
+            let open = &arcs.row(x as usize)[at..];
+            let skip = open.iter().take_while(|&&(_, y)| slots[y as usize].placed).count();
             let s = &mut slots[x as usize];
             s.dirty = false;
-            s.next_arc = lo + skip;
+            s.next_arc = at + skip;
             if s.touched > 0 {
                 heap.push(key(x, s));
             }

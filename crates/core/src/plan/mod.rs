@@ -28,6 +28,7 @@ pub mod nec;
 
 use crate::catalog::Catalog;
 use csce_ccsr::GcStar;
+use csce_graph::util::Csr;
 use csce_graph::{FxHashMap, Variant, VertexId};
 use dag::{build_dag, Dag};
 use descendant::descendant_sizes;
@@ -333,10 +334,8 @@ struct TreeBuilder<'a> {
     injective: bool,
     /// Forest parent of each position (`usize::MAX` for a root).
     parent: Vec<usize>,
-    /// Forest children of position `k`:
-    /// `children[child_start[k]..child_start[k + 1]]`.
-    child_start: Vec<usize>,
-    children: Vec<usize>,
+    /// Forest children per position, ascending.
+    children: Csr<usize>,
     /// Forest preorder; the subtree of `k` is the contiguous range
     /// `preorder[pre_start[k]..pre_start[k] + size[k]]`.
     preorder: Vec<usize>,
@@ -386,21 +385,8 @@ impl<'a> TreeBuilder<'a> {
                 }
             }
         }
-        let mut child_start = vec![0usize; n + 1];
-        for &par in parent.iter().filter(|&&par| par != usize::MAX) {
-            child_start[par + 1] += 1;
-        }
-        for k in 0..n {
-            child_start[k + 1] += child_start[k];
-        }
-        let mut fill = child_start.clone();
-        let mut children = vec![0usize; child_start[n]];
-        for (k, &par) in parent.iter().enumerate() {
-            if par != usize::MAX {
-                children[fill[par]] = k;
-                fill[par] += 1;
-            }
-        }
+        let non_roots = parent.iter().enumerate().filter(|&(_, &par)| par != usize::MAX);
+        let children = Csr::by_row(n, non_roots.map(|(k, &par)| (par, k)));
         // A parent precedes its children, so sizes accumulate backwards
         // and preorder starts forwards.
         let mut size = vec![1usize; n];
@@ -419,7 +405,7 @@ impl<'a> TreeBuilder<'a> {
             }
             preorder[pre_start[k]] = k;
             let mut next = pre_start[k] + 1;
-            for &c in &children[child_start[k]..child_start[k + 1]] {
+            for &c in children.row(k) {
                 pre_start[c] = next;
                 next += size[c];
             }
@@ -428,7 +414,6 @@ impl<'a> TreeBuilder<'a> {
             order,
             injective: variant.injective(),
             parent,
-            child_start,
             children,
             preorder,
             pre_start,
@@ -466,8 +451,7 @@ impl<'a> TreeBuilder<'a> {
             };
             chain.push(self.order[k]);
             self.placed[k] = true;
-            let kids = &self.children[self.child_start[k]..self.child_start[k + 1]];
-            frontier.extend(kids.iter().map(|&c| Reverse(c)));
+            frontier.extend(self.children.row(k).iter().map(|&c| Reverse(c)));
         };
         chain.into_iter().rev().fold(tail, |next, u| ExecNode::Seq { u, next: Box::new(next) })
     }

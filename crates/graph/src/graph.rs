@@ -9,9 +9,12 @@
 //! Vertices are dense `u32` ids. Construction goes through
 //! [`GraphBuilder`], which enforces the paper's structural requirements
 //! (no self loops; the edge label is a function of the vertex pair, so no
-//! parallel edges of the same kind).
+//! parallel edges of the same kind). The adjacency is one [`Csr`] with a
+//! row per vertex, built by counting over the edge list, each row then
+//! sorted in place: no per-vertex allocation, patterns and data graphs
+//! alike.
 
-use crate::util::FxHashMap;
+use crate::util::{Csr, FxHashMap};
 use crate::{Label, VertexId, NO_LABEL};
 
 /// How an incident edge relates to the vertex whose adjacency list it is in.
@@ -62,7 +65,7 @@ pub struct Adj {
 #[derive(Clone, Debug)]
 pub struct Graph {
     labels: Vec<Label>,
-    adj: Vec<Vec<Adj>>,
+    adj: Csr<Adj>,
     edges: Vec<Edge>,
     degree: Vec<u32>,
     label_freq: FxHashMap<Label, u32>,
@@ -105,7 +108,7 @@ impl Graph {
     /// Full adjacency of `v`, sorted by `(nbr, orient, elabel)`.
     #[inline]
     pub fn adj(&self, v: VertexId) -> &[Adj] {
-        &self.adj[v as usize]
+        self.adj.row(v as usize)
     }
 
     /// Degree of `v` — the number of *distinct neighbor vertices*, matching
@@ -119,19 +122,19 @@ impl Graph {
     /// Number of incident arcs leaving `v` (Out + Und), for Table IV's
     /// max-out-degree column.
     pub fn out_arcs(&self, v: VertexId) -> usize {
-        self.adj[v as usize].iter().filter(|a| a.orient != Orient::In).count()
+        self.adj(v).iter().filter(|a| a.orient != Orient::In).count()
     }
 
     /// Number of incident arcs entering `v` (In + Und).
     pub fn in_arcs(&self, v: VertexId) -> usize {
-        self.adj[v as usize].iter().filter(|a| a.orient != Orient::Out).count()
+        self.adj(v).iter().filter(|a| a.orient != Orient::Out).count()
     }
 
     /// The incident edges between `a` and `b`, seen from `a`'s side.
     /// Empty when not adjacent. Because adjacency is sorted by neighbor id,
     /// this is a binary search plus a short scan.
     pub fn edges_between(&self, a: VertexId, b: VertexId) -> &[Adj] {
-        let list = &self.adj[a as usize];
+        let list = self.adj(a);
         let lo = list.partition_point(|x| x.nbr < b);
         let hi = lo + list[lo..].partition_point(|x| x.nbr == b);
         &list[lo..hi]
@@ -391,29 +394,25 @@ impl GraphBuilder {
     /// Finalize into an immutable [`Graph`] with sorted adjacency.
     pub fn build(self) -> Graph {
         let n = self.labels.len();
-        let mut adj: Vec<Vec<Adj>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.directed {
-                adj[e.src as usize].push(Adj { nbr: e.dst, orient: Orient::Out, elabel: e.label });
-                adj[e.dst as usize].push(Adj { nbr: e.src, orient: Orient::In, elabel: e.label });
-            } else {
-                adj[e.src as usize].push(Adj { nbr: e.dst, orient: Orient::Und, elabel: e.label });
-                adj[e.dst as usize].push(Adj { nbr: e.src, orient: Orient::Und, elabel: e.label });
-            }
+        let arcs = self.edges.iter().flat_map(|e| {
+            let (out, inc) =
+                if e.directed { (Orient::Out, Orient::In) } else { (Orient::Und, Orient::Und) };
+            [
+                (e.src as usize, Adj { nbr: e.dst, orient: out, elabel: e.label }),
+                (e.dst as usize, Adj { nbr: e.src, orient: inc, elabel: e.label }),
+            ]
+        });
+        let mut adj = Csr::by_row(n, arcs);
+        for v in 0..n {
+            adj.row_mut(v).sort_unstable();
         }
-        let mut degree = Vec::with_capacity(n);
-        for list in &mut adj {
-            list.sort_unstable();
-            let mut d = 0u32;
-            let mut prev = VertexId::MAX;
-            for a in list.iter() {
-                if a.nbr != prev {
-                    d += 1;
-                    prev = a.nbr;
-                }
-            }
-            degree.push(d);
-        }
+        let degree = adj
+            .iter()
+            .map(|list| {
+                let distinct = list.chunk_by(|a, b| a.nbr == b.nbr).count();
+                u32::try_from(distinct).unwrap_or(u32::MAX)
+            })
+            .collect();
         let mut label_freq = FxHashMap::default();
         for &l in &self.labels {
             *label_freq.entry(l).or_insert(0) += 1;
@@ -428,7 +427,7 @@ impl GraphBuilder {
         // contributes exactly two adjacency entries and lists are strictly
         // sorted — equal entries would mean an undetected duplicate edge.
         debug_assert!(
-            adj.iter().map(Vec::len).sum::<usize>() == 2 * self.edges.len()
+            adj.items().len() == 2 * self.edges.len()
                 && adj.iter().all(|list| list.windows(2).all(|w| w[0] < w[1])),
             "adjacency must mirror the edge list with strictly sorted rows"
         );

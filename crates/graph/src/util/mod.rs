@@ -1,9 +1,12 @@
 //! Small utilities shared across the workspace: a fast non-cryptographic
-//! hasher (the FxHash algorithm used throughout rustc) and sorted-slice
-//! set operations that the matching engines lean on.
+//! hasher (the FxHash algorithm used throughout rustc), the one row-table
+//! type [`Csr`], and sorted-slice set operations that the matching engines
+//! lean on.
 
+mod csr;
 mod fxhash;
 
+pub use csr::Csr;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 
 /// Intersect two ascending sorted slices into `out` (cleared first).
