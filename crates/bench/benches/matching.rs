@@ -1,5 +1,6 @@
-//! Criterion micro-bench: end-to-end matching (read + plan + count) per
-//! variant on a labeled power-law graph — the workload behind Fig. 6.
+//! Criterion micro-benches: end-to-end matching (read + plan + count) per
+//! variant on a labeled power-law graph — the workload behind Fig. 6 — and
+//! collecting every embedding, sorted, on an unlabelled DIP-shaped graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_core::{Engine, PlannerConfig, RunConfig};
@@ -31,5 +32,33 @@ fn bench_matching(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matching);
+/// `Engine::collect_parallel` (read + plan + collect + sort) of D5
+/// patterns on an unlabelled DIP-shaped graph, both induced variants, on 1
+/// and 2 workers: the path `csce match --enumerate` takes.
+fn bench_collect(c: &mut Criterion) {
+    let mut group = c.benchmark_group("collect");
+    group.sample_size(10);
+    let g = chung_lu(150, 150 * 89 / 20, 2.5, 0, 0, false, 0xD1F);
+    let engine = Engine::build(&g);
+    if let Some(sp) = PatternSampler::new(&g, 5).sample(5, Density::Dense) {
+        for variant in [Variant::EdgeInduced, Variant::VertexInduced] {
+            for threads in [1usize, 2] {
+                let name = format!("D5_{}_t{threads}", variant.tag());
+                group.bench_function(name, |b| {
+                    b.iter(|| {
+                        engine.collect_parallel(
+                            std::hint::black_box(&sp.pattern),
+                            variant,
+                            threads,
+                            RunConfig::default(),
+                        )
+                    })
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_matching, bench_collect);
 criterion_main!(benches);

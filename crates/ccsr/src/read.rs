@@ -65,8 +65,8 @@ pub struct GcStar<'a> {
 /// The label pairs `G_C` joins, over label ids, one row per label: each
 /// pair `(a, b)`, `a ≤ b`, sits once in `a`'s row of `upper`, ascending
 /// `b`, with its range in `G_C`'s cluster table (a range, not a slice, so
-/// the star's lazy cell holds no borrow), and `lower` lists under each `b`
-/// the `a < b` joined to it.
+/// the star's lazy cell holds no borrow), and `lower` is its transpose,
+/// listing under each `b` the `a ≤ b` joined to it, ascending.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct LabelPairs {
     upper: Csr<(usize, Range<usize>)>,
@@ -197,12 +197,7 @@ impl LabelPairs {
     /// transpose by counting: the rows are walked in ascending `a`, so
     /// each `lower` row ascends.
     fn from_upper(upper: Csr<(usize, Range<usize>)>) -> LabelPairs {
-        let lower = Csr::by_row(
-            upper.rows(),
-            upper.iter().enumerate().flat_map(|(a, row)| {
-                row.iter().filter(move |&&(b, _)| b != a).map(move |&(b, _)| (b, a))
-            }),
-        );
+        let lower = upper.transpose(upper.rows(), |&(b, _)| b, |a| a);
         LabelPairs { upper, lower }
     }
 }
@@ -253,7 +248,8 @@ impl<'a> GcStar<'a> {
     pub fn adjacent_labels(&self, l: usize) -> impl Iterator<Item = usize> + '_ {
         let pairs = self.label_pairs();
         let upper = pairs.upper.row(l).iter().map(|&(b, _)| b);
-        pairs.lower.row(l).iter().copied().chain(upper)
+        // `lower` ends in `l` itself when `upper` starts with it.
+        pairs.lower.row(l).iter().copied().take_while(move |&a| a < l).chain(upper)
     }
 
     /// The `(a, b)*`-clusters between the labels of ids `l` and `m`, in

@@ -23,13 +23,17 @@
 //! * [`engine`] — the recursion itself ([`Executor`]): one candidate loop
 //!   serving factorized counting and sink-driven search alike.
 //! * [`sink`] — [`MatchSink`] and its implementations: what happens to
-//!   each complete embedding (count, collect, first-`k`, callback).
+//!   each complete embedding (count, collect, first-`k`, callback), plus
+//!   the crate-private keyed sink that stores each row behind a packed
+//!   64-bit prefix of its leading values, so rows sort by one integer
+//!   comparison.
 //! * [`scheduler`] — the run: dynamic chunked claiming of root
 //!   candidates, cooperative cancellation, the one deadline, panic
 //!   containment, and the entry points ([`count_parallel_observed`],
 //!   [`sink_parallel`], [`collect_parallel`]). All three share one worker
 //!   driver in which the calling thread is worker 0, so a one-thread run
-//!   claims chunks like any other.
+//!   claims chunks like any other. [`collect_parallel`] sorts each
+//!   worker's rows on that worker and merges the sorted runs in place.
 //! * [`stats`] — the counters every run reports ([`ExecStats`]).
 
 mod engine;

@@ -23,13 +23,18 @@
 //! caught, abort the remaining workers via the same flag, and surface as
 //! an [`ExecError`], never as a poisoned join.
 //!
+//! A collected result is ordered where it is produced: each worker sorts
+//! its own rows, keyed by a packed prefix, on its own thread, and the
+//! driver merges the sorted runs in place from the back, one linear pass
+//! per further worker.
+//!
 //! SCE-cache soundness is preserved by construction: claiming only
 //! partitions the *root* loop, every worker runs the unchanged sequential
 //! executor below it, and candidate caches (plus their parent-mapping
 //! signatures) are worker-local.
 
 use super::engine::Executor;
-use super::sink::{CollectSink, MatchSink};
+use super::sink::{KeyedSink, MatchSink};
 use super::stats::{add_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
@@ -137,9 +142,10 @@ pub struct ParallelRun {
     pub workers: Vec<ExecStats>,
 }
 
-/// Outcome of a parallel enumeration: embeddings (sorted, so the result
-/// is independent of worker interleaving), merged stats, per-worker
-/// stats.
+/// Outcome of a parallel enumeration: embeddings (sorted ascending and
+/// distinct, so the result is identical at every thread count; each
+/// worker sorted its own rows and the driver merged them), merged stats,
+/// per-worker stats.
 #[derive(Clone, Debug)]
 pub struct CollectRun {
     pub embeddings: Vec<Vec<VertexId>>,
@@ -311,9 +317,42 @@ where
     )
 }
 
-/// Enumerate *all* embeddings across `threads` workers. The result is
-/// sorted, so it is independent of worker interleaving, and duplicate-free
-/// by construction (workers claim disjoint root chunks).
+/// Merge `theirs` into `acc`, both sorted ascending, keeping `acc`
+/// sorted: one `reserve_exact`, then rows are moved from the back, the
+/// larger of the two last unplaced rows into the last free slot, so no
+/// row is copied and `acc` grows to exactly the sum of the two.
+fn merge_sorted(acc: &mut Vec<Vec<VertexId>>, mut theirs: Vec<Vec<VertexId>>) {
+    if acc.is_empty() {
+        *acc = theirs;
+        return;
+    }
+    let mut mine = acc.len();
+    acc.reserve_exact(theirs.len());
+    acc.resize_with(mine + theirs.len(), Vec::new);
+    // Invariant: `slot + 1 == mine + theirs.len()`, and every row past
+    // `slot` is placed.
+    for slot in (0..acc.len()).rev() {
+        let take_mine = match (mine.checked_sub(1).and_then(|i| acc.get(i)), theirs.last()) {
+            // Once `theirs` is spent, `acc[..mine]` is already in place.
+            (_, None) => break,
+            (Some(a), Some(b)) => a > b,
+            (None, Some(_)) => false,
+        };
+        if take_mine {
+            mine -= 1;
+            acc.swap(mine, slot);
+        } else if let (Some(row), Some(free)) = (theirs.pop(), acc.get_mut(slot)) {
+            *free = row;
+        }
+    }
+}
+
+/// Enumerate *all* embeddings across `threads` workers. Each worker
+/// collects into a [`KeyedSink`] and sorts its own rows on its own thread
+/// (phase `execute/worker/sort`); the driver then merges the sorted runs
+/// in place, in worker order (`execute/merge`). The result is sorted, so
+/// it is independent of worker interleaving, and duplicate-free by
+/// construction (workers claim disjoint root chunks).
 pub fn collect_parallel(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
@@ -323,12 +362,26 @@ pub fn collect_parallel(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
 ) -> Result<CollectRun, ExecError> {
-    let (sink, stats, workers) =
-        sink_parallel(star, pattern, plan, config, threads, progress, recorder, |_| {
-            CollectSink::default()
-        })?;
-    let mut embeddings = sink.embeddings;
-    embeddings.sort_unstable();
+    let data_n = star.ccsr().n();
+    let (embeddings, stats, workers) = run_parallel(
+        star,
+        pattern,
+        plan,
+        config,
+        threads,
+        progress,
+        recorder,
+        |_, exec| {
+            let mut sink = KeyedSink::new(data_n);
+            exec.drive(&mut sink);
+            let _span = recorder.span_path("execute/worker/sort");
+            sink.into_sorted()
+        },
+        |acc, rows| {
+            let _span = recorder.span_path("execute/merge");
+            merge_sorted(acc, rows);
+        },
+    )?;
     Ok(CollectRun { embeddings, stats, workers })
 }
 
@@ -401,6 +454,62 @@ mod tests {
             let expected: Vec<usize> = (0..len).collect();
             assert_eq!(all, expected, "len={len} threads={threads}");
         }
+    }
+
+    /// `merge_sorted` against a sort of the concatenation, and the merged
+    /// buffer grows to exactly the sum of the two.
+    fn assert_merges(mine: &[Vec<VertexId>], theirs: &[Vec<VertexId>]) {
+        let mut want = [mine, theirs].concat();
+        want.sort_unstable();
+        let mut acc = mine.to_vec();
+        acc.shrink_to_fit();
+        merge_sorted(&mut acc, theirs.to_vec());
+        assert_eq!(acc, want, "{mine:?} + {theirs:?}");
+        if !mine.is_empty() {
+            assert_eq!(acc.capacity(), want.len(), "{mine:?} + {theirs:?}");
+        }
+    }
+
+    #[test]
+    fn merge_handles_empty_runs() {
+        let rows = vec![vec![0, 1], vec![0, 2], vec![3, 0]];
+        assert_merges(&[], &[]);
+        assert_merges(&rows, &[]);
+        assert_merges(&[], &rows);
+    }
+
+    #[test]
+    fn merge_takes_whole_runs_from_one_side() {
+        let low = vec![vec![0, 1], vec![0, 2], vec![1, 0]];
+        let high = vec![vec![2, 0], vec![5, 1]];
+        assert_merges(&low, &high);
+        assert_merges(&high, &low);
+        assert_merges(&[vec![9]], &[vec![1], vec![2], vec![3]]);
+        assert_merges(&[vec![1], vec![2], vec![3]], &[vec![0]]);
+    }
+
+    #[test]
+    fn merge_interleaves_runs() {
+        let odd: Vec<Vec<VertexId>> = (0..40).map(|i| vec![i / 7, 2 * i + 1]).collect();
+        let even: Vec<Vec<VertexId>> = (0..25).map(|i| vec![i / 4, 2 * i]).collect();
+        assert_merges(&odd, &even);
+        assert_merges(&even, &odd);
+        // Alternating single rows, and one side cut into the middle of
+        // the other.
+        assert_merges(&[vec![0], vec![2], vec![4]], &[vec![1], vec![3], vec![5]]);
+        assert_merges(&[vec![0], vec![5]], &[vec![1], vec![2], vec![3]]);
+        // Several workers' runs folded one after another.
+        let mut acc = Vec::new();
+        let runs: Vec<Vec<Vec<VertexId>>> =
+            (0..4).map(|w| (0..10).map(|i| vec![(i * 4 + w) % 13, i]).collect()).collect();
+        for run in &runs {
+            let mut run = run.clone();
+            run.sort_unstable();
+            merge_sorted(&mut acc, run);
+        }
+        let mut want = runs.concat();
+        want.sort_unstable();
+        assert_eq!(acc, want);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! worker its own sink instance (so `on_embedding` never synchronizes)
 //! and folds them together with [`MatchSink::merge`] once the workers
 //! join. Workers claim disjoint root-candidate chunks, so merged results
-//! are duplicate-free by construction.
+//! are duplicate-free by construction. The collect path instead sorts
+//! each worker's [`KeyedSink`] on its worker and merges the sorted rows
+//! ([`collect_parallel`](super::collect_parallel)).
 
 use super::stats::add_clamped;
 use csce_graph::VertexId;
@@ -75,6 +77,64 @@ impl MatchSink for CollectSink {
     fn merge(&mut self, other: Self) {
         let mut theirs = other.embeddings;
         self.embeddings.append(&mut theirs);
+    }
+}
+
+/// Collects every embedding as `(prefix, row)`, ready to be sorted where
+/// it was collected — the sink of [`collect_parallel`](super::collect_parallel).
+///
+/// `prefix` packs the leading values of the row, most significant first,
+/// at `⌈log2 |V(G)|⌉` bits each, as many as fit in 64 bits. Entries
+/// therefore compare as their rows do, and the row is read only when two
+/// prefixes tie, which for distinct rows never happens once the whole row
+/// fits. An entry is
+/// 24 bytes, a `Vec` header's size, so [`KeyedSink::into_sorted`] strips
+/// the prefixes in place.
+#[derive(Debug)]
+pub(crate) struct KeyedSink {
+    /// Bits per packed value, in `1..=32`.
+    bits: u32,
+    /// How many leading values the prefix packs.
+    columns: usize,
+    entries: Vec<(u64, Box<[VertexId]>)>,
+}
+
+impl KeyedSink {
+    /// A sink for embeddings into a data graph of `data_n` vertices: every
+    /// value is below `data_n`, so `⌈log2 data_n⌉` bits hold it.
+    pub(crate) fn new(data_n: usize) -> KeyedSink {
+        let bits =
+            (usize::BITS - data_n.saturating_sub(1).leading_zeros()).clamp(1, VertexId::BITS);
+        let columns = u64::BITS.checked_div(bits).map_or(0, |c| c as usize);
+        KeyedSink { bits, columns, entries: Vec::new() }
+    }
+
+    /// The packed leading values of `f`.
+    #[inline]
+    fn prefix(&self, f: &[VertexId]) -> u64 {
+        f.iter().take(self.columns).fold(0, |key, &v| (key << self.bits) | u64::from(v))
+    }
+
+    /// The rows, sorted ascending. The entries are sorted by `(prefix,
+    /// row)` and then turned into rows in place: each boxed row becomes a
+    /// `Vec` without a copy, in the entries' own buffer.
+    pub(crate) fn into_sorted(self) -> Vec<Vec<VertexId>> {
+        let mut entries = self.entries;
+        entries.sort_unstable();
+        entries.into_iter().map(|(_, row)| row.into_vec()).collect()
+    }
+}
+
+impl MatchSink for KeyedSink {
+    #[inline]
+    fn on_embedding(&mut self, f: &[VertexId]) -> ControlFlow<()> {
+        self.entries.push((self.prefix(f), f.into()));
+        ControlFlow::Continue(())
+    }
+
+    fn merge(&mut self, other: Self) {
+        let mut theirs = other.entries;
+        self.entries.append(&mut theirs);
     }
 }
 
@@ -200,6 +260,113 @@ mod tests {
         let _ = b.on_embedding(&[3, 4]);
         a.merge(b);
         assert_eq!(a.embeddings, vec![vec![1, 2], vec![3, 4]]);
+    }
+
+    /// Feed `rows` to a keyed sink over `data_n` vertices and sort them.
+    fn keyed(data_n: usize, rows: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
+        let mut sink = KeyedSink::new(data_n);
+        for row in rows {
+            assert!(sink.on_embedding(row).is_continue());
+        }
+        sink.into_sorted()
+    }
+
+    #[test]
+    fn key_width_covers_every_vertex_id() {
+        for (data_n, bits, columns) in [
+            (0usize, 1u32, 64usize),
+            (1, 1, 64),
+            (2, 1, 64),
+            (3, 2, 32),
+            (4, 2, 32),
+            (5, 3, 21),
+            (1 << 20, 20, 3),
+            ((1 << 20) + 1, 21, 3),
+            (u32::MAX as usize, 32, 2),
+            (u32::MAX as usize + 1, 32, 2),
+        ] {
+            let sink = KeyedSink::new(data_n);
+            assert_eq!((sink.bits, sink.columns), (bits, columns), "data_n={data_n}");
+        }
+        // The largest id packs into the top of the key, the next column
+        // below it.
+        let sink = KeyedSink::new(5);
+        assert_eq!(sink.prefix(&[4, 1]), (4 << 3) | 1);
+        assert_eq!(
+            KeyedSink::new(u32::MAX as usize).prefix(&[u32::MAX - 1, 7, 9]),
+            (0xFFFF_FFFE << 32) | 7
+        );
+    }
+
+    #[test]
+    fn keyed_rows_sort_as_plain_rows() {
+        // Near `u32::MAX` vertices only two columns fit in the prefix:
+        // rows equal in those two must still order by the rest.
+        let big = u32::MAX as usize;
+        let top = u32::MAX - 1;
+        let rows = vec![
+            vec![top, 3, 9, 1],
+            vec![top, 3, 2, 8],
+            vec![0, top, 5, 5],
+            vec![top, 3, 2, 7],
+            vec![top, 2, top, 0],
+            vec![0, top, 5, 4],
+            vec![1, 0, 0, 0],
+        ];
+        let mut want = rows.clone();
+        want.sort_unstable();
+        assert_eq!(keyed(big, &rows), want);
+        // Small graphs fit the whole row in the prefix.
+        let small: Vec<Vec<VertexId>> =
+            (0..60u32).map(|i| vec![(i * 7) % 5, (i * 3) % 5, i % 5]).collect();
+        let mut want = small.clone();
+        want.sort_unstable();
+        assert_eq!(keyed(5, &small), want);
+        assert!(keyed(5, &[]).is_empty());
+    }
+
+    #[test]
+    fn stripping_the_keys_reuses_the_entries_buffer() {
+        let mut sink = KeyedSink::new(100);
+        for i in (0..50u32).rev() {
+            let _ = sink.on_embedding(&[i, i + 1]);
+        }
+        let buffer = sink.entries.as_ptr() as usize;
+        let rows = sink.into_sorted();
+        assert_eq!(rows.as_ptr() as usize, buffer, "rows were moved to a new buffer");
+        assert!(rows.iter().zip(0..).all(|(row, i)| *row == [i, i + 1]));
+    }
+
+    #[test]
+    fn keyed_sink_merges_unsorted_entries() {
+        let mut a = KeyedSink::new(10);
+        let mut b = KeyedSink::new(10);
+        let _ = a.on_embedding(&[3, 4]);
+        let _ = b.on_embedding(&[1, 2]);
+        a.merge(b);
+        assert_eq!(a.into_sorted(), vec![vec![1, 2], vec![3, 4]]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over every key width, from whole rows in the prefix to two
+        /// columns of 32 bits, keyed sorting is a plain sort of the rows.
+        #[test]
+        fn keyed_order_is_row_order(
+            shift in 2u32..=32,
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..4, 5), 0..40),
+        ) {
+            let data_n = 1usize << shift;
+            // Spread the small values over the whole id range, so ties in
+            // the packed columns are common and high bits are set.
+            let scale = u32::try_from(data_n / 4).unwrap_or(1 << 30);
+            let rows: Vec<Vec<VertexId>> =
+                rows.into_iter().map(|r| r.into_iter().map(|v| v * scale).collect()).collect();
+            let mut want = rows.clone();
+            want.sort_unstable();
+            proptest::prop_assert_eq!(keyed(data_n, &rows), want);
+        }
     }
 
     #[test]

@@ -256,10 +256,11 @@ impl Dag {
     /// parents' transpose: counting in vertex-id order keeps every row
     /// ascending.
     fn new(parents: Csr<VertexId>, edge_parents: Csr<(VertexId, usize)>) -> Dag {
-        let arcs = (0..)
-            .zip(parents.iter())
-            .flat_map(|(u, row)| row.iter().map(move |&w| (w as usize, u)));
-        let children = Csr::by_row(parents.rows(), arcs);
+        let children = parents.transpose(
+            parents.rows(),
+            |&w| w as usize,
+            |u| VertexId::try_from(u).unwrap_or(VertexId::MAX),
+        );
         Dag { parents, children, edge_parents }
     }
 

@@ -31,11 +31,7 @@ impl<T: Copy> Csr<T> {
                 *count += 1;
             }
         });
-        let mut total = 0;
-        for s in &mut start {
-            total += *s;
-            *s = total;
-        }
+        let total = prefix_sums(&mut start);
         // Any kept item fills the buffer before the pairs overwrite it.
         let Some((_, filler)) = pairs.clone().find(|&(r, _)| r < rows) else {
             return Csr { start, items: Vec::new() };
@@ -81,6 +77,42 @@ impl<T> Csr<T> {
             start.is_sorted() && start.last() <= Some(&items.len()),
             "row ends must ascend within the items"
         );
+        Csr { start, items }
+    }
+
+    /// The transpose by counting: item `x` of row `i` puts `name(i)` in
+    /// row `key(x)` of the result, so each result row lists its sources in
+    /// row order, once per item. An item keyed at or past `rows` is
+    /// dropped. The count walks [`Csr::items`] as one slice and the fill
+    /// walks the rows by offset: no per-row iterator is chained.
+    pub fn transpose<U: Copy>(
+        &self,
+        rows: usize,
+        key: impl Fn(&T) -> usize,
+        name: impl Fn(usize) -> U,
+    ) -> Csr<U> {
+        let mut start = vec![0usize; rows + 1];
+        for x in &self.items {
+            if let Some(count) = start.get_mut(key(x).saturating_add(1)) {
+                *count += 1;
+            }
+        }
+        let total = prefix_sums(&mut start);
+        // Every slot is written below; `name(0)` only sizes the buffer.
+        let mut items = vec![name(0); total];
+        let mut cursor = start.clone();
+        cursor.pop();
+        for (i, row) in self.iter().enumerate() {
+            let source = name(i);
+            for x in row {
+                if let Some(at) = cursor.get_mut(key(x)) {
+                    if let Some(slot) = items.get_mut(*at) {
+                        *slot = source;
+                    }
+                    *at += 1;
+                }
+            }
+        }
         Csr { start, items }
     }
 
@@ -134,6 +166,17 @@ impl<T> Csr<T> {
         self.start.capacity() * std::mem::size_of::<usize>()
             + self.items.capacity() * std::mem::size_of::<T>()
     }
+}
+
+/// Row counts, each stored one slot after its row, turned into offsets
+/// in place; returns the total.
+fn prefix_sums(start: &mut [usize]) -> usize {
+    let mut total = 0;
+    for s in start {
+        total += *s;
+        *s = total;
+    }
+    total
 }
 
 #[cfg(test)]
@@ -198,6 +241,38 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `transpose` is `by_row` over the arcs walked row by row: empty
+        /// rows, keys past the end (`usize::MAX` among them) and a result
+        /// with more or fewer rows than the source all agree.
+        #[test]
+        fn transpose_matches_counting_by_row(
+            lens in collection::vec(0usize..4, 0..7),
+            keys in collection::vec(0usize..9, 0..28),
+            rows in 0usize..8,
+        ) {
+            let ends: Vec<usize> = lens
+                .iter()
+                .scan(0, |end, &len| {
+                    *end = (*end + len).min(keys.len());
+                    Some(*end)
+                })
+                .collect();
+            let used = ends.last().copied().unwrap_or(0);
+            let items: Vec<usize> =
+                keys[..used].iter().map(|&k| if k == 8 { usize::MAX } else { k }).collect();
+            let csr = Csr::from_ends(ends, items);
+            let name = |i: usize| 100 + i as u32;
+            let arcs = (0..)
+                .zip(csr.iter())
+                .flat_map(|(i, row)| row.iter().map(move |&k| (k, name(i))));
+            let want = Csr::by_row(rows, arcs);
+            prop_assert_eq!(&csr.transpose(rows, |&k| k, name), &want);
+        }
+    }
+
     #[test]
     fn an_empty_table_has_no_rows() {
         let csr: Csr<u32> = Csr::by_row(0, []);
@@ -208,6 +283,8 @@ mod tests {
         let blank: Csr<u32> = Csr::by_row(3, [(3, 7), (usize::MAX, 8)]);
         assert_eq!(rows_of(&blank), [[0u32; 0]; 3]);
         assert!(blank.permuted(&[]).iter().next().is_none());
+        assert_eq!(blank.transpose(2, |&x| x as usize, |i| i), Csr::by_row(2, []));
+        assert_eq!(csr.transpose(0, |&x| x as usize, |i| i).rows(), 0);
     }
 
     #[test]

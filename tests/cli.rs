@@ -245,6 +245,38 @@ fn stats_json_is_valid_and_complete() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
 }
 
+#[test]
+fn enumerate_stats_time_the_sort_and_the_merge() {
+    use csce::obs::JsonValue;
+    let dir = workdir();
+    let data = write(&dir, "data_sorted.csce", DATA);
+    let args = ["--query", "(a:0)-->(b:1)", "--threads", "2", "--stats", "json", "--enumerate"];
+    let out = bin().arg("match").arg(&data).args(args).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("-- 6 embeddings printed"), "{stdout}");
+    let json_start = stdout.find('{').expect("report follows the embeddings");
+    let report = csce::obs::parse_json(&stdout[json_start..]).expect("valid JSON report");
+    let named = |nodes: &[JsonValue], name: &str| -> JsonValue {
+        nodes
+            .iter()
+            .find(|p| p.get("name").and_then(JsonValue::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("missing phase {name}"))
+            .clone()
+    };
+    let children = |node: &JsonValue| -> Vec<JsonValue> {
+        node.get("children").and_then(JsonValue::as_array).map(<[_]>::to_vec).unwrap_or_default()
+    };
+    let phases = report.get("phases").and_then(JsonValue::as_array).expect("phases");
+    // Each worker sorts its own rows; the driver merges them once per
+    // further worker.
+    let execute = children(&named(phases, "execute"));
+    let sort = named(&children(&named(&execute, "worker")), "sort");
+    assert_eq!(sort.get("calls").and_then(JsonValue::as_u64), Some(2));
+    let merge = named(&execute, "merge");
+    assert_eq!(merge.get("calls").and_then(JsonValue::as_u64), Some(1));
+}
+
 /// A directed star: a label-0 centre with `per_label` leaves of each
 /// label `1..=labels`, in the `.csce` text format.
 fn labeled_star(labels: u32, per_label: u32) -> String {

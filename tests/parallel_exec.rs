@@ -1,8 +1,9 @@
 //! The parallel match engine's contract: dynamic chunked scheduling is
 //! exact (counts and embedding *sets* identical to the sequential
-//! executor), early stop and timeouts propagate cooperatively across
-//! workers, and a worker panic degrades to a clean error instead of
-//! poisoning the run.
+//! executor, collected rows sorted and distinct at every thread count,
+//! idle workers included), early stop and timeouts propagate
+//! cooperatively across workers, and a worker panic degrades to a clean
+//! error instead of poisoning the run.
 
 use csce::engine::exec::{sink_parallel, MatchSink};
 use csce::engine::{Catalog, Engine, ExecError, Planner, PlannerConfig, RunConfig};
@@ -24,6 +25,17 @@ fn path_pattern(n: usize) -> Graph {
     b.add_unlabeled_vertices(n);
     for i in 0..n as u32 - 1 {
         b.add_undirected_edge(i, i + 1, NO_LABEL).unwrap();
+    }
+    b.build()
+}
+
+fn complete_graph(n: u32) -> Graph {
+    let mut b = GraphBuilder::new();
+    b.add_unlabeled_vertices(n as usize);
+    for i in 0..n {
+        for j in i + 1..n {
+            b.add_undirected_edge(i, j, NO_LABEL).unwrap();
+        }
     }
     b.build()
 }
@@ -51,21 +63,60 @@ fn chunked_scheduler_is_exact_on_skewed_graph() {
     }
 }
 
+/// The sequential executor's embeddings, sorted here: an expectation
+/// that does not pass through the parallel collect path.
+fn sequential_embeddings(engine: &Engine, p: &Graph, variant: Variant) -> Vec<Vec<VertexId>> {
+    let mut rows = Vec::new();
+    engine.enumerate(p, variant, &mut |f| {
+        rows.push(f.to_vec());
+        true
+    });
+    rows.sort_unstable();
+    rows
+}
+
 #[test]
 fn parallel_enumerate_matches_sequential_set_for_all_variants() {
     let g = skewed_graph();
     let p = path_pattern(3);
     let engine = Engine::build(&g);
     for variant in Variant::ALL {
-        // `Engine::embeddings` is the sequential enumeration, sorted.
-        let expected = engine.embeddings(&p, variant);
+        let expected = sequential_embeddings(&engine, &p, variant);
         assert!(!expected.is_empty(), "{variant}");
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 3, 4, 7] {
             let run = engine
                 .collect_parallel(&p, variant, threads, RunConfig::default())
                 .expect("no worker panicked");
             assert_eq!(run.embeddings, expected, "{variant} with {threads} threads");
             assert_eq!(run.stats.embeddings, expected.len() as u64, "{variant}");
+            assert_eq!(run.workers.len(), threads);
+        }
+    }
+}
+
+#[test]
+fn workers_without_root_candidates_collect_nothing() {
+    // Four data vertices are at most four root candidates: with seven
+    // workers, at least three claim no chunk and return no rows.
+    let mut b = GraphBuilder::new();
+    b.add_unlabeled_vertices(4);
+    for (x, y) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
+        b.add_undirected_edge(x, y, NO_LABEL).unwrap();
+    }
+    let g = b.build();
+    let p = path_pattern(3);
+    let engine = Engine::build(&g);
+    for variant in Variant::ALL {
+        let expected = sequential_embeddings(&engine, &p, variant);
+        assert!(!expected.is_empty(), "{variant}");
+        for threads in [5usize, 7] {
+            let run = engine
+                .collect_parallel(&p, variant, threads, RunConfig::default())
+                .expect("no worker panicked");
+            assert_eq!(run.embeddings, expected, "{variant} with {threads} threads");
+            let idle = run.workers.iter().filter(|w| w.chunks_claimed == 0).count();
+            assert!(idle >= threads - 4, "{variant} with {threads} threads: {idle} idle");
+            assert!(run.workers.iter().all(|w| w.chunks_claimed > 0 || w.embeddings == 0));
         }
     }
 }
@@ -77,7 +128,7 @@ fn first_k_under_many_threads_returns_exactly_k() {
     let engine = Engine::build(&g);
     let total = engine.count(&p, Variant::EdgeInduced);
     assert!(total > 100);
-    let all = engine.embeddings(&p, Variant::EdgeInduced);
+    let all = sequential_embeddings(&engine, &p, Variant::EdgeInduced);
     let rec = Recorder::disabled();
     let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
     for threads in [4usize, 7] {
@@ -104,14 +155,7 @@ fn first_k_under_many_threads_returns_exactly_k() {
 fn shared_timeout_is_attributed_exactly_once() {
     // An explosive homomorphic workload with a zero budget: every worker
     // observes the stop, but only one flags `timed_out`.
-    let mut b = GraphBuilder::new();
-    b.add_unlabeled_vertices(13);
-    for i in 0..13u32 {
-        for j in i + 1..13 {
-            b.add_undirected_edge(i, j, NO_LABEL).unwrap();
-        }
-    }
-    let g = b.build();
+    let g = complete_graph(13);
     let p = path_pattern(9);
     let engine = Engine::build(&g);
     let rec = Recorder::disabled();
@@ -122,6 +166,29 @@ fn shared_timeout_is_attributed_exactly_once() {
         assert!(out.stats.timed_out, "{threads} threads");
         let flagged = out.workers.iter().filter(|w| w.timed_out).count();
         assert_eq!(flagged, 1, "{threads} threads: {flagged} workers flagged the one deadline");
+    }
+}
+
+#[test]
+fn a_zero_budget_collect_returns_sorted_partial_rows() {
+    // The explosive workload of the timeout test: the run stops early,
+    // and whatever the workers collected comes back sorted, distinct and
+    // real.
+    let g = complete_graph(13);
+    let p = path_pattern(9);
+    let engine = Engine::build(&g);
+    let run = RunConfig { time_limit: Some(Duration::ZERO), ..Default::default() };
+    for threads in [1usize, 2, 4] {
+        let out = engine
+            .collect_parallel(&p, Variant::Homomorphic, threads, run)
+            .expect("no worker panicked");
+        assert!(out.stats.timed_out, "{threads} threads");
+        // Strictly ascending: sorted and distinct.
+        assert!(out.embeddings.windows(2).all(|w| w[0] < w[1]), "{threads} threads");
+        for f in &out.embeddings {
+            assert_eq!(f.len(), p.n());
+            assert!(f.windows(2).all(|e| g.connected(e[0], e[1])), "not a homomorphism: {f:?}");
+        }
     }
 }
 
