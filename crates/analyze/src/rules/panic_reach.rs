@@ -10,8 +10,9 @@
 //! recursion (`Executor::scan`/`try_candidate`/`walk` and the drivers
 //! above them), the work-stealing scheduler's chunk-claim/stop/deadline
 //! path, the worker driver (`run_parallel`) and the entry points above it
-//! (`count_parallel_observed`, `collect_parallel` and, through it,
-//! `sink_parallel`). Every entry is pinned to `crates/core/src/exec/` so a
+//! (`count_parallel_observed`, and `collect_parallel` with, through it,
+//! `collect_with_limit`, the one collect body that the first-`k` collect
+//! shares). Every entry is pinned to `crates/core/src/exec/` so a
 //! same-named function elsewhere cannot widen or shadow the surface, and
 //! an entry that no longer resolves is itself a finding — renaming a hot
 //! function without updating the list fails CI instead of silently

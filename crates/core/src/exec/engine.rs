@@ -7,7 +7,8 @@
 //! [`ExecNode`] tree ([`Executor::count`]) — counting is a
 //! counting-sink specialization that additionally multiplies
 //! `H`-independent suffix components instead of enumerating their
-//! Cartesian product.
+//! Cartesian product. Counting without factorization is the sink walk
+//! into a [`CountSink`].
 //!
 //! Every run is a scheduled run: the root vertex's candidate loop claims
 //! chunks from a [`Scheduler`], which also owns the run's stop flag and
@@ -16,7 +17,7 @@
 //! ([`Executor::with_scheduler`]).
 
 use super::scheduler::{deadline_after, Scheduler};
-use super::sink::{CallbackSink, MatchSink};
+use super::sink::{CallbackSink, CountSink, MatchSink};
 use super::stats::{add_clamped, mul_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
@@ -165,16 +166,18 @@ impl<'a> Executor<'a> {
     }
 
     /// Count all embeddings. Uses the factorized tree when enabled (and
-    /// when no cross-cutting ordering restrictions are imposed).
+    /// when no cross-cutting ordering restrictions are imposed); otherwise
+    /// the sink walk counts them one by one into a [`CountSink`].
     pub fn count(&mut self) -> u64 {
-        self.reset();
         let has_restrictions = self.checks_at.iter().any(|l| !l.is_empty());
+        if !self.config.factorize || has_restrictions {
+            let mut sink = CountSink::default();
+            self.drive(&mut sink);
+            return sink.count;
+        }
+        self.reset();
         let plan = self.plan;
-        let count = if self.config.factorize && !has_restrictions {
-            self.count_node(&plan.root, 0)
-        } else {
-            self.count_node(&sequential_tree(&plan.order), 0)
-        };
+        let count = self.count_node(&plan.root, 0);
         self.stats.embeddings = count;
         self.publish_progress();
         count
@@ -512,13 +515,4 @@ fn pattern_has_arc(
                     && (!e.directed || (e.src == parent) == from_parent)
             })
     })
-}
-
-/// A purely sequential execution tree over `Φ*` (factorization disabled).
-fn sequential_tree(order: &[VertexId]) -> ExecNode {
-    let mut node = ExecNode::Done;
-    for &u in order.iter().rev() {
-        node = ExecNode::Seq { u, next: Box::new(node) };
-    }
-    node
 }

@@ -23,17 +23,19 @@
 //! * [`engine`] — the recursion itself ([`Executor`]): one candidate loop
 //!   serving factorized counting and sink-driven search alike.
 //! * [`sink`] — [`MatchSink`] and its implementations: what happens to
-//!   each complete embedding (count, collect, first-`k`, callback), plus
-//!   the crate-private keyed sink that stores each row behind a packed
-//!   64-bit prefix of its leading values, so rows sort by one integer
-//!   comparison.
+//!   each complete embedding (count, collect, callback), plus the
+//!   crate-private keyed sink behind every collected result. It stores
+//!   each row behind a packed 64-bit prefix of its leading values, so
+//!   rows sort by one integer comparison, and takes an optional first-`k`
+//!   quota shared by a run's workers.
 //! * [`scheduler`] — the run: dynamic chunked claiming of root
 //!   candidates, cooperative cancellation, the one deadline, panic
 //!   containment, and the entry points ([`count_parallel_observed`],
-//!   [`sink_parallel`], [`collect_parallel`]). All three share one worker
-//!   driver in which the calling thread is worker 0, so a one-thread run
-//!   claims chunks like any other. [`collect_parallel`] sorts each
-//!   worker's rows on that worker and merges the sorted runs in place.
+//!   [`collect_parallel`]). Both share one worker driver in which the
+//!   calling thread is worker 0, so a one-thread run claims chunks like
+//!   any other. One function body builds every collected result, with or
+//!   without a limit: it sorts each worker's rows on that worker and
+//!   merges the sorted runs in place.
 //! * [`stats`] — the counters every run reports ([`ExecStats`]).
 
 mod engine;
@@ -42,11 +44,11 @@ mod sink;
 mod stats;
 
 pub use engine::Executor;
+pub(crate) use scheduler::collect_with_limit;
 pub use scheduler::{
-    collect_parallel, count_parallel_observed, sink_parallel, CollectRun, ExecError, ParallelRun,
-    Scheduler,
+    collect_parallel, count_parallel_observed, CollectRun, ExecError, ParallelRun, Scheduler,
 };
-pub use sink::{CallbackSink, CollectSink, CountSink, FirstKSink, MatchSink};
+pub use sink::{CallbackSink, CollectSink, CountSink, MatchSink};
 pub use stats::{DeepStats, ExecStats};
 
 use std::time::Duration;
@@ -232,11 +234,13 @@ mod tests {
         exec.drive(&mut collect);
         assert_eq!(collect.embeddings.len() as u64, oracle);
 
-        let mut first2 = FirstKSink::new(2);
-        exec.drive(&mut first2);
-        assert_eq!(first2.embeddings.len(), 2);
-        // The first-k prefix is a prefix of the full enumeration order.
-        assert_eq!(first2.embeddings[..], collect.embeddings[..2]);
+        let mut first2 = Vec::new();
+        exec.drive(&mut CallbackSink::new(|f: &[VertexId]| {
+            first2.push(f.to_vec());
+            first2.len() < 2
+        }));
+        // A stopped search saw a prefix of the full enumeration order.
+        assert_eq!(first2[..], collect.embeddings[..2]);
     }
 
     #[test]

@@ -16,17 +16,21 @@
 //!
 //! The scheduler also owns the run's *shared* stop state: one deadline
 //! (checked every 4096 recursion nodes) and one stop flag, so a timeout
-//! or an early-stopping sink ([`FirstKSink`](super::FirstKSink)) in any
-//! worker halts all of them instead of each worker finishing its slice.
+//! or a filled first-`k` quota in any worker halts all of them instead of
+//! each worker finishing its slice.
 //! The deadline is computed in one place (`deadline_after`). Worker
 //! panics — the calling thread's included, since it runs worker 0 — are
 //! caught, abort the remaining workers via the same flag, and surface as
 //! an [`ExecError`], never as a poisoned join.
 //!
-//! A collected result is ordered where it is produced: each worker sorts
-//! its own rows, keyed by a packed prefix, on its own thread, and the
-//! driver merges the sorted runs in place from the back, one linear pass
-//! per further worker.
+//! One worker driver (`run_parallel`) serves the two entry points,
+//! counting ([`count_parallel_observed`]) and collecting
+//! ([`collect_parallel`], and the first-`k` collect behind
+//! `Query::collect`, which share one function body). A collected result
+//! is ordered where it is produced: each worker sorts its own rows, keyed
+//! by a packed prefix, on its own thread, and the driver merges the
+//! sorted runs in place from the back, one linear pass per further
+//! worker.
 //!
 //! SCE-cache soundness is preserved by construction: claiming only
 //! partitions the *root* loop, every worker runs the unchanged sequential
@@ -34,7 +38,7 @@
 //! signatures) are worker-local.
 
 use super::engine::Executor;
-use super::sink::{KeyedSink, MatchSink};
+use super::sink::KeyedSink;
 use super::stats::{add_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
@@ -281,42 +285,6 @@ pub fn count_parallel_observed(
     Ok(ParallelRun { count: total, stats, workers })
 }
 
-/// Run one sink instance per worker and fold them in worker order —
-/// the generic parallel entry point [`collect_parallel`] specializes
-/// (a shared [`FirstKSink`](super::FirstKSink) quota gives exact
-/// first-`k` enumeration).
-#[allow(clippy::too_many_arguments)]
-pub fn sink_parallel<S, F>(
-    star: &csce_ccsr::GcStar<'_>,
-    pattern: &csce_graph::Graph,
-    plan: &Plan,
-    config: RunConfig,
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    recorder: &Recorder,
-    make_sink: F,
-) -> Result<(S, ExecStats, Vec<ExecStats>), ExecError>
-where
-    S: MatchSink + Send,
-    F: Fn(usize) -> S + Sync,
-{
-    run_parallel(
-        star,
-        pattern,
-        plan,
-        config,
-        threads,
-        progress,
-        recorder,
-        |worker, exec| {
-            let mut sink = make_sink(worker);
-            exec.drive(&mut sink);
-            sink
-        },
-        |acc: &mut S, sink| acc.merge(sink),
-    )
-}
-
 /// Merge `theirs` into `acc`, both sorted ascending, keeping `acc`
 /// sorted: one `reserve_exact`, then rows are moved from the back, the
 /// larger of the two last unplaced rows into the last free slot, so no
@@ -347,12 +315,8 @@ fn merge_sorted(acc: &mut Vec<Vec<VertexId>>, mut theirs: Vec<Vec<VertexId>>) {
     }
 }
 
-/// Enumerate *all* embeddings across `threads` workers. Each worker
-/// collects into a [`KeyedSink`] and sorts its own rows on its own thread
-/// (phase `execute/worker/sort`); the driver then merges the sorted runs
-/// in place, in worker order (`execute/merge`). The result is sorted, so
-/// it is independent of worker interleaving, and duplicate-free by
-/// construction (workers claim disjoint root chunks).
+/// Enumerate *all* embeddings across `threads` workers: the unlimited
+/// [`collect_with_limit`].
 pub fn collect_parallel(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
@@ -362,7 +326,32 @@ pub fn collect_parallel(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
 ) -> Result<CollectRun, ExecError> {
+    collect_with_limit(star, pattern, plan, config, threads, progress, recorder, None)
+}
+
+/// Enumerate embeddings across `threads` workers, at most `limit` of
+/// them — the one body behind every collected result. Each worker
+/// collects into a [`KeyedSink`] and sorts its own rows on its own thread
+/// (phase `execute/worker/sort`); the driver then merges the sorted runs
+/// in place, in worker order (`execute/merge`). The result is sorted, so
+/// it is independent of worker interleaving, and duplicate-free by
+/// construction (workers claim disjoint root chunks). With `limit`, the
+/// sinks share one admission counter, so exactly `min(limit, total)`
+/// rows are kept and the run stops once they are; *which* rows win
+/// depends on scheduling.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collect_with_limit(
+    star: &csce_ccsr::GcStar<'_>,
+    pattern: &csce_graph::Graph,
+    plan: &Plan,
+    config: RunConfig,
+    threads: usize,
+    progress: Option<Arc<AtomicU64>>,
+    recorder: &Recorder,
+    limit: Option<usize>,
+) -> Result<CollectRun, ExecError> {
     let data_n = star.ccsr().n();
+    let quota = limit.map(|k| (u64::try_from(k).unwrap_or(u64::MAX), Arc::new(AtomicU64::new(0))));
     let (embeddings, stats, workers) = run_parallel(
         star,
         pattern,
@@ -372,7 +361,7 @@ pub fn collect_parallel(
         progress,
         recorder,
         |_, exec| {
-            let mut sink = KeyedSink::new(data_n);
+            let mut sink = KeyedSink::new(data_n, quota.clone());
             exec.drive(&mut sink);
             let _span = recorder.span_path("execute/worker/sort");
             sink.into_sorted()
@@ -520,6 +509,56 @@ mod tests {
         assert!(!sched.stop_once());
         assert!(sched.stopped());
         assert_eq!(sched.claim(100), None, "stopped schedulers hand out no work");
+    }
+
+    /// Fault injection into the one worker driver: the culprit worker's
+    /// search panics at its first embedding, the calling thread (worker 0)
+    /// or a spawned one, at one and at four threads. The others search
+    /// nothing, so the culprit claims every root chunk and is sure to
+    /// reach an embedding. The run must join every worker and come back
+    /// as an [`ExecError`] naming the culprit and its message.
+    #[test]
+    fn a_worker_panic_is_a_clean_error_naming_the_worker() {
+        use crate::plan::{Planner, PlannerConfig};
+        use csce_graph::{GraphBuilder, Variant, NO_LABEL};
+        let mut gb = GraphBuilder::new();
+        gb.add_unlabeled_vertices(8);
+        for i in 0..8u32 {
+            gb.add_undirected_edge(i, (i + 1) % 8, NO_LABEL).unwrap();
+        }
+        let g = gb.build();
+        let mut pb = GraphBuilder::new();
+        pb.add_unlabeled_vertices(3);
+        pb.add_undirected_edge(0, 1, NO_LABEL).unwrap();
+        pb.add_undirected_edge(1, 2, NO_LABEL).unwrap();
+        let p = pb.build();
+        let gc = csce_ccsr::build_ccsr(&g).unwrap();
+        let star = csce_ccsr::read_csr(&gc, &p, Variant::EdgeInduced);
+        let plan = Planner::new(PlannerConfig::csce())
+            .plan(&Catalog::new(&p, &star), Variant::EdgeInduced);
+        for (threads, culprit) in [(1usize, 0usize), (4, 0), (4, 3)] {
+            let result = run_parallel(
+                &star,
+                &p,
+                &plan,
+                RunConfig::default(),
+                threads,
+                None,
+                &Recorder::disabled(),
+                |id, exec| {
+                    if id == culprit {
+                        exec.enumerate(&mut |_| panic!("injected fault in worker {id}"));
+                    }
+                    exec.stats().embeddings
+                },
+                |acc: &mut u64, found| *acc += found,
+            );
+            let want = ExecError::WorkerPanicked {
+                worker: culprit,
+                message: format!("injected fault in worker {culprit}"),
+            };
+            assert_eq!(result.map(|(found, ..)| found), Err(want), "{threads} threads");
+        }
     }
 
     #[test]

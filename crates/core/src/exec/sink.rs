@@ -6,13 +6,12 @@
 //! callbacks — the sink decides, via [`std::ops::ControlFlow`], whether
 //! the search continues.
 //!
-//! Sinks are also the unit of parallelism: the scheduler gives every
-//! worker its own sink instance (so `on_embedding` never synchronizes)
-//! and folds them together with [`MatchSink::merge`] once the workers
-//! join. Workers claim disjoint root-candidate chunks, so merged results
-//! are duplicate-free by construction. The collect path instead sorts
-//! each worker's [`KeyedSink`] on its worker and merges the sorted rows
-//! ([`collect_parallel`](super::collect_parallel)).
+//! Every collected result goes through the crate-private [`KeyedSink`]:
+//! each worker of a run owns one, sorts it on its own thread, and the
+//! driver merges the sorted rows
+//! ([`collect_parallel`](super::collect_parallel)). A first-`k` collect
+//! gives the workers' sinks one shared admission counter; an unlimited
+//! one gives them none, so `on_embedding` never synchronizes.
 
 use super::stats::add_clamped;
 use csce_graph::VertexId;
@@ -29,13 +28,6 @@ use std::sync::Arc;
 pub trait MatchSink {
     /// Consume one embedding; `Break` stops the search.
     fn on_embedding(&mut self, f: &[VertexId]) -> ControlFlow<()>;
-
-    /// Fold another worker's sink of the same type into this one — the
-    /// reduction used after a parallel run. Workers enumerate disjoint
-    /// root partitions, so merging never needs to deduplicate.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
 }
 
 /// Counts embeddings. The count clamps at `u64::MAX` (a homomorphic count
@@ -54,11 +46,6 @@ impl MatchSink for CountSink {
         self.count = add_clamped(self.count, 1, &mut self.saturated);
         ControlFlow::Continue(())
     }
-
-    fn merge(&mut self, other: Self) {
-        self.count = add_clamped(self.count, other.count, &mut self.saturated);
-        self.saturated |= other.saturated;
-    }
 }
 
 /// Collects every embedding as an owned mapping array.
@@ -73,11 +60,6 @@ impl MatchSink for CollectSink {
         self.embeddings.push(f.to_vec());
         ControlFlow::Continue(())
     }
-
-    fn merge(&mut self, other: Self) {
-        let mut theirs = other.embeddings;
-        self.embeddings.append(&mut theirs);
-    }
 }
 
 /// Collects every embedding as `(prefix, row)`, ready to be sorted where
@@ -90,6 +72,12 @@ impl MatchSink for CollectSink {
 /// fits. An entry is
 /// 24 bytes, a `Vec` header's size, so [`KeyedSink::into_sorted`] strips
 /// the prefixes in place.
+///
+/// With a quota `(k, admitted)`, shared by all the workers of one run, a
+/// row is kept only if it wins one of the `k` slots `admitted` hands out,
+/// so the run keeps *exactly* `min(k, total)` rows however the workers
+/// interleave; the sink that hands out slot `k - 1` (or any later one)
+/// stops the search.
 #[derive(Debug)]
 pub(crate) struct KeyedSink {
     /// Bits per packed value, in `1..=32`.
@@ -97,16 +85,18 @@ pub(crate) struct KeyedSink {
     /// How many leading values the prefix packs.
     columns: usize,
     entries: Vec<(u64, Box<[VertexId]>)>,
+    /// The run's first-`k` quota; `None` keeps every row.
+    quota: Option<(u64, Arc<AtomicU64>)>,
 }
 
 impl KeyedSink {
     /// A sink for embeddings into a data graph of `data_n` vertices: every
     /// value is below `data_n`, so `⌈log2 data_n⌉` bits hold it.
-    pub(crate) fn new(data_n: usize) -> KeyedSink {
+    pub(crate) fn new(data_n: usize, quota: Option<(u64, Arc<AtomicU64>)>) -> KeyedSink {
         let bits =
             (usize::BITS - data_n.saturating_sub(1).leading_zeros()).clamp(1, VertexId::BITS);
         let columns = u64::BITS.checked_div(bits).map_or(0, |c| c as usize);
-        KeyedSink { bits, columns, entries: Vec::new() }
+        KeyedSink { bits, columns, entries: Vec::new(), quota }
     }
 
     /// The packed leading values of `f`.
@@ -128,77 +118,28 @@ impl KeyedSink {
 impl MatchSink for KeyedSink {
     #[inline]
     fn on_embedding(&mut self, f: &[VertexId]) -> ControlFlow<()> {
-        self.entries.push((self.prefix(f), f.into()));
-        ControlFlow::Continue(())
-    }
-
-    fn merge(&mut self, other: Self) {
-        let mut theirs = other.entries;
-        self.entries.append(&mut theirs);
-    }
-}
-
-/// Collects at most `k` embeddings, then stops the search.
-///
-/// In a parallel run every worker shares one admission counter
-/// ([`FirstKSink::shared`]): an embedding is kept only if it wins one of
-/// the `k` global slots, so the merged result holds *exactly*
-/// `min(k, total)` embeddings no matter how the workers interleave.
-#[derive(Clone, Debug)]
-pub struct FirstKSink {
-    k: usize,
-    /// Global admission counter for parallel runs; `None` counts locally.
-    admitted: Option<Arc<AtomicU64>>,
-    pub embeddings: Vec<Vec<VertexId>>,
-}
-
-impl FirstKSink {
-    /// A sequential first-`k` sink.
-    pub fn new(k: usize) -> FirstKSink {
-        FirstKSink { k, admitted: None, embeddings: Vec::new() }
-    }
-
-    /// A worker-side sink drawing admissions from a shared counter; all
-    /// workers of one run must share the same `counter`.
-    pub fn shared(k: usize, counter: Arc<AtomicU64>) -> FirstKSink {
-        FirstKSink { k, admitted: Some(counter), embeddings: Vec::new() }
-    }
-
-    /// The requested limit.
-    pub fn limit(&self) -> usize {
-        self.k
-    }
-}
-
-impl MatchSink for FirstKSink {
-    fn on_embedding(&mut self, f: &[VertexId]) -> ControlFlow<()> {
-        let slot = match &self.admitted {
-            Some(counter) => counter.fetch_add(1, Ordering::Relaxed),
-            None => self.embeddings.len() as u64,
+        let Some((k, admitted)) = &self.quota else {
+            self.entries.push((self.prefix(f), f.into()));
+            return ControlFlow::Continue(());
         };
-        if slot < self.k as u64 {
-            self.embeddings.push(f.to_vec());
+        let (k, slot) = (*k, admitted.fetch_add(1, Ordering::Relaxed));
+        if slot < k {
+            self.entries.push((self.prefix(f), f.into()));
         }
-        // Stop once the global quota is filled — this worker may have
-        // contributed fewer than k, but no further slots exist.
-        if slot + 1 >= self.k as u64 {
+        // Stop once the run's quota is filled: this worker may hold fewer
+        // than `k` rows, but no further slots exist.
+        if slot >= k.saturating_sub(1) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        let mut theirs = other.embeddings;
-        self.embeddings.append(&mut theirs);
-        debug_assert!(self.embeddings.len() <= self.k, "shared admission keeps the quota exact");
-    }
 }
 
 /// Adapts a `FnMut(&[VertexId]) -> bool` callback (the pre-sink
 /// `Executor::enumerate` contract: return `false` to stop) to the sink
-/// interface. Callbacks carry caller state, so a `CallbackSink` is
-/// sequential-only: `merge` discards the other side.
+/// interface. Callbacks carry caller state, so a `CallbackSink` serves
+/// one sequential executor.
 pub struct CallbackSink<F> {
     emit: F,
 }
@@ -224,10 +165,6 @@ where
             ControlFlow::Break(())
         }
     }
-
-    fn merge(&mut self, _other: Self) {
-        // Callback state lives with the caller; there is nothing to fold.
-    }
 }
 
 #[cfg(test)]
@@ -243,28 +180,11 @@ mod tests {
         assert!(s.on_embedding(&[0]).is_continue());
         assert_eq!(s.count, u64::MAX);
         assert!(s.saturated);
-        let mut merged = CountSink { count: u64::MAX - 1, saturated: false };
-        merged.merge(CountSink { count: 5, saturated: false });
-        assert_eq!(merged.count, u64::MAX);
-        assert!(merged.saturated);
-        let mut sticky = CountSink::default();
-        sticky.merge(s);
-        assert!(sticky.saturated);
-    }
-
-    #[test]
-    fn collect_sink_merges_in_order() {
-        let mut a = CollectSink::default();
-        let mut b = CollectSink::default();
-        let _ = a.on_embedding(&[1, 2]);
-        let _ = b.on_embedding(&[3, 4]);
-        a.merge(b);
-        assert_eq!(a.embeddings, vec![vec![1, 2], vec![3, 4]]);
     }
 
     /// Feed `rows` to a keyed sink over `data_n` vertices and sort them.
     fn keyed(data_n: usize, rows: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
-        let mut sink = KeyedSink::new(data_n);
+        let mut sink = KeyedSink::new(data_n, None);
         for row in rows {
             assert!(sink.on_embedding(row).is_continue());
         }
@@ -285,15 +205,15 @@ mod tests {
             (u32::MAX as usize, 32, 2),
             (u32::MAX as usize + 1, 32, 2),
         ] {
-            let sink = KeyedSink::new(data_n);
+            let sink = KeyedSink::new(data_n, None);
             assert_eq!((sink.bits, sink.columns), (bits, columns), "data_n={data_n}");
         }
         // The largest id packs into the top of the key, the next column
         // below it.
-        let sink = KeyedSink::new(5);
+        let sink = KeyedSink::new(5, None);
         assert_eq!(sink.prefix(&[4, 1]), (4 << 3) | 1);
         assert_eq!(
-            KeyedSink::new(u32::MAX as usize).prefix(&[u32::MAX - 1, 7, 9]),
+            KeyedSink::new(u32::MAX as usize, None).prefix(&[u32::MAX - 1, 7, 9]),
             (0xFFFF_FFFE << 32) | 7
         );
     }
@@ -327,7 +247,7 @@ mod tests {
 
     #[test]
     fn stripping_the_keys_reuses_the_entries_buffer() {
-        let mut sink = KeyedSink::new(100);
+        let mut sink = KeyedSink::new(100, None);
         for i in (0..50u32).rev() {
             let _ = sink.on_embedding(&[i, i + 1]);
         }
@@ -335,16 +255,6 @@ mod tests {
         let rows = sink.into_sorted();
         assert_eq!(rows.as_ptr() as usize, buffer, "rows were moved to a new buffer");
         assert!(rows.iter().zip(0..).all(|(row, i)| *row == [i, i + 1]));
-    }
-
-    #[test]
-    fn keyed_sink_merges_unsorted_entries() {
-        let mut a = KeyedSink::new(10);
-        let mut b = KeyedSink::new(10);
-        let _ = a.on_embedding(&[3, 4]);
-        let _ = b.on_embedding(&[1, 2]);
-        a.merge(b);
-        assert_eq!(a.into_sorted(), vec![vec![1, 2], vec![3, 4]]);
     }
 
     proptest::proptest! {
@@ -370,27 +280,26 @@ mod tests {
     }
 
     #[test]
-    fn first_k_stops_at_k_sequentially() {
-        let mut s = FirstKSink::new(2);
-        assert!(s.on_embedding(&[1]).is_continue());
-        assert!(s.on_embedding(&[2]).is_break());
-        assert_eq!(s.embeddings.len(), 2);
-        assert_eq!(s.limit(), 2);
-    }
-
-    #[test]
-    fn first_k_shared_counter_is_exact_across_sinks() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut a = FirstKSink::shared(3, Arc::clone(&counter));
-        let mut b = FirstKSink::shared(3, Arc::clone(&counter));
-        assert!(a.on_embedding(&[1]).is_continue());
-        assert!(b.on_embedding(&[2]).is_continue());
-        assert!(a.on_embedding(&[3]).is_break());
-        // The quota is spent: further embeddings are rejected everywhere.
-        assert!(b.on_embedding(&[4]).is_break());
-        assert_eq!(a.embeddings.len() + b.embeddings.len(), 3);
-        a.merge(b);
-        assert_eq!(a.embeddings.len(), 3);
+    fn a_shared_quota_admits_exactly_k_rows() {
+        for k in [0u32, 1, 3] {
+            for offered in 0..6u32 {
+                let quota = Some((u64::from(k), Arc::new(AtomicU64::new(0))));
+                let mut sinks = [0, 1].map(|_| KeyedSink::new(10, quota.clone()));
+                // The two sinks take turns; every offer past the quota's
+                // last slot is refused, and the offer that takes the last
+                // slot (or any later one) stops the search.
+                for row in 0..offered {
+                    let flow = sinks[usize::from(row % 2 == 1)].on_embedding(&[row, row + 1]);
+                    assert_eq!(flow.is_break(), row + 1 >= k, "k={k}, offer {row}");
+                }
+                let [a, b] = sinks;
+                let mut rows = [a.into_sorted(), b.into_sorted()].concat();
+                rows.sort_unstable();
+                let want: Vec<Vec<VertexId>> =
+                    (0..offered.min(k)).map(|row| vec![row, row + 1]).collect();
+                assert_eq!(rows, want, "k={k}, offered={offered}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@ pub struct ExecStats {
     pub splits_taken: u64,
     /// Negation clusters consulted by vertex-induced filtering.
     pub negation_clusters: u64,
-    /// Root-candidate chunks claimed from the shared scheduler (0 in
-    /// standalone runs).
+    /// Root-candidate chunks claimed from the run's scheduler. Every run
+    /// has one, a standalone executor's included, so this is at least 1
+    /// whenever the root vertex has a candidate.
     pub chunks_claimed: u64,
     /// The time limit fired; results are partial.
     pub timed_out: bool,

@@ -49,7 +49,7 @@ pub mod plan;
 pub use catalog::Catalog;
 pub use exec::{
     collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, DeepStats, ExecError,
-    ExecStats, Executor, FirstKSink, MatchSink, ParallelRun, RunConfig, Scheduler,
+    ExecStats, Executor, MatchSink, ParallelRun, RunConfig, Scheduler,
 };
 pub use plan::{Plan, Planner, PlannerConfig, SceAnalysis};
 
@@ -354,10 +354,11 @@ impl Query<'_> {
 
     /// Enumerate embeddings across `threads` workers, returning them
     /// sorted (so the result is independent of worker interleaving) next
-    /// to the same report as [`Query::count`]. With `limit`, collection
-    /// stops cooperatively once exactly `min(limit, total)` embeddings are
-    /// admitted through one shared [`FirstKSink`] quota — *which*
-    /// embeddings win it depends on scheduling.
+    /// to the same report as [`Query::count`]. With `limit`, the workers
+    /// share one first-`k` quota: collection stops cooperatively once
+    /// exactly `min(limit, total)` embeddings are admitted — *which* ones
+    /// depends on scheduling. Limited or not, each worker sorts its own
+    /// rows and the driver merges them, as in [`collect_parallel`].
     pub fn collect(
         &self,
         run: RunConfig,
@@ -366,27 +367,11 @@ impl Query<'_> {
         limit: Option<usize>,
     ) -> Result<(QueryOutput, Vec<Vec<VertexId>>), ExecError> {
         let t0 = Instant::now();
-        let (star, p, plan, threads, rec) =
-            (&self.star, self.pattern, &self.plan, threads, self.recorder);
+        let (star, p, plan, rec) = (&self.star, self.pattern, &self.plan, self.recorder);
         let _span = rec.span("execute");
-        let (embeddings, stats, workers) = match limit {
-            None => {
-                let r = exec::collect_parallel(star, p, plan, run, threads, progress, rec)?;
-                (r.embeddings, r.stats, r.workers)
-            }
-            Some(k) => {
-                let admissions = Arc::new(AtomicU64::new(0));
-                let (sink, stats, workers) =
-                    exec::sink_parallel(star, p, plan, run, threads, progress, rec, |_| {
-                        FirstKSink::shared(k, Arc::clone(&admissions))
-                    })?;
-                let mut embeddings = sink.embeddings;
-                embeddings.sort_unstable();
-                (embeddings, stats, workers)
-            }
-        };
-        let count = embeddings.len() as u64;
-        Ok((self.output(count, stats, workers, t0.elapsed()), embeddings))
+        let r = exec::collect_with_limit(star, p, plan, run, threads, progress, rec, limit)?;
+        let count = r.embeddings.len() as u64;
+        Ok((self.output(count, r.stats, r.workers, t0.elapsed()), r.embeddings))
     }
 
     /// Run `work` on one sequential executor under ordering

@@ -210,11 +210,6 @@ impl Graph {
         }
     }
 
-    /// Vertices carrying a given label, in ascending id order.
-    pub fn vertices_with_label(&self, l: Label) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.n() as VertexId).filter(move |&v| self.labels[v as usize] == l)
-    }
-
     /// Whether the graph is connected when directions are ignored.
     /// Patterns are required to be connected by the planner.
     pub fn is_connected(&self) -> bool {

@@ -251,30 +251,44 @@ fn enumerate_stats_time_the_sort_and_the_merge() {
     let dir = workdir();
     let data = write(&dir, "data_sorted.csce", DATA);
     let args = ["--query", "(a:0)-->(b:1)", "--threads", "2", "--stats", "json", "--enumerate"];
-    let out = bin().arg("match").arg(&data).args(args).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("-- 6 embeddings printed"), "{stdout}");
-    let json_start = stdout.find('{').expect("report follows the embeddings");
-    let report = csce::obs::parse_json(&stdout[json_start..]).expect("valid JSON report");
-    let named = |nodes: &[JsonValue], name: &str| -> JsonValue {
-        nodes
-            .iter()
-            .find(|p| p.get("name").and_then(JsonValue::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("missing phase {name}"))
-            .clone()
-    };
-    let children = |node: &JsonValue| -> Vec<JsonValue> {
-        node.get("children").and_then(JsonValue::as_array).map(<[_]>::to_vec).unwrap_or_default()
-    };
-    let phases = report.get("phases").and_then(JsonValue::as_array).expect("phases");
-    // Each worker sorts its own rows; the driver merges them once per
-    // further worker.
-    let execute = children(&named(phases, "execute"));
-    let sort = named(&children(&named(&execute, "worker")), "sort");
-    assert_eq!(sort.get("calls").and_then(JsonValue::as_u64), Some(2));
-    let merge = named(&execute, "merge");
-    assert_eq!(merge.get("calls").and_then(JsonValue::as_u64), Some(1));
+    // All six embeddings, then the first three: a limited collect takes
+    // the same path, sorted in the workers and merged by the driver.
+    for (limit, printed) in [(None, 6), (Some("3"), 3)] {
+        let out = bin().arg("match").arg(&data).args(args).args(limit).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("-- {printed} embeddings printed")), "{stdout}");
+        let rows: Vec<Vec<u32>> = stdout
+            .lines()
+            .filter_map(|line| line.strip_prefix('[')?.strip_suffix(']'))
+            .map(|row| row.split(", ").map(|v| v.parse().unwrap()).collect())
+            .collect();
+        assert_eq!(rows.len(), printed, "{stdout}");
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "not strictly ascending: {stdout}");
+        let json_start = stdout.find('{').expect("report follows the embeddings");
+        let report = csce::obs::parse_json(&stdout[json_start..]).expect("valid JSON report");
+        let named = |nodes: &[JsonValue], name: &str| -> JsonValue {
+            nodes
+                .iter()
+                .find(|p| p.get("name").and_then(JsonValue::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("missing phase {name}"))
+                .clone()
+        };
+        let children = |node: &JsonValue| -> Vec<JsonValue> {
+            node.get("children")
+                .and_then(JsonValue::as_array)
+                .map(<[_]>::to_vec)
+                .unwrap_or_default()
+        };
+        let phases = report.get("phases").and_then(JsonValue::as_array).expect("phases");
+        // Each worker sorts its own rows; the driver merges them once per
+        // further worker.
+        let execute = children(&named(phases, "execute"));
+        let sort = named(&children(&named(&execute, "worker")), "sort");
+        assert_eq!(sort.get("calls").and_then(JsonValue::as_u64), Some(2), "limit {limit:?}");
+        let merge = named(&execute, "merge");
+        assert_eq!(merge.get("calls").and_then(JsonValue::as_u64), Some(1), "limit {limit:?}");
+    }
 }
 
 /// A directed star: a label-0 centre with `per_label` leaves of each

@@ -1,16 +1,15 @@
 //! The parallel match engine's contract: dynamic chunked scheduling is
 //! exact (counts and embedding *sets* identical to the sequential
 //! executor, collected rows sorted and distinct at every thread count,
-//! idle workers included), early stop and timeouts propagate
-//! cooperatively across workers, and a worker panic degrades to a clean
-//! error instead of poisoning the run.
+//! idle workers included), and early stop and timeouts propagate
+//! cooperatively across workers. That a worker panic degrades to a clean
+//! error is a unit test of the worker driver (`exec/scheduler.rs`), the
+//! one place a panic can be injected into a worker.
 
-use csce::engine::exec::{sink_parallel, MatchSink};
-use csce::engine::{Catalog, Engine, ExecError, Planner, PlannerConfig, RunConfig};
+use csce::engine::{Engine, PlannerConfig, RunConfig};
 use csce::graph::generate;
 use csce::obs::Recorder;
 use csce::{Graph, GraphBuilder, Variant, VertexId, NO_LABEL};
-use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// A skewed (preferential-attachment) data graph: a few hub vertices
@@ -132,12 +131,14 @@ fn first_k_under_many_threads_returns_exactly_k() {
     let rec = Recorder::disabled();
     let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
     for threads in [4usize, 7] {
-        for k in [1usize, 7, 64] {
+        for k in [0usize, 1, 7, 64] {
             let (out, embeddings) = query
                 .collect(RunConfig::default(), threads, None, Some(k))
                 .expect("no worker panicked");
             assert_eq!(embeddings.len(), k, "k={k} with {threads} threads");
             assert_eq!(out.count, k as u64);
+            // Sorted and distinct, like an unlimited collect.
+            assert!(embeddings.windows(2).all(|w| w[0] < w[1]), "k={k} with {threads} threads");
             // Whichever embeddings won the quota, each is a real one.
             for f in &embeddings {
                 assert!(all.binary_search(f).is_ok(), "spurious embedding {f:?}");
@@ -188,48 +189,6 @@ fn a_zero_budget_collect_returns_sorted_partial_rows() {
         for f in &out.embeddings {
             assert_eq!(f.len(), p.n());
             assert!(f.windows(2).all(|e| g.connected(e[0], e[1])), "not a homomorphism: {f:?}");
-        }
-    }
-}
-
-/// A sink that panics on the first embedding — the fault-injection probe
-/// for the scheduler's panic containment.
-struct ExplodingSink;
-
-impl MatchSink for ExplodingSink {
-    fn on_embedding(&mut self, _f: &[VertexId]) -> ControlFlow<()> {
-        panic!("exploding sink: injected fault");
-    }
-
-    fn merge(&mut self, _other: Self) {}
-}
-
-#[test]
-fn worker_panic_degrades_to_a_clean_error() {
-    let g = skewed_graph();
-    let p = path_pattern(3);
-    let engine = Engine::build(&g);
-    let star = csce::ccsr::read_csr(engine.ccsr(), &p, Variant::EdgeInduced);
-    let plan =
-        Planner::new(PlannerConfig::csce()).plan(&Catalog::new(&p, &star), Variant::EdgeInduced);
-    // One thread runs the same captured driver as four: the calling
-    // thread is worker 0.
-    for threads in [1usize, 4] {
-        let result = sink_parallel(
-            &star,
-            &p,
-            &plan,
-            RunConfig::default(),
-            threads,
-            None,
-            &Recorder::disabled(),
-            |_| ExplodingSink,
-        );
-        match result {
-            Err(ExecError::WorkerPanicked { message, .. }) => {
-                assert!(message.contains("injected fault"), "{threads} threads: {message}");
-            }
-            Ok(_) => panic!("{threads} threads: a panicking worker must fail the run"),
         }
     }
 }
