@@ -414,7 +414,7 @@ fn check_edge_dependencies(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
 
 /// NEC soundness: vertices the plan places in one class must be
 /// neighborhood-equivalent under a from-scratch recomputation (the plan's
-/// classes may be finer — the `nec: false` preset uses identity classes —
+/// classes may be finer — the RI presets use identity classes —
 /// but never coarser).
 fn check_nec_refinement(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.nec-refinement");
@@ -472,9 +472,9 @@ mod tests {
     #[test]
     fn generated_plans_pass_all_variants_and_presets() {
         for variant in Variant::ALL {
-            check_variant(variant, PlannerConfig::csce());
-            check_variant(variant, PlannerConfig::ri_only());
-            check_variant(variant, PlannerConfig::ri_cluster());
+            for config in PlannerConfig::ALL {
+                check_variant(variant, config);
+            }
         }
     }
 

@@ -53,14 +53,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| run(&engine, p, PlannerConfig::ri_cluster(), RunConfig::default()))
     });
     group.bench_function("ldsf (Alg. 4 reorder)", |b| {
-        b.iter(|| {
-            run(
-                &engine,
-                p,
-                PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
-                RunConfig::default(),
-            )
-        })
+        b.iter(|| run(&engine, p, PlannerConfig::ldsf(), RunConfig::default()))
     });
     group.finish();
 }

@@ -29,7 +29,7 @@ fn main() -> Result<(), UsageError> {
         PlannerConfig::ri_only(),
         PlannerConfig::ri_cluster(),
         PlannerConfig::csce(),
-        PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
+        PlannerConfig::ldsf(),
     ];
     let mut t = Table::new(&["pattern", "RM(FSP)", "RI", "RI+Cluster", "CSCE", "LDSF (Alg. 4)"]);
     for suite in &suites {

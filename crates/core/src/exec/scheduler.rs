@@ -39,7 +39,7 @@
 
 use super::engine::Executor;
 use super::sink::KeyedSink;
-use super::stats::{add_clamped, ExecStats};
+use super::stats::ExecStats;
 use super::RunConfig;
 use crate::catalog::Catalog;
 use crate::plan::Plan;
@@ -176,13 +176,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The one worker driver: run `work` once per worker over one shared
-/// [`Scheduler`] and fold the results in worker order with `merge`, next
-/// to the merged and the per-worker stats. The calling thread is worker
-/// 0; workers `1..threads` are spawned (`threads` is clamped to at least
-/// 1). Every worker runs under `catch_unwind`: the first panic stops the
-/// others and surfaces as [`ExecError`] after all of them joined.
+/// [`Scheduler`] and return each worker's result next to its stats, in
+/// worker order. The calling thread is worker 0; workers `1..threads` are
+/// spawned (`threads` is clamped to at least 1). Every worker runs under
+/// `catch_unwind`: the first panic stops the others and surfaces as
+/// [`ExecError`] after all of them joined.
 #[allow(clippy::too_many_arguments)]
-fn run_parallel<R, W, M>(
+fn run_parallel<R, W>(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
     plan: &Plan,
@@ -191,12 +191,10 @@ fn run_parallel<R, W, M>(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
     work: W,
-    merge: M,
-) -> Result<(R, ExecStats, Vec<ExecStats>), ExecError>
+) -> Result<Vec<(R, ExecStats)>, ExecError>
 where
     R: Send,
     W: Fn(usize, &mut Executor<'_>) -> R + Sync,
-    M: Fn(&mut R, R),
 {
     let threads = threads.max(1);
     let scheduler = &Arc::new(Scheduler::new(threads, deadline_after(config.time_limit)));
@@ -222,37 +220,40 @@ where
         }
         outcome.map_err(|payload| panic_message(payload.as_ref()))
     };
-    let (first, rest) = std::thread::scope(|scope| {
+    let outcomes = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..threads).map(|id| scope.spawn(move || worker(id))).collect();
         let first = worker(0);
         // A panic that escaped capture (e.g. raised while unwinding)
         // still degrades to an error after joining.
-        let rest: Vec<_> = handles
+        let rest = handles
             .into_iter()
-            .map(|handle| handle.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
-            .collect();
-        (first, rest)
+            .map(|handle| handle.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))));
+        std::iter::once(first).chain(rest).collect::<Vec<_>>()
     });
-    let (mut acc, first_stats) =
-        first.map_err(|message| ExecError::WorkerPanicked { worker: 0, message })?;
+    (0..)
+        .zip(outcomes)
+        .map(|(worker, outcome)| {
+            outcome.map_err(|message| ExecError::WorkerPanicked { worker, message })
+        })
+        .collect()
+}
+
+/// The run's stats: every worker's, merged ([`ExecStats::merge`]).
+fn merged(workers: &[ExecStats]) -> ExecStats {
     let mut stats = ExecStats::default();
-    stats.merge(&first_stats);
-    let mut workers = vec![first_stats];
-    for (id, outcome) in (1..).zip(rest) {
-        let (result, worker_stats) =
-            outcome.map_err(|message| ExecError::WorkerPanicked { worker: id, message })?;
-        merge(&mut acc, result);
-        stats.merge(&worker_stats);
-        workers.push(worker_stats);
+    for worker in workers {
+        stats.merge(worker);
     }
-    Ok((acc, stats, workers))
+    stats
 }
 
 /// Count embeddings using `threads` workers claiming root-candidate
 /// chunks dynamically, with per-worker phase spans recorded under
 /// `execute/worker`. Exact: the per-worker partial counts sum to the
 /// sequential count, and SCE caching plus factorized counting run
-/// unchanged inside each worker.
+/// unchanged inside each worker. Each worker's `embeddings` is its
+/// count, so the merged stats carry the total, clamped and flagged
+/// `saturated` if the sum overflows.
 pub fn count_parallel_observed(
     star: &csce_ccsr::GcStar<'_>,
     pattern: &csce_graph::Graph,
@@ -262,27 +263,13 @@ pub fn count_parallel_observed(
     progress: Option<Arc<AtomicU64>>,
     recorder: &Recorder,
 ) -> Result<ParallelRun, ExecError> {
-    let clamped = std::cell::Cell::new(false);
-    let (total, mut stats, workers) = run_parallel(
-        star,
-        pattern,
-        plan,
-        config,
-        threads,
-        progress,
-        recorder,
-        |_, exec| exec.count(),
-        |acc: &mut u64, partial| {
-            let mut saturated = false;
-            *acc = add_clamped(*acc, partial, &mut saturated);
-            clamped.set(clamped.get() | saturated);
-        },
-    )?;
-    stats.saturated |= clamped.get();
-    // Merged `embeddings` already sums the partials; pin it to the total
-    // to keep the invariant embeddings == count under saturation.
-    stats.embeddings = total;
-    Ok(ParallelRun { count: total, stats, workers })
+    let runs =
+        run_parallel(star, pattern, plan, config, threads, progress, recorder, |_, exec| {
+            exec.count();
+        })?;
+    let workers: Vec<ExecStats> = runs.into_iter().map(|((), stats)| stats).collect();
+    let stats = merged(&workers);
+    Ok(ParallelRun { count: stats.embeddings, stats, workers })
 }
 
 /// Merge `theirs` into `acc`, both sorted ascending, keeping `acc`
@@ -338,7 +325,9 @@ pub fn collect_parallel(
 /// construction (workers claim disjoint root chunks). With `limit`, the
 /// sinks share one admission counter, so exactly `min(limit, total)`
 /// rows are kept and the run stops once they are; *which* rows win
-/// depends on scheduling.
+/// depends on scheduling. A worker's `embeddings` counts the rows it
+/// kept, so the merged count equals the rows returned; a zero `limit`
+/// returns before any worker searches.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_with_limit(
     star: &csce_ccsr::GcStar<'_>,
@@ -350,28 +339,32 @@ pub(crate) fn collect_with_limit(
     recorder: &Recorder,
     limit: Option<usize>,
 ) -> Result<CollectRun, ExecError> {
+    if limit == Some(0) {
+        let workers = vec![ExecStats::default(); threads.max(1)];
+        return Ok(CollectRun { embeddings: Vec::new(), stats: ExecStats::default(), workers });
+    }
     let data_n = star.ccsr().n();
     let quota = limit.map(|k| (u64::try_from(k).unwrap_or(u64::MAX), Arc::new(AtomicU64::new(0))));
-    let (embeddings, stats, workers) = run_parallel(
-        star,
-        pattern,
-        plan,
-        config,
-        threads,
-        progress,
-        recorder,
-        |_, exec| {
+    let runs =
+        run_parallel(star, pattern, plan, config, threads, progress, recorder, |_, exec| {
             let mut sink = KeyedSink::new(data_n, quota.clone());
             exec.drive(&mut sink);
             let _span = recorder.span_path("execute/worker/sort");
             sink.into_sorted()
-        },
-        |acc, rows| {
+        })?;
+    let (mut embeddings, mut workers) = (Vec::new(), Vec::with_capacity(runs.len()));
+    for (id, (rows, mut stats)) in runs.into_iter().enumerate() {
+        // Rows the quota refused were reached but not returned.
+        stats.embeddings = rows.len() as u64;
+        workers.push(stats);
+        if id == 0 {
+            embeddings = rows;
+        } else {
             let _span = recorder.span_path("execute/merge");
-            merge_sorted(acc, rows);
-        },
-    )?;
-    Ok(CollectRun { embeddings, stats, workers })
+            merge_sorted(&mut embeddings, rows);
+        }
+    }
+    Ok(CollectRun { embeddings, stats: merged(&workers), workers })
 }
 
 #[cfg(test)]
@@ -551,13 +544,12 @@ mod tests {
                     }
                     exec.stats().embeddings
                 },
-                |acc: &mut u64, found| *acc += found,
             );
             let want = ExecError::WorkerPanicked {
                 worker: culprit,
                 message: format!("injected fault in worker {culprit}"),
             };
-            assert_eq!(result.map(|(found, ..)| found), Err(want), "{threads} threads");
+            assert_eq!(result.map(|runs| runs.len()), Err(want), "{threads} threads");
         }
     }
 

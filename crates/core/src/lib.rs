@@ -357,8 +357,10 @@ impl Query<'_> {
     /// to the same report as [`Query::count`]. With `limit`, the workers
     /// share one first-`k` quota: collection stops cooperatively once
     /// exactly `min(limit, total)` embeddings are admitted — *which* ones
-    /// depends on scheduling. Limited or not, each worker sorts its own
-    /// rows and the driver merges them, as in [`collect_parallel`].
+    /// depends on scheduling, and `exec.embeddings` counts only those; a
+    /// zero `limit` searches nothing. Limited or not, each worker sorts
+    /// its own rows and the driver merges them, as in
+    /// [`collect_parallel`].
     pub fn collect(
         &self,
         run: RunConfig,

@@ -478,7 +478,7 @@ mod tests {
     /// vertex-induced matching and over one read for edge-induced matching.
     #[test]
     fn vertex_induced_dag_matches_pairwise_at_2000_labels() {
-        use crate::plan::gcf::{gcf_order, GcfConfig};
+        use crate::plan::gcf::gcf_order;
         use csce_graph::generate::{chung_lu, randomize_vertex_labels};
         use csce_graph::sample::PatternSampler;
         use csce_graph::Density;
@@ -491,7 +491,7 @@ mod tests {
             let star = read_csr(&gc, &p, variant);
             let edge_star = read_csr(&gc, &p, Variant::EdgeInduced);
             let catalog = Catalog::new(&p, &star);
-            let phi = gcf_order(&catalog, GcfConfig::default());
+            let phi = gcf_order(&catalog, PlannerConfig::csce());
             let reversed: Vec<VertexId> = phi.iter().rev().copied().collect();
             for order in [phi, reversed] {
                 let dag = build_dag(&catalog, &order, variant);
@@ -524,11 +524,10 @@ mod tests {
             let data_extra = rng.below(4 * data_n);
             let g = random_graph(&mut rng, data_n, 0..labels + 1, false, data_extra);
             let gc = build_ccsr(&g).unwrap();
-            let ldsf = PlannerConfig { ldsf: true, ..PlannerConfig::csce() };
             for variant in Variant::ALL {
                 let star = read_csr(&gc, &p, variant);
                 let catalog = Catalog::new(&p, &star);
-                for config in [PlannerConfig::csce(), PlannerConfig::ri_only(), ldsf] {
+                for config in PlannerConfig::ALL {
                     let dag = Planner::new(config).plan(&catalog, variant).dag;
                     let (mut arcs, mut stored) = (Vec::new(), Vec::new());
                     for u in 0..n as VertexId {

@@ -6,38 +6,17 @@
 //! (`|T¹| → |T²| → |T³|`, Eq. 1) and are finally broken — this is CSCE's
 //! improvement — by the data graph, through CCSR cluster sizes (Eq. 2):
 //! the candidate whose connecting cluster is smallest is expected to have
-//! the fewest candidates. Plain RI (no data awareness) is available via
-//! [`GcfConfig::ri_only`], which the plan-quality experiment (Fig. 13)
-//! compares against.
+//! the fewest candidates. Plain RI (no data awareness) is the
+//! [`PlannerConfig::ri_only`] preset, which the plan-quality experiment
+//! (Fig. 13) compares against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::catalog::{Catalog, Side};
+use crate::plan::PlannerConfig;
 use csce_graph::util::Csr;
 use csce_graph::VertexId;
-
-/// Configuration of the GCF stage.
-#[derive(Clone, Copy, Debug)]
-pub struct GcfConfig {
-    /// Use CCSR cluster sizes to break ties (the paper's "CCSR to break
-    /// ties"); `false` reproduces plain RI.
-    pub cluster_tiebreak: bool,
-}
-
-impl Default for GcfConfig {
-    fn default() -> Self {
-        GcfConfig { cluster_tiebreak: true }
-    }
-}
-
-impl GcfConfig {
-    /// Plain RI: ties broken only by vertex id (deterministic stand-in for
-    /// RI's arbitrary choice).
-    pub fn ri_only() -> Self {
-        GcfConfig { cluster_tiebreak: false }
-    }
-}
 
 /// A frontier vertex's rank; the heap pops the greatest. The fields
 /// compare in declaration order and encode Eq. 1 then Eq. 2, the same
@@ -87,7 +66,7 @@ struct Slot {
 /// `|T²|`), so a vertex's older entries rank below its current one and
 /// are dropped on pop once it is placed. Pushes total `O(|E_P|)`, so the
 /// order costs `O(|E_P| log |V_P|)` — Fig. 10 plans 2000-vertex patterns.
-pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
+pub fn gcf_order(catalog: &Catalog<'_>, config: PlannerConfig) -> Vec<VertexId> {
     let p = catalog.pattern();
     let n = p.n();
     // Distinct neighbours: adjacency is sorted by neighbour.
@@ -231,7 +210,7 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
 /// outranks it under that recomputed Eq. 1–2 order. `O(|V_P| + |E_P|)`
 /// per step, so debug builds plan in quadratic time.
 #[cfg(debug_assertions)]
-fn check_winner(catalog: &Catalog<'_>, config: GcfConfig, slots: &[Slot], popped: Key) {
+fn check_winner(catalog: &Catalog<'_>, config: PlannerConfig, slots: &[Slot], popped: Key) {
     let winner = popped.id.0;
     let placed: Vec<bool> = slots.iter().map(|s| s.placed).collect();
     let fresh = |x: VertexId| {
@@ -295,7 +274,7 @@ mod tests {
 
     /// The GCF stage before it kept a frontier: every step rescans all `n`
     /// vertices. Kept as the oracle [`gcf_order`] must reproduce exactly.
-    fn gcf_order_full_scan(catalog: &Catalog<'_>, config: GcfConfig) -> Vec<VertexId> {
+    fn gcf_order_full_scan(catalog: &Catalog<'_>, config: PlannerConfig) -> Vec<VertexId> {
         let p = catalog.pattern();
         let n = p.n();
         assert!(n > 0, "empty pattern");
@@ -437,7 +416,7 @@ mod tests {
         a.min(b)
     }
 
-    fn order_for(g: &Graph, p: &Graph, config: GcfConfig) -> Vec<VertexId> {
+    fn order_for(g: &Graph, p: &Graph, config: PlannerConfig) -> Vec<VertexId> {
         let gc = build_ccsr(g).unwrap();
         let star = read_csr(&gc, p, Variant::EdgeInduced);
         let catalog = Catalog::new(p, &star);
@@ -448,7 +427,7 @@ mod tests {
     fn starts_with_highest_degree() {
         let p = star_pattern();
         let g = simple_data();
-        let phi = order_for(&g, &p, GcfConfig::default());
+        let phi = order_for(&g, &p, PlannerConfig::csce());
         assert_eq!(phi[0], 0, "center has the highest degree");
         assert_eq!(phi.len(), 4);
         let mut sorted = phi.clone();
@@ -468,7 +447,7 @@ mod tests {
         }
         let p = b.build();
         let g = simple_data();
-        let phi = order_for(&g, &p, GcfConfig::default());
+        let phi = order_for(&g, &p, PlannerConfig::csce());
         // Every vertex after the first neighbors some earlier vertex.
         for k in 1..phi.len() {
             let has_earlier_neighbor = (0..k).any(|i| p.connected(phi[i], phi[k]));
@@ -499,16 +478,16 @@ mod tests {
         gb.add_undirected_edge(c, two, NO_LABEL).unwrap();
         let g = gb.build();
 
-        let with = order_for(&g, &p, GcfConfig::default());
+        let with = order_for(&g, &p, PlannerConfig::csce());
         assert_eq!(with, vec![0, 2, 1], "rare cluster first under CCSR tie-break");
-        let without = order_for(&g, &p, GcfConfig::ri_only());
+        let without = order_for(&g, &p, PlannerConfig::ri_only());
         assert_eq!(without, vec![0, 1, 2], "plain RI breaks ties by id");
     }
 
     #[test]
     fn empty_pattern_orders_nothing() {
         let p = GraphBuilder::new().build();
-        assert!(order_for(&simple_data(), &p, GcfConfig::default()).is_empty());
+        assert!(order_for(&simple_data(), &p, PlannerConfig::csce()).is_empty());
     }
 
     #[test]
@@ -516,8 +495,8 @@ mod tests {
         let p = star_pattern();
         let g = simple_data();
         assert_eq!(
-            order_for(&g, &p, GcfConfig::default()),
-            order_for(&g, &p, GcfConfig::default())
+            order_for(&g, &p, PlannerConfig::csce()),
+            order_for(&g, &p, PlannerConfig::csce())
         );
     }
 
@@ -527,7 +506,7 @@ mod tests {
         let gc = build_ccsr(data).unwrap();
         let star = read_csr(&gc, pattern, Variant::EdgeInduced);
         let catalog = Catalog::new(pattern, &star);
-        for config in [GcfConfig::default(), GcfConfig::ri_only()] {
+        for config in [PlannerConfig::csce(), PlannerConfig::ri_only()] {
             assert_eq!(
                 gcf_order(&catalog, config),
                 gcf_order_full_scan(&catalog, config),

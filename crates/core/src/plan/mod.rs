@@ -3,9 +3,11 @@
 //! ([`SceAnalysis::of`]) are derived on demand.
 //!
 //! This is the orange stage of the paper's Fig. 2. The entry point is
-//! [`Planner::plan`]; [`PlannerConfig`] exposes the ablation switches the
-//! plan-quality experiment (Fig. 13) compares: plain RI, RI + cluster
-//! tie-breaks, full CSCE, and CSCE with LDSF fine-tuning.
+//! [`Planner::plan`]. [`PlannerConfig`] is one of the four plans the
+//! plan-quality experiment (Fig. 13) compares, named by the tokens `ri`
+//! (plain RI), `ri+c` (RI + cluster tie-breaks), `csce` (full CSCE) and
+//! `csce+ldsf` (CSCE with LDSF fine-tuning); [`PlannerConfig::ALL`] is
+//! the whole set, and the CLI's `--plan` and `.repro` files parse them.
 //!
 //! CSCE matches in the GCF order (`Φ* = Φ`). The paper's LDSF
 //! fine-tuning (descendant sizes, Alg. 3, then the descendant-first
@@ -32,47 +34,87 @@ use csce_graph::util::Csr;
 use csce_graph::{FxHashMap, Variant, VertexId};
 use dag::{build_dag, Dag};
 use descendant::descendant_sizes;
-use gcf::{gcf_order, GcfConfig};
+use gcf::gcf_order;
 use ldsf::ldsf_order;
 use nec::nec_classes;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Switches for the optimization stages (Fig. 13's plan variants).
-#[derive(Clone, Copy, Debug)]
+/// One of the four plans Fig. 13 compares: [`PlannerConfig::csce`] (the
+/// default), [`PlannerConfig::ldsf`], [`PlannerConfig::ri_only`] and
+/// [`PlannerConfig::ri_cluster`]. The stage switches are private, so no
+/// other combination can be built; [`PlannerConfig::ALL`] lists the set and
+/// [`PlannerConfig::name`] / [`str::parse`] map each to its token.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// GCF stage configuration (cluster tie-breaking on/off).
-    pub gcf: GcfConfig,
+    /// Break GCF ties by CCSR cluster sizes (Eq. 2); off for plain RI.
+    cluster_tiebreak: bool,
     /// Reorder `Φ` by LDSF (descendant size first) over the dependency
-    /// DAG. Off in every preset: `Φ*` is the GCF order, and LDSF is the
-    /// Fig. 13 ablation.
-    pub ldsf: bool,
+    /// DAG; only in the [`PlannerConfig::ldsf`] ablation.
+    ldsf: bool,
     /// Identify NEC classes and share candidate caches within them.
-    pub nec: bool,
+    nec: bool,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig { gcf: GcfConfig::default(), ldsf: false, nec: true }
+        Self::csce()
     }
 }
 
 impl PlannerConfig {
+    /// Every preset, in the fuzz sweep's order: `csce`, `csce+ldsf`, `ri`,
+    /// `ri+c`.
+    pub const ALL: [PlannerConfig; 4] =
+        [Self::csce(), Self::ldsf(), Self::ri_only(), Self::ri_cluster()];
+
     /// Full CSCE (the default): GCF with cluster tie-breaks as `Φ*`, NEC
     /// cache sharing, `H` and the factorized tree.
-    pub fn csce() -> Self {
-        Self::default()
+    pub const fn csce() -> Self {
+        PlannerConfig { cluster_tiebreak: true, ldsf: false, nec: true }
+    }
+
+    /// Full CSCE with `Φ*` reordered by LDSF (Alg. 3–4): Fig. 13's last
+    /// column, a measured ablation (DESIGN.md, "Documented deviations").
+    pub const fn ldsf() -> Self {
+        PlannerConfig { cluster_tiebreak: true, ldsf: true, nec: true }
     }
 
     /// Plain RI heuristics: no data-graph awareness, no NEC sharing.
-    pub fn ri_only() -> Self {
-        PlannerConfig { gcf: GcfConfig::ri_only(), ldsf: false, nec: false }
+    pub const fn ri_only() -> Self {
+        PlannerConfig { cluster_tiebreak: false, ldsf: false, nec: false }
     }
 
     /// RI rules with CCSR cluster tie-breaking (Fig. 13's "RI+Cluster"):
     /// CSCE's order without NEC sharing.
-    pub fn ri_cluster() -> Self {
-        PlannerConfig { gcf: GcfConfig::default(), ldsf: false, nec: false }
+    pub const fn ri_cluster() -> Self {
+        PlannerConfig { cluster_tiebreak: true, ldsf: false, nec: false }
+    }
+
+    /// The preset's stable token, as `--plan` takes it and `.repro` files
+    /// record it: `csce`, `csce+ldsf`, `ri` or `ri+c`.
+    pub fn name(self) -> &'static str {
+        if !self.cluster_tiebreak {
+            "ri"
+        } else if self.ldsf {
+            "csce+ldsf"
+        } else if self.nec {
+            "csce"
+        } else {
+            "ri+c"
+        }
+    }
+}
+
+impl std::str::FromStr for PlannerConfig {
+    type Err = String;
+
+    /// Parse a [`PlannerConfig::name`] token.
+    fn from_str(s: &str) -> Result<PlannerConfig, String> {
+        Self::ALL.into_iter().find(|c| c.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = Self::ALL.iter().map(|c| c.name()).collect();
+            format!("unknown planner {s:?} (expected {})", names.join(", "))
+        })
     }
 }
 
@@ -208,7 +250,7 @@ pub struct Plan {
 
 /// Plan generator.
 pub struct Planner {
-    pub config: PlannerConfig,
+    config: PlannerConfig,
 }
 
 impl Planner {
@@ -236,7 +278,7 @@ impl Planner {
         assert!(p.is_connected(), "pattern must be connected");
 
         // Stage 1: GCF initial order (with or without cluster tie-breaks).
-        let phi = recorder.time("gcf", || gcf_order(catalog, self.config.gcf));
+        let phi = recorder.time("gcf", || gcf_order(catalog, self.config));
         // Stage 2: dependency DAG.
         let dag = recorder.time("dag", || build_dag(catalog, &phi, variant));
         // LDSF ablation: reorder into H's descendant-first topological order.
@@ -769,8 +811,7 @@ mod tests {
                         "{variant}, order {order:?}"
                     );
                 }
-                let ldsf = PlannerConfig { ldsf: true, ..PlannerConfig::csce() };
-                for config in [PlannerConfig::csce(), PlannerConfig::ri_only(), ldsf] {
+                for config in PlannerConfig::ALL {
                     let plan = Planner::new(config).plan(&catalog, variant);
                     prop_assert_eq!(
                         &plan.root,
@@ -778,7 +819,7 @@ mod tests {
                     );
                 }
                 let default = Planner::new(PlannerConfig::default()).plan(&catalog, variant);
-                prop_assert_eq!(default.order, gcf_order(&catalog, GcfConfig::default()));
+                prop_assert_eq!(default.order, gcf_order(&catalog, PlannerConfig::csce()));
             }
         }
     }
@@ -962,13 +1003,23 @@ mod tests {
         assert_eq!(plan.cache_slot[1], plan.cache_slot[2]);
         assert_ne!(plan.cache_slot[0], plan.cache_slot[1]);
         assert_eq!(plan.slot_count, 2);
-        let no_nec = plan_for(
-            &p,
-            &p,
-            Variant::EdgeInduced,
-            PlannerConfig { nec: false, ..PlannerConfig::csce() },
-        );
+        let no_nec = plan_for(&p, &p, Variant::EdgeInduced, PlannerConfig::ri_cluster());
         assert_eq!(no_nec.slot_count, 3);
+    }
+
+    #[test]
+    fn preset_names_round_trip() {
+        let names: Vec<&str> = PlannerConfig::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["csce", "csce+ldsf", "ri", "ri+c"]);
+        for planner in PlannerConfig::ALL {
+            assert_eq!(planner.name().parse(), Ok(planner));
+        }
+        assert_eq!(PlannerConfig::default(), PlannerConfig::csce());
+        let err = "csce+nec".parse::<PlannerConfig>().unwrap_err();
+        assert!(err.contains("\"csce+nec\""), "{err}");
+        for name in names {
+            assert!(err.contains(name), "{err} omits {name}");
+        }
     }
 
     #[test]

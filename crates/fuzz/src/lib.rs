@@ -126,7 +126,7 @@ pub fn run_fuzz(
         if let Referee::Engine(cfg) = &div.referee {
             let engine = Engine::build(&sg);
             let recorder = Recorder::disabled();
-            match engine.prepare(&sp, div.variant, cfg.planner.planner_config(), &recorder) {
+            match engine.prepare(&sp, div.variant, cfg.planner, &recorder) {
                 Ok(query) => {
                     validation.merge(plan_check::validate_plan(&query.catalog(), query.plan()))
                 }

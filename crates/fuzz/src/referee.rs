@@ -1,8 +1,9 @@
 //! The differential referee sweep.
 //!
 //! For each case the referees are ranked by trust: the brute-force oracle
-//! is ground truth; the engine — swept across every planner preset, SCE /
-//! factorization toggle and thread count — must match it exactly; each
+//! is ground truth; the engine — swept across every planner preset
+//! ([`PlannerConfig::ALL`], recorded by its [`PlannerConfig::name`] token),
+//! SCE / factorization toggle and thread count — must match it exactly; each
 //! baseline that declares support for the task must match it too (unless
 //! its time limit fires, which only skips that probe). The first
 //! disagreement is returned as a [`Divergence`] for shrinking.
@@ -13,62 +14,12 @@ use csce_graph::{oracle_count, Graph, Variant};
 use csce_obs::Recorder;
 use std::time::Duration;
 
-/// Planner preset of one engine probe: four distinct planners, so the
-/// sweep exercises plans with and without class sharing, cluster
-/// tie-breaks and the LDSF reorder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlannerName {
-    /// Full CSCE optimization (the GCF order).
-    Csce,
-    /// Full CSCE reordered by LDSF (the Fig. 13 ablation).
-    Ldsf,
-    /// Plain RI heuristics.
-    RiOnly,
-    /// RI with cluster tie-breaks, no NEC sharing.
-    RiCluster,
-}
-
-impl PlannerName {
-    /// Every preset, in sweep order.
-    pub const ALL: [PlannerName; 4] =
-        [PlannerName::Csce, PlannerName::Ldsf, PlannerName::RiOnly, PlannerName::RiCluster];
-
-    /// Stable token used in reports and `.repro` files.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlannerName::Csce => "csce",
-            PlannerName::Ldsf => "csce+ldsf",
-            PlannerName::RiOnly => "ri",
-            PlannerName::RiCluster => "ri+c",
-        }
-    }
-
-    /// Parse the [`PlannerName::as_str`] token.
-    pub fn parse(s: &str) -> Result<PlannerName, String> {
-        match s {
-            "csce" => Ok(PlannerName::Csce),
-            "csce+ldsf" => Ok(PlannerName::Ldsf),
-            "ri" => Ok(PlannerName::RiOnly),
-            "ri+c" => Ok(PlannerName::RiCluster),
-            other => Err(format!("unknown planner {other:?}")),
-        }
-    }
-
-    /// The concrete planner switches of this preset.
-    pub fn planner_config(self) -> PlannerConfig {
-        match self {
-            PlannerName::Csce => PlannerConfig::csce(),
-            PlannerName::Ldsf => PlannerConfig { ldsf: true, ..PlannerConfig::csce() },
-            PlannerName::RiOnly => PlannerConfig::ri_only(),
-            PlannerName::RiCluster => PlannerConfig::ri_cluster(),
-        }
-    }
-}
-
 /// One point of the engine configuration matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    pub planner: PlannerName,
+    /// One of the four planner presets: the sweep exercises plans with and
+    /// without class sharing, cluster tie-breaks and the LDSF reorder.
+    pub planner: PlannerConfig,
     pub use_sce_cache: bool,
     pub factorize: bool,
     pub threads: usize,
@@ -80,7 +31,7 @@ impl EngineConfig {
     pub fn matrix(thread_counts: &[usize]) -> Vec<EngineConfig> {
         let mut out = Vec::new();
         for &threads in thread_counts {
-            for planner in PlannerName::ALL {
+            for planner in PlannerConfig::ALL {
                 for use_sce_cache in [true, false] {
                     for factorize in [true, false] {
                         out.push(EngineConfig { planner, use_sce_cache, factorize, threads });
@@ -105,7 +56,7 @@ impl EngineConfig {
     pub fn label(&self) -> String {
         format!(
             "engine[planner={} cache={} factorize={} threads={}]",
-            self.planner.as_str(),
+            self.planner.name(),
             self.use_sce_cache,
             self.factorize,
             self.threads
@@ -141,9 +92,8 @@ impl EngineUnderTest for RealEngine {
     ) -> Result<u64, String> {
         let engine = Engine::try_build(g).map_err(|e| e.to_string())?;
         let recorder = Recorder::disabled();
-        let query = engine
-            .prepare(p, variant, config.planner.planner_config(), &recorder)
-            .map_err(|e| e.to_string())?;
+        let query =
+            engine.prepare(p, variant, config.planner, &recorder).map_err(|e| e.to_string())?;
         let out = query.count(config.run_config(), config.threads, None);
         out.map(|out| out.count).map_err(|e| e.to_string())
     }
@@ -360,15 +310,7 @@ mod tests {
         let matrix = EngineConfig::matrix(&[1, 4]);
         assert_eq!(matrix.len(), 4 * 2 * 2 * 2);
         assert!(matrix.iter().any(|c| c.threads == 4 && !c.use_sce_cache && !c.factorize));
-        assert!(matrix.iter().any(|c| c.planner == PlannerName::Ldsf));
-    }
-
-    #[test]
-    fn planner_tokens_round_trip() {
-        for name in PlannerName::ALL {
-            assert_eq!(PlannerName::parse(name.as_str()), Ok(name));
-        }
-        assert!(PlannerName::parse("nope").is_err());
+        assert!(matrix.iter().any(|c| c.planner == PlannerConfig::ldsf()));
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //! block with `referee baseline <NAME>`, and an errored probe replaces
 //! `got <count>` with `error <message>`.
 
-use crate::referee::{
-    diverges, probe, EngineConfig, EngineUnderTest, Observed, PlannerName, Referee,
-};
+use crate::referee::{diverges, probe, EngineConfig, EngineUnderTest, Observed, Referee};
 use csce_analyze::{Validate, ValidationReport};
 use csce_graph::io::{read_csce, write_csce};
 use csce_graph::{Graph, Variant};
@@ -86,7 +84,7 @@ impl Repro {
         match &self.referee {
             Referee::Engine(cfg) => {
                 out.push_str("referee engine\n");
-                out.push_str(&format!("planner {}\n", cfg.planner.as_str()));
+                out.push_str(&format!("planner {}\n", cfg.planner.name()));
                 out.push_str(&format!("cache {}\n", cfg.use_sce_cache));
                 out.push_str(&format!("factorize {}\n", cfg.factorize));
                 out.push_str(&format!("threads {}\n", cfg.threads));
@@ -143,7 +141,7 @@ impl Repro {
                 "case" => case = Some(parse_num::<u64>("case", rest)?),
                 "variant" => variant = Some(rest.parse()?),
                 "referee" => referee_kind = Some(rest.to_string()),
-                "planner" => planner = Some(PlannerName::parse(rest)?),
+                "planner" => planner = Some(rest.parse()?),
                 "cache" => cache = Some(parse_bool("cache", rest)?),
                 "factorize" => factorize = Some(parse_bool("factorize", rest)?),
                 "threads" => threads = Some(parse_num::<usize>("threads", rest)?),
@@ -256,6 +254,7 @@ mod tests {
     use super::*;
     use crate::case;
     use crate::referee::{InjectedBugEngine, RealEngine};
+    use csce_core::PlannerConfig;
 
     fn sample_repro() -> Repro {
         let case = case::generate(5, 2);
@@ -264,7 +263,7 @@ mod tests {
             case: 2,
             variant: Variant::EdgeInduced,
             referee: Referee::Engine(EngineConfig {
-                planner: PlannerName::Csce,
+                planner: PlannerConfig::csce(),
                 use_sce_cache: true,
                 factorize: true,
                 threads: 4,
@@ -289,6 +288,27 @@ mod tests {
         assert_eq!(back.observed, repro.observed);
         assert_eq!(back.data.edges(), repro.data.edges());
         assert_eq!(back.pattern.edges(), repro.pattern.edges());
+    }
+
+    /// A literal v1 file: the `planner` token names a
+    /// [`PlannerConfig::name`] preset, so `csce+ldsf` is the LDSF one, and
+    /// the file writes back unchanged.
+    #[test]
+    fn v1_planner_tokens_parse_to_presets() {
+        let text = "csce-fuzz repro v1\nseed 7\ncase 3\nvariant e\nreferee engine\n\
+                    planner csce+ldsf\ncache false\nfactorize true\nthreads 2\n\
+                    expected 1\ngot 2\n\
+                    begin data\nt 2 1\nv 0 0\nv 1 1\ne 0 1 - d\nend data\n\
+                    begin pattern\nt 2 1\nv 0 0\nv 1 1\ne 0 1 - d\nend pattern\n";
+        let repro = Repro::parse(text).expect("parse");
+        let want = EngineConfig {
+            planner: PlannerConfig::ldsf(),
+            use_sce_cache: false,
+            factorize: true,
+            threads: 2,
+        };
+        assert_eq!(repro.referee, Referee::Engine(want));
+        assert_eq!(repro.to_text().expect("serialize"), text);
     }
 
     #[test]
@@ -324,7 +344,7 @@ mod tests {
             case: 0,
             variant: Variant::EdgeInduced,
             referee: Referee::Engine(EngineConfig {
-                planner: PlannerName::Csce,
+                planner: PlannerConfig::csce(),
                 use_sce_cache: true,
                 factorize: true,
                 threads: 1,

@@ -25,9 +25,10 @@ cargo test -q --workspace
 echo "==> perfbench tests (the benchmark package builds against the public API)"
 cargo test -q --manifest-path perfbench/Cargo.toml
 
-echo "==> csce fuzz (pinned seed, as in CI's fuzz-smoke job)"
+echo "==> csce fuzz (both pinned seeds, as in CI's fuzz-smoke job)"
 fuzz_out=$(mktemp -d)
 ./target/release/csce fuzz --runs 200 --seed 42 --out "$fuzz_out"
+./target/release/csce fuzz --runs 100 --seed 20260807 --out "$fuzz_out"
 rm -rf "$fuzz_out"
 
 echo "==> counter ratchet fixtures, then the pinned work counters (as in CI's counters job)"

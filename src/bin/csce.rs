@@ -7,7 +7,8 @@
 //!     --query "(a:0)-[5]->(b:1)"  inline pattern instead of a file
 //!     --variant e|v|h      matching variant (default e)
 //!     --enumerate [N]      print embeddings (all, or first N)
-//!     --plan ri|ri+c|csce  planner preset (default csce)
+//!     --plan ri|ri+c|csce|csce+ldsf
+//!                          planner preset (default csce)
 //!     --time-limit SECS    abort after a budget
 //!     --threads N          parallel matching workers (counting and
 //!                          enumeration; enumerated output is sorted)
@@ -67,10 +68,11 @@ fn print_usage() {
          USAGE:\n  csce cluster <graph.csce> -o <out.ccsr>\n  \
          csce stats <graph.csce|graph.ccsr>\n  \
          csce match <data.csce|data.ccsr> <pattern.csce | --query \"(a:0)-->(b:1)\">\n            \
-         [--variant e|v|h] [--enumerate [N]] [--plan ri|ri+c|csce]\n            \
+         [--variant e|v|h] [--enumerate [N]] [--plan ri|ri+c|csce|csce+ldsf]\n            \
          [--time-limit SECS] [--threads N] [--stats [text|json]]\n            \
          [--progress SECS] [--explain]\n  \
-         csce validate <graph.csce|data.ccsr> [--query \"...\"] [--variant e|v|h] [--plan ri|ri+c|csce]\n  \
+         csce validate <graph.csce|data.ccsr> [--query \"...\"] [--variant e|v|h]\n            \
+         [--plan ri|ri+c|csce|csce+ldsf]\n  \
          csce fuzz [--runs N] [--seed S] [--threads N] [--out DIR]\n            \
          [--baseline-time-limit SECS] [--no-baselines] [--inject-bug]\n  \
          csce fuzz --replay <file.repro>\n  \
@@ -142,8 +144,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// `csce validate <graph.csce|data.ccsr> [--query "..." | pattern.csce]
-/// [--variant e|v|h] [--plan ri|ri+c|csce]`: run the structural checks and
-/// print a PASS/FAIL report via `csce-obs`.
+/// [--variant e|v|h] [--plan ri|ri+c|csce|csce+ldsf]`: run the structural
+/// checks and print a PASS/FAIL report via `csce-obs`.
 ///
 /// A `.csce` text graph is checked as a graph (`csce-analyze`), then
 /// clustered; a `.ccsr` file is decoded once. Either way the `G_C` gets
@@ -196,7 +198,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
             Some(e) => {
                 let recorder = Recorder::disabled();
                 let query = e
-                    .prepare(&p, inputs.variant, inputs.planner.1, &recorder)
+                    .prepare(&p, inputs.variant, inputs.planner, &recorder)
                     .map_err(|err| err.to_string())?;
                 report.merge(plan_check::validate_plan(&query.catalog(), query.plan()));
             }
@@ -364,23 +366,13 @@ fn parse_secs(flag: &str, value: Option<&String>) -> Result<Duration, String> {
     Duration::try_from_secs_f64(secs).map_err(|e| format!("bad {flag} value {value:?}: {e}"))
 }
 
-/// A `--plan` preset: its name and its constructor.
-type Preset = (&'static str, fn() -> PlannerConfig);
-
-/// The `--plan` presets.
-const PLANNERS: [Preset; 3] = [
-    ("csce", PlannerConfig::csce),
-    ("ri", PlannerConfig::ri_only),
-    ("ri+c", PlannerConfig::ri_cluster),
-];
-
 /// The arguments `match` and `validate` share: `<data> [pattern.csce |
-/// --query Q]`, `--variant e|v|h` and `--plan ri|ri+c|csce`.
+/// --query Q]`, `--variant e|v|h` and `--plan ri|ri+c|csce|csce+ldsf`.
 struct QueryInputs<'a> {
     positional: Vec<&'a str>,
     query: Option<&'a str>,
     variant: Variant,
-    planner: (&'static str, PlannerConfig),
+    planner: PlannerConfig,
 }
 
 impl Default for QueryInputs<'_> {
@@ -389,7 +381,7 @@ impl Default for QueryInputs<'_> {
             positional: Vec::new(),
             query: None,
             variant: Variant::EdgeInduced,
-            planner: ("csce", PlannerConfig::csce()),
+            planner: PlannerConfig::csce(),
         }
     }
 }
@@ -406,14 +398,7 @@ impl<'a> QueryInputs<'a> {
         match arg {
             "--query" => self.query = Some(value(arg)?),
             "--variant" => self.variant = value(arg)?.parse()?,
-            "--plan" => {
-                let name = value(arg)?;
-                self.planner = PLANNERS
-                    .iter()
-                    .find(|(known, _)| known == name)
-                    .map(|&(known, preset)| (known, preset()))
-                    .ok_or(format!("unknown planner {name:?}"))?;
-            }
+            "--plan" => self.planner = value(arg)?.parse()?,
             flag if flag.starts_with('-') => return Ok(false),
             _ => self.positional.push(arg),
         }
@@ -503,7 +488,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         (data, Some(p)) => (data, p),
         (_, None) => return Err(usage.to_string()),
     };
-    let (variant, (planner_name, planner)) = (inputs.variant, inputs.planner);
+    let (variant, planner) = (inputs.variant, inputs.planner);
     let recorder = if stats_format.is_some() { Recorder::new() } else { Recorder::disabled() };
     let engine = load_engine(data, &recorder)?;
     let t0 = Instant::now();
@@ -566,7 +551,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(format) = stats_format {
-        let report = match_report(data, variant, planner_name, threads, wall, &out, &recorder);
+        let report = match_report(data, variant, planner, threads, wall, &out, &recorder);
         match format {
             StatsFormat::Text => print!("{}", report.to_text()),
             StatsFormat::Json => println!("{}", report.to_json_string()),
@@ -627,7 +612,7 @@ fn spawn_heartbeat(
 fn match_report(
     data: &str,
     variant: Variant,
-    planner_name: &str,
+    planner: PlannerConfig,
     threads: usize,
     wall: Duration,
     out: &csce::QueryOutput,
@@ -638,7 +623,7 @@ fn match_report(
         .meta("algo", "CSCE")
         .meta("data", data)
         .meta("variant", variant)
-        .meta("plan", planner_name)
+        .meta("plan", planner.name())
         .meta("threads", threads)
         .meta("count", out.count)
         .meta("timed_out", out.stats.timed_out)

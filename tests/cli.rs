@@ -280,6 +280,10 @@ fn enumerate_stats_time_the_sort_and_the_merge() {
                 .map(<[_]>::to_vec)
                 .unwrap_or_default()
         };
+        // Rows past the limit are not counted as embeddings.
+        let counters = report.get("counters").expect("counters object");
+        let embeddings = counters.get("exec.embeddings").and_then(JsonValue::as_u64);
+        assert_eq!(embeddings, Some(printed as u64), "limit {limit:?}");
         let phases = report.get("phases").and_then(JsonValue::as_array).expect("phases");
         // Each worker sorts its own rows; the driver merges them once per
         // further worker.
@@ -288,6 +292,35 @@ fn enumerate_stats_time_the_sort_and_the_merge() {
         assert_eq!(sort.get("calls").and_then(JsonValue::as_u64), Some(2), "limit {limit:?}");
         let merge = named(&execute, "merge");
         assert_eq!(merge.get("calls").and_then(JsonValue::as_u64), Some(1), "limit {limit:?}");
+    }
+}
+
+#[test]
+fn every_planner_preset_is_accepted_by_name() {
+    let dir = workdir();
+    let data = write(&dir, "data_presets.csce", DATA);
+    let count = |plan: &str| {
+        let out = bin()
+            .arg("match")
+            .arg(&data)
+            .args(["--query", "(a:0)-->(b:1)<--(c:0)", "--plan", plan])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{plan}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).lines().next().unwrap_or_default().to_string()
+    };
+    let csce = count("csce");
+    assert!(csce.ends_with("embeddings (edge-induced)"), "{csce}");
+    for plan in ["csce+ldsf", "ri", "ri+c"] {
+        assert_eq!(count(plan), csce, "--plan {plan}");
+    }
+    let out =
+        bin().arg("match").arg(&data).args(["--query", "(a:0)", "--plan", "rm"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown planner \"rm\""), "{stderr}");
+    for name in ["csce", "csce+ldsf", "ri", "ri+c"] {
+        assert!(stderr.contains(name), "{stderr} omits {name}");
     }
 }
 

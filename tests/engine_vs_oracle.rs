@@ -144,9 +144,10 @@ fn labeled_cycle_factorization_parity() {
                     let run = RunConfig { factorize, ..RunConfig::default() };
                     let out = engine.run(&p, variant, config, run);
                     assert_eq!(
-                        out.count, expected,
-                        "seed={seed} {variant} nec={} factorize={factorize}",
-                        config.nec
+                        out.count,
+                        expected,
+                        "seed={seed} {variant} plan={} factorize={factorize}",
+                        config.name()
                     );
                 }
             }
@@ -231,14 +232,9 @@ fn every_planner_preset_is_exact() {
     let sp = sampler.sample(5, Density::Sparse).expect("sample");
     for variant in Variant::ALL {
         let expected = csce::graph::oracle_count(&g, &sp.pattern, variant);
-        for (name, config) in [
-            ("csce", PlannerConfig::csce()),
-            ("ri_only", PlannerConfig::ri_only()),
-            ("ri_cluster", PlannerConfig::ri_cluster()),
-            ("ldsf", PlannerConfig { ldsf: true, ..PlannerConfig::csce() }),
-        ] {
+        for config in PlannerConfig::ALL {
             let out = engine.run(&sp.pattern, variant, config, RunConfig::default());
-            assert_eq!(out.count, expected, "{name} {variant}");
+            assert_eq!(out.count, expected, "{} {variant}", config.name());
         }
     }
 }

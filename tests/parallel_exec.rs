@@ -137,6 +137,12 @@ fn first_k_under_many_threads_returns_exactly_k() {
                 .expect("no worker panicked");
             assert_eq!(embeddings.len(), k, "k={k} with {threads} threads");
             assert_eq!(out.count, k as u64);
+            // Rows the quota refused are not counted as results.
+            assert_eq!(out.stats.embeddings, k as u64, "k={k} with {threads} threads");
+            assert_eq!(out.workers.len(), threads);
+            if k == 0 {
+                assert_eq!(out.stats.nodes, 0, "a zero limit searches nothing");
+            }
             // Sorted and distinct, like an unlimited collect.
             assert!(embeddings.windows(2).all(|w| w[0] < w[1]), "k={k} with {threads} threads");
             // Whichever embeddings won the quota, each is a real one.

@@ -49,8 +49,8 @@ fn nec_sharing_reduces_candidate_computations() {
     // Sequential mode so the leaf-by-leaf structure is visible.
     let seq = RunConfig { factorize: false, ..Default::default() };
     let (count_nec, stats_nec) = run(&engine, &p, PlannerConfig::csce(), seq);
-    let (count_plain, stats_plain) =
-        run(&engine, &p, PlannerConfig { nec: false, ..PlannerConfig::csce() }, seq);
+    // `ri_cluster` is CSCE's plan without NEC sharing.
+    let (count_plain, stats_plain) = run(&engine, &p, PlannerConfig::ri_cluster(), seq);
     assert_eq!(count_nec, count_plain);
     assert!(
         stats_nec.candidate_computations < stats_plain.candidate_computations,
