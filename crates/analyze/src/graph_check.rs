@@ -2,15 +2,15 @@
 //!
 //! The graph model promises (module docs of `csce_graph::graph`): sorted
 //! per-vertex adjacency, undirected edges visible from both endpoints,
-//! degrees counting distinct neighbors, a label-frequency index agreeing
-//! with the label array, no self loops, and `Σ` a function of the vertex
-//! pair (no duplicate same-kind edges). Each promise is re-derived here
-//! from the canonical edge list alone, so a desynchronized adjacency or
-//! stale index shows up as a violation rather than a wrong match count.
+//! degrees counting distinct neighbors, no self loops, and `Σ` a function
+//! of the vertex pair (no duplicate same-kind edges). Each promise is
+//! re-derived here from the canonical edge list alone, so a
+//! desynchronized adjacency or stale degree shows up as a violation
+//! rather than a wrong match count.
 
 use crate::{Validate, ValidationReport};
 use csce_graph::graph::{Adj, Orient};
-use csce_graph::{FxHashMap, Graph, Label, VertexId};
+use csce_graph::{FxHashMap, Graph, VertexId};
 
 impl Validate for Graph {
     fn validate(&self) -> ValidationReport {
@@ -19,7 +19,6 @@ impl Validate for Graph {
         check_edge_list(self, &mut r);
         check_adjacency(self, &mut r);
         check_degrees(self, &mut r);
-        check_label_index(self, &mut r);
         r
     }
 }
@@ -168,37 +167,6 @@ fn check_degrees(g: &Graph, r: &mut ValidationReport) {
                     "vertex {v}: stored degree {} but {} distinct neighbors",
                     g.degree(v),
                     distinct
-                ),
-            );
-        }
-    }
-}
-
-/// The label-frequency index agrees with the label array it summarizes.
-fn check_label_index(g: &Graph, r: &mut ValidationReport) {
-    r.ran("graph.label-index");
-    let mut freq: FxHashMap<Label, u32> = FxHashMap::default();
-    for &l in g.labels() {
-        *freq.entry(l).or_insert(0) += 1;
-    }
-    if &freq != g.label_frequency() {
-        r.violation(
-            "graph.label-index",
-            format!(
-                "label frequency index has {} entries, recount has {}",
-                g.label_frequency().len(),
-                freq.len()
-            ),
-        );
-    }
-    for (&l, &count) in &freq {
-        if g.label_count_of(l) != count {
-            r.violation(
-                "graph.label-index",
-                format!(
-                    "label {l}: indexed count {} but {} vertices carry it",
-                    g.label_count_of(l),
-                    count
                 ),
             );
         }

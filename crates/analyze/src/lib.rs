@@ -8,7 +8,7 @@
 //!
 //! * **Runtime structural analysis** — the [`Validate`] trait plus deep,
 //!   from-scratch checkers for the graph and plan structures:
-//!   [`csce_graph::Graph`] (adjacency symmetry, label-index agreement) and
+//!   [`csce_graph::Graph`] (adjacency symmetry, degrees, edge uniqueness) and
 //!   [`csce_core::Plan`] / dependency DAGs (Algorithms 2–4: acyclicity,
 //!   descendant sizes recomputed independently, order coverage, NEC class
 //!   soundness), in [`graph_check`] and [`plan_check`]. The checkers

@@ -21,7 +21,7 @@
 use crate::common::{pair_consistent, Deadline};
 use crate::{Baseline, BaselineResult};
 use csce_graph::pattern::undirected_neighbors;
-use csce_graph::{Graph, Variant, VertexId};
+use csce_graph::{FxHashMap, Graph, Label, Variant, VertexId};
 use std::time::{Duration, Instant};
 
 /// VF-style matcher for the injective variants.
@@ -78,7 +78,14 @@ fn vf_order(g: &Graph, p: &Graph) -> Vec<VertexId> {
     let n = p.n();
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    let freq = |u: VertexId| g.label_count_of(p.label(u));
+    // Data vertices carrying each pattern label, counted in one pass.
+    let mut by_label: FxHashMap<Label, u32> = p.labels().iter().map(|&l| (l, 0)).collect();
+    for l in g.labels() {
+        if let Some(count) = by_label.get_mut(l) {
+            *count += 1;
+        }
+    }
+    let freq = |u: VertexId| by_label.get(&p.label(u)).copied().unwrap_or(0);
     for _ in 0..n {
         let next = (0..n as VertexId)
             .filter(|&u| !placed[u as usize])

@@ -32,7 +32,8 @@ use std::time::Instant;
 use super::stats::DeepStats;
 
 /// One per-slot candidate cache: the parents' mapping signature under
-/// which `cands` was computed.
+/// which `cands` was computed. `valid` stays false while the SCE cache
+/// is ablated, so every lookup recomputes.
 #[derive(Clone, Debug, Default)]
 struct CandCache {
     valid: bool,
@@ -383,8 +384,7 @@ impl<'a> Executor<'a> {
         let slot = plan.cache_slot[u as usize] as usize;
         let (parents, edge_parents) = (plan.dag.parents(u), plan.dag.edge_parents(u));
         // Signature: the mappings of all H-parents (edge + negation).
-        let sig_matches = self.config.use_sce_cache
-            && self.caches[slot].valid
+        let sig_matches = self.caches[slot].valid
             && self.caches[slot].sig.len() == parents.len()
             && parents.iter().zip(&self.caches[slot].sig).all(|(&p, &s)| self.f[p as usize] == s);
         if sig_matches {
@@ -402,7 +402,7 @@ impl<'a> Executor<'a> {
         cache.cands = cands;
         cache.sig.clear();
         cache.sig.extend(parents.iter().map(|&p| self.f[p as usize]));
-        cache.valid = true;
+        cache.valid = self.config.use_sce_cache;
         let len = cache.cands.len();
         (slot, len)
     }

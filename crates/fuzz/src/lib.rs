@@ -21,7 +21,6 @@ use csce_core::Engine;
 use csce_obs::Recorder;
 use referee::{sweep, EngineUnderTest, Referee, SweepOpts, SweepStats};
 use repro::Repro;
-use std::time::Duration;
 
 /// Parameters of one fuzzing run.
 #[derive(Clone, Debug)]
@@ -30,24 +29,13 @@ pub struct FuzzConfig {
     pub runs: u64,
     /// Master seed; the whole run is a pure function of this.
     pub seed: u64,
-    /// Thread counts of the engine matrix.
-    pub thread_counts: Vec<usize>,
-    /// Per-baseline probe budget.
-    pub baseline_time_limit: Option<Duration>,
-    /// Probe the baselines (disable for engine-only self-consistency
-    /// sweeps).
-    pub check_baselines: bool,
+    /// The knobs every case's sweep runs with.
+    pub sweep: SweepOpts,
 }
 
 impl Default for FuzzConfig {
     fn default() -> Self {
-        FuzzConfig {
-            runs: 200,
-            seed: 42,
-            thread_counts: vec![1, 4],
-            baseline_time_limit: Some(Duration::from_secs(2)),
-            check_baselines: true,
-        }
+        FuzzConfig { runs: 200, seed: 42, sweep: SweepOpts::default() }
     }
 }
 
@@ -81,18 +69,13 @@ pub fn run_fuzz(
     engine: &dyn EngineUnderTest,
     log: &mut dyn FnMut(&str),
 ) -> FuzzOutcome {
-    let opts = SweepOpts {
-        thread_counts: config.thread_counts.clone(),
-        baseline_time_limit: config.baseline_time_limit,
-        check_baselines: config.check_baselines,
-    };
     let mut stats = SweepStats::default();
     for index in 0..config.runs {
         let case = case::generate(config.seed, index);
         if index > 0 && index % 50 == 0 {
             log(&format!("case {index}/{}", config.runs));
         }
-        let Some(div) = sweep(&case.data, &case.pattern, engine, &opts, &mut stats) else {
+        let Some(div) = sweep(&case.data, &case.pattern, engine, &config.sweep, &mut stats) else {
             continue;
         };
         log(&format!(
@@ -104,16 +87,17 @@ pub fn run_fuzz(
             div.expected
         ));
         log("shrinking...");
+        let limit = config.sweep.baseline_time_limit;
         let (sg, sp) = shrink::shrink_case(
             &case.data,
             &case.pattern,
             div.variant,
             &div.referee,
             engine,
-            config.baseline_time_limit,
+            limit,
         );
         let (expected, observed) =
-            referee::probe(&sg, &sp, div.variant, &div.referee, engine, config.baseline_time_limit);
+            referee::probe(&sg, &sp, div.variant, &div.referee, engine, limit);
         log(&format!(
             "shrunk to data n={} m={}, pattern n={} m={}",
             sg.n(),
@@ -168,8 +152,8 @@ mod tests {
 
     #[test]
     fn injected_bug_is_caught_shrunk_and_validated() {
-        let config =
-            FuzzConfig { runs: 64, seed: 42, check_baselines: false, ..FuzzConfig::default() };
+        let sweep = SweepOpts { check_baselines: false, ..SweepOpts::default() };
+        let config = FuzzConfig { runs: 64, seed: 42, sweep };
         let outcome = run_fuzz(&config, &InjectedBugEngine, &mut |_| {});
         let failure = outcome.failure.expect("sabotaged engine must be caught");
         assert!(failure.repro.data.n() <= 8, "repro too large: {}", failure.repro.data.n());

@@ -59,14 +59,6 @@ pub struct Repro {
     pub pattern: Graph,
 }
 
-fn variant_token(v: Variant) -> &'static str {
-    match v {
-        Variant::EdgeInduced => "e",
-        Variant::VertexInduced => "v",
-        Variant::Homomorphic => "h",
-    }
-}
-
 fn graph_block(g: &Graph) -> Result<String, String> {
     let mut buf = Vec::new();
     write_csce(g, &mut buf).map_err(|e| e.to_string())?;
@@ -80,7 +72,7 @@ impl Repro {
         out.push_str("csce-fuzz repro v1\n");
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("case {}\n", self.case));
-        out.push_str(&format!("variant {}\n", variant_token(self.variant)));
+        out.push_str(&format!("variant {}\n", self.variant.tag().to_ascii_lowercase()));
         match &self.referee {
             Referee::Engine(cfg) => {
                 out.push_str("referee engine\n");
@@ -309,6 +301,12 @@ mod tests {
         };
         assert_eq!(repro.referee, Referee::Engine(want));
         assert_eq!(repro.to_text().expect("serialize"), text);
+        for (variant, token) in Variant::ALL.into_iter().zip(["e", "v", "h"]) {
+            let text = text.replace("variant e\n", &format!("variant {token}\n"));
+            let repro = Repro::parse(&text).expect("parse");
+            assert_eq!(repro.variant, variant);
+            assert_eq!(repro.to_text().expect("serialize"), text, "variant {token}");
+        }
     }
 
     #[test]

@@ -219,32 +219,6 @@ pub fn barabasi_albert(n: usize, m0: usize, vertex_labels: u32, seed: u64) -> Gr
     b.build()
 }
 
-/// Watts–Strogatz small world: a ring lattice where each vertex connects
-/// its `k/2` nearest neighbors per side and each edge rewires with
-/// probability `beta`. Models high-clustering low-diameter networks.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, vertex_labels: u32, seed: u64) -> Graph {
-    assert!(k >= 2 && k.is_multiple_of(2) && n > k, "need even k >= 2 and n > k");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, n * k / 2);
-    for _ in 0..n {
-        let l = random_label(&mut rng, vertex_labels);
-        b.add_vertex(l);
-    }
-    for v in 0..n {
-        for offset in 1..=(k / 2) {
-            let mut target = ((v + offset) % n) as VertexId;
-            if rng.gen_bool(beta) {
-                // Rewire to a uniform random endpoint.
-                target = rng.gen_range(0..n) as VertexId;
-            }
-            if target != v as VertexId {
-                let _ = b.add_undirected_edge(v as VertexId, target, NO_LABEL);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Replace all vertex labels with uniform random labels from
 /// `0..label_count` (used to vary heterogeneity for Fig. 10/11).
 pub fn randomize_vertex_labels(g: &Graph, label_count: u32, seed: u64) -> Graph {
@@ -323,16 +297,6 @@ mod tests {
         assert!((max_deg as f64) > 4.0 * g.average_degree(), "hub exists: {max_deg}");
         // Deterministic.
         assert_eq!(g.edges(), barabasi_albert(500, 3, 0, 4).edges());
-    }
-
-    #[test]
-    fn watts_strogatz_degrees_and_rewiring() {
-        let regular = watts_strogatz(100, 4, 0.0, 0, 5);
-        // beta = 0: exact ring lattice, all degrees k.
-        assert!((0..100u32).all(|v| regular.degree(v) == 4));
-        let rewired = watts_strogatz(100, 4, 0.3, 2, 5);
-        assert!(rewired.m() <= regular.m(), "rewiring can only drop collisions");
-        assert_ne!(rewired.edges(), regular.edges());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! sorted in place: no per-vertex allocation, patterns and data graphs
 //! alike.
 
-use crate::util::{Csr, FxHashMap};
+use crate::util::{Csr, FxHashMap, FxHashSet};
 use crate::{Label, VertexId, NO_LABEL};
 
 /// How an incident edge relates to the vertex whose adjacency list it is in.
@@ -68,10 +68,6 @@ pub struct Graph {
     adj: Csr<Adj>,
     edges: Vec<Edge>,
     degree: Vec<u32>,
-    label_freq: FxHashMap<Label, u32>,
-    vertex_label_count: usize,
-    edge_label_count: usize,
-    directed_edge_count: usize,
 }
 
 impl Graph {
@@ -160,44 +156,40 @@ impl Graph {
         })
     }
 
-    /// Frequency of each vertex label.
-    #[inline]
-    pub fn label_frequency(&self) -> &FxHashMap<Label, u32> {
-        &self.label_freq
-    }
-
-    /// Frequency of one vertex label (0 if absent).
-    #[inline]
-    pub fn label_count_of(&self, l: Label) -> u32 {
-        self.label_freq.get(&l).copied().unwrap_or(0)
-    }
-
     /// Number of distinct vertex labels (`l_v`). An unlabeled graph — all
     /// vertices carrying [`NO_LABEL`] — reports zero, matching Table IV.
     pub fn vertex_label_count(&self) -> usize {
-        if self.vertex_label_count == 1 && self.label_freq.contains_key(&NO_LABEL) {
+        if self.labels.iter().all(|&l| l == NO_LABEL) {
             0
         } else {
-            self.vertex_label_count
+            self.distinct_vertex_labels()
         }
     }
 
-    /// Number of distinct edge labels (`l_e`), with the same `NO_LABEL`
-    /// convention as [`Self::vertex_label_count`].
+    /// Number of distinct edge labels (`l_e`); [`NO_LABEL`] is not counted.
     pub fn edge_label_count(&self) -> usize {
-        self.edge_label_count
+        self.edges
+            .iter()
+            .map(|e| e.label)
+            .filter(|&l| l != NO_LABEL)
+            .collect::<FxHashSet<_>>()
+            .len()
     }
 
     /// Whether the graph is heterogeneous per the paper's `l_v + l_e > 2`
     /// criterion (counting `NO_LABEL` as a single label).
     pub fn is_heterogeneous(&self) -> bool {
-        self.vertex_label_count + self.edge_label_count.max(1) > 2
+        self.distinct_vertex_labels() + self.edge_label_count().max(1) > 2
+    }
+
+    /// Number of distinct vertex labels, [`NO_LABEL`] included.
+    fn distinct_vertex_labels(&self) -> usize {
+        self.labels.iter().collect::<FxHashSet<_>>().len()
     }
 
     /// Whether any edge is directed.
-    #[inline]
     pub fn has_directed_edges(&self) -> bool {
-        self.directed_edge_count > 0
+        self.edges.iter().any(|e| e.directed)
     }
 
     /// Average degree `2|E| / |V|` (each undirected edge contributes two
@@ -238,22 +230,12 @@ impl Graph {
     pub fn with_vertex_labels(&self, labels: Vec<Label>) -> Graph {
         assert_eq!(labels.len(), self.n(), "label vector must cover all vertices");
         // Relabelling cannot invalidate the (already validated) structure, so
-        // copy it directly instead of replaying edges through the builder;
-        // only the label-derived statistics need recomputing.
-        let mut label_freq = FxHashMap::default();
-        for &l in &labels {
-            *label_freq.entry(l).or_insert(0) += 1;
-        }
-        let vertex_label_count = label_freq.len();
+        // copy it directly instead of replaying edges through the builder.
         Graph {
             labels,
             adj: self.adj.clone(),
             edges: self.edges.clone(),
             degree: self.degree.clone(),
-            label_freq,
-            vertex_label_count,
-            edge_label_count: self.edge_label_count,
-            directed_edge_count: self.directed_edge_count,
         }
     }
 }
@@ -408,16 +390,6 @@ impl GraphBuilder {
                 u32::try_from(distinct).unwrap_or(u32::MAX)
             })
             .collect();
-        let mut label_freq = FxHashMap::default();
-        for &l in &self.labels {
-            *label_freq.entry(l).or_insert(0) += 1;
-        }
-        let vertex_label_count = label_freq.len();
-        let mut edge_labels: Vec<Label> =
-            self.edges.iter().map(|e| e.label).filter(|&l| l != NO_LABEL).collect();
-        edge_labels.sort_unstable();
-        edge_labels.dedup();
-        let directed_edge_count = self.edges.iter().filter(|e| e.directed).count();
         // Boundary invariant (deep form in `csce-analyze`): each edge
         // contributes exactly two adjacency entries and lists are strictly
         // sorted — equal entries would mean an undetected duplicate edge.
@@ -426,16 +398,7 @@ impl GraphBuilder {
                 && adj.iter().all(|list| list.windows(2).all(|w| w[0] < w[1])),
             "adjacency must mirror the edge list with strictly sorted rows"
         );
-        Graph {
-            labels: self.labels,
-            adj,
-            edges: self.edges,
-            degree,
-            label_freq,
-            vertex_label_count,
-            edge_label_count: edge_labels.len(),
-            directed_edge_count,
-        }
+        Graph { labels: self.labels, adj, edges: self.edges, degree }
     }
 }
 
@@ -551,6 +514,57 @@ mod tests {
         assert_eq!(g.edge_label_count(), 0);
         assert!(!g.is_heterogeneous());
         assert!(!g.is_connected());
+    }
+
+    /// Pin the four label/direction statistics and Table IV's label count
+    /// for a graph built through the builder and through relabeling.
+    /// `expected` is (vertex labels, edge labels, heterogeneous, directed).
+    fn check_statistics(
+        labels: &[Label],
+        edges: &[(VertexId, VertexId, Label, bool)],
+        expected: (usize, usize, bool, bool),
+    ) {
+        let build = |labels: &[Label]| {
+            let mut b = GraphBuilder::new();
+            for &l in labels {
+                b.add_vertex(l);
+            }
+            for &(s, d, l, directed) in edges {
+                if directed {
+                    b.add_edge(s, d, l).unwrap();
+                } else {
+                    b.add_undirected_edge(s, d, l).unwrap();
+                }
+            }
+            b.build()
+        };
+        let relabeled = build(&vec![42; labels.len()]).with_vertex_labels(labels.to_vec());
+        for g in [build(labels), relabeled] {
+            let got = (
+                g.vertex_label_count(),
+                g.edge_label_count(),
+                g.is_heterogeneous(),
+                g.has_directed_edges(),
+            );
+            assert_eq!(got, expected, "labels {labels:?}");
+            assert_eq!(crate::GraphStats::of(&g).label_count, expected.0, "labels {labels:?}");
+        }
+    }
+
+    #[test]
+    fn label_and_direction_statistics() {
+        const X: Label = NO_LABEL;
+        // All unlabeled: no labels at all, not heterogeneous.
+        check_statistics(&[X, X, X], &[(0, 1, X, false), (1, 2, X, false)], (0, 0, false, false));
+        // NO_LABEL mixed with two labels counts as a third vertex label.
+        check_statistics(
+            &[X, 0, 1, 0],
+            &[(0, 1, 7, false), (1, 2, X, false), (2, 3, 8, false)],
+            (3, 2, true, false),
+        );
+        // Labeled vertices, unlabeled edges: `l_e` is zero, but NO_LABEL
+        // counts as one edge label towards heterogeneity.
+        check_statistics(&[0, 1, 1], &[(0, 1, X, true), (2, 1, X, true)], (2, 0, true, true));
     }
 
     #[test]

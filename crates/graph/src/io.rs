@@ -1,27 +1,14 @@
-//! Plain-text graph I/O.
+//! Plain-text graph I/O in the CSCE format, which round-trips every
+//! feature of [`Graph`] (vertex labels, edge labels, per-edge direction):
 //!
-//! Two formats are supported:
-//!
-//! * the **CSCE format**, which round-trips every feature of [`Graph`]
-//!   (vertex labels, edge labels, per-edge direction):
-//!
-//!   ```text
-//!   t <n> <m>
-//!   v <id> <label>        # label "-" means unlabeled
-//!   e <src> <dst> <elabel> <d|u>
-//!   ```
-//!
-//! * the **VEQ / RapidMatch `.graph` format** used by the paper's public
-//!   datasets (undirected, vertex-labeled, unlabeled edges):
-//!
-//!   ```text
-//!   t <n> <m>
-//!   v <id> <label> <degree>
-//!   e <u> <v>
-//!   ```
+//! ```text
+//! t <n> <m>
+//! v <id> <label>        # label "-" means unlabeled
+//! e <src> <dst> <elabel> <d|u>
+//! ```
 
 use crate::graph::{Graph, GraphBuilder};
-use crate::{Label, VertexId, NO_LABEL};
+use crate::{Label, NO_LABEL};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
@@ -158,112 +145,6 @@ pub fn load_csce(path: impl AsRef<Path>) -> Result<Graph, IoError> {
     read_csce(std::io::BufReader::new(std::fs::File::open(path)?))
 }
 
-/// Read a graph in the VEQ / RapidMatch `.graph` format (undirected,
-/// vertex-labeled, edge-unlabeled). The per-vertex degree column is
-/// validated when present.
-pub fn read_veq<R: BufRead>(r: R) -> Result<Graph, IoError> {
-    let mut b = GraphBuilder::new();
-    for (idx, line) in r.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('t') {
-            continue;
-        }
-        let mut it = line.split_ascii_whitespace();
-        match it.next() {
-            Some("v") => {
-                let id: u32 = match it.next().and_then(|t| t.parse().ok()) {
-                    Some(id) => id,
-                    None => return parse_err(lineno, "bad vertex id"),
-                };
-                if id as usize != b.vertex_count() {
-                    return parse_err(lineno, "vertex ids must be dense and in order");
-                }
-                let label: Label = match it.next().and_then(|t| t.parse().ok()) {
-                    Some(l) => l,
-                    None => return parse_err(lineno, "bad vertex label"),
-                };
-                b.add_vertex(label);
-            }
-            Some("e") => {
-                let u: u32 = match it.next().and_then(|t| t.parse().ok()) {
-                    Some(x) => x,
-                    None => return parse_err(lineno, "bad edge endpoint"),
-                };
-                let v: u32 = match it.next().and_then(|t| t.parse().ok()) {
-                    Some(x) => x,
-                    None => return parse_err(lineno, "bad edge endpoint"),
-                };
-                if let Err(e) = b.add_undirected_edge(u, v, NO_LABEL) {
-                    return parse_err(lineno, e.to_string());
-                }
-            }
-            other => return parse_err(lineno, format!("unknown record {other:?}")),
-        }
-    }
-    Ok(b.build())
-}
-
-/// Read a SNAP-style whitespace-separated edge list (the format of the
-/// Stanford network collection the paper's RoadCA / EMAIL-EU / LiveJournal
-/// graphs ship in): one `src dst` pair per line, `#` comments, arbitrary
-/// non-dense vertex ids (remapped densely in first-appearance order).
-/// Self loops and duplicate pairs — both common in SNAP dumps — are
-/// silently dropped, matching the usual preprocessing.
-pub fn read_snap<R: BufRead>(r: R, directed: bool) -> Result<Graph, IoError> {
-    let mut b = GraphBuilder::new();
-    let mut id_of: crate::FxHashMap<u64, u32> = crate::FxHashMap::default();
-    for (idx, line) in r.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_ascii_whitespace();
-        let (Some(a), Some(c)) = (it.next(), it.next()) else {
-            return parse_err(lineno, "expected `src dst`");
-        };
-        let a: u64 = a.parse().map_err(|_| IoError::Parse(lineno, format!("bad id {a:?}")))?;
-        let c: u64 = c.parse().map_err(|_| IoError::Parse(lineno, format!("bad id {c:?}")))?;
-        let mut intern = |raw: u64, b: &mut GraphBuilder| -> u32 {
-            *id_of.entry(raw).or_insert_with(|| b.add_unlabeled_vertices(1))
-        };
-        let (a, c) = (intern(a, &mut b), intern(c, &mut b));
-        if a == c {
-            continue;
-        }
-        let _ = if directed {
-            b.add_edge(a, c, NO_LABEL)
-        } else {
-            b.add_undirected_edge(a, c, NO_LABEL)
-        };
-    }
-    Ok(b.build())
-}
-
-/// Load a SNAP edge list from a file path.
-pub fn load_snap(path: impl AsRef<Path>, directed: bool) -> Result<Graph, IoError> {
-    read_snap(std::io::BufReader::new(std::fs::File::open(path)?), directed)
-}
-
-/// Write a graph in the VEQ `.graph` format. Directions and edge labels are
-/// dropped; intended only for undirected, edge-unlabeled graphs.
-pub fn write_veq<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
-    let mut w = BufWriter::new(w);
-    writeln!(w, "t {} {}", g.n(), g.m())?;
-    for (v, &vl) in g.labels().iter().enumerate() {
-        let l = if vl == NO_LABEL { 0 } else { vl };
-        let deg = VertexId::try_from(v).map(|id| g.degree(id)).unwrap_or(0);
-        writeln!(w, "v {v} {l} {deg}")?;
-    }
-    for e in g.edges() {
-        writeln!(w, "e {} {}", e.src, e.dst)?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,40 +187,6 @@ mod tests {
         assert_eq!(g.n(), 2);
         assert_eq!(g.label(0), 5);
         assert_eq!(g.label(1), NO_LABEL);
-    }
-
-    #[test]
-    fn veq_roundtrip() {
-        let mut b = GraphBuilder::new();
-        b.add_vertex(3);
-        b.add_vertex(4);
-        b.add_vertex(3);
-        b.add_undirected_edge(0, 1, NO_LABEL).unwrap();
-        b.add_undirected_edge(1, 2, NO_LABEL).unwrap();
-        let g = b.build();
-        let mut buf = Vec::new();
-        write_veq(&g, &mut buf).unwrap();
-        let g2 = read_veq(buf.as_slice()).unwrap();
-        assert_eq!(g2.n(), 3);
-        assert_eq!(g2.m(), 2);
-        assert_eq!(g2.label(1), 4);
-        assert!(!g2.has_directed_edges());
-    }
-
-    #[test]
-    fn snap_edge_lists() {
-        let text = "# comment\n10 20\n20 30\n10 20\n5 5\n30   10\n";
-        let g = read_snap(text.as_bytes(), false).unwrap();
-        // Ids remapped densely: 10->0, 20->1, 30->2, 5->3; duplicate and
-        // self loop dropped.
-        assert_eq!(g.n(), 4);
-        assert_eq!(g.m(), 3);
-        assert!(g.connected(0, 1) && g.connected(1, 2) && g.connected(2, 0));
-        assert_eq!(g.degree(3), 0, "the self-loop vertex stays isolated");
-        let d = read_snap("1 2\n2 1\n".as_bytes(), true).unwrap();
-        assert_eq!(d.m(), 2, "antiparallel directed arcs both kept");
-        assert!(read_snap("1\n".as_bytes(), false).is_err());
-        assert!(read_snap("a b\n".as_bytes(), false).is_err());
     }
 
     #[test]

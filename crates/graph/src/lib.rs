@@ -10,8 +10,7 @@
 //!   the paper, as a pair of directed arcs that always travel together);
 //! * [`GraphBuilder`] — validated construction (no self loops, no duplicate
 //!   edges) from edge lists;
-//! * [`io`] — plain-text readers/writers for our labeled format and the
-//!   `.graph` format used by VEQ / RapidMatch;
+//! * [`io`] — the plain-text reader/writer for our labeled format;
 //! * [`generate`] — deterministic random-graph generators (Erdős–Rényi,
 //!   Chung–Lu power law, road lattices, planted partitions) used by the
 //!   dataset crate;

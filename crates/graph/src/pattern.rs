@@ -73,93 +73,6 @@ pub fn code_subset(sub: &[(Orient, Label)], sup: &[(Orient, Label)]) -> bool {
     true
 }
 
-/// The core number of every vertex (the largest `k` such that the vertex
-/// belongs to the `k`-core — the maximal subgraph with all degrees ≥ k),
-/// via the standard peeling algorithm. Dense regions (high core numbers)
-/// are where dense patterns live, which guides sampling and the paper's
-/// density discussion (Fig. 14 (b)).
-pub fn core_numbers(g: &Graph) -> Vec<u32> {
-    let n = g.n();
-    let mut degree: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-    let mut core = vec![0u32; n];
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    // Peel minimum-degree vertices; a simple binary-heap-free variant
-    // using bucket sort over degrees.
-    order.sort_unstable_by_key(|&v| degree[v as usize]);
-    let mut removed = vec![false; n];
-    let mut k = 0u32;
-    // Re-sorted simple peel: O(n^2) worst via repeated min-scan is too
-    // slow; use bucket queues.
-    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n as VertexId {
-        buckets[degree[v as usize] as usize].push(v);
-    }
-    let mut cursor = 0usize;
-    let mut processed = 0usize;
-    while processed < n {
-        while cursor <= max_deg && buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        // Every unprocessed vertex sits in some bucket at or above the
-        // cursor, so this only misses if the invariant is broken — stop
-        // with the peel done so far rather than panicking.
-        let Some(v) = buckets.get_mut(cursor).and_then(Vec::pop) else { break };
-        if removed[v as usize] {
-            continue;
-        }
-        // Stale entry check: the vertex may have been re-bucketed.
-        if (degree[v as usize] as usize) != cursor {
-            continue;
-        }
-        removed[v as usize] = true;
-        processed += 1;
-        k = k.max(degree[v as usize]);
-        core[v as usize] = k;
-        let mut seen_nbrs: Vec<VertexId> = g.adj(v).iter().map(|a| a.nbr).collect();
-        seen_nbrs.dedup();
-        for w in seen_nbrs {
-            if !removed[w as usize] && degree[w as usize] > 0 {
-                degree[w as usize] -= 1;
-                let d = degree[w as usize] as usize;
-                buckets[d].push(w);
-                cursor = cursor.min(d);
-            }
-        }
-    }
-    let _ = order;
-    core
-}
-
-/// Extract the vertex-induced subgraph over `vertices` (all data edges
-/// among them), with vertices renumbered densely in the given order.
-/// Returns the subgraph and the mapping `local id -> original id`.
-pub fn induced_subgraph(g: &Graph, vertices: &[VertexId]) -> (Graph, Vec<VertexId>) {
-    use crate::graph::{GraphBuilder, Orient};
-    let mut local: crate::FxHashMap<VertexId, VertexId> = crate::FxHashMap::default();
-    let mut b = GraphBuilder::with_capacity(vertices.len(), vertices.len() * 2);
-    for (i, &v) in vertices.iter().enumerate() {
-        assert!(local.insert(v, i as VertexId).is_none(), "duplicate vertex {v} in induced set");
-        b.add_vertex(g.label(v));
-    }
-    for &v in vertices {
-        let lv = local[&v];
-        for a in g.adj(v) {
-            let Some(&lw) = local.get(&a.nbr) else { continue };
-            match a.orient {
-                Orient::Out => {
-                    let _ = b.add_edge(lv, lw, a.elabel);
-                }
-                Orient::Und if lv < lw => {
-                    let _ = b.add_undirected_edge(lv, lw, a.elabel);
-                }
-                _ => {} // In / second undirected endpoint: seen from the other side
-            }
-        }
-    }
-    (b.build(), vertices.to_vec())
-}
-
 /// An isomorphism-invariant code of a graph via 1-WL color refinement.
 ///
 /// Isomorphic graphs always produce equal codes; unequal codes therefore
@@ -204,18 +117,6 @@ pub fn wl_code(g: &Graph, rounds: usize) -> Vec<u64> {
 pub fn dedup_patterns(patterns: Vec<Graph>, rounds: usize) -> Vec<Graph> {
     let mut seen: crate::FxHashSet<Vec<u64>> = crate::FxHashSet::default();
     patterns.into_iter().filter(|p| seen.insert(wl_code(p, rounds))).collect()
-}
-
-/// The number of unconnected vertex pairs `h = |V|(|V|-1)/2 - (pairs with an
-/// edge)`, which bounds the negation clusters needed for vertex-induced SM
-/// (§IV).
-pub fn unconnected_pair_count(p: &Graph) -> usize {
-    let n = p.n();
-    let mut connected_pairs = 0usize;
-    for a in 0..n as VertexId {
-        connected_pairs += undirected_neighbors(p, a).iter().filter(|&&b| b > a).count();
-    }
-    n * n.saturating_sub(1) / 2 - connected_pairs
 }
 
 #[cfg(test)]
@@ -281,81 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn core_numbers_of_known_graphs() {
-        // A clique K4 is its own 3-core.
-        assert_eq!(core_numbers(&clique(4)), vec![3, 3, 3, 3]);
-        // A path: everything is 1-core.
-        assert_eq!(core_numbers(&path(5)), vec![1; 5]);
-        // Triangle with a pendant: triangle vertices core 2, pendant 1.
-        let mut b = GraphBuilder::new();
-        b.add_unlabeled_vertices(4);
-        for (x, y) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
-            b.add_undirected_edge(x, y, NO_LABEL).unwrap();
-        }
-        let cores = core_numbers(&b.build());
-        assert_eq!(cores, vec![2, 2, 2, 1]);
-    }
-
-    #[test]
-    fn core_numbers_satisfy_the_core_property_on_random_graphs() {
-        for seed in 0..5 {
-            let g = crate::generate::erdos_renyi(60, 150, 0, 0, false, seed);
-            let core = core_numbers(&g);
-            // Defining property: within the subgraph of vertices with
-            // core >= k, every vertex has >= k neighbors.
-            for v in 0..g.n() as VertexId {
-                let k = core[v as usize];
-                let strong_nbrs =
-                    undirected_neighbors(&g, v).iter().filter(|&&w| core[w as usize] >= k).count();
-                assert!(
-                    strong_nbrs as u32 >= k,
-                    "seed {seed}: v{v} core {k} but only {strong_nbrs} strong neighbors"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn core_numbers_on_empty_and_isolated() {
-        let mut b = GraphBuilder::new();
-        b.add_unlabeled_vertices(3);
-        b.add_undirected_edge(0, 1, NO_LABEL).unwrap();
-        assert_eq!(core_numbers(&b.build()), vec![1, 1, 0]);
-    }
-
-    #[test]
-    fn induced_subgraph_extraction() {
-        // Paw: triangle 0-1-2 plus pendant 3 on vertex 2.
-        let mut b = GraphBuilder::new();
-        for l in [5u32, 6, 7, 8] {
-            b.add_vertex(l);
-        }
-        for (x, y) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
-            b.add_undirected_edge(x, y, NO_LABEL).unwrap();
-        }
-        let g = b.build();
-        let (sub, map) = induced_subgraph(&g, &[2, 0, 1]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.m(), 3, "the triangle's edges survive");
-        assert_eq!(sub.label(0), 7, "vertex order respected");
-        assert_eq!(map, vec![2, 0, 1]);
-        let (pendant, _) = induced_subgraph(&g, &[0, 3]);
-        assert_eq!(pendant.m(), 0, "0 and 3 are not adjacent");
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_directions() {
-        let mut b = GraphBuilder::new();
-        b.add_unlabeled_vertices(3);
-        b.add_edge(0, 1, 4).unwrap();
-        b.add_edge(2, 0, 5).unwrap();
-        let g = b.build();
-        let (sub, _) = induced_subgraph(&g, &[1, 0]);
-        assert_eq!(sub.m(), 1);
-        assert!(sub.has_edge(1, 0, 4, true), "direction and label preserved");
-    }
-
-    #[test]
     fn wl_code_is_isomorphism_invariant() {
         // The same labeled wedge built with two different vertex orders.
         let mut a = GraphBuilder::new();
@@ -396,11 +222,5 @@ mod tests {
         let patterns = vec![path(4), clique(3), path(4), path(3)];
         let unique = dedup_patterns(patterns, 3);
         assert_eq!(unique.len(), 3);
-    }
-
-    #[test]
-    fn unconnected_pairs() {
-        assert_eq!(unconnected_pair_count(&clique(4)), 0);
-        assert_eq!(unconnected_pair_count(&path(4)), 3); // (0,2),(0,3),(1,3)
     }
 }

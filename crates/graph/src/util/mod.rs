@@ -75,12 +75,6 @@ fn gallop(slice: &[u32], x: u32) -> usize {
     lo + slice[lo..hi].partition_point(|&v| v < x)
 }
 
-/// Binary-search membership test on an ascending sorted slice.
-#[inline]
-pub fn contains_sorted(slice: &[u32], x: u32) -> bool {
-    slice.binary_search(&x).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,12 +147,5 @@ mod tests {
         assert_eq!(a, vec![1, 3]);
         subtract_sorted(&mut a, &[1, 3]);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn contains_sorted_works() {
-        assert!(contains_sorted(&[1, 4, 9], 4));
-        assert!(!contains_sorted(&[1, 4, 9], 5));
-        assert!(!contains_sorted(&[], 5));
     }
 }

@@ -22,6 +22,10 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> debug invariants (release + debug assertions, as in CI's debug-invariants job)"
+RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/debug-invariants \
+  cargo test -q --release -p csce-graph -p csce-ccsr -p csce-core -p csce-analyze
+
 echo "==> perfbench tests (the benchmark package builds against the public API)"
 cargo test -q --manifest-path perfbench/Cargo.toml
 

@@ -264,16 +264,16 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                 if limit.is_zero() {
                     return Err("--baseline-time-limit must be positive".into());
                 }
-                config.baseline_time_limit = Some(limit);
+                config.sweep.baseline_time_limit = Some(limit);
             }
-            "--no-baselines" => config.check_baselines = false,
+            "--no-baselines" => config.sweep.check_baselines = false,
             "--inject-bug" => inject_bug = true,
             "--replay" => replay_path = Some(it.next().ok_or("missing --replay value")?.clone()),
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    config.thread_counts = if threads == 1 { vec![1] } else { vec![1, threads] };
+    config.sweep.thread_counts = if threads == 1 { vec![1] } else { vec![1, threads] };
     let engine: &dyn EngineUnderTest = if inject_bug { &InjectedBugEngine } else { &RealEngine };
 
     if let Some(path) = replay_path {
@@ -300,8 +300,8 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         "fuzzing: {} runs, seed {}, threads {:?}, baselines {}",
         config.runs,
         config.seed,
-        config.thread_counts,
-        if config.check_baselines { "on" } else { "off" }
+        config.sweep.thread_counts,
+        if config.sweep.check_baselines { "on" } else { "off" }
     );
     let outcome = run_fuzz(&config, engine, &mut |line| eprintln!("[fuzz] {line}"));
     println!(
