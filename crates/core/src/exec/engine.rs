@@ -1,14 +1,16 @@
 //! The matching engine: one recursion body behind [`MatchSink`].
 //!
 //! [`Executor`] grows partial embeddings one pattern vertex at a time
-//! along `Φ*`. The candidate loop lives in exactly one place
-//! ([`Executor::scan`]); what happens at full depth is decided by the
-//! sink ([`Executor::drive`]) or, for factorized counting, by the plan's
-//! [`ExecNode`] tree ([`Executor::count`]) — counting is a
-//! counting-sink specialization that additionally multiplies
-//! `H`-independent suffix components instead of enumerating their
-//! Cartesian product. Counting without factorization is the sink walk
-//! into a [`CountSink`].
+//! along `Φ*`. The candidate loop lives in [`Executor::scan`]; what
+//! happens at full depth is decided by the sink ([`Executor::drive`]) or,
+//! for factorized counting, by the plan's [`ExecNode`] tree
+//! ([`Executor::count`]) — counting is a counting-sink specialization
+//! that additionally multiplies `H`-independent suffix components instead
+//! of enumerating their Cartesian product, and counts each non-root leaf
+//! of the tree by one pass over its candidates ([`Executor::count_leaf`])
+//! instead of visiting them one by one. Both loops admit a candidate by
+//! the same test ([`Executor::admissible`]). Counting without
+//! factorization is the sink walk into a [`CountSink`].
 //!
 //! Every run is a scheduled run: the root vertex's candidate loop claims
 //! chunks from a [`Scheduler`], which also owns the run's stop flag and
@@ -134,15 +136,27 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Whether candidate `v` for pattern vertex `u` satisfies every
-    /// ordering restriction checkable at `u`.
+    /// Whether candidate `v` for pattern vertex `u` may extend the current
+    /// partial embedding: unused when the variant is injective, and
+    /// satisfying every ordering restriction checkable at `u`. The one
+    /// admissibility test of [`Executor::try_candidate`] and
+    /// [`Executor::count_leaf`].
     #[inline]
-    fn restrictions_ok(&self, u: VertexId, v: VertexId) -> bool {
-        self.checks_at[u as usize].iter().all(|&(a, b)| {
-            let fa = if a == u { v } else { self.f[a as usize] };
-            let fb = if b == u { v } else { self.f[b as usize] };
-            fa < fb
-        })
+    fn admissible(&self, u: VertexId, v: VertexId, injective: bool) -> bool {
+        if injective && self.used.get(v as usize).is_some_and(|&used| used) {
+            return false;
+        }
+        let Some(checks) = self.checks_at.get(u as usize) else {
+            return true;
+        };
+        let image = |w: VertexId| {
+            if w == u {
+                v
+            } else {
+                self.f.get(w as usize).copied().unwrap_or(UNMAPPED)
+            }
+        };
+        checks.iter().all(|&(a, b)| image(a) < image(b))
     }
 
     fn reset(&mut self) {
@@ -167,8 +181,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Count all embeddings. Uses the factorized tree when enabled (and
-    /// when no cross-cutting ordering restrictions are imposed); otherwise
-    /// the sink walk counts them one by one into a [`CountSink`].
+    /// when no cross-cutting ordering restrictions are imposed), whose
+    /// non-root leaves are counted by one pass over their candidates
+    /// (`count_leaf`); otherwise the sink walk counts them one
+    /// by one into a [`CountSink`].
     pub fn count(&mut self) -> u64 {
         let has_restrictions = self.checks_at.iter().any(|l| !l.is_empty());
         if !self.config.factorize || has_restrictions {
@@ -243,7 +259,8 @@ impl<'a> Executor<'a> {
 
     /// Scan `u`'s candidates for the current partial embedding, calling
     /// `visit` once per admissible candidate with the mapping extended —
-    /// the one candidate loop shared by counting and sink-driven search.
+    /// the one candidate loop shared by counting and sink-driven search
+    /// (a factorized non-root leaf counts instead: [`Executor::count_leaf`]).
     ///
     /// The root vertex's iteration space is the chunks it claims from the
     /// run's scheduler; every other vertex tries all its candidates.
@@ -275,8 +292,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Try candidate `i` of cache slot `slot` for `u`: apply the
-    /// injectivity and ordering filters, extend the mapping, recurse via
-    /// `visit`, and restore the mapping.
+    /// admissibility test ([`Executor::admissible`]), extend the mapping,
+    /// recurse via `visit`, and restore the mapping.
     #[inline]
     fn try_candidate<F>(
         &mut self,
@@ -290,10 +307,7 @@ impl<'a> Executor<'a> {
         F: FnMut(&mut Self),
     {
         let v = self.caches[slot].cands[i];
-        if injective && self.used[v as usize] {
-            return;
-        }
-        if !self.restrictions_ok(u, v) {
+        if !self.admissible(u, v, injective) {
             return;
         }
         self.stats.candidates_scanned += 1;
@@ -312,9 +326,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Factorized counting over the plan's [`ExecNode`] tree. `Seq` nodes
-    /// share [`Executor::scan`] with the sink path; `Split` nodes multiply
-    /// `H`-independent component counts. Products and sums clamp at
-    /// `u64::MAX` (a homomorphic count can overflow `u64`) and set
+    /// share [`Executor::scan`] with the sink path, except a non-root
+    /// `Seq` whose next node is `Done`: that leaf is counted by
+    /// [`Executor::count_leaf`] with the same work counters. `Split` nodes
+    /// multiply `H`-independent component counts. Products and sums clamp
+    /// at `u64::MAX` (a homomorphic count can overflow `u64`) and set
     /// [`ExecStats::saturated`]; a product that a zero component ends is
     /// exact whatever it had reached.
     fn count_node(&mut self, node: &ExecNode, depth: usize) -> u64 {
@@ -339,6 +355,11 @@ impl<'a> Executor<'a> {
                 if self.check_deadline() {
                     return 0;
                 }
+                // The root claims its candidates from the scheduler, so
+                // only a non-root leaf may count them all at once.
+                if matches!(**next, ExecNode::Done) && self.plan.order.first() != Some(u) {
+                    return self.count_leaf(*u, depth);
+                }
                 let mut total = 0u64;
                 self.scan(*u, depth, |me| {
                     total =
@@ -347,6 +368,24 @@ impl<'a> Executor<'a> {
                 total
             }
         }
+    }
+
+    /// Count the admissible candidates of leaf `u` — the pattern vertex
+    /// whose next node is `Done` — in one pass over its materialized
+    /// candidate set, and add them to `candidates_scanned` and the
+    /// `depth_candidates` series in one step. Each admissible candidate
+    /// completes exactly one embedding, so this equals [`Executor::scan`]
+    /// visiting them one by one, with every counter unchanged.
+    fn count_leaf(&mut self, u: VertexId, depth: usize) -> u64 {
+        let injective = self.plan.variant.injective();
+        let (slot, _) = self.materialize_candidates(u, depth);
+        let cands = self.caches.get(slot).map(|c| c.cands.as_slice()).unwrap_or_default();
+        let admitted = cands.iter().filter(|&&v| self.admissible(u, v, injective)).count() as u64;
+        self.stats.candidates_scanned = self.stats.candidates_scanned.saturating_add(admitted);
+        if let Some(deep) = self.stats.deep.as_mut() {
+            DeepStats::add(&mut deep.depth_candidates, depth, admitted);
+        }
+        admitted
     }
 
     /// The sink-driven recursion body: one `Seq`-like step per depth,
@@ -515,4 +554,259 @@ fn pattern_has_arc(
                     && (!e.directed || (e.src == parent) == from_parent)
             })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::tests::{random_graph, Rng};
+    use crate::plan::{Planner, PlannerConfig};
+    use csce_ccsr::{build_ccsr, read_csr, Ccsr};
+    use csce_graph::{oracle_count, GraphBuilder, NO_LABEL};
+    use proptest::prelude::*;
+
+    impl Executor<'_> {
+        /// Factorized counting with every leaf visited one candidate at a
+        /// time, through [`Executor::scan`] and `count_node(Done)`: the
+        /// counter [`Executor::count_leaf`] replaced. Kept as the oracle
+        /// the one-pass leaf must reproduce, counters included.
+        fn count_node_per_candidate(&mut self, node: &ExecNode, depth: usize) -> u64 {
+            match node {
+                ExecNode::Done => 1,
+                ExecNode::Split { components } => {
+                    self.stats.splits_taken += 1;
+                    let mut product = 1u64;
+                    let mut clamped = false;
+                    for comp in components {
+                        let c = self.count_node_per_candidate(comp, depth);
+                        if c == 0 {
+                            return 0;
+                        }
+                        product = mul_clamped(product, c, &mut clamped);
+                    }
+                    self.stats.saturated |= clamped;
+                    product
+                }
+                ExecNode::Seq { u, next } => {
+                    self.stats.nodes += 1;
+                    if self.check_deadline() {
+                        return 0;
+                    }
+                    let mut total = 0u64;
+                    self.scan(*u, depth, |me| {
+                        let c = me.count_node_per_candidate(next, depth + 1);
+                        total = add_clamped(total, c, &mut me.stats.saturated);
+                    });
+                    total
+                }
+            }
+        }
+
+        /// One factorized run from a fresh state, through the one-pass
+        /// leaves or through the per-candidate oracle, bypassing
+        /// [`Executor::count`]'s fallback to the sink walk under
+        /// restrictions.
+        fn factorized(&mut self, per_candidate: bool) -> (u64, ExecStats) {
+            self.reset();
+            let plan = self.plan;
+            let count = if per_candidate {
+                self.count_node_per_candidate(&plan.root, 0)
+            } else {
+                self.count_node(&plan.root, 0)
+            };
+            self.stats.embeddings = count;
+            (count, self.stats.clone())
+        }
+    }
+
+    fn profiled(use_sce_cache: bool) -> RunConfig {
+        RunConfig { use_sce_cache, profile: true, ..RunConfig::default() }
+    }
+
+    /// The count and stats of [`Executor::count`] and of the
+    /// per-candidate oracle for `p` in `gc`, under one planner preset
+    /// and cache setting.
+    fn both(
+        gc: &Ccsr,
+        p: &Graph,
+        variant: Variant,
+        config: PlannerConfig,
+        use_sce_cache: bool,
+    ) -> [(u64, ExecStats); 2] {
+        let star = read_csr(gc, p, variant);
+        let catalog = Catalog::new(p, &star);
+        let plan = Planner::new(config).plan(&catalog, variant);
+        let mut exec = Executor::new(&catalog, &plan, profiled(use_sce_cache));
+        let count = exec.count();
+        let leaf = (count, exec.stats().clone());
+        [leaf, exec.factorized(true)]
+    }
+
+    /// An undirected graph over `labels`, one vertex per entry, with
+    /// `edges`.
+    fn graph(labels: &[u32], edges: &[(VertexId, VertexId)]) -> Graph {
+        let mut b = GraphBuilder::new();
+        for &l in labels {
+            b.add_vertex(l);
+        }
+        for &(a, c) in edges {
+            b.add_undirected_edge(a, c, NO_LABEL).unwrap();
+        }
+        b.build()
+    }
+
+    /// A one-vertex pattern is its own root and leaf: it keeps claiming
+    /// its candidates from the scheduler.
+    #[test]
+    fn one_vertex_pattern_counts_its_root_through_the_scheduler() {
+        let g = graph(&[0, 1, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
+        let p = graph(&[0], &[]);
+        let gc = build_ccsr(&g).unwrap();
+        for variant in Variant::ALL {
+            for config in PlannerConfig::ALL {
+                for cache in [true, false] {
+                    let [leaf, oracle] = both(&gc, &p, variant, config, cache);
+                    assert_eq!(leaf.0, 3, "{variant}");
+                    assert_eq!(leaf, oracle, "{variant} {config:?} cache {cache}");
+                    assert!(leaf.1.chunks_claimed >= 1);
+                }
+            }
+        }
+    }
+
+    /// A star whose three arms carry distinct labels, over data whose
+    /// only arcs join the centre's label to the arms' labels, splits into
+    /// three one-vertex leaves in every variant.
+    #[test]
+    fn split_of_leaves_matches_the_oracle() {
+        let p = graph(&[0, 1, 2, 3], &[(0, 1), (0, 2), (0, 3)]);
+        let mut labels = vec![0, 0, 0];
+        let mut edges = Vec::new();
+        for arm in 1..4u32 {
+            for k in 0..3 {
+                let v = labels.len() as VertexId;
+                labels.push(arm);
+                edges.extend((0..3).filter(|c| (c + k + arm) % 3 != 0).map(|c| (c, v)));
+            }
+        }
+        let g = graph(&labels, &edges);
+        let gc = build_ccsr(&g).unwrap();
+        for variant in Variant::ALL {
+            let star = read_csr(&gc, &p, variant);
+            let catalog = Catalog::new(&p, &star);
+            for config in PlannerConfig::ALL {
+                let plan = Planner::new(config).plan(&catalog, variant);
+                let ExecNode::Seq { u: 0, next } = &plan.root else {
+                    panic!("{variant}: the centre is the root: {:?}", plan.root);
+                };
+                let ExecNode::Split { components } = &**next else {
+                    panic!("{variant}: the arms split: {next:?}");
+                };
+                assert_eq!(components.len(), 3);
+                for c in components {
+                    assert!(matches!(c, ExecNode::Seq { next, .. } if **next == ExecNode::Done));
+                }
+                for cache in [true, false] {
+                    let [leaf, oracle] = both(&gc, &p, variant, config, cache);
+                    assert_eq!(leaf.0, oracle_count(&g, &p, variant), "{variant}");
+                    assert_eq!(leaf, oracle, "{variant} {config:?} cache {cache}");
+                    assert_eq!(leaf.1.splits_taken, 3);
+                }
+            }
+        }
+    }
+
+    /// A leaf honours the ordering restrictions checkable at it, as the
+    /// per-candidate scan does, although [`Executor::count`] hands a
+    /// restricted run to the sink walk.
+    #[test]
+    fn leaf_honours_restrictions() {
+        // A 5-cycle with a chord, every vertex one label, and the path
+        // a–b–c whose ends are ordered: each path is counted once.
+        let g = graph(&[0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]);
+        let p = graph(&[0; 3], &[(0, 1), (1, 2)]);
+        let gc = build_ccsr(&g).unwrap();
+        for variant in [Variant::EdgeInduced, Variant::Homomorphic] {
+            let star = read_csr(&gc, &p, variant);
+            let catalog = Catalog::new(&p, &star);
+            let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
+            let mut exec =
+                Executor::new(&catalog, &plan, profiled(true)).with_restrictions(&[(0, 2)]);
+            let leaf = exec.factorized(false);
+            assert_eq!(leaf, exec.factorized(true), "{variant}");
+            let mut sink = CountSink::default();
+            exec.drive(&mut sink);
+            if plan.root.split_count() == 0 {
+                assert_eq!(leaf.0, sink.count, "{variant}");
+            }
+            assert!(leaf.0 < oracle_count(&g, &p, variant), "{variant}: restricted");
+        }
+    }
+
+    /// `noise` plus `copies` copies of every vertex of `p`. Each pattern
+    /// edge joins copy `i` of one end to copy `j` of the other, always
+    /// when `i == j` (so every copy index holds an embedding) and
+    /// otherwise at random, so same-label pattern vertices compete for
+    /// the same data vertices.
+    fn planted(rng: &mut Rng, p: &Graph, noise: &Graph, copies: usize) -> Graph {
+        fn add(b: &mut GraphBuilder, a: VertexId, c: VertexId, directed: bool, label: u32) {
+            let _ =
+                if directed { b.add_edge(a, c, label) } else { b.add_undirected_edge(a, c, label) };
+        }
+        let mut b = GraphBuilder::new();
+        for v in 0..noise.n() as VertexId {
+            b.add_vertex(noise.label(v));
+        }
+        for e in noise.edges() {
+            add(&mut b, e.src, e.dst, e.directed, e.label);
+        }
+        for u in 0..p.n() as VertexId {
+            for _ in 0..copies {
+                b.add_vertex(p.label(u));
+            }
+        }
+        let copy = |u: VertexId, i: usize| (noise.n() + u as usize * copies + i) as VertexId;
+        for e in p.edges() {
+            for i in 0..copies {
+                for j in 0..copies {
+                    if i == j || rng.below(2) == 0 {
+                        add(&mut b, copy(e.src, i), copy(e.dst, j), e.directed, e.label);
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One-pass leaves reproduce the per-candidate oracle exactly —
+        /// count and every counter, the per-depth series included — for
+        /// every variant, planner preset and cache setting: 1–6-vertex
+        /// connected random patterns over 1–4 labels, planted 0–3 times
+        /// into a 2–16-vertex random data graph over the same labels.
+        #[test]
+        fn leaf_count_matches_the_per_candidate_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(6);
+            let labels = 1 + rng.below(4);
+            let extra = rng.below(n + 1);
+            let p = random_graph(&mut rng, n, 0..labels, true, extra);
+            let data_n = 2 + rng.below(15);
+            let data_extra = rng.below(3 * data_n);
+            let noise = random_graph(&mut rng, data_n, 0..labels, false, data_extra);
+            let copies = rng.below(4);
+            let g = planted(&mut rng, &p, &noise, copies);
+            let gc = build_ccsr(&g).unwrap();
+            for variant in Variant::ALL {
+                for config in PlannerConfig::ALL {
+                    for cache in [true, false] {
+                        let [leaf, oracle] = both(&gc, &p, variant, config, cache);
+                        prop_assert_eq!(leaf, oracle, "{} {:?} cache {}", variant, config, cache);
+                    }
+                }
+            }
+        }
+    }
 }

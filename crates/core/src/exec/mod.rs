@@ -21,7 +21,9 @@
 //! The module is layered:
 //!
 //! * [`engine`] — the recursion itself ([`Executor`]): one candidate loop
-//!   serving factorized counting and sink-driven search alike.
+//!   serving factorized counting and sink-driven search alike, except at
+//!   a factorized leaf, which counts its admissible candidates in one
+//!   pass.
 //! * [`sink`] — [`MatchSink`] and its implementations: what happens to
 //!   each complete embedding (count, collect, callback), plus the
 //!   crate-private keyed sink behind every collected result. It stores

@@ -67,13 +67,25 @@ pub struct DeepStats {
 }
 
 impl DeepStats {
+    /// Count one event at `depth` of `series`.
     #[inline]
     pub fn bump(series: &mut Vec<u64>, depth: usize) {
+        DeepStats::add(series, depth, 1);
+    }
+
+    /// Count `n` events at `depth` of `series`, growing it with zeros to
+    /// reach `depth` and saturating at `u64::MAX`. Adding 0 leaves the
+    /// series as it is, so `add(series, depth, n)` equals `n` bumps.
+    #[inline]
+    pub fn add(series: &mut Vec<u64>, depth: usize, n: u64) {
+        if n == 0 {
+            return;
+        }
         if series.len() <= depth {
             series.resize(depth + 1, 0);
         }
         if let Some(count) = series.get_mut(depth) {
-            *count = count.saturating_add(1);
+            *count = count.saturating_add(n);
         }
     }
 
@@ -233,6 +245,27 @@ mod tests {
         DeepStats::bump(&mut deep.depth_candidates, 0);
         DeepStats::bump(&mut deep.depth_candidates, 2);
         assert_eq!(deep.depth_candidates, vec![u64::MAX, 2, 1]);
+    }
+
+    #[test]
+    fn add_grows_the_series_and_saturates() {
+        let mut series = Vec::new();
+        DeepStats::add(&mut series, 2, 0);
+        assert!(series.is_empty(), "adding zero grows nothing");
+        DeepStats::add(&mut series, 2, 5);
+        assert_eq!(series, vec![0, 0, 5]);
+        DeepStats::add(&mut series, 0, 3);
+        DeepStats::add(&mut series, 2, u64::MAX - 6);
+        assert_eq!(series, vec![3, 0, u64::MAX - 1]);
+        DeepStats::add(&mut series, 2, 2);
+        assert_eq!(series, vec![3, 0, u64::MAX]);
+        let mut bumped = Vec::new();
+        for _ in 0..4 {
+            DeepStats::bump(&mut bumped, 1);
+        }
+        let mut added = Vec::new();
+        DeepStats::add(&mut added, 1, 4);
+        assert_eq!(bumped, added, "n bumps equal one add of n");
     }
 
     #[test]

@@ -547,7 +547,7 @@ fn find(uf: &mut [usize], mut x: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bitset::BitSet;
     use crate::exec::{Executor, RunConfig};
@@ -642,10 +642,10 @@ mod tests {
     }
 
     /// SplitMix64: the random source of the equivalence properties.
-    pub(super) struct Rng(pub(super) u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        pub(super) fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -669,7 +669,7 @@ mod tests {
     /// — directed either way, undirected, and antiparallel multi-edges,
     /// with two edge labels. Rejected edges (duplicates, mixed kinds) are
     /// skipped.
-    pub(super) fn random_graph(
+    pub(crate) fn random_graph(
         rng: &mut Rng,
         n: usize,
         labels: std::ops::Range<usize>,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: formatting, lints, source policy,
-# release build, test suite, pinned differential fuzz, pinned work
-# counters. Mirrors .github/workflows/ci.yml.
+# release build, test suite, parallel CLI smoke runs, pinned differential
+# fuzz, pinned work counters. Mirrors .github/workflows/ci.yml (all but
+# its Miri job, which needs a nightly toolchain).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,9 @@ RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/debug-invariants \
 
 echo "==> perfbench tests (the benchmark package builds against the public API)"
 cargo test -q --manifest-path perfbench/Cargo.toml
+
+echo "==> parallel smoke (4- and 1-thread CLI runs, as in CI's parallel-smoke job)"
+bash scripts/parallel-smoke.sh
 
 echo "==> csce fuzz (both pinned seeds, as in CI's fuzz-smoke job)"
 fuzz_out=$(mktemp -d)
