@@ -1,9 +1,10 @@
 //! Criterion micro-bench: plan generation (GCF + DAG + NEC + tree) per
 //! pattern size and variant — the Fig. 10 hot path, up to 2000-vertex
 //! sparse patterns and a 2000-leaf star, where GCF's frontier is widest,
-//! over 50 labels, plus a 2000-vertex pattern over a Patent-shaped graph
-//! with 2000 labels (Fig. 10's own graph), where a vertex-induced `H`
-//! meets ~1400 pattern labels.
+//! over 50 labels, plus a 500- and a 2000-vertex pattern over a
+//! Patent-shaped graph with 2000 labels (Fig. 10's own graph): the 500
+//! is the largest pattern of the `large-hetero` benchmark workload, and
+//! at 2000 a vertex-induced `H` meets ~1400 pattern labels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csce_ccsr::{build_ccsr, read_csr};
@@ -40,8 +41,10 @@ fn bench_planning(c: &mut Criterion) {
     let patent = randomize_vertex_labels(&chung_lu(20_000, 88_000, 2.6, 20, 0, false, 5), 2000, 5);
     let patent_gc = build_ccsr(&patent).unwrap();
     let mut patent_patterns = Vec::new();
-    if let Some(sp) = PatternSampler::new(&patent, 13).sample(2000, Density::Sparse) {
-        patent_patterns.push(("labels2000_size2000".to_string(), sp.pattern));
+    for size in [500usize, 2000] {
+        if let Some(sp) = PatternSampler::new(&patent, 13).sample(size, Density::Sparse) {
+            patent_patterns.push((format!("labels2000_size{size}"), sp.pattern));
+        }
     }
     for (gc, patterns) in [(&gc, &patterns), (&patent_gc, &patent_patterns)] {
         for (name, pattern) in patterns {

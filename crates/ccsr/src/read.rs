@@ -18,7 +18,8 @@
 //! label ids. A vertex-induced read walks at once, any other star on first
 //! use. The read decodes no cluster: the executor reads rows in place
 //! ([`Cluster::out_neighbors`]). Every read costs one key-index probe per
-//! pattern edge and a sort of the pattern's labels; the walk, a binary
+//! pattern edge and one sort of the pattern's `(label, vertex)` pairs,
+//! which numbers the labels in one pass; the walk, a binary
 //! search per pattern label, a table over the span of their `G_C` ids and
 //! `O(1)` per walked entry — no merge, no hash probe. The kept pairs are
 //! one [`Csr`] built from its row ends, and their transpose one built by
@@ -101,11 +102,7 @@ pub fn pattern_edge_key(p: &Graph, e: &Edge) -> ClusterKey {
 pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
     let edge_clusters: Vec<Option<&'a Cluster>> =
         p.edges().iter().map(|e| ccsr.cluster(&pattern_edge_key(p, e))).collect();
-    let mut labels = p.labels().to_vec();
-    labels.sort_unstable();
-    let label_sizes: Vec<usize> = labels.chunk_by(|x, y| x == y).map(<[Label]>::len).collect();
-    labels.dedup();
-    let label_id = p.labels().iter().map(|&l| labels.partition_point(|&x| x < l)).collect();
+    let (labels, label_sizes, label_id) = number_labels(p.labels());
     // Induced matching needs every cluster between the labels of each
     // pattern vertex pair: unconnected pairs for negation, and connected
     // pairs to reject candidates carrying extra arcs (e.g. an antiparallel
@@ -149,6 +146,32 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
         stats,
         heap_bytes,
     }
+}
+
+/// The distinct labels of `vertex_labels`, ascending, the number of
+/// vertices carrying each, and each vertex's label id (its label's rank
+/// among them): one sort of the `(label, vertex)` pairs, each packed in a
+/// `u64`, then one pass that numbers the labels as they change.
+fn number_labels(vertex_labels: &[Label]) -> (Vec<Label>, Vec<usize>, Vec<usize>) {
+    let mut pairs: Vec<u64> =
+        vertex_labels.iter().zip(0u64..).map(|(&l, v)| (u64::from(l) << 32) | v).collect();
+    pairs.sort_unstable();
+    let (mut labels, mut sizes) = (Vec::new(), Vec::new());
+    let mut label_id = vec![0usize; vertex_labels.len()];
+    for pair in pairs {
+        let label = Label::try_from(pair >> 32).unwrap_or(Label::MAX);
+        if labels.last() != Some(&label) {
+            labels.push(label);
+            sizes.push(0);
+        }
+        if let Some(size) = sizes.last_mut() {
+            *size += 1;
+        }
+        if let Some(id) = label_id.get_mut((pair & u64::from(u32::MAX)) as usize) {
+            *id = labels.len() - 1;
+        }
+    }
+    (labels, sizes, label_id)
 }
 
 /// The label pairs `(a, b)`, `a ≤ b`, of the pattern labels `labels`

@@ -27,20 +27,43 @@ use crate::plan::{ExecNode, Plan};
 use csce_ccsr::ClusterKey;
 use csce_graph::util::{intersect_sorted, subtract_sorted};
 use csce_graph::{Graph, Variant, VertexId};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use super::stats::DeepStats;
 
-/// One per-slot candidate cache: the parents' mapping signature under
-/// which `cands` was computed. `valid` stays false while the SCE cache
-/// is ablated, so every lookup recomputes.
+/// One per-slot candidate cache: `cands` is the candidate set computed
+/// under the parents' mappings that the slot's range `sig` of
+/// [`Executor::signatures`] records. `valid` stays false while the SCE
+/// cache is ablated, so every lookup recomputes.
 #[derive(Clone, Debug, Default)]
 struct CandCache {
     valid: bool,
-    sig: Vec<VertexId>,
+    sig: Range<usize>,
     cands: Vec<VertexId>,
+}
+
+/// The empty cache of every slot and the one signature buffer they share:
+/// slot `s` owns the next range of as many entries as its vertices have
+/// `H`-parents. The vertices sharing a slot have the same parents
+/// ([`Plan::cache_slot`]), so the length is the slot's, whichever of them
+/// is asked. Every entry starts unmapped.
+fn slot_caches(plan: &Plan) -> (Vec<CandCache>, Vec<VertexId>) {
+    let mut caches = vec![CandCache::default(); plan.slot_count];
+    for (u, &slot) in (0..).zip(&plan.cache_slot) {
+        if let Some(cache) = caches.get_mut(slot as usize) {
+            cache.sig = 0..plan.dag.parents(u).len();
+        }
+    }
+    let mut total = 0;
+    for cache in &mut caches {
+        let len = cache.sig.len();
+        cache.sig = total..total + len;
+        total += len;
+    }
+    (caches, vec![UNMAPPED; total])
 }
 
 /// The matching executor for one `(catalog, plan)` pair. Reusable across
@@ -52,6 +75,9 @@ pub struct Executor<'a> {
     f: Vec<VertexId>,
     used: Vec<bool>,
     caches: Vec<CandCache>,
+    /// Every slot's signature, each in its slot's range ([`slot_caches`]):
+    /// the parents' mappings its candidates were computed under.
+    signatures: Vec<VertexId>,
     stats: ExecStats,
     stopped: bool,
     /// Live recursion-node counter shared with a progress reporter; bumped
@@ -79,13 +105,15 @@ const UNMAPPED: VertexId = VertexId::MAX;
 
 impl<'a> Executor<'a> {
     pub fn new(catalog: &'a Catalog<'a>, plan: &'a Plan, config: RunConfig) -> Executor<'a> {
+        let (caches, signatures) = slot_caches(plan);
         Executor {
             catalog,
             plan,
             config,
             f: vec![UNMAPPED; catalog.pattern().n()],
             used: vec![false; catalog.data_n()],
-            caches: vec![CandCache::default(); plan.slot_count],
+            caches,
+            signatures,
             stats: ExecStats::default(),
             stopped: false,
             progress: None,
@@ -423,9 +451,12 @@ impl<'a> Executor<'a> {
         let slot = plan.cache_slot[u as usize] as usize;
         let (parents, edge_parents) = (plan.dag.parents(u), plan.dag.edge_parents(u));
         // Signature: the mappings of all H-parents (edge + negation).
-        let sig_matches = self.caches[slot].valid
-            && self.caches[slot].sig.len() == parents.len()
-            && parents.iter().zip(&self.caches[slot].sig).all(|(&p, &s)| self.f[p as usize] == s);
+        let cache = &self.caches[slot];
+        let sig_matches = cache.valid
+            && self.signatures.get(cache.sig.clone()).is_some_and(|sig| {
+                sig.len() == parents.len()
+                    && parents.iter().zip(sig).all(|(&p, &s)| self.f.get(p as usize) == Some(&s))
+            });
         if sig_matches {
             self.stats.sce_cache_hits += 1;
             if let Some(deep) = self.stats.deep.as_mut() {
@@ -438,9 +469,12 @@ impl<'a> Executor<'a> {
         let mut cands = std::mem::take(&mut self.caches[slot].cands);
         self.compute_candidates(u, parents, edge_parents, &mut cands);
         let cache = &mut self.caches[slot];
+        if let Some(sig) = self.signatures.get_mut(cache.sig.clone()) {
+            for (s, &p) in sig.iter_mut().zip(parents) {
+                *s = self.f.get(p as usize).copied().unwrap_or(UNMAPPED);
+            }
+        }
         cache.cands = cands;
-        cache.sig.clear();
-        cache.sig.extend(parents.iter().map(|&p| self.f[p as usize]));
         cache.valid = self.config.use_sce_cache;
         let len = cache.cands.len();
         (slot, len)
@@ -559,7 +593,7 @@ fn pattern_has_arc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::tests::{random_graph, Rng};
+    use crate::plan::tests::{random_graph, with_twin_leaves, Rng};
     use crate::plan::{Planner, PlannerConfig};
     use csce_ccsr::{build_ccsr, read_csr, Ccsr};
     use csce_graph::{oracle_count, GraphBuilder, NO_LABEL};
@@ -776,6 +810,64 @@ mod tests {
             }
         }
         b.build()
+    }
+
+    /// The signature rows on planted data: 2–3-vertex connected random
+    /// patterns over 2–3 labels, each with a group of 2–4 equal-label
+    /// leaves on a shared hub, planted once or twice into random
+    /// noise over the same labels. Every variant, planner preset, cache
+    /// setting and counting path (factorized or the sink walk) counts what
+    /// the brute-force oracle counts. Across the seeds, some slots are
+    /// shared by NEC classes, some vertex-induced slots have negation
+    /// parents, and the cache hits: a slot's signature range that
+    /// overlaps another's, or a signature left stale, turns a hit into a
+    /// wrong count, and a signature that never matches loses every hit.
+    #[test]
+    fn signature_rows_keep_planted_counts_exact() {
+        let (mut shared, mut negation, mut hits) = (0, 0, 0);
+        for seed in 0..48 {
+            let mut rng = Rng(seed);
+            let n = 2 + rng.below(2);
+            let labels = 2 + rng.below(2);
+            let extra = rng.below(n);
+            let base = random_graph(&mut rng, n, 0..labels, true, extra);
+            let p = with_twin_leaves(&mut rng, &base, labels, 1);
+            let noise_n = 2 + rng.below(6);
+            let noise_extra = rng.below(2 * noise_n);
+            let noise = random_graph(&mut rng, noise_n, 0..labels, false, noise_extra);
+            let copies = 1 + rng.below(2);
+            let g = planted(&mut rng, &p, &noise, copies);
+            let gc = build_ccsr(&g).unwrap();
+            for variant in Variant::ALL {
+                let want = oracle_count(&g, &p, variant);
+                let star = read_csr(&gc, &p, variant);
+                let catalog = Catalog::new(&p, &star);
+                for config in PlannerConfig::ALL {
+                    let plan = Planner::new(config).plan(&catalog, variant);
+                    shared += p.n() - plan.slot_count;
+                    negation += (0..p.n() as VertexId)
+                        .filter(|&u| plan.dag.negation_parents(u).next().is_some())
+                        .count();
+                    for use_sce_cache in [true, false] {
+                        for factorize in [true, false] {
+                            let run =
+                                RunConfig { use_sce_cache, factorize, ..RunConfig::default() };
+                            let mut exec = Executor::new(&catalog, &plan, run);
+                            let count = exec.count();
+                            assert_eq!(
+                                count, want,
+                                "seed {seed} {variant} {} cache {use_sce_cache} factorize {factorize}",
+                                config.name()
+                            );
+                            hits += exec.stats().sce_cache_hits;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(shared > 0, "no slot is shared");
+        assert!(negation > 0, "no vertex-induced slot has negation parents");
+        assert!(hits > 0, "the cache never hits");
     }
 
     proptest! {

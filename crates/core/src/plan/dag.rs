@@ -19,8 +19,9 @@
 //! negation parents are the remaining parents, derived on request
 //! ([`Dag::negation_parents`]) rather than stored a second time. Each
 //! relation (parents, children, edge parents) is one [`Csr`] indexed by
-//! vertex id, so building `H` allocates no per-vertex list, and the
-//! children are the parents' transpose, built by counting.
+//! vertex id, so building `H` allocates no per-vertex list; the children
+//! are the parents' transpose and the sorted parents the children's,
+//! both built by counting.
 //!
 //! One deliberate deviation from the paper's pseudo-code: Algorithm 2
 //! line 7 only adds a negation dependency `(Φ[i], Φ[j])` when some
@@ -63,12 +64,14 @@ pub struct Dag {
 /// them ([`csce_ccsr::GcStar::adjacent_labels`]): each vertex visits only
 /// the placed vertices of its adjacent labels, skipping its `P`-neighbours
 /// by a stamp, rather than probing every earlier vertex. Each vertex's
-/// parents are gathered in `Φ` order into one flat buffer and its row
-/// sorted in place; the rows are then copied by vertex id, each as one
-/// block ([`Csr::permuted`]), and the children are their transpose by
-/// counting ([`Csr::by_row`]), ascending without a sort. So `H` costs
-/// `O(|E_P| + Σ adjacent labels + |E_H|)` plus the row sorts, in a few
-/// flat buffers with no per-vertex allocation.
+/// parents are gathered in `Φ` order into one flat buffer, unsorted; the
+/// rows are then copied by vertex id, each as one block
+/// ([`Csr::permuted`]), the children are their transpose by counting and
+/// the parents the children's transpose ([`Csr::transpose`]), each row
+/// ascending without a sort. So `H` costs
+/// `O(|E_P| + Σ adjacent labels + |E_H|)`, plus a sort of each vertex's
+/// earlier `P`-neighbours, in a few flat buffers with no per-vertex
+/// allocation.
 ///
 /// `H` depends only on `P`, `G_C`, `Φ` and the variant, never on how the
 /// star was read: a star read for another variant walks `G_C` for the
@@ -105,7 +108,6 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
         // Earlier neighbours in `Φ` order, each once per connecting edge;
         // a parent joined by several edges is listed once in `parents`.
         earlier.sort_unstable();
-        let row_start = parents.len();
         for (k, &(i, eidx)) in earlier.iter().enumerate() {
             edge_parents.push((phi[i], eidx));
             if k == 0 || earlier[k - 1].0 != i {
@@ -126,12 +128,11 @@ pub fn build_dag(catalog: &Catalog<'_>, phi: &[VertexId], variant: Variant) -> D
             }
             buckets.place(l);
         }
-        parents[row_start..].sort_unstable();
         parent_ends.push(parents.len());
         edge_ends.push(edge_parents.len());
     }
-    let dag = Dag::new(
-        Csr::from_ends(parent_ends, parents).permuted(&pos_of),
+    let dag = Dag::from_unsorted(
+        &Csr::from_ends(parent_ends, parents).permuted(&pos_of),
         Csr::from_ends(edge_ends, edge_parents).permuted(&pos_of),
     );
     #[cfg(debug_assertions)]
@@ -261,6 +262,18 @@ impl Dag {
             |&w| w as usize,
             |u| VertexId::try_from(u).unwrap_or(VertexId::MAX),
         );
+        Dag { parents, children, edge_parents }
+    }
+
+    /// `H` from parent rows in any order within each row: the children
+    /// are their transpose and the parents the children's transpose, both
+    /// by counting. Each transpose walks its source rows in vertex-id
+    /// order, so every row of both comes out ascending, and no row is
+    /// sorted.
+    fn from_unsorted(parents: &Csr<VertexId>, edge_parents: Csr<(VertexId, usize)>) -> Dag {
+        let (n, id) = (parents.rows(), |u: usize| VertexId::try_from(u).unwrap_or(VertexId::MAX));
+        let children = parents.transpose(n, |&w| w as usize, id);
+        let parents = children.transpose(n, |&c| c as usize, id);
         Dag { parents, children, edge_parents }
     }
 

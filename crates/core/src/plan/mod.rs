@@ -299,7 +299,7 @@ impl Planner {
         } else {
             (0..p.n() as u32).collect()
         };
-        let (cache_slot, slot_count) = assign_cache_slots(&dag, &nec_class, p.n());
+        let (cache_slot, slot_count) = assign_cache_slots(&dag, &nec_class);
 
         let root = recorder.time("tree", || build_exec_tree(catalog, &dag, &order, variant));
 
@@ -324,26 +324,39 @@ impl Planner {
 
 /// NEC-equivalent vertices share a candidate-cache slot when their
 /// dependency parents are identical, because then their signatures and
-/// candidate sets coincide.
+/// candidate sets coincide. Slots are numbered by first appearance in
+/// vertex-id order.
 ///
 /// The parents alone decide, although they mix edge and negation
 /// dependencies: two NEC-equivalent vertices with the same parents also
 /// have the same negation parents. Neither is the other's parent (it
 /// would be its own), and a shared parent is adjacent in `P` to both or
 /// to neither, since NEC-equivalent vertices have the same neighbours.
-fn assign_cache_slots(dag: &Dag, nec_class: &[u32], n: usize) -> (Vec<u32>, usize) {
-    let mut groups: FxHashMap<(u32, &[VertexId]), u32> = FxHashMap::default();
-    let mut slots = vec![0u32; n];
-    let mut next = 0u32;
-    for u in 0..n as VertexId {
-        let key = (nec_class[u as usize], dag.parents(u));
-        let slot = *groups.entry(key).or_insert_with(|| {
-            let s = next;
-            next += 1;
-            s
-        });
-        slots[u as usize] = slot;
+///
+/// A vertex alone in its NEC class shares with nobody, so it takes the
+/// next slot directly; only members of classes of two or more are looked
+/// up by `(class, parents)`. On a pattern whose labels are mostly
+/// distinct, and under every preset without NEC, nothing is hashed.
+fn assign_cache_slots(dag: &Dag, nec_class: &[u32]) -> (Vec<u32>, usize) {
+    // NEC class ids are dense below the vertex count.
+    let mut class_size = vec![0u8; nec_class.len()];
+    for &c in nec_class {
+        if let Some(size) = class_size.get_mut(c as usize) {
+            *size = size.saturating_add(1);
+        }
     }
+    let mut groups: FxHashMap<(u32, &[VertexId]), u32> = FxHashMap::default();
+    let mut next = 0u32;
+    let slots = (0..)
+        .zip(nec_class)
+        .map(|(u, &c)| {
+            let shared = class_size.get(c as usize).is_some_and(|&size| size > 1);
+            let slot =
+                if shared { *groups.entry((c, dag.parents(u))).or_insert(next) } else { next };
+            next += u32::from(slot == next);
+            slot
+        })
+        .collect();
     (slots, next as usize)
 }
 
@@ -351,7 +364,9 @@ fn assign_cache_slots(dag: &Dag, nec_class: &[u32], n: usize) -> (Vec<u32>, usiz
 ///
 /// One reverse union-find pass over `Φ*` builds a merge forest: each
 /// vertex absorbs the components of `H[pos > pos(v)]` it is adjacent to,
-/// and their roots become its children. The subtree of the vertex at
+/// and their roots become its children. Since `Φ*` is topological, those
+/// are the components of its `H`-children, so the pass reads each child
+/// row once and no parent row. The subtree of the vertex at
 /// position `k` is then exactly its component of `H[pos ≥ k]`, so every
 /// vertex set the tree decomposes is a frontier of forest roots whose
 /// subtrees are its `H`-components. A frontier of several roots becomes a
@@ -404,6 +419,10 @@ struct TreeBuilder<'a> {
 }
 
 impl<'a> TreeBuilder<'a> {
+    /// The merge forest of `order` (a topological order of `dag`): one
+    /// reverse union-find pass over the `H`-children of each position,
+    /// then the forest's child rows by counting, its subtree sizes
+    /// backwards and its preorder forwards. Nothing is sorted.
     fn new(star: &GcStar<'_>, dag: &Dag, order: &'a [VertexId], variant: Variant) -> Self {
         let n = order.len();
         let mut pos_of = vec![0usize; n];
@@ -411,12 +430,15 @@ impl<'a> TreeBuilder<'a> {
             pos_of[u as usize] = k;
         }
         // Reverse union-find: the root of every set is its minimum
-        // position, and each absorbed root becomes a forest child.
+        // position, and each absorbed root becomes a forest child. `Φ*`
+        // is topological, so `u`'s later `H`-neighbours are exactly its
+        // children: its parents all sit earlier and are never read.
         let mut uf: Vec<usize> = (0..n).collect();
         let mut parent = vec![usize::MAX; n];
         for (k, &u) in order.iter().enumerate().rev() {
-            for &w in dag.children(u).iter().chain(dag.parents(u)) {
+            for &w in dag.children(u) {
                 let q = pos_of[w as usize];
+                debug_assert!(q > k, "Φ* must be topological in H");
                 if q <= k {
                     continue;
                 }
@@ -641,6 +663,60 @@ pub(crate) mod tests {
         true
     }
 
+    /// The slot assignment that looked every vertex up by `(class,
+    /// parents)`, kept as the oracle the singleton shortcut of
+    /// [`assign_cache_slots`] must reproduce.
+    fn assign_cache_slots_hashed(dag: &Dag, nec_class: &[u32], n: usize) -> (Vec<u32>, usize) {
+        let mut groups: FxHashMap<(u32, &[VertexId]), u32> = FxHashMap::default();
+        let mut slots = vec![0u32; n];
+        let mut next = 0u32;
+        for u in 0..n as VertexId {
+            let key = (nec_class[u as usize], dag.parents(u));
+            let slot = *groups.entry(key).or_insert_with(|| {
+                let s = next;
+                next += 1;
+                s
+            });
+            slots[u as usize] = slot;
+        }
+        (slots, next as usize)
+    }
+
+    /// `p` with `groups` extra groups of 2–4 leaves: the leaves of a group
+    /// share one label and hang off one vertex by the same kind of edge,
+    /// so they are NEC-equivalent, next to the singleton classes of `p`.
+    pub(crate) fn with_twin_leaves(
+        rng: &mut Rng,
+        p: &Graph,
+        labels: usize,
+        groups: usize,
+    ) -> Graph {
+        let mut b = GraphBuilder::new();
+        for u in 0..p.n() as VertexId {
+            b.add_vertex(p.label(u));
+        }
+        for e in p.edges() {
+            let _ = if e.directed {
+                b.add_edge(e.src, e.dst, e.label)
+            } else {
+                b.add_undirected_edge(e.src, e.dst, e.label)
+            };
+        }
+        for _ in 0..groups {
+            let (hub, label, kind) =
+                (rng.below(p.n()) as VertexId, rng.below(labels), rng.below(3));
+            for _ in 0..2 + rng.below(3) {
+                let leaf = b.add_vertex(label as u32);
+                let _ = match kind {
+                    0 => b.add_undirected_edge(hub, leaf, NO_LABEL),
+                    1 => b.add_edge(hub, leaf, NO_LABEL),
+                    _ => b.add_edge(leaf, hub, NO_LABEL),
+                };
+            }
+        }
+        b.build()
+    }
+
     /// SplitMix64: the random source of the equivalence properties.
     pub(crate) struct Rng(pub(crate) u64);
 
@@ -821,6 +897,44 @@ pub(crate) mod tests {
                 let default = Planner::new(PlannerConfig::default()).plan(&catalog, variant);
                 prop_assert_eq!(default.order, gcf_order(&catalog, PlannerConfig::csce()));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The singleton shortcut numbers the cache slots as hashing every
+        /// vertex did, for every preset and variant: 1–24-vertex random
+        /// patterns over 1–6 labels, with 0–3 groups of equal-label leaves
+        /// sharing a hub (NEC classes of two or more) next to singleton
+        /// classes, over random data on the same labels plus one. Some
+        /// plan shares a slot whenever a leaf group was added.
+        #[test]
+        fn cache_slots_match_the_hashing_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(24);
+            let labels = 1 + rng.below(6);
+            let extra = rng.below(n + 1);
+            let base = random_graph(&mut rng, n, 0..labels, true, extra);
+            let groups = rng.below(4);
+            let p = with_twin_leaves(&mut rng, &base, labels, groups);
+            let data_n = 2 + rng.below(30);
+            let data_extra = rng.below(4 * data_n);
+            let g = random_graph(&mut rng, data_n, 0..labels + 1, false, data_extra);
+            let gc = build_ccsr(&g).unwrap();
+            let mut shared = false;
+            for variant in Variant::ALL {
+                let star = read_csr(&gc, &p, variant);
+                let catalog = Catalog::new(&p, &star);
+                for config in PlannerConfig::ALL {
+                    let plan = Planner::new(config).plan(&catalog, variant);
+                    let (slots, count) = assign_cache_slots_hashed(&plan.dag, &plan.nec_class, p.n());
+                    prop_assert_eq!(&plan.cache_slot, &slots, "{} {}", variant, config.name());
+                    prop_assert_eq!(plan.slot_count, count, "{} {}", variant, config.name());
+                    shared |= plan.slot_count < p.n();
+                }
+            }
+            prop_assert!(groups == 0 || shared, "a leaf group shares no slot");
         }
     }
 
