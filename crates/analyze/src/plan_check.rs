@@ -14,7 +14,7 @@ use crate::{Validate, ValidationReport};
 use csce_core::plan::dag::Dag;
 use csce_core::plan::descendant::descendant_sizes;
 use csce_core::plan::nec::nec_classes;
-use csce_core::plan::ExecNode;
+use csce_core::plan::Step;
 use csce_core::{Catalog, Plan, SceAnalysis};
 use csce_graph::{FxHashMap, Graph, VertexId};
 
@@ -244,15 +244,21 @@ fn check_backward_neighbors(plan: &Plan, r: &mut ValidationReport) {
 
 /// The execution tree maps every pattern vertex exactly once on each
 /// root-to-`Done` path, and sequencing respects `Φ*` within each branch.
+/// The program's layout is checked on the way (`plan.exec-tree-layout`):
+/// a split has at least two components, its component ranges are
+/// non-empty and contiguous and fill exactly the steps after it, and a
+/// step's `leaf` flag holds exactly when it ends its component and is not
+/// the program's first step.
 fn check_exec_tree(plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.exec-tree-coverage");
     r.ran("plan.exec-tree-order");
+    r.ran("plan.exec-tree-layout");
     let n = plan.dag.n();
     if plan.pos_of.len() != n {
         return; // unusable position index; reported by check_order
     }
     let mut counts = vec![0u32; n];
-    visit_exec(&plan.root, plan, -1, &mut counts, r);
+    visit_exec(plan, plan.root.steps(), 0, -1, &mut counts, r);
     for (u, &c) in counts.iter().enumerate() {
         if c != 1 {
             r.violation(
@@ -263,33 +269,103 @@ fn check_exec_tree(plan: &Plan, r: &mut ValidationReport) {
     }
 }
 
+/// Check one component slice `steps` of the program, the first of them
+/// at step `start`. Every recursion is into a slice of the steps after a
+/// split, so the walk ends on any program.
 fn visit_exec(
-    node: &ExecNode,
     plan: &Plan,
-    last_pos: i64,
+    steps: &[Step],
+    start: usize,
+    mut last_pos: i64,
     counts: &mut [u32],
     r: &mut ValidationReport,
 ) {
-    match node {
-        ExecNode::Done => {}
-        ExecNode::Seq { u, next } => {
-            if (*u as usize) < counts.len() {
-                counts[*u as usize] += 1;
-                let pos = plan.pos_of[*u as usize] as i64;
+    let tree = &plan.root;
+    for (i, step) in steps.iter().enumerate() {
+        let at = start + i;
+        match step {
+            Step::Seq { u, leaf } => {
+                let want = i + 1 == steps.len() && at > 0;
+                if *leaf != want {
+                    r.violation(
+                        "plan.exec-tree-layout",
+                        format!("step {at} (u{u}) has leaf {leaf}, but its place says {want}"),
+                    );
+                }
+                let Some(count) = counts.get_mut(*u as usize) else {
+                    r.violation("plan.exec-tree-coverage", format!("tree references vertex {u}"));
+                    continue;
+                };
+                *count += 1;
+                let pos = i64::from(plan.pos_of[*u as usize]);
                 if pos <= last_pos {
                     r.violation(
                         "plan.exec-tree-order",
                         format!("vertex {u} is sequenced against the Φ* order"),
                     );
                 }
-                visit_exec(next, plan, pos, counts, r);
-            } else {
-                r.violation("plan.exec-tree-coverage", format!("tree references vertex {u}"));
+                last_pos = pos;
             }
-        }
-        ExecNode::Split { components } => {
-            for c in components {
-                visit_exec(c, plan, last_pos, counts, r);
+            Step::Split { components } => {
+                let rest = &steps[i + 1..];
+                let Some(ranges) = tree.component_ranges().get(components.clone()) else {
+                    r.violation(
+                        "plan.exec-tree-layout",
+                        format!(
+                            "split at step {at} names components {components:?} of a table of {}",
+                            tree.component_ranges().len()
+                        ),
+                    );
+                    return;
+                };
+                if ranges.len() < 2 {
+                    r.violation(
+                        "plan.exec-tree-layout",
+                        format!("split at step {at} has {} component(s)", ranges.len()),
+                    );
+                }
+                let mut next = 0;
+                for range in ranges {
+                    if range.start != next {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!(
+                                "split at step {at}: component {range:?} is not contiguous \
+                                 with the one before, which ends at {next}"
+                            ),
+                        );
+                    }
+                    if range.is_empty() {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!("split at step {at}: component {range:?} is empty"),
+                        );
+                    }
+                    let Some(comp) = rest.get(range.clone()) else {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!(
+                                "split at step {at}: component {range:?} leaves the {} steps \
+                                 after the split",
+                                rest.len()
+                            ),
+                        );
+                        continue;
+                    };
+                    visit_exec(plan, comp, at + 1 + range.start, last_pos, counts, r);
+                    next = range.end;
+                }
+                if next != rest.len() {
+                    r.violation(
+                        "plan.exec-tree-layout",
+                        format!(
+                            "split at step {at}: components end at {next}, not at the {} \
+                             steps after the split",
+                            rest.len()
+                        ),
+                    );
+                }
+                return;
             }
         }
     }
@@ -444,8 +520,10 @@ fn check_nec_refinement(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
 mod tests {
     use super::*;
     use csce_ccsr::{build_ccsr, read_csr};
+    use csce_core::plan::ExecTree;
     use csce_core::{Planner, PlannerConfig};
     use csce_graph::{GraphBuilder, Variant, NO_LABEL};
+    use std::ops::Range;
 
     fn fig1_pattern() -> Graph {
         let mut b = GraphBuilder::new();
@@ -497,5 +575,102 @@ mod tests {
     #[test]
     fn single_vertex_dag_passes() {
         assert!(Dag::from_arcs(1, &[]).validate().is_ok());
+    }
+
+    /// The plan of a star whose centre `0` has three arms of distinct
+    /// labels: `Seq 0`, then a split into three one-step leaves.
+    fn star_plan() -> Plan {
+        let mut b = GraphBuilder::new();
+        for l in 0..4 {
+            b.add_vertex(l);
+        }
+        for arm in 1..4 {
+            b.add_undirected_edge(0, arm, NO_LABEL).unwrap();
+        }
+        let p = b.build();
+        let gc = build_ccsr(&p).unwrap();
+        let star = read_csr(&gc, &p, Variant::EdgeInduced);
+        let catalog = Catalog::new(&p, &star);
+        Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced)
+    }
+
+    fn seq(u: VertexId, leaf: bool) -> Step {
+        Step::Seq { u, leaf }
+    }
+
+    /// The layout violations of the star plan with its program replaced.
+    fn layout_violations(steps: Vec<Step>, components: Vec<Range<usize>>) -> Vec<String> {
+        let mut plan = star_plan();
+        plan.root = ExecTree::from_parts(steps, components);
+        let report = plan.validate();
+        let layout = report.details().iter().filter(|v| v.checker == "plan.exec-tree-layout");
+        layout.map(|v| v.detail.clone()).collect()
+    }
+
+    /// The star plan's own program, rebuilt by hand from its parts, and
+    /// the plain chain over its order, are valid.
+    #[test]
+    fn hand_built_programs_pass() {
+        let plan = star_plan();
+        let [Step::Seq { u: 0, leaf: false }, Step::Split { components }, ..] = plan.root.steps()
+        else {
+            panic!("the arms split after the centre: {:?}", plan.root);
+        };
+        assert_eq!(components, &(0..3));
+        assert_eq!(plan.root.component_ranges(), [0..1, 1..2, 2..3]);
+        let rebuilt = vec![
+            seq(0, false),
+            Step::Split { components: 0..3 },
+            seq(1, true),
+            seq(2, true),
+            seq(3, true),
+        ];
+        assert!(layout_violations(rebuilt, vec![0..1, 1..2, 2..3]).is_empty());
+        let mut chain = star_plan();
+        chain.root = ExecTree::chain(&chain.order);
+        assert!(chain.validate().is_ok(), "{:?}", chain.validate().details());
+    }
+
+    /// Each malformed layout is a violation naming what is wrong, not a
+    /// panic.
+    #[test]
+    fn malformed_programs_are_reported() {
+        let split = |components| {
+            vec![
+                seq(0, false),
+                Step::Split { components },
+                seq(1, true),
+                seq(2, true),
+                seq(3, true),
+            ]
+        };
+        type Case = (Vec<Step>, Vec<Range<usize>>, &'static str);
+        let cases: [Case; 7] = [
+            (split(0..3), vec![0..1, 2..3, 1..2], "not contiguous"),
+            (split(0..3), vec![0..1, 1..1, 1..3], "is empty"),
+            (split(0..3), vec![0..1, 1..2, 2..4], "leaves the 3 steps after the split"),
+            (split(0..2), vec![0..1, 1..2, 2..3], "components end at 2"),
+            (split(0..1), vec![0..3, 3..3], "has 1 component(s)"),
+            (split(2..5), vec![0..1, 1..2, 2..3], "of a table of 3"),
+            (
+                vec![seq(0, true), Step::Split { components: 0..3 }, seq(1, true), seq(2, false)],
+                vec![0..1, 1..2, 2..2],
+                "has leaf true, but its place says false",
+            ),
+        ];
+        for (steps, components, want) in cases {
+            let found = layout_violations(steps.clone(), components.clone());
+            assert!(
+                found.iter().any(|d| d.contains(want)),
+                "{steps:?} {components:?}: want {want:?}, found {found:?}"
+            );
+        }
+        // A wrong leaf flag on an otherwise valid program.
+        let found = layout_violations(split(0..3), vec![0..1, 1..2, 2..3]);
+        assert!(found.is_empty(), "{found:?}");
+        let mut steps = split(0..3);
+        steps[4] = seq(3, false);
+        let found = layout_violations(steps, vec![0..1, 1..2, 2..3]);
+        assert_eq!(found, ["step 4 (u3) has leaf false, but its place says true"]);
     }
 }

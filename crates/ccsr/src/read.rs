@@ -25,6 +25,10 @@
 //! one [`Csr`] built from its row ends, and their transpose one built by
 //! counting. The star also lists each pattern vertex's incident edges, in
 //! one [`Csr`] built by counting, so every catalog over it borrows them.
+//! The read's report counters ([`GcStar::read_stats`],
+//! [`GcStar::heap_bytes`], [`GcStar::cluster_count`]) are computed from
+//! the selected clusters when asked, so a query that reports nothing does
+//! not pay for them.
 
 use crate::build::Ccsr;
 use crate::cluster::Cluster;
@@ -59,8 +63,8 @@ pub struct GcStar<'a> {
     /// The label pairs `G_C` joins, walked by a vertex-induced read and on
     /// first use otherwise.
     pairs: OnceLock<LabelPairs>,
-    stats: ReadStats,
-    heap_bytes: usize,
+    /// The variant the star was read for: which clusters it selects.
+    variant: Variant,
 }
 
 /// The label pairs `G_C` joins, over label ids, one row per label: each
@@ -106,28 +110,12 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
     // Induced matching needs every cluster between the labels of each
     // pattern vertex pair: unconnected pairs for negation, and connected
     // pairs to reject candidates carrying extra arcs (e.g. an antiparallel
-    // data arc the pattern does not have). The label-pair groups are
-    // disjoint and hold every edge cluster (patterns have no self-loops);
-    // other reads count the distinct edge clusters.
-    let (pairs, selected): (_, Vec<&'a Cluster>) = if variant == Variant::VertexInduced {
-        let pairs = walk_label_pairs(ccsr, &labels, &label_sizes);
-        let groups =
-            pairs.upper.items().iter().flat_map(|(_, range)| ccsr.clusters_at(range.clone()));
-        let selected = groups.collect();
-        (OnceLock::from(pairs), selected)
+    // data arc the pattern does not have).
+    let pairs = if variant == Variant::VertexInduced {
+        OnceLock::from(walk_label_pairs(ccsr, &labels, &label_sizes))
     } else {
-        let mut selected: Vec<&'a Cluster> = edge_clusters.iter().flatten().copied().collect();
-        // One cluster per key, so identity in `G_C`'s table dedups keys.
-        selected.sort_unstable_by_key(|&c| std::ptr::from_ref(c));
-        selected.dedup_by_key(|c| std::ptr::from_ref(*c));
-        (OnceLock::new(), selected)
+        OnceLock::new()
     };
-    let stats = ReadStats {
-        clusters_read: selected.len() as u64,
-        rows_decompressed: selected.iter().map(|c| c.indexed_rows() as u64).sum(),
-        missing_clusters: edge_clusters.iter().filter(|c| c.is_none()).count() as u64,
-    };
-    let heap_bytes = selected.iter().map(|c| c.heap_bytes()).sum();
     // Filling the rows in edge order keeps every row in edge order.
     let incident = Csr::by_row(
         p.n(),
@@ -135,17 +123,7 @@ pub fn read_csr<'a>(ccsr: &'a Ccsr, p: &Graph, variant: Variant) -> GcStar<'a> {
             [(e.src as usize, (i, Side::Src)), (e.dst as usize, (i, Side::Dst))]
         }),
     );
-    GcStar {
-        ccsr,
-        edge_clusters,
-        incident,
-        labels,
-        label_sizes,
-        label_id,
-        pairs,
-        stats,
-        heap_bytes,
-    }
+    GcStar { ccsr, edge_clusters, incident, labels, label_sizes, label_id, pairs, variant }
 }
 
 /// The distinct labels of `vertex_labels`, ascending, the number of
@@ -287,21 +265,47 @@ impl<'a> GcStar<'a> {
         }
     }
 
-    /// Number of selected clusters.
+    /// The clusters the read selected, each once. A vertex-induced read
+    /// selects the clusters of the label pairs it walked: the groups are
+    /// disjoint and hold every edge cluster (patterns have no
+    /// self-loops). Any other read selects the distinct edge clusters.
+    fn selected(&self) -> Vec<&'a Cluster> {
+        if self.variant == Variant::VertexInduced {
+            let ccsr = self.ccsr;
+            let upper = self.label_pairs().upper.items().iter();
+            upper.flat_map(|(_, range)| ccsr.clusters_at(range.clone())).collect()
+        } else {
+            let mut selected: Vec<&'a Cluster> =
+                self.edge_clusters.iter().flatten().copied().collect();
+            // One cluster per key, so identity in `G_C`'s table dedups keys.
+            selected.sort_unstable_by_key(|&c| std::ptr::from_ref(c));
+            selected.dedup_by_key(|c| std::ptr::from_ref(*c));
+            selected
+        }
+    }
+
+    /// Number of selected clusters, counted on call.
     pub fn cluster_count(&self) -> usize {
-        self.stats.clusters_read as usize
+        self.selected().len()
     }
 
     /// Work counters of the `ReadCSR` call that built this working set.
+    /// Only reports read them, so they are computed on call, from the
+    /// selected clusters, not by the read.
     pub fn read_stats(&self) -> ReadStats {
-        self.stats
+        let selected = self.selected();
+        ReadStats {
+            clusters_read: selected.len() as u64,
+            rows_decompressed: selected.iter().map(|c| c.indexed_rows() as u64).sum(),
+            missing_clusters: self.edge_clusters.iter().filter(|c| c.is_none()).count() as u64,
+        }
     }
 
     /// Heap bytes of the clusters this working set references (they live
     /// in `G_C`; the working set copies none of them), for the
-    /// CCSR-overhead experiments (Fig. 11).
+    /// CCSR-overhead experiments (Fig. 11). Computed on call.
     pub fn heap_bytes(&self) -> usize {
-        self.heap_bytes
+        self.selected().iter().map(|c| c.heap_bytes()).sum()
     }
 }
 

@@ -3,13 +3,18 @@
 //! [`Executor`] grows partial embeddings one pattern vertex at a time
 //! along `Φ*`. The candidate loop lives in [`Executor::scan`]; what
 //! happens at full depth is decided by the sink ([`Executor::drive`]) or,
-//! for factorized counting, by the plan's [`ExecNode`] tree
-//! ([`Executor::count`]) — counting is a counting-sink specialization
+//! for factorized counting, by the plan's
+//! [`ExecTree`](crate::plan::ExecTree) program ([`Executor::count`]) —
+//! counting is a counting-sink specialization
 //! that additionally multiplies `H`-independent suffix components instead
 //! of enumerating their Cartesian product, and counts each non-root leaf
 //! of the tree by one pass over its candidates ([`Executor::count_leaf`])
-//! instead of visiting them one by one. Both loops admit a candidate by
-//! the same test ([`Executor::admissible`]). Counting without
+//! instead of visiting them one by one. The count recursion walks the
+//! program's flat step array: each call takes a component's slice of
+//! steps, a `Seq` recurses on the rest of it and a `Split` on its
+//! component slices, so the walk reads one contiguous array and
+//! allocates nothing. Both loops admit a candidate by the same test
+//! ([`Executor::admissible`]). Counting without
 //! factorization is the sink walk into a [`CountSink`].
 //!
 //! Every run is a scheduled run: the root vertex's candidate loop claims
@@ -23,7 +28,7 @@ use super::sink::{CallbackSink, CountSink, MatchSink};
 use super::stats::{add_clamped, mul_clamped, ExecStats};
 use super::RunConfig;
 use crate::catalog::Catalog;
-use crate::plan::{ExecNode, Plan};
+use crate::plan::{Plan, Step};
 use csce_ccsr::ClusterKey;
 use csce_graph::util::{intersect_sorted, subtract_sorted};
 use csce_graph::{Graph, Variant, VertexId};
@@ -222,7 +227,7 @@ impl<'a> Executor<'a> {
         }
         self.reset();
         let plan = self.plan;
-        let count = self.count_node(&plan.root, 0);
+        let count = self.count_node(plan.root.steps(), 0);
         self.stats.embeddings = count;
         self.publish_progress();
         count
@@ -353,22 +358,28 @@ impl<'a> Executor<'a> {
         self.f[u as usize] = UNMAPPED;
     }
 
-    /// Factorized counting over the plan's [`ExecNode`] tree. `Seq` nodes
-    /// share [`Executor::scan`] with the sink path, except a non-root
-    /// `Seq` whose next node is `Done`: that leaf is counted by
-    /// [`Executor::count_leaf`] with the same work counters. `Split` nodes
-    /// multiply `H`-independent component counts. Products and sums clamp
-    /// at `u64::MAX` (a homomorphic count can overflow `u64`) and set
+    /// Factorized counting over `steps`, a component slice of the plan's
+    /// [`ExecTree`](crate::plan::ExecTree) program. A `Seq` shares
+    /// [`Executor::scan`] with the sink path and continues with the rest
+    /// of the slice, except a leaf
+    /// (the last `Seq` of a component, not the root): it is counted by
+    /// [`Executor::count_leaf`] with the same work counters. A `Split`
+    /// multiplies the counts of its `H`-independent components. The empty
+    /// slice is `Done`: one embedding. Products and sums clamp at
+    /// `u64::MAX` (a homomorphic count can overflow `u64`) and set
     /// [`ExecStats::saturated`]; a product that a zero component ends is
     /// exact whatever it had reached.
-    fn count_node(&mut self, node: &ExecNode, depth: usize) -> u64 {
-        match node {
-            ExecNode::Done => 1,
-            ExecNode::Split { components } => {
+    fn count_node(&mut self, steps: &'a [Step], depth: usize) -> u64 {
+        let Some((step, rest)) = steps.split_first() else {
+            return 1;
+        };
+        match step {
+            Step::Split { components } => {
                 self.stats.splits_taken += 1;
+                let tree = &self.plan.root;
                 let mut product = 1u64;
                 let mut clamped = false;
-                for comp in components {
+                for comp in tree.components(components, rest) {
                     let c = self.count_node(comp, depth);
                     if c == 0 {
                         return 0;
@@ -378,20 +389,20 @@ impl<'a> Executor<'a> {
                 self.stats.saturated |= clamped;
                 product
             }
-            ExecNode::Seq { u, next } => {
+            Step::Seq { u, leaf } => {
                 self.stats.nodes += 1;
                 if self.check_deadline() {
                     return 0;
                 }
-                // The root claims its candidates from the scheduler, so
-                // only a non-root leaf may count them all at once.
-                if matches!(**next, ExecNode::Done) && self.plan.order.first() != Some(u) {
+                // The root claims its candidates from the scheduler, so it
+                // is never a leaf that counts them all at once.
+                if *leaf {
                     return self.count_leaf(*u, depth);
                 }
                 let mut total = 0u64;
                 self.scan(*u, depth, |me| {
                     total =
-                        add_clamped(total, me.count_node(next, depth + 1), &mut me.stats.saturated);
+                        add_clamped(total, me.count_node(rest, depth + 1), &mut me.stats.saturated);
                 });
                 total
             }
@@ -599,19 +610,22 @@ mod tests {
     use csce_graph::{oracle_count, GraphBuilder, NO_LABEL};
     use proptest::prelude::*;
 
-    impl Executor<'_> {
+    impl<'a> Executor<'a> {
         /// Factorized counting with every leaf visited one candidate at a
-        /// time, through [`Executor::scan`] and `count_node(Done)`: the
+        /// time, through [`Executor::scan`] and the empty slice: the
         /// counter [`Executor::count_leaf`] replaced. Kept as the oracle
         /// the one-pass leaf must reproduce, counters included.
-        fn count_node_per_candidate(&mut self, node: &ExecNode, depth: usize) -> u64 {
-            match node {
-                ExecNode::Done => 1,
-                ExecNode::Split { components } => {
+        fn count_node_per_candidate(&mut self, steps: &'a [Step], depth: usize) -> u64 {
+            let Some((step, rest)) = steps.split_first() else {
+                return 1;
+            };
+            match step {
+                Step::Split { components } => {
                     self.stats.splits_taken += 1;
+                    let tree = &self.plan.root;
                     let mut product = 1u64;
                     let mut clamped = false;
-                    for comp in components {
+                    for comp in tree.components(components, rest) {
                         let c = self.count_node_per_candidate(comp, depth);
                         if c == 0 {
                             return 0;
@@ -621,14 +635,14 @@ mod tests {
                     self.stats.saturated |= clamped;
                     product
                 }
-                ExecNode::Seq { u, next } => {
+                Step::Seq { u, .. } => {
                     self.stats.nodes += 1;
                     if self.check_deadline() {
                         return 0;
                     }
                     let mut total = 0u64;
                     self.scan(*u, depth, |me| {
-                        let c = me.count_node_per_candidate(next, depth + 1);
+                        let c = me.count_node_per_candidate(rest, depth + 1);
                         total = add_clamped(total, c, &mut me.stats.saturated);
                     });
                     total
@@ -644,9 +658,9 @@ mod tests {
             self.reset();
             let plan = self.plan;
             let count = if per_candidate {
-                self.count_node_per_candidate(&plan.root, 0)
+                self.count_node_per_candidate(plan.root.steps(), 0)
             } else {
-                self.count_node(&plan.root, 0)
+                self.count_node(plan.root.steps(), 0)
             };
             self.stats.embeddings = count;
             (count, self.stats.clone())
@@ -730,15 +744,14 @@ mod tests {
             let catalog = Catalog::new(&p, &star);
             for config in PlannerConfig::ALL {
                 let plan = Planner::new(config).plan(&catalog, variant);
-                let ExecNode::Seq { u: 0, next } = &plan.root else {
-                    panic!("{variant}: the centre is the root: {:?}", plan.root);
-                };
-                let ExecNode::Split { components } = &**next else {
-                    panic!("{variant}: the arms split: {next:?}");
+                let [Step::Seq { u: 0, leaf: false }, Step::Split { components }, rest @ ..] =
+                    plan.root.steps()
+                else {
+                    panic!("{variant}: the centre is the root and the arms split: {:?}", plan.root);
                 };
                 assert_eq!(components.len(), 3);
-                for c in components {
-                    assert!(matches!(c, ExecNode::Seq { next, .. } if **next == ExecNode::Done));
+                for c in plan.root.components(components, rest) {
+                    assert!(matches!(c, [Step::Seq { leaf: true, .. }]), "{c:?}");
                 }
                 for cache in [true, false] {
                     let [leaf, oracle] = both(&gc, &p, variant, config, cache);

@@ -14,7 +14,8 @@
 //!   Definition 1's `C \ {v_x}` prescribes). NEC-equivalent vertices with
 //!   identical parents share one cache slot.
 //! * **factorized counting** — in counting mode the plan's
-//!   [`ExecNode`](crate::plan::ExecNode) tree multiplies the counts of
+//!   [`ExecTree`](crate::plan::ExecTree) program, one flat preorder
+//!   array of steps, multiplies the counts of
 //!   `H`-independent suffix components instead of enumerating their
 //!   Cartesian product.
 //!

@@ -80,10 +80,6 @@ pub struct QueryOutput {
     pub plan_time: Duration,
     /// Time spent finding embeddings.
     pub exec_time: Duration,
-    /// Heap bytes of the clusters the working set `G_C^*` references.
-    pub read_bytes: usize,
-    /// CCSR-side work counters of the `ReadCSR` stage.
-    pub read_stats: ReadStats,
 }
 
 impl QueryOutput {
@@ -318,6 +314,17 @@ impl Query<'_> {
         &self.plan
     }
 
+    /// CCSR-side work counters of the `ReadCSR` stage, computed on call.
+    pub fn read_stats(&self) -> ReadStats {
+        self.star.read_stats()
+    }
+
+    /// Heap bytes of the clusters the working set `G_C^*` references,
+    /// computed on call.
+    pub fn read_bytes(&self) -> usize {
+        self.star.heap_bytes()
+    }
+
     /// The catalog the plan was generated over — what the on-demand plan
     /// analyses ([`SceAnalysis::of`], `explain`) read the data side from.
     pub fn catalog(&self) -> Catalog<'_> {
@@ -404,8 +411,6 @@ impl Query<'_> {
             read_time: self.read_time,
             plan_time: self.plan_time,
             exec_time,
-            read_bytes: self.star.heap_bytes(),
-            read_stats: self.star.read_stats(),
         }
     }
 }
@@ -448,8 +453,10 @@ mod tests {
         let out = engine.run(&p, Variant::EdgeInduced, PlannerConfig::csce(), RunConfig::default());
         assert_eq!(out.count, 8); // 4 undirected edges, both directions
         assert!(out.total_time() >= out.exec_time);
-        assert!(out.read_bytes > 0);
         assert!(out.throughput() > 0.0);
+        let rec = Recorder::disabled();
+        let query = engine.prepare(&p, Variant::EdgeInduced, PlannerConfig::csce(), &rec).unwrap();
+        assert!(query.read_bytes() > 0);
     }
 
     #[test]

@@ -3,34 +3,38 @@
 //! `EXPLAIN` for subgraph matching plans, used by the CLI and examples.
 
 use crate::catalog::Catalog;
-use crate::plan::{ExecNode, Plan, SceAnalysis};
+use crate::plan::{ExecTree, Plan, SceAnalysis, Step};
 use std::fmt::Write as _;
 
-/// Render the factorized execution tree with indentation.
-pub fn render_tree(node: &ExecNode) -> String {
+/// Render the factorized execution tree with indentation: each `Seq` as
+/// `match`, the end of a component as `emit`, each `Split` as its
+/// components indented under it.
+pub fn render_tree(tree: &ExecTree) -> String {
     let mut out = String::new();
-    render_rec(node, 1, &mut out);
+    render_steps(tree, tree.steps(), 1, &mut out);
     out
 }
 
-fn render_rec(node: &ExecNode, indent: usize, out: &mut String) {
+fn render_steps(tree: &ExecTree, steps: &[Step], indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
-    match node {
-        ExecNode::Done => {
-            let _ = writeln!(out, "{pad}emit");
-        }
-        ExecNode::Seq { u, next } => {
-            let _ = writeln!(out, "{pad}match u{u}");
-            render_rec(next, indent, out);
-        }
-        ExecNode::Split { components } => {
-            let _ = writeln!(out, "{pad}split x{} (multiply counts)", components.len());
-            for c in components {
-                let _ = writeln!(out, "{pad}component:");
-                render_rec(c, indent + 1, out);
+    let mut rest = steps;
+    while let Some((step, tail)) = rest.split_first() {
+        match step {
+            Step::Seq { u, .. } => {
+                let _ = writeln!(out, "{pad}match u{u}");
+            }
+            Step::Split { components } => {
+                let _ = writeln!(out, "{pad}split x{} (multiply counts)", components.len());
+                for c in tree.components(components, tail) {
+                    let _ = writeln!(out, "{pad}component:");
+                    render_steps(tree, c, indent + 1, out);
+                }
+                return;
             }
         }
+        rest = tail;
     }
+    let _ = writeln!(out, "{pad}emit");
 }
 
 /// Render a full plan summary; the SCE line is derived here from the

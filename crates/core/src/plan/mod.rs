@@ -20,6 +20,11 @@
 //! each candidate against every `H`-parent's mapping, allowing exactly the
 //! arcs of the pattern edges that [`Dag::edge_parents`] names for that
 //! parent (none for a negation parent), read from the pattern itself.
+//!
+//! The factorized tree is one flat program ([`ExecTree`]): its steps in
+//! one preorder array, each component a contiguous slice of them, and one
+//! side table of component ranges, built by pushing each step as the
+//! compiler decides it. The count recursion walks the slices.
 
 pub mod dag;
 pub mod descendant;
@@ -39,6 +44,7 @@ use ldsf::ldsf_order;
 use nec::nec_classes;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// One of the four plans Fig. 13 compares: [`PlannerConfig::csce`] (the
 /// default), [`PlannerConfig::ldsf`], [`PlannerConfig::ri_only`] and
@@ -118,31 +124,86 @@ impl std::str::FromStr for PlannerConfig {
     }
 }
 
-/// The factorized execution tree compiled from `Φ*` and `H` for counting:
-/// when the unmatched suffix decomposes into `H`-independent components
-/// whose candidates cannot collide, each component is counted once and the
-/// counts multiply (the executable form of SCE's conditional
-/// independence).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExecNode {
-    /// Match `u`, then continue with `next` for every candidate.
-    Seq { u: VertexId, next: Box<ExecNode> },
-    /// Count each independent component and multiply.
-    Split { components: Vec<ExecNode> },
-    /// A complete embedding.
-    Done,
+/// The factorized execution tree compiled from `Φ*` and `H` for counting,
+/// laid out as one flat program: when the unmatched suffix decomposes into
+/// `H`-independent components whose candidates cannot collide, each
+/// component is counted once and the counts multiply (the executable form
+/// of SCE's conditional independence).
+///
+/// [`ExecTree::steps`] lists the tree's steps in preorder. A component is
+/// a contiguous slice of them, and the whole program is the root
+/// component. A [`Step::Seq`] continues with the rest of its slice; a
+/// [`Step::Split`] ends it, since the rest of the slice is exactly its
+/// components, one after another. `Done` is implicit at the end of a
+/// slice. Each split names its components by a range of
+/// [`ExecTree::component_ranges`], and each entry there is a range of
+/// steps counted from the step after its split, so every component lies
+/// inside the steps that follow its split and a walk down the program
+/// always shrinks its slice.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ExecTree {
+    steps: Vec<Step>,
+    components: Vec<Range<usize>>,
 }
 
-impl ExecNode {
-    /// Number of `Split` nodes in the tree (used by tests and stats).
+/// One step of an [`ExecTree`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Match `u`, then continue with the rest of the slice for every
+    /// candidate. `leaf`: the step is the last of its component and not
+    /// the program's first, so each admissible candidate completes one
+    /// embedding of the component.
+    Seq { u: VertexId, leaf: bool },
+    /// Count each component and multiply: the component ranges
+    /// `ExecTree::component_ranges()[components]`.
+    Split { components: Range<usize> },
+}
+
+impl ExecTree {
+    /// A program from its parts, as given: nothing is checked. Intended
+    /// for validation tooling and tests that need structurally invalid
+    /// programs, which the planner never builds; `csce-analyze`'s plan
+    /// check reports them.
+    pub fn from_parts(steps: Vec<Step>, components: Vec<Range<usize>>) -> ExecTree {
+        ExecTree { steps, components }
+    }
+
+    /// The plain chain over `order`: one `Seq` per vertex and no split,
+    /// the last a leaf unless it is the only one.
+    pub fn chain(order: &[VertexId]) -> ExecTree {
+        let last = order.len().saturating_sub(1);
+        let steps =
+            (0..).zip(order).map(|(k, &u)| Step::Seq { u, leaf: k == last && k > 0 }).collect();
+        ExecTree { steps, components: Vec::new() }
+    }
+
+    /// The steps in preorder: the root component.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// Every split's component ranges, splits in preorder, each range
+    /// counted from the step after its split.
+    pub fn component_ranges(&self) -> &[Range<usize>] {
+        &self.components
+    }
+
+    /// The component slices of a split whose component entries are
+    /// `components` and whose following steps are `rest`. An entry past
+    /// the table or past `rest` yields an empty slice, as only a program
+    /// built by [`ExecTree::from_parts`] can have.
+    pub fn components<'t>(
+        &'t self,
+        components: &Range<usize>,
+        rest: &'t [Step],
+    ) -> impl Iterator<Item = &'t [Step]> + 't {
+        let entries = self.components.get(components.clone()).unwrap_or_default();
+        entries.iter().map(move |range| rest.get(range.clone()).unwrap_or_default())
+    }
+
+    /// Number of `Split` steps (used by tests and stats).
     pub fn split_count(&self) -> usize {
-        match self {
-            ExecNode::Done => 0,
-            ExecNode::Seq { next, .. } => next.split_count(),
-            ExecNode::Split { components } => {
-                1 + components.iter().map(|c| c.split_count()).sum::<usize>()
-            }
-        }
+        self.steps.iter().filter(|s| matches!(s, Step::Split { .. })).count()
     }
 }
 
@@ -244,8 +305,8 @@ pub struct Plan {
     pub cache_slot: Vec<u32>,
     /// Number of distinct cache slots.
     pub slot_count: usize,
-    /// Factorized execution tree for counting mode.
-    pub root: ExecNode,
+    /// Factorized execution tree for counting mode, as one flat program.
+    pub root: ExecTree,
 }
 
 /// Plan generator.
@@ -372,7 +433,10 @@ fn assign_cache_slots(dag: &Dag, nec_class: &[u32]) -> (Vec<u32>, usize) {
 /// subtrees are its `H`-components. A frontier of several roots becomes a
 /// `Split` (components in root-position order) when [`split_safe`]
 /// holds; otherwise its minimum-position root is sequenced and that
-/// root's children join the frontier.
+/// root's children join the frontier. Steps are appended to the program
+/// as they are decided, so the tree is built in preorder, with one
+/// frontier heap and one scratch buffer of split roots for the whole
+/// tree.
 ///
 /// [`split_safe`]: TreeBuilder::split_safe
 fn build_exec_tree(
@@ -380,7 +444,7 @@ fn build_exec_tree(
     dag: &Dag,
     order: &[VertexId],
     variant: Variant,
-) -> ExecNode {
+) -> ExecTree {
     TreeBuilder::new(catalog.star(), dag, order, variant).tree()
 }
 
@@ -413,6 +477,13 @@ struct TreeBuilder<'a> {
     /// starts: every position of a component is sequenced before then.
     witness: Option<(usize, usize)>,
     placed: Vec<bool>,
+    /// The frontier of the component being built. A split drains it, and
+    /// each of its components starts from its one root, so one heap
+    /// serves every component.
+    frontier: BinaryHeap<Reverse<usize>>,
+    /// The roots of the splits being built, innermost last, each split's
+    /// ascending.
+    roots: Vec<usize>,
     /// Full split scans made, for the test that bounds them.
     #[cfg(test)]
     scans: usize,
@@ -487,37 +558,59 @@ impl<'a> TreeBuilder<'a> {
             generation: 0,
             witness: None,
             placed: vec![false; n],
+            frontier: BinaryHeap::with_capacity(n),
+            roots: Vec::with_capacity(n),
             #[cfg(test)]
             scans: 0,
         }
     }
 
     /// The tree over every position: the union of the forest's roots.
-    fn tree(&mut self) -> ExecNode {
-        let roots = (0..self.order.len()).filter(|&k| self.parent[k] == usize::MAX).collect();
-        self.tree_over(roots)
+    fn tree(&mut self) -> ExecTree {
+        let mut tree =
+            ExecTree { steps: Vec::with_capacity(self.order.len()), components: Vec::new() };
+        let roots = (0..self.order.len()).filter(|&k| self.parent[k] == usize::MAX);
+        self.frontier.extend(roots.map(Reverse));
+        self.component(&mut tree);
+        tree
     }
 
-    /// The tree over the union of the subtrees of `roots`. `Seq` chains
-    /// are built in a loop; only `Split` components recurse.
-    fn tree_over(&mut self, roots: Vec<usize>) -> ExecNode {
-        let mut frontier: BinaryHeap<Reverse<usize>> = roots.into_iter().map(Reverse).collect();
-        let mut chain = Vec::new();
-        let tail = loop {
-            if frontier.len() > 1 && self.split_safe(&frontier) {
-                let mut roots: Vec<usize> = frontier.into_iter().map(|Reverse(k)| k).collect();
-                roots.sort_unstable();
-                let components = roots.into_iter().map(|r| self.tree_over(vec![r])).collect();
-                break ExecNode::Split { components };
+    /// Append the steps over the union of the subtrees in the frontier,
+    /// leaving the frontier empty. `Seq` chains are built in a loop; only
+    /// `Split` components recurse, one nesting level per call.
+    fn component(&mut self, tree: &mut ExecTree) {
+        loop {
+            if self.frontier.len() > 1 && self.split_safe() {
+                let first = self.roots.len();
+                self.roots.extend(self.frontier.drain().map(|Reverse(k)| k));
+                self.roots[first..].sort_unstable();
+                let (entries, count) = (tree.components.len(), self.roots.len() - first);
+                tree.components.resize(entries + count, 0..0);
+                tree.steps.push(Step::Split { components: entries..entries + count });
+                let base = tree.steps.len();
+                for i in 0..count {
+                    let start = tree.steps.len() - base;
+                    self.frontier.push(Reverse(self.roots[first + i]));
+                    self.component(tree);
+                    tree.components[entries + i] = start..tree.steps.len() - base;
+                }
+                self.roots.truncate(first);
+                return;
             }
-            let Some(Reverse(k)) = frontier.pop() else {
-                break ExecNode::Done;
+            let Some(Reverse(k)) = self.frontier.pop() else {
+                break;
             };
-            chain.push(self.order[k]);
+            tree.steps.push(Step::Seq { u: self.order[k], leaf: false });
             self.placed[k] = true;
-            frontier.extend(self.children.row(k).iter().map(|&c| Reverse(c)));
-        };
-        chain.into_iter().rev().fold(tail, |next, u| ExecNode::Seq { u, next: Box::new(next) })
+            self.frontier.extend(self.children.row(k).iter().map(|&c| Reverse(c)));
+        }
+        // The component ends in `Done`, so its last step is a leaf, unless
+        // it is the program's only one: the root.
+        if tree.steps.len() > 1 {
+            if let Some(Step::Seq { leaf, .. }) = tree.steps.last_mut() {
+                *leaf = true;
+            }
+        }
     }
 
     /// Whether counting the components independently and multiplying is
@@ -530,7 +623,7 @@ impl<'a> TreeBuilder<'a> {
     /// A failed scan keeps its collision as the witness, and the tests
     /// after it fail at once until one of its two positions is sequenced,
     /// so a frontier is rescanned only when its last collision is gone.
-    fn split_safe(&mut self, frontier: &BinaryHeap<Reverse<usize>>) -> bool {
+    fn split_safe(&mut self) -> bool {
         if !self.injective {
             return true;
         }
@@ -544,7 +637,7 @@ impl<'a> TreeBuilder<'a> {
             self.scans += 1;
         }
         self.generation += 1;
-        for &Reverse(root) in frontier {
+        for &Reverse(root) in &self.frontier {
             let start = self.pre_start[root];
             for &k in &self.preorder[start..start + self.size[root]] {
                 let stamp = &mut self.stamp[self.label_id[k]];
@@ -580,33 +673,70 @@ pub(crate) mod tests {
 
     /// The recursive tree compiler the merge-forest builder replaced: it
     /// recomputes the `H`-components of every remaining suffix. Kept as
-    /// the oracle [`build_exec_tree`] must reproduce exactly.
+    /// the oracle [`build_exec_tree`] must reproduce exactly, its tree
+    /// flattened into a program by [`flatten`].
     fn build_tree_rec(
         catalog: &Catalog<'_>,
         dag: &Dag,
         suffix: &[VertexId],
         variant: Variant,
-    ) -> ExecNode {
+    ) -> ExecTree {
+        flatten(&tree_rec(catalog, dag, suffix, variant))
+    }
+
+    /// The oracle's tree, one heap node per step.
+    enum Node {
+        Seq(VertexId, Box<Node>),
+        Split(Vec<Node>),
+        Done,
+    }
+
+    fn tree_rec(catalog: &Catalog<'_>, dag: &Dag, suffix: &[VertexId], variant: Variant) -> Node {
         if suffix.is_empty() {
-            return ExecNode::Done;
+            return Node::Done;
         }
         let components = h_components(dag, suffix);
         if components.len() > 1 && split_safe_rec(catalog, &components, variant) {
-            return ExecNode::Split {
-                components: components
-                    .into_iter()
-                    .map(|c| seq_of(catalog, dag, &c, variant))
-                    .collect(),
-            };
+            return Node::Split(
+                components.into_iter().map(|c| seq_of(catalog, dag, &c, variant)).collect(),
+            );
         }
         seq_of(catalog, dag, suffix, variant)
     }
 
-    fn seq_of(catalog: &Catalog<'_>, dag: &Dag, list: &[VertexId], variant: Variant) -> ExecNode {
-        ExecNode::Seq {
-            u: list[0],
-            next: Box::new(build_tree_rec(catalog, dag, &list[1..], variant)),
+    fn seq_of(catalog: &Catalog<'_>, dag: &Dag, list: &[VertexId], variant: Variant) -> Node {
+        Node::Seq(list[0], Box::new(tree_rec(catalog, dag, &list[1..], variant)))
+    }
+
+    /// `node` as a program: its steps in preorder, a `Seq` followed by
+    /// `Done` a leaf unless it is the first step, and each split's
+    /// component ranges counted from the step after it.
+    fn flatten(node: &Node) -> ExecTree {
+        fn push(node: &Node, tree: &mut ExecTree) {
+            match node {
+                Node::Done => {}
+                Node::Seq(u, next) => {
+                    let leaf = matches!(**next, Node::Done) && !tree.steps.is_empty();
+                    tree.steps.push(Step::Seq { u: *u, leaf });
+                    push(next, tree);
+                }
+                Node::Split(components) => {
+                    let entries = tree.components.len();
+                    tree.components.resize(entries + components.len(), 0..0);
+                    tree.steps
+                        .push(Step::Split { components: entries..entries + components.len() });
+                    let base = tree.steps.len();
+                    for (i, c) in components.iter().enumerate() {
+                        let start = tree.steps.len() - base;
+                        push(c, tree);
+                        tree.components[entries + i] = start..tree.steps.len() - base;
+                    }
+                }
+            }
         }
+        let mut tree = ExecTree::default();
+        push(node, &mut tree);
+        tree
     }
 
     /// Connected components of `H` restricted to `suffix` (order preserved
@@ -811,23 +941,21 @@ pub(crate) mod tests {
         order
     }
 
-    /// Append the vertices `node` sequences, in tree order.
-    fn tree_vertices(node: &ExecNode, seen: &mut Vec<VertexId>) {
-        let mut node = node;
-        loop {
-            match node {
-                ExecNode::Done => return,
-                ExecNode::Seq { u, next } => {
-                    seen.push(*u);
-                    node = next;
-                }
-                ExecNode::Split { components } => {
-                    for c in components {
-                        tree_vertices(c, seen);
+    /// Append the vertices the steps of `steps` sequence, in program
+    /// order, descending into the components of a split.
+    fn tree_vertices(tree: &ExecTree, steps: &[Step], seen: &mut Vec<VertexId>) {
+        let mut rest = steps;
+        while let Some((step, tail)) = rest.split_first() {
+            match step {
+                Step::Seq { u, .. } => seen.push(*u),
+                Step::Split { components } => {
+                    for c in tree.components(components, tail) {
+                        tree_vertices(tree, c, seen);
                     }
                     return;
                 }
             }
+            rest = tail;
         }
     }
 
@@ -981,16 +1109,12 @@ pub(crate) mod tests {
         assert!(plan.root.split_count() > 0, "the leaves factorize");
 
         let mut seen = Vec::new();
-        tree_vertices(&plan.root, &mut seen);
+        tree_vertices(&plan.root, plan.root.steps(), &mut seen);
         seen.sort_unstable();
         assert_eq!(seen, (0..p.n() as VertexId).collect::<Vec<_>>());
 
         let mut plain = plan.clone();
-        plain.root = plan
-            .order
-            .iter()
-            .rev()
-            .fold(ExecNode::Done, |next, &u| ExecNode::Seq { u, next: Box::new(next) });
+        plain.root = ExecTree::chain(&plan.order);
         let factorized = Executor::new(&catalog, &plan, RunConfig::default()).count();
         let sequential = Executor::new(&catalog, &plain, RunConfig::default()).count();
         assert_eq!(factorized, sequential);
@@ -1080,12 +1204,11 @@ pub(crate) mod tests {
         let p = b.build();
         let plan = plan_for(&p, &p, Variant::EdgeInduced, PlannerConfig::csce());
         assert_eq!(plan.root.split_count(), 1);
-        match &plan.root {
-            ExecNode::Seq { next, .. } => match next.as_ref() {
-                ExecNode::Split { components } => assert_eq!(components.len(), 3),
-                other => panic!("expected split after center, got {other:?}"),
-            },
-            other => panic!("expected Seq root, got {other:?}"),
+        match plan.root.steps() {
+            [Step::Seq { u: 0, leaf: false }, Step::Split { components }, ..] => {
+                assert_eq!(components.len(), 3);
+            }
+            other => panic!("expected a split after the center, got {other:?}"),
         }
     }
 

@@ -10,7 +10,7 @@
 //! they replace `fixtures/plan_shapes.txt` after review.
 
 use csce_ccsr::{build_ccsr, read_csr};
-use csce_core::plan::ExecNode;
+use csce_core::plan::{ExecTree, Step};
 use csce_core::{Catalog, Plan, Planner, PlannerConfig};
 use csce_graph::generate::{chung_lu, randomize_vertex_labels};
 use csce_graph::sample::PatternSampler;
@@ -37,8 +37,8 @@ impl Fnv {
 }
 
 /// The digest of `Φ*`, `H`'s parent rows, the cache slots and the tree
-/// (walked in preorder: `Seq` as its vertex, `Split` as its component
-/// count, `Done` as a marker).
+/// (its program walked in preorder: `Seq` as its vertex, `Split` as its
+/// component count, and the end of each component as a `Done` marker).
 fn digest(plan: &Plan) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.words(plan.order.iter().map(|&u| u64::from(u)));
@@ -48,21 +48,28 @@ fn digest(plan: &Plan) -> u64 {
         h.words(parents.iter().map(|&w| u64::from(w)));
     }
     h.words(plan.cache_slot.iter().map(|&s| u64::from(s)));
-    let mut stack = vec![&plan.root];
-    while let Some(node) = stack.pop() {
-        match node {
-            ExecNode::Done => h.word(u64::MAX),
-            ExecNode::Seq { u, next } => {
-                h.word(u64::from(*u));
-                stack.push(next);
-            }
-            ExecNode::Split { components } => {
+    digest_steps(&mut h, &plan.root, plan.root.steps());
+    h.0
+}
+
+/// Hash one component slice of `tree`: a `Split` ends the slice, its
+/// components hashed in turn; a slice that runs out ends in `Done`.
+fn digest_steps(h: &mut Fnv, tree: &ExecTree, steps: &[Step]) {
+    let mut rest = steps;
+    while let Some((step, tail)) = rest.split_first() {
+        match step {
+            Step::Seq { u, .. } => h.word(u64::from(*u)),
+            Step::Split { components } => {
                 h.word(u64::MAX - 1 - components.len() as u64);
-                stack.extend(components.iter().rev());
+                for c in tree.components(components, tail) {
+                    digest_steps(h, tree, c);
+                }
+                return;
             }
         }
+        rest = tail;
     }
-    h.0
+    h.word(u64::MAX);
 }
 
 /// One line per pattern, variant and preset.

@@ -551,7 +551,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(format) = stats_format {
-        let report = match_report(data, variant, planner, threads, wall, &out, &recorder);
+        let report = match_report(data, planner, threads, wall, &query, &out, &recorder);
         match format {
             StatsFormat::Text => print!("{}", report.to_text()),
             StatsFormat::Json => println!("{}", report.to_json_string()),
@@ -611,10 +611,10 @@ fn spawn_heartbeat(
 /// phase tree, and every counter the run produced.
 fn match_report(
     data: &str,
-    variant: Variant,
     planner: PlannerConfig,
     threads: usize,
     wall: Duration,
+    query: &csce::engine::Query<'_>,
     out: &csce::QueryOutput,
     recorder: &Recorder,
 ) -> RunReport {
@@ -622,7 +622,7 @@ fn match_report(
     report
         .meta("algo", "CSCE")
         .meta("data", data)
-        .meta("variant", variant)
+        .meta("variant", query.plan().variant)
         .meta("plan", planner.name())
         .meta("threads", threads)
         .meta("count", out.count)
@@ -638,10 +638,11 @@ fn match_report(
     report
         .metrics
         .set_series("exec.worker_embeddings", out.workers.iter().map(|w| w.embeddings).collect());
-    report.metrics.set_counter("read.clusters_read", out.read_stats.clusters_read);
-    report.metrics.set_counter("read.rows_decompressed", out.read_stats.rows_decompressed);
-    report.metrics.set_counter("read.missing_clusters", out.read_stats.missing_clusters);
-    report.metrics.set_counter("read.bytes", out.read_bytes as u64);
+    let read = query.read_stats();
+    report.metrics.set_counter("read.clusters_read", read.clusters_read);
+    report.metrics.set_counter("read.rows_decompressed", read.rows_decompressed);
+    report.metrics.set_counter("read.missing_clusters", read.missing_clusters);
+    report.metrics.set_counter("read.bytes", query.read_bytes() as u64);
     report.metrics.set_gauge("time.read_seconds", out.read_time.as_secs_f64());
     report.metrics.set_gauge("time.plan_seconds", out.plan_time.as_secs_f64());
     report.metrics.set_gauge("time.exec_seconds", out.exec_time.as_secs_f64());

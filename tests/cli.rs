@@ -94,6 +94,52 @@ fn enumerate_and_explain() {
     assert!(text.contains("SCE: 0/2 vertices have an earlier independent vertex"), "{text}");
 }
 
+/// `--explain` on a star whose first arm forks again prints this text,
+/// the nested `Split` included.
+#[test]
+fn explain_prints_the_pinned_nested_tree() {
+    const NESTED: &str = "t 8 7\nv 0 0\nv 1 1\nv 2 2\nv 3 3\nv 4 4\nv 5 5\nv 6 6\nv 7 7\n\
+e 0 1 - u\ne 0 2 - u\ne 0 3 - u\ne 0 7 - u\ne 1 4 - u\ne 1 5 - u\ne 2 6 - u\n";
+    const QUERY: &str = "(a:0)--(b:1), (a)--(c:2), (a)--(d:3), (a)--(h:7), \
+(b)--(e:4), (b)--(f:5), (c)--(g:6)";
+    const EXPLAIN: &str = "variant: edge-induced
+matching order Φ*: [0, 1, 2, 3, 4, 5, 6, 7]
+dependency DAG: 7 edges (0 negation dependencies)
+SCE: 6/8 vertices have an earlier independent vertex (6 cluster-driven)
+NEC: 8 classes over 8 vertices, 8 candidate-cache slots
+execution tree (2 splits):
+  match u0
+  split x4 (multiply counts)
+  component:
+    match u1
+    split x2 (multiply counts)
+    component:
+      match u5
+      emit
+    component:
+      match u6
+      emit
+  component:
+    match u2
+    match u7
+    emit
+  component:
+    match u3
+    emit
+  component:
+    match u4
+    emit
+";
+    let dir = workdir();
+    let data = write(&dir, "nested.csce", NESTED);
+    let out = bin()
+        .args(["match", data.to_str().unwrap(), "--query", QUERY, "--explain"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), EXPLAIN);
+}
+
 #[test]
 fn variant_flag_changes_results() {
     let dir = workdir();
