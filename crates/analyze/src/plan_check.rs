@@ -175,49 +175,37 @@ fn check_descendant_sizes(dag: &Dag, r: &mut ValidationReport) {
     }
 }
 
-/// `Φ*` is a permutation, `pos_of` is its inverse, and the order is
-/// topological with respect to `H` (Algorithm 4's contract).
+/// Each vertex's position in `Φ*`, or `None` unless `Φ*` is a
+/// permutation of `H`'s vertices.
+fn order_positions(plan: &Plan) -> Option<Vec<usize>> {
+    let mut pos = vec![usize::MAX; plan.dag.n()];
+    for (k, &u) in plan.order.iter().enumerate() {
+        let slot = pos.get_mut(u as usize).filter(|q| **q == usize::MAX)?;
+        *slot = k;
+    }
+    (plan.order.len() == pos.len()).then_some(pos)
+}
+
+/// `Φ*` is a permutation, and the order is topological with respect to
+/// `H` (Algorithm 4's contract).
 fn check_order(plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.order-permutation");
-    r.ran("plan.pos-inverse");
     r.ran("plan.topological");
-    let n = plan.dag.n();
-    let mut seen = vec![false; n];
-    for &u in &plan.order {
-        if (u as usize) >= n || seen[u as usize] {
-            r.violation(
-                "plan.order-permutation",
-                format!("Φ* is not a permutation of 0..{n}: vertex {u} repeated or out of range"),
-            );
-            return;
-        }
-        seen[u as usize] = true;
-    }
-    if plan.order.len() != n {
+    let Some(pos) = order_positions(plan) else {
         r.violation(
             "plan.order-permutation",
-            format!("Φ* has {} entries for {n} vertices", plan.order.len()),
+            format!(
+                "Φ* ({} entries) is not a permutation of 0..{}: a vertex is repeated, missing \
+                 or out of range",
+                plan.order.len(),
+                plan.dag.n()
+            ),
         );
         return;
-    }
-    if plan.pos_of.len() != n {
-        r.violation(
-            "plan.pos-inverse",
-            format!("pos_of has {} entries for {n}", plan.pos_of.len()),
-        );
-        return;
-    }
+    };
     for (k, &u) in plan.order.iter().enumerate() {
-        if plan.pos_of[u as usize] as usize != k {
-            r.violation(
-                "plan.pos-inverse",
-                format!("pos_of[{u}] = {} but Φ* places it at {k}", plan.pos_of[u as usize]),
-            );
-        }
-    }
-    for &u in &plan.order {
         for &p in plan.dag.parents(u) {
-            if plan.pos_of[p as usize] >= plan.pos_of[u as usize] {
+            if pos.get(p as usize).is_some_and(|&q| q >= k) {
                 r.violation(
                     "plan.topological",
                     format!("dependency {p} -> {u} is violated by the order"),
@@ -243,7 +231,10 @@ fn check_backward_neighbors(plan: &Plan, r: &mut ValidationReport) {
 }
 
 /// The execution tree maps every pattern vertex exactly once on each
-/// root-to-`Done` path, and sequencing respects `Φ*` within each branch.
+/// root-to-`Done` path, sequencing respects `Φ*` within each branch, and
+/// every `H`-parent of a `Seq` step's vertex is sequenced on that step's
+/// root path (`plan.exec-tree-parents`): the count recursion maps a
+/// vertex's parents before its candidates are computed.
 /// The program's layout is checked on the way (`plan.exec-tree-layout`):
 /// a split has at least two components, its component ranges are
 /// non-empty and contiguous and fill exactly the steps after it, and a
@@ -252,14 +243,16 @@ fn check_backward_neighbors(plan: &Plan, r: &mut ValidationReport) {
 fn check_exec_tree(plan: &Plan, r: &mut ValidationReport) {
     r.ran("plan.exec-tree-coverage");
     r.ran("plan.exec-tree-order");
+    r.ran("plan.exec-tree-parents");
     r.ran("plan.exec-tree-layout");
-    let n = plan.dag.n();
-    if plan.pos_of.len() != n {
-        return; // unusable position index; reported by check_order
-    }
-    let mut counts = vec![0u32; n];
-    visit_exec(plan, plan.root.steps(), 0, -1, &mut counts, r);
-    for (u, &c) in counts.iter().enumerate() {
+    let Some(pos) = order_positions(plan) else {
+        return; // no usable positions; reported by check_order
+    };
+    let n = pos.len();
+    let mut check =
+        ProgramCheck { plan, pos, counts: vec![0; n], path: Vec::new(), on_path: vec![false; n] };
+    check.visit(plan.root.steps(), 0, None, r);
+    for (u, &c) in check.counts.iter().enumerate() {
         if c != 1 {
             r.violation(
                 "plan.exec-tree-coverage",
@@ -269,103 +262,140 @@ fn check_exec_tree(plan: &Plan, r: &mut ValidationReport) {
     }
 }
 
-/// Check one component slice `steps` of the program, the first of them
-/// at step `start`. Every recursion is into a slice of the steps after a
-/// split, so the walk ends on any program.
-fn visit_exec(
-    plan: &Plan,
-    steps: &[Step],
-    start: usize,
-    mut last_pos: i64,
-    counts: &mut [u32],
-    r: &mut ValidationReport,
-) {
-    let tree = &plan.root;
-    for (i, step) in steps.iter().enumerate() {
-        let at = start + i;
-        match step {
-            Step::Seq { u, leaf } => {
-                let want = i + 1 == steps.len() && at > 0;
-                if *leaf != want {
-                    r.violation(
-                        "plan.exec-tree-layout",
-                        format!("step {at} (u{u}) has leaf {leaf}, but its place says {want}"),
-                    );
-                }
-                let Some(count) = counts.get_mut(*u as usize) else {
-                    r.violation("plan.exec-tree-coverage", format!("tree references vertex {u}"));
-                    continue;
-                };
-                *count += 1;
-                let pos = i64::from(plan.pos_of[*u as usize]);
-                if pos <= last_pos {
-                    r.violation(
-                        "plan.exec-tree-order",
-                        format!("vertex {u} is sequenced against the Φ* order"),
-                    );
-                }
-                last_pos = pos;
-            }
-            Step::Split { components } => {
-                let rest = &steps[i + 1..];
-                let Some(ranges) = tree.component_ranges().get(components.clone()) else {
-                    r.violation(
-                        "plan.exec-tree-layout",
-                        format!(
-                            "split at step {at} names components {components:?} of a table of {}",
-                            tree.component_ranges().len()
-                        ),
-                    );
-                    return;
-                };
-                if ranges.len() < 2 {
-                    r.violation(
-                        "plan.exec-tree-layout",
-                        format!("split at step {at} has {} component(s)", ranges.len()),
-                    );
-                }
-                let mut next = 0;
-                for range in ranges {
-                    if range.start != next {
+/// The state of [`check_exec_tree`]'s walk down the program.
+struct ProgramCheck<'p> {
+    plan: &'p Plan,
+    /// Each vertex's position in `Φ*`.
+    pos: Vec<usize>,
+    /// How often each vertex is sequenced.
+    counts: Vec<u32>,
+    /// The vertices sequenced on the current step's root path, in order,
+    /// and a flag per vertex for the same set.
+    path: Vec<VertexId>,
+    on_path: Vec<bool>,
+}
+
+impl ProgramCheck<'_> {
+    /// Check one component slice `steps` of the program, the first of
+    /// them at step `start`, below a root path whose last vertex sits at
+    /// `last_pos` in `Φ*`. Every recursion is into a slice of the steps
+    /// after a split, so the walk ends on any program.
+    fn visit(
+        &mut self,
+        steps: &[Step],
+        start: usize,
+        mut last_pos: Option<usize>,
+        r: &mut ValidationReport,
+    ) {
+        let tree = &self.plan.root;
+        for (i, step) in steps.iter().enumerate() {
+            let at = start + i;
+            match step {
+                Step::Seq { u, leaf } => {
+                    let want = i + 1 == steps.len() && at > 0;
+                    if *leaf != want {
                         r.violation(
                             "plan.exec-tree-layout",
-                            format!(
-                                "split at step {at}: component {range:?} is not contiguous \
-                                 with the one before, which ends at {next}"
-                            ),
+                            format!("step {at} (u{u}) has leaf {leaf}, but its place says {want}"),
                         );
                     }
-                    if range.is_empty() {
+                    let (Some(count), Some(&pos)) =
+                        (self.counts.get_mut(*u as usize), self.pos.get(*u as usize))
+                    else {
                         r.violation(
-                            "plan.exec-tree-layout",
-                            format!("split at step {at}: component {range:?} is empty"),
-                        );
-                    }
-                    let Some(comp) = rest.get(range.clone()) else {
-                        r.violation(
-                            "plan.exec-tree-layout",
-                            format!(
-                                "split at step {at}: component {range:?} leaves the {} steps \
-                                 after the split",
-                                rest.len()
-                            ),
+                            "plan.exec-tree-coverage",
+                            format!("tree references vertex {u}"),
                         );
                         continue;
                     };
-                    visit_exec(plan, comp, at + 1 + range.start, last_pos, counts, r);
-                    next = range.end;
+                    *count += 1;
+                    if last_pos.is_some_and(|last| pos <= last) {
+                        r.violation(
+                            "plan.exec-tree-order",
+                            format!("vertex {u} is sequenced against the Φ* order"),
+                        );
+                    }
+                    last_pos = Some(pos);
+                    for &p in self.plan.dag.parents(*u) {
+                        if !self.on_path.get(p as usize).is_some_and(|&on| on) {
+                            r.violation(
+                                "plan.exec-tree-parents",
+                                format!(
+                                    "step {at} (u{u}): H-parent {p} is not sequenced on its \
+                                     root path"
+                                ),
+                            );
+                        }
+                    }
+                    self.path.push(*u);
+                    self.on_path[*u as usize] = true;
                 }
-                if next != rest.len() {
-                    r.violation(
-                        "plan.exec-tree-layout",
-                        format!(
-                            "split at step {at}: components end at {next}, not at the {} \
-                             steps after the split",
-                            rest.len()
-                        ),
-                    );
+                Step::Split { components } => {
+                    let rest = &steps[i + 1..];
+                    let Some(ranges) = tree.component_ranges().get(components.clone()) else {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!(
+                                "split at step {at} names components {components:?} of a table \
+                                 of {}",
+                                tree.component_ranges().len()
+                            ),
+                        );
+                        return;
+                    };
+                    if ranges.len() < 2 {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!("split at step {at} has {} component(s)", ranges.len()),
+                        );
+                    }
+                    let mut next = 0;
+                    for range in ranges {
+                        if range.start != next {
+                            r.violation(
+                                "plan.exec-tree-layout",
+                                format!(
+                                    "split at step {at}: component {range:?} is not contiguous \
+                                     with the one before, which ends at {next}"
+                                ),
+                            );
+                        }
+                        if range.is_empty() {
+                            r.violation(
+                                "plan.exec-tree-layout",
+                                format!("split at step {at}: component {range:?} is empty"),
+                            );
+                        }
+                        let Some(comp) = rest.get(range.clone()) else {
+                            r.violation(
+                                "plan.exec-tree-layout",
+                                format!(
+                                    "split at step {at}: component {range:?} leaves the {} steps \
+                                     after the split",
+                                    rest.len()
+                                ),
+                            );
+                            continue;
+                        };
+                        let mark = self.path.len();
+                        self.visit(comp, at + 1 + range.start, last_pos, r);
+                        for u in self.path.drain(mark..) {
+                            self.on_path[u as usize] = false;
+                        }
+                        next = range.end;
+                    }
+                    if next != rest.len() {
+                        r.violation(
+                            "plan.exec-tree-layout",
+                            format!(
+                                "split at step {at}: components end at {next}, not at the {} \
+                                 steps after the split",
+                                rest.len()
+                            ),
+                        );
+                    }
+                    return;
                 }
-                return;
             }
         }
     }
@@ -520,6 +550,7 @@ fn check_nec_refinement(p: &Graph, plan: &Plan, r: &mut ValidationReport) {
 mod tests {
     use super::*;
     use csce_ccsr::{build_ccsr, read_csr};
+    use csce_core::plan::dag::build_dag;
     use csce_core::plan::ExecTree;
     use csce_core::{Planner, PlannerConfig};
     use csce_graph::{GraphBuilder, Variant, NO_LABEL};
@@ -594,6 +625,27 @@ mod tests {
         Planner::new(PlannerConfig::csce()).plan(&catalog, Variant::EdgeInduced)
     }
 
+    /// The plan of the path `0 – 1 – 2` (three labels) with `Φ*` set to
+    /// `[0, 1, 2]` and `H` rebuilt over it, so `2`'s only `H`-parent is
+    /// `1`; its program is left to the caller.
+    fn path_plan() -> Plan {
+        let mut b = GraphBuilder::new();
+        for l in 0..3 {
+            b.add_vertex(l);
+        }
+        b.add_undirected_edge(0, 1, NO_LABEL).unwrap();
+        b.add_undirected_edge(1, 2, NO_LABEL).unwrap();
+        let p = b.build();
+        let gc = build_ccsr(&p).unwrap();
+        let variant = Variant::EdgeInduced;
+        let star = read_csr(&gc, &p, variant);
+        let catalog = Catalog::new(&p, &star);
+        let mut plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
+        plan.order = vec![0, 1, 2];
+        plan.dag = build_dag(&catalog, &plan.order, variant);
+        plan
+    }
+
     fn seq(u: VertexId, leaf: bool) -> Step {
         Step::Seq { u, leaf }
     }
@@ -627,7 +679,8 @@ mod tests {
         ];
         assert!(layout_violations(rebuilt, vec![0..1, 1..2, 2..3]).is_empty());
         let mut chain = star_plan();
-        chain.root = ExecTree::chain(&chain.order);
+        let steps = (0..4).map(|u| seq(u, u == 3)).collect();
+        chain.root = ExecTree::from_parts(steps, Vec::new());
         assert!(chain.validate().is_ok(), "{:?}", chain.validate().details());
     }
 
@@ -672,5 +725,27 @@ mod tests {
         steps[4] = seq(3, false);
         let found = layout_violations(steps, vec![0..1, 1..2, 2..3]);
         assert_eq!(found, ["step 4 (u3) has leaf false, but its place says true"]);
+
+        // The path `r – x – y` planned as `Φ* = [r, x, y]`, run by the
+        // program `Seq r, Split{[x], [y]}`: its layout, coverage and
+        // per-branch order are sound, but `y`'s candidates would be
+        // computed with its one `H`-parent `x` unmapped.
+        let mut plan = path_plan();
+        assert_eq!(plan.dag.parents(2), [1]);
+        plan.root = ExecTree::from_parts(vec![seq(0, false), seq(1, false), seq(2, true)], vec![]);
+        assert!(plan.validate().is_ok(), "{:?}", plan.validate().details());
+        let split =
+            vec![seq(0, false), Step::Split { components: 0..2 }, seq(1, true), seq(2, true)];
+        plan.root = ExecTree::from_parts(split, vec![0..1, 1..2]);
+        let report = plan.validate();
+        let found: Vec<_> =
+            report.details().iter().map(|v| (v.checker, v.detail.as_str())).collect();
+        assert_eq!(
+            found,
+            [(
+                "plan.exec-tree-parents",
+                "step 3 (u2): H-parent 1 is not sequenced on its root path"
+            )]
+        );
     }
 }

@@ -1,21 +1,23 @@
 //! The matching engine: one recursion body behind [`MatchSink`].
 //!
-//! [`Executor`] grows partial embeddings one pattern vertex at a time
-//! along `Φ*`. The candidate loop lives in [`Executor::scan`]; what
-//! happens at full depth is decided by the sink ([`Executor::drive`]) or,
-//! for factorized counting, by the plan's
-//! [`ExecTree`](crate::plan::ExecTree) program ([`Executor::count`]) —
-//! counting is a counting-sink specialization
-//! that additionally multiplies `H`-independent suffix components instead
-//! of enumerating their Cartesian product, and counts each non-root leaf
-//! of the tree by one pass over its candidates ([`Executor::count_leaf`])
-//! instead of visiting them one by one. The count recursion walks the
-//! program's flat step array: each call takes a component's slice of
-//! steps, a `Seq` recurses on the rest of it and a `Split` on its
-//! component slices, so the walk reads one contiguous array and
-//! allocates nothing. Both loops admit a candidate by the same test
-//! ([`Executor::admissible`]). Counting without
-//! factorization is the sink walk into a [`CountSink`].
+//! [`Executor`] grows partial embeddings one pattern vertex at a time.
+//! The candidate loop lives in [`Executor::scan`]. The sink walk
+//! ([`Executor::drive`]) maps the vertices along `Φ*` and hands each
+//! embedding to the sink. Factorized counting ([`Executor::count`]) walks
+//! the plan's [`ExecTree`](crate::plan::ExecTree) program instead: each
+//! call takes a component's slice of its flat step array, a `Split`
+//! multiplies the counts of its `H`-independent components instead of
+//! enumerating their Cartesian product, and each non-root leaf is counted
+//! by one pass over its candidates ([`Executor::count_leaf`]). Both loops
+//! admit a candidate by the same test ([`Executor::admissible`]).
+//! Counting without factorization is the sink walk into a [`CountSink`].
+//!
+//! The two walks map a splitting plan's vertices in different orders:
+//! `Φ*` interleaves the components, which the program lays out one after
+//! another. For the sink walk that matters, because it enumerates their
+//! Cartesian product: run in program order, every component is walked
+//! again for each embedding of the components before it, so a selective
+//! vertex that `Φ*` placed early waits for them.
 //!
 //! Every run is a scheduled run: the root vertex's candidate loop claims
 //! chunks from a [`Scheduler`], which also owns the run's stop flag and
@@ -91,7 +93,8 @@ pub struct Executor<'a> {
     /// Nodes already published to `progress`.
     progress_published: u64,
     /// Ordering restrictions `f(a) < f(b)`, indexed by the pattern vertex
-    /// at which each becomes checkable (the later one in `Φ*`).
+    /// at which each becomes checkable (the later one in `Φ*`, the order
+    /// of the sink walk, which is the only walk that checks them).
     checks_at: Vec<Vec<(VertexId, VertexId)>>,
     /// This run's scheduler: the root vertex claims candidate chunks from
     /// it, and it carries the run-wide stop flag and deadline.
@@ -156,14 +159,14 @@ impl<'a> Executor<'a> {
     /// for higher-order analysis (§VII-G) — can supply the orbit
     /// restrictions of the pattern's automorphism group. Restrictions are
     /// checked per candidate; to keep SCE caches sound they are applied at
-    /// scan time, never baked into cached candidate sets.
+    /// scan time, never baked into cached candidate sets, each at the end
+    /// that `Φ*` maps later.
     pub fn with_restrictions(mut self, restrictions: &[(VertexId, VertexId)]) -> Executor<'a> {
         for list in &mut self.checks_at {
             list.clear();
         }
         for &(a, b) in restrictions {
-            let later =
-                if self.plan.pos_of[a as usize] > self.plan.pos_of[b as usize] { a } else { b };
+            let later = self.plan.order.iter().rfind(|&&u| u == a || u == b).map_or(b, |&u| u);
             self.checks_at[later as usize].push((a, b));
         }
         self
@@ -295,15 +298,15 @@ impl<'a> Executor<'a> {
     /// the one candidate loop shared by counting and sink-driven search
     /// (a factorized non-root leaf counts instead: [`Executor::count_leaf`]).
     ///
-    /// The root vertex's iteration space is the chunks it claims from the
-    /// run's scheduler; every other vertex tries all its candidates.
+    /// The root vertex (depth 0) iterates over the chunks it claims from
+    /// the run's scheduler; every other vertex tries all its candidates.
     fn scan<F>(&mut self, u: VertexId, depth: usize, mut visit: F)
     where
         F: FnMut(&mut Self),
     {
         let injective = self.plan.variant.injective();
         let (slot, len) = self.materialize_candidates(u, depth);
-        if u == self.plan.order[0] {
+        if depth == 0 {
             let sched = Arc::clone(&self.scheduler);
             while let Some(chunk) = sched.claim(len) {
                 self.stats.chunks_claimed += 1;
@@ -427,10 +430,10 @@ impl<'a> Executor<'a> {
         admitted
     }
 
-    /// The sink-driven recursion body: one `Seq`-like step per depth,
-    /// with the sink deciding at full depth whether the search continues.
+    /// The sink-driven recursion body: one vertex of `Φ*` per depth, with
+    /// the sink deciding at full depth whether the search continues.
     fn walk<S: MatchSink>(&mut self, depth: usize, sink: &mut S) {
-        if depth == self.plan.order.len() {
+        let Some(&u) = self.plan.order.get(depth) else {
             self.stats.embeddings =
                 add_clamped(self.stats.embeddings, 1, &mut self.stats.saturated);
             if sink.on_embedding(&self.f).is_break() {
@@ -440,12 +443,11 @@ impl<'a> Executor<'a> {
                 self.scheduler.request_stop();
             }
             return;
-        }
+        };
         self.stats.nodes += 1;
         if self.check_deadline() {
             return;
         }
-        let u = self.plan.order[depth];
         self.scan(u, depth, |me| me.walk(depth + 1, sink));
     }
 
@@ -552,7 +554,7 @@ impl<'a> Executor<'a> {
         let (p, star) = (self.catalog.pattern(), self.catalog.star());
         for &parent in parents {
             let w = self.f[parent as usize];
-            debug_assert_ne!(w, UNMAPPED, "dependency parents precede u in Φ*");
+            debug_assert_ne!(w, UNMAPPED, "dependency parents are mapped before u");
             let parent_label = p.label(parent);
             for cluster in star.pair_clusters(star.label_id(u), star.label_id(parent)) {
                 self.stats.negation_clusters += 1;
@@ -604,6 +606,7 @@ fn pattern_has_arc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::CollectSink;
     use crate::plan::tests::{random_graph, with_twin_leaves, Rng};
     use crate::plan::{Planner, PlannerConfig};
     use csce_ccsr::{build_ccsr, read_csr, Ccsr};
@@ -787,6 +790,69 @@ mod tests {
                 assert_eq!(leaf.0, sink.count, "{variant}");
             }
             assert!(leaf.0 < oracle_count(&g, &p, variant), "{variant}: restricted");
+        }
+    }
+
+    /// The double-arm star `c:0 – a:1 – a':3`, `c – b:2 – b':4` splits
+    /// into its arms after the centre, and `Φ*` maps the arms in another
+    /// order than the program, which lays them out one after the other. A
+    /// restriction is checked at whichever end the sink walk (`Φ*`) maps
+    /// later: checked at its later end in program order, one arm's check
+    /// would read the other arm's vertex unmapped. Every restriction
+    /// `f(a) < f(b)` between two vertices counts the oracle's embeddings
+    /// that satisfy it, and the sink walk collects exactly the oracle's
+    /// embeddings in every variant.
+    #[test]
+    fn restrictions_are_checked_where_the_walk_maps_both_ends() {
+        let p = graph(&[0, 1, 2, 3, 4], &[(0, 1), (1, 3), (0, 2), (2, 4)]);
+        // Three data vertices per label, interleaved so that restrictions
+        // between any two labels go both ways; each pattern edge's label
+        // pair is joined where `(i + j) % 3 != 2`.
+        let id = |label: u32, i: u32| 5 * i + label;
+        let mut labels = vec![0; 15];
+        for label in 0..5 {
+            for i in 0..3 {
+                labels[id(label, i) as usize] = label;
+            }
+        }
+        let mut edges = Vec::new();
+        for (x, y) in [(0, 1), (1, 3), (0, 2), (2, 4)] {
+            for i in 0..3 {
+                edges.extend((0..3).filter(|j| (i + j) % 3 != 2).map(|j| (id(x, i), id(y, j))));
+            }
+        }
+        let g = graph(&labels, &edges);
+        let gc = build_ccsr(&g).unwrap();
+        for variant in Variant::ALL {
+            let want = csce_graph::oracle_embeddings(&g, &p, variant);
+            assert!(!want.is_empty(), "{variant}");
+            let star = read_csr(&gc, &p, variant);
+            let catalog = Catalog::new(&p, &star);
+            for config in PlannerConfig::ALL {
+                let plan = Planner::new(config).plan(&catalog, variant);
+                let mut sink = CollectSink::default();
+                Executor::new(&catalog, &plan, RunConfig::default()).drive(&mut sink);
+                sink.embeddings.sort_unstable();
+                assert_eq!(sink.embeddings, want, "{variant} {}", config.name());
+                if variant == Variant::Homomorphic {
+                    continue;
+                }
+                assert!(plan.root.split_count() > 0, "{variant} {}: the arms split", config.name());
+                for a in 0..5 {
+                    for b in (0..5).filter(|&b| b != a) {
+                        let expected = want.iter().filter(|f| f[a as usize] < f[b as usize]);
+                        let count = Executor::new(&catalog, &plan, RunConfig::default())
+                            .with_restrictions(&[(a, b)])
+                            .count();
+                        assert_eq!(
+                            count,
+                            expected.count() as u64,
+                            "{variant} {}: f({a}) < f({b})",
+                            config.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

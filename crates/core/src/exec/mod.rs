@@ -1,10 +1,11 @@
 //! Execution: the pipelined worst-case-optimal join with SCE reuse.
 //!
-//! The executor grows partial embeddings one pattern vertex at a time
-//! along `Φ*`, computing each vertex's candidate set as the intersection
-//! of the CCSR neighbor rows of its already-matched pattern neighbors
-//! (a pipelined WCOJ, §III), with vertex-induced negation subtracting the
-//! data neighbors of matched non-neighbors.
+//! The executor grows partial embeddings one pattern vertex at a time,
+//! along `Φ*` when it enumerates and along the plan's factorized program
+//! when it counts, computing each vertex's candidate set as the
+//! intersection of the CCSR neighbor rows of its already-matched pattern
+//! neighbors (a pipelined WCOJ, §III), with vertex-induced negation
+//! subtracting the data neighbors of matched non-neighbors.
 //!
 //! Sequential Candidate Equivalence is exploited twice:
 //!

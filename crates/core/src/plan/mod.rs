@@ -128,7 +128,10 @@ impl std::str::FromStr for PlannerConfig {
 /// laid out as one flat program: when the unmatched suffix decomposes into
 /// `H`-independent components whose candidates cannot collide, each
 /// component is counted once and the counts multiply (the executable form
-/// of SCE's conditional independence).
+/// of SCE's conditional independence). Every `H`-parent of a step's vertex
+/// is sequenced on that step's root path. The sink walk does not run it:
+/// it maps `Φ*`, which interleaves the components
+/// ([`Executor`](crate::exec::Executor)).
 ///
 /// [`ExecTree::steps`] lists the tree's steps in preorder. A component is
 /// a contiguous slice of them, and the whole program is the root
@@ -166,15 +169,6 @@ impl ExecTree {
     /// check reports them.
     pub fn from_parts(steps: Vec<Step>, components: Vec<Range<usize>>) -> ExecTree {
         ExecTree { steps, components }
-    }
-
-    /// The plain chain over `order`: one `Seq` per vertex and no split,
-    /// the last a leaf unless it is the only one.
-    pub fn chain(order: &[VertexId]) -> ExecTree {
-        let last = order.len().saturating_sub(1);
-        let steps =
-            (0..).zip(order).map(|(k, &u)| Step::Seq { u, leaf: k == last && k > 0 }).collect();
-        ExecTree { steps, components: Vec::new() }
     }
 
     /// The steps in preorder: the root component.
@@ -293,8 +287,6 @@ pub struct Plan {
     pub variant: Variant,
     /// The final matching order `Φ*` (pattern vertex ids).
     pub order: Vec<VertexId>,
-    /// Position of each pattern vertex in `Φ*`.
-    pub pos_of: Vec<u32>,
     /// The dependency DAG `H`.
     pub dag: Dag,
     /// NEC class of each pattern vertex.
@@ -349,10 +341,6 @@ impl Planner {
         } else {
             phi
         };
-        let mut pos_of = vec![0u32; p.n()];
-        for (k, &u) in order.iter().enumerate() {
-            pos_of[u as usize] = k as u32;
-        }
 
         // NEC classes and cache-slot assignment.
         let nec_class = if self.config.nec {
@@ -365,21 +353,19 @@ impl Planner {
         let root = recorder.time("tree", || build_exec_tree(catalog, &dag, &order, variant));
 
         // Boundary invariant (deep form in `csce-analyze`): `Φ*` is a
-        // permutation of `V_P`, topological w.r.t. the DAG, and
-        // `pos_of` is its inverse.
+        // permutation of `V_P`, topological w.r.t. the DAG.
         debug_assert!(
             {
                 let mut seen = vec![false; p.n()];
-                order.iter().enumerate().all(|(k, &u)| {
-                    let fresh = !std::mem::replace(&mut seen[u as usize], true);
-                    fresh
-                        && pos_of[u as usize] as usize == k
-                        && dag.parents(u).iter().all(|&q| (pos_of[q as usize] as usize) < k)
-                })
+                order.len() == p.n()
+                    && order.iter().all(|&u| {
+                        dag.parents(u).iter().all(|&q| seen[q as usize])
+                            && !std::mem::replace(&mut seen[u as usize], true)
+                    })
             },
-            "plan order must be a topological permutation with inverse pos_of"
+            "plan order must be a topological permutation"
         );
-        Plan { variant, order, pos_of, dag, nec_class, cache_slot, slot_count, root }
+        Plan { variant, order, dag, nec_class, cache_slot, slot_count, root }
     }
 }
 
@@ -565,13 +551,16 @@ impl<'a> TreeBuilder<'a> {
         }
     }
 
-    /// The tree over every position: the union of the forest's roots.
+    /// The tree over every position: the union of the forest's roots,
+    /// trimmed to its length (a split outgrows the first capacity).
     fn tree(&mut self) -> ExecTree {
         let mut tree =
             ExecTree { steps: Vec::with_capacity(self.order.len()), components: Vec::new() };
         let roots = (0..self.order.len()).filter(|&k| self.parent[k] == usize::MAX);
         self.frontier.extend(roots.map(Reverse));
         self.component(&mut tree);
+        tree.steps.shrink_to_fit();
+        tree.components.shrink_to_fit();
         tree
     }
 
@@ -665,7 +654,7 @@ fn find(uf: &mut [usize], mut x: usize) -> usize {
 pub(crate) mod tests {
     use super::*;
     use crate::bitset::BitSet;
-    use crate::exec::{Executor, RunConfig};
+    use crate::exec::{CountSink, Executor, RunConfig};
     use csce_ccsr::{build_ccsr, read_csr};
     use csce_graph::{Graph, GraphBuilder, NO_LABEL};
     use dag::build_dag_pairwise;
@@ -941,24 +930,6 @@ pub(crate) mod tests {
         order
     }
 
-    /// Append the vertices the steps of `steps` sequence, in program
-    /// order, descending into the components of a split.
-    fn tree_vertices(tree: &ExecTree, steps: &[Step], seen: &mut Vec<VertexId>) {
-        let mut rest = steps;
-        while let Some((step, tail)) = rest.split_first() {
-            match step {
-                Step::Seq { u, .. } => seen.push(*u),
-                Step::Split { components } => {
-                    for c in tree.components(components, tail) {
-                        tree_vertices(tree, c, seen);
-                    }
-                    return;
-                }
-            }
-            rest = tail;
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -1108,16 +1079,18 @@ pub(crate) mod tests {
         assert!(plan.dag.edge_count() > 4 * p.n(), "lands in the old fallback region");
         assert!(plan.root.split_count() > 0, "the leaves factorize");
 
-        let mut seen = Vec::new();
-        tree_vertices(&plan.root, plan.root.steps(), &mut seen);
+        let seq = |step: &Step| match *step {
+            Step::Seq { u, .. } => Some(u),
+            Step::Split { .. } => None,
+        };
+        let mut seen: Vec<VertexId> = plan.root.steps().iter().filter_map(seq).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..p.n() as VertexId).collect::<Vec<_>>());
 
-        let mut plain = plan.clone();
-        plain.root = ExecTree::chain(&plan.order);
         let factorized = Executor::new(&catalog, &plan, RunConfig::default()).count();
-        let sequential = Executor::new(&catalog, &plain, RunConfig::default()).count();
-        assert_eq!(factorized, sequential);
+        let mut sink = CountSink::default();
+        Executor::new(&catalog, &plan, RunConfig::default()).drive(&mut sink);
+        assert_eq!(factorized, sink.count);
     }
 
     /// A sparse edge-induced plan of 500 vertices over 2000 labels (the
@@ -1167,9 +1140,10 @@ pub(crate) mod tests {
         let mut sorted = plan.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..8).collect::<Vec<_>>());
+        let pos = |u: VertexId| plan.order.iter().position(|&w| w == u);
         for u in 0..8u32 {
             for &child in plan.dag.children(u) {
-                assert!(plan.pos_of[u as usize] < plan.pos_of[child as usize]);
+                assert!(pos(u) < pos(child));
             }
         }
     }

@@ -134,9 +134,10 @@ proptest! {
         let mut sorted = plan.order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..p.n() as u32).collect::<Vec<_>>());
+        let pos = |u: u32| plan.order.iter().position(|&w| w == u);
         for u in 0..p.n() as u32 {
             for &child in plan.dag.children(u) {
-                prop_assert!(plan.pos_of[u as usize] < plan.pos_of[child as usize]);
+                prop_assert!(pos(u) < pos(child));
             }
         }
     }
