@@ -85,21 +85,21 @@ impl<'a> Catalog<'a> {
     }
 
     /// The smallest cluster size among edges from `x` to the placed side
-    /// (`towards_placed`) or to the unplaced side of `placed`;
+    /// (`towards_placed`) or to the unplaced side, as `placed` tells them;
     /// `usize::MAX` when `x` has no such edge. The LDSF tie-break; GCF
     /// keeps `ω¹`/`ω²` incrementally and recomputes them with this only
     /// to cross-check its heap in debug builds.
     pub fn min_connecting_cluster(
         &self,
         x: VertexId,
-        placed: &[bool],
+        placed: impl Fn(VertexId) -> bool,
         towards_placed: bool,
     ) -> usize {
         let mut best = usize::MAX;
         for (eidx, side) in self.incident_edges(x) {
             let e = &self.pattern.edges()[eidx];
             let other = if side == Side::Src { e.dst } else { e.src };
-            if placed[other as usize] == towards_placed {
+            if placed(other) == towards_placed {
                 best = best.min(self.cluster_size(eidx));
             }
         }

@@ -39,8 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::stats::DeepStats;
-
 /// One per-slot candidate cache: `cands` is the candidate set computed
 /// under the parents' mappings that the slot's range `sig` of
 /// [`Executor::signatures`] records. `valid` stays false while the SCE
@@ -122,7 +120,7 @@ impl<'a> Executor<'a> {
             used: vec![false; catalog.data_n()],
             caches,
             signatures,
-            stats: ExecStats::default(),
+            stats: ExecStats::new(catalog.pattern().n()),
             stopped: false,
             progress: None,
             progress_published: 0,
@@ -201,10 +199,7 @@ impl<'a> Executor<'a> {
         for c in &mut self.caches {
             c.valid = false;
         }
-        self.stats = ExecStats::default();
-        if self.config.profile {
-            self.stats.deep = Some(DeepStats::default());
-        }
+        self.stats.reset();
         // A parallel run keeps the driver's scheduler; a standalone run
         // gets a fresh one, so its cursor is unspent and its deadline
         // starts now.
@@ -230,9 +225,9 @@ impl<'a> Executor<'a> {
         }
         self.reset();
         let plan = self.plan;
-        let count = self.count_node(plan.root.steps(), 0);
+        let count = self.count_node(plan.root.steps());
         self.stats.embeddings = count;
-        self.publish_progress();
+        self.finish();
         count
     }
 
@@ -241,8 +236,9 @@ impl<'a> Executor<'a> {
     /// cooperatively stops every other worker too.
     pub fn drive<S: MatchSink>(&mut self, sink: &mut S) {
         self.reset();
-        self.walk(0, sink);
-        self.publish_progress();
+        let plan = self.plan;
+        self.walk(&plan.order, sink);
+        self.finish();
     }
 
     /// Enumerate embeddings, invoking `emit` with the mapping array
@@ -257,6 +253,17 @@ impl<'a> Executor<'a> {
     /// Statistics of the last run.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
+    }
+
+    /// The last run's statistics, moved out of the executor.
+    pub(crate) fn into_stats(self) -> ExecStats {
+        self.stats
+    }
+
+    /// End a run: total the per-vertex counters and publish progress.
+    fn finish(&mut self) {
+        self.stats.total_vertex_counts();
+        self.publish_progress();
     }
 
     /// Push the not-yet-published node count into the progress sink.
@@ -298,20 +305,21 @@ impl<'a> Executor<'a> {
     /// the one candidate loop shared by counting and sink-driven search
     /// (a factorized non-root leaf counts instead: [`Executor::count_leaf`]).
     ///
-    /// The root vertex (depth 0) iterates over the chunks it claims from
-    /// the run's scheduler; every other vertex tries all its candidates.
-    fn scan<F>(&mut self, u: VertexId, depth: usize, mut visit: F)
+    /// The root vertex (`Φ*[0]`, the first step of both walks) iterates
+    /// over the chunks it claims from the run's scheduler; every other
+    /// vertex tries all its candidates.
+    fn scan<F>(&mut self, u: VertexId, mut visit: F)
     where
         F: FnMut(&mut Self),
     {
         let injective = self.plan.variant.injective();
-        let (slot, len) = self.materialize_candidates(u, depth);
-        if depth == 0 {
+        let (slot, len) = self.materialize_candidates(u);
+        if self.plan.order.first() == Some(&u) {
             let sched = Arc::clone(&self.scheduler);
             while let Some(chunk) = sched.claim(len) {
                 self.stats.chunks_claimed += 1;
                 for i in chunk {
-                    self.try_candidate(u, depth, slot, i, injective, &mut visit);
+                    self.try_candidate(u, slot, i, injective, &mut visit);
                     if self.stopped {
                         return;
                     }
@@ -320,7 +328,7 @@ impl<'a> Executor<'a> {
             return;
         }
         for i in 0..len {
-            self.try_candidate(u, depth, slot, i, injective, &mut visit);
+            self.try_candidate(u, slot, i, injective, &mut visit);
             if self.stopped {
                 return;
             }
@@ -328,13 +336,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Try candidate `i` of cache slot `slot` for `u`: apply the
-    /// admissibility test ([`Executor::admissible`]), extend the mapping,
-    /// recurse via `visit`, and restore the mapping.
+    /// admissibility test ([`Executor::admissible`]), count it at `u`,
+    /// extend the mapping, recurse via `visit`, and restore the mapping.
     #[inline]
     fn try_candidate<F>(
         &mut self,
         u: VertexId,
-        depth: usize,
         slot: usize,
         i: usize,
         injective: bool,
@@ -346,9 +353,8 @@ impl<'a> Executor<'a> {
         if !self.admissible(u, v, injective) {
             return;
         }
-        self.stats.candidates_scanned += 1;
-        if let Some(deep) = self.stats.deep.as_mut() {
-            DeepStats::bump(&mut deep.depth_candidates, depth);
+        if let Some(scanned) = self.stats.vertex_candidates.get_mut(u as usize) {
+            *scanned += 1;
         }
         self.f[u as usize] = v;
         if injective {
@@ -372,7 +378,7 @@ impl<'a> Executor<'a> {
     /// `u64::MAX` (a homomorphic count can overflow `u64`) and set
     /// [`ExecStats::saturated`]; a product that a zero component ends is
     /// exact whatever it had reached.
-    fn count_node(&mut self, steps: &'a [Step], depth: usize) -> u64 {
+    fn count_node(&mut self, steps: &'a [Step]) -> u64 {
         let Some((step, rest)) = steps.split_first() else {
             return 1;
         };
@@ -383,7 +389,7 @@ impl<'a> Executor<'a> {
                 let mut product = 1u64;
                 let mut clamped = false;
                 for comp in tree.components(components, rest) {
-                    let c = self.count_node(comp, depth);
+                    let c = self.count_node(comp);
                     if c == 0 {
                         return 0;
                     }
@@ -400,12 +406,11 @@ impl<'a> Executor<'a> {
                 // The root claims its candidates from the scheduler, so it
                 // is never a leaf that counts them all at once.
                 if *leaf {
-                    return self.count_leaf(*u, depth);
+                    return self.count_leaf(*u);
                 }
                 let mut total = 0u64;
-                self.scan(*u, depth, |me| {
-                    total =
-                        add_clamped(total, me.count_node(rest, depth + 1), &mut me.stats.saturated);
+                self.scan(*u, |me| {
+                    total = add_clamped(total, me.count_node(rest), &mut me.stats.saturated);
                 });
                 total
             }
@@ -414,26 +419,26 @@ impl<'a> Executor<'a> {
 
     /// Count the admissible candidates of leaf `u` — the pattern vertex
     /// whose next node is `Done` — in one pass over its materialized
-    /// candidate set, and add them to `candidates_scanned` and the
-    /// `depth_candidates` series in one step. Each admissible candidate
-    /// completes exactly one embedding, so this equals [`Executor::scan`]
-    /// visiting them one by one, with every counter unchanged.
-    fn count_leaf(&mut self, u: VertexId, depth: usize) -> u64 {
+    /// candidate set, and add them to `u`'s candidate count in one step.
+    /// Each admissible candidate completes exactly one embedding, so this
+    /// equals [`Executor::scan`] visiting them one by one, with every
+    /// counter unchanged.
+    fn count_leaf(&mut self, u: VertexId) -> u64 {
         let injective = self.plan.variant.injective();
-        let (slot, _) = self.materialize_candidates(u, depth);
+        let (slot, _) = self.materialize_candidates(u);
         let cands = self.caches.get(slot).map(|c| c.cands.as_slice()).unwrap_or_default();
         let admitted = cands.iter().filter(|&&v| self.admissible(u, v, injective)).count() as u64;
-        self.stats.candidates_scanned = self.stats.candidates_scanned.saturating_add(admitted);
-        if let Some(deep) = self.stats.deep.as_mut() {
-            DeepStats::add(&mut deep.depth_candidates, depth, admitted);
+        if let Some(scanned) = self.stats.vertex_candidates.get_mut(u as usize) {
+            *scanned = scanned.saturating_add(admitted);
         }
         admitted
     }
 
-    /// The sink-driven recursion body: one vertex of `Φ*` per depth, with
-    /// the sink deciding at full depth whether the search continues.
-    fn walk<S: MatchSink>(&mut self, depth: usize, sink: &mut S) {
-        let Some(&u) = self.plan.order.get(depth) else {
+    /// The sink-driven recursion body over `order`, the rest of `Φ*`: map
+    /// its first vertex and walk the rest, with the sink deciding at the
+    /// end of `Φ*` whether the search continues.
+    fn walk<S: MatchSink>(&mut self, order: &'a [VertexId], sink: &mut S) {
+        let Some((&u, rest)) = order.split_first() else {
             self.stats.embeddings =
                 add_clamped(self.stats.embeddings, 1, &mut self.stats.saturated);
             if sink.on_embedding(&self.f).is_break() {
@@ -448,7 +453,7 @@ impl<'a> Executor<'a> {
         if self.check_deadline() {
             return;
         }
-        self.scan(u, depth, |me| me.walk(depth + 1, sink));
+        self.scan(u, |me| me.walk(rest, sink));
     }
 
     /// Ensure `u`'s candidate set is in its cache slot for the current
@@ -458,7 +463,7 @@ impl<'a> Executor<'a> {
     /// injectivity filter (`C \ {v_x}`) is applied by the caller per
     /// candidate, which is what makes the cached set reusable across
     /// sibling mappings.
-    fn materialize_candidates(&mut self, u: VertexId, depth: usize) -> (usize, usize) {
+    fn materialize_candidates(&mut self, u: VertexId) -> (usize, usize) {
         // `u`'s `H` rows, read once; they borrow the plan, not `self`.
         let plan = self.plan;
         let slot = plan.cache_slot[u as usize] as usize;
@@ -471,9 +476,8 @@ impl<'a> Executor<'a> {
                     && parents.iter().zip(sig).all(|(&p, &s)| self.f.get(p as usize) == Some(&s))
             });
         if sig_matches {
-            self.stats.sce_cache_hits += 1;
-            if let Some(deep) = self.stats.deep.as_mut() {
-                DeepStats::bump(&mut deep.depth_sce_hits, depth);
+            if let Some(hits) = self.stats.vertex_sce_hits.get_mut(u as usize) {
+                *hits += 1;
             }
             let len = self.caches[slot].cands.len();
             return (slot, len);
@@ -523,10 +527,8 @@ impl<'a> Executor<'a> {
             let multi_way = self.rows.len() > 1;
             out.extend_from_slice(self.rows[0]);
             for &row in &self.rows[1..] {
-                if let Some(deep) = self.stats.deep.as_mut() {
-                    deep.intersection_input =
-                        deep.intersection_input.saturating_add((out.len() + row.len()) as u64);
-                }
+                self.stats.intersection_input =
+                    self.stats.intersection_input.saturating_add((out.len() + row.len()) as u64);
                 intersect_sorted(out, row, &mut self.tmp);
                 std::mem::swap(out, &mut self.tmp);
                 if out.is_empty() {
@@ -534,10 +536,8 @@ impl<'a> Executor<'a> {
                 }
             }
             if multi_way {
-                if let Some(deep) = self.stats.deep.as_mut() {
-                    deep.intersection_output =
-                        deep.intersection_output.saturating_add(out.len() as u64);
-                }
+                self.stats.intersection_output =
+                    self.stats.intersection_output.saturating_add(out.len() as u64);
             }
             if out.is_empty() {
                 return;
@@ -618,7 +618,7 @@ mod tests {
         /// time, through [`Executor::scan`] and the empty slice: the
         /// counter [`Executor::count_leaf`] replaced. Kept as the oracle
         /// the one-pass leaf must reproduce, counters included.
-        fn count_node_per_candidate(&mut self, steps: &'a [Step], depth: usize) -> u64 {
+        fn count_node_per_candidate(&mut self, steps: &'a [Step]) -> u64 {
             let Some((step, rest)) = steps.split_first() else {
                 return 1;
             };
@@ -629,7 +629,7 @@ mod tests {
                     let mut product = 1u64;
                     let mut clamped = false;
                     for comp in tree.components(components, rest) {
-                        let c = self.count_node_per_candidate(comp, depth);
+                        let c = self.count_node_per_candidate(comp);
                         if c == 0 {
                             return 0;
                         }
@@ -644,8 +644,8 @@ mod tests {
                         return 0;
                     }
                     let mut total = 0u64;
-                    self.scan(*u, depth, |me| {
-                        let c = me.count_node_per_candidate(rest, depth + 1);
+                    self.scan(*u, |me| {
+                        let c = me.count_node_per_candidate(rest);
                         total = add_clamped(total, c, &mut me.stats.saturated);
                     });
                     total
@@ -661,17 +661,18 @@ mod tests {
             self.reset();
             let plan = self.plan;
             let count = if per_candidate {
-                self.count_node_per_candidate(plan.root.steps(), 0)
+                self.count_node_per_candidate(plan.root.steps())
             } else {
-                self.count_node(plan.root.steps(), 0)
+                self.count_node(plan.root.steps())
             };
             self.stats.embeddings = count;
+            self.finish();
             (count, self.stats.clone())
         }
     }
 
-    fn profiled(use_sce_cache: bool) -> RunConfig {
-        RunConfig { use_sce_cache, profile: true, ..RunConfig::default() }
+    fn cached(use_sce_cache: bool) -> RunConfig {
+        RunConfig { use_sce_cache, ..RunConfig::default() }
     }
 
     /// The count and stats of [`Executor::count`] and of the
@@ -687,7 +688,7 @@ mod tests {
         let star = read_csr(gc, p, variant);
         let catalog = Catalog::new(p, &star);
         let plan = Planner::new(config).plan(&catalog, variant);
-        let mut exec = Executor::new(&catalog, &plan, profiled(use_sce_cache));
+        let mut exec = Executor::new(&catalog, &plan, cached(use_sce_cache));
         let count = exec.count();
         let leaf = (count, exec.stats().clone());
         [leaf, exec.factorized(true)]
@@ -781,7 +782,7 @@ mod tests {
             let catalog = Catalog::new(&p, &star);
             let plan = Planner::new(PlannerConfig::csce()).plan(&catalog, variant);
             let mut exec =
-                Executor::new(&catalog, &plan, profiled(true)).with_restrictions(&[(0, 2)]);
+                Executor::new(&catalog, &plan, cached(true)).with_restrictions(&[(0, 2)]);
             let leaf = exec.factorized(false);
             assert_eq!(leaf, exec.factorized(true), "{variant}");
             let mut sink = CountSink::default();
@@ -953,7 +954,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// One-pass leaves reproduce the per-candidate oracle exactly —
-        /// count and every counter, the per-depth series included — for
+        /// count and every counter, the per-vertex series included — for
         /// every variant, planner preset and cache setting: 1–6-vertex
         /// connected random patterns over 1–4 labels, planted 0–3 times
         /// into a 2–16-vertex random data graph over the same labels.

@@ -40,7 +40,9 @@
 //!   any other. One function body builds every collected result, with or
 //!   without a limit: it sorts each worker's rows on that worker and
 //!   merges the sorted runs in place.
-//! * [`stats`] — the counters every run reports ([`ExecStats`]).
+//! * [`stats`] — the counters every run reports ([`ExecStats`]), always
+//!   on: candidates and SCE hits are counted per pattern vertex, so both
+//!   walks attribute their work to the same vertices.
 
 mod engine;
 mod scheduler;
@@ -53,7 +55,7 @@ pub use scheduler::{
     collect_parallel, count_parallel_observed, CollectRun, ExecError, ParallelRun, Scheduler,
 };
 pub use sink::{CallbackSink, CollectSink, CountSink, MatchSink};
-pub use stats::{DeepStats, ExecStats};
+pub use stats::ExecStats;
 
 use std::time::Duration;
 
@@ -69,14 +71,11 @@ pub struct RunConfig {
     /// and `stats.timed_out` is set). In a parallel run the deadline is
     /// shared: one worker hitting it stops all of them.
     pub time_limit: Option<Duration>,
-    /// Collect [`DeepStats`] (per-depth + intersection counters); the hot
-    /// loop pays one predictable branch when off.
-    pub profile: bool,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig { use_sce_cache: true, factorize: true, time_limit: None, profile: false }
+        RunConfig { use_sce_cache: true, factorize: true, time_limit: None }
     }
 }
 

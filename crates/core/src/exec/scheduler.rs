@@ -211,7 +211,7 @@ where
             }
             let _span = recorder.span_path("execute/worker");
             let result = work(id, &mut exec);
-            (result, exec.stats().clone())
+            (result, exec.into_stats())
         }));
         if outcome.is_err() {
             // Abort the siblings: they observe the flag at their next
@@ -340,8 +340,9 @@ pub(crate) fn collect_with_limit(
     limit: Option<usize>,
 ) -> Result<CollectRun, ExecError> {
     if limit == Some(0) {
-        let workers = vec![ExecStats::default(); threads.max(1)];
-        return Ok(CollectRun { embeddings: Vec::new(), stats: ExecStats::default(), workers });
+        let stats = ExecStats::new(pattern.n());
+        let workers = vec![stats.clone(); threads.max(1)];
+        return Ok(CollectRun { embeddings: Vec::new(), stats, workers });
     }
     let data_n = star.ccsr().n();
     let quota = limit.map(|k| (u64::try_from(k).unwrap_or(u64::MAX), Arc::new(AtomicU64::new(0))));

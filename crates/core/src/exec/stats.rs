@@ -1,5 +1,11 @@
 //! Execution statistics: what the evaluation section measures per run.
+//!
+//! Candidates and SCE hits are counted per pattern vertex, one increment
+//! per event, and totalled once when a run returns. A vertex's slot means
+//! the same in both walks, so the report ([`ExecStats::export`]) reads
+//! the series per step of `Φ*` for counts and enumerations alike.
 
+use csce_graph::VertexId;
 use csce_obs::MetricsRegistry;
 
 /// Counters collected during one execution.
@@ -29,9 +35,16 @@ pub struct ExecStats {
     /// A count or product reached `u64::MAX` and was clamped there, so
     /// the reported count is a lower bound, not the exact answer.
     pub saturated: bool,
-    /// Per-depth and intersection profiling, present when the run asked
-    /// for it (`RunConfig::profile`).
-    pub deep: Option<DeepStats>,
+    /// Candidates tried per pattern vertex (indexed by vertex id, |V_P|
+    /// long); `candidates_scanned` is their sum.
+    pub vertex_candidates: Vec<u64>,
+    /// SCE cache hits per pattern vertex (indexed by vertex id, |V_P|
+    /// long); `sce_cache_hits` is their sum.
+    pub vertex_sce_hits: Vec<u64>,
+    /// Elements fed into candidate-set intersections.
+    pub intersection_input: u64,
+    /// Elements surviving multi-way candidate-set intersections.
+    pub intersection_output: u64,
 }
 
 /// `a + b`, clamped at `u64::MAX`; a clamp sets `saturated`.
@@ -52,61 +65,30 @@ pub(crate) fn mul_clamped(a: u64, b: u64, saturated: &mut bool) -> u64 {
     })
 }
 
-/// Hot-loop profiling counters, collected only on request because they
-/// touch per-depth vectors on every candidate.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DeepStats {
-    /// Candidates scanned at each recursion depth.
-    pub depth_candidates: Vec<u64>,
-    /// SCE cache hits at each recursion depth.
-    pub depth_sce_hits: Vec<u64>,
-    /// Total elements fed into candidate-set intersections.
-    pub intersection_input: u64,
-    /// Total elements surviving those intersections.
-    pub intersection_output: u64,
-}
-
-impl DeepStats {
-    /// Count one event at `depth` of `series`.
-    #[inline]
-    pub fn bump(series: &mut Vec<u64>, depth: usize) {
-        DeepStats::add(series, depth, 1);
-    }
-
-    /// Count `n` events at `depth` of `series`, growing it with zeros to
-    /// reach `depth` and saturating at `u64::MAX`. Adding 0 leaves the
-    /// series as it is, so `add(series, depth, n)` equals `n` bumps.
-    #[inline]
-    pub fn add(series: &mut Vec<u64>, depth: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if series.len() <= depth {
-            series.resize(depth + 1, 0);
-        }
-        if let Some(count) = series.get_mut(depth) {
-            *count = count.saturating_add(n);
-        }
-    }
-
-    fn merge(&mut self, other: &DeepStats) {
-        fn add(mine: &mut Vec<u64>, theirs: &[u64]) {
-            if mine.len() < theirs.len() {
-                mine.resize(theirs.len(), 0);
-            }
-            for (m, &t) in mine.iter_mut().zip(theirs) {
-                *m = m.saturating_add(t);
-            }
-        }
-        add(&mut self.depth_candidates, &other.depth_candidates);
-        add(&mut self.depth_sce_hits, &other.depth_sce_hits);
-        self.intersection_input = self.intersection_input.saturating_add(other.intersection_input);
-        self.intersection_output =
-            self.intersection_output.saturating_add(other.intersection_output);
-    }
-}
-
 impl ExecStats {
+    /// Zeroed counters for a pattern of `n` vertices.
+    pub(crate) fn new(n: usize) -> ExecStats {
+        let (vertex_candidates, vertex_sce_hits) = (vec![0; n], vec![0; n]);
+        ExecStats { vertex_candidates, vertex_sce_hits, ..ExecStats::default() }
+    }
+
+    /// Zero every counter, keeping the per-vertex vectors' length and
+    /// allocation.
+    pub(crate) fn reset(&mut self) {
+        let ExecStats { mut vertex_candidates, mut vertex_sce_hits, .. } = std::mem::take(self);
+        vertex_candidates.fill(0);
+        vertex_sce_hits.fill(0);
+        *self = ExecStats { vertex_candidates, vertex_sce_hits, ..ExecStats::default() };
+    }
+
+    /// Set `candidates_scanned` and `sce_cache_hits` to the sums of their
+    /// per-vertex series, saturating at `u64::MAX`.
+    pub(crate) fn total_vertex_counts(&mut self) {
+        let sum = |series: &[u64]| series.iter().fold(0u64, |a, &b| a.saturating_add(b));
+        self.candidates_scanned = sum(&self.vertex_candidates);
+        self.sce_cache_hits = sum(&self.vertex_sce_hits);
+    }
+
     /// Fraction of candidate-set requests served from the SCE cache.
     pub fn sce_hit_rate(&self) -> f64 {
         let total = self.sce_cache_hits + self.candidate_computations;
@@ -120,7 +102,7 @@ impl ExecStats {
     /// Combine another run's counters into this one — the reduction used
     /// for per-worker stats in parallel runs. Counters saturate-add (the
     /// per-worker counters already saturate, so the merge must not
-    /// reintroduce overflow), per-depth series add element-wise, and
+    /// reintroduce overflow), per-vertex series add element-wise, and
     /// `timed_out` and `saturated` are sticky (any worker timing out makes
     /// the merged result partial; an `embeddings` sum that clamps makes it
     /// a lower bound).
@@ -134,16 +116,20 @@ impl ExecStats {
         self.splits_taken = self.splits_taken.saturating_add(other.splits_taken);
         self.negation_clusters = self.negation_clusters.saturating_add(other.negation_clusters);
         self.chunks_claimed = self.chunks_claimed.saturating_add(other.chunks_claimed);
+        self.intersection_input = self.intersection_input.saturating_add(other.intersection_input);
+        self.intersection_output =
+            self.intersection_output.saturating_add(other.intersection_output);
         self.timed_out |= other.timed_out;
         self.saturated |= other.saturated;
-        if let Some(theirs) = &other.deep {
-            self.deep.get_or_insert_with(DeepStats::default).merge(theirs);
-        }
+        add_series(&mut self.vertex_candidates, &other.vertex_candidates);
+        add_series(&mut self.vertex_sce_hits, &other.vertex_sce_hits);
     }
 
     /// Export every counter into a metrics registry under the `exec.`
-    /// prefix (the names the `csce match --stats` run report uses).
-    pub fn export(&self, m: &mut MetricsRegistry) {
+    /// prefix (the names the `csce match --stats` run report uses). The
+    /// per-vertex series are written per step of `order`, the plan's
+    /// `Φ*`: `exec.depth_candidates[i]` counts `order[i]`'s candidates.
+    pub fn export(&self, order: &[VertexId], m: &mut MetricsRegistry) {
         m.set_counter("exec.embeddings", self.embeddings);
         m.set_counter("exec.sce_cache_hits", self.sce_cache_hits);
         m.set_counter("exec.candidate_computations", self.candidate_computations);
@@ -154,13 +140,25 @@ impl ExecStats {
         m.set_counter("exec.chunks_claimed", self.chunks_claimed);
         m.set_counter("exec.timed_out", self.timed_out as u64);
         m.set_counter("exec.saturated", self.saturated as u64);
+        m.set_counter("exec.intersection_input", self.intersection_input);
+        m.set_counter("exec.intersection_output", self.intersection_output);
         m.set_gauge("exec.sce_hit_rate", self.sce_hit_rate());
-        if let Some(deep) = &self.deep {
-            m.set_series("exec.depth_candidates", deep.depth_candidates.clone());
-            m.set_series("exec.depth_sce_hits", deep.depth_sce_hits.clone());
-            m.set_counter("exec.intersection_input", deep.intersection_input);
-            m.set_counter("exec.intersection_output", deep.intersection_output);
-        }
+        let per_step = |series: &[u64]| {
+            order.iter().map(|&u| series.get(u as usize).copied().unwrap_or(0)).collect()
+        };
+        m.set_series("exec.depth_candidates", per_step(&self.vertex_candidates));
+        m.set_series("exec.depth_sce_hits", per_step(&self.vertex_sce_hits));
+    }
+}
+
+/// Add `theirs` into `mine` element-wise, saturating, growing `mine` with
+/// zeros to `theirs`'s length.
+fn add_series(mine: &mut Vec<u64>, theirs: &[u64]) {
+    if mine.len() < theirs.len() {
+        mine.resize(theirs.len(), 0);
+    }
+    for (m, &t) in mine.iter_mut().zip(theirs) {
+        *m = m.saturating_add(t);
     }
 }
 
@@ -184,22 +182,21 @@ mod tests {
             embeddings: 3,
             nodes: 5,
             timed_out: true,
-            deep: Some(DeepStats {
-                depth_candidates: vec![1, 2],
-                depth_sce_hits: vec![0, 1],
-                intersection_input: 7,
-                intersection_output: 4,
-            }),
+            vertex_candidates: vec![1, 2],
+            vertex_sce_hits: vec![0, 1],
+            intersection_input: 7,
+            intersection_output: 4,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.embeddings, 5);
         assert_eq!(a.nodes, 15);
         assert!(a.timed_out);
-        let deep = a.deep.as_ref().expect("deep stats adopted");
-        assert_eq!(deep.depth_candidates, vec![1, 2]);
+        assert_eq!(a.vertex_candidates, vec![1, 2], "an empty series adopts the other's");
         a.merge(&b);
-        assert_eq!(a.deep.as_ref().unwrap().intersection_input, 14);
+        assert_eq!(a.vertex_candidates, vec![2, 4]);
+        assert_eq!(a.vertex_sce_hits, vec![0, 2]);
+        assert_eq!((a.intersection_input, a.intersection_output), (14, 8));
     }
 
     #[test]
@@ -209,6 +206,20 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.nodes, u64::MAX);
         assert_eq!(a.chunks_claimed, 2);
+        let near = ExecStats {
+            vertex_candidates: vec![u64::MAX - 1, 1],
+            vertex_sce_hits: vec![u64::MAX - 1],
+            intersection_input: u64::MAX - 1,
+            intersection_output: u64::MAX - 1,
+            ..Default::default()
+        };
+        let mut a = near.clone();
+        a.merge(&near);
+        assert_eq!(a.vertex_candidates, vec![u64::MAX, 2]);
+        assert_eq!(a.vertex_sce_hits, vec![u64::MAX]);
+        assert_eq!((a.intersection_input, a.intersection_output), (u64::MAX, u64::MAX));
+        a.total_vertex_counts();
+        assert_eq!((a.candidates_scanned, a.sce_cache_hits), (u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -224,48 +235,23 @@ mod tests {
         b.merge(&a);
         assert!(b.saturated, "sticky across merges");
         let mut m = MetricsRegistry::new();
-        b.export(&mut m);
+        b.export(&[], &mut m);
         assert_eq!(m.counter("exec.saturated"), 1);
     }
 
     #[test]
-    fn deep_stats_saturate_instead_of_overflowing() {
-        let near = DeepStats {
-            depth_candidates: vec![u64::MAX - 1, 1],
-            depth_sce_hits: vec![u64::MAX - 1],
-            intersection_input: u64::MAX - 1,
-            intersection_output: u64::MAX - 1,
-        };
-        let mut a = ExecStats { deep: Some(near.clone()), ..Default::default() };
-        a.merge(&ExecStats { deep: Some(near), ..Default::default() });
-        let deep = a.deep.as_mut().expect("deep stats kept");
-        assert_eq!(deep.depth_candidates, vec![u64::MAX, 2]);
-        assert_eq!(deep.depth_sce_hits, vec![u64::MAX]);
-        assert_eq!((deep.intersection_input, deep.intersection_output), (u64::MAX, u64::MAX));
-        DeepStats::bump(&mut deep.depth_candidates, 0);
-        DeepStats::bump(&mut deep.depth_candidates, 2);
-        assert_eq!(deep.depth_candidates, vec![u64::MAX, 2, 1]);
-    }
-
-    #[test]
-    fn add_grows_the_series_and_saturates() {
-        let mut series = Vec::new();
-        DeepStats::add(&mut series, 2, 0);
-        assert!(series.is_empty(), "adding zero grows nothing");
-        DeepStats::add(&mut series, 2, 5);
-        assert_eq!(series, vec![0, 0, 5]);
-        DeepStats::add(&mut series, 0, 3);
-        DeepStats::add(&mut series, 2, u64::MAX - 6);
-        assert_eq!(series, vec![3, 0, u64::MAX - 1]);
-        DeepStats::add(&mut series, 2, 2);
-        assert_eq!(series, vec![3, 0, u64::MAX]);
-        let mut bumped = Vec::new();
-        for _ in 0..4 {
-            DeepStats::bump(&mut bumped, 1);
-        }
-        let mut added = Vec::new();
-        DeepStats::add(&mut added, 1, 4);
-        assert_eq!(bumped, added, "n bumps equal one add of n");
+    fn reset_zeroes_in_place() {
+        let mut s = ExecStats::new(3);
+        s.vertex_candidates[1] = 4;
+        s.vertex_sce_hits[2] = 1;
+        s.nodes = 9;
+        s.timed_out = true;
+        s.total_vertex_counts();
+        assert_eq!((s.candidates_scanned, s.sce_cache_hits), (4, 1));
+        let buffer = s.vertex_candidates.as_ptr();
+        s.reset();
+        assert_eq!(s, ExecStats::new(3));
+        assert_eq!(s.vertex_candidates.as_ptr(), buffer, "the allocation is kept");
     }
 
     #[test]
@@ -274,13 +260,17 @@ mod tests {
             embeddings: 1,
             sce_cache_hits: 2,
             candidate_computations: 2,
-            deep: Some(DeepStats { depth_candidates: vec![4], ..Default::default() }),
+            vertex_candidates: vec![4, 0, 7],
+            vertex_sce_hits: vec![0, 2, 0],
+            intersection_input: 5,
             ..Default::default()
         };
         let mut m = MetricsRegistry::new();
-        stats.export(&mut m);
+        stats.export(&[2, 0, 1], &mut m);
         assert_eq!(m.counter("exec.embeddings"), 1);
+        assert_eq!(m.counter("exec.intersection_input"), 5);
         assert_eq!(m.gauge("exec.sce_hit_rate"), Some(0.5));
-        assert_eq!(m.series("exec.depth_candidates"), &[4]);
+        assert_eq!(m.series("exec.depth_candidates"), &[7, 4, 0], "one entry per step");
+        assert_eq!(m.series("exec.depth_sce_hits"), &[0, 0, 2]);
     }
 }

@@ -48,8 +48,8 @@ pub mod plan;
 
 pub use catalog::Catalog;
 pub use exec::{
-    collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, DeepStats, ExecError,
-    ExecStats, Executor, MatchSink, ParallelRun, RunConfig, Scheduler,
+    collect_parallel, CallbackSink, CollectRun, CollectSink, CountSink, ExecError, ExecStats,
+    Executor, MatchSink, ParallelRun, RunConfig, Scheduler,
 };
 pub use plan::{Plan, Planner, PlannerConfig, SceAnalysis};
 
@@ -526,11 +526,11 @@ mod tests {
         let rec = Recorder::disabled();
         let query = engine.prepare(&p, Variant::VertexInduced, PlannerConfig::csce(), &rec);
         let query = query.unwrap();
-        let run = RunConfig { profile: true, ..RunConfig::default() };
+        let run = RunConfig::default();
         let (first, second) =
             (query.count(run, 1, None).unwrap(), query.count(run, 1, None).unwrap());
         assert_eq!((first.count, &first.stats), (second.count, &second.stats));
-        assert!(first.stats.deep.is_some(), "profiled run carries deep stats");
+        assert_eq!(first.stats.vertex_candidates.len(), p.n(), "one slot per pattern vertex");
     }
 
     #[test]

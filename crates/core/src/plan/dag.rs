@@ -182,28 +182,26 @@ impl LabelBuckets {
 fn check_negation_parents(catalog: &Catalog<'_>, phi: &[VertexId], dag: &Dag) {
     let p = catalog.pattern();
     let mut neighbour_of = vec![usize::MAX; p.n()];
+    let mut want = Vec::new();
     for (j, &uj) in phi.iter().enumerate() {
         for (eidx, side) in catalog.incident_edges(uj) {
             let e = &p.edges()[eidx];
             let w = if side == Side::Src { e.dst } else { e.src };
             neighbour_of[w as usize] = j;
         }
-        let want: Vec<VertexId> = if dag.edge_parents(uj).is_empty() {
-            Vec::new()
-        } else {
-            let mut want: Vec<VertexId> = phi[..j]
-                .iter()
-                .copied()
-                .filter(|&ui| {
-                    neighbour_of[ui as usize] != j
-                        && catalog.labels_ever_adjacent(p.label(ui), p.label(uj))
-                })
-                .collect();
+        want.clear();
+        if !dag.edge_parents(uj).is_empty() {
+            want.extend(phi[..j].iter().copied().filter(|&ui| {
+                neighbour_of[ui as usize] != j
+                    && catalog.labels_ever_adjacent(p.label(ui), p.label(uj))
+            }));
             want.sort_unstable();
-            want
-        };
-        let got: Vec<VertexId> = dag.negation_parents(uj).collect();
-        debug_assert_eq!(got, want, "negation parents of pattern vertex {uj}");
+        }
+        debug_assert!(
+            dag.negation_parents(uj).eq(want.iter().copied()),
+            "negation parents of pattern vertex {uj}: {:?}, want {want:?}",
+            dag.negation_parents(uj).collect::<Vec<_>>()
+        );
     }
 }
 

@@ -208,17 +208,17 @@ pub fn gcf_order(catalog: &Catalog<'_>, config: PlannerConfig) -> Vec<VertexId> 
 /// Debug cross-check of the heap: the popped key equals the winner's key
 /// with `ω¹`/`ω²` recomputed from the pattern, and no frontier vertex
 /// outranks it under that recomputed Eq. 1–2 order. `O(|V_P| + |E_P|)`
-/// per step, so debug builds plan in quadratic time.
+/// per step, so debug builds plan in quadratic time; it allocates nothing.
 #[cfg(debug_assertions)]
 fn check_winner(catalog: &Catalog<'_>, config: PlannerConfig, slots: &[Slot], popped: Key) {
     let winner = popped.id.0;
-    let placed: Vec<bool> = slots.iter().map(|s| s.placed).collect();
+    let placed = |y: VertexId| slots[y as usize].placed;
     let fresh = |x: VertexId| {
         let s = &slots[x as usize];
         let (omega1, omega2, freq) = if config.cluster_tiebreak {
             (
-                catalog.min_connecting_cluster(x, &placed, true),
-                catalog.min_connecting_cluster(x, &placed, false),
+                catalog.min_connecting_cluster(x, placed, true),
+                catalog.min_connecting_cluster(x, placed, false),
                 catalog.label_frequency(catalog.pattern().label(x)),
             )
         } else {
@@ -399,6 +399,7 @@ mod tests {
         // ω¹ compares clusters on edges into the prefix; if neither candidate
         // has one (or they tie), fall through to the unordered side (ω²/ω³).
         for towards_prefix in [true, false] {
+            let in_phi = |y: VertexId| in_phi[y as usize];
             let wa = catalog.min_connecting_cluster(a, in_phi, towards_prefix);
             let wb = catalog.min_connecting_cluster(b, in_phi, towards_prefix);
             if wa != wb {

@@ -72,8 +72,8 @@ fn prefer(
     // Smallest cluster among edges to placed vertices (`usize::MAX` when
     // there is none, e.g. for the first vertex).
     let (ca, cb) = (
-        catalog.min_connecting_cluster(a, placed, true),
-        catalog.min_connecting_cluster(b, placed, true),
+        catalog.min_connecting_cluster(a, |y| placed[y as usize], true),
+        catalog.min_connecting_cluster(b, |y| placed[y as usize], true),
     );
     if ca != cb {
         return ca < cb;

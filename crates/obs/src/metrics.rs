@@ -44,7 +44,7 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Set an indexed series (e.g. a per-recursion-depth counter vector).
+    /// Set an indexed series (e.g. a per-step counter vector).
     pub fn set_series(&mut self, name: &str, values: Vec<u64>) {
         self.series.insert(name.to_string(), values);
     }

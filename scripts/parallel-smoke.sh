@@ -4,7 +4,9 @@
 # run report must parse and carry one load-balance slot per worker, and
 # the same query on one thread, which must claim chunks through the same
 # driver and agree on the count; then both again vertex-induced, where
-# every run must consult negation clusters.
+# every run must consult negation clusters. Every report carries the
+# per-step work series, one entry per pattern vertex, merged across the
+# workers so that each sums to its run's total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +44,18 @@ import json
 def report(path):
     raw = open(path).read()
     return json.loads(raw[raw.index("{"):])
+
+def check_series(path):
+    r = report(path)
+    for key, total in (("exec.depth_candidates", "exec.candidates_scanned"),
+                       ("exec.depth_sce_hits", "exec.sce_cache_hits")):
+        steps = r["series"][key]
+        assert len(steps) == 3, (path, key, steps)
+        assert sum(steps) == int(r["counters"][total]), (path, key, steps, r["counters"])
+    assert "exec.intersection_input" in r["counters"], (path, r["counters"])
+
+for path in ("smoke4.out", "smoke1.out", "smokev4.out", "smokev1.out"):
+    check_series(path)
 
 r = report("smoke4.out")
 assert int(r["meta"]["threads"]) == 4, r["meta"]

@@ -499,7 +499,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let run = RunConfig { time_limit, profile: stats_format.is_some(), ..Default::default() };
+    let run = RunConfig { time_limit, ..Default::default() };
     let progress = Arc::new(AtomicU64::new(0));
     let heartbeat =
         progress_every.map(|every| spawn_heartbeat(every, Arc::clone(&progress), time_limit));
@@ -629,7 +629,7 @@ fn match_report(
         .meta("timed_out", out.stats.timed_out)
         .meta("saturated", out.stats.saturated);
     report.phases = recorder.snapshot();
-    out.stats.export(&mut report.metrics);
+    out.stats.export(&query.plan().order, &mut report.metrics);
     // Per-worker load-balance view (one element per worker thread).
     report.metrics.set_series("exec.worker_nodes", out.workers.iter().map(|w| w.nodes).collect());
     report

@@ -291,6 +291,56 @@ fn stats_json_is_valid_and_complete() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
 }
 
+/// The double-arm star `(c:0)--(a:1)--(x:3), (c)--(b:2)--(y:4)` splits
+/// into its arms after the centre. Counted (factorized) and enumerated
+/// (the sink walk along `Φ*`), its report carries one
+/// `exec.depth_candidates` and `exec.depth_sce_hits` entry per pattern
+/// vertex, each series summing to the run's total.
+#[test]
+fn stats_series_have_one_entry_per_step_on_a_splitting_plan() {
+    use csce::obs::JsonValue;
+    const STAR: &str = "t 10 12\nv 0 0\nv 1 0\nv 2 1\nv 3 1\nv 4 2\nv 5 2\nv 6 3\nv 7 3\n\
+v 8 4\nv 9 4\ne 0 2 - u\ne 0 3 - u\ne 1 2 - u\ne 2 6 - u\ne 3 6 - u\ne 3 7 - u\n\
+e 0 4 - u\ne 1 4 - u\ne 1 5 - u\ne 4 8 - u\ne 5 8 - u\ne 5 9 - u\n";
+    let dir = workdir();
+    let data = write(&dir, "double_arm.csce", STAR);
+    let query = "(c:0)--(a:1)--(x:3), (c)--(b:2)--(y:4)";
+    for enumerate in [None, Some(["--enumerate", "100"])] {
+        let out = bin()
+            .arg("match")
+            .arg(&data)
+            .args(["--query", query, "--variant", "e", "--stats", "json"])
+            .args(enumerate.iter().flatten())
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let json_start = stdout.find('{').expect("report follows the count line");
+        let report = csce::obs::parse_json(&stdout[json_start..]).expect("valid JSON report");
+        let counters = report.get("counters").expect("counters object");
+        let counter = |key: &str| counters.get(key).and_then(JsonValue::as_u64).unwrap();
+        assert_eq!(counter("exec.embeddings"), 6, "{enumerate:?}");
+        if enumerate.is_none() {
+            assert!(counter("exec.splits_taken") > 0, "the arms split");
+        }
+        let series = report.get("series").expect("series object");
+        for (key, total) in [
+            ("exec.depth_candidates", "exec.candidates_scanned"),
+            ("exec.depth_sce_hits", "exec.sce_cache_hits"),
+        ] {
+            let steps: Vec<u64> = series
+                .get(key)
+                .and_then(JsonValue::as_array)
+                .unwrap_or_else(|| panic!("missing series {key}"))
+                .iter()
+                .filter_map(JsonValue::as_u64)
+                .collect();
+            assert_eq!(steps.len(), 5, "{key} {enumerate:?}: {steps:?}");
+            assert_eq!(steps.iter().sum::<u64>(), counter(total), "{key} {enumerate:?}");
+        }
+    }
+}
+
 #[test]
 fn enumerate_stats_time_the_sort_and_the_merge() {
     use csce::obs::JsonValue;
